@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race serve bench benchsmoke loadsmoke chaossmoke clustersmoke timelinesmoke distjobssmoke netsplitsmoke
+.PHONY: check vet build test race serve bench benchmod benchsmoke loadsmoke chaossmoke clustersmoke timelinesmoke distjobssmoke netsplitsmoke
 
-check: vet build race benchsmoke loadsmoke chaossmoke clustersmoke timelinesmoke distjobssmoke netsplitsmoke
+check: vet build race benchmod benchsmoke loadsmoke chaossmoke clustersmoke timelinesmoke distjobssmoke netsplitsmoke
 
 vet:
 	$(GO) vet ./...
@@ -21,6 +21,12 @@ race:
 
 serve: build
 	$(GO) run ./cmd/ttmcas-serve
+
+# The end-to-end benchmark (bench/, run by bench/run.sh) is a nested Go
+# module that ./... never reaches: vet it and run its tests, including
+# the 1 s smoke of every workload.
+benchmod:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of every throughput benchmark — including the compiled
 # core kernel's — catches benchmarks that no longer compile or fail,

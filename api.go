@@ -238,39 +238,14 @@ func SensitivityWithModel(base Model, d Design, n float64, c Conditions, cfg Sen
 }
 
 // SensitivityWithModelCtx is SensitivityWithModel under a context. The
-// design is compiled once and every worker runs its own clone of the
-// zero-allocation evaluator; the Saltelli sample matrices are drawn
-// column-shaped and fed whole chunks at a time to the kernel's
-// EvalBatch (core.Inputs order matches the batch's six parameter
-// columns), so the N·(k+2) evaluations never assemble a per-sample row.
+// design is compiled once and the Saltelli columns are fed whole chunks
+// at a time to per-worker clones of the batch kernel.
 func SensitivityWithModelCtx(ctx context.Context, base Model, d Design, n float64, c Conditions, cfg SensitivityConfig) (SensitivityResult, error) {
 	ev, err := base.Compile(d, n, c)
 	if err != nil {
 		return SensitivityResult{}, err
 	}
-	return sens.TotalEffectBatch(ctx, core.Inputs, cfg, func() (sens.BatchEval, error) {
-		w := ev.Clone()
-		var (
-			b    core.Batch
-			wout []units.Weeks
-			errs core.BatchErrors
-		)
-		return func(cols [][]float64, out []float64) error {
-			b.NTT, b.NUT, b.D0, b.Rate, b.FabLatency, b.TAPLatency = cols[0], cols[1], cols[2], cols[3], cols[4], cols[5]
-			if cap(wout) < len(out) {
-				wout = make([]units.Weeks, len(out))
-			}
-			ws := wout[:len(out)]
-			if err := w.EvalBatch(&b, ws, &errs); err != nil {
-				return err
-			}
-			for j, t := range ws {
-				out[j] = float64(t)
-			}
-			_, err := errs.First()
-			return err
-		}, nil
-	})
+	return sens.TotalEffectBatch(ctx, core.Inputs, cfg, sens.TTMFactory(ev, nil))
 }
 
 // DieYield evaluates the paper's negative-binomial yield model (Eq. 6)

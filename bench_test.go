@@ -6,11 +6,11 @@ package ttmcas_test
 // budget and, on the first iteration, asserts the result is
 // structurally sound. Ablation benchmarks time the design alternatives
 // DESIGN.md calls out (yield-model family, edge-die correction, CAS
-// derivative step, Saltelli vs naive Sobol, closed-form vs
-// discrete-event fabrication).
+// derivative step, closed-form vs discrete-event fabrication); the
+// Saltelli-vs-naive Sobol ablation lives with its estimator in
+// internal/sens.
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -21,7 +21,6 @@ import (
 	"ttmcas/internal/figures"
 	"ttmcas/internal/market"
 	"ttmcas/internal/scenario"
-	"ttmcas/internal/sens"
 	"ttmcas/internal/technode"
 	"ttmcas/internal/units"
 	"ttmcas/internal/yield"
@@ -205,36 +204,6 @@ func BenchmarkAblationCASStep(b *testing.B) {
 			b.ReportMetric(last, "cas")
 		})
 	}
-}
-
-func BenchmarkAblationSobolEstimator(b *testing.B) {
-	d := scenario.A11At(technode.N28)
-	c := market.Full()
-	model := func(mult []float64) (float64, error) {
-		var m core.Model
-		for i, name := range core.Inputs {
-			if err := m.Perturb.SetInput(name, mult[i]); err != nil {
-				return 0, err
-			}
-		}
-		t, err := m.TTM(d, 10e6, c)
-		return float64(t), err
-	}
-	cfg := sens.Config{N: 128, Seed: 1}
-	b.Run("saltelli", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sens.TotalEffect(context.Background(), core.Inputs, cfg, model); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sens.NaiveTotalEffect(context.Background(), core.Inputs, cfg, model); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkAblationFabClosedFormVsDES(b *testing.B) {

@@ -133,12 +133,11 @@
 // once into a flat, allocation-free evaluation kernel, and the
 // Monte-Carlo, Sobol and split-study drivers fan out over it in
 // adaptive chunks with one kernel clone and one RNG per worker
-// (falling back to inline serial execution for small batches, so
-// parallel entry points never lose to serial ones). The compiled
-// kernel is tested bit-for-bit against the oracle Evaluate across all
-// built-in designs and market scenarios, and `make bench` records the
-// kernel and driver throughput — with allocation counts — in
-// BENCH_jobs.json.
+// (falling back to inline execution for small batches, so the fan-out
+// costs nothing on one core). The compiled kernel is tested
+// bit-for-bit against the oracle Evaluate across all built-in designs
+// and market scenarios, and `make bench` records the kernel and driver
+// throughput — with allocation counts — in BENCH_jobs.json.
 //
 // On top of the compiled kernel sits a structure-of-arrays batch path:
 // Evaluator.EvalBatch and CASBatch (plus at-capacity variants) take a
@@ -149,14 +148,16 @@
 // failures come back as a compact index list (core.BatchErrors) whose
 // First method returns the lowest-index failure, exactly what a serial
 // per-call loop would have hit, with the identical error value. The
-// batch path is oracle-tested bit-for-bit against per-call Eval
-// (values and error reporting) and is allocation-free in steady state;
-// callers pool the Batch, outputs and BatchErrors per worker and give
-// each worker its own Evaluator.Clone. Every hot driver — the
-// Monte-Carlo bands, the Saltelli AB_i fan-out, sweep chunk bodies,
-// the split-study fraction sweep, and per-step timeline evaluation
-// (compiled once, stepped via SetConditions) — feeds this batch path
-// through pooled per-worker buffers.
+// batch path is oracle-tested bit-for-bit against the per-call
+// evaluator (values and error reporting) and is allocation-free in
+// steady state; callers pool the Batch, outputs and BatchErrors per
+// worker and give each worker its own Evaluator.Clone. It is the one
+// evaluation path of every driver — the Monte-Carlo estimates and
+// bands, the Saltelli estimator (serial and sharded alike: one range
+// evaluator, one reducer), the split-study fraction sweep, and per-step
+// timeline evaluation (compiled once, stepped via SetConditions) — and
+// each package's tests hold its driver bit for bit against a
+// per-sample reference on the map-based model.
 //
 // The HTTP service applies the same discipline to its hot path. A
 // sharded, byte-budgeted LRU caches encoded response bodies (a hit

@@ -12,10 +12,11 @@ import (
 )
 
 // This file implements the structure-of-arrays batch entry points of
-// the compiled kernel. Eval runs one perturbation per call; the
-// Monte-Carlo, Sobol, sweep and timeline drivers call it 10³–10⁶ times
-// in tight loops, paying per-call dispatch (argument marshalling,
-// bounds-checked scratch resets, error wrapping) on every sample.
+// the compiled kernel. The per-call methods run one perturbation per
+// call; the Monte-Carlo, Sobol, sweep and timeline drivers need
+// 10³–10⁶ evaluations in tight loops, and calling per sample would pay
+// per-call dispatch (argument marshalling, bounds-checked scratch
+// resets, error wrapping) on every one.
 // EvalBatch takes the whole sample set as flat float64 columns — one
 // slice per perturbed input, shared condition columns per node — and
 // evaluates it phase by phase: each compiled table row (node, die) is
@@ -33,9 +34,9 @@ import (
 // per-sample evaluation failures (a die too large under its perturbed
 // transistor count, an invalid salvage yield) are collected into a
 // compact BatchErrors index list and the corresponding output entries
-// are zeroed, exactly the value Eval returns alongside its error. A
-// sample fails at its first failing die, like the per-call path, and
-// later phases skip failed samples.
+// are zeroed, exactly the value the per-call methods return alongside
+// their error. A sample fails at its first failing die, like the
+// per-call path, and later phases skip failed samples.
 //
 // Pooling rules for callers: a Batch, its output slices and the
 // BatchErrors are plain memory — pool them per worker (sync.Pool or a
@@ -56,12 +57,13 @@ type Batch struct {
 	NTT, NUT, D0, Rate, FabLatency, TAPLatency []float64
 
 	// Chips overrides the compiled final-chip count per sample
-	// (EvalChips); negative entries fail with the per-call error.
+	// (EvalChipsAtCapacity's n); negative entries fail with the per-call
+	// error.
 	Chips []float64
 
 	// Global overrides the compiled global capacity fraction per
-	// sample (EvalAtCapacity); zero means "default to 1" exactly as
-	// the compiled conditions do.
+	// sample (EvalChipsAtCapacity's global); zero means "default to 1"
+	// exactly as the compiled conditions do.
 	Global []float64
 
 	// Factor and Queue override the compiled per-node capacity factor
@@ -305,7 +307,7 @@ func (e *Evaluator) EvalBatch(b *Batch, out []units.Weeks, errs *BatchErrors) er
 }
 
 // EvalBatchAtCapacity is EvalBatch with the global capacity fraction
-// overridden for every sample, the batch form of EvalAtCapacity. The
+// overridden for every sample, the batch form of EvalChipsAtCapacity. The
 // batch must not also carry a Global column.
 func (e *Evaluator) EvalBatchAtCapacity(b *Batch, global float64, out []units.Weeks, errs *BatchErrors) error {
 	if b.Global != nil {
@@ -409,7 +411,7 @@ func (e *Evaluator) batchSetup(b *Batch, outLen int, errs *BatchErrors) (int, er
 }
 
 // zeroFailed zeroes the outputs of failed samples, matching the zero
-// value Eval returns alongside its error.
+// value the per-call methods return alongside their error.
 func (e *Evaluator) zeroFailed(out []units.Weeks, n int) {
 	sc := e.batch
 	for s := 0; s < n; s++ {

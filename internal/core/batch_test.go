@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -47,23 +46,6 @@ func batchErrAt(errs *core.BatchErrors, s int) error {
 	return nil
 }
 
-func sameFloat(t *testing.T, ctx string, got, want float64, gotErr, wantErr error) {
-	t.Helper()
-	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("%s: batch err %v, per-call err %v", ctx, gotErr, wantErr)
-	}
-	if gotErr != nil {
-		if gotErr.Error() != wantErr.Error() {
-			t.Fatalf("%s: batch err %q, per-call err %q", ctx, gotErr, wantErr)
-		}
-		return
-	}
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("%s: batch %v (%#x), per-call %v (%#x)", ctx,
-			got, math.Float64bits(got), want, math.Float64bits(want))
-	}
-}
-
 func TestEvalBatchMatchesEvalBitForBit(t *testing.T) {
 	perts := perturbations(11, 24)
 	b := columns(perts)
@@ -82,7 +64,7 @@ func TestEvalBatchMatchesEvalBitForBit(t *testing.T) {
 				}
 				ref := ev.Clone()
 				for i, p := range perts {
-					want, wantErr := ref.Eval(p)
+					want, wantErr := evalTTM(ref, p, chips)
 					sameWeeks(t, fmt.Sprintf("%s/%s/%s sample %d", mname, dname, sc.Name, i),
 						out[i], want, batchErrAt(&errs, i), wantErr)
 				}
@@ -109,8 +91,8 @@ func TestCASBatchMatchesCASBitForBit(t *testing.T) {
 			}
 			ref := ev.Clone()
 			for i, p := range perts {
-				want, wantErr := ref.CAS(p)
-				sameFloat(t, fmt.Sprintf("%s/%s sample %d", dname, sc.Name, i),
+				want, wantErr := evalCAS(ref, p)
+				sameValue(t, fmt.Sprintf("%s/%s sample %d", dname, sc.Name, i),
 					out[i], want, batchErrAt(&errs, i), wantErr)
 			}
 		}
@@ -135,7 +117,7 @@ func TestBatchAtCapacityMatchesPerCall(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, p := range perts {
-				want, wantErr := ref.EvalAtCapacity(p, g)
+				want, wantErr := ref.EvalChipsAtCapacity(p, 10e6, g)
 				sameWeeks(t, fmt.Sprintf("%s ttm@%v sample %d", dname, g, i),
 					wout[i], want, batchErrAt(&errs, i), wantErr)
 			}
@@ -143,8 +125,8 @@ func TestBatchAtCapacityMatchesPerCall(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, p := range perts {
-				want, wantErr := ref.CASAtCapacity(p, g)
-				sameFloat(t, fmt.Sprintf("%s cas@%v sample %d", dname, g, i),
+				want, wantErr := ref.CASChipsAtCapacity(p, 10e6, g)
+				sameValue(t, fmt.Sprintf("%s cas@%v sample %d", dname, g, i),
 					cout[i], want, batchErrAt(&errs, i), wantErr)
 			}
 		}
@@ -167,7 +149,7 @@ func TestBatchChipsColumnMatchesEvalChips(t *testing.T) {
 	}
 	ref := ev.Clone()
 	for i, n := range chips {
-		want, wantErr := ref.EvalChips(core.Perturbation{}, n)
+		want, wantErr := evalTTM(ref, core.Perturbation{}, n)
 		sameWeeks(t, fmt.Sprintf("chips %v", n), out[i], want, batchErrAt(&errs, i), wantErr)
 	}
 	if idx, err := errs.First(); idx != 5 || err == nil || !strings.Contains(err.Error(), "negative chip count") {
@@ -222,10 +204,10 @@ func TestSetConditionsMatchesCompile(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantW, wErr := ref.Eval(p)
+				wantW, wErr := evalTTM(ref, p, 10e6)
 				sameWeeks(t, fmt.Sprintf("%s/%s ttm", dname, sc.Name), wout[s], wantW, batchErrAt(&werrs, s), wErr)
-				wantC, cErr := ref.CAS(p)
-				sameFloat(t, fmt.Sprintf("%s/%s cas", dname, sc.Name), cout[s], wantC, batchErrAt(&cerrs, s), cErr)
+				wantC, cErr := evalCAS(ref, p)
+				sameValue(t, fmt.Sprintf("%s/%s cas", dname, sc.Name), cout[s], wantC, batchErrAt(&cerrs, s), cErr)
 			}
 		}
 	}
@@ -252,7 +234,7 @@ func TestEvalBatchErrorIndices(t *testing.T) {
 	ref := ev.Clone()
 	failWant := 0
 	for i, v := range ntt {
-		want, wantErr := ref.Eval(core.Perturbation{NTT: v})
+		want, wantErr := evalTTM(ref, core.Perturbation{NTT: v}, 10e6)
 		sameWeeks(t, fmt.Sprintf("sample %d", i), out[i], want, batchErrAt(&errs, i), wantErr)
 		if wantErr != nil {
 			failWant++
@@ -292,7 +274,7 @@ func TestBatchShapes(t *testing.T) {
 	if err := ev.EvalBatch(&core.Batch{}, out, &errs); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := ev.Clone().Eval(core.Perturbation{})
+	want, _ := evalTTM(ev.Clone(), core.Perturbation{}, 10e6)
 	for i, v := range out {
 		if v != want {
 			t.Fatalf("all-nil batch out[%d] = %v, want %v", i, v, want)
@@ -304,7 +286,7 @@ func TestBatchShapes(t *testing.T) {
 	if err := ev.EvalBatch(one, out[:1], &errs); err != nil {
 		t.Fatal(err)
 	}
-	want, _ = ev.Clone().Eval(core.Perturbation{NTT: 1.05})
+	want, _ = evalTTM(ev.Clone(), core.Perturbation{NTT: 1.05}, 10e6)
 	if out[0] != want {
 		t.Fatalf("len-1 batch = %v, want %v", out[0], want)
 	}

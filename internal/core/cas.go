@@ -138,11 +138,11 @@ func (m Model) CASCurve(d design.Design, n float64, base market.Conditions, frac
 		if f <= 0 {
 			return nil, fmt.Errorf("core: capacity fraction %v must be positive", f)
 		}
-		ttm, err := ev.EvalAtCapacity(m.Perturb, f)
+		ttm, err := ev.EvalChipsAtCapacity(m.Perturb, n, f)
 		if err != nil {
 			return nil, err
 		}
-		cas, err := ev.CASAtCapacity(m.Perturb, f)
+		cas, err := ev.CASChipsAtCapacity(m.Perturb, n, f)
 		if err != nil {
 			return nil, err
 		}

@@ -20,8 +20,10 @@ import (
 // the Perturbation. Compile performs all of that resolution once —
 // node parameters, effort curves, wafer geometry, queue depths,
 // capacity factors — into flat slices indexed by a dense node index,
-// so Evaluator.Eval runs the model with zero map operations and zero
-// heap allocations.
+// so the kernel runs the model with zero map operations and zero heap
+// allocations. Drivers reach it through the batch entry points of
+// batch.go; the per-call methods below serve single request-path
+// evaluations.
 //
 // The kernel mirrors Evaluate's floating-point operations in the exact
 // same order, so its results are bit-for-bit identical to the
@@ -51,7 +53,7 @@ type Evaluator struct {
 	nodes []evalNode
 	dies  []evalDie
 
-	// scratch accumulates per-node wafer demand during one Eval; it is
+	// scratch accumulates per-node wafer demand during one evaluation; it is
 	// the only per-call mutable state.
 	scratch []units.Wafers
 
@@ -94,12 +96,12 @@ type evalDie struct {
 
 // Compile resolves the design and market conditions against the
 // model's node database into an Evaluator. The model's own Perturb
-// field is ignored: the perturbation is an argument of every Eval so
+// field is ignored: the perturbation is an argument of every evaluation so
 // one compiled kernel serves a whole Monte-Carlo or Sobol stream.
 // Structural errors (invalid design, negative chip count, unknown
 // node, invalid salvage scheme) surface here; data-dependent errors
 // (a die too large for the wafer under a perturbed transistor count)
-// surface from Eval.
+// surface from evaluation.
 func (m Model) Compile(d design.Design, n float64, c market.Conditions) (*Evaluator, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -177,26 +179,13 @@ func (e *Evaluator) Clone() *Evaluator {
 // Chips returns the compiled final-chip count.
 func (e *Evaluator) Chips() float64 { return e.chips }
 
-// Eval computes the headline TTM under the perturbation at the
-// compiled conditions. The hot path performs no map operations and no
-// heap allocations (asserted by testing.AllocsPerRun in the tests);
-// only the error path allocates.
-func (e *Evaluator) Eval(p Perturbation) (units.Weeks, error) {
-	return e.eval(p, e.chips, e.global, -1, 0, nil)
-}
-
-// EvalResult is Eval returning the full per-phase, per-die and per-node
-// breakdown, bit-for-bit identical to Model.Evaluate on the compiled
-// design × conditions pair. Unlike Eval it allocates the result slices,
-// so it belongs on request paths that need the detail once, not in
-// Monte-Carlo inner loops.
-func (e *Evaluator) EvalResult(p Perturbation) (Result, error) {
-	return e.EvalResultChips(p, e.chips)
-}
-
-// EvalResultChips is EvalResult with the final-chip count overridden,
-// so one compiled evaluator serves detailed evaluations across request
-// volumes.
+// EvalResultChips computes TTM under the perturbation for n final
+// chips with the full per-phase, per-die and per-node breakdown,
+// bit-for-bit identical to Model.Evaluate on the compiled design ×
+// conditions pair at that chip count, so one compiled evaluator serves
+// detailed evaluations across request volumes. It allocates the result
+// slices, so it belongs on request paths that need the detail once, not
+// in Monte-Carlo inner loops.
 func (e *Evaluator) EvalResultChips(p Perturbation, n float64) (Result, error) {
 	if n < 0 {
 		return Result{}, fmt.Errorf("core: negative chip count %v", n)
@@ -208,16 +197,12 @@ func (e *Evaluator) EvalResultChips(p Perturbation, n float64) (Result, error) {
 	return res, nil
 }
 
-// EvalAtCapacity is Eval with the global capacity fraction overridden,
-// exactly as evaluating at c.AtCapacity(global) would; the x-axis of
-// every capacity-sweep figure.
-func (e *Evaluator) EvalAtCapacity(p Perturbation, global float64) (units.Weeks, error) {
-	return e.eval(p, e.chips, global, -1, 0, nil)
-}
-
-// EvalChipsAtCapacity overrides both the final-chip count and the
-// global capacity fraction, for cached evaluators serving arbitrary
-// request volumes across capacity sweeps.
+// EvalChipsAtCapacity computes the headline TTM under the perturbation
+// for n final chips with the global capacity fraction overridden,
+// exactly as evaluating at c.AtCapacity(global) would, for cached
+// evaluators serving arbitrary request volumes across capacity sweeps.
+// The call performs no map operations and no heap allocations (asserted
+// by testing.AllocsPerRun in the tests); only the error path allocates.
 func (e *Evaluator) EvalChipsAtCapacity(p Perturbation, n float64, global float64) (units.Weeks, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("core: negative chip count %v", n)
@@ -225,50 +210,10 @@ func (e *Evaluator) EvalChipsAtCapacity(p Perturbation, n float64, global float6
 	return e.eval(p, n, global, -1, 0, nil)
 }
 
-// EvalChips is Eval with the final-chip count overridden, for volume
-// sweeps and production-split studies that re-divide a fixed order
-// across designs.
-func (e *Evaluator) EvalChips(p Perturbation, n float64) (units.Weeks, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("core: negative chip count %v", n)
-	}
-	return e.eval(p, n, e.global, -1, 0, nil)
-}
-
-// EvalChipsNodeCapacity is EvalChips with one node's capacity factor
-// replaced (the WithNodeCapacity finite-difference probe). A node the
-// design does not use leaves the result unchanged.
-func (e *Evaluator) EvalChipsNodeCapacity(p Perturbation, n float64, node technode.Node, f float64) (units.Weeks, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("core: negative chip count %v", n)
-	}
-	idx := -1
-	for i := range e.nodes {
-		if e.nodes[i].node == node {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return e.eval(p, n, e.global, -1, 0, nil)
-	}
-	return e.eval(p, n, e.global, idx, f, nil)
-}
-
-// CAS computes the Chip Agility Score (Eq. 8) under the perturbation
-// at the compiled conditions via the same central differences as
-// Model.CAS, without the per-node Derivatives map.
-func (e *Evaluator) CAS(p Perturbation) (float64, error) {
-	return e.cas(p, e.chips, e.global, nil)
-}
-
-// CASAtCapacity is CAS with the global capacity fraction overridden.
-func (e *Evaluator) CASAtCapacity(p Perturbation, global float64) (float64, error) {
-	return e.cas(p, e.chips, global, nil)
-}
-
-// CASChipsAtCapacity overrides both the final-chip count and the
-// global capacity fraction, the CAS counterpart of EvalChipsAtCapacity.
+// CASChipsAtCapacity computes the Chip Agility Score (Eq. 8) under the
+// perturbation for n final chips at the global capacity fraction, via
+// the same central differences as Model.CAS, without the per-node
+// Derivatives map; the CAS counterpart of EvalChipsAtCapacity.
 func (e *Evaluator) CASChipsAtCapacity(p Perturbation, n float64, global float64) (float64, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("core: negative chip count %v", n)

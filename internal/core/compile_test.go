@@ -65,23 +65,33 @@ func modelVariants() map[string]core.Model {
 
 func sameWeeks(t *testing.T, ctx string, got, want units.Weeks, gotErr, wantErr error) {
 	t.Helper()
+	sameValue(t, ctx, float64(got), float64(want), gotErr, wantErr)
+}
+
+// sameValue requires the path under test and its reference to agree:
+// the same error text, or no error and the same float64 bits.
+func sameValue(t *testing.T, ctx string, got, want float64, gotErr, wantErr error) {
+	t.Helper()
 	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("%s: compiled err %v, oracle err %v", ctx, gotErr, wantErr)
+		t.Fatalf("%s: got err %v, reference err %v", ctx, gotErr, wantErr)
 	}
 	if gotErr != nil {
 		if gotErr.Error() != wantErr.Error() {
-			t.Fatalf("%s: compiled err %q, oracle err %q", ctx, gotErr, wantErr)
+			t.Fatalf("%s: got err %q, reference err %q", ctx, gotErr, wantErr)
 		}
 		return
 	}
-	if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
-		t.Fatalf("%s: compiled %v (%#x), oracle %v (%#x)", ctx,
-			got, math.Float64bits(float64(got)), want, math.Float64bits(float64(want)))
+	if !sameF64(got, want) {
+		t.Fatalf("%s: got %v (%#x), reference %v (%#x)", ctx,
+			got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 }
 
-func TestEvaluatorMatchesOracleBitForBit(t *testing.T) {
-	perts := perturbations(1, 24)
+// matchAtCapacity checks the per-call TTM kernel against the oracle at
+// each global capacity caps yields for a scenario, over every model
+// variant, registered design and built-in scenario.
+func matchAtCapacity(t *testing.T, perts []core.Perturbation, caps func(market.Conditions) []float64) {
+	t.Helper()
 	const chips = 10e6
 	for mname, m := range modelVariants() {
 		for dname, d := range registeredDesigns() {
@@ -90,41 +100,34 @@ func TestEvaluatorMatchesOracleBitForBit(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/%s: Compile: %v", mname, dname, sc.Name, err)
 				}
-				for i, p := range perts {
-					om := m
-					om.Perturb = p
-					want, wantErr := om.TTM(d, chips, sc.Conditions)
-					got, gotErr := ev.Eval(p)
-					sameWeeks(t, fmt.Sprintf("%s/%s/%s pert %d", mname, dname, sc.Name, i),
-						got, want, gotErr, wantErr)
+				for _, f := range caps(sc.Conditions) {
+					for i, p := range perts {
+						om := m
+						om.Perturb = p
+						want, wantErr := om.TTM(d, chips, sc.Conditions.AtCapacity(f))
+						got, gotErr := ev.EvalChipsAtCapacity(p, chips, f)
+						sameWeeks(t, fmt.Sprintf("%s/%s/%s f=%v pert %d", mname, dname, sc.Name, f, i),
+							got, want, gotErr, wantErr)
+					}
 				}
 			}
 		}
 	}
 }
 
+func TestEvaluatorMatchesOracleBitForBit(t *testing.T) {
+	// The hot per-call path at the compiled global capacity.
+	matchAtCapacity(t, perturbations(1, 24), func(c market.Conditions) []float64 {
+		return []float64{c.GlobalCapacity}
+	})
+}
+
 func TestEvaluatorAtCapacityMatchesOracle(t *testing.T) {
-	perts := perturbations(2, 8)
-	const chips = 10e6
-	m := core.Model{}
-	for dname, d := range registeredDesigns() {
-		for _, sc := range market.Scenarios() {
-			ev, err := m.Compile(d, chips, sc.Conditions)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range []float64{0.1, 0.25, 0.5, 1.0} {
-				for i, p := range perts {
-					om := m
-					om.Perturb = p
-					want, wantErr := om.TTM(d, chips, sc.Conditions.AtCapacity(f))
-					got, gotErr := ev.EvalAtCapacity(p, f)
-					sameWeeks(t, fmt.Sprintf("%s/%s f=%v pert %d", dname, sc.Name, f, i),
-						got, want, gotErr, wantErr)
-				}
-			}
-		}
-	}
+	// Overridden global capacities, exactly as evaluating at
+	// c.AtCapacity(f) would.
+	matchAtCapacity(t, perturbations(1, 24), func(market.Conditions) []float64 {
+		return []float64{0.1, 0.25, 0.5, 1.0}
+	})
 }
 
 func TestEvaluatorChipsAndNodeCapacityMatchOracle(t *testing.T) {
@@ -141,29 +144,30 @@ func TestEvaluatorChipsAndNodeCapacityMatchOracle(t *testing.T) {
 					om := m
 					om.Perturb = p
 					want, wantErr := om.TTM(d, chips, sc.Conditions)
-					got, gotErr := ev.EvalChips(p, chips)
+					got, gotErr := evalTTM(ev, p, chips)
 					sameWeeks(t, fmt.Sprintf("%s/%s n=%v pert %d", dname, sc.Name, chips, i),
 						got, want, gotErr, wantErr)
 				}
 			}
-			// The finite-difference probe: every node the design uses,
-			// plus one it does not (28 nm is absent from the single-node
-			// 7 nm designs, N250 from most).
-			probes := append([]technode.Node{technode.N250}, d.Nodes()...)
-			for _, node := range probes {
+			// The finite-difference probe, as the split study issues it: a
+			// one-node Factor column override on every node the design
+			// uses.
+			p := perts[len(perts)-1]
+			om := m
+			om.Perturb = p
+			for _, node := range d.Nodes() {
 				for _, f := range []float64{0.01, 0.6, 0.99, 1.01} {
-					p := perts[len(perts)-1]
-					om := m
-					om.Perturb = p
 					want, wantErr := om.TTM(d, 10e6, sc.Conditions.WithNodeCapacity(node, f))
-					got, gotErr := ev.EvalChipsNodeCapacity(p, 10e6, node, f)
-					if node == technode.N250 && !designUses(d, node) {
-						// The oracle ignores capacity overrides on unused
-						// nodes too, so the comparison still holds.
-						_ = want
+					b := columns([]core.Perturbation{p})
+					b.Factor = make([][]float64, ev.NodeCount())
+					b.Factor[ev.NodeIndex(node)] = []float64{f}
+					out := make([]units.Weeks, 1)
+					var errs core.BatchErrors
+					if err := ev.EvalBatch(b, out, &errs); err != nil {
+						t.Fatal(err)
 					}
 					sameWeeks(t, fmt.Sprintf("%s/%s node=%s f=%v", dname, sc.Name, node, f),
-						got, want, gotErr, wantErr)
+						out[0], want, batchErrAt(&errs, 0), wantErr)
 				}
 			}
 		}
@@ -184,31 +188,16 @@ func TestEvaluatorCASMatchesOracleBitForBit(t *testing.T) {
 					om := m
 					om.Perturb = p
 					wantRes, wantErr := om.CAS(d, chips, sc.Conditions)
-					got, gotErr := ev.CAS(p)
-					if (gotErr == nil) != (wantErr == nil) {
-						t.Fatalf("%s/%s/%s pert %d: compiled err %v, oracle err %v",
-							mname, dname, sc.Name, i, gotErr, wantErr)
-					}
-					if gotErr != nil {
-						continue
-					}
-					if math.Float64bits(got) != math.Float64bits(wantRes.CAS) {
-						t.Fatalf("%s/%s/%s pert %d: compiled CAS %v, oracle %v",
-							mname, dname, sc.Name, i, got, wantRes.CAS)
-					}
+					got, gotErr := ev.CASChipsAtCapacity(p, chips, sc.Conditions.GlobalCapacity)
+					sameValue(t, fmt.Sprintf("%s/%s/%s pert %d: CAS", mname, dname, sc.Name, i),
+						got, wantRes.CAS, gotErr, wantErr)
 				}
-				// CASAtCapacity vs oracle at swept global capacity.
+				// CASChipsAtCapacity vs oracle at swept global capacity.
 				for _, f := range []float64{0.25, 0.7, 1.0} {
 					wantRes, wantErr := m.CAS(d, chips, sc.Conditions.AtCapacity(f))
-					got, gotErr := ev.CASAtCapacity(core.Perturbation{}, f)
-					if (gotErr == nil) != (wantErr == nil) {
-						t.Fatalf("%s/%s/%s f=%v: compiled err %v, oracle err %v",
-							mname, dname, sc.Name, f, gotErr, wantErr)
-					}
-					if gotErr == nil && math.Float64bits(got) != math.Float64bits(wantRes.CAS) {
-						t.Fatalf("%s/%s/%s f=%v: compiled CAS %v, oracle %v",
-							mname, dname, sc.Name, f, got, wantRes.CAS)
-					}
+					got, gotErr := ev.CASChipsAtCapacity(core.Perturbation{}, chips, f)
+					sameValue(t, fmt.Sprintf("%s/%s/%s f=%v: CAS", mname, dname, sc.Name, f),
+						got, wantRes.CAS, gotErr, wantErr)
 				}
 			}
 		}
@@ -224,8 +213,8 @@ func TestEvaluatorCloneMatchesOriginal(t *testing.T) {
 	}
 	cl := ev.Clone()
 	for _, p := range perturbations(5, 16) {
-		a, errA := ev.Eval(p)
-		b, errB := cl.Eval(p)
+		a, errA := evalTTM(ev, p, ev.Chips())
+		b, errB := evalTTM(cl, p, cl.Chips())
 		if (errA == nil) != (errB == nil) || a != b {
 			t.Fatalf("clone diverged: %v/%v vs %v/%v", a, errA, b, errB)
 		}
@@ -240,26 +229,21 @@ func TestEvaluatorZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := core.Perturbation{NTT: 1.05, NUT: 0.95, D0: 1.1, Rate: 0.9, FabLatency: 1.02, TAPLatency: 1.01}
-		if n := testing.AllocsPerRun(200, func() {
-			if _, err := ev.Eval(p); err != nil {
-				t.Fatal(err)
+		for _, g := range []float64{1, 0.5} {
+			if n := testing.AllocsPerRun(200, func() {
+				if _, err := ev.EvalChipsAtCapacity(p, 10e6, g); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("%s: EvalChipsAtCapacity(g=%v) allocates %v/op, want 0", dname, g, n)
 			}
-		}); n != 0 {
-			t.Errorf("%s: Eval allocates %v/op, want 0", dname, n)
-		}
-		if n := testing.AllocsPerRun(200, func() {
-			if _, err := ev.EvalAtCapacity(p, 0.5); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("%s: EvalAtCapacity allocates %v/op, want 0", dname, n)
 		}
 		if n := testing.AllocsPerRun(50, func() {
-			if _, err := ev.CAS(p); err != nil {
+			if _, err := ev.CASChipsAtCapacity(p, 10e6, 1); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
-			t.Errorf("%s: CAS allocates %v/op, want 0", dname, n)
+			t.Errorf("%s: CASChipsAtCapacity allocates %v/op, want 0", dname, n)
 		}
 	}
 }
@@ -277,13 +261,17 @@ func TestCompileRejectsInvalidInput(t *testing.T) {
 	}
 }
 
-func designUses(d design.Design, n technode.Node) bool {
-	for _, node := range d.Nodes() {
-		if node == n {
-			return true
-		}
-	}
-	return false
+// evalTTM is the per-call headline TTM at the compiled conditions for n
+// chips.
+func evalTTM(ev *core.Evaluator, p core.Perturbation, n float64) (units.Weeks, error) {
+	r, err := ev.EvalResultChips(p, n)
+	return r.TTM, err
+}
+
+// evalCAS is the per-call agility score at the compiled conditions.
+func evalCAS(ev *core.Evaluator, p core.Perturbation) (float64, error) {
+	r, err := ev.CASResultChips(p, ev.Chips())
+	return r.CAS, err
 }
 
 // sameF64 compares two float64s bit-for-bit (so Inf==Inf, and -0 != 0
@@ -312,13 +300,8 @@ func TestEvaluatorEvalResultMatchesOracle(t *testing.T) {
 						om.Perturb = p
 						want, wantErr := om.Evaluate(d, chips, sc.Conditions)
 						got, gotErr := ev.EvalResultChips(p, chips)
-						if (gotErr == nil) != (wantErr == nil) {
-							t.Fatalf("%s: compiled err %v, oracle err %v", ctx, gotErr, wantErr)
-						}
+						sameWeeks(t, ctx, got.TTM, want.TTM, gotErr, wantErr)
 						if gotErr != nil {
-							if gotErr.Error() != wantErr.Error() {
-								t.Fatalf("%s: compiled err %q, oracle err %q", ctx, gotErr, wantErr)
-							}
 							continue
 						}
 						for _, ph := range []struct {
@@ -386,14 +369,9 @@ func TestEvaluatorCASResultMatchesOracle(t *testing.T) {
 					om.Perturb = p
 					want, wantErr := om.CAS(d, chips, sc.Conditions)
 					got, gotErr := ev.CASResultChips(p, chips)
-					if (gotErr == nil) != (wantErr == nil) {
-						t.Fatalf("%s: compiled err %v, oracle err %v", ctx, gotErr, wantErr)
-					}
+					sameValue(t, ctx+": CAS", got.CAS, want.CAS, gotErr, wantErr)
 					if gotErr != nil {
 						continue
-					}
-					if !sameF64(got.CAS, want.CAS) {
-						t.Fatalf("%s: CAS compiled %v, oracle %v", ctx, got.CAS, want.CAS)
 					}
 					if len(got.Derivatives) != len(want.Derivatives) {
 						t.Fatalf("%s: derivative count %d vs %d", ctx, len(got.Derivatives), len(want.Derivatives))
@@ -431,12 +409,7 @@ func TestEvaluatorChipsAtCapacityMatchesOracle(t *testing.T) {
 
 				wantCAS, wantErr := om.CAS(d, chips, base.AtCapacity(f))
 				gotCAS, gotErr := ev.CASChipsAtCapacity(p, chips, f)
-				if (gotErr == nil) != (wantErr == nil) {
-					t.Fatalf("%s: CAS compiled err %v, oracle err %v", ctx, gotErr, wantErr)
-				}
-				if gotErr == nil && !sameF64(gotCAS, wantCAS.CAS) {
-					t.Fatalf("%s: CAS compiled %v, oracle %v", ctx, gotCAS, wantCAS.CAS)
-				}
+				sameValue(t, ctx+": CAS", gotCAS, wantCAS.CAS, gotErr, wantErr)
 			}
 		}
 	}

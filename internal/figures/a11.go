@@ -156,18 +156,12 @@ func fig8(cfg Config) (*Result, error) {
 		data.TotalCI[in] = map[technode.Node]stats.Interval{}
 	}
 	for _, node := range nodes {
-		d := scenario.A11At(node)
-		res, err := sens.TotalEffectWithCI(core.Inputs, sens.Config{N: cfg.sobolN(), Variation: 0.10, Seed: 7}, 200,
-			func(mult []float64) (float64, error) {
-				m := base
-				for i, name := range core.Inputs {
-					if err := m.Perturb.SetInput(name, mult[i]); err != nil {
-						return 0, err
-					}
-				}
-				t, err := m.TTM(d, n, market.Full())
-				return float64(t), err
-			})
+		ev, err := base.Compile(scenario.A11At(node), n, market.Full())
+		if err != nil {
+			return nil, err
+		}
+		res, err := sens.TotalEffectWithCI(context.Background(), core.Inputs,
+			sens.Config{N: cfg.sobolN(), Variation: 0.10, Seed: 7}, 200, sens.TTMFactory(ev, nil))
 		if err != nil {
 			return nil, err
 		}
@@ -215,12 +209,8 @@ func fig9(cfg Config) (*Result, error) {
 	caps := market.CapacitySweep(0.2, 1.0, cfg.capacityPoints())
 	data := Fig9Data{Nodes: fig9Nodes, Capacity: caps, Bands: map[technode.Node][]mc.Band{}}
 	for _, node := range fig9Nodes {
-		d := scenario.A11At(node)
-		bands, err := mc.BandCurve(context.Background(), m, mc.Config{Samples: cfg.curveSamples()}, caps,
-			func(pm core.Model, x float64) (float64, error) {
-				r, err := pm.CAS(d, n, market.Full().AtCapacity(x))
-				return r.CAS, err
-			})
+		bands, err := mc.BandCurveEval(context.Background(), m, mc.Config{Samples: cfg.curveSamples()},
+			scenario.A11At(node), n, market.Full(), caps, mc.MetricCAS, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -313,8 +303,10 @@ type QueueCurves struct {
 
 var queueSweep = []units.Weeks{0, 1, 2, 4}
 
-func queueStudy(cfg Config, output func(core.Model, market.Conditions) (float64, error)) (QueueCurves, error) {
+func queueStudy(cfg Config, metric mc.Metric) (QueueCurves, error) {
 	var m core.Model
+	const n = 10e6
+	d := scenario.A11At(technode.N7)
 	caps := market.CapacitySweep(0.25, 1.0, cfg.capacityPoints())
 	data := QueueCurves{QueueWeeks: queueSweep, Capacity: caps, Bands: map[units.Weeks][]mc.Band{}}
 	for _, q := range queueSweep {
@@ -322,10 +314,8 @@ func queueStudy(cfg Config, output func(core.Model, market.Conditions) (float64,
 		if q > 0 {
 			base = base.WithQueue(technode.N7, q)
 		}
-		bands, err := mc.BandCurve(context.Background(), m, mc.Config{Samples: cfg.curveSamples()}, caps,
-			func(pm core.Model, x float64) (float64, error) {
-				return output(pm, base.AtCapacity(x))
-			})
+		bands, err := mc.BandCurveEval(context.Background(), m, mc.Config{Samples: cfg.curveSamples()},
+			d, n, base, caps, metric, nil)
 		if err != nil {
 			return QueueCurves{}, err
 		}
@@ -352,12 +342,7 @@ func queueTable(title, unit string, data QueueCurves, scale float64) *report.Tab
 }
 
 func fig11(cfg Config) (*Result, error) {
-	const n = 10e6
-	d := scenario.A11At(technode.N7)
-	data, err := queueStudy(cfg, func(pm core.Model, c market.Conditions) (float64, error) {
-		t, err := pm.TTM(d, n, c)
-		return float64(t), err
-	})
+	data, err := queueStudy(cfg, mc.MetricTTM)
 	if err != nil {
 		return nil, err
 	}
@@ -371,12 +356,7 @@ func fig11(cfg Config) (*Result, error) {
 }
 
 func fig12(cfg Config) (*Result, error) {
-	const n = 10e6
-	d := scenario.A11At(technode.N7)
-	data, err := queueStudy(cfg, func(pm core.Model, c market.Conditions) (float64, error) {
-		r, err := pm.CAS(d, n, c)
-		return r.CAS, err
-	})
+	data, err := queueStudy(cfg, mc.MetricCAS)
 	if err != nil {
 		return nil, err
 	}

@@ -34,26 +34,6 @@ func validSpec() Spec {
 	return Spec{Kind: KindMCBand, Design: "a11", Samples: 8, Xs: []float64{0.5, 1}}
 }
 
-func waitStatus(t *testing.T, m *Manager, id string, want Status) View {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		v, ok := m.Get(id)
-		if !ok {
-			t.Fatalf("job %s disappeared while waiting for %s", id, want)
-		}
-		if v.Status == want {
-			return v
-		}
-		if v.Status.Finished() {
-			t.Fatalf("job %s finished as %s (err %q), want %s", id, v.Status, v.Error, want)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("job %s never reached %s", id, want)
-	return View{}
-}
-
 func waitFinished(t *testing.T, m *Manager, id string) View {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -625,9 +605,16 @@ func TestMCBandJobCancelMidRun(t *testing.T) {
 	m := New(quietConfig())
 	defer m.Close()
 
-	// A CAS curve at the sample cap keeps the compiled kernel busy for
-	// long enough (hundreds of ms) that the cancel below lands mid-run.
-	spec := Spec{Kind: KindMCBand, Design: "a11", Metric: "cas", Samples: 8192, Seed: 1}
+	// A CAS curve at the sample and point caps on a two-node design in
+	// production keeps the compiled kernel busy for long enough (about a
+	// second) that the cancel below lands mid-run. (The a11 on its native
+	// 10 nm stalls, so its CAS probes short-circuit and the whole curve
+	// could finish before the cancel arrived.)
+	xs := make([]float64, 64)
+	for i := range xs {
+		xs[i] = 0.2 + 0.0125*float64(i)
+	}
+	spec := Spec{Kind: KindMCBand, Design: "zen2", Metric: "cas", Samples: 8192, Seed: 1, Xs: xs}
 	v, err := m.Submit(spec)
 	if err != nil {
 		t.Fatal(err)

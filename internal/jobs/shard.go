@@ -194,7 +194,7 @@ func (s Spec) runSensitivityShard(ctx context.Context, lo, hi int, count func(ui
 		return nil, err
 	}
 	ys := make([]float64, hi-lo)
-	if err := sens.EvalRange(ctx, len(core.Inputs), cfg, lo, hi, ys, sensBatchFactory(ev, count)); err != nil {
+	if err := sens.EvalRange(ctx, len(core.Inputs), cfg, lo, hi, ys, sens.TTMFactory(ev, count)); err != nil {
 		return nil, err
 	}
 	bits := make([]uint64, len(ys))

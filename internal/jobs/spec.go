@@ -18,16 +18,15 @@ import (
 	"ttmcas/internal/sweep"
 	"ttmcas/internal/technode"
 	"ttmcas/internal/timeline"
-	"ttmcas/internal/units"
 )
 
 // The job kinds: each wraps one of the repo's batch-evaluation engines.
 const (
-	// KindMCBand runs mc.BandCurve: a Monte-Carlo mean curve with ±10%
+	// KindMCBand runs mc.BandCurveEval: a Monte-Carlo mean curve with ±10%
 	// and ±25% confidence bands across global capacity fractions (the
 	// shaded plots of Figs. 7/9/11/12).
 	KindMCBand = "mc-band"
-	// KindSensitivity runs sens.TotalEffect: Sobol first-order and
+	// KindSensitivity runs sens.TotalEffectBatch: Sobol first-order and
 	// total-effect indices of TTM over the six guarded inputs (Fig. 8).
 	KindSensitivity = "sensitivity"
 	// KindSweep evaluates TTM, CAS and cost for a design re-targeted
@@ -514,8 +513,7 @@ func (s Spec) runMCBand(ctx context.Context, pr Tracker) (any, error) {
 	}
 	cfg := mc.Config{Samples: samples, Seed: s.Seed}
 	// BandCurveEval compiles the design once and runs the whole curve on
-	// the zero-allocation kernel; results are bit-for-bit what the
-	// map-based BandCurve closure produced.
+	// the zero-allocation kernel.
 	bands, err := mc.BandCurveEval(ctx, core.Model{}, cfg, d, n, c, xs, sel, func() { pr.Add(1) })
 	if err != nil {
 		return nil, err
@@ -559,7 +557,7 @@ func (s Spec) runSensitivity(ctx context.Context, pr Tracker) (any, error) {
 	// The Saltelli columns feed the kernel's EvalBatch directly
 	// (core.Inputs order is the batch column order); progress advances
 	// once per sample so the tracker total stays N·(k+2).
-	res, err := sens.TotalEffectBatch(ctx, core.Inputs, cfg, sensBatchFactory(ev, pr.Add))
+	res, err := sens.TotalEffectBatch(ctx, core.Inputs, cfg, sens.TTMFactory(ev, pr.Add))
 	if err != nil {
 		return nil, err
 	}
@@ -568,40 +566,6 @@ func (s Spec) runSensitivity(ctx context.Context, pr Tracker) (any, error) {
 		Inputs: res.Inputs, TotalEffect: res.Total, FirstOrder: res.First,
 		VarY: res.VarY, Evaluations: res.Evaluations,
 	}, nil
-}
-
-// sensBatchFactory adapts a compiled evaluator to the sens.BatchEval
-// shape: each call clones the evaluator for its goroutine, binds the
-// Saltelli columns as batch inputs, and reports progress per completed
-// sample (before surfacing the first per-sample error, so the count
-// matches what was actually evaluated).
-func sensBatchFactory(ev *core.Evaluator, onEval func(uint64)) func() (sens.BatchEval, error) {
-	return func() (sens.BatchEval, error) {
-		w := ev.Clone()
-		var (
-			b    core.Batch
-			wout []units.Weeks
-			errs core.BatchErrors
-		)
-		return func(cols [][]float64, out []float64) error {
-			b.NTT, b.NUT, b.D0, b.Rate, b.FabLatency, b.TAPLatency = cols[0], cols[1], cols[2], cols[3], cols[4], cols[5]
-			if cap(wout) < len(out) {
-				wout = make([]units.Weeks, len(out))
-			}
-			ws := wout[:len(out)]
-			if err := w.EvalBatch(&b, ws, &errs); err != nil {
-				return err
-			}
-			if onEval != nil {
-				onEval(uint64(len(out)))
-			}
-			for j, t := range ws {
-				out[j] = float64(t)
-			}
-			_, err := errs.First()
-			return err
-		}, nil
-	}
 }
 
 // ---- sweep ---------------------------------------------------------

@@ -187,6 +187,24 @@ func TestRunPlanPortfolio(t *testing.T) {
 	}
 }
 
+func TestRunPlanPortfolioDefaultEncodes(t *testing.T) {
+	// The default portfolio spans every built-in scenario, including the
+	// capacity-override ones whose split CAS used to reach +Inf; the
+	// result must encode as JSON.
+	pr, _ := trackerFor()
+	s := Spec{Kind: KindPlanPortfolio, Design: "a11"}.normalized()
+	if err := s.Validate(Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.run(context.Background(), pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := json.Marshal(out); err != nil {
+		t.Fatalf("encoding result: %v", err)
+	}
+}
+
 func TestRunPlanPortfolioCancelled(t *testing.T) {
 	pr, _ := trackerFor()
 	ctx, cancel := context.WithCancel(context.Background())

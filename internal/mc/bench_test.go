@@ -10,43 +10,12 @@ import (
 	"ttmcas/internal/technode"
 )
 
-// The band-curve benchmarks measure the tentpole optimization of the
-// jobs PR: the serial curve walks 2·len(xs) full Monte-Carlo runs one
-// x-position at a time, the parallel curve overlaps them. `make bench`
-// records both in BENCH_jobs.json.
+// The band-curve benchmarks walk 16 x-positions × 2 bands × 32
+// samples; `make bench` records them in BENCH_jobs.json and guards
+// BandCurveBatch's throughput and zero-allocation steady state.
 
-func benchBandCurve(b *testing.B, curve func(context.Context, core.Model, Config, []float64, func(core.Model, float64) (float64, error)) ([]Band, error)) {
-	var m core.Model
-	d := scenario.A11At(technode.N28)
-	xs := make([]float64, 16)
-	for i := range xs {
-		xs[i] = 0.25 + 0.05*float64(i)
-	}
-	cfg := Config{Samples: 32, Seed: 1}
-	evalAt := func(pm core.Model, x float64) (float64, error) {
-		v, err := pm.TTM(d, 10e6, market.Full().AtCapacity(x))
-		return float64(v), err
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bands, err := curve(context.Background(), m, cfg, xs, evalAt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(bands) != len(xs) {
-			b.Fatalf("bands = %d", len(bands))
-		}
-	}
-	evalsPerOp := float64(len(xs) * 2 * cfg.samples())
-	b.ReportMetric(evalsPerOp*float64(b.N)/b.Elapsed().Seconds(), "evals/s")
-}
-
-func BenchmarkBandCurveSerial(b *testing.B)   { benchBandCurve(b, BandCurveSerial) }
-func BenchmarkBandCurveParallel(b *testing.B) { benchBandCurve(b, BandCurve) }
-
-// BenchmarkBandCurveBatch is the batch successor of BandCurveCompiled:
-// the evaluator is compiled once, the Band output is preallocated, and
+// BenchmarkBandCurveBatch is the steady-state walk: the evaluator is
+// compiled once, the Band output is preallocated, and
 // every curve walk rides the pooled column-batch path — zero
 // allocations per op in steady state.
 func BenchmarkBandCurveBatch(b *testing.B) {

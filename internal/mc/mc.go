@@ -62,38 +62,11 @@ type Estimate struct {
 	Samples int
 }
 
-// Perturbations returns the sequence of input perturbations a config
-// generates: each of the six inputs drawn independently and uniformly
-// from [1−v, 1+v].
-func (c Config) Perturbations() []core.Perturbation {
-	out := make([]core.Perturbation, c.samples())
-	fillPerturbations(out, c.Seed, c.variation())
-	return out
-}
-
-// fillPerturbations draws len(dst) perturbations from the stream the
-// seed selects; every path that materializes a stream (Perturbations,
-// the band-curve walkers, the column fills of the batch drivers) goes
-// through the same splitmix64 stream so the draws stay bit-for-bit
-// identical across drivers and layouts.
-func fillPerturbations(dst []core.Perturbation, seed int64, v float64) {
-	rng := perturbationStream(seed, 0)
-	for i := range dst {
-		dst[i] = core.Perturbation{
-			NTT: rng.draw(v), NUT: rng.draw(v), D0: rng.draw(v),
-			Rate: rng.draw(v), FabLatency: rng.draw(v), TAPLatency: rng.draw(v),
-		}
-	}
-}
-
-// fillPerturbationColumns is the column-major twin of fillPerturbations:
-// it draws samples [pos, pos+n) of the (seed, v) stream straight into
-// the batch's six parameter columns (each sized to exactly n by the
-// caller). Element i of each column carries the same bits as field i of
-// the row fillPerturbations would write at stream position pos+i — the
-// stream is seekable, so chunked batch drivers fill any sub-range
-// without replaying the prefix, and batch and per-call MC stay
-// seed-compatible.
+// fillPerturbationColumns draws samples [pos, pos+n) of the (seed, v)
+// stream straight into the batch's six parameter columns (each sized to
+// exactly n by the caller): sample i takes six consecutive draws, in
+// Perturbation field order. The stream is seekable, so chunked batch
+// drivers fill any sub-range without replaying the prefix.
 func fillPerturbationColumns(b *core.Batch, n int, seed int64, pos int, v float64) {
 	rng := perturbationStream(seed, pos)
 	for i := 0; i < n; i++ {
@@ -144,62 +117,10 @@ func (r *uniformSource) draw(v float64) float64 {
 // offsets (seed+pos) would hand adjacent positions correlated
 // math/rand sequences; the mix makes each position's six-input stream
 // independent of its neighbours while staying a pure function of
-// (Seed, pos), which keeps serial and parallel curve walks bit-for-bit
-// identical.
+// (Seed, pos), which keeps a curve walk bit-for-bit identical however
+// its positions are scheduled or sharded.
 func (c Config) seedAt(pos int) int64 {
 	return int64(splitmix64(splitmix64(uint64(c.Seed)) + uint64(pos)))
-}
-
-// Run evaluates an arbitrary scalar model output under the config's
-// perturbations. The eval callback receives a model whose Perturb
-// field has been set; it must be a pure function of that model, since
-// samples are evaluated concurrently. Results are deterministic: the
-// perturbation stream is precomputed from the seed and kept in order.
-// Cancelling ctx stops the run within one evaluation per worker and
-// returns ctx.Err().
-func Run(ctx context.Context, base core.Model, cfg Config, eval func(core.Model) (float64, error)) (Estimate, error) {
-	perts := cfg.Perturbations()
-	xs := make([]float64, len(perts))
-	err := sweep.ForChunks(ctx, len(perts), 0, sweep.DefaultGrain, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			m := base
-			m.Perturb = perts[i]
-			v, err := eval(m)
-			if err != nil {
-				return fmt.Errorf("mc: sample %d: %w", i, err)
-			}
-			xs[i] = v
-		}
-		return nil
-	})
-	if err != nil {
-		return Estimate{}, err
-	}
-	return Estimate{Mean: stats.Mean(xs), CI: stats.CI95(xs), Samples: len(xs)}, nil
-}
-
-// RunEval is Run on a compiled evaluator: each chunk of samples runs on
-// its own Clone of ev, so the whole stream rides the zero-allocation
-// kernel. eval receives the worker-local evaluator and the sample's
-// perturbation.
-func RunEval(ctx context.Context, ev *core.Evaluator, cfg Config, eval func(*core.Evaluator, core.Perturbation) (float64, error)) (Estimate, error) {
-	perts := cfg.Perturbations()
-	xs := make([]float64, len(perts))
-	err := sweep.ForChunks(ctx, len(perts), 0, sweep.DefaultGrain, func(lo, hi int) error {
-		w := ev.Clone()
-		for i := lo; i < hi; i++ {
-			v, err := eval(w, perts[i])
-			if err != nil {
-				return fmt.Errorf("mc: sample %d: %w", i, err)
-			}
-			xs[i] = v
-		}
-		return nil
-	})
-	if err != nil {
-		return Estimate{}, err
-	}
-	return Estimate{Mean: stats.Mean(xs), CI: stats.CI95(xs), Samples: len(xs)}, nil
 }
 
 // TTM estimates the time-to-market distribution of a design.
@@ -229,59 +150,6 @@ type Band struct {
 	CI25 stats.Interval
 }
 
-// bandAt evaluates one x-position's ±10% and ±25% bands. Each position
-// derives its own two perturbation streams from (cfg.Seed, pos) via
-// seedAt — the streams are per-point, independent across positions, and
-// independent of evaluation order, which is what makes the parallel and
-// serial curve walks bit-for-bit identical. The ±10% and ±25% streams
-// of one position share the underlying uniforms (common random
-// numbers), so the wider band nests around the narrower one.
-func bandAt(ctx context.Context, base core.Model, cfg Config, pos int, x float64, evalAt func(core.Model, float64) (float64, error)) (Band, error) {
-	cfg10, cfg25 := cfg, cfg
-	cfg10.Variation = 0.10
-	cfg25.Variation = 0.25
-	cfg10.Seed = cfg.seedAt(pos)
-	cfg25.Seed = cfg10.Seed
-	e10, err := Run(ctx, base, cfg10, func(m core.Model) (float64, error) { return evalAt(m, x) })
-	if err != nil {
-		return Band{}, err
-	}
-	e25, err := Run(ctx, base, cfg25, func(m core.Model) (float64, error) { return evalAt(m, x) })
-	if err != nil {
-		return Band{}, err
-	}
-	return Band{X: x, Mean: e10.Mean, CI10: e10.CI, CI25: e25.CI}, nil
-}
-
-// BandCurve evaluates a scalar output across xs, attaching both the
-// ±10% and ±25% confidence bands at each point. evalAt must return the
-// output of the perturbed model at position x; like Run's callback it
-// must be pure, since both the x-positions and the samples within each
-// position are evaluated concurrently.
-//
-// The curve is deterministic: every x-position derives its
-// perturbation streams from (cfg.Seed, position index) alone, so the
-// output matches BandCurveSerial bit-for-bit regardless of scheduling.
-// Cancelling ctx stops the whole curve within one evaluation per
-// worker.
-func BandCurve(ctx context.Context, base core.Model, cfg Config, xs []float64, evalAt func(core.Model, float64) (float64, error)) ([]Band, error) {
-	out := make([]Band, len(xs))
-	err := sweep.ForChunks(ctx, len(xs), 0, 1, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			b, err := bandAt(ctx, base, cfg, i, xs[i], evalAt)
-			if err != nil {
-				return err
-			}
-			out[i] = b
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Metric selects the model output BandCurveEval sweeps.
 type Metric int
 
@@ -292,11 +160,11 @@ const (
 	MetricCAS
 )
 
-// BandCurveEval is BandCurve on the compiled kernel: the design ×
-// conditions pair is compiled once and the curve rides BandCurveBatch.
-// The result is bit-for-bit identical to BandCurve with the equivalent
-// map-based closure, at roughly an order of magnitude higher
-// throughput.
+// BandCurveEval evaluates the metric across the global capacity
+// fractions xs, attaching both the ±10% and ±25% confidence bands at
+// each point: the design × conditions pair is compiled once and the
+// curve rides BandCurveBatch. Each band is bit-for-bit what the
+// map-based model gives on the same perturbation streams.
 //
 // onEval, when non-nil, is called once per sample evaluation from
 // worker goroutines (it must be concurrency-safe); jobs use it for
@@ -386,7 +254,7 @@ var bandCallPool sync.Pool
 // ±10% and ±25% streams are drawn column-major into pooled batches and
 // evaluated through EvalBatchAtCapacity/CASBatchAtCapacity; all worker
 // state comes from package pools, so steady-state calls allocate
-// nothing. The bands are bit-for-bit those of the per-call walker.
+// nothing.
 func BandCurveBatch(ctx context.Context, ev *core.Evaluator, cfg Config, xs []float64, metric Metric, out []Band, onEval func()) error {
 	return BandCurveBatchAt(ctx, ev, cfg, xs, 0, metric, out, onEval)
 }
@@ -429,9 +297,8 @@ func (c *bandCall) run(lo, hi int) error {
 		if err := w.stream(c.metric, x, w.buf25, c.onEval); err != nil {
 			return err
 		}
-		// Mean before the in-place sorts: it reads buf10 in stream order,
-		// which keeps the summation order — and therefore the bits — of
-		// the per-call walker.
+		// Mean before the in-place sorts: it sums buf10 in stream order,
+		// the order the map-based reference in the tests sums in.
 		mean := stats.Mean(w.buf10)
 		sort.Float64s(w.buf10)
 		sort.Float64s(w.buf25)
@@ -447,8 +314,8 @@ func (c *bandCall) run(lo, hi int) error {
 
 // stream evaluates the batch currently in w.b at capacity x and writes
 // the metric into buf. The first per-sample error (lowest index, the
-// one a serial per-call loop would have hit first) is returned wrapped
-// the way the per-call walker wrapped it.
+// one a serial per-sample loop would have hit first) is returned
+// wrapped with its position and sample index.
 func (w *mcWorker) stream(metric Metric, x float64, buf []float64, onEval func()) error {
 	switch metric {
 	case MetricCAS:
@@ -485,12 +352,12 @@ type runCall struct {
 
 var runCallPool sync.Pool
 
-// RunBatch is Run/RunEval on the batch kernel: the sample stream is
-// drawn column-major into pooled batches chunk by chunk (the splitmix64
-// stream is seekable, so chunk [lo,hi) fills its columns without
-// replaying the prefix) and evaluated through EvalBatch/CASBatch. The
-// estimate carries the same bits RunEval would produce for the same
-// metric.
+// RunBatch estimates the metric under the config's perturbations: each
+// of the six inputs drawn independently and uniformly from [1−v, 1+v].
+// The sample stream is drawn column-major into pooled batches chunk by
+// chunk (the splitmix64 stream is seekable, so chunk [lo,hi) fills its
+// columns without replaying the prefix) and evaluated through
+// EvalBatch/CASBatch. Results are deterministic for a fixed seed.
 func RunBatch(ctx context.Context, ev *core.Evaluator, cfg Config, metric Metric) (Estimate, error) {
 	n := cfg.samples()
 	xs := make([]float64, n)
@@ -533,20 +400,4 @@ func (c *runCall) run(lo, hi int) error {
 		return fmt.Errorf("mc: sample %d: %w", lo+j, err)
 	}
 	return nil
-}
-
-// BandCurveSerial is the serial reference implementation of BandCurve:
-// one x-position at a time, samples within each position still
-// parallel. It is retained for the equivalence test and the
-// serial-vs-parallel benchmark.
-func BandCurveSerial(ctx context.Context, base core.Model, cfg Config, xs []float64, evalAt func(core.Model, float64) (float64, error)) ([]Band, error) {
-	out := make([]Band, 0, len(xs))
-	for i, x := range xs {
-		b, err := bandAt(ctx, base, cfg, i, x, evalAt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
-	return out, nil
 }

@@ -26,25 +26,76 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestPerturbationsDeterministicAndBounded(t *testing.T) {
-	cfg := Config{Samples: 200, Variation: 0.10, Seed: 42}
-	a := cfg.Perturbations()
-	b := cfg.Perturbations()
-	if len(a) != 200 {
-		t.Fatalf("len = %d", len(a))
+	const n = 200
+	draw := func(seed int64) *core.Batch {
+		b := newColumns(n)
+		fillPerturbationColumns(b, n, seed, 0, 0.10)
+		return b
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same seed must reproduce the same stream")
-		}
-		for _, v := range []float64{a[i].NTT, a[i].NUT, a[i].D0, a[i].Rate, a[i].FabLatency, a[i].TAPLatency} {
-			if v < 0.9 || v > 1.1 {
+	a, b := draw(42), draw(42)
+	for i := 0; i < n; i++ {
+		for c, col := range columnsOf(a) {
+			if math.Float64bits(col[i]) != math.Float64bits(columnsOf(b)[c][i]) {
+				t.Fatal("same seed must reproduce the same stream")
+			}
+			if v := col[i]; v < 0.9 || v > 1.1 {
 				t.Fatalf("multiplier %v outside ±10%%", v)
 			}
 		}
 	}
-	other := Config{Samples: 200, Variation: 0.10, Seed: 43}.Perturbations()
-	if a[0] == other[0] {
+	if other := draw(43); other.NTT[0] == a.NTT[0] {
 		t.Error("different seeds should differ")
+	}
+}
+
+// newColumns allocates the six perturbation columns of an n-sample batch.
+func newColumns(n int) *core.Batch {
+	return &core.Batch{
+		NTT: make([]float64, n), NUT: make([]float64, n), D0: make([]float64, n),
+		Rate: make([]float64, n), FabLatency: make([]float64, n), TAPLatency: make([]float64, n),
+	}
+}
+
+// columnsOf lists a batch's perturbation columns in Perturbation field
+// order.
+func columnsOf(b *core.Batch) [][]float64 {
+	return [][]float64{b.NTT, b.NUT, b.D0, b.Rate, b.FabLatency, b.TAPLatency}
+}
+
+// sameBands compares two band curves bit for bit.
+func sameBands(t *testing.T, label string, got, want []Band) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d bands, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		for _, f := range [][2]float64{
+			{g.X, w.X}, {g.Mean, w.Mean},
+			{g.CI10.Lo, w.CI10.Lo}, {g.CI10.Hi, w.CI10.Hi},
+			{g.CI25.Lo, w.CI25.Lo}, {g.CI25.Hi, w.CI25.Hi},
+		} {
+			if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+				t.Fatalf("%s: position %d: %+v != %+v", label, i, g, w)
+			}
+		}
+	}
+}
+
+// curveXs returns n capacity fractions from lo in steps of step.
+func curveXs(n int, lo, step float64) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = lo + step*float64(i)
+	}
+	return xs
+}
+
+// reticleBuster is a design no wafer can hold: every sample fails.
+func reticleBuster() design.Design {
+	return design.Design{
+		Name: "reticle-buster",
+		Dies: []design.Die{{Name: "huge", Node: technode.N7, NTT: 1e9, NUT: 1e8, AreaOverride: 1e6}},
 	}
 }
 
@@ -109,10 +160,7 @@ func TestBandCurve(t *testing.T) {
 	var m core.Model
 	d := scenario.A11At(technode.N7)
 	xs := []float64{0.5, 1.0}
-	bands, err := BandCurve(context.Background(), m, Config{Samples: 64}, xs, func(pm core.Model, x float64) (float64, error) {
-		v, err := pm.TTM(d, 10e6, market.Full().AtCapacity(x))
-		return float64(v), err
-	})
+	bands, err := BandCurveEval(context.Background(), m, Config{Samples: 64}, d, 10e6, market.Full(), xs, MetricTTM, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,104 +181,98 @@ func TestBandCurve(t *testing.T) {
 }
 
 func TestRunPropagatesErrors(t *testing.T) {
+	// Every sample of the reticle-busting design fails; RunBatch reports
+	// the lowest-index failure with the reference's wording.
 	var m core.Model
-	wantErr := false
-	_, err := Run(context.Background(), m, Config{Samples: 4}, func(core.Model) (float64, error) {
-		wantErr = true
-		return 0, errSentinel
-	})
-	if err == nil || !wantErr {
-		t.Error("Run should surface eval errors")
+	d := reticleBuster()
+	ev, err := m.Compile(d, 10e6, market.Full())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Samples: 200, Seed: 4}
+	_, gotErr := RunBatch(context.Background(), ev, cfg, MetricTTM)
+	_, wantErr := refRun(m, d, 10e6, market.Full(), cfg, MetricTTM)
+	if gotErr == nil || wantErr == nil {
+		t.Fatalf("errors: batch %v, reference %v; want both to fail", gotErr, wantErr)
+	}
+	if gotErr.Error() != wantErr.Error() {
+		t.Errorf("batch error %q != reference error %q", gotErr, wantErr)
 	}
 }
 
-type sentinel struct{}
-
-func (sentinel) Error() string { return "sentinel" }
-
-var errSentinel = sentinel{}
-
 func TestBandCurveMatchesSerialBitForBit(t *testing.T) {
-	// The acceptance bar for the parallel rewrite: over ≥16 x-positions
-	// with a fixed seed, the parallel curve must equal the serial walk
-	// exactly — every mean and every CI bound, not just approximately.
+	// Over ≥16 x-positions with a fixed seed, the parallel curve must
+	// equal a serial walk that evaluates one position per call —
+	// every mean and every CI bound, not just approximately.
 	var m core.Model
-	d := scenario.A11At(technode.N28)
-	xs := make([]float64, 16)
-	for i := range xs {
-		xs[i] = 0.25 + 0.05*float64(i)
+	ev, err := m.Compile(scenario.A11At(technode.N28), 10e6, market.Full())
+	if err != nil {
+		t.Fatal(err)
 	}
-	evalAt := func(pm core.Model, x float64) (float64, error) {
-		v, err := pm.TTM(d, 10e6, market.Full().AtCapacity(x))
-		return float64(v), err
-	}
+	xs := curveXs(16, 0.25, 0.05)
 	cfg := Config{Samples: 48, Seed: 7}
-	par, err := BandCurve(context.Background(), m, cfg, xs, evalAt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ser, err := BandCurveSerial(context.Background(), m, cfg, xs, evalAt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(par) != len(ser) {
-		t.Fatalf("parallel %d points, serial %d", len(par), len(ser))
-	}
-	for i := range par {
-		if par[i] != ser[i] {
-			t.Errorf("x=%v: parallel %+v != serial %+v", xs[i], par[i], ser[i])
+	for _, metric := range []Metric{MetricTTM, MetricCAS} {
+		par := make([]Band, len(xs))
+		if err := BandCurveBatch(context.Background(), ev, cfg, xs, metric, par, nil); err != nil {
+			t.Fatal(err)
 		}
+		ser := make([]Band, len(xs))
+		for i := range xs {
+			if err := BandCurveBatchAt(context.Background(), ev, cfg, xs[i:i+1], i, metric, ser[i:i+1], nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameBands(t, fmt.Sprintf("metric %v", metric), par, ser)
 	}
 }
 
 func TestBandCurveEvalMatchesGenericBitForBit(t *testing.T) {
-	// BandCurveEval must be indistinguishable from BandCurve running the
-	// equivalent map-based closure: the kernel is bit-for-bit equal to
-	// the oracle and the perturbation streams and estimator order are
+	// BandCurveEval must be indistinguishable from the map-based
+	// reference walking the same perturbation streams: the kernel is
+	// bit-for-bit equal to core.Model and the estimator order is
 	// shared, so every band must match exactly.
 	var m core.Model
 	d := scenario.A11At(technode.N28)
 	base := market.Full().WithQueueAll(2)
-	xs := make([]float64, 16)
-	for i := range xs {
-		xs[i] = 0.25 + 0.05*float64(i)
-	}
+	xs := curveXs(16, 0.25, 0.05)
 	cfg := Config{Samples: 48, Seed: 7}
-	generic, err := BandCurve(context.Background(), m, cfg, xs, func(pm core.Model, x float64) (float64, error) {
-		v, err := pm.TTM(d, 10e6, base.AtCapacity(x))
-		return float64(v), err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var evals atomic.Int64
-	compiled, err := BandCurveEval(context.Background(), m, cfg, d, 10e6, base, xs, MetricTTM, func() { evals.Add(1) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range generic {
-		if generic[i] != compiled[i] {
-			t.Errorf("x=%v: generic %+v != compiled %+v", xs[i], generic[i], compiled[i])
+	for _, metric := range []Metric{MetricTTM, MetricCAS} {
+		want, err := refBandCurve(m, cfg, d, 10e6, base, xs, metric)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var evals atomic.Int64
+		got, err := BandCurveEval(context.Background(), m, cfg, d, 10e6, base, xs, metric, func() { evals.Add(1) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBands(t, fmt.Sprintf("metric %v", metric), got, want)
+		if want := int64(len(xs) * 2 * 48); evals.Load() != want {
+			t.Errorf("metric %v: onEval called %d times, want %d", metric, evals.Load(), want)
 		}
 	}
-	if want := int64(len(xs) * 2 * 48); evals.Load() != want {
-		t.Errorf("onEval called %d times, want %d", evals.Load(), want)
-	}
+}
 
-	genericCAS, err := BandCurve(context.Background(), m, cfg, xs, func(pm core.Model, x float64) (float64, error) {
-		r, err := pm.CAS(d, 10e6, base.AtCapacity(x))
-		return r.CAS, err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compiledCAS, err := BandCurveEval(context.Background(), m, cfg, d, 10e6, base, xs, MetricCAS, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range genericCAS {
-		if genericCAS[i] != compiledCAS[i] {
-			t.Errorf("CAS x=%v: generic %+v != compiled %+v", xs[i], genericCAS[i], compiledCAS[i])
+// cancelMidRun runs a 32-position, 512-sample band curve for each metric,
+// cancelling its context from the tenth onEval call, and requires the
+// curve to stop early with context.Canceled.
+func cancelMidRun(t *testing.T, curve func(ctx context.Context, xs []float64, metric Metric, onEval func()) error) {
+	t.Helper()
+	xs := curveXs(32, 0.2, 0.025)
+	total := int64(len(xs) * 2 * 512)
+	for _, metric := range []Metric{MetricTTM, MetricCAS} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var evals atomic.Int64
+		err := curve(ctx, xs, metric, func() {
+			if evals.Add(1) == 10 {
+				cancel()
+			}
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("metric %v: err = %v, want context.Canceled", metric, err)
+		}
+		if evals.Load() >= total {
+			t.Errorf("metric %v: all %d evals ran despite cancellation", metric, total)
 		}
 	}
 }
@@ -238,101 +280,60 @@ func TestBandCurveEvalMatchesGenericBitForBit(t *testing.T) {
 func TestBandCurveEvalCancelledMidRun(t *testing.T) {
 	var m core.Model
 	d := scenario.A11At(technode.N28)
-	ctx, cancel := context.WithCancel(context.Background())
-	var evals atomic.Int64
-	xs := make([]float64, 32)
-	for i := range xs {
-		xs[i] = 0.2 + 0.025*float64(i)
-	}
-	total := int64(len(xs) * 2 * 512)
-	_, err := BandCurveEval(ctx, m, Config{Samples: 512}, d, 10e6, market.Full(), xs, MetricTTM, func() {
-		if evals.Add(1) == 10 {
-			cancel()
-		}
+	cancelMidRun(t, func(ctx context.Context, xs []float64, metric Metric, onEval func()) error {
+		_, err := BandCurveEval(ctx, m, Config{Samples: 512}, d, 10e6, market.Full(), xs, metric, onEval)
+		return err
 	})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
+}
+
+func TestBandCurveCancelledMidRun(t *testing.T) {
+	// The batch walk over an already-compiled evaluator, as the jobs and
+	// cluster shards drive it.
+	var m core.Model
+	ev, err := m.Compile(scenario.A11At(technode.N28), 10e6, market.Full())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if evals.Load() >= total {
-		t.Errorf("all %d evals ran despite cancellation", total)
-	}
+	cancelMidRun(t, func(ctx context.Context, xs []float64, metric Metric, onEval func()) error {
+		return BandCurveBatch(ctx, ev, Config{Samples: 512}, xs, metric, make([]Band, len(xs)), onEval)
+	})
 }
 
 func TestRunCancelled(t *testing.T) {
 	var m core.Model
+	ev, err := m.Compile(scenario.A11At(technode.N28), 10e6, market.Full())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, m, Config{Samples: 64}, func(core.Model) (float64, error) {
-		t.Error("eval ran under a cancelled context")
-		return 0, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestBandCurveCancelledMidRun(t *testing.T) {
-	var m core.Model
-	d := scenario.A11At(technode.N28)
-	ctx, cancel := context.WithCancel(context.Background())
-	var evals atomic.Int64
-	xs := make([]float64, 32)
-	for i := range xs {
-		xs[i] = 0.2 + 0.025*float64(i)
-	}
-	_, err := BandCurve(ctx, m, Config{Samples: 512}, xs, func(pm core.Model, x float64) (float64, error) {
-		if evals.Add(1) == 10 {
-			cancel()
-		}
-		v, err := pm.TTM(d, 10e6, market.Full().AtCapacity(x))
-		return float64(v), err
-	})
-	if !errors.Is(err, context.Canceled) {
+	if _, err := RunBatch(ctx, ev, Config{Samples: 4096}, MetricTTM); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestColumnFillMatchesRowFillBitForBit(t *testing.T) {
 	// The column-major fill must produce exactly the splitmix64 stream of
-	// the row-major path — same seed, same draw order, transposed layout —
-	// so batch and per-call MC remain seed-compatible. The offset form
-	// must equal the tail of the full stream, which is what lets chunked
-	// drivers fill [lo,hi) without replaying the prefix.
+	// the row-major reference — same seed, same draw order, transposed
+	// layout. The offset form seeks perturbationStream straight to
+	// sample pos and must equal the tail of the full stream, which is
+	// what lets chunked and sharded drivers fill [lo,hi) without
+	// replaying the prefix.
 	for _, v := range []float64{0.10, 0.25} {
-		for _, seed := range []int64{0, 1, 42, -7} {
+		for _, seed := range []int64{0, 1, 42, -7, math.MaxInt64, math.MinInt64} {
 			const n = 97
 			rows := make([]core.Perturbation, n)
 			fillPerturbations(rows, seed, v)
-			b := &core.Batch{
-				NTT: make([]float64, n), NUT: make([]float64, n), D0: make([]float64, n),
-				Rate: make([]float64, n), FabLatency: make([]float64, n), TAPLatency: make([]float64, n),
-			}
-			fillPerturbationColumns(b, n, seed, 0, v)
-			for i, p := range rows {
-				got := core.Perturbation{
-					NTT: b.NTT[i], NUT: b.NUT[i], D0: b.D0[i],
-					Rate: b.Rate[i], FabLatency: b.FabLatency[i], TAPLatency: b.TAPLatency[i],
-				}
-				if got != p {
-					t.Fatalf("seed=%d v=%v sample %d: columns %+v != rows %+v", seed, v, i, got, p)
-				}
-			}
-			// Seek: filling [pos, n) directly must match rows[pos:].
-			for _, pos := range []int{1, 13, n - 1} {
-				m := n - pos
-				tail := &core.Batch{
-					NTT: make([]float64, m), NUT: make([]float64, m), D0: make([]float64, m),
-					Rate: make([]float64, m), FabLatency: make([]float64, m), TAPLatency: make([]float64, m),
-				}
-				fillPerturbationColumns(tail, m, seed, pos, v)
-				for i := 0; i < m; i++ {
-					p := rows[pos+i]
+			for _, pos := range []int{0, 1, 13, n - 1} {
+				b := newColumns(n - pos)
+				fillPerturbationColumns(b, n-pos, seed, pos, v)
+				for i, p := range rows[pos:] {
 					got := core.Perturbation{
-						NTT: tail.NTT[i], NUT: tail.NUT[i], D0: tail.D0[i],
-						Rate: tail.Rate[i], FabLatency: tail.FabLatency[i], TAPLatency: tail.TAPLatency[i],
+						NTT: b.NTT[i], NUT: b.NUT[i], D0: b.D0[i],
+						Rate: b.Rate[i], FabLatency: b.FabLatency[i], TAPLatency: b.TAPLatency[i],
 					}
 					if got != p {
-						t.Fatalf("seed=%d v=%v pos=%d sample %d: seeked fill %+v != rows %+v", seed, v, pos, i, got, p)
+						t.Fatalf("seed=%d v=%v pos=%d sample %d: columns %+v != rows %+v", seed, v, pos, i, got, p)
 					}
 				}
 			}
@@ -342,23 +343,18 @@ func TestColumnFillMatchesRowFillBitForBit(t *testing.T) {
 
 func TestRunBatchMatchesRunEvalBitForBit(t *testing.T) {
 	// RunBatch (column batches through EvalBatch/CASBatch) must carry the
-	// same bits as RunEval walking the same stream per call: same mean,
-	// same CI bounds, for both metrics.
+	// same bits as the map-based reference walking the same stream one
+	// sample at a time: same mean, same CI bounds, for both metrics.
 	var m core.Model
 	d := scenario.A11At(technode.N7)
-	ev, err := m.Compile(d, 10e6, market.Full().WithQueueAll(3))
+	c := market.Full().WithQueueAll(3)
+	ev, err := m.Compile(d, 10e6, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Samples: 300, Seed: 5}
-	for metric, name := range map[Metric]string{MetricTTM: "TTM", MetricCAS: "CAS"} {
-		want, err := RunEval(context.Background(), ev, cfg, func(w *core.Evaluator, p core.Perturbation) (float64, error) {
-			if metric == MetricCAS {
-				return w.CAS(p)
-			}
-			v, err := w.Eval(p)
-			return float64(v), err
-		})
+	for _, metric := range []Metric{MetricTTM, MetricCAS} {
+		want, err := refRun(m, d, 10e6, c, cfg, metric)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,65 +362,45 @@ func TestRunBatchMatchesRunEvalBitForBit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != want {
-			t.Errorf("%s: RunBatch %+v != RunEval %+v", name, got, want)
+		if math.Float64bits(got.Mean) != math.Float64bits(want.Mean) ||
+			math.Float64bits(got.CI.Lo) != math.Float64bits(want.CI.Lo) ||
+			math.Float64bits(got.CI.Hi) != math.Float64bits(want.CI.Hi) ||
+			got.Samples != want.Samples {
+			t.Errorf("metric %v: RunBatch %+v != reference %+v", metric, got, want)
 		}
 	}
 }
 
 func TestBandCurveBatchErrorsMatchPerCall(t *testing.T) {
-	// A design whose dies blow past the reticle under some perturbations
-	// must surface the same wrapped error text through the batch walker
-	// as through per-call evaluation of the same stream: lowest failing
-	// sample index first, "mc: x=... sample %d: ..." formatting.
+	// A design whose dies blow past the reticle must surface the same
+	// wrapped error text through the batch walker as through the
+	// reference: lowest failing sample index first, "mc: x=... sample
+	// %d: ..." formatting.
 	var m core.Model
-	// A die pinned to an area no wafer can hold fails every sample.
-	d := design.Design{
-		Name: "reticle-buster",
-		Dies: []design.Die{{Name: "huge", Node: technode.N7, NTT: 1e9, NUT: 1e8, AreaOverride: 1e6}},
-	}
+	d := reticleBuster()
 	ev, err := m.Compile(d, 10e6, market.Full())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Samples: 40, Seed: 3}
 	xs := []float64{0.8}
-	out := make([]Band, 1)
-	batchErr := BandCurveBatch(context.Background(), ev, cfg, xs, MetricTTM, out, nil)
+	batchErr := BandCurveBatch(context.Background(), ev, cfg, xs, MetricTTM, make([]Band, 1), nil)
 	if batchErr == nil {
 		t.Fatal("expected the blown-up design to fail")
 	}
-	// Per-call oracle over the same ±10% stream.
-	perts := make([]core.Perturbation, cfg.samples())
-	fillPerturbations(perts, cfg.seedAt(0), 0.10)
-	var wantErr error
-	for j, p := range perts {
-		if _, err := ev.EvalAtCapacity(p, xs[0]); err != nil {
-			wantErr = fmt.Errorf("mc: x=%v sample %d: %w", xs[0], j, err)
-			break
-		}
-	}
+	_, wantErr := refBandCurve(m, cfg, d, 10e6, market.Full(), xs, MetricTTM)
 	if wantErr == nil {
-		t.Fatal("oracle did not fail; test design needs a bigger blow-up")
+		t.Fatal("reference did not fail; test design needs a bigger blow-up")
 	}
 	if batchErr.Error() != wantErr.Error() {
-		t.Errorf("batch error %q != per-call error %q", batchErr, wantErr)
+		t.Errorf("batch error %q != reference error %q", batchErr, wantErr)
 	}
 }
 
 func TestBandStreamsDeterministicPerPosition(t *testing.T) {
-	// Same (seed, position) must always yield the same stream, across
-	// both the generic and compiled walkers' derivation path.
+	// A position's stream seed is distinct across positions and across
+	// config seeds (determinism is pinned by the bit-for-bit tests).
 	cfg := Config{Samples: 64, Seed: 9}
-	a := make([]core.Perturbation, 64)
-	b := make([]core.Perturbation, 64)
-	fillPerturbations(a, cfg.seedAt(3), 0.10)
-	fillPerturbations(b, cfg.seedAt(3), 0.10)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("same (seed, pos) must reproduce the same stream")
-		}
-	}
 	if cfg.seedAt(0) == cfg.seedAt(1) {
 		t.Error("adjacent positions share a derived seed")
 	}

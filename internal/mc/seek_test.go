@@ -85,10 +85,7 @@ func TestBandCurveBatchAtShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Samples: 64, Seed: 7}
-	xs := make([]float64, 9)
-	for i := range xs {
-		xs[i] = 0.5 + 0.1*float64(i)
-	}
+	xs := curveXs(9, 0.5, 0.1)
 	want := make([]Band, len(xs))
 	if err := BandCurveBatch(context.Background(), ev, cfg, xs, MetricTTM, want, nil); err != nil {
 		t.Fatalf("full walk: %v", err)
@@ -100,10 +97,5 @@ func TestBandCurveBatchAtShards(t *testing.T) {
 			t.Fatalf("shard [%d,%d): %v", lo, hi, err)
 		}
 	}
-	for i := range want {
-		if math.Float64bits(got[i].Mean) != math.Float64bits(want[i].Mean) ||
-			got[i].CI10 != want[i].CI10 || got[i].CI25 != want[i].CI25 {
-			t.Fatalf("position %d: sharded band %+v != serial %+v", i, got[i], want[i])
-		}
-	}
+	sameBands(t, "sharded vs unsplit", got, want)
 }

@@ -1,11 +1,11 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"ttmcas/internal/cachesim"
-	"ttmcas/internal/core"
 	designpkg "ttmcas/internal/design"
 	"ttmcas/internal/market"
 	"ttmcas/internal/scenario"
@@ -101,22 +101,33 @@ func ravenStudy(step float64) SplitStudy {
 }
 
 func TestSingleProcessBaseline(t *testing.T) {
-	study := ravenStudy(0.25)
-	pt, err := study.evalPortfolio(technode.N28, technode.N28, 1, 1e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// frac=1 must match the plain single-node evaluation.
-	d := study.Factory(technode.N28)
-	ttm, err := study.Model.TTM(d, 1e9, market.Full())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(pt.TTM-ttm)) > 1e-9 {
-		t.Errorf("portfolio TTM %v != single TTM %v", float64(pt.TTM), float64(ttm))
-	}
-	if pt.CAS <= 0 {
-		t.Errorf("single-process CAS = %v", pt.CAS)
+	// A same-node "split" is one design on one line, so its point is
+	// exactly core.Model's TTM and CAS — including under scenarios that
+	// override the node's capacity, where the CAS probes must straddle
+	// the current factor rather than full capacity.
+	const n = 1e8
+	for name, study := range oracleStudies(0.25) {
+		for _, node := range technode.Producing() {
+			pt, err := study.singleProcess(node, n)
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, node, err)
+			}
+			d := study.Factory(node)
+			ttm, err := study.Model.TTM(d, n, study.Conditions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cas, err := study.Model.CAS(d, n, study.Conditions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(float64(pt.TTM)) != math.Float64bits(float64(ttm)) || pt.FracPrimary != 1 {
+				t.Errorf("%s %v: single-process %+v, core TTM %v", name, node, pt, ttm)
+			}
+			if math.Float64bits(pt.CAS) != math.Float64bits(cas.CAS) {
+				t.Errorf("%s %v: split CAS %v != core CAS %v", name, node, pt.CAS, cas.CAS)
+			}
+		}
 	}
 }
 
@@ -125,7 +136,7 @@ func TestSplitImprovesTTMForSlowLegacyNode(t *testing.T) {
 	// 90 nm), adding parallel manufacturing on a second process saves
 	// weeks of time-to-market.
 	study := ravenStudy(0.05)
-	single, err := study.evalPortfolio(technode.N250, technode.N250, 1, 1e9)
+	single, err := study.singleProcess(technode.N250, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +161,7 @@ func TestSplitCASBeatsSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := study.evalPortfolio(technode.N28, technode.N28, 1, 1e9)
+	single, err := study.singleProcess(technode.N28, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,97 +191,110 @@ func TestBestSplitSkipsIdleNodes(t *testing.T) {
 	}
 }
 
-func TestCompiledPortfolioMatchesOracleBitForBit(t *testing.T) {
-	// compiledPair.ttm must reproduce the map-based portfolioTTM
-	// exactly — base TTM and both CAS finite-difference probes — for
-	// healthy pairs, degenerate pairs, and pairs with an idle node
-	// (infinite TTM).
-	study := ravenStudy(0.25)
-	pairs := [][2]technode.Node{
-		{technode.N250, technode.N180},
-		{technode.N28, technode.N40},
-		{technode.N28, technode.N28},
-		{technode.N28, technode.N20},
+// oraclePairs covers healthy pairs, a degenerate pair, and a pair with
+// an idle node (infinite TTM).
+var oraclePairs = [][2]technode.Node{
+	{technode.N250, technode.N180},
+	{technode.N28, technode.N40},
+	{technode.N28, technode.N28},
+	{technode.N28, technode.N20},
+	{technode.N40, technode.N90},
+}
+
+// oracleStudies runs the split study under every built-in scenario, so
+// the probes see overridden node capacities and queues.
+func oracleStudies(step float64) map[string]SplitStudy {
+	out := map[string]SplitStudy{}
+	for _, sc := range market.Scenarios() {
+		study := ravenStudy(step)
+		study.Conditions = sc.Conditions
+		out[sc.Name] = study
 	}
-	const n = 1e9
-	const h = core.DefaultDerivativeStep
-	for _, pr := range pairs {
-		cp, err := study.compilePair(pr[0], pr[1])
-		if err != nil {
-			t.Fatalf("compile %v/%v: %v", pr[0], pr[1], err)
-		}
-		for _, frac := range []float64{0.05, 0.25, 0.5, 0.75, 1} {
-			want, wantErr := study.portfolioTTM(pr[0], pr[1], frac, n, study.Conditions)
-			got, gotErr := cp.ttm(frac, n, 0, 0, false)
-			if (wantErr != nil) != (gotErr != nil) {
-				t.Fatalf("%v/%v@%v: err %v vs %v", pr[0], pr[1], frac, gotErr, wantErr)
+	return out
+}
+
+// eachSweep compiles every oracle pair under every oracle study at the
+// given step and hands fn the pair's batched sweep of n chips.
+func eachSweep(t *testing.T, step, n float64, fn func(name string, pr [2]technode.Node, cp *compiledPair, sw *pairSweep, steps int)) {
+	t.Helper()
+	for name, study := range oracleStudies(step) {
+		for _, pr := range oraclePairs {
+			cp, err := study.compilePair(pr[0], pr[1])
+			if err != nil {
+				t.Fatalf("compile %v/%v: %v", pr[0], pr[1], err)
 			}
-			if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
-				t.Errorf("%v/%v@%v: compiled %v != oracle %v", pr[0], pr[1], frac, got, want)
+			steps := int(math.Round(1 / study.step()))
+			sw, err := cp.sweep(n, steps)
+			if err != nil {
+				t.Fatalf("sweep %v/%v: %v", pr[0], pr[1], err)
 			}
-			for _, node := range []technode.Node{pr[0], pr[1]} {
-				for _, f := range []float64{1 - h, 1 + h} {
-					want, _ := study.portfolioTTM(pr[0], pr[1], frac, n, study.Conditions.WithNodeCapacity(node, f))
-					got, _ := cp.ttm(frac, n, node, f, true)
-					if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
-						t.Errorf("%v/%v@%v node %v f=%v: compiled %v != oracle %v", pr[0], pr[1], frac, node, f, got, want)
-					}
-				}
-			}
+			fn(name, pr, cp, sw, steps)
 		}
 	}
 }
 
-func TestBatchedSweepMatchesPerCallBitForBit(t *testing.T) {
-	// The batched fraction sweep (Chips column + Factor-override
-	// probes through EvalBatch) must reproduce the per-call cp.eval
-	// loop exactly: every point's TTM, cost and CAS bit-for-bit, and
-	// identical error strings where points fail.
-	study := ravenStudy(0.05)
-	pairs := [][2]technode.Node{
-		{technode.N250, technode.N180},
-		{technode.N28, technode.N40},
-		{technode.N28, technode.N28},
-		{technode.N28, technode.N20},
-	}
+func TestCompiledPortfolioMatchesOracleBitForBit(t *testing.T) {
+	// The batched sweep columns must reproduce the map-based
+	// portfolioTTM exactly — base TTM and every CAS finite-difference
+	// probe — for every pair and scenario.
 	const n = 1e9
-	for _, pr := range pairs {
-		cp, err := study.compilePair(pr[0], pr[1])
-		if err != nil {
-			t.Fatalf("compile %v/%v: %v", pr[0], pr[1], err)
+	eachSweep(t, 0.25, n, func(name string, pr [2]technode.Node, cp *compiledPair, sw *pairSweep, steps int) {
+		for k := 1; k <= steps; k++ {
+			frac := float64(k) / float64(steps)
+			for cfg := probeBase; cfg < probeCount; cfg++ {
+				if pr[0] == pr[1] && cfg >= probeSecondaryUp {
+					continue
+				}
+				c := cp.study.Conditions
+				if cfg != probeBase {
+					c = c.WithNodeCapacity(sw.probes[cfg].node, sw.probes[cfg].f)
+				}
+				label := fmt.Sprintf("%s %v/%v@%v probe %d", name, pr[0], pr[1], frac, cfg)
+				want, wantErr := portfolioTTM(cp, frac, n, c)
+				got, gotErr := sw.ttmAt(k, cfg)
+				if (wantErr != nil) != (gotErr != nil) {
+					t.Fatalf("%s: err %v vs %v", label, gotErr, wantErr)
+				}
+				if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+					t.Errorf("%s: compiled %v != oracle %v", label, got, want)
+				}
+			}
 		}
-		steps := int(math.Round(1 / study.step()))
-		sw, err := cp.sweep(n, steps)
-		if err != nil {
-			t.Fatalf("sweep %v/%v: %v", pr[0], pr[1], err)
-		}
+	})
+}
+
+func TestBatchedSweepMatchesPerCallBitForBit(t *testing.T) {
+	// Every point of the batched fraction sweep must reproduce the
+	// map-based reference exactly: TTM, cost and CAS bit-for-bit, and
+	// identical error strings where points fail.
+	const n = 1e9
+	eachSweep(t, 0.05, n, func(name string, pr [2]technode.Node, cp *compiledPair, sw *pairSweep, steps int) {
 		for k := 1; k <= steps; k++ {
 			f := float64(k) / float64(steps)
-			want, wantErr := cp.eval(f, n)
+			label := fmt.Sprintf("%s %v/%v@%v", name, pr[0], pr[1], f)
+			want, wantErr := refPoint(cp, f, n)
 			got, gotErr := sw.point(k)
 			if (wantErr != nil) != (gotErr != nil) {
-				t.Fatalf("%v/%v@%v: err %v vs %v", pr[0], pr[1], f, gotErr, wantErr)
+				t.Fatalf("%s: err %v vs %v", label, gotErr, wantErr)
 			}
 			if wantErr != nil {
 				if gotErr.Error() != wantErr.Error() {
-					t.Errorf("%v/%v@%v: error %q != per-call %q", pr[0], pr[1], f, gotErr, wantErr)
+					t.Errorf("%s: error %q != reference %q", label, gotErr, wantErr)
 				}
 				continue
 			}
-			if math.Float64bits(float64(got.TTM)) != math.Float64bits(float64(want.TTM)) {
-				t.Errorf("%v/%v@%v: TTM %v != per-call %v", pr[0], pr[1], f, got.TTM, want.TTM)
-			}
-			if math.Float64bits(float64(got.Cost)) != math.Float64bits(float64(want.Cost)) {
-				t.Errorf("%v/%v@%v: cost %v != per-call %v", pr[0], pr[1], f, got.Cost, want.Cost)
-			}
-			if math.Float64bits(got.CAS) != math.Float64bits(want.CAS) {
-				t.Errorf("%v/%v@%v: CAS %v != per-call %v", pr[0], pr[1], f, got.CAS, want.CAS)
+			for _, f := range [][2]float64{
+				{float64(got.TTM), float64(want.TTM)}, {float64(got.Cost), float64(want.Cost)}, {got.CAS, want.CAS},
+			} {
+				if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+					t.Errorf("%s: point %+v != reference %+v", label, got, want)
+				}
 			}
 			if got.FracPrimary != want.FracPrimary || got.Primary != want.Primary || got.Secondary != want.Secondary {
-				t.Errorf("%v/%v@%v: point identity mismatch: %+v vs %+v", pr[0], pr[1], f, got, want)
+				t.Errorf("%s: point identity mismatch: %+v vs %+v", label, got, want)
 			}
 		}
-	}
+	})
 }
 
 func TestBestSplitRequiresFactory(t *testing.T) {

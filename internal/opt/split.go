@@ -88,73 +88,9 @@ func (s SplitStudy) compilePair(primary, secondary technode.Node) (*compiledPair
 	return cp, nil
 }
 
-// evalPortfolio computes TTM, cost and CAS for one split. It compiles
-// the pair for this single point; sweeps compile once and call
-// compiledPair.eval directly.
-func (s SplitStudy) evalPortfolio(primary, secondary technode.Node, frac float64, n float64) (SplitPoint, error) {
-	cp, err := s.compilePair(primary, secondary)
-	if err != nil {
-		return SplitPoint{Primary: primary, Secondary: secondary, FracPrimary: frac}, err
-	}
-	return cp.eval(frac, n)
-}
-
-// eval computes TTM, cost and CAS for one split fraction on the
-// compiled pair.
-func (cp *compiledPair) eval(frac, n float64) (SplitPoint, error) {
-	s := cp.study
-	pt := SplitPoint{Primary: cp.primary, Secondary: cp.secondary, FracPrimary: frac}
-
-	ttm, err := cp.ttm(frac, n, 0, 0, false)
-	if err != nil {
-		return pt, err
-	}
-	pt.TTM = ttm
-
-	// Cost: both variants' full chip-creation cost (two tapeouts, two
-	// mask sets) on their share of the volume.
-	var total units.USD
-	for _, part := range cp.parts(frac, n) {
-		c, err := s.CostModel.Total(part.d, part.n)
-		if err != nil {
-			return pt, err
-		}
-		total += c
-	}
-	pt.Cost = total
-
-	// CAS over the portfolio: finite difference per node on the
-	// combined TTM, mirroring Eq. 8.
-	nodes := []technode.Node{cp.primary}
-	if frac < 1 && cp.secondary != cp.primary {
-		nodes = append(nodes, cp.secondary)
-	}
-	sum := 0.0
-	for _, node := range nodes {
-		p, err := s.Model.Nodes.Lookup(node)
-		if err != nil {
-			return pt, err
-		}
-		const h = core.DefaultDerivativeStep
-		up, err := cp.ttm(frac, n, node, 1+h, true)
-		if err != nil {
-			return pt, err
-		}
-		down, err := cp.ttm(frac, n, node, 1-h, true)
-		if err != nil {
-			return pt, err
-		}
-		sum += math.Abs(float64(up-down)) / (2 * h * float64(p.WaferRate))
-	}
-	if sum > 0 {
-		pt.CAS = 1 / sum
-	} else {
-		pt.CAS = math.Inf(1)
-	}
-	return pt, nil
-}
-
-// parts mirrors SplitStudy.parts on the cached designs.
+// parts returns the per-variant production assignments of a split. A
+// degenerate pair (primary == secondary) is a single-process run: the
+// node has one production line, so the whole volume lands on it.
 func (cp *compiledPair) parts(frac, n float64) []part {
 	if cp.primary == cp.secondary {
 		return []part{{d: cp.pd, n: n}}
@@ -167,46 +103,6 @@ func (cp *compiledPair) parts(frac, n float64) []part {
 		out = append(out, part{d: cp.sd, n: (1 - frac) * n})
 	}
 	return out
-}
-
-// ttm is portfolioTTM on the compiled evaluators: the max of the two
-// variants' TTM at their share of the volume, optionally under a
-// single-node capacity override (the CAS finite-difference probes).
-func (cp *compiledPair) ttm(frac, n float64, node technode.Node, f float64, override bool) (units.Weeks, error) {
-	var worst units.Weeks
-	evalPart := func(ev *core.Evaluator, chips float64) error {
-		var t units.Weeks
-		var err error
-		if override {
-			t, err = ev.EvalChipsNodeCapacity(cp.study.Model.Perturb, chips, node, f)
-		} else {
-			t, err = ev.EvalChips(cp.study.Model.Perturb, chips)
-		}
-		if err != nil {
-			return err
-		}
-		if t > worst {
-			worst = t
-		}
-		return nil
-	}
-	if cp.primary == cp.secondary {
-		if err := evalPart(cp.pe, n); err != nil {
-			return 0, err
-		}
-		return worst, nil
-	}
-	if frac > 0 {
-		if err := evalPart(cp.pe, frac*n); err != nil {
-			return 0, err
-		}
-	}
-	if frac < 1 {
-		if err := evalPart(cp.se, (1-frac)*n); err != nil {
-			return 0, err
-		}
-	}
-	return worst, nil
 }
 
 // sweepCol is one (variant, capacity-probe) column of a batched
@@ -232,21 +128,31 @@ const (
 // as structure-of-arrays batches: the fraction-dependent chip counts
 // form the Chips column and each CAS probe becomes a Factor-column
 // override, so the sweep costs six batch calls instead of up to ten
-// evaluator calls per fraction. point reassembles SplitPoints — values
-// and error order — exactly as the per-call cp.eval loop would.
+// evaluations per fraction. point reassembles each SplitPoint from the
+// columns.
 type pairSweep struct {
 	cp    *compiledPair
 	n     float64
 	steps int
 	// p[k-1] and s[k-1] are the variants' results at frac = k/steps;
 	// the secondary columns are one short (frac=1 has no secondary
-	// part, exactly as the per-call path skips it).
+	// part).
 	p, s [probeCount]sweepCol
+	// probes are the CAS finite-difference capacity factors, indexed
+	// like the probe columns.
+	probes [probeCount]probe
+}
+
+// probe is one CAS finite-difference evaluation: node's capacity
+// factor replaced by f.
+type probe struct {
+	node technode.Node
+	f    float64
 }
 
 // constCols fills the batch's perturbation columns with the study's
-// scalar Model.Perturb, one constant per sample, so the batch sees the
-// same or1-resolved factors as the per-call EvalChips path.
+// scalar Model.Perturb, one constant per sample, so every sample sees
+// the same or1-resolved factors the map-based model applies.
 func constCols(b *core.Batch, p core.Perturbation, m int) {
 	if p == (core.Perturbation{}) {
 		return // nil columns already mean "unperturbed"
@@ -266,11 +172,10 @@ func constCols(b *core.Batch, p core.Perturbation, m int) {
 	b.TAPLatency = fill(p.TAPLatency)
 }
 
-// runSweepBatch evaluates one variant across the chip-count column
-// under an optional single-node capacity override. A node the variant
-// does not fabricate on leaves the batch unchanged, mirroring
-// EvalChipsNodeCapacity's no-op path.
-func (cp *compiledPair) runSweepBatch(ev *core.Evaluator, chips []float64, node technode.Node, f float64, override bool) (sweepCol, error) {
+// runSweepBatch evaluates one variant across the chip-count column,
+// under pb's capacity override when pb is non-nil (pb's node must be
+// one the variant fabricates on).
+func (cp *compiledPair) runSweepBatch(ev *core.Evaluator, chips []float64, pb *probe) (sweepCol, error) {
 	m := len(chips)
 	col := sweepCol{vals: make([]units.Weeks, m), errs: make([]error, m)}
 	if m == 0 {
@@ -278,15 +183,13 @@ func (cp *compiledPair) runSweepBatch(ev *core.Evaluator, chips []float64, node 
 	}
 	b := core.Batch{Chips: chips}
 	constCols(&b, cp.study.Model.Perturb, m)
-	if override {
-		if idx := ev.NodeIndex(node); idx >= 0 {
-			b.Factor = make([][]float64, ev.NodeCount())
-			fcol := make([]float64, m)
-			for i := range fcol {
-				fcol[i] = f
-			}
-			b.Factor[idx] = fcol
+	if pb != nil {
+		b.Factor = make([][]float64, ev.NodeCount())
+		fcol := make([]float64, m)
+		for i := range fcol {
+			fcol[i] = pb.f
 		}
+		b.Factor[ev.NodeIndex(pb.node)] = fcol
 	}
 	var be core.BatchErrors
 	if err := ev.EvalBatch(&b, col.vals, &be); err != nil {
@@ -299,9 +202,12 @@ func (cp *compiledPair) runSweepBatch(ev *core.Evaluator, chips []float64, node 
 }
 
 // sweep batch-evaluates every fraction k/steps (k = 1..steps) of the
-// pair. Probes on a node a variant does not use share the baseline
-// column — the per-call path evaluates them unchanged, so the values
-// and errors are identical either way.
+// pair. Each node is probed around its current capacity factor under
+// the study's conditions, f0 ± h with the lower probe floored at f0,
+// exactly as core.Model.CAS probes it. Probes on a node a variant does
+// not use share the baseline column: the override would leave the
+// variant's TTM unchanged, so the values and errors are identical
+// either way.
 func (cp *compiledPair) sweep(n float64, steps int) (*pairSweep, error) {
 	sw := &pairSweep{cp: cp, n: n, steps: steps}
 	pChips := make([]float64, steps)
@@ -311,24 +217,19 @@ func (cp *compiledPair) sweep(n float64, steps int) (*pairSweep, error) {
 	}
 	if cp.primary == cp.secondary {
 		// Degenerate pair: one variant at the full volume, primary
-		// probes only (the per-call nodes list never adds the
+		// probes only (point never probes a degenerate pair's
 		// secondary).
 		for i := range pChips {
 			pChips[i] = n
 		}
 	}
-	const h = core.DefaultDerivativeStep
-	probes := [probeCount]struct {
-		node technode.Node
-		f    float64
-	}{
-		probePrimaryUp:     {cp.primary, 1 + h},
-		probePrimaryDown:   {cp.primary, 1 - h},
-		probeSecondaryUp:   {cp.secondary, 1 + h},
-		probeSecondaryDown: {cp.secondary, 1 - h},
+	for i, node := range []technode.Node{cp.primary, cp.secondary} {
+		up, down := cp.study.capacityProbes(node)
+		sw.probes[probePrimaryUp+2*i] = probe{node, up}
+		sw.probes[probePrimaryDown+2*i] = probe{node, down}
 	}
 	run := func(out *[probeCount]sweepCol, ev *core.Evaluator, chips []float64) error {
-		base, err := cp.runSweepBatch(ev, chips, 0, 0, false)
+		base, err := cp.runSweepBatch(ev, chips, nil)
 		if err != nil {
 			return err
 		}
@@ -337,11 +238,12 @@ func (cp *compiledPair) sweep(n float64, steps int) (*pairSweep, error) {
 			if cp.primary == cp.secondary && cfg >= probeSecondaryUp {
 				continue
 			}
-			if ev.NodeIndex(probes[cfg].node) < 0 {
+			pb := sw.probes[cfg]
+			if ev.NodeIndex(pb.node) < 0 {
 				out[cfg] = base
 				continue
 			}
-			col, err := cp.runSweepBatch(ev, chips, probes[cfg].node, probes[cfg].f, true)
+			col, err := cp.runSweepBatch(ev, chips, &pb)
 			if err != nil {
 				return err
 			}
@@ -365,9 +267,9 @@ func (cp *compiledPair) sweep(n float64, steps int) (*pairSweep, error) {
 	return sw, nil
 }
 
-// ttmAt is cp.ttm read off the precomputed columns: the max of the
-// variants' TTM at fraction k/steps, with the primary checked before
-// the secondary so the first error matches the per-call order.
+// ttmAt is the portfolio TTM read off the precomputed columns: the max
+// of the variants' TTM at fraction k/steps, with the primary checked
+// before the secondary so its error wins.
 func (sw *pairSweep) ttmAt(k, cfg int) (units.Weeks, error) {
 	var worst units.Weeks
 	p := &sw.p[cfg]
@@ -390,9 +292,10 @@ func (sw *pairSweep) ttmAt(k, cfg int) (units.Weeks, error) {
 }
 
 // point assembles the SplitPoint at fraction k/steps from the batched
-// columns, mirroring cp.eval operation for operation — baseline TTM,
-// per-part cost, then the per-node central differences — so values and
-// first-error behavior are bit-for-bit those of the per-call sweep.
+// columns: baseline TTM, per-part cost (both variants' full
+// chip-creation cost — two tapeouts, two mask sets — on their share of
+// the volume), then the portfolio CAS, a finite difference per node on
+// the combined TTM mirroring Eq. 8 and core.Model.CAS.
 func (sw *pairSweep) point(k int) (SplitPoint, error) {
 	cp := sw.cp
 	s := cp.study
@@ -419,13 +322,16 @@ func (sw *pairSweep) point(k int) (SplitPoint, error) {
 	if frac < 1 && cp.secondary != cp.primary {
 		nodes = append(nodes, cp.secondary)
 	}
+	g := s.Conditions.GlobalCapacity
+	if g == 0 {
+		g = 1
+	}
 	sum := 0.0
 	for ni, node := range nodes {
 		p, err := s.Model.Nodes.Lookup(node)
 		if err != nil {
 			return pt, err
 		}
-		const h = core.DefaultDerivativeStep
 		up, err := sw.ttmAt(k, probePrimaryUp+2*ni)
 		if err != nil {
 			return pt, err
@@ -434,7 +340,12 @@ func (sw *pairSweep) point(k int) (SplitPoint, error) {
 		if err != nil {
 			return pt, err
 		}
-		sum += math.Abs(float64(up-down)) / (2 * h * float64(p.WaferRate))
+		if math.IsInf(float64(up), 0) || math.IsInf(float64(down), 0) {
+			sum = math.Inf(1) // a stalled probe: no agility at all
+			continue
+		}
+		fUp, fDown := sw.probes[probePrimaryUp+2*ni].f, sw.probes[probePrimaryDown+2*ni].f
+		sum += math.Abs(float64(up-down)) / ((fUp - fDown) * g * float64(p.WaferRate))
 	}
 	if sum > 0 {
 		pt.CAS = 1 / sum
@@ -444,43 +355,26 @@ func (sw *pairSweep) point(k int) (SplitPoint, error) {
 	return pt, nil
 }
 
+// capacityProbes returns the capacity factors core.Model.CAS probes a
+// node at under the study's conditions: its current factor (1 when
+// unset) ± the default step, the lower probe floored at the current
+// factor when it would reach zero.
+func (s SplitStudy) capacityProbes(node technode.Node) (up, down float64) {
+	f0 := 1.0
+	if f, ok := s.Conditions.NodeCapacity[node]; ok {
+		f0 = f
+	}
+	const h = core.DefaultDerivativeStep
+	up, down = f0+h, f0-h
+	if down <= 0 {
+		down = f0
+	}
+	return up, down
+}
+
 type part struct {
 	d design.Design
 	n float64
-}
-
-// parts returns the per-node production assignments for a split. A
-// degenerate pair (primary == secondary) is a single-process run: the
-// node has one production line, so the whole volume lands on it.
-func (s SplitStudy) parts(primary, secondary technode.Node, frac float64, n float64) []part {
-	if primary == secondary {
-		return []part{{d: s.Factory(primary), n: n}}
-	}
-	var out []part
-	if frac > 0 {
-		out = append(out, part{d: s.Factory(primary), n: frac * n})
-	}
-	if frac < 1 {
-		out = append(out, part{d: s.Factory(secondary), n: (1 - frac) * n})
-	}
-	return out
-}
-
-// portfolioTTM is the max of the two variants' full TTM, evaluated on
-// the map-based model. It is the oracle the compiled path is tested
-// against; production sweeps go through compiledPair.ttm.
-func (s SplitStudy) portfolioTTM(primary, secondary technode.Node, frac float64, n float64, c market.Conditions) (units.Weeks, error) {
-	var worst units.Weeks
-	for _, part := range s.parts(primary, secondary, frac, n) {
-		t, err := s.Model.TTM(part.d, part.n, c)
-		if err != nil {
-			return 0, err
-		}
-		if t > worst {
-			worst = t
-		}
-	}
-	return worst, nil
 }
 
 // BestSplit sweeps the split fraction for a node pair and returns the
@@ -527,6 +421,20 @@ func (s SplitStudy) BestSplit(primary, secondary technode.Node, n float64) (Spli
 	return best, nil
 }
 
+// singleProcess evaluates the single-process point of node p: the
+// degenerate pair's one-step sweep.
+func (s SplitStudy) singleProcess(p technode.Node, n float64) (SplitPoint, error) {
+	cp, err := s.compilePair(p, p)
+	if err != nil {
+		return SplitPoint{}, err
+	}
+	sw, err := cp.sweep(n, 1)
+	if err != nil {
+		return SplitPoint{}, err
+	}
+	return sw.point(1)
+}
+
 // ErrNoFeasibleSplit is returned when every split point of a pair has
 // infinite time-to-market (e.g. an out-of-production node).
 var ErrNoFeasibleSplit = errors.New("opt: no feasible split")
@@ -542,7 +450,7 @@ func (s SplitStudy) PairMatrix(n float64) (map[technode.Node]map[technode.Node]S
 	pts, err := sweep.Map(context.Background(), cells, 0, func(c [2]int) (SplitPoint, error) {
 		p, q := nodes[c[0]], nodes[c[1]]
 		if p == q {
-			return s.evalPortfolio(p, q, 1, n)
+			return s.singleProcess(p, n)
 		}
 		return s.BestSplit(p, q, n)
 	})

@@ -4,55 +4,18 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"ttmcas/internal/core"
+	"ttmcas/internal/market"
+	"ttmcas/internal/scenario"
+	"ttmcas/internal/technode"
 )
 
-// Sobol throughput, serial vs parallel: the jobs PR moved the Saltelli
-// N·(k+2) evaluation batches onto the sweep worker pool. `make bench`
-// records both variants in BENCH_jobs.json.
-
-func benchSobol(b *testing.B, run func(Config, func([]float64) (float64, error)) (Result, error)) {
-	names := []string{"a", "b", "c", "d", "e", "f"}
-	model := func(x []float64) (float64, error) {
-		// A mildly nonlinear stand-in with per-call cost comparable to
-		// a cheap model evaluation.
-		s := 0.0
-		for i, v := range x {
-			s += math.Sin(float64(i+1)*v) + v*v
-		}
-		return s, nil
-	}
-	cfg := Config{N: 128, Seed: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := run(cfg, model)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Evaluations == 0 {
-			b.Fatal("no evaluations")
-		}
-	}
-	evalsPerOp := float64(cfg.n() * (len(names) + 2))
-	b.ReportMetric(evalsPerOp*float64(b.N)/b.Elapsed().Seconds(), "evals/s")
-}
-
-func BenchmarkSobolSerial(b *testing.B) {
-	benchSobol(b, func(cfg Config, m func([]float64) (float64, error)) (Result, error) {
-		return totalEffectSerial([]string{"a", "b", "c", "d", "e", "f"}, cfg, m)
-	})
-}
-
-func BenchmarkSobolParallel(b *testing.B) {
-	benchSobol(b, func(cfg Config, m func([]float64) (float64, error)) (Result, error) {
-		return TotalEffect(context.Background(), []string{"a", "b", "c", "d", "e", "f"}, cfg, m)
-	})
-}
-
-// BenchmarkSobolBatch runs the same estimator through TotalEffectBatch
-// with a column-consuming model of per-row cost equal to the scalar
-// benchmarks', so the delta against SobolSerial/SobolParallel is pure
-// driver overhead (row assembly, dispatch, closures).
+// BenchmarkSobolBatch runs the estimator through TotalEffectBatch with
+// a column-consuming stand-in model whose per-row cost is comparable
+// to a cheap model evaluation, so the figure is dominated by driver
+// overhead (sample draws, dispatch, the reduction). `make bench`
+// records it in BENCH_jobs.json.
 func BenchmarkSobolBatch(b *testing.B) {
 	names := []string{"a", "b", "c", "d", "e", "f"}
 	factory := func() (BatchEval, error) {
@@ -82,4 +45,26 @@ func BenchmarkSobolBatch(b *testing.B) {
 	}
 	evalsPerOp := float64(cfg.n() * (len(names) + 2))
 	b.ReportMetric(evalsPerOp*float64(b.N)/b.Elapsed().Seconds(), "evals/s")
+}
+
+// BenchmarkAblationSobolEstimator is the Saltelli-vs-naive estimator
+// ablation of DESIGN.md §6: both estimators spend the same N·(k+2)
+// budget of map-based TTM evaluations of the A11 at 28 nm.
+func BenchmarkAblationSobolEstimator(b *testing.B) {
+	model := ttmModel(scenario.A11At(technode.N28), market.Full())
+	cfg := Config{N: 128, Seed: 1}
+	b.Run("saltelli", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := totalEffectOf(context.Background(), core.Inputs, cfg, model); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("naive", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := naiveTotalEffect(context.Background(), core.Inputs, cfg, model); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

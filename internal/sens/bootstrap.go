@@ -1,7 +1,7 @@
 package sens
 
 import (
-	"errors"
+	"context"
 	"math/rand"
 
 	"ttmcas/internal/stats"
@@ -24,20 +24,19 @@ type BootstrapResult struct {
 	Resamples int
 }
 
-// TotalEffectWithCI runs TotalEffect while retaining the evaluation
-// triples, then bootstraps 95% CIs with the given replication count
-// (zero means 200). The extra cost over TotalEffect is only the
-// resampling arithmetic.
-func TotalEffectWithCI(names []string, cfg Config, resamples int, model func(mult []float64) (float64, error)) (BootstrapResult, error) {
-	k := len(names)
-	base, triples, err := totalEffectTriples(names, cfg, model)
+// TotalEffectWithCI runs TotalEffectBatch, then bootstraps 95% CIs
+// from the output vector it reduced, with the given replication count
+// (zero means 200). The point estimates are exactly TotalEffectBatch's;
+// the extra cost is only the resampling arithmetic.
+func TotalEffectWithCI(ctx context.Context, names []string, cfg Config, resamples int, factory func() (BatchEval, error)) (BootstrapResult, error) {
+	base, ys, err := totalEffect(ctx, names, cfg, factory)
 	if err != nil {
 		return BootstrapResult{}, err
 	}
 	if resamples <= 0 {
 		resamples = 200
 	}
-	n := len(triples.fA)
+	k, n := len(names), cfg.n()
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	totSamples := make([][]float64, k)
 	firstSamples := make([][]float64, k)
@@ -50,7 +49,7 @@ func TotalEffectWithCI(names []string, cfg Config, resamples int, model func(mul
 		for j := range idx {
 			idx[j] = rng.Intn(n)
 		}
-		tot, first := estimateFromTriples(triples, idx)
+		tot, first := resampleEstimate(ys, k, n, idx)
 		for i := 0; i < k; i++ {
 			totSamples[i] = append(totSamples[i], tot[i])
 			firstSamples[i] = append(firstSamples[i], first[i])
@@ -65,114 +64,39 @@ func TotalEffectWithCI(names []string, cfg Config, resamples int, model func(mul
 	return out, nil
 }
 
-// triples holds the retained evaluations: fA[j], fB[j] and fAB[i][j].
-type tripleSet struct {
-	fA, fB []float64
-	fAB    [][]float64
-}
-
-// totalEffectTriples mirrors TotalEffect but keeps every evaluation.
-func totalEffectTriples(names []string, cfg Config, model func(mult []float64) (float64, error)) (Result, tripleSet, error) {
-	k := len(names)
-	if k == 0 {
-		return Result{}, tripleSet{}, errors.New("sens: no inputs")
+// resampleEstimate applies the Jansen total-effect and centered
+// first-order estimators to the rows idx of the flattened output vector
+// ys (f(A), f(B), then each f(AB_i), n rows apiece, as EvalRange lays
+// it out), with the pooled mean and variance taken over the same rows.
+func resampleEstimate(ys []float64, k, n int, idx []int) (tot, first []float64) {
+	fA, fB := ys[:n], ys[n:2*n]
+	s := 0.0
+	for _, j := range idx {
+		s += fA[j] + fB[j]
 	}
-	n := cfg.n()
-	v := cfg.variation()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	draw := func() float64 { return 1 - v + 2*v*rng.Float64() }
-
-	A := make([][]float64, n)
-	B := make([][]float64, n)
-	for j := 0; j < n; j++ {
-		A[j] = make([]float64, k)
-		B[j] = make([]float64, k)
-		for i := 0; i < k; i++ {
-			A[j][i] = draw()
-			B[j][i] = draw()
-		}
+	meanY := s / float64(2*len(idx))
+	s = 0
+	for _, j := range idx {
+		da, db := fA[j]-meanY, fB[j]-meanY
+		s += da*da + db*db
 	}
-	ts := tripleSet{fA: make([]float64, n), fB: make([]float64, n), fAB: make([][]float64, k)}
-	for j := 0; j < n; j++ {
-		var err error
-		if ts.fA[j], err = model(A[j]); err != nil {
-			return Result{}, tripleSet{}, err
-		}
-		if ts.fB[j], err = model(B[j]); err != nil {
-			return Result{}, tripleSet{}, err
-		}
-	}
-	x := make([]float64, k)
-	for i := 0; i < k; i++ {
-		ts.fAB[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			copy(x, A[j])
-			x[i] = B[j][i]
-			y, err := model(x)
-			if err != nil {
-				return Result{}, tripleSet{}, err
-			}
-			ts.fAB[i][j] = y
-		}
-	}
-
-	all := make([]int, n)
-	for j := range all {
-		all[j] = j
-	}
-	tot, first := estimateFromTriples(ts, all)
-	res := Result{
-		Inputs:      append([]string(nil), names...),
-		Total:       tot,
-		First:       first,
-		VarY:        pooledVariance(ts, all),
-		Evaluations: n * (k + 2),
-	}
-	return res, ts, nil
-}
-
-// estimateFromTriples applies the Jansen total-effect and centered
-// first-order estimators over the selected sample indices.
-func estimateFromTriples(ts tripleSet, idx []int) (tot, first []float64) {
-	k := len(ts.fAB)
-	n := float64(len(idx))
-	varY := pooledVariance(ts, idx)
-	meanY := pooledMean(ts, idx)
+	varY := s / float64(2*len(idx)-1)
 	tot = make([]float64, k)
 	first = make([]float64, k)
 	if varY <= 0 {
 		return tot, first
 	}
+	m := float64(len(idx))
 	for i := 0; i < k; i++ {
+		fAB := ys[(2+i)*n : (3+i)*n]
 		var sumT, sumS float64
 		for _, j := range idx {
-			d := ts.fA[j] - ts.fAB[i][j]
+			d := fA[j] - fAB[j]
 			sumT += d * d
-			sumS += (ts.fB[j] - meanY) * (ts.fAB[i][j] - ts.fA[j])
+			sumS += (fB[j] - meanY) * (fAB[j] - fA[j])
 		}
-		tot[i] = clamp01(sumT / (2 * n * varY))
-		first[i] = clamp01(sumS / (n * varY))
+		tot[i] = clamp01(sumT / (2 * m * varY))
+		first[i] = clamp01(sumS / (m * varY))
 	}
 	return tot, first
-}
-
-func pooledMean(ts tripleSet, idx []int) float64 {
-	s := 0.0
-	for _, j := range idx {
-		s += ts.fA[j] + ts.fB[j]
-	}
-	return s / float64(2*len(idx))
-}
-
-func pooledVariance(ts tripleSet, idx []int) float64 {
-	m := pooledMean(ts, idx)
-	s := 0.0
-	for _, j := range idx {
-		da, db := ts.fA[j]-m, ts.fB[j]-m
-		s += da*da + db*db
-	}
-	if len(idx) < 1 {
-		return 0
-	}
-	return s / float64(2*len(idx)-1)
 }

@@ -3,14 +3,13 @@ package sens
 import (
 	"context"
 	"errors"
-	"math"
 	"testing"
 )
 
 func TestBootstrapCoversPointEstimate(t *testing.T) {
 	coeffs := []float64{1, 2, 4}
 	names := []string{"a", "b", "c"}
-	res, err := TotalEffectWithCI(names, Config{N: 1024, Seed: 5}, 200, additiveModel(coeffs))
+	res, err := withCI(names, Config{N: 1024, Seed: 5}, 200, additiveModel(coeffs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,41 +35,35 @@ func TestBootstrapCoversPointEstimate(t *testing.T) {
 }
 
 func TestBootstrapMatchesPlainEstimator(t *testing.T) {
-	// The retained-triple path must reproduce TotalEffect's point
-	// estimates exactly (same seed, same sample stream).
+	// The bootstrap reads the output vector TotalEffectBatch reduces, so
+	// its point estimates are TotalEffectBatch's, bit for bit.
 	coeffs := []float64{1, 3}
 	names := []string{"a", "b"}
 	model := additiveModel(coeffs)
-	plain, err := TotalEffect(context.Background(), names, Config{N: 512, Seed: 9}, model)
+	plain, err := totalEffectOf(context.Background(), names, Config{N: 512, Seed: 9}, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	boot, err := TotalEffectWithCI(names, Config{N: 512, Seed: 9}, 10, model)
+	boot, err := withCI(names, Config{N: 512, Seed: 9}, 10, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const tol = 1e-12
-	for i := range names {
-		if math.Abs(plain.Total[i]-boot.Total[i]) > tol {
-			t.Errorf("S_T[%s]: %v != %v", names[i], plain.Total[i], boot.Total[i])
-		}
-		if math.Abs(plain.First[i]-boot.First[i]) > tol {
-			t.Errorf("S1[%s]: %v != %v", names[i], plain.First[i], boot.First[i])
-		}
-	}
-	if math.Abs(plain.VarY-boot.VarY) > tol*plain.VarY {
-		t.Errorf("VarY: %v != %v", plain.VarY, boot.VarY)
-	}
+	sameResult(t, "bootstrap", boot.Result, plain)
+}
+
+// withCI runs TotalEffectWithCI on a per-row model.
+func withCI(names []string, cfg Config, resamples int, model func([]float64) (float64, error)) (BootstrapResult, error) {
+	return TotalEffectWithCI(context.Background(), names, cfg, resamples, func() (BatchEval, error) { return batchOf(model), nil })
 }
 
 func TestBootstrapShrinksWithSamples(t *testing.T) {
 	names := []string{"a", "b"}
 	model := additiveModel([]float64{1, 2})
-	small, err := TotalEffectWithCI(names, Config{N: 128, Seed: 3}, 200, model)
+	small, err := withCI(names, Config{N: 128, Seed: 3}, 200, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := TotalEffectWithCI(names, Config{N: 2048, Seed: 3}, 200, model)
+	big, err := withCI(names, Config{N: 2048, Seed: 3}, 200, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,16 +76,16 @@ func TestBootstrapShrinksWithSamples(t *testing.T) {
 }
 
 func TestBootstrapErrors(t *testing.T) {
-	if _, err := TotalEffectWithCI(nil, Config{}, 10, func([]float64) (float64, error) { return 0, nil }); err == nil {
+	if _, err := withCI(nil, Config{}, 10, func([]float64) (float64, error) { return 0, nil }); err == nil {
 		t.Error("no inputs should error")
 	}
 	boom := errors.New("boom")
-	_, err := TotalEffectWithCI([]string{"a"}, Config{N: 8}, 10, func([]float64) (float64, error) { return 0, boom })
+	_, err := withCI([]string{"a"}, Config{N: 8}, 10, func([]float64) (float64, error) { return 0, boom })
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v", err)
 	}
 	// Default resample count kicks in for non-positive values.
-	res, err := TotalEffectWithCI([]string{"a"}, Config{N: 32}, 0, additiveModel([]float64{2}))
+	res, err := withCI([]string{"a"}, Config{N: 32}, 0, additiveModel([]float64{2}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,34 +77,11 @@ type Result struct {
 // zero, so indices are undefined.
 var ErrDegenerate = errors.New("sens: output variance is zero; indices undefined")
 
-// saltelliMatrices draws the A and B sample matrices a config
-// generates, in the fixed stream order shared by the parallel and
-// serial estimators.
-func saltelliMatrices(cfg Config, k int) (A, B [][]float64) {
-	n := cfg.n()
-	v := cfg.variation()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	draw := func() float64 { return 1 - v + 2*v*rng.Float64() }
-	A = make([][]float64, n)
-	B = make([][]float64, n)
-	for j := 0; j < n; j++ {
-		A[j] = make([]float64, k)
-		B[j] = make([]float64, k)
-		for i := 0; i < k; i++ {
-			A[j][i] = draw()
-			B[j][i] = draw()
-		}
-	}
-	return A, B
-}
-
-// saltelliColumns draws the same A and B sample streams as
-// saltelliMatrices, transposed: one length-n column per input rather
-// than one length-k row per sample. Column j of input i carries exactly
-// the bits A[j][i]/B[j][i] of the row-major path, so the batch and
-// per-call estimators consume identical samples. The column shape is
-// what the batch kernel wants: an AB_i batch is A's columns with column
-// i swapped for B's — a pointer substitution, no copying.
+// saltelliColumns draws the A and B sample matrices a config generates,
+// one length-n column per input: sample j draws A's then B's entry for
+// each input in turn. The column shape is what the batch kernel wants:
+// an AB_i batch is A's columns with column i swapped for B's — a pointer
+// substitution, no copying.
 func saltelliColumns(cfg Config, k int) (A, B [][]float64) {
 	n := cfg.n()
 	v := cfg.variation()
@@ -125,264 +102,70 @@ func saltelliColumns(cfg Config, k int) (A, B [][]float64) {
 	return A, B
 }
 
-// TotalEffect estimates Sobol first-order and total-effect indices for
-// a model over k inputs, each an independent multiplier drawn uniformly
-// from [1−v, 1+v]. The model callback receives one multiplier per
-// input, in the order of the names slice; it must be safe for
-// concurrent calls, since the N·(k+2) evaluations run on a worker
-// pool. Results are deterministic for a fixed seed — the sample
-// matrices are precomputed and the estimator sums run in index order —
-// and identical to the serial reference implementation bit for bit.
-// Cancelling ctx stops the run within one evaluation per worker.
-func TotalEffect(ctx context.Context, names []string, cfg Config, model func(mult []float64) (float64, error)) (Result, error) {
-	return TotalEffectFrom(ctx, names, cfg, func() (func(mult []float64) (float64, error), error) {
-		return model, nil
-	})
-}
-
-// TotalEffectFrom is TotalEffect with a per-worker model factory: each
-// chunk of evaluations calls factory once and uses the returned closure
-// exclusively, so the closure may own unsynchronized state (a cloned
-// compiled evaluator, scratch buffers). This is how the jobs and API
-// layers run sensitivity on the zero-allocation kernel.
-//
-// The N·(k+2) evaluations run in two chunked regions: the pooled
-// f(A)/f(B) rows, then all k AB_i batches fused into one region of n·k
-// index pairs — a single fan-out instead of k small ones, with one
-// k-float scratch row per chunk instead of one per sample. Estimator
-// sums run in index order, so results match totalEffectSerial bit for
-// bit.
-func TotalEffectFrom(ctx context.Context, names []string, cfg Config, factory func() (func(mult []float64) (float64, error), error)) (Result, error) {
-	k := len(names)
-	if k == 0 {
-		return Result{}, errors.New("sens: no inputs")
-	}
-	n := cfg.n()
-	A, B := saltelliMatrices(cfg, k)
-
-	// f(A) and f(B) over the pooled 2n rows. The two matrices get their
-	// own dense sub-loops so the hot path carries no per-row branch.
-	pooled := make([]float64, 2*n)
-	err := sweep.ForChunks(ctx, 2*n, 0, sweep.DefaultGrain, func(lo, hi int) error {
-		eval, err := factory()
-		if err != nil {
-			return err
-		}
-		for m := lo; m < hi && m < n; m++ {
-			y, err := eval(A[m])
-			if err != nil {
-				return fmt.Errorf("sens: model eval: %w", err)
-			}
-			pooled[m] = y
-		}
-		for m := max(lo, n); m < hi; m++ {
-			y, err := eval(B[m-n])
-			if err != nil {
-				return fmt.Errorf("sens: model eval: %w", err)
-			}
-			pooled[m] = y
-		}
-		return nil
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	fA, fB := pooled[:n], pooled[n:]
-
-	varY := stats.Variance(pooled)
-	res := Result{
-		Inputs: append([]string(nil), names...),
-		Total:  make([]float64, k),
-		First:  make([]float64, k),
-		VarY:   varY,
-	}
-	if varY <= 0 || math.IsNaN(varY) {
-		res.Evaluations = 2 * n
-		return res, ErrDegenerate
-	}
-
-	// f(AB_i) for every input, fused: index m encodes (input i = m/n,
-	// row j = m%n). Each chunk reuses one scratch row for the column
-	// substitution instead of allocating a fresh row per sample, and
-	// walks per-input segments so the index decomposition is one
-	// division per segment rather than one per sample.
-	fAB := make([]float64, k*n)
-	err = sweep.ForChunks(ctx, k*n, 0, sweep.DefaultGrain, func(lo, hi int) error {
-		eval, err := factory()
-		if err != nil {
-			return err
-		}
-		x := make([]float64, k)
-		for m := lo; m < hi; {
-			i, j := m/n, m%n
-			end := (i + 1) * n
-			if end > hi {
-				end = hi
-			}
-			for ; m < end; m, j = m+1, j+1 {
-				copy(x, A[j])
-				x[i] = B[j][i]
-				y, err := eval(x)
-				if err != nil {
-					return fmt.Errorf("sens: model eval: %w", err)
-				}
-				fAB[m] = y
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return Result{}, err
-	}
-
-	meanY := stats.Mean(pooled)
-	for i := 0; i < k; i++ {
-		fABi := fAB[i*n : (i+1)*n]
-		var sumT, sumS float64
-		for j := 0; j < n; j++ {
-			dT := fA[j] - fABi[j]
-			sumT += dT * dT
-			// Saltelli-2010 first-order estimator; centering fB
-			// around the pooled mean leaves the expectation intact
-			// (E[fABi − fA] = 0) but removes the huge mean-product
-			// noise term for models far from zero.
-			sumS += (fB[j] - meanY) * (fABi[j] - fA[j])
-		}
-		res.Total[i] = clamp01(sumT / (2 * float64(n) * varY))
-		res.First[i] = clamp01(sumS / (float64(n) * varY))
-	}
-	res.Evaluations = n * (k + 2)
-	return res, nil
-}
-
 // BatchEval evaluates a whole batch of parameter vectors in one call:
 // cols holds one column per input, in the order of the names slice,
 // each of length len(out); out receives one model output per row. On a
 // per-sample failure the BatchEval must return the error of its
 // lowest-index failing row (what a serial per-row loop would have hit
-// first), so batch and per-call drivers report identical errors.
+// first), so every chunking of the index space reports the same error.
 type BatchEval func(cols [][]float64, out []float64) error
 
-// TotalEffectBatch is TotalEffectFrom on a batch evaluator. The
-// Saltelli matrices are drawn column-shaped and fed to the BatchEval
-// whole chunks at a time: an f(A) or f(B) chunk is a plain column-slice
-// view, and an AB_i chunk substitutes B's column i into A's view by
-// pointer — no per-sample row assembly at all. Factories run once per
-// chunk, exactly like TotalEffectFrom's, and the estimator sums run in
-// index order over the same stream, so the result is bit-for-bit that
-// of TotalEffect/TotalEffectFrom on the equivalent per-call model.
+// TotalEffectBatch estimates Sobol first-order and total-effect
+// indices for a model over k inputs, each an independent multiplier
+// drawn uniformly from [1−v, 1+v]. The factory is called once per chunk
+// of evaluations and the returned BatchEval used by that chunk alone,
+// so it may own unsynchronized state (a cloned compiled evaluator,
+// scratch buffers); it receives one column per input, in the order of
+// the names slice.
+//
+// The run is EvalRange over the flattened index space followed by
+// Reduce: the pooled f(A)/f(B) rows [0, 2n) first, then — unless their
+// variance is degenerate, which makes the indices undefined — the fused
+// AB_i region [2n, (k+2)·n). Results are deterministic for a fixed
+// seed and identical, bit for bit, to a sharded EvalRange+Reduce run.
+// Cancelling ctx stops the run within one chunk per worker.
 func TotalEffectBatch(ctx context.Context, names []string, cfg Config, factory func() (BatchEval, error)) (Result, error) {
+	res, _, err := totalEffect(ctx, names, cfg, factory)
+	return res, err
+}
+
+// totalEffect is TotalEffectBatch also returning the flattened output
+// vector Reduce folded, which the bootstrap resamples.
+func totalEffect(ctx context.Context, names []string, cfg Config, factory func() (BatchEval, error)) (Result, []float64, error) {
 	k := len(names)
 	if k == 0 {
-		return Result{}, errors.New("sens: no inputs")
+		return Result{}, nil, errors.New("sens: no inputs")
 	}
 	n := cfg.n()
 	A, B := saltelliColumns(cfg, k)
-
-	// f(A) and f(B) over the pooled 2n rows; a chunk spanning the A/B
-	// boundary becomes one dense call per side.
-	pooled := make([]float64, 2*n)
-	err := sweep.ForChunks(ctx, 2*n, 0, sweep.DefaultGrain, func(lo, hi int) error {
-		eval, err := factory()
-		if err != nil {
-			return err
-		}
-		cols := make([][]float64, k)
-		if aLo, aHi := lo, min(hi, n); aLo < aHi {
-			for i := range cols {
-				cols[i] = A[i][aLo:aHi]
-			}
-			if err := eval(cols, pooled[aLo:aHi]); err != nil {
-				return fmt.Errorf("sens: model eval: %w", err)
-			}
-		}
-		if bLo, bHi := max(lo, n)-n, hi-n; bLo < bHi {
-			for i := range cols {
-				cols[i] = B[i][bLo:bHi]
-			}
-			if err := eval(cols, pooled[n+bLo:n+bHi]); err != nil {
-				return fmt.Errorf("sens: model eval: %w", err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return Result{}, err
+	ys := make([]float64, (k+2)*n)
+	if err := evalRange(ctx, A, B, n, 0, 2*n, ys[:2*n], factory); err != nil {
+		return Result{}, nil, err
 	}
-	fA, fB := pooled[:n], pooled[n:]
-
-	varY := stats.Variance(pooled)
-	res := Result{
-		Inputs: append([]string(nil), names...),
-		Total:  make([]float64, k),
-		First:  make([]float64, k),
-		VarY:   varY,
-	}
-	if varY <= 0 || math.IsNaN(varY) {
-		res.Evaluations = 2 * n
-		return res, ErrDegenerate
-	}
-
-	// f(AB_i) fused over k·n, chunked per-input segments; each segment
-	// is one batch call on A's columns with column i swapped to B's.
-	fAB := make([]float64, k*n)
-	err = sweep.ForChunks(ctx, k*n, 0, sweep.DefaultGrain, func(lo, hi int) error {
-		eval, err := factory()
-		if err != nil {
-			return err
+	if !degenerate(stats.Variance(ys[:2*n])) {
+		if err := evalRange(ctx, A, B, n, 2*n, len(ys), ys[2*n:], factory); err != nil {
+			return Result{}, nil, err
 		}
-		cols := make([][]float64, k)
-		for m := lo; m < hi; {
-			i, j := m/n, m%n
-			end := min((i+1)*n, hi)
-			cnt := end - m
-			for c := range cols {
-				cols[c] = A[c][j : j+cnt]
-			}
-			cols[i] = B[i][j : j+cnt]
-			if err := eval(cols, fAB[m:end]); err != nil {
-				return fmt.Errorf("sens: model eval: %w", err)
-			}
-			m = end
-		}
-		return nil
-	})
-	if err != nil {
-		return Result{}, err
 	}
-
-	meanY := stats.Mean(pooled)
-	for i := 0; i < k; i++ {
-		fABi := fAB[i*n : (i+1)*n]
-		var sumT, sumS float64
-		for j := 0; j < n; j++ {
-			dT := fA[j] - fABi[j]
-			sumT += dT * dT
-			sumS += (fB[j] - meanY) * (fABi[j] - fA[j])
-		}
-		res.Total[i] = clamp01(sumT / (2 * float64(n) * varY))
-		res.First[i] = clamp01(sumS / (float64(n) * varY))
-	}
-	res.Evaluations = n * (k + 2)
-	return res, nil
+	res, err := Reduce(names, cfg, ys)
+	return res, ys, err
 }
 
 // EvalRange evaluates the contiguous range [lo, hi) of the flattened
 // Saltelli index space [0, (k+2)·n): index m < n is pooled row f(A_m),
 // n ≤ m < 2n is f(B_{m−n}), and m ≥ 2n is the fused AB region where
 // m−2n encodes (input i = (m−2n)/n, row j = (m−2n)%n). out[m−lo]
-// receives the model output of index m. The samples are the exact
-// column-shaped streams TotalEffectBatch draws (the full matrices are
-// redrawn locally — drawing is ~ns per sample, negligible next to the
+// receives the model output of index m. The full sample matrices are
+// redrawn locally (drawing is ~ns per sample, negligible next to the
 // model evaluations), so assembling every range's outputs into one
 // (k+2)·n vector and handing it to Reduce reproduces TotalEffectBatch
 // bit for bit. This is the sharding surface of distributed jobs: peers
 // evaluate disjoint ranges, the coordinator reduces.
 //
 // Error surface: a chunk stops at its first failing row, errors are
-// wrapped exactly like TotalEffectBatch's, and the lowest-index error
-// of the range wins — so the minimum-index error across disjoint
-// ranges is the error the unsplit run would have reported.
+// wrapped as "sens: model eval: ...", and the lowest-index error of the
+// range wins — so the minimum-index error across disjoint ranges is the
+// error the unsplit run would have reported.
 func EvalRange(ctx context.Context, k int, cfg Config, lo, hi int, out []float64, factory func() (BatchEval, error)) error {
 	if k <= 0 {
 		return errors.New("sens: no inputs")
@@ -396,6 +179,12 @@ func EvalRange(ctx context.Context, k int, cfg Config, lo, hi int, out []float64
 		return fmt.Errorf("sens: output length %d != range length %d", len(out), hi-lo)
 	}
 	A, B := saltelliColumns(cfg, k)
+	return evalRange(ctx, A, B, n, lo, hi, out, factory)
+}
+
+// evalRange is EvalRange on already-drawn sample columns.
+func evalRange(ctx context.Context, A, B [][]float64, n, lo, hi int, out []float64, factory func() (BatchEval, error)) error {
+	k := len(A)
 	return sweep.ForChunks(ctx, hi-lo, 0, sweep.DefaultGrain, func(clo, chi int) error {
 		eval, err := factory()
 		if err != nil {
@@ -438,10 +227,11 @@ func EvalRange(ctx context.Context, k int, cfg Config, lo, hi int, out []float64
 // Reduce folds a full flattened output vector ys — length (k+2)·n, the
 // concatenation of EvalRange outputs covering the whole index space —
 // into the Result TotalEffectBatch computes. The variance, mean, and
-// estimator sums run in the same index order as the fused estimators,
-// so the reduced Result carries identical bits; the degenerate-variance
-// path mirrors the short-circuiting serial accounting (Evaluations=2n,
-// ErrDegenerate) even though the AB region was already evaluated.
+// estimator sums run in index order, so the Result is a pure function
+// of ys. When the pooled f(A)/f(B) variance is degenerate only [0, 2n)
+// is read, and the Result reports Evaluations=2n with ErrDegenerate —
+// the work TotalEffectBatch does before it stops, even if a sharded run
+// evaluated the AB region anyway.
 func Reduce(names []string, cfg Config, ys []float64) (Result, error) {
 	k := len(names)
 	if k == 0 {
@@ -461,7 +251,7 @@ func Reduce(names []string, cfg Config, ys []float64) (Result, error) {
 		First:  make([]float64, k),
 		VarY:   varY,
 	}
-	if varY <= 0 || math.IsNaN(varY) {
+	if degenerate(varY) {
 		res.Evaluations = 2 * n
 		return res, ErrDegenerate
 	}
@@ -472,6 +262,10 @@ func Reduce(names []string, cfg Config, ys []float64) (Result, error) {
 		for j := 0; j < n; j++ {
 			dT := fA[j] - fABi[j]
 			sumT += dT * dT
+			// Saltelli-2010 first-order estimator; centering fB around
+			// the pooled mean leaves the expectation intact (E[fABi − fA]
+			// = 0) but removes the huge mean-product noise term for
+			// models far from zero.
 			sumS += (fB[j] - meanY) * (fABi[j] - fA[j])
 		}
 		res.Total[i] = clamp01(sumT / (2 * float64(n) * varY))
@@ -480,6 +274,10 @@ func Reduce(names []string, cfg Config, ys []float64) (Result, error) {
 	res.Evaluations = n * (k + 2)
 	return res, nil
 }
+
+// degenerate reports whether an output variance leaves the indices
+// undefined.
+func degenerate(varY float64) bool { return varY <= 0 || math.IsNaN(varY) }
 
 func clamp01(x float64) float64 {
 	switch {
@@ -490,65 +288,4 @@ func clamp01(x float64) float64 {
 	default:
 		return x
 	}
-}
-
-// NaiveTotalEffect estimates S_T with the brute-force double-loop
-// estimator (fix X~i, re-draw Xi) at a comparable evaluation budget. It
-// converges far more slowly than the Saltelli scheme and exists for the
-// estimator ablation benchmark. Evaluation is serial; ctx is checked
-// before every model call.
-func NaiveTotalEffect(ctx context.Context, names []string, cfg Config, model func(mult []float64) (float64, error)) (Result, error) {
-	k := len(names)
-	if k == 0 {
-		return Result{}, errors.New("sens: no inputs")
-	}
-	// Match Saltelli's budget of N(k+2) evaluations: with an inner
-	// loop of r re-draws, outer loops get N(k+2)/(k·r).
-	const inner = 8
-	n := cfg.n()
-	outer := n * (k + 2) / (k * inner)
-	if outer < 2 {
-		outer = 2
-	}
-	v := cfg.variation()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	draw := func() float64 { return 1 - v + 2*v*rng.Float64() }
-
-	res := Result{Inputs: append([]string(nil), names...), Total: make([]float64, k), First: make([]float64, k)}
-	var all []float64
-	condVar := make([]float64, k)
-	for i := 0; i < k; i++ {
-		var accum float64
-		for o := 0; o < outer; o++ {
-			base := make([]float64, k)
-			for c := range base {
-				base[c] = draw()
-			}
-			ys := make([]float64, inner)
-			for r := 0; r < inner; r++ {
-				base[i] = draw()
-				if err := ctx.Err(); err != nil {
-					return Result{}, err
-				}
-				y, err := model(base)
-				if err != nil {
-					return Result{}, err
-				}
-				ys[r] = y
-				all = append(all, y)
-				res.Evaluations++
-			}
-			accum += stats.Variance(ys)
-		}
-		condVar[i] = accum / float64(outer)
-	}
-	varY := stats.Variance(all)
-	res.VarY = varY
-	if varY <= 0 {
-		return res, ErrDegenerate
-	}
-	for i := 0; i < k; i++ {
-		res.Total[i] = clamp01(condVar[i] / varY)
-	}
-	return res, nil
 }

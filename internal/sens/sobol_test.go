@@ -3,9 +3,16 @@ package sens
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
+
+	"ttmcas/internal/core"
+	"ttmcas/internal/design"
+	"ttmcas/internal/market"
+	"ttmcas/internal/scenario"
+	"ttmcas/internal/technode"
 )
 
 // additiveModel is Y = Σ c_i·x_i with independent uniform inputs: the
@@ -24,7 +31,7 @@ func additiveModel(coeffs []float64) func([]float64) (float64, error) {
 func TestAdditiveModelAnalytic(t *testing.T) {
 	coeffs := []float64{1, 2, 4}
 	names := []string{"a", "b", "c"}
-	res, err := TotalEffect(context.Background(), names, Config{N: 4096, Seed: 1}, additiveModel(coeffs))
+	res, err := totalEffectOf(context.Background(), names, Config{N: 4096, Seed: 1}, additiveModel(coeffs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +53,7 @@ func TestAdditiveModelAnalytic(t *testing.T) {
 func TestInertInputScoresZero(t *testing.T) {
 	names := []string{"live", "inert"}
 	model := func(x []float64) (float64, error) { return 10 * x[0], nil }
-	res, err := TotalEffect(context.Background(), names, Config{N: 2048, Seed: 2}, model)
+	res, err := totalEffectOf(context.Background(), names, Config{N: 2048, Seed: 2}, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +70,7 @@ func TestInteractionShowsInTotalNotFirst(t *testing.T) {
 	// indices exceed first-order ones.
 	names := []string{"x1", "x2"}
 	model := func(x []float64) (float64, error) { return (x[0] - 1) * (x[1] - 1) * 1000, nil }
-	res, err := TotalEffect(context.Background(), names, Config{N: 4096, Seed: 3}, model)
+	res, err := totalEffectOf(context.Background(), names, Config{N: 4096, Seed: 3}, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +90,7 @@ func TestIndicesClamped(t *testing.T) {
 	model := func(x []float64) (float64, error) {
 		return math.Sin(20*x[0]) + math.Exp(3*x[1]), nil
 	}
-	res, err := TotalEffect(context.Background(), names, Config{N: 256, Seed: 4}, model)
+	res, err := totalEffectOf(context.Background(), names, Config{N: 256, Seed: 4}, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,17 +104,17 @@ func TestIndicesClamped(t *testing.T) {
 func TestDegenerateModel(t *testing.T) {
 	names := []string{"a"}
 	model := func([]float64) (float64, error) { return 42, nil }
-	_, err := TotalEffect(context.Background(), names, Config{N: 64, Seed: 5}, model)
+	_, err := totalEffectOf(context.Background(), names, Config{N: 64, Seed: 5}, model)
 	if !errors.Is(err, ErrDegenerate) {
 		t.Errorf("constant model should report ErrDegenerate, got %v", err)
 	}
 }
 
 func TestNoInputs(t *testing.T) {
-	if _, err := TotalEffect(context.Background(), nil, Config{}, func([]float64) (float64, error) { return 0, nil }); err == nil {
+	if _, err := totalEffectOf(context.Background(), nil, Config{}, func([]float64) (float64, error) { return 0, nil }); err == nil {
 		t.Error("zero inputs should error")
 	}
-	if _, err := NaiveTotalEffect(context.Background(), nil, Config{}, func([]float64) (float64, error) { return 0, nil }); err == nil {
+	if _, err := naiveTotalEffect(context.Background(), nil, Config{}, func([]float64) (float64, error) { return 0, nil }); err == nil {
 		t.Error("zero inputs should error")
 	}
 }
@@ -115,11 +122,11 @@ func TestNoInputs(t *testing.T) {
 func TestModelErrorPropagates(t *testing.T) {
 	names := []string{"a"}
 	boom := errors.New("boom")
-	_, err := TotalEffect(context.Background(), names, Config{N: 16}, func([]float64) (float64, error) { return 0, boom })
+	_, err := totalEffectOf(context.Background(), names, Config{N: 16}, func([]float64) (float64, error) { return 0, boom })
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v", err)
 	}
-	_, err = NaiveTotalEffect(context.Background(), names, Config{N: 16}, func([]float64) (float64, error) { return 0, boom })
+	_, err = naiveTotalEffect(context.Background(), names, Config{N: 16}, func([]float64) (float64, error) { return 0, boom })
 	if !errors.Is(err, boom) {
 		t.Errorf("naive err = %v", err)
 	}
@@ -128,11 +135,11 @@ func TestModelErrorPropagates(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	names := []string{"a", "b"}
 	model := additiveModel([]float64{1, 3})
-	r1, err := TotalEffect(context.Background(), names, Config{N: 512, Seed: 9}, model)
+	r1, err := totalEffectOf(context.Background(), names, Config{N: 512, Seed: 9}, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := TotalEffect(context.Background(), names, Config{N: 512, Seed: 9}, model)
+	r2, err := totalEffectOf(context.Background(), names, Config{N: 512, Seed: 9}, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +154,7 @@ func TestNaiveAgreesOnAdditiveModel(t *testing.T) {
 	coeffs := []float64{1, 3}
 	names := []string{"a", "b"}
 	model := additiveModel(coeffs)
-	naive, err := NaiveTotalEffect(context.Background(), names, Config{N: 4096, Seed: 6}, model)
+	naive, err := naiveTotalEffect(context.Background(), names, Config{N: 4096, Seed: 6}, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +177,11 @@ func TestSaltelliBeatsNaiveAtEqualBudget(t *testing.T) {
 	model := additiveModel(coeffs)
 	var errS, errN float64
 	for seed := int64(0); seed < 5; seed++ {
-		s, err := TotalEffect(context.Background(), names, Config{N: 256, Seed: seed}, model)
+		s, err := totalEffectOf(context.Background(), names, Config{N: 256, Seed: seed}, model)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := NaiveTotalEffect(context.Background(), names, Config{N: 256, Seed: seed}, model)
+		n, err := naiveTotalEffect(context.Background(), names, Config{N: 256, Seed: seed}, model)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,16 +196,16 @@ func TestSaltelliBeatsNaiveAtEqualBudget(t *testing.T) {
 }
 
 func TestTotalEffectMatchesSerialBitForBit(t *testing.T) {
-	// The parallel estimator precomputes the same sample matrices and
-	// sums in the same index order as the serial reference, so the
-	// indices must agree exactly, not just statistically.
+	// TotalEffectBatch draws the same samples and sums in the same index
+	// order as the per-row serial reference, so the indices must agree
+	// exactly, not just statistically.
 	names := []string{"a", "b", "c"}
 	model := func(x []float64) (float64, error) {
 		return x[0] + 2*x[1]*x[1] + math.Sin(3*x[2]), nil
 	}
 	for _, seed := range []int64{0, 1, 42} {
 		cfg := Config{N: 256, Seed: seed}
-		par, err := TotalEffect(context.Background(), names, cfg, model)
+		par, err := totalEffectOf(context.Background(), names, cfg, model)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,15 +213,7 @@ func TestTotalEffectMatchesSerialBitForBit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par.VarY != ser.VarY || par.Evaluations != ser.Evaluations {
-			t.Errorf("seed %d: VarY/Evaluations mismatch: %+v vs %+v", seed, par, ser)
-		}
-		for i := range names {
-			if par.Total[i] != ser.Total[i] || par.First[i] != ser.First[i] {
-				t.Errorf("seed %d input %s: parallel (%v, %v) != serial (%v, %v)",
-					seed, names[i], par.Total[i], par.First[i], ser.Total[i], ser.First[i])
-			}
-		}
+		sameResult(t, fmt.Sprintf("seed %d", seed), par, ser)
 	}
 }
 
@@ -235,64 +234,69 @@ func TestSaltelliColumnsTransposeMatrices(t *testing.T) {
 	}
 }
 
-// batchOf adapts a per-call model to the BatchEval shape, reporting the
-// lowest-index failing row like the contract requires.
-func batchOf(model func([]float64) (float64, error)) BatchEval {
-	return func(cols [][]float64, out []float64) error {
-		x := make([]float64, len(cols))
-		for j := range out {
-			for i, col := range cols {
-				x[i] = col[j]
-			}
-			y, err := model(x)
-			if err != nil {
-				return err
-			}
-			out[j] = y
+func TestTotalEffectBatchMatchesPerCallBitForBit(t *testing.T) {
+	// The shared column adapter on the compiled kernel must be
+	// indistinguishable from the per-row serial reference on the
+	// map-based model: same samples, same estimator order, same bits in
+	// every index.
+	d := scenario.A11At(technode.N28)
+	c := market.Full().WithQueueAll(2)
+	ev, err := core.Model{}.Compile(d, 10e6, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := ttmModel(d, c)
+	for _, seed := range []int64{0, 1, 42} {
+		cfg := Config{N: 192, Seed: seed}
+		want, err := totalEffectSerial(core.Inputs, cfg, model)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
+		var evals atomic.Uint64
+		got, err := TotalEffectBatch(context.Background(), core.Inputs, cfg, TTMFactory(ev, func(n uint64) { evals.Add(n) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("seed %d", seed), got, want)
+		if evals.Load() != uint64(want.Evaluations) {
+			t.Errorf("seed %d: onEval counted %d rows, want %d", seed, evals.Load(), want.Evaluations)
+		}
 	}
 }
 
-func TestTotalEffectBatchMatchesPerCallBitForBit(t *testing.T) {
-	// The batched estimator must be indistinguishable from TotalEffect:
-	// same samples, same estimator order, same bits in every index.
-	names := []string{"a", "b", "c", "d", "e", "f"}
-	model := func(x []float64) (float64, error) {
-		s := 0.0
-		for i, v := range x {
-			s += math.Sin(float64(i+1)*v) + v*v + 0.3*v*x[(i+1)%len(x)]
-		}
-		return s, nil
-	}
-	for _, seed := range []int64{0, 1, 42} {
-		cfg := Config{N: 192, Seed: seed}
-		want, err := TotalEffect(context.Background(), names, cfg, model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := TotalEffectBatch(context.Background(), names, cfg, func() (BatchEval, error) {
-			return batchOf(model), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.VarY != want.VarY || got.Evaluations != want.Evaluations {
-			t.Fatalf("seed %d: VarY/Evaluations (%v, %d) != (%v, %d)", seed, got.VarY, got.Evaluations, want.VarY, want.Evaluations)
-		}
-		for i := range names {
-			if math.Float64bits(got.Total[i]) != math.Float64bits(want.Total[i]) ||
-				math.Float64bits(got.First[i]) != math.Float64bits(want.First[i]) {
-				t.Errorf("seed %d input %s: batch (%v, %v) != per-call (%v, %v)",
-					seed, names[i], got.Total[i], got.First[i], want.Total[i], want.First[i])
+// ttmModel is the per-row map-based TTM of 10M chips of d under c, the
+// multipliers in core.Inputs order.
+func ttmModel(d design.Design, c market.Conditions) func([]float64) (float64, error) {
+	return func(mult []float64) (float64, error) {
+		var m core.Model
+		for i, name := range core.Inputs {
+			if err := m.Perturb.SetInput(name, mult[i]); err != nil {
+				return 0, err
 			}
+		}
+		ttm, err := m.TTM(d, 10e6, c)
+		return float64(ttm), err
+	}
+}
+
+// sameResult compares two estimates bit for bit.
+func sameResult(t *testing.T, label string, got, want Result) {
+	t.Helper()
+	if math.Float64bits(got.VarY) != math.Float64bits(want.VarY) || got.Evaluations != want.Evaluations {
+		t.Fatalf("%s: VarY/Evaluations (%v, %d) != (%v, %d)", label, got.VarY, got.Evaluations, want.VarY, want.Evaluations)
+	}
+	for i := range want.Total {
+		if math.Float64bits(got.Total[i]) != math.Float64bits(want.Total[i]) ||
+			math.Float64bits(got.First[i]) != math.Float64bits(want.First[i]) {
+			t.Errorf("%s input %s: (%v, %v) != (%v, %v)",
+				label, want.Inputs[i], got.Total[i], got.First[i], want.Total[i], want.First[i])
 		}
 	}
 }
 
 func TestTotalEffectBatchErrorMatchesPerCall(t *testing.T) {
-	// A failing model must surface the same wrapped error through both
-	// drivers: first failing row, "sens: model eval: ..." formatting.
+	// A failing model must surface the same wrapped error as the per-row
+	// reference: first failing row, "sens: model eval: ..." formatting.
 	names := []string{"a", "b"}
 	boom := errors.New("boom at row")
 	model := func(x []float64) (float64, error) {
@@ -302,15 +306,13 @@ func TestTotalEffectBatchErrorMatchesPerCall(t *testing.T) {
 		return x[0] + x[1], nil
 	}
 	cfg := Config{N: 64, Seed: 5}
-	_, wantErr := TotalEffect(context.Background(), names, cfg, model)
+	_, wantErr := totalEffectSerial(names, cfg, model)
 	if wantErr == nil {
-		t.Fatal("per-call driver did not fail; pick a different seed")
+		t.Fatal("per-row reference did not fail; pick a different seed")
 	}
-	_, gotErr := TotalEffectBatch(context.Background(), names, cfg, func() (BatchEval, error) {
-		return batchOf(model), nil
-	})
+	_, gotErr := totalEffectOf(context.Background(), names, cfg, model)
 	if gotErr == nil || gotErr.Error() != wantErr.Error() {
-		t.Errorf("batch error %q != per-call error %q", gotErr, wantErr)
+		t.Errorf("batch error %q != per-row error %q", gotErr, wantErr)
 	}
 	if !errors.Is(gotErr, boom) {
 		t.Errorf("batch error %v does not wrap the model error", gotErr)
@@ -337,10 +339,13 @@ func TestTotalEffectBatchCancelled(t *testing.T) {
 }
 
 func TestTotalEffectCancelled(t *testing.T) {
+	// Cancelling once the pooled f(A)/f(B) rows are done stops the AB_i
+	// region too.
 	ctx, cancel := context.WithCancel(context.Background())
+	const n = 4096
 	var evals atomic.Int64
-	_, err := TotalEffect(ctx, []string{"a", "b"}, Config{N: 4096}, func(x []float64) (float64, error) {
-		if evals.Add(1) == 32 {
+	_, err := totalEffectOf(ctx, []string{"a", "b"}, Config{N: n}, func(x []float64) (float64, error) {
+		if evals.Add(1) == 2*n+32 {
 			cancel()
 		}
 		return x[0] + x[1], nil
@@ -348,15 +353,15 @@ func TestTotalEffectCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
-	if n := evals.Load(); n >= 4096 {
-		t.Errorf("%d evaluations ran despite cancellation", n)
+	if got := evals.Load(); got >= 4*n {
+		t.Errorf("%d evaluations ran despite cancellation", got)
 	}
 }
 
 func TestNaiveTotalEffectCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := NaiveTotalEffect(ctx, []string{"a"}, Config{N: 64}, func(x []float64) (float64, error) {
+	_, err := naiveTotalEffect(ctx, []string{"a"}, Config{N: 64}, func(x []float64) (float64, error) {
 		t.Error("eval ran under a cancelled context")
 		return x[0], nil
 	})
@@ -399,15 +404,6 @@ func TestEvalRangeReduceMatchesBatchBitForBit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(got.VarY) != math.Float64bits(want.VarY) || got.Evaluations != want.Evaluations {
-			t.Fatalf("seed %d: VarY/Evaluations (%v, %d) != (%v, %d)", seed, got.VarY, got.Evaluations, want.VarY, want.Evaluations)
-		}
-		for i := range names {
-			if math.Float64bits(got.Total[i]) != math.Float64bits(want.Total[i]) ||
-				math.Float64bits(got.First[i]) != math.Float64bits(want.First[i]) {
-				t.Errorf("seed %d input %s: reduced (%v, %v) != fused (%v, %v)",
-					seed, names[i], got.Total[i], got.First[i], want.Total[i], want.First[i])
-			}
-		}
+		sameResult(t, fmt.Sprintf("seed %d: reduced vs fused", seed), got, want)
 	}
 }

@@ -316,3 +316,36 @@ func TestDesignsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// nonFiniteCases are requests whose results JSON cannot carry (+Inf
+// CAS, cost or derivatives).
+var nonFiniteCases = []struct{ path, body string }{
+	{"/v1/cas", `{"design":"a11","n":1e6}`},
+	{"/v1/cas", `{"design":"a11","node":"28nm","n":1e6,"capacity":1e-300}`},
+	{"/v1/cas", `{"design":"a11","node":"28nm","n":1e6,"queue_weeks":1e308}`},
+	{"/v1/cas", `{"design":"a11","node":"28nm","n":1e308}`},
+	{"/v1/cost", `{"design":"a11","node":"28nm","n":1e308}`},
+}
+
+// TestNonFiniteResultsAre422: for non-finite results the shared
+// encoding step answers 422 with an explanation instead of a 500, and
+// does not cache the failure.
+func TestNonFiniteResultsAre422(t *testing.T) {
+	for _, tc := range nonFiniteCases {
+		s := testServer(t, Config{})
+		for attempt := 0; attempt < 2; attempt++ {
+			w := httptest.NewRecorder()
+			s.Handler().ServeHTTP(w, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body)))
+			if w.Code != http.StatusUnprocessableEntity {
+				t.Fatalf("POST %s %s: status %d, want 422: %s", tc.path, tc.body, w.Code, w.Body)
+			}
+			var e errorResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("POST %s %s: error body %q", tc.path, tc.body, w.Body)
+			}
+			if w.Header().Get("X-Cache") == "HIT" {
+				t.Fatalf("POST %s %s: failure served from cache", tc.path, tc.body)
+			}
+		}
+	}
+}

@@ -546,10 +546,26 @@ func encodeJSON(v any) (body []byte, release func(), err error) {
 	return eb.buf.Bytes(), func() { encPool.Put(eb) }, nil
 }
 
+// encodeResponseError classifies a failure to encode a response body.
+// A result holding a non-finite number — JSON has no +Inf or NaN — is
+// the model's answer to inputs that push it past its finite range (a
+// required node with no effective capacity, a chip count near the
+// float64 limit), so it is the request's fault, 422; anything else is a
+// server bug, 500.
+func encodeResponseError(err error) *apiError {
+	var uve *json.UnsupportedValueError
+	if errors.As(err, &uve) {
+		return &apiError{status: http.StatusUnprocessableEntity,
+			msg: fmt.Sprintf("result is not finite (%s): the inputs drive the model outside its finite range", uve.Str)}
+	}
+	return &apiError{status: http.StatusInternalServerError, msg: "encoding response: " + err.Error()}
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	body, release, err := encodeJSON(v)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
+		ae := encodeResponseError(err)
+		writeError(w, ae.status, ae.msg)
 		return
 	}
 	// No explicit Content-Length here: net/http computes it for
@@ -638,7 +654,7 @@ func (s *Server) computeBody(ctx context.Context, key, path string, compute func
 	// grow-and-copy churn.
 	pooled, release, err := encodeJSON(v)
 	if err != nil {
-		return nil, &apiError{status: http.StatusInternalServerError, msg: "encoding response: " + err.Error()}
+		return nil, encodeResponseError(err)
 	}
 	b := make([]byte, len(pooled))
 	copy(b, pooled)

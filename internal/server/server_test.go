@@ -14,7 +14,7 @@ import (
 	"time"
 )
 
-func testServer(t *testing.T, cfg Config) *Server {
+func testServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	if cfg.Logger == nil {
 		cfg.Logger = log.New(io.Discard, "", 0)

@@ -28,7 +28,7 @@ func benchSpec(steps int) Spec {
 	}
 }
 
-func benchEvaluate(b *testing.B, steps int, opt Options) {
+func benchEvaluate(b *testing.B, steps int) {
 	var m core.Model
 	d := scenario.Zen2()
 	tl, err := Compile(benchSpec(steps), Limits{})
@@ -40,7 +40,7 @@ func benchEvaluate(b *testing.B, steps int, opt Options) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Evaluate(context.Background(), m, d, 1e6, tl, opt); err != nil {
+		if _, err := Evaluate(context.Background(), m, d, 1e6, tl, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -49,18 +49,12 @@ func benchEvaluate(b *testing.B, steps int, opt Options) {
 	b.ReportMetric(stepsPerSec, "steps/s")
 }
 
-func BenchmarkTimelineSerial(b *testing.B) {
-	for _, steps := range []int{64, 512} {
-		b.Run(fmt.Sprintf("steps=%d", steps), func(b *testing.B) {
-			benchEvaluate(b, steps, Options{Serial: true})
-		})
-	}
-}
-
+// BenchmarkTimelineParallel times Evaluate, whose steps fan out over
+// GOMAXPROCS workers; `make bench` records it in BENCH_timeline.json.
 func BenchmarkTimelineParallel(b *testing.B) {
 	for _, steps := range []int{64, 512} {
 		b.Run(fmt.Sprintf("steps=%d", steps), func(b *testing.B) {
-			benchEvaluate(b, steps, Options{})
+			benchEvaluate(b, steps)
 		})
 	}
 }

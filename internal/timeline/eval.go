@@ -16,11 +16,6 @@ import (
 
 // Options tune an evaluation run.
 type Options struct {
-	// Workers is the parallel fan-out over timeline steps (0 =
-	// GOMAXPROCS); Serial forces a plain single-goroutine loop — the
-	// benchmark baseline the parallel driver must beat.
-	Workers int
-	Serial  bool
 	// InFlight also runs the discrete-event in-flight study: an order
 	// placed at week 0 simulated through the composed capacity curve
 	// (core.EvaluateOperational), answering "what happens to chips
@@ -112,10 +107,10 @@ type Result struct {
 // fan-out: an evaluator clone bound to its compiled source, a batch
 // whose condition columns are refilled per chunk, the TTM/CAS output
 // slices and a conditions scratch for the per-step summary strings.
-// Workers are reused across Evaluate calls through stepWorkerPool; the
-// clone is rebuilt only when a pooled worker last served a different
-// evaluator, so steady-state chunk bodies allocate nothing beyond the
-// per-step Conditions composition itself.
+// Workers are reused across EvaluateSteps calls through stepWorkerPool;
+// the clone is rebuilt only when a pooled worker last served a
+// different evaluator, so steady-state chunk bodies allocate nothing
+// beyond the per-step Conditions composition itself.
 type stepWorker struct {
 	src   *core.Evaluator
 	ev    *core.Evaluator
@@ -160,57 +155,26 @@ func finiteWeeks(v float64) *float64 {
 	return &v
 }
 
-// Evaluate runs the timeline for a design and chip count: every step
-// compiles the composed conditions into the zero-allocation evaluator
-// and reads TTM and CAS off it — the same kernel, and therefore the
-// same bits, as the static evaluation path.
+// Evaluate runs the timeline for a design and chip count: the whole
+// step range through EvaluateSteps — every step's composed conditions
+// fed to one compiled evaluator's batch kernel, the same kernel and
+// therefore the same bits as the static evaluation path — then the
+// summary, cost and optional in-flight study through AssembleResult.
+// Steps fan out over GOMAXPROCS workers; cancelling ctx stops the run
+// within one chunk of steps per worker.
 func Evaluate(ctx context.Context, m core.Model, d design.Design, n float64, tl *Timeline, opt Options) (*Result, error) {
-	steps := tl.StepCount()
-	res := &Result{
-		Name:         tl.spec.Name,
-		Base:         tl.baseName,
-		Design:       d.Name,
-		Chips:        n,
-		StepWeeks:    tl.StepWeeks(),
-		HorizonWeeks: tl.spec.HorizonWeeks,
-	}
-
-	// Compile once: the tables only depend on design × model (Compile
-	// errors are conditions-independent), and per-step market state is
-	// fed through the batch kernel's condition columns instead — the
-	// per-step Compile was where the old path spent its allocations.
-	ev, err := m.Compile(d, n, tl.ConditionsAt(0))
-	if err != nil {
+	steps := make([]Step, tl.StepCount())
+	if err := EvaluateSteps(ctx, m, d, n, tl, 0, len(steps), steps, opt); err != nil {
 		return nil, err
 	}
-	res.Steps = make([]Step, steps)
-
-	body := stepRangeBody(ev, tl, 0, res.Steps, opt.OnStep)
-
-	if opt.Serial {
-		for i := 0; i < steps; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := body(i, i+1); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		if err := sweep.ForChunks(ctx, steps, opt.Workers, 1, body); err != nil {
-			return nil, err
-		}
-	}
-
-	return finishResult(ctx, m, d, n, tl, res, opt)
+	return AssembleResult(ctx, m, d, n, tl, steps, opt)
 }
 
-// stepRangeBody builds the chunk body shared by Evaluate and
-// EvaluateSteps: it evaluates steps [base+lo, base+hi) of the timeline
-// as one structure-of-arrays batch — sample s of the pooled worker's
-// batch is step base+lo+s with its own composed conditions, all
-// perturbation columns nil (unperturbed, exactly core.Perturbation{}) —
-// and writes them into out[lo:hi]. Results land at disjoint index
+// stepRangeBody builds EvaluateSteps' chunk body: it evaluates steps
+// [base+lo, base+hi) of the timeline as one structure-of-arrays batch —
+// sample s of the pooled worker's batch is step base+lo+s with its own
+// composed conditions, all perturbation columns nil (unperturbed,
+// exactly core.Perturbation{}) — and writes them into out[lo:hi]. Results land at disjoint index
 // ranges of out, so chunk bodies need no synchronization.
 func stepRangeBody(ev *core.Evaluator, tl *Timeline, base int, out []Step, onStep func()) func(lo, hi int) error {
 	return func(lo, hi int) error {
@@ -252,10 +216,51 @@ func stepRangeBody(ev *core.Evaluator, tl *Timeline, base int, out []Step, onSte
 	}
 }
 
-// finishResult fills in the summary, cost, and optional in-flight study
-// of a Result whose Steps are already evaluated.
-func finishResult(ctx context.Context, m core.Model, d design.Design, n float64, tl *Timeline, res *Result, opt Options) (*Result, error) {
-	res.Summary = summarize(res.Steps, tl.StepWeeks())
+// EvaluateSteps evaluates the contiguous step range [lo, hi) of the
+// timeline, writing step lo+s into out[s]. The design is compiled once
+// (Compile errors are conditions-independent) and each step's composed
+// market state is fed through the batch kernel's condition columns.
+// Because every step's conditions and outputs depend only on the step
+// index, concatenating disjoint ranges reproduces the unsplit step
+// curve bit for bit — the sharding surface distributed timeline jobs
+// scatter over. Error surface: a failing batch reports the error of its
+// lowest-index step, and the error of the lowest range wins, so the
+// first erroring shard in index order carries exactly the error the
+// unsplit run would have returned.
+func EvaluateSteps(ctx context.Context, m core.Model, d design.Design, n float64, tl *Timeline, lo, hi int, out []Step, opt Options) error {
+	steps := tl.StepCount()
+	if lo < 0 || hi > steps || lo > hi {
+		return fmt.Errorf("timeline: step range [%d,%d) outside [0,%d]", lo, hi, steps)
+	}
+	if len(out) != hi-lo {
+		return fmt.Errorf("timeline: step output length %d != range length %d", len(out), hi-lo)
+	}
+	ev, err := m.Compile(d, n, tl.ConditionsAt(0))
+	if err != nil {
+		return err
+	}
+	return sweep.ForChunks(ctx, hi-lo, 0, 1, stepRangeBody(ev, tl, lo, out, opt.OnStep))
+}
+
+// AssembleResult is the gather half of Evaluate: given the full step
+// curve (the concatenation of EvaluateSteps ranges covering
+// [0, StepCount)), it fills in the summary, cost, and optional
+// in-flight study, so a scattered run's Result equals the
+// single-machine Result field for field.
+func AssembleResult(ctx context.Context, m core.Model, d design.Design, n float64, tl *Timeline, steps []Step, opt Options) (*Result, error) {
+	if len(steps) != tl.StepCount() {
+		return nil, fmt.Errorf("timeline: assembled %d steps, want %d", len(steps), tl.StepCount())
+	}
+	res := &Result{
+		Name:         tl.spec.Name,
+		Base:         tl.baseName,
+		Design:       d.Name,
+		Chips:        n,
+		StepWeeks:    tl.StepWeeks(),
+		HorizonWeeks: tl.spec.HorizonWeeks,
+		Steps:        steps,
+		Summary:      summarize(steps, tl.StepWeeks()),
+	}
 
 	// Cost mirrors the TTM model's manufacturing configuration so the
 	// two agree on wafer counts.
@@ -274,51 +279,6 @@ func finishResult(ctx context.Context, m core.Model, d design.Design, n float64,
 		res.InFlight = inf
 	}
 	return res, nil
-}
-
-// EvaluateSteps evaluates the contiguous step range [lo, hi) of the
-// timeline exactly as Evaluate evaluates it, writing step lo+s into
-// out[s]. Because every step's conditions and outputs depend only on
-// the step index, concatenating disjoint ranges reproduces Evaluate's
-// step curve bit for bit — the sharding surface distributed timeline
-// jobs scatter over. Error surface: a failing batch reports the error
-// of its lowest-index step, and the error of the lowest range wins, so
-// the first erroring shard in index order carries exactly the error the
-// unsplit run would have returned.
-func EvaluateSteps(ctx context.Context, m core.Model, d design.Design, n float64, tl *Timeline, lo, hi int, out []Step, opt Options) error {
-	steps := tl.StepCount()
-	if lo < 0 || hi > steps || lo > hi {
-		return fmt.Errorf("timeline: step range [%d,%d) outside [0,%d]", lo, hi, steps)
-	}
-	if len(out) != hi-lo {
-		return fmt.Errorf("timeline: step output length %d != range length %d", len(out), hi-lo)
-	}
-	ev, err := m.Compile(d, n, tl.ConditionsAt(0))
-	if err != nil {
-		return err
-	}
-	return sweep.ForChunks(ctx, hi-lo, opt.Workers, 1, stepRangeBody(ev, tl, lo, out, opt.OnStep))
-}
-
-// AssembleResult is the gather half of a sharded Evaluate: given the
-// full step curve (the concatenation of EvaluateSteps ranges covering
-// [0, StepCount)), it computes the summary, cost, and optional
-// in-flight study exactly as Evaluate would, so a scattered run's
-// Result equals the single-machine Result field for field.
-func AssembleResult(ctx context.Context, m core.Model, d design.Design, n float64, tl *Timeline, steps []Step, opt Options) (*Result, error) {
-	if len(steps) != tl.StepCount() {
-		return nil, fmt.Errorf("timeline: assembled %d steps, want %d", len(steps), tl.StepCount())
-	}
-	res := &Result{
-		Name:         tl.spec.Name,
-		Base:         tl.baseName,
-		Design:       d.Name,
-		Chips:        n,
-		StepWeeks:    tl.StepWeeks(),
-		HorizonWeeks: tl.spec.HorizonWeeks,
-		Steps:        steps,
-	}
-	return finishResult(ctx, m, d, n, tl, res, opt)
 }
 
 // summarize computes the headline stats from the step curve.

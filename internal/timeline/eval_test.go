@@ -3,6 +3,8 @@ package timeline
 import (
 	"context"
 	"math"
+	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"ttmcas/internal/core"
@@ -80,8 +82,9 @@ func TestEpisodeEndpointsMatchStaticScenarios(t *testing.T) {
 	}
 }
 
-// Serial and parallel evaluation must agree bit-for-bit: the parallel
-// driver only reorders work, never changes it.
+// Evaluate must agree bit-for-bit with the timeline evaluated one step
+// per EvaluateSteps call and reassembled: the parallel fan-out only
+// reorders work, never changes it.
 func TestSerialParallelAgree(t *testing.T) {
 	var m core.Model
 	d := scenario.Zen2()
@@ -90,11 +93,17 @@ func TestSerialParallelAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ser, err := Evaluate(context.Background(), m, d, 1e6, tl, Options{Serial: true})
+	par, err := Evaluate(context.Background(), m, d, 1e6, tl, Options{InFlight: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Evaluate(context.Background(), m, d, 1e6, tl, Options{Workers: 8})
+	steps := make([]Step, tl.StepCount())
+	for i := range steps {
+		if err := EvaluateSteps(context.Background(), m, d, 1e6, tl, i, i+1, steps[i:i+1], Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ser, err := AssembleResult(context.Background(), m, d, 1e6, tl, steps, Options{InFlight: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,18 +112,18 @@ func TestSerialParallelAgree(t *testing.T) {
 	}
 	for i := range ser.Steps {
 		s, p := ser.Steps[i], par.Steps[i]
-		if s.Week != p.Week || s.CAS != p.CAS || s.Stalled != p.Stalled {
+		if s.Week != p.Week || math.Float64bits(s.CAS) != math.Float64bits(p.CAS) || s.Stalled != p.Stalled || s.Conditions != p.Conditions {
 			t.Fatalf("step %d differs: %+v vs %+v", i, s, p)
 		}
 		if (s.TTMWeeks == nil) != (p.TTMWeeks == nil) {
 			t.Fatalf("step %d TTM nil-ness differs", i)
 		}
-		if s.TTMWeeks != nil && *s.TTMWeeks != *p.TTMWeeks {
+		if s.TTMWeeks != nil && math.Float64bits(*s.TTMWeeks) != math.Float64bits(*p.TTMWeeks) {
 			t.Fatalf("step %d TTM differs: %v vs %v", i, *s.TTMWeeks, *p.TTMWeeks)
 		}
 	}
-	if ser.CostUSD != par.CostUSD {
-		t.Errorf("cost differs: %v vs %v", ser.CostUSD, par.CostUSD)
+	if !reflect.DeepEqual(ser.Summary, par.Summary) || !reflect.DeepEqual(ser.InFlight, par.InFlight) || ser.CostUSD != par.CostUSD {
+		t.Errorf("assembled result differs:\n%+v\n%+v", ser, par)
 	}
 }
 
@@ -211,27 +220,22 @@ func TestStalledSteps(t *testing.T) {
 func TestEvaluateCancellation(t *testing.T) {
 	var m core.Model
 	d := scenario.Zen2()
-	ep, _ := FindEpisode("global-shortage-2020-22")
-	tl, err := Compile(ep.Spec, Limits{})
+	tl, err := Compile(benchSpec(4096), Limits{MaxSteps: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	steps := 0
-	_, err = Evaluate(ctx, m, d, 1e6, tl, Options{Serial: true, OnStep: func() {
-		steps++
-		if steps == 3 {
+	var steps atomic.Int64
+	_, err = Evaluate(ctx, m, d, 1e6, tl, Options{OnStep: func() {
+		if steps.Add(1) == 1 {
 			cancel()
 		}
 	}})
-	if err == nil {
-		t.Fatal("cancelled evaluation returned no error")
-	}
-	if ctx.Err() == nil || err != context.Canceled {
+	if err != context.Canceled {
 		t.Errorf("got %v, want context.Canceled", err)
 	}
-	if steps > 4 {
-		t.Errorf("ran %d steps after cancellation", steps)
+	if n := steps.Load(); n >= int64(tl.StepCount()) {
+		t.Errorf("all %d steps ran despite cancellation", n)
 	}
 }
 

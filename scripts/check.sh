@@ -7,10 +7,14 @@ go vet ./...
 go build ./...
 go test -race ./...
 
+# The end-to-end benchmark (bench/, run by bench/run.sh) is a nested Go
+# module, so the commands above never compile it: vet and test it on
+# its own, including its 1 s smoke of every workload.
+(cd bench && go vet ./... && go test ./...)
+
 # Bench smoke: one iteration of each throughput benchmark — including
-# the compiled core kernel's — so a broken benchmark (or a
-# serial/parallel variant that stops compiling) fails CI without CI
-# paying for real measurement runs.
+# the compiled core kernel's — so a broken benchmark fails CI without
+# CI paying for real measurement runs.
 go test -run '^$' -bench . -benchtime 1x ./internal/core ./internal/mc ./internal/sens ./internal/sweep ./internal/timeline
 
 # Load-generator smoke: one short mixed run against an in-process
