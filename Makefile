@@ -3,9 +3,15 @@
 
 GO ?= go
 
-.PHONY: check vet build test race serve bench benchmod benchsmoke loadsmoke chaossmoke clustersmoke timelinesmoke distjobssmoke netsplitsmoke
+.PHONY: check fmt vet build test race serve bench benchmod benchsmoke loadsmoke chaossmoke clustersmoke timelinesmoke distjobssmoke netsplitsmoke
 
-check: vet build race benchmod benchsmoke loadsmoke chaossmoke clustersmoke timelinesmoke distjobssmoke netsplitsmoke
+check: fmt vet build race benchmod benchsmoke loadsmoke chaossmoke clustersmoke timelinesmoke distjobssmoke netsplitsmoke
+
+# Every Go file must be gofmt-clean; any file gofmt -l lists fails the
+# check (hidden directories, such as .bench_build/, are skipped).
+fmt:
+	@out="$$(gofmt -l $$(find . -name '*.go' -not -path './.*'))"; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

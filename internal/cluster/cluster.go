@@ -399,7 +399,7 @@ func (c *Cluster) forwardOnce(ctx context.Context, peerURL, method, path string,
 		c.forwardErrors.Add(1)
 		return ForwardResult{}, fmt.Errorf("cluster: forwarding to %s: %w", peerURL, err)
 	}
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxForwardBody))
+	b, err := readBody(resp)
 	resp.Body.Close()
 	if err != nil {
 		c.forwardErrors.Add(1)
@@ -420,6 +420,18 @@ func (c *Cluster) forwardOnce(ctx context.Context, peerURL, method, path string,
 		XCache:     resp.Header.Get("X-Cache"),
 		RetryAfter: resp.Header.Get("Retry-After"),
 	}, nil
+}
+
+// readBody reads a forwarded response body, capped at maxForwardBody.
+// A body with a declared Content-Length is read into one buffer of that
+// size; only bodies of unknown length go through io.ReadAll's growth.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxForwardBody {
+		b := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, b)
+		return b, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxForwardBody))
 }
 
 // parseRetryAfter reads a Retry-After header value as delay seconds

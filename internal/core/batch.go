@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"ttmcas/internal/geometry"
 	"ttmcas/internal/market"
@@ -41,10 +42,11 @@ import (
 // Pooling rules for callers: a Batch, its output slices and the
 // BatchErrors are plain memory — pool them per worker (sync.Pool or a
 // per-chunk struct) and reuse them across calls, and steady-state
-// allocations drop to zero. The Evaluator's own batch scratch grows to
-// the largest batch length seen and is retained; like the per-call
-// scratch it makes the Evaluator single-goroutine — parallel drivers
-// give each worker its own Clone.
+// allocations drop to zero. The per-sample accumulators live in a
+// batchScratch taken from a package pool for the duration of one call
+// and returned after it, so the batch entry points keep no state on the
+// Evaluator: any number of goroutines may run batch calls on one shared
+// Evaluator, each with its own Batch, outputs and BatchErrors.
 
 // Batch is a structure-of-arrays sample set for EvalBatch/CASBatch.
 // Every column is either nil (all samples take the default: an
@@ -161,9 +163,9 @@ func (be *BatchErrors) add(i int, err error) {
 	be.Errs = append(be.Errs, err)
 }
 
-// batchScratch is the per-sample accumulator state of one batch call.
-// It is lazily grown to the largest batch length seen and excluded
-// from Clone, so clones start with independent (empty) batch scratch.
+// batchScratch is the per-sample accumulator state of one batch call,
+// held by that call alone. Scratches are recycled through scratchPool
+// and grow to the largest batch length they have served.
 type batchScratch struct {
 	chips  []float64 // resolved per-sample chip count
 	global []float64 // resolved per-sample raw global capacity
@@ -181,6 +183,17 @@ type batchScratch struct {
 	fUp, fDown []float64
 	up, down   []units.Weeks
 	sum        []float64
+}
+
+var scratchPool sync.Pool
+
+// getScratch takes a scratch from the pool; callers return it with
+// scratchPool.Put when the call is done.
+func getScratch() *batchScratch {
+	if sc, ok := scratchPool.Get().(*batchScratch); ok {
+		return sc
+	}
+	return &batchScratch{}
 }
 
 func grow(s []float64, n int) []float64 {
@@ -297,12 +310,13 @@ func colAt(col []float64, s int) float64 {
 // the corresponding out entries zeroed; the returned error reports
 // structural misuse only.
 func (e *Evaluator) EvalBatch(b *Batch, out []units.Weeks, errs *BatchErrors) error {
-	n, err := e.batchSetup(b, len(out), errs)
+	sc, n, err := e.batchSetup(b, len(out), errs)
 	if err != nil || n == 0 {
 		return err
 	}
-	e.evalBatchInto(b, n, -1, nil, out, errs)
-	e.zeroFailed(out, n)
+	e.evalBatchInto(sc, b, n, -1, nil, out, errs)
+	sc.zeroFailed(out, n)
+	scratchPool.Put(sc)
 	return nil
 }
 
@@ -313,15 +327,16 @@ func (e *Evaluator) EvalBatchAtCapacity(b *Batch, global float64, out []units.We
 	if b.Global != nil {
 		return fmt.Errorf("core: batch has both a Global column and a scalar capacity override")
 	}
-	n, err := e.batchSetup(b, len(out), errs)
+	sc, n, err := e.batchSetup(b, len(out), errs)
 	if err != nil || n == 0 {
 		return err
 	}
 	for s := 0; s < n; s++ {
-		e.batch.global[s] = global
+		sc.global[s] = global
 	}
-	e.evalBatchInto(b, n, -1, nil, out, errs)
-	e.zeroFailed(out, n)
+	e.evalBatchInto(sc, b, n, -1, nil, out, errs)
+	sc.zeroFailed(out, n)
+	scratchPool.Put(sc)
 	return nil
 }
 
@@ -329,11 +344,12 @@ func (e *Evaluator) EvalBatchAtCapacity(b *Batch, global float64, out []units.We
 // conditions via the same per-node central differences as CAS, with
 // the two capacity probes of each node evaluated as nested batches.
 func (e *Evaluator) CASBatch(b *Batch, out []float64, errs *BatchErrors) error {
-	n, err := e.batchSetup(b, len(out), errs)
+	sc, n, err := e.batchSetup(b, len(out), errs)
 	if err != nil || n == 0 {
 		return err
 	}
-	e.casBatchInto(b, n, out, errs)
+	e.casBatchInto(sc, b, n, out, errs)
+	scratchPool.Put(sc)
 	return nil
 }
 
@@ -343,46 +359,48 @@ func (e *Evaluator) CASBatchAtCapacity(b *Batch, global float64, out []float64, 
 	if b.Global != nil {
 		return fmt.Errorf("core: batch has both a Global column and a scalar capacity override")
 	}
-	n, err := e.batchSetup(b, len(out), errs)
+	sc, n, err := e.batchSetup(b, len(out), errs)
 	if err != nil || n == 0 {
 		return err
 	}
 	for s := 0; s < n; s++ {
-		e.batch.global[s] = global
+		sc.global[s] = global
 	}
-	e.casBatchInto(b, n, out, errs)
+	e.casBatchInto(sc, b, n, out, errs)
+	scratchPool.Put(sc)
 	return nil
 }
 
-// batchSetup validates the batch against the output length, sizes the
-// scratch, resolves the per-sample chip count and raw global capacity,
-// resets the failure state and applies the per-call negative-chip
-// check per sample.
-func (e *Evaluator) batchSetup(b *Batch, outLen int, errs *BatchErrors) (int, error) {
+// batchSetup validates the batch against the output length, takes a
+// pooled scratch sized for its samples (nil for an empty batch), resolves
+// the per-sample chip count and raw global capacity, resets the failure
+// state and applies the per-call negative-chip check per sample. The
+// caller returns the scratch to scratchPool when the call is done.
+func (e *Evaluator) batchSetup(b *Batch, outLen int, errs *BatchErrors) (*batchScratch, int, error) {
 	if errs == nil {
-		return 0, fmt.Errorf("core: batch call needs a non-nil *BatchErrors")
+		return nil, 0, fmt.Errorf("core: batch call needs a non-nil *BatchErrors")
 	}
 	n, err := b.Len()
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	if n == 0 {
 		n = outLen
 	}
 	if outLen != n {
-		return 0, fmt.Errorf("core: batch output has length %d, want %d", outLen, n)
+		return nil, 0, fmt.Errorf("core: batch output has length %d, want %d", outLen, n)
 	}
 	if b.Factor != nil && len(b.Factor) != len(e.nodes) {
-		return 0, fmt.Errorf("core: batch Factor has %d node columns, want %d", len(b.Factor), len(e.nodes))
+		return nil, 0, fmt.Errorf("core: batch Factor has %d node columns, want %d", len(b.Factor), len(e.nodes))
 	}
 	if b.Queue != nil && len(b.Queue) != len(e.nodes) {
-		return 0, fmt.Errorf("core: batch Queue has %d node columns, want %d", len(b.Queue), len(e.nodes))
+		return nil, 0, fmt.Errorf("core: batch Queue has %d node columns, want %d", len(b.Queue), len(e.nodes))
 	}
 	errs.Reset()
-	if e.batch == nil {
-		e.batch = &batchScratch{}
+	if n == 0 {
+		return nil, 0, nil
 	}
-	sc := e.batch
+	sc := getScratch()
 	sc.ensure(n, len(e.nodes))
 	for s := 0; s < n; s++ {
 		sc.failed[s] = 0
@@ -407,13 +425,12 @@ func (e *Evaluator) batchSetup(b *Batch, outLen int, errs *BatchErrors) (int, er
 			sc.global[s] = e.global
 		}
 	}
-	return n, nil
+	return sc, n, nil
 }
 
 // zeroFailed zeroes the outputs of failed samples, matching the zero
 // value the per-call methods return alongside their error.
-func (e *Evaluator) zeroFailed(out []units.Weeks, n int) {
-	sc := e.batch
+func (sc *batchScratch) zeroFailed(out []units.Weeks, n int) {
 	for s := 0; s < n; s++ {
 		if sc.failed[s] != 0 {
 			out[s] = 0
@@ -428,8 +445,7 @@ func (e *Evaluator) zeroFailed(out []units.Weeks, n int) {
 // overrideIdx/overrideCol replace one node's capacity factor per
 // sample (the CAS probes). Samples already marked failed are skipped;
 // new failures are recorded in errs.
-func (e *Evaluator) evalBatchInto(b *Batch, n int, overrideIdx int, overrideCol []float64, out []units.Weeks, errs *BatchErrors) {
-	sc := e.batch
+func (e *Evaluator) evalBatchInto(sc *batchScratch, b *Batch, n int, overrideIdx int, overrideCol []float64, out []units.Weeks, errs *BatchErrors) {
 	failed := sc.failed
 
 	// Tapeout phase (Eq. 2): per-sample accumulation in node order.
@@ -583,8 +599,7 @@ func (e *Evaluator) evalBatchInto(b *Batch, n int, overrideIdx int, overrideCol 
 // casBatchInto mirrors cas over the batch: for each node the two
 // capacity probes run as nested batch evaluations, then the
 // finite-difference derivatives accumulate per sample in node order.
-func (e *Evaluator) casBatchInto(b *Batch, n int, out []float64, errs *BatchErrors) {
-	sc := e.batch
+func (e *Evaluator) casBatchInto(sc *batchScratch, b *Batch, n int, out []float64, errs *BatchErrors) {
 	sc.ensureCAS(n)
 	failed := sc.failed
 	const step = DefaultDerivativeStep
@@ -608,8 +623,8 @@ func (e *Evaluator) casBatchInto(b *Batch, n int, out []float64, errs *BatchErro
 			}
 			sc.fUp[s], sc.fDown[s] = fUp, fDown
 		}
-		e.evalBatchInto(b, n, i, sc.fUp, sc.up, errs)
-		e.evalBatchInto(b, n, i, sc.fDown, sc.down, errs)
+		e.evalBatchInto(sc, b, n, i, sc.fUp, sc.up, errs)
+		e.evalBatchInto(sc, b, n, i, sc.fDown, sc.down, errs)
 		for s := 0; s < n; s++ {
 			if failed[s] != 0 {
 				continue

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -326,8 +327,8 @@ func TestBatchShapes(t *testing.T) {
 	}
 }
 
-// TestBatchCloneIndependence: concurrent clones each grow their own
-// batch scratch; results match the parent bit for bit.
+// TestBatchCloneIndependence: concurrent clones each run batch calls
+// with their own pooled scratch; results match the parent bit for bit.
 func TestBatchCloneIndependence(t *testing.T) {
 	m := core.Model{}
 	ev, err := m.Compile(scenario.Zen2(), 10e6, market.Full())
@@ -365,6 +366,108 @@ func TestBatchCloneIndependence(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// batchRun is one goroutine's view of every batch entry point on one
+// perturbation cloud: TTM and CAS at the compiled conditions and at an
+// overridden capacity, with the per-sample error lists.
+type batchRun struct {
+	ttm, ttmAt []units.Weeks
+	cas, casAt []float64
+	errs       [4]core.BatchErrors
+}
+
+func runAllBatches(ev *core.Evaluator, b *core.Batch, n int) (*batchRun, error) {
+	r := &batchRun{
+		ttm: make([]units.Weeks, n), ttmAt: make([]units.Weeks, n),
+		cas: make([]float64, n), casAt: make([]float64, n),
+	}
+	for _, err := range []error{
+		ev.EvalBatch(b, r.ttm, &r.errs[0]),
+		ev.EvalBatchAtCapacity(b, 0.6, r.ttmAt, &r.errs[1]),
+		ev.CASBatch(b, r.cas, &r.errs[2]),
+		ev.CASBatchAtCapacity(b, 0.6, r.casAt, &r.errs[3]),
+	} {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}
+
+// diff reports the first bit-level difference between two runs.
+func (r *batchRun) diff(o *batchRun) error {
+	for i := range r.ttm {
+		switch {
+		case math.Float64bits(float64(r.ttm[i])) != math.Float64bits(float64(o.ttm[i])):
+			return fmt.Errorf("EvalBatch sample %d: %v vs %v", i, r.ttm[i], o.ttm[i])
+		case math.Float64bits(float64(r.ttmAt[i])) != math.Float64bits(float64(o.ttmAt[i])):
+			return fmt.Errorf("EvalBatchAtCapacity sample %d: %v vs %v", i, r.ttmAt[i], o.ttmAt[i])
+		case math.Float64bits(r.cas[i]) != math.Float64bits(o.cas[i]):
+			return fmt.Errorf("CASBatch sample %d: %v vs %v", i, r.cas[i], o.cas[i])
+		case math.Float64bits(r.casAt[i]) != math.Float64bits(o.casAt[i]):
+			return fmt.Errorf("CASBatchAtCapacity sample %d: %v vs %v", i, r.casAt[i], o.casAt[i])
+		}
+	}
+	for k := range r.errs {
+		a, b := &r.errs[k], &o.errs[k]
+		if a.Len() != b.Len() {
+			return fmt.Errorf("call %d: %d sample errors vs %d", k, a.Len(), b.Len())
+		}
+		for i := range a.Idx {
+			if a.Idx[i] != b.Idx[i] || a.Errs[i].Error() != b.Errs[i].Error() {
+				return fmt.Errorf("call %d error %d: %d %v vs %d %v", k, i, a.Idx[i], a.Errs[i], b.Idx[i], b.Errs[i])
+			}
+		}
+	}
+	return nil
+}
+
+// TestBatchSharedEvaluatorConcurrent: the batch entry points keep no
+// state on the Evaluator, so eight goroutines running every batch call
+// on one shared Evaluator — with batch lengths that differ per
+// goroutine, so pooled scratches change hands at different sizes — get
+// exactly the bits and errors of a serial run. Run it under
+// `go test -race -count=10 ./internal/core` to check the sharing.
+func TestBatchSharedEvaluatorConcurrent(t *testing.T) {
+	m := core.Model{}
+	for dname, d := range registeredDesigns() {
+		ev, err := m.Compile(d, 10e6, market.Full().WithQueueAll(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		perts := perturbations(21, 48)
+		want := make([]*batchRun, 8)
+		batches := make([]*core.Batch, 8)
+		for g := range want {
+			n := 8 + 5*g
+			batches[g] = columns(perts[:n])
+			if want[g], err = runAllBatches(ev, batches[g], n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		errc := make(chan error, len(want))
+		for g := range want {
+			go func(g int) {
+				for r := 0; r < 20; r++ {
+					got, err := runAllBatches(ev, batches[g], len(want[g].ttm))
+					if err == nil {
+						err = got.diff(want[g])
+					}
+					if err != nil {
+						errc <- fmt.Errorf("%s goroutine %d round %d: %w", dname, g, r, err)
+						return
+					}
+				}
+				errc <- nil
+			}(g)
+		}
+		for range want {
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

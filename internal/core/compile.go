@@ -31,10 +31,15 @@ import (
 // paths equal across every registered design × scenario.
 
 // Evaluator is a design × conditions pair compiled for repeated
-// evaluation under varying perturbations. An Evaluator owns a scratch
-// buffer and is therefore NOT safe for concurrent use; parallel
-// drivers give each worker its own Clone (cheap: the compiled tables
-// are shared and immutable, only the scratch is duplicated).
+// evaluation under varying perturbations. The batch entry points
+// (EvalBatch, EvalBatchAtCapacity, CASBatch, CASBatchAtCapacity) take
+// their scratch from a package pool per call, so one Evaluator serves
+// batch calls from any number of goroutines at once. The per-call
+// methods (EvalResultChips, EvalChipsAtCapacity, CASChipsAtCapacity,
+// CASResultChips) share one scratch buffer owned by the Evaluator and
+// are therefore NOT safe for concurrent use; callers that run them in
+// parallel give each goroutine its own Clone (cheap: the compiled
+// tables are shared and immutable, only the scratch is duplicated).
 type Evaluator struct {
 	// chips is the compiled final-chip count n.
 	chips float64
@@ -53,14 +58,9 @@ type Evaluator struct {
 	nodes []evalNode
 	dies  []evalDie
 
-	// scratch accumulates per-node wafer demand during one evaluation; it is
-	// the only per-call mutable state.
+	// scratch accumulates per-node wafer demand during one per-call
+	// evaluation; it is the Evaluator's only mutable state.
 	scratch []units.Wafers
-
-	// batch holds the per-sample accumulators of the structure-of-arrays
-	// entry points (EvalBatch/CASBatch); lazily allocated on first batch
-	// use and grown to the largest batch length seen. See batch.go.
-	batch *batchScratch
 }
 
 // evalNode is one distinct process node of the design with every
@@ -168,11 +168,11 @@ func (m Model) Compile(d design.Design, n float64, c market.Conditions) (*Evalua
 }
 
 // Clone returns an Evaluator sharing the compiled tables but owning a
-// fresh scratch buffer, for one worker of a parallel driver.
+// fresh per-call scratch buffer, for one goroutine of a parallel caller
+// of the per-call methods.
 func (e *Evaluator) Clone() *Evaluator {
 	out := *e
 	out.scratch = make([]units.Wafers, len(e.nodes))
-	out.batch = nil // batch scratch is per-goroutine; clones grow their own
 	return &out
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -291,8 +290,8 @@ func mergeShards(ctx context.Context, s Spec, parts []ShardResult) (any, error) 
 		want := cfg.N * (len(core.Inputs) + 2)
 		ys := make([]float64, 0, want)
 		for _, p := range parts {
-			for _, b := range p.Bits {
-				ys = append(ys, math.Float64frombits(b))
+			if ys, err = appendOutputs(ys, p.Outputs); err != nil {
+				return nil, err
 			}
 		}
 		if len(ys) != want {

@@ -240,16 +240,16 @@ func (j *Job) noteShard(res ShardResult) {
 
 // checkpoint snapshots the plan and the completed shards (ordered by
 // index) for persistence.
-func (j *Job) checkpoint() ([]ShardRequest, []ShardResult) {
+func (j *Job) checkpoint() ([]ShardRequest, []snapshotShard) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.plan == nil {
 		return nil, nil
 	}
-	shards := make([]ShardResult, 0, len(j.completed))
+	shards := make([]snapshotShard, 0, len(j.completed))
 	for i := 0; i < len(j.plan); i++ {
 		if res, ok := j.completed[i]; ok {
-			shards = append(shards, res)
+			shards = append(shards, snapshotShard{ShardResult: res})
 		}
 	}
 	return j.plan, shards

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -55,10 +56,11 @@ type ShardResult struct {
 	Err   string `json:"err,omitempty"`
 	// Points are mc-band partial curve points.
 	Points []BandPoint `json:"points,omitempty"`
-	// Bits are sensitivity raw model outputs as IEEE-754 bit patterns:
-	// Sobol intermediates may be ±Inf/NaN, which JSON cannot carry, and
-	// the merge must be bit-for-bit.
-	Bits []uint64 `json:"bits,omitempty"`
+	// Outputs are sensitivity raw model outputs, one little-endian
+	// IEEE-754 float64 word per output (encoding/json carries the bytes
+	// as one base64 string): Sobol intermediates may be ±Inf/NaN, which
+	// JSON numbers cannot carry, and the merge must be bit-for-bit.
+	Outputs []byte `json:"outputs,omitempty"`
 	// Cells are sweep partial grid cells.
 	Cells []SweepCell `json:"cells,omitempty"`
 	// Steps are timeline partial steps.
@@ -134,7 +136,7 @@ func RunShard(ctx context.Context, lim Limits, req ShardRequest, onEval func(uin
 	case KindMCBand:
 		res.Points, err = s.runMCBandShard(ctx, req.Lo, req.Hi, count)
 	case KindSensitivity:
-		res.Bits, err = s.runSensitivityShard(ctx, req.Lo, req.Hi, count)
+		res.Outputs, err = s.runSensitivityShard(ctx, req.Lo, req.Hi, count)
 	case KindSweep:
 		res.Cells, err = s.runSweepShard(ctx, req.Lo, req.Hi, count)
 	case KindTimeline:
@@ -148,7 +150,7 @@ func RunShard(ctx context.Context, lim Limits, req ShardRequest, onEval func(uin
 			return ShardResult{}, cerr
 		}
 		res.Err = err.Error()
-		res.Points, res.Bits, res.Cells, res.Steps = nil, nil, nil, nil
+		res.Points, res.Outputs, res.Cells, res.Steps = nil, nil, nil, nil
 	}
 	return res, nil
 }
@@ -169,7 +171,7 @@ func (s Spec) runMCBandShard(ctx context.Context, lo, hi int, count func(uint64)
 	}
 	xs := s.xs()
 	bands := make([]mc.Band, hi-lo)
-	if err := mc.BandCurveBatchAt(ctx, ev, cfg, xs[lo:hi], lo, sel, bands, func() { count(1) }); err != nil {
+	if err := mc.BandCurveBatchAt(ctx, ev, cfg, xs[lo:hi], lo, sel, bands, count); err != nil {
 		return nil, err
 	}
 	pts := make([]BandPoint, 0, len(bands))
@@ -183,7 +185,7 @@ func (s Spec) runMCBandShard(ctx context.Context, lo, hi int, count func(uint64)
 	return pts, nil
 }
 
-func (s Spec) runSensitivityShard(ctx context.Context, lo, hi int, count func(uint64)) ([]uint64, error) {
+func (s Spec) runSensitivityShard(ctx context.Context, lo, hi int, count func(uint64)) ([]byte, error) {
 	d, c, err := s.resolveEval()
 	if err != nil {
 		return nil, err
@@ -197,11 +199,28 @@ func (s Spec) runSensitivityShard(ctx context.Context, lo, hi int, count func(ui
 	if err := sens.EvalRange(ctx, len(core.Inputs), cfg, lo, hi, ys, sens.TTMFactory(ev, count)); err != nil {
 		return nil, err
 	}
-	bits := make([]uint64, len(ys))
+	return encodeOutputs(ys), nil
+}
+
+// encodeOutputs packs sensitivity outputs into ShardResult.Outputs
+// words.
+func encodeOutputs(ys []float64) []byte {
+	b := make([]byte, 8*len(ys))
 	for i, y := range ys {
-		bits[i] = math.Float64bits(y)
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(y))
 	}
-	return bits, nil
+	return b
+}
+
+// appendOutputs appends the outputs packed in b by encodeOutputs to ys.
+func appendOutputs(ys []float64, b []byte) ([]float64, error) {
+	if len(b)%8 != 0 {
+		return nil, fmt.Errorf("jobs: sensitivity outputs of %d bytes are not whole float64 words", len(b))
+	}
+	for i := 0; i < len(b); i += 8 {
+		ys = append(ys, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
+	}
+	return ys, nil
 }
 
 func (s Spec) runSweepShard(ctx context.Context, lo, hi int, count func(uint64)) ([]SweepCell, error) {
@@ -252,7 +271,7 @@ func (s Spec) runTimelineShard(ctx context.Context, lo, hi int, count func(uint6
 	out := make([]timeline.Step, hi-lo)
 	// The in-flight study (when requested) is conditions-global, not
 	// per-step; the coordinator runs it once at merge time.
-	opt := timeline.Options{OnStep: func() { count(1) }}
+	opt := timeline.Options{OnStep: count}
 	if err := timeline.EvaluateSteps(ctx, core.Model{}, d, s.n(), tl, lo, hi, out, opt); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -25,7 +26,30 @@ type snapshotFile struct {
 	View   View            `json:"view"`
 	Result json.RawMessage `json:"result,omitempty"`
 	Plan   []ShardRequest  `json:"plan,omitempty"`
-	Shards []ShardResult   `json:"shards,omitempty"`
+	Shards []snapshotShard `json:"shards,omitempty"`
+}
+
+// snapshotShard is one checkpointed shard result as persisted. Bits is
+// the sensitivity payload in the format snapshots carried before
+// ShardResult.Outputs — one JSON number per IEEE-754 bit pattern — so
+// those snapshots still resume; it is read, converted, and never
+// written.
+type snapshotShard struct {
+	ShardResult
+	Bits []uint64 `json:"bits,omitempty"`
+}
+
+// result returns the checkpointed ShardResult, with a Bits payload
+// converted to Outputs words.
+func (s snapshotShard) result() ShardResult {
+	r := s.ShardResult
+	if len(s.Bits) > 0 {
+		r.Outputs = make([]byte, 8*len(s.Bits))
+		for i, b := range s.Bits {
+			binary.LittleEndian.PutUint64(r.Outputs[8*i:], b)
+		}
+	}
+	return r
 }
 
 func (m *Manager) snapshotPath(id string) string {
@@ -191,8 +215,8 @@ func (m *Manager) loadSnapshots() []*Job {
 			j.plan = sf.Plan
 			if len(sf.Shards) > 0 && j.plan != nil {
 				j.completed = make(map[int]ShardResult, len(sf.Shards))
-				for _, r := range sf.Shards {
-					if r.Index >= 0 && r.Index < len(j.plan) && r.Err == "" {
+				for _, s := range sf.Shards {
+					if r := s.result(); r.Index >= 0 && r.Index < len(j.plan) && r.Err == "" {
 						j.completed[r.Index] = r
 					}
 				}

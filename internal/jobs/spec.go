@@ -514,7 +514,7 @@ func (s Spec) runMCBand(ctx context.Context, pr Tracker) (any, error) {
 	cfg := mc.Config{Samples: samples, Seed: s.Seed}
 	// BandCurveEval compiles the design once and runs the whole curve on
 	// the zero-allocation kernel.
-	bands, err := mc.BandCurveEval(ctx, core.Model{}, cfg, d, n, c, xs, sel, func() { pr.Add(1) })
+	bands, err := mc.BandCurveEval(ctx, core.Model{}, cfg, d, n, c, xs, sel, pr.Add)
 	if err != nil {
 		return nil, err
 	}
@@ -556,7 +556,7 @@ func (s Spec) runSensitivity(ctx context.Context, pr Tracker) (any, error) {
 	}
 	// The Saltelli columns feed the kernel's EvalBatch directly
 	// (core.Inputs order is the batch column order); progress advances
-	// once per sample so the tracker total stays N·(k+2).
+	// by each batch's row count, so the tracker total stays N·(k+2).
 	res, err := sens.TotalEffectBatch(ctx, core.Inputs, cfg, sens.TTMFactory(ev, pr.Add))
 	if err != nil {
 		return nil, err
@@ -834,7 +834,7 @@ func (s Spec) runTimeline(ctx context.Context, pr Tracker) (any, error) {
 	pr.SetTotal(uint64(tl.StepCount()))
 	return timeline.Evaluate(ctx, core.Model{}, d, s.n(), tl, timeline.Options{
 		InFlight: s.InFlight,
-		OnStep:   func() { pr.Add(1) },
+		OnStep:   pr.Add,
 	})
 }
 

@@ -53,8 +53,8 @@ type ClusterNode struct {
 type TestCluster struct {
 	Nodes []*ClusterNode
 
-	ring *cluster.Ring     // client-side view: all members, by URL
-	idx  map[string]int    // URL → node index
+	ring *cluster.Ring  // client-side view: all members, by URL
+	idx  map[string]int // URL → node index
 	urls []string
 }
 

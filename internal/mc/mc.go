@@ -11,7 +11,6 @@ package mc
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"ttmcas/internal/core"
@@ -166,11 +165,11 @@ const (
 // curve rides BandCurveBatch. Each band is bit-for-bit what the
 // map-based model gives on the same perturbation streams.
 //
-// onEval, when non-nil, is called once per sample evaluation from
-// worker goroutines (it must be concurrency-safe); jobs use it for
+// onEval, when non-nil, is told each evaluated batch's sample count
+// from worker goroutines (it must be concurrency-safe); jobs use it for
 // progress counting. Cancelling ctx stops the curve within one chunk
 // per worker.
-func BandCurveEval(ctx context.Context, base core.Model, cfg Config, d design.Design, n float64, c market.Conditions, xs []float64, metric Metric, onEval func()) ([]Band, error) {
+func BandCurveEval(ctx context.Context, base core.Model, cfg Config, d design.Design, n float64, c market.Conditions, xs []float64, metric Metric, onEval func(n uint64)) ([]Band, error) {
 	ev, err := base.Compile(d, n, c)
 	if err != nil {
 		return nil, err
@@ -182,15 +181,12 @@ func BandCurveEval(ctx context.Context, base core.Model, cfg Config, d design.De
 	return out, nil
 }
 
-// mcWorker is the pooled per-goroutine state of the batch drivers: an
-// evaluator clone bound to its compiled source, the six perturbation
-// columns, and the sample buffers. Workers are reused across calls
-// through mcWorkerPool; the clone is rebuilt only when a pooled worker
-// last served a different evaluator, so steady-state chunk bodies
-// allocate nothing.
+// mcWorker is the pooled per-goroutine state of the batch drivers: the
+// six perturbation columns and the sample buffers. Workers are reused
+// across calls through mcWorkerPool, and the batch entry points are safe
+// to call concurrently on one evaluator, so every chunk body evaluates
+// on the caller's evaluator and steady-state chunks allocate nothing.
 type mcWorker struct {
-	src   *core.Evaluator
-	ev    *core.Evaluator
 	b     core.Batch
 	wout  []units.Weeks
 	buf10 []float64
@@ -207,14 +203,10 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-func getMCWorker(ev *core.Evaluator, n int) *mcWorker {
+func getMCWorker(n int) *mcWorker {
 	w, _ := mcWorkerPool.Get().(*mcWorker)
 	if w == nil {
 		w = &mcWorker{}
-	}
-	if w.src != ev {
-		w.src = ev
-		w.ev = ev.Clone()
 	}
 	w.b.NTT = growFloats(w.b.NTT, n)
 	w.b.NUT = growFloats(w.b.NUT, n)
@@ -242,7 +234,7 @@ type bandCall struct {
 	pos0   int
 	metric Metric
 	out    []Band
-	onEval func()
+	onEval func(n uint64)
 	fn     func(lo, hi int) error
 }
 
@@ -255,7 +247,7 @@ var bandCallPool sync.Pool
 // evaluated through EvalBatchAtCapacity/CASBatchAtCapacity; all worker
 // state comes from package pools, so steady-state calls allocate
 // nothing.
-func BandCurveBatch(ctx context.Context, ev *core.Evaluator, cfg Config, xs []float64, metric Metric, out []Band, onEval func()) error {
+func BandCurveBatch(ctx context.Context, ev *core.Evaluator, cfg Config, xs []float64, metric Metric, out []Band, onEval func(n uint64)) error {
 	return BandCurveBatchAt(ctx, ev, cfg, xs, 0, metric, out, onEval)
 }
 
@@ -266,7 +258,7 @@ func BandCurveBatch(ctx context.Context, ev *core.Evaluator, cfg Config, xs []fl
 // a curve split into range shards — possibly computed on different
 // machines — concatenates into exactly the bands the unsplit walk
 // produces, bit for bit. Distributed job sharding depends on this.
-func BandCurveBatchAt(ctx context.Context, ev *core.Evaluator, cfg Config, xs []float64, pos0 int, metric Metric, out []Band, onEval func()) error {
+func BandCurveBatchAt(ctx context.Context, ev *core.Evaluator, cfg Config, xs []float64, pos0 int, metric Metric, out []Band, onEval func(n uint64)) error {
 	if len(out) != len(xs) {
 		return fmt.Errorf("mc: band output length %d != x-position count %d", len(out), len(xs))
 	}
@@ -284,46 +276,45 @@ func BandCurveBatchAt(ctx context.Context, ev *core.Evaluator, cfg Config, xs []
 
 func (c *bandCall) run(lo, hi int) error {
 	n := c.cfg.samples()
-	w := getMCWorker(c.ev, n)
+	w := getMCWorker(n)
 	defer mcWorkerPool.Put(w)
 	for i := lo; i < hi; i++ {
 		x := c.xs[i]
 		seed := c.cfg.seedAt(c.pos0 + i)
 		fillPerturbationColumns(&w.b, n, seed, 0, 0.10)
-		if err := w.stream(c.metric, x, w.buf10, c.onEval); err != nil {
+		if err := w.stream(c.ev, c.metric, x, w.buf10, c.onEval); err != nil {
 			return err
 		}
 		fillPerturbationColumns(&w.b, n, seed, 0, 0.25)
-		if err := w.stream(c.metric, x, w.buf25, c.onEval); err != nil {
+		if err := w.stream(c.ev, c.metric, x, w.buf25, c.onEval); err != nil {
 			return err
 		}
-		// Mean before the in-place sorts: it sums buf10 in stream order,
-		// the order the map-based reference in the tests sums in.
+		// Mean before the in-place selection reorders buf10: it sums in
+		// stream order, the order the map-based reference in the tests
+		// sums in.
 		mean := stats.Mean(w.buf10)
-		sort.Float64s(w.buf10)
-		sort.Float64s(w.buf25)
 		c.out[i] = Band{
 			X:    x,
 			Mean: mean,
-			CI10: stats.SortedCI95(w.buf10),
-			CI25: stats.SortedCI95(w.buf25),
+			CI10: stats.CI95InPlace(w.buf10),
+			CI25: stats.CI95InPlace(w.buf25),
 		}
 	}
 	return nil
 }
 
-// stream evaluates the batch currently in w.b at capacity x and writes
-// the metric into buf. The first per-sample error (lowest index, the
-// one a serial per-sample loop would have hit first) is returned
+// stream evaluates the batch currently in w.b on ev at capacity x and
+// writes the metric into buf. The first per-sample error (lowest index,
+// the one a serial per-sample loop would have hit first) is returned
 // wrapped with its position and sample index.
-func (w *mcWorker) stream(metric Metric, x float64, buf []float64, onEval func()) error {
+func (w *mcWorker) stream(ev *core.Evaluator, metric Metric, x float64, buf []float64, onEval func(n uint64)) error {
 	switch metric {
 	case MetricCAS:
-		if err := w.ev.CASBatchAtCapacity(&w.b, x, buf, &w.errs); err != nil {
+		if err := ev.CASBatchAtCapacity(&w.b, x, buf, &w.errs); err != nil {
 			return err
 		}
 	default:
-		if err := w.ev.EvalBatchAtCapacity(&w.b, x, w.wout, &w.errs); err != nil {
+		if err := ev.EvalBatchAtCapacity(&w.b, x, w.wout, &w.errs); err != nil {
 			return err
 		}
 		for j, t := range w.wout {
@@ -331,9 +322,7 @@ func (w *mcWorker) stream(metric Metric, x float64, buf []float64, onEval func()
 		}
 	}
 	if onEval != nil {
-		for range buf {
-			onEval()
-		}
+		onEval(uint64(len(buf)))
 	}
 	if j, err := w.errs.First(); err != nil {
 		return fmt.Errorf("mc: x=%v sample %d: %w", x, j, err)
@@ -374,22 +363,21 @@ func RunBatch(ctx context.Context, ev *core.Evaluator, cfg Config, metric Metric
 		return Estimate{}, err
 	}
 	mean := stats.Mean(xs)
-	sort.Float64s(xs)
-	return Estimate{Mean: mean, CI: stats.SortedCI95(xs), Samples: n}, nil
+	return Estimate{Mean: mean, CI: stats.CI95InPlace(xs), Samples: n}, nil
 }
 
 func (c *runCall) run(lo, hi int) error {
 	n := hi - lo
-	w := getMCWorker(c.ev, n)
+	w := getMCWorker(n)
 	defer mcWorkerPool.Put(w)
 	fillPerturbationColumns(&w.b, n, c.cfg.Seed, lo, c.cfg.variation())
 	switch c.metric {
 	case MetricCAS:
-		if err := w.ev.CASBatch(&w.b, c.xs[lo:hi], &w.errs); err != nil {
+		if err := c.ev.CASBatch(&w.b, c.xs[lo:hi], &w.errs); err != nil {
 			return err
 		}
 	default:
-		if err := w.ev.EvalBatch(&w.b, w.wout, &w.errs); err != nil {
+		if err := c.ev.EvalBatch(&w.b, w.wout, &w.errs); err != nil {
 			return err
 		}
 		for j, t := range w.wout {

@@ -241,30 +241,39 @@ func TestBandCurveEvalMatchesGenericBitForBit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var evals atomic.Int64
-		got, err := BandCurveEval(context.Background(), m, cfg, d, 10e6, base, xs, metric, func() { evals.Add(1) })
+		var evals, calls atomic.Int64
+		got, err := BandCurveEval(context.Background(), m, cfg, d, 10e6, base, xs, metric, func(n uint64) {
+			evals.Add(int64(n))
+			calls.Add(1)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameBands(t, fmt.Sprintf("metric %v", metric), got, want)
 		if want := int64(len(xs) * 2 * 48); evals.Load() != want {
-			t.Errorf("metric %v: onEval called %d times, want %d", metric, evals.Load(), want)
+			t.Errorf("metric %v: onEval counted %d evaluations, want %d", metric, evals.Load(), want)
+		}
+		// Progress arrives once per evaluated batch (two per position),
+		// not once per sample.
+		if want := int64(len(xs) * 2); calls.Load() != want {
+			t.Errorf("metric %v: onEval called %d times, want %d", metric, calls.Load(), want)
 		}
 	}
 }
 
 // cancelMidRun runs a 32-position, 512-sample band curve for each metric,
-// cancelling its context from the tenth onEval call, and requires the
-// curve to stop early with context.Canceled.
-func cancelMidRun(t *testing.T, curve func(ctx context.Context, xs []float64, metric Metric, onEval func()) error) {
+// cancelling its context from the tenth onEval call (the tenth batch),
+// and requires the curve to stop early with context.Canceled.
+func cancelMidRun(t *testing.T, curve func(ctx context.Context, xs []float64, metric Metric, onEval func(n uint64)) error) {
 	t.Helper()
 	xs := curveXs(32, 0.2, 0.025)
 	total := int64(len(xs) * 2 * 512)
 	for _, metric := range []Metric{MetricTTM, MetricCAS} {
 		ctx, cancel := context.WithCancel(context.Background())
-		var evals atomic.Int64
-		err := curve(ctx, xs, metric, func() {
-			if evals.Add(1) == 10 {
+		var evals, calls atomic.Int64
+		err := curve(ctx, xs, metric, func(n uint64) {
+			evals.Add(int64(n))
+			if calls.Add(1) == 10 {
 				cancel()
 			}
 		})
@@ -280,7 +289,7 @@ func cancelMidRun(t *testing.T, curve func(ctx context.Context, xs []float64, me
 func TestBandCurveEvalCancelledMidRun(t *testing.T) {
 	var m core.Model
 	d := scenario.A11At(technode.N28)
-	cancelMidRun(t, func(ctx context.Context, xs []float64, metric Metric, onEval func()) error {
+	cancelMidRun(t, func(ctx context.Context, xs []float64, metric Metric, onEval func(n uint64)) error {
 		_, err := BandCurveEval(ctx, m, Config{Samples: 512}, d, 10e6, market.Full(), xs, metric, onEval)
 		return err
 	})
@@ -294,7 +303,7 @@ func TestBandCurveCancelledMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancelMidRun(t, func(ctx context.Context, xs []float64, metric Metric, onEval func()) error {
+	cancelMidRun(t, func(ctx context.Context, xs []float64, metric Metric, onEval func(n uint64)) error {
 		return BandCurveBatch(ctx, ev, Config{Samples: 512}, xs, metric, make([]Band, len(xs)), onEval)
 	})
 }

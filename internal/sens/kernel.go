@@ -7,14 +7,14 @@ import (
 
 // TTMFactory adapts a compiled evaluator to the BatchEval factory shape
 // for the inputs core.Inputs names, in that order (they are the batch's
-// six perturbation columns). Each call clones the evaluator for its
-// chunk, binds the Saltelli columns as batch inputs and writes TTM per
-// row. onEval, when non-nil, is told each batch's row count before the
+// six perturbation columns). Each call binds the Saltelli columns of its
+// chunk as batch inputs and writes TTM per row; every chunk evaluates on
+// ev itself, whose batch entry points are safe for concurrent use.
+// onEval, when non-nil, is told each batch's row count before the
 // batch's first per-row error surfaces, so progress matches what was
 // actually evaluated.
-func TTMFactory(ev *core.Evaluator, onEval func(uint64)) func() (BatchEval, error) {
+func TTMFactory(ev *core.Evaluator, onEval func(n uint64)) func() (BatchEval, error) {
 	return func() (BatchEval, error) {
-		w := ev.Clone()
 		var (
 			b    core.Batch
 			wout []units.Weeks
@@ -26,7 +26,7 @@ func TTMFactory(ev *core.Evaluator, onEval func(uint64)) func() (BatchEval, erro
 				wout = make([]units.Weeks, len(out))
 			}
 			ws := wout[:len(out)]
-			if err := w.EvalBatch(&b, ws, &errs); err != nil {
+			if err := ev.EvalBatch(&b, ws, &errs); err != nil {
 				return err
 			}
 			if onEval != nil {

@@ -89,9 +89,10 @@ func saltelliColumns(cfg Config, k int) (A, B [][]float64) {
 	draw := func() float64 { return 1 - v + 2*v*rng.Float64() }
 	A = make([][]float64, k)
 	B = make([][]float64, k)
+	as, bs := make([]float64, k*n), make([]float64, k*n)
 	for i := 0; i < k; i++ {
-		A[i] = make([]float64, n)
-		B[i] = make([]float64, n)
+		A[i] = as[i*n : (i+1)*n : (i+1)*n]
+		B[i] = bs[i*n : (i+1)*n : (i+1)*n]
 	}
 	for j := 0; j < n; j++ {
 		for i := 0; i < k; i++ {

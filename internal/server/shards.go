@@ -70,5 +70,15 @@ func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 	// of the synthetic compute cost just like local ones (no-op when
 	// the delay is unconfigured).
 	jobs.PaceShard(r.Context(), req, s.cfg.JobEvalDelay)
-	writeJSON(w, http.StatusOK, res)
+	// Shard responses are large (a sensitivity shard is 8 bytes per
+	// output before base64), so they carry Content-Length: the
+	// coordinator's forward reads into one buffer of exactly that size.
+	body, release, err := encodeJSON(res)
+	if err != nil {
+		ae := encodeResponseError(err)
+		writeError(w, ae.status, ae.msg)
+		return
+	}
+	writeBody(w, http.StatusOK, body)
+	release()
 }

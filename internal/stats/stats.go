@@ -12,7 +12,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrInsufficientData is returned when an estimator is given fewer
@@ -56,35 +55,194 @@ func Variance(xs []float64) float64 {
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using
-// linear interpolation between closest ranks. The input is not modified.
+// linear interpolation between closest ranks, ranking as sort.Float64s
+// orders (NaNs first). The input is not modified.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	return sortedPercentile(cp, p)
+	r := newRanks(append([]float64(nil), xs...))
+	return r.percentile(p)
 }
 
-// sortedPercentile is Percentile on data already sorted ascending.
-func sortedPercentile(cp []float64, p float64) float64 {
-	if len(cp) == 0 {
-		return math.NaN()
+// ranks reads order statistics of a sample in place by selection: the
+// expected cost is linear in the sample size, against n·log n for a
+// sort, and the values read are exactly those a sort.Float64s of the
+// sample would hold at the same ranks. Percentiles must be read in
+// ascending order; each reads two adjacent ranks, and a later one never
+// reads below an earlier one's floor rank.
+type ranks struct {
+	xs []float64
+	// next is where selection starts: xs[:next] holds the next smallest
+	// values, NaNs first, with every rank already read at its sorted
+	// position.
+	next int
+}
+
+// newRanks moves the NaNs of xs to its front, where sort.Float64s puts
+// them, so selection over the rest compares with plain < and >.
+func newRanks(xs []float64) ranks {
+	m := 0
+	for i, x := range xs {
+		if x != x {
+			xs[i], xs[m] = xs[m], x
+			m++
+		}
 	}
+	return ranks{xs: xs, next: m}
+}
+
+// at returns the rank-k value (0-based, ascending).
+func (r *ranks) at(k int) float64 {
+	if k >= r.next {
+		selectRank(r.xs[r.next:], k-r.next)
+		r.next = k + 1
+	}
+	return r.xs[k]
+}
+
+// percentile is Percentile's interpolation over the ranks read by at.
+func (r *ranks) percentile(p float64) float64 {
+	n := len(r.xs)
 	if p <= 0 {
-		return cp[0]
+		return r.at(0)
 	}
 	if p >= 100 {
-		return cp[len(cp)-1]
+		return r.at(n - 1)
 	}
-	rank := p / 100 * float64(len(cp)-1)
+	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return cp[lo]
+		return r.at(lo)
 	}
 	frac := rank - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
+	// Select one of the two adjacent ranks and scan for the other on the
+	// short side: below the ceil rank in the lower half, above the floor
+	// rank in the upper half.
+	var a, b float64
+	if lo < n/2 {
+		from := r.next
+		b = r.at(hi)
+		a = r.maxBelow(from, hi)
+	} else {
+		a = r.at(lo)
+		b = r.at(hi)
+	}
+	return a*(1-frac) + b*frac
+}
+
+// maxBelow returns the rank hi-1 value right after at(hi) resolved rank
+// hi from the unresolved stretch xs[from:hi], all of it no greater than
+// xs[hi]: the stretch's maximum, moved into place at hi-1. Below from,
+// rank hi-1 is already in place.
+func (r *ranks) maxBelow(from, hi int) float64 {
+	if hi-1 >= from {
+		m := from
+		for j := from + 1; j < hi; j++ {
+			if r.xs[j] > r.xs[m] {
+				m = j
+			}
+		}
+		r.xs[hi-1], r.xs[m] = r.xs[m], r.xs[hi-1]
+	}
+	return r.xs[hi-1]
+}
+
+// selectRank reorders xs (free of NaNs) so xs[k] holds its rank-k value
+// with nothing greater before it and nothing smaller after it. It is a
+// quickselect with three-way partitioning, so runs of tied values cost
+// one pass. Pivots of large windows follow Floyd and Rivest: a random
+// sample of the window is gathered around position k and the pivot is
+// selected from it at a rank just past k's share, so one partition
+// leaves k in a window of about m^(2/3) of the m values; small windows
+// pivot on the median of three random positions. Positions come from a
+// fixed splitmix64 stream, so no input order is systematically slow and
+// the result never depends on the draw.
+func selectRank(xs []float64, k int) {
+	lo, hi := 0, len(xs)
+	state := uint64(len(xs))
+	for hi-lo > 16 && k > lo {
+		m := hi - lo
+		var p float64
+		if m > 600 {
+			n, i := float64(m), float64(k-lo+1)
+			z := math.Log(n)
+			s := 0.5 * math.Exp(2*z/3)
+			sd := 0.5 * math.Sqrt(z*s*(n-s)/n)
+			if i < n/2 {
+				sd = -sd
+			}
+			sLo := max(lo, int(float64(k)-i*s/n+sd))
+			sHi := min(hi, int(float64(k)+(n-i)*s/n+sd)+1)
+			for j := sLo; j < sHi; j++ {
+				r := lo + int(mix(&state)%uint64(m))
+				xs[j], xs[r] = xs[r], xs[j]
+			}
+			selectRank(xs[sLo:sHi], k-sLo)
+			p = xs[k]
+		} else {
+			p = median3(xs[lo+int(mix(&state)%uint64(m))],
+				xs[lo+int(mix(&state)%uint64(m))],
+				xs[lo+int(mix(&state)%uint64(m))])
+		}
+		// xs[lo:lt] < p, xs[lt:i] == p, xs[gt:hi] > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := xs[i]; {
+			case x < p:
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case x > p:
+				gt--
+				xs[gt], xs[i] = x, xs[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
+	// A short window, or k at its low end: move each rank's minimum into
+	// place up to k.
+	for i := lo; i <= k; i++ {
+		m := i
+		for j := i + 1; j < hi; j++ {
+			if xs[j] < xs[m] {
+				m = j
+			}
+		}
+		xs[i], xs[m] = xs[m], xs[i]
+	}
+}
+
+// mix advances a splitmix64 stream and returns its next output.
+func mix(state *uint64) uint64 {
+	*state += 0x9e3779b97f4a7c15
+	x := *state
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // Summary is a batch of descriptive statistics for one output series.
@@ -127,19 +285,25 @@ func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
 // CI95 returns the empirical central 95% interval of xs (2.5th to 97.5th
 // percentile). The paper's shaded regions and error bars are empirical
 // 95% CIs of the Monte-Carlo output distribution, so percentile bounds
-// are the faithful estimator (the outputs are not Gaussian).
+// are the faithful estimator (the outputs are not Gaussian). The input
+// is not modified.
 func CI95(xs []float64) Interval {
-	return Interval{Lo: Percentile(xs, 2.5), Hi: Percentile(xs, 97.5)}
+	return CI95InPlace(append([]float64(nil), xs...))
 }
 
-// SortedCI95 is CI95 for a sample slice the caller has already sorted
-// ascending (with sort.Float64s or equivalent): it reads the
-// interpolated percentile bounds in place, skipping Percentile's
-// copy-and-sort, and returns exactly the bits CI95 would. The batched
-// Monte-Carlo drivers take the mean first, then sort their sample
-// buffers in place and call this on the hot path.
-func SortedCI95(sorted []float64) Interval {
-	return Interval{Lo: sortedPercentile(sorted, 2.5), Hi: sortedPercentile(sorted, 97.5)}
+// CI95InPlace is CI95 computed by order-statistic selection on the
+// caller's buffer, which it reorders: the four ranks the two
+// interpolated bounds need are selected in expected linear time instead
+// of sorting the sample, and the result is bit for bit the interval a
+// sort.Float64s of the sample would give. The batched Monte-Carlo
+// drivers take the mean first, then call this on their sample buffers.
+func CI95InPlace(xs []float64) Interval {
+	if len(xs) == 0 {
+		return Interval{Lo: math.NaN(), Hi: math.NaN()}
+	}
+	r := newRanks(xs)
+	lo := r.percentile(2.5)
+	return Interval{Lo: lo, Hi: r.percentile(97.5)}
 }
 
 // MeanCI95 returns a normal-approximation 95% confidence interval for

@@ -54,10 +54,11 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 }
 
 func TestSortedCI95MatchesCI95BitForBit(t *testing.T) {
-	// SortedCI95 is the in-place fast path of the batched MC drivers;
+	// SortedCI95 is the sort-based oracle of the selection CI95 uses:
 	// on a pre-sorted copy it must return exactly the bits CI95 returns
 	// on the unsorted original, for every sample size including the
-	// len-1 and len-2 edge ranks.
+	// len-1 and len-2 edge ranks. select_test.go widens this to NaN,
+	// ±Inf, ties and fuzzed inputs.
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 2, 3, 7, 64, 1024} {
 		xs := make([]float64, n)

@@ -22,8 +22,9 @@ type Options struct {
 	// already on the line" — the question the per-step snapshots, which
 	// re-quote at every step, cannot.
 	InFlight bool
-	// OnStep, when set, is called once per completed step (progress).
-	OnStep func()
+	// OnStep, when set, is told the step count of each completed batch
+	// of steps (progress).
+	OnStep func(n uint64)
 }
 
 // Step is one evaluated point of the timeline.
@@ -104,16 +105,14 @@ type Result struct {
 }
 
 // stepWorker is the pooled per-goroutine state of the batched step
-// fan-out: an evaluator clone bound to its compiled source, a batch
-// whose condition columns are refilled per chunk, the TTM/CAS output
-// slices and a conditions scratch for the per-step summary strings.
-// Workers are reused across EvaluateSteps calls through stepWorkerPool;
-// the clone is rebuilt only when a pooled worker last served a
-// different evaluator, so steady-state chunk bodies allocate nothing
-// beyond the per-step Conditions composition itself.
+// fan-out: a batch whose condition columns are refilled per chunk, the
+// TTM/CAS output slices and a conditions scratch for the per-step
+// summary strings. Workers are reused across EvaluateSteps calls
+// through stepWorkerPool and every chunk evaluates on the one compiled
+// evaluator (its batch entry points are safe for concurrent use), so
+// steady-state chunk bodies allocate nothing beyond the per-step
+// Conditions composition itself.
 type stepWorker struct {
-	src   *core.Evaluator
-	ev    *core.Evaluator
 	b     core.Batch
 	ttm   []units.Weeks
 	cas   []float64
@@ -128,11 +127,7 @@ func getStepWorker(ev *core.Evaluator, n int) *stepWorker {
 	if w == nil {
 		w = &stepWorker{}
 	}
-	if w.src != ev {
-		w.src = ev
-		w.ev = ev.Clone()
-	}
-	w.ev.ResizeConditions(&w.b, n)
+	ev.ResizeConditions(&w.b, n)
 	if cap(w.ttm) < n {
 		w.ttm = make([]units.Weeks, n)
 	}
@@ -176,7 +171,7 @@ func Evaluate(ctx context.Context, m core.Model, d design.Design, n float64, tl 
 // composed conditions, all perturbation columns nil (unperturbed,
 // exactly core.Perturbation{}) — and writes them into out[lo:hi]. Results land at disjoint index
 // ranges of out, so chunk bodies need no synchronization.
-func stepRangeBody(ev *core.Evaluator, tl *Timeline, base int, out []Step, onStep func()) func(lo, hi int) error {
+func stepRangeBody(ev *core.Evaluator, tl *Timeline, base int, out []Step, onStep func(n uint64)) func(lo, hi int) error {
 	return func(lo, hi int) error {
 		cnt := hi - lo
 		w := getStepWorker(ev, cnt)
@@ -184,15 +179,15 @@ func stepRangeBody(ev *core.Evaluator, tl *Timeline, base int, out []Step, onSte
 		for s := 0; s < cnt; s++ {
 			c := tl.ConditionsAt(base + lo + s)
 			w.conds[s] = c
-			w.ev.SetConditions(&w.b, s, c)
+			ev.SetConditions(&w.b, s, c)
 		}
-		if err := w.ev.EvalBatch(&w.b, w.ttm, &w.errs); err != nil {
+		if err := ev.EvalBatch(&w.b, w.ttm, &w.errs); err != nil {
 			return err
 		}
 		if _, err := w.errs.First(); err != nil {
 			return err
 		}
-		if err := w.ev.CASBatch(&w.b, w.cas, &w.errs); err != nil {
+		if err := ev.CASBatch(&w.b, w.cas, &w.errs); err != nil {
 			return err
 		}
 		if _, err := w.errs.First(); err != nil {
@@ -208,9 +203,9 @@ func stepRangeBody(ev *core.Evaluator, tl *Timeline, base int, out []Step, onSte
 				CAS:        w.cas[s],
 				Conditions: w.conds[s].String(),
 			}
-			if onStep != nil {
-				onStep()
-			}
+		}
+		if onStep != nil {
+			onStep(uint64(cnt))
 		}
 		return nil
 	}

@@ -226,10 +226,9 @@ func TestEvaluateCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var steps atomic.Int64
-	_, err = Evaluate(ctx, m, d, 1e6, tl, Options{OnStep: func() {
-		if steps.Add(1) == 1 {
-			cancel()
-		}
+	_, err = Evaluate(ctx, m, d, 1e6, tl, Options{OnStep: func(n uint64) {
+		steps.Add(int64(n))
+		cancel()
 	}})
 	if err != context.Canceled {
 		t.Errorf("got %v, want context.Canceled", err)

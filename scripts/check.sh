@@ -3,6 +3,15 @@
 # anywhere a Go toolchain exists (no make required).
 set -eux
 
+# Formatting gate: every Go file must be gofmt-clean (hidden
+# directories, such as the benchmark's .bench_build/, are skipped).
+unformatted="$(gofmt -l $(find . -name '*.go' -not -path './.*'))"
+if [ -n "$unformatted" ]; then
+    echo "gofmt -l lists files that need formatting:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 go vet ./...
 go build ./...
 go test -race ./...
