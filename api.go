@@ -43,8 +43,9 @@ type (
 	// Model is the time-to-market model (Eqs. 1–7) plus CAS (Eq. 8).
 	Model = core.Model
 	// Evaluator is a design × conditions pair compiled for repeated
-	// evaluation (see Compile). Not safe for concurrent use — parallel
-	// callers evaluate on their own Clone.
+	// evaluation (see Compile); Bind re-binds it to new conditions in
+	// place. Not safe for concurrent use — parallel callers evaluate on
+	// their own Clone.
 	Evaluator = core.Evaluator
 	// Result is a full TTM evaluation with per-phase breakdown.
 	Result = core.Result
@@ -167,8 +168,9 @@ func TTM(d Design, n float64, c Conditions) (Weeks, error) {
 // effort curves, wafer geometry, queue depths — into a reusable
 // Evaluator whose evaluations run with zero map operations and zero
 // heap allocations, with the default model. Servers and drivers that
-// evaluate the same pair repeatedly (across perturbations, chip counts
-// or capacity fractions) compile once and clone per worker.
+// evaluate the same design repeatedly (across perturbations, chip
+// counts, capacity fractions or, via Evaluator.Bind, whole new market
+// conditions) compile once and clone per worker.
 func Compile(d Design, n float64, c Conditions) (*Evaluator, error) {
 	var m Model
 	return m.Compile(d, n, c)

@@ -21,9 +21,10 @@
 //   - cached: one fixed /v1/ttm request, warmed before the clock
 //     starts, so every measured request is a response-cache hit.
 //   - uncached: every request carries a distinct capacity fraction, so
-//     every request misses the response cache AND the compiled-
-//     evaluator cache — the full decode → resolve → compile → evaluate
-//     → encode path.
+//     every request misses the response cache and computes — decode →
+//     resolve → bind the conditions onto the design's cached compiled
+//     evaluator → evaluate → encode. The evaluator cache, keyed on the
+//     design alone, still hits; no request compiles.
 //   - mixed: 9:1 cached:uncached, a bursty exploration workload.
 //   - chaos: the availability-under-failure harness. An in-process
 //     server runs with tight admission limits, short cache freshness,
@@ -202,10 +203,10 @@ func run(args []string) error {
 	uncached := loadtest.Target{
 		Name: "ttm-uncached",
 		Path: "/v1/ttm",
-		// A distinct capacity fraction per request defeats both the
-		// response cache and the compiled-evaluator cache: the golden
-		// ratio walks (0.05, 0.95] without repeating in any practical
-		// run length.
+		// A distinct capacity fraction per request defeats the response
+		// cache (the evaluator cache, keyed on the design, still hits):
+		// the golden ratio walks (0.05, 0.95] without repeating in any
+		// practical run length.
 		BodyFunc: func(seq uint64) []byte {
 			f := 0.05 + 0.9*math.Mod(float64(seq)*0.6180339887498949, 1)
 			return []byte(fmt.Sprintf(`{"design":%q,"node":%q,"n":%g,"capacity":%.17g}`, *design, *node, *chips, f))

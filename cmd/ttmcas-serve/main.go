@@ -164,7 +164,7 @@ func run(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	cacheBytes := fs.Int64("cache-bytes", 64<<20, "response-cache byte budget across shards (negative disables caching)")
 	cacheShards := fs.Int("cache-shards", 16, "response-cache shard count, rounded up to a power of two")
-	evalCache := fs.Int("eval-cache", 256, "compiled-evaluator cache capacity in entries (negative disables)")
+	evalCache := fs.Int("eval-cache", 256, "compiled-evaluator cache capacity in entries, one per design identity (negative disables)")
 	accessLog := fs.Bool("access-log", true, "log one line per request (disable for peak throughput)")
 	maxConcurrent := fs.Int("max-concurrent", 4, "worker-pool bound for sensitivity/plan requests")
 	cheapConcurrent := fs.Int("cheap-concurrent", 0, "admission bound for cheap evaluation requests (0 = 2*GOMAXPROCS)")

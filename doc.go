@@ -164,12 +164,14 @@
 // costs a map lookup plus pooled, precomputed writes — no encoding,
 // no timer, near-zero allocation), single-flight collapses concurrent
 // identical misses, and a second LRU caches compiled evaluators per
-// (design, scenario, model-variant) so misses skip re-compilation.
+// design identity (model variant, design, re-target node), onto which
+// each miss binds its own market conditions, so misses skip
+// re-compilation even under conditions never seen before.
 // cmd/ttmcas-loadgen load-tests the stack closed-loop (cached,
 // uncached and mixed scenarios, in-process or live) and `make bench`
-// records RPS and p50/p95/p99 latency in BENCH_serve.json; on one
-// shared Xeon vCPU the cached-hit path sustains roughly six times the
-// throughput of full uncached computes at ~12x lower p99.
+// records RPS and p50/p95/p99 latency in BENCH_serve.json; on a
+// shared 2-vCPU VM the cached-hit path sustains roughly five times the
+// throughput of uncached requests.
 //
 // The model equations are implemented exactly as printed in the paper;
 // parameter values are calibrated to the paper's published anchors as

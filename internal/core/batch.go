@@ -277,20 +277,17 @@ func (e *Evaluator) ResizeConditions(b *Batch, n int) {
 
 // SetConditions writes market conditions c into sample s of the
 // batch's condition columns (sized beforehand via ResizeConditions),
-// resolving them exactly as Compile does: the raw global capacity, the
-// per-node capacity factor (1 when unset) and the queued-wafer count
-// fixed against the node's full-capacity rate. A batch filled this way
-// evaluates bit-for-bit like an evaluator compiled at c.
+// resolving them exactly as Compile and Bind do: the raw global
+// capacity, the per-node capacity factor (1 when unset) and the
+// queued-wafer count fixed against the node's full-capacity rate. A
+// batch filled this way evaluates bit-for-bit like an evaluator
+// compiled at c. It is Bind's per-sample counterpart: Bind rewrites one
+// evaluator's conditions for per-call use, SetConditions gives every
+// sample of one batch call its own.
 func (e *Evaluator) SetConditions(b *Batch, s int, c market.Conditions) {
 	b.Global[s] = c.GlobalCapacity
 	for i := range e.nodes {
-		nd := &e.nodes[i]
-		b.Factor[i][s] = nodeFactor(c, nd.node)
-		qw := 0.0
-		if w, ok := c.QueueWeeks[nd.node]; ok && w > 0 {
-			qw = float64(w) * nd.waferRate
-		}
-		b.Queue[i][s] = qw
+		b.Factor[i][s], b.Queue[i][s] = e.nodes[i].resolve(c)
 	}
 }
 

@@ -36,15 +36,16 @@ import (
 // their scratch from a package pool per call, so one Evaluator serves
 // batch calls from any number of goroutines at once. The per-call
 // methods (EvalResultChips, EvalChipsAtCapacity, CASChipsAtCapacity,
-// CASResultChips) share one scratch buffer owned by the Evaluator and
-// are therefore NOT safe for concurrent use; callers that run them in
-// parallel give each goroutine its own Clone (cheap: the compiled
-// tables are shared and immutable, only the scratch is duplicated).
+// CASResultChips) share one scratch buffer owned by the Evaluator, and
+// Bind rewrites its bound conditions, so those are NOT safe for
+// concurrent use; callers that run them in parallel give each goroutine
+// its own Clone (cheap: the compiled die tables are shared and
+// immutable, only the small node table and the scratch are duplicated).
 type Evaluator struct {
 	// chips is the compiled final-chip count n.
 	chips float64
-	// global is the raw GlobalCapacity of the compiled conditions
-	// (zero meaning "default to 1", resolved at eval time exactly as
+	// global is the raw GlobalCapacity of the bound conditions (zero
+	// meaning "default to 1", resolved at eval time exactly as
 	// market.Conditions.capacity does).
 	global float64
 
@@ -64,7 +65,9 @@ type Evaluator struct {
 }
 
 // evalNode is one distinct process node of the design with every
-// map-resolved parameter flattened.
+// map-resolved parameter flattened. factor and queueWafers are the
+// bound market conditions (see resolve); the rest is fixed at compile
+// time.
 type evalNode struct {
 	node          technode.Node
 	nutBase       float64 // float64(d.UniqueTransistorsAt(node))
@@ -73,6 +76,19 @@ type evalNode struct {
 	factor        float64 // node capacity multiplier (1 when unset)
 	queueWafers   float64 // float64(c.QueueWafers(p)), fixed at quote time
 	fabLatency    float64 // float64(p.FabLatency)
+}
+
+// resolve is the one definition of "market conditions → node columns"
+// that Compile, Bind and SetConditions share: the node's capacity
+// factor (1 when unset) and its queued-wafer count, fixed at quote time
+// as weeks × the full-capacity rate unless the quote is missing or
+// non-positive — exactly market.Conditions.QueueWafers, so a NaN quote
+// queues NaN wafers there and here alike.
+func (nd *evalNode) resolve(c market.Conditions) (factor, queueWafers float64) {
+	if w, ok := c.QueueWeeks[nd.node]; ok && !(w <= 0) {
+		queueWafers = float64(w) * nd.waferRate
+	}
+	return nodeFactor(c, nd.node), queueWafers
 }
 
 // evalDie is one die type with its node parameters resolved.
@@ -111,7 +127,6 @@ func (m Model) Compile(d design.Design, n float64, c market.Conditions) (*Evalua
 	}
 	e := &Evaluator{
 		chips:      n,
-		global:     c.GlobalCapacity,
 		designTime: d.DesignTime,
 		team:       float64(d.Team()),
 		alpha:      m.Alpha,
@@ -130,11 +145,10 @@ func (m Model) Compile(d design.Design, n float64, c market.Conditions) (*Evalua
 			nutBase:       float64(d.UniqueTransistorsAt(node)),
 			tapeoutEffort: p.TapeoutEffort,
 			waferRate:     float64(p.WaferRate),
-			factor:        nodeFactor(c, node),
-			queueWafers:   float64(c.QueueWafers(p)),
 			fabLatency:    float64(p.FabLatency),
 		})
 	}
+	e.Bind(c)
 	for _, die := range d.Dies {
 		p, err := m.Nodes.Lookup(die.Node)
 		if err != nil {
@@ -167,13 +181,29 @@ func (m Model) Compile(d design.Design, n float64, c market.Conditions) (*Evalua
 	return e, nil
 }
 
-// Clone returns an Evaluator sharing the compiled tables but owning a
-// fresh per-call scratch buffer, for one goroutine of a parallel caller
-// of the per-call methods.
+// Clone returns an Evaluator sharing the compiled die tables but owning
+// a copy of the node table and a fresh per-call scratch buffer, for one
+// goroutine of a parallel caller of the per-call methods. Binding the
+// clone never writes into e.
 func (e *Evaluator) Clone() *Evaluator {
 	out := *e
+	out.nodes = append([]evalNode(nil), e.nodes...)
 	out.scratch = make([]units.Wafers, len(e.nodes))
 	return &out
+}
+
+// Bind re-binds the evaluator to market conditions c in place: the raw
+// global capacity, and each node's capacity factor and queued wafers,
+// resolved exactly as Compile resolves them, so a bound evaluator is
+// bit-for-bit an evaluator compiled at c. It allocates nothing, which
+// lets a cached compiled design serve each request's conditions on a
+// borrowed Clone instead of compiling again.
+func (e *Evaluator) Bind(c market.Conditions) {
+	e.global = c.GlobalCapacity
+	for i := range e.nodes {
+		nd := &e.nodes[i]
+		nd.factor, nd.queueWafers = nd.resolve(c)
+	}
 }
 
 // Chips returns the compiled final-chip count.

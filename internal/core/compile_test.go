@@ -248,6 +248,161 @@ func TestEvaluatorZeroAllocs(t *testing.T) {
 	}
 }
 
+// randomConditions draws market conditions over every node of the
+// database: a global capacity that is zero (full), negative (clamped to
+// a stalled line) or up to 1.2; per-node factors including a downed
+// line; and quotes including zero, negative and NaN weeks, which queue
+// nothing.
+func randomConditions(rng *rand.Rand) market.Conditions {
+	var c market.Conditions
+	switch rng.Intn(4) {
+	case 0:
+	case 1:
+		c.GlobalCapacity = -0.5 * rng.Float64()
+	default:
+		c.GlobalCapacity = 1.2 * rng.Float64()
+	}
+	for _, n := range append(technode.All(), technode.Variants()...) {
+		switch rng.Intn(6) {
+		case 0:
+			c = c.WithNodeCapacity(n, 0)
+		case 1:
+			c = c.WithNodeCapacity(n, 1.2*rng.Float64())
+		}
+		switch rng.Intn(6) {
+		case 0:
+			c = c.WithQueue(n, units.Weeks(8*rng.Float64()))
+		case 1:
+			c = c.WithQueue(n, units.Weeks([]float64{0, -1, math.NaN()}[rng.Intn(3)]))
+		}
+	}
+	return c
+}
+
+// sameAnswers requires got and want to answer every per-call method
+// identically: float64 bits, error text, and the condition-dependent
+// rows of the breakdown (per-node queue and fabrication time, the
+// critical node, every CAS derivative).
+func sameAnswers(t *testing.T, ctx string, got, want *core.Evaluator, perts []core.Perturbation) {
+	t.Helper()
+	for i, p := range perts {
+		for _, n := range []float64{1e4, 10e6} {
+			ctx := fmt.Sprintf("%s pert %d n=%v", ctx, i, n)
+			gr, gErr := got.EvalResultChips(p, n)
+			wr, wErr := want.EvalResultChips(p, n)
+			sameWeeks(t, ctx+": EvalResultChips", gr.TTM, wr.TTM, gErr, wErr)
+			if gErr == nil {
+				if gr.CriticalNode != wr.CriticalNode || len(gr.Nodes) != len(wr.Nodes) {
+					t.Fatalf("%s: breakdown %+v, want %+v", ctx, gr, wr)
+				}
+				for j, g := range gr.Nodes {
+					w := wr.Nodes[j]
+					if !sameF64(float64(g.Queue), float64(w.Queue)) || !sameF64(float64(g.FabTotal), float64(w.FabTotal)) {
+						t.Fatalf("%s: node %s row %+v, want %+v", ctx, g.Node, g, w)
+					}
+				}
+			}
+			gc, gErr := got.CASResultChips(p, n)
+			wc, wErr := want.CASResultChips(p, n)
+			sameValue(t, ctx+": CASResultChips", gc.CAS, wc.CAS, gErr, wErr)
+			for node, w := range wc.Derivatives {
+				if g, ok := gc.Derivatives[node]; !ok || !sameF64(g, w) {
+					t.Fatalf("%s: derivative[%v] = %v, want %v", ctx, node, g, w)
+				}
+			}
+			for _, f := range []float64{0.3, 1} {
+				gw, gErr := got.EvalChipsAtCapacity(p, n, f)
+				ww, wErr := want.EvalChipsAtCapacity(p, n, f)
+				sameWeeks(t, fmt.Sprintf("%s f=%v: EvalChipsAtCapacity", ctx, f), gw, ww, gErr, wErr)
+				gv, gErr := got.CASChipsAtCapacity(p, n, f)
+				wv, wErr := want.CASChipsAtCapacity(p, n, f)
+				sameValue(t, fmt.Sprintf("%s f=%v: CASChipsAtCapacity", ctx, f), gv, wv, gErr, wErr)
+			}
+		}
+	}
+}
+
+// TestBindMatchesCompile holds the request path's contract: a clone of
+// an evaluator compiled under one set of conditions, re-bound to
+// another, answers bit-for-bit as an evaluator compiled under the
+// second. One clone is bound through the whole sequence, as a pooled
+// server clone is, so no state may leak from one binding to the next.
+func TestBindMatchesCompile(t *testing.T) {
+	m := core.Model{}
+	rng := rand.New(rand.NewSource(21))
+	var conds []market.Conditions
+	for _, sc := range market.Scenarios() {
+		conds = append(conds, sc.Conditions)
+	}
+	for i := 0; i < 24; i++ {
+		conds = append(conds, randomConditions(rng))
+	}
+	perts := perturbations(22, 2)
+	for dname, d := range registeredDesigns() {
+		base, err := m.Compile(d, 1, conds[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := base.Clone()
+		for i, c := range conds {
+			ev.Bind(c)
+			ref, err := m.Compile(d, 1, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := fmt.Sprintf("%s conditions %d (%s)", dname, i, c)
+			sameAnswers(t, ctx, ev, ref, perts)
+			// Compile binds through Bind too, so also anchor the bound
+			// evaluator to the map-based oracle.
+			want, wantErr := m.TTM(d, 1e6, c)
+			got, gotErr := evalTTM(ev, core.Perturbation{}, 1e6)
+			sameWeeks(t, ctx+": vs Model.TTM", got, want, gotErr, wantErr)
+		}
+	}
+}
+
+// TestBindIsolatesClones binds one clone and requires the evaluator it
+// was cloned from, and a sibling clone, to keep answering under their
+// own conditions: clones share the compiled die tables but not the
+// node table Bind writes.
+func TestBindIsolatesClones(t *testing.T) {
+	m := core.Model{}
+	d := scenario.Zen2()
+	c0 := market.Full().WithQueueAll(2)
+	c1 := market.Full().AtCapacity(0.4).WithNodeCapacity(technode.N12, 0.3).WithQueue(technode.N7, 6)
+	base, err := m.Compile(d, 1, c0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sibling := base.Clone()
+	bound := base.Clone()
+	bound.Bind(c1)
+	ref0, err := m.Compile(d, 1, c0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref1, err := m.Compile(d, 1, c1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := mustTTM(t, ref0); a == mustTTM(t, ref1) {
+		t.Fatalf("c0 and c1 give the same TTM %v; the test would not see a leak", a)
+	}
+	perts := perturbations(23, 2)
+	sameAnswers(t, "bound clone", bound, ref1, perts)
+	sameAnswers(t, "base", base, ref0, perts)
+	sameAnswers(t, "sibling clone", sibling, ref0, perts)
+}
+
+func mustTTM(t *testing.T, ev *core.Evaluator) units.Weeks {
+	t.Helper()
+	w, err := evalTTM(ev, core.Perturbation{}, 1e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
 func TestCompileRejectsInvalidInput(t *testing.T) {
 	m := core.Model{}
 	if _, err := m.Compile(design.Design{}, 1, market.Full()); err == nil {

@@ -7,8 +7,9 @@
 package market
 
 import (
-	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
 
 	"ttmcas/internal/technode"
 	"ttmcas/internal/units"
@@ -55,11 +56,16 @@ func (c Conditions) WithQueue(n technode.Node, w units.Weeks) Conditions {
 	return c
 }
 
+// databaseNodes is every node of the built-in database: the Table 2
+// set and its variants.
+var databaseNodes = append(technode.All(), technode.Variants()...)
+
 // WithQueueAll returns a copy of c quoting the same lead time at every
-// node (the aggregate lead-time reporting the paper describes).
+// node of the built-in database, variants included (the aggregate
+// lead-time reporting the paper describes).
 func (c Conditions) WithQueueAll(w units.Weeks) Conditions {
-	q := make(map[technode.Node]units.Weeks, len(technode.All()))
-	for _, n := range technode.All() {
+	q := make(map[technode.Node]units.Weeks, len(databaseNodes))
+	for _, n := range databaseNodes {
 		q[n] = w
 	}
 	c.QueueWeeks = q
@@ -110,28 +116,56 @@ func (c Conditions) QueueWafers(p technode.Params) units.Wafers {
 	return units.Wafers(float64(w) * float64(p.WaferRate))
 }
 
-// String summarizes non-default conditions for logs and reports.
+// String summarizes non-default conditions for logs and reports, e.g.
+// "capacity=80% node-overrides=1 queue={7nm:2wk,28nm:4wk}". It is on the
+// request path of every evaluation response, so it appends into one
+// stack buffer rather than formatting through fmt.
 func (c Conditions) String() string {
-	s := fmt.Sprintf("capacity=%.0f%%", c.capacity0()*100)
+	var buf [256]byte
+	b := append(buf[:0], "capacity="...)
+	b = appendFixed0(b, c.capacity0()*100)
+	b = append(b, '%')
 	if len(c.NodeCapacity) > 0 {
-		s += fmt.Sprintf(" node-overrides=%d", len(c.NodeCapacity))
+		b = append(b, " node-overrides="...)
+		b = strconv.AppendInt(b, int64(len(c.NodeCapacity)), 10)
 	}
 	if len(c.QueueWeeks) > 0 {
-		keys := make([]int, 0, len(c.QueueWeeks))
+		var arr [16]technode.Node
+		keys := arr[:0]
 		for k := range c.QueueWeeks {
-			keys = append(keys, int(k))
+			keys = append(keys, k)
 		}
-		sort.Ints(keys)
-		s += " queue={"
+		slices.Sort(keys)
+		b = append(b, " queue={"...)
 		for i, k := range keys {
 			if i > 0 {
-				s += ","
+				b = append(b, ',')
 			}
-			s += fmt.Sprintf("%dnm:%.0fwk", k, float64(c.QueueWeeks[technode.Node(k)]))
+			b = strconv.AppendInt(b, int64(k), 10)
+			b = append(b, "nm:"...)
+			b = appendFixed0(b, float64(c.QueueWeeks[k]))
+			b = append(b, "wk"...)
 		}
-		s += "}"
+		b = append(b, '}')
 	}
-	return s
+	return string(b)
+}
+
+// appendFixed0 appends v formatted exactly as fmt's %.0f. Below 2⁵³
+// every float64 rounds half-to-even to an exact integer, which is what
+// %.0f prints, so that range skips strconv's arbitrary-precision 'f'
+// path; the sign bit is printed as %.0f does ("-0" for -0.4 and -0).
+// NaN, ±Inf and larger magnitudes take strconv.AppendFloat, which is
+// what fmt itself calls.
+func appendFixed0(b []byte, v float64) []byte {
+	a := math.Abs(v)
+	if !(a < 1<<53) {
+		return strconv.AppendFloat(b, v, 'f', 0, 64)
+	}
+	if math.Signbit(v) {
+		b = append(b, '-')
+	}
+	return strconv.AppendUint(b, uint64(math.RoundToEven(a)), 10)
 }
 
 func (c Conditions) capacity0() float64 {

@@ -1,11 +1,15 @@
 package market
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
 	"ttmcas/internal/technode"
+	"ttmcas/internal/units"
 )
 
 func TestFullConditions(t *testing.T) {
@@ -74,13 +78,23 @@ func TestWithQueueDoesNotMutate(t *testing.T) {
 }
 
 func TestWithQueueAll(t *testing.T) {
+	// Every node the database resolves gets the quote, the 12 nm variant
+	// included.
 	c := Full().WithQueueAll(3)
-	for _, n := range technode.All() {
-		p := technode.MustLookup(n)
-		want := 3 * float64(p.WaferRate)
-		if math.Abs(float64(c.QueueWafers(p))-want) > 1e-9 {
-			t.Errorf("queue at %s = %v, want %v", n, float64(c.QueueWafers(p)), want)
+	resolved := 0
+	for n := technode.Node(1); n <= 1000; n++ {
+		p, err := technode.Lookup(n)
+		if err != nil {
+			continue
 		}
+		resolved++
+		want := 3 * float64(p.WaferRate)
+		if math.Abs(float64(c.QueueWafers(p))-want) > 1e-9 || c.QueueWeeks[n] != 3 {
+			t.Errorf("queue at %s = %v wafers (%v weeks), want %v", n, float64(c.QueueWafers(p)), float64(c.QueueWeeks[n]), want)
+		}
+	}
+	if want := len(technode.All()) + len(technode.Variants()); resolved != want || len(c.QueueWeeks) != want {
+		t.Errorf("resolved %d nodes, quoted %d, want %d", resolved, len(c.QueueWeeks), want)
 	}
 }
 
@@ -126,5 +140,73 @@ func TestConditionsString(t *testing.T) {
 	s := Full().WithQueue(technode.N7, 2).AtCapacity(0.8).String()
 	if !strings.Contains(s, "80%") || !strings.Contains(s, "7nm:2wk") {
 		t.Errorf("String() = %q", s)
+	}
+}
+
+// sprintfString is the fmt-based Conditions.String that the appending
+// implementation replaced, kept as its oracle.
+func sprintfString(c Conditions) string {
+	s := fmt.Sprintf("capacity=%.0f%%", c.capacity0()*100)
+	if len(c.NodeCapacity) > 0 {
+		s += fmt.Sprintf(" node-overrides=%d", len(c.NodeCapacity))
+	}
+	if len(c.QueueWeeks) > 0 {
+		keys := make([]int, 0, len(c.QueueWeeks))
+		for k := range c.QueueWeeks {
+			keys = append(keys, int(k))
+		}
+		sort.Ints(keys)
+		s += " queue={"
+		for i, k := range keys {
+			if i > 0 {
+				s += ","
+			}
+			s += fmt.Sprintf("%dnm:%.0fwk", k, float64(c.QueueWeeks[technode.Node(k)]))
+		}
+		s += "}"
+	}
+	return s
+}
+
+// TestConditionsStringMatchesSprintf holds String byte-equal to the fmt
+// oracle over random conditions: zero, negative, huge and above-one
+// global capacity; x.5 ties in both roundings; negative, signed-zero,
+// huge, infinite and NaN queue weeks; node overrides; and more queued
+// nodes than the database has.
+func TestConditionsStringMatchesSprintf(t *testing.T) {
+	capacities := []float64{0, 1, -0.5, -0.004, 0.005, 0.015, 0.125, 0.5, 0.8, 1.5, 2.5e13, 1e300, math.Inf(-1), math.NaN()}
+	weeks := []float64{0, 0.5, 1.5, 2.5, -0.4, -0.5, -1.5, math.Copysign(0, -1), 1e20, 1<<53 - 0.5, 1 << 53, math.Inf(1), math.NaN()}
+	rng := rand.New(rand.NewSource(1))
+	nodes := append(technode.All(), technode.Variants()...)
+	for i := 0; i < 2000; i++ {
+		var c Conditions
+		switch rng.Intn(3) {
+		case 0:
+			c.GlobalCapacity = capacities[rng.Intn(len(capacities))]
+		case 1:
+			c.GlobalCapacity = (rng.Float64() - 0.2) * 1.5
+		default:
+			c.GlobalCapacity = float64(rng.Intn(400)) / 200 // x.5 percent ties
+		}
+		for _, n := range nodes {
+			if rng.Intn(4) == 0 {
+				c = c.WithNodeCapacity(n, rng.Float64())
+			}
+		}
+		queued := rng.Intn(len(nodes) + 8)
+		for j := 0; j < queued; j++ {
+			n := nodes[rng.Intn(len(nodes))]
+			if j >= len(nodes) {
+				n = technode.Node(rng.Intn(2000) - 500)
+			}
+			w := weeks[rng.Intn(len(weeks))]
+			if rng.Intn(2) == 0 {
+				w = float64(rng.Intn(40)) / 2 * float64(1-2*rng.Intn(2))
+			}
+			c = c.WithQueue(n, units.Weeks(w))
+		}
+		if got, want := c.String(), sprintfString(c); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
 	}
 }

@@ -15,9 +15,10 @@ const modelVariant = "default"
 
 // compiledEval is one cached compile result: the base evaluator plus a
 // pool of per-worker clones. An Evaluator is not safe for concurrent
-// use (it carries per-node scratch), so each request borrows a clone
-// and returns it — steady-state requests touch no compile work and no
-// fresh scratch allocations.
+// use (it carries per-node scratch and the conditions bound to it), so
+// each request borrows a clone, binds its own market conditions onto
+// it and returns it — steady-state requests touch no compile work and
+// no fresh scratch allocations.
 type compiledEval struct {
 	base   *ttmcas.Evaluator
 	clones sync.Pool
@@ -29,28 +30,40 @@ func newCompiledEval(base *ttmcas.Evaluator) *compiledEval {
 	return ce
 }
 
-// acquire borrows a worker-private evaluator; pair with release.
-func (ce *compiledEval) acquire() *ttmcas.Evaluator {
-	return ce.clones.Get().(*ttmcas.Evaluator)
+// acquire borrows a worker-private evaluator bound to conditions c;
+// pair with release.
+func (ce *compiledEval) acquire(c ttmcas.Conditions) *ttmcas.Evaluator {
+	ev := ce.clones.Get().(*ttmcas.Evaluator)
+	ev.Bind(c)
+	return ev
 }
 
 func (ce *compiledEval) release(ev *ttmcas.Evaluator) { ce.clones.Put(ev) }
 
-// evalCache is a small LRU over compiled evaluators keyed by
-// (model variant, design, market conditions). The cheap evaluation
-// routes consult it so a response-cache miss re-runs only the ~50 ns
-// kernel, not design resolution and Compile.
+// evalKey is a compiled design's identity: the model variant, then a
+// built-in design name or an inline spec's JSON, and the re-target
+// node. Market conditions are not part of it — each request binds its
+// own onto a borrowed clone — so a stream of what-if requests on one
+// design shares one entry.
+type evalKey struct {
+	variant, design, spec, node string
+}
+
+// evalCache is a small LRU over compiled evaluators keyed by design
+// identity (evalKey). The cheap evaluation routes consult it so a
+// response-cache miss — a new chip count or new market conditions —
+// re-runs only Bind and the ~50 ns kernel, not Compile.
 type evalCache struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List
-	items    map[string]*list.Element
+	items    map[evalKey]*list.Element
 
 	hits, misses uint64
 }
 
 type evalCacheEntry struct {
-	key string
+	key evalKey
 	ce  *compiledEval
 }
 
@@ -69,16 +82,16 @@ func newEvalCache(capacity int) *evalCache {
 	return &evalCache{
 		capacity: capacity,
 		ll:       list.New(),
-		items:    make(map[string]*list.Element),
+		items:    make(map[evalKey]*list.Element),
 	}
 }
 
 // getOrCompile returns the cached compiled evaluator for key,
 // compiling and inserting on miss. Compilation runs outside the lock:
-// concurrent misses on the same key may compile twice, but identical
-// requests are already collapsed upstream by single-flight, and the
-// last insert wins harmlessly.
-func (c *evalCache) getOrCompile(key string, compile func() (*ttmcas.Evaluator, error)) (*compiledEval, error) {
+// concurrent first misses on one design may each compile (single-flight
+// collapses only identical requests, and these differ in conditions or
+// volume), but the first insert wins and later ones adopt it.
+func (c *evalCache) getOrCompile(key evalKey, compile func() (*ttmcas.Evaluator, error)) (*compiledEval, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
@@ -123,41 +136,19 @@ func (c *evalCache) Stats() evalStats {
 	return evalStats{Entries: c.ll.Len(), Hits: c.hits, Misses: c.misses}
 }
 
-// evalKeyParts is the subset of an EvalRequest that determines the
-// compiled evaluator: the design and the market conditions, but not
-// the chip count (evaluators compile at n=1 and thread the requested
-// volume through the chips override) nor route-specific fields like
-// curve points or sample counts. json.Marshal is canonical here —
-// struct field order is fixed and Go marshals maps with sorted keys.
-type evalKeyParts struct {
-	Design         string             `json:"d,omitempty"`
-	Spec           *DesignSpec        `json:"s,omitempty"`
-	Node           string             `json:"rn,omitempty"`
-	Scenario       string             `json:"sc,omitempty"`
-	Capacity       float64            `json:"c,omitempty"`
-	QueueWeeks     float64            `json:"q,omitempty"`
-	NodeCapacity   map[string]float64 `json:"nc,omitempty"`
-	NodeQueueWeeks map[string]float64 `json:"nq,omitempty"`
-}
-
-// evaluatorFor resolves the request's compiled evaluator through the
+// evaluatorFor resolves the request's compiled design through the
 // cache. The caller must have resolved (d, c) from the same request;
-// they are only used on a cache miss to compile.
+// they are only used on a cache miss to compile, and acquire binds the
+// request's own conditions onto the clone it lends out.
 func (s *Server) evaluatorFor(req EvalRequest, d ttmcas.Design, c ttmcas.Conditions) (*compiledEval, error) {
-	kb, err := json.Marshal(evalKeyParts{
-		Design:         req.Design,
-		Spec:           req.Spec,
-		Node:           req.Node,
-		Scenario:       req.Scenario,
-		Capacity:       req.Capacity,
-		QueueWeeks:     req.QueueWeeks,
-		NodeCapacity:   req.NodeCapacity,
-		NodeQueueWeeks: req.NodeQueueWeeks,
-	})
-	if err != nil {
-		return nil, badRequestf("encoding evaluator key: %v", err)
+	key := evalKey{variant: modelVariant, design: req.Design, node: req.Node}
+	if req.Spec != nil {
+		sb, err := json.Marshal(req.Spec)
+		if err != nil {
+			return nil, badRequestf("encoding evaluator key: %v", err)
+		}
+		key.spec = string(sb)
 	}
-	key := modelVariant + "|" + string(kb)
 	return s.evals.getOrCompile(key, func() (*ttmcas.Evaluator, error) {
 		// Compile at one chip: the kernel's chips override serves any
 		// requested volume from the same compiled evaluator.

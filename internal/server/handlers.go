@@ -384,7 +384,7 @@ func (s *Server) handleTTM(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		ev := ce.acquire()
+		ev := ce.acquire(c)
 		res, err := ev.EvalResultChips(ttmcas.Perturbation{}, req.N)
 		ce.release(ev)
 		if err != nil {
@@ -437,7 +437,7 @@ func (s *Server) handleCAS(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		ev := ce.acquire()
+		ev := ce.acquire(c)
 		defer ce.release(ev)
 		res, err := ev.CASResultChips(ttmcas.Perturbation{}, req.N)
 		if err != nil {

@@ -474,9 +474,9 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	if m.evalStats != nil {
 		es := m.evalStats()
 		scalars = append(scalars,
-			scalar{"ttmcas_evalcache_entries", "Compiled evaluators held by the evaluator cache.", "gauge", es.Entries},
-			scalar{"ttmcas_evalcache_hits_total", "Evaluator-cache lookups that reused a compiled evaluator.", "counter", es.Hits},
-			scalar{"ttmcas_evalcache_misses_total", "Evaluator-cache lookups that had to compile.", "counter", es.Misses},
+			scalar{"ttmcas_evalcache_entries", "Compiled designs held by the evaluator cache, one per design identity.", "gauge", es.Entries},
+			scalar{"ttmcas_evalcache_hits_total", "Evaluator-cache lookups that reused a compiled design, binding the request's conditions onto it.", "counter", es.Hits},
+			scalar{"ttmcas_evalcache_misses_total", "Evaluator-cache lookups that had to compile the design.", "counter", es.Misses},
 		)
 	}
 	for _, s := range scalars {

@@ -3,8 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -157,11 +160,146 @@ func TestEvaluatorCacheReusesCompile(t *testing.T) {
 	}
 }
 
+// whatIfRequests returns n evaluation requests on one design, each
+// under its own market conditions — a global capacity, and in turn a
+// lead time quoted at every node and per-node capacity and queue
+// overrides — the shape of a what-if stream.
+func whatIfRequests(n int) []EvalRequest {
+	rng := rand.New(rand.NewSource(14))
+	reqs := make([]EvalRequest, n)
+	for i := range reqs {
+		req := EvalRequest{Design: "zen2", N: float64(1+rng.Intn(50)) * 1e5, Capacity: 0.05 + 0.95*rng.Float64()}
+		if i%2 == 1 {
+			req.QueueWeeks = 8 * rng.Float64()
+		}
+		if i%3 == 1 {
+			req.NodeCapacity = map[string]float64{"12nm": 0.1 + 0.9*rng.Float64()}
+		}
+		if i%4 == 1 {
+			req.NodeQueueWeeks = map[string]float64{"7nm": 6 * rng.Float64()}
+		}
+		reqs[i] = req
+	}
+	return reqs
+}
+
+// whatIfAnswer posts req to route (/v1/ttm or /v1/cas) and compares the
+// answer with the facade's map-based model under the same design and
+// conditions, floats by their bits.
+func whatIfAnswer(s *Server, route string, req EvalRequest) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
+	if w.Code != http.StatusOK {
+		return fmt.Errorf("%s %s: status %d: %s", route, body, w.Code, w.Body)
+	}
+	d, c, err := req.resolve()
+	if err != nil {
+		return err
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if route == "/v1/ttm" {
+		var got TTMResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
+			return err
+		}
+		want, err := ttmcas.Evaluate(d, req.N, c)
+		if err != nil {
+			return err
+		}
+		if got.Conditions != c.String() || !same(got.TTMWeeks, float64(want.TTM)) || len(got.Nodes) != len(want.Nodes) {
+			return fmt.Errorf("%s %s: got %+v, facade %+v under %s", route, body, got, want, c)
+		}
+		for j, nf := range want.Nodes {
+			if g := got.Nodes[j]; !same(g.QueueWeeks, float64(nf.Queue)) || !same(g.TotalWeeks, float64(nf.FabTotal)) {
+				return fmt.Errorf("%s %s: node %s %+v, facade %+v", route, body, nf.Node, g, nf)
+			}
+		}
+		return nil
+	}
+	var got CASResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil {
+		return err
+	}
+	want, err := ttmcas.CAS(d, req.N, c)
+	if err != nil {
+		return err
+	}
+	if got.Conditions != c.String() || !same(got.CAS, want.CAS) || len(got.Derivatives) != len(want.Derivatives) {
+		return fmt.Errorf("%s %s: got %+v, facade %+v under %s", route, body, got, want, c)
+	}
+	for node, der := range want.Derivatives {
+		if g, ok := got.Derivatives[node.String()]; !ok || !same(g, der) {
+			return fmt.Errorf("%s %s: derivative %s = %v, facade %v", route, body, node, g, der)
+		}
+	}
+	return nil
+}
+
+// TestWhatIfBindsOnOneCompiledDesign sends what-if requests — one
+// design, new market conditions every time — and requires exactly one
+// compile: every later request binds its conditions onto a pooled clone
+// of the cached design. With the evaluator cache disabled every request
+// compiles. The answers must match the facade either way.
+func TestWhatIfBindsOnOneCompiledDesign(t *testing.T) {
+	const n = 24
+	reqs := whatIfRequests(n)
+	for _, tc := range []struct {
+		evalCache int
+		misses    uint64
+	}{{0, 1}, {-1, 2 * n}} {
+		s := testServer(t, Config{EvalCacheSize: tc.evalCache})
+		for _, req := range reqs {
+			for _, route := range []string{"/v1/ttm", "/v1/cas"} {
+				if err := whatIfAnswer(s, route, req); err != nil {
+					t.Fatalf("EvalCacheSize %d: %v", tc.evalCache, err)
+				}
+			}
+		}
+		if st := s.evals.Stats(); st.Misses != tc.misses || st.Hits+st.Misses != 2*n {
+			t.Errorf("EvalCacheSize %d: evalcache %+v, want %d misses of %d lookups", tc.evalCache, st, tc.misses, 2*n)
+		}
+	}
+}
+
+// TestWhatIfConcurrentBind drives one design from several goroutines at
+// once, each request under its own conditions, so pooled clones are
+// re-bound while other clones of the same compiled design evaluate. Run
+// it under -race.
+func TestWhatIfConcurrentBind(t *testing.T) {
+	const workers = 8
+	s := testServer(t, Config{CacheBytes: -1, CheapConcurrent: workers})
+	reqs := whatIfRequests(64)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(reqs); i += workers {
+				route := "/v1/ttm"
+				if i%2 == 1 {
+					route = "/v1/cas"
+				}
+				if err := whatIfAnswer(s, route, reqs[i]); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := s.evals.Stats(); st.Entries != 1 {
+		t.Errorf("evalcache %+v, want one entry for one design", st)
+	}
+}
+
 func TestEvalCacheLRUEviction(t *testing.T) {
 	c := newEvalCache(2)
 	keys := []string{"a", "b", "a", "c", "b"}
 	for _, k := range keys {
-		if _, err := c.getOrCompile(k, func() (*ttmcas.Evaluator, error) { return nil, nil }); err != nil {
+		if _, err := c.getOrCompile(evalKey{design: k}, func() (*ttmcas.Evaluator, error) { return nil, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -36,8 +36,9 @@ type Config struct {
 	// contention between concurrent hits on different keys.
 	CacheShards int
 	// EvalCacheSize is the compiled-evaluator cache capacity in
-	// entries — one per distinct (design, conditions) pair
-	// (default 256); negative disables it.
+	// entries — one per design identity (model variant, design name or
+	// inline spec, re-target node); each request binds its own market
+	// conditions onto a pooled clone (default 256); negative disables it.
 	EvalCacheSize int
 	// MaxConcurrent bounds the heavy admission class — sensitivity
 	// analysis and planning (default 4).

@@ -22,6 +22,9 @@ package technode
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"unicode"
+	"unicode/utf8"
 
 	"ttmcas/internal/units"
 )
@@ -51,7 +54,10 @@ const (
 )
 
 // String renders the conventional node name, e.g. "28nm".
-func (n Node) String() string { return fmt.Sprintf("%dnm", int(n)) }
+func (n Node) String() string {
+	var buf [24]byte
+	return string(append(strconv.AppendInt(buf[:0], int64(n), 10), "nm"...))
+}
 
 // Params holds every per-node model parameter.
 type Params struct {
@@ -207,13 +213,44 @@ func Index(n Node) (int, bool) {
 }
 
 // Parse converts a textual node name ("28nm", "28", "7") into a Node.
+// It reads the leading integer exactly as fmt.Sscanf(s, "%d") does —
+// white space other than newlines skipped, an optional sign, decimal
+// digits, anything after them ignored — without fmt's reflection-based
+// scanner.
 func Parse(s string) (Node, error) {
-	var v int
-	if _, err := fmt.Sscanf(s, "%d", &v); err != nil {
+	v, ok := scanInt(s)
+	if !ok {
 		return 0, fmt.Errorf("technode: cannot parse node %q", s)
 	}
 	if _, ok := table[Node(v)]; !ok {
 		return 0, fmt.Errorf("technode: unknown process node %q", s)
 	}
 	return Node(v), nil
+}
+
+// scanInt is fmt.Sscanf(s, "%d", &v): the white-space runes fmt skips
+// are exactly unicode.IsSpace's, and a newline before the number is an
+// error there too.
+func scanInt(s string) (int, bool) {
+	i := 0
+	for i < len(s) {
+		r, w := utf8.DecodeRuneInString(s[i:])
+		if r == '\n' || !unicode.IsSpace(r) {
+			break
+		}
+		i += w
+	}
+	j := i
+	if j < len(s) && (s[j] == '+' || s[j] == '-') {
+		j++
+	}
+	k := j
+	for k < len(s) && '0' <= s[k] && s[k] <= '9' {
+		k++
+	}
+	if k == j {
+		return 0, false
+	}
+	v, err := strconv.Atoi(s[i:k])
+	return v, err == nil
 }

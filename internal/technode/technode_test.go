@@ -1,6 +1,7 @@
 package technode
 
 import (
+	"fmt"
 	"testing"
 
 	"ttmcas/internal/units"
@@ -142,6 +143,59 @@ func TestParse(t *testing.T) {
 	for _, s := range []string{"", "abc", "3nm"} {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) should error", s)
+		}
+	}
+}
+
+// sscanfParse is the fmt-based Parse that the hand-written scanner
+// replaced, kept as its oracle.
+func sscanfParse(s string) (Node, error) {
+	var v int
+	if _, err := fmt.Sscanf(s, "%d", &v); err != nil {
+		return 0, fmt.Errorf("technode: cannot parse node %q", s)
+	}
+	if _, ok := table[Node(v)]; !ok {
+		return 0, fmt.Errorf("technode: unknown process node %q", s)
+	}
+	return Node(v), nil
+}
+
+// FuzzParse holds Parse to fmt.Sscanf("%d") on value and error. The
+// seeds run in every plain go test; go test -fuzz FuzzParse explores
+// further.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"28nm", "28", " 7nm", "+7", "7 nm", "", "-7", "99999999999999999999",
+		"9223372036854775807", "-9223372036854775808", "12nm", "0", "007",
+		"\t\r\v\f 14", "\n7", "\r\n7", "\u00a05", "\u30005", "\xe3\x805",
+		"+", "-", "+-7", "1_0", "7\n", "nm7", "\u20285",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, gotErr := Parse(s)
+		want, wantErr := sscanfParse(s)
+		if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("Parse(%q) = %v, %v; Sscanf reference %v, %v", s, got, gotErr, want, wantErr)
+		}
+	})
+}
+
+func TestNodeString(t *testing.T) {
+	want := map[Node]string{
+		N250: "250nm", N180: "180nm", N130: "130nm", N90: "90nm", N65: "65nm",
+		N40: "40nm", N28: "28nm", N20: "20nm", N14: "14nm", N12: "12nm",
+		N10: "10nm", N7: "7nm", N5: "5nm",
+	}
+	for _, n := range append(All(), Variants()...) {
+		if _, ok := want[n]; !ok {
+			t.Errorf("database node %d missing from the table", int(n))
+		}
+	}
+	want[Node(3)] = "3nm" // unknown to the database
+	for n, s := range want {
+		if got := n.String(); got != s || got != fmt.Sprintf("%dnm", int(n)) {
+			t.Errorf("Node(%d).String() = %q, want %q", int(n), got, s)
 		}
 	}
 }

@@ -51,7 +51,7 @@
 #   - batched band curve below 2x the pre-batch compiled driver
 #     (3.68M evals/s) or allocating on its steady-state path
 #   - cached-hit p99 latency not below uncached p99
-#   - cached-hit RPS below 5x uncached RPS
+#   - cached-hit RPS below 3x uncached RPS
 #   - 4-node cluster RPS below 0.8 x 4 x single-node RPS
 #   - 4-node distributed jobs/s below 0.7 x 4 x single-node jobs/s
 #   - distjobs sweep losing jobs, completing no remote shards at N=4,
@@ -174,8 +174,9 @@ fi
 
 # ---- serving-layer load test ---------------------------------------
 # Three in-process scenarios: every request a response-cache hit, every
-# request a full miss (unique capacity -> decode, resolve, compile,
-# evaluate, encode), and a 9:1 mix.
+# request a full miss (unique capacity -> decode, resolve, bind the
+# request's conditions onto the cached compiled design, evaluate,
+# encode), and a 9:1 mix.
 go build -o "$tmpbin/ttmcas-loadgen" ./cmd/ttmcas-loadgen
 
 servedur="${SERVE_DURATION:-3s}"
@@ -211,11 +212,17 @@ if awk -v c="$cached_p99" -v u="$uncached_p99" 'BEGIN { exit !(c >= u) }'; then
 else
     echo "ok: cached-hit p99 ${cached_p99}us < uncached p99 ${uncached_p99}us"
 fi
-if awk -v c="$cached_rps" -v u="$uncached_rps" 'BEGIN { exit !(c < 5 * u) }'; then
-    echo "WARNING: cached-hit RPS (${cached_rps}) is below 5x uncached RPS (${uncached_rps})" >&2
+# The response cache must pay for itself. The floor follows the
+# measured ratio: while every miss compiled its own evaluator, hits ran
+# 5.5-8.3x the miss RPS on a 2-vCPU VM; now that a miss binds its
+# conditions onto the design's cached compiled evaluator it costs far
+# less, and the ratio measured 4.2-4.6x there. 3x leaves room for
+# shared-runner noise and still fails if hits stop skipping the work.
+if awk -v c="$cached_rps" -v u="$uncached_rps" 'BEGIN { exit !(c < 3 * u) }'; then
+    echo "WARNING: cached-hit RPS (${cached_rps}) is below 3x uncached RPS (${uncached_rps})" >&2
     guard_status=1
 else
-    echo "ok: cached-hit RPS ${cached_rps} >= 5x uncached RPS ${uncached_rps}"
+    echo "ok: cached-hit RPS ${cached_rps} >= 3x uncached RPS ${uncached_rps}"
 fi
 
 # ---- cluster scaling sweep -----------------------------------------
