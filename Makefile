@@ -53,8 +53,7 @@ chaossmoke:
 	$(GO) run ./cmd/ttmcas-loadgen -scenario chaos -d 2s -c 8 -check
 
 # A 4-node in-process cluster with a mid-run node kill and rejoin;
-# -check runs a single-node baseline first and asserts near-linear
-# scaling (>= 0.8 x 4 x baseline RPS) with zero lost requests and a
+# -check asserts every request answered 200, forwards exercised, and a
 # reconverged ring.
 clustersmoke:
 	$(GO) run ./cmd/ttmcas-loadgen -scenario cluster -nodes 4 -kill -d 2s -c 4 -check
@@ -67,10 +66,8 @@ timelinesmoke:
 	$(GO) run ./cmd/ttmcas-loadgen -scenario timeline -d 2s -c 4 -check
 
 # A 4-node in-process cluster running heavy mc-band batch jobs sharded
-# across the ring, with a mid-run node kill and rejoin; -check runs a
-# single-node baseline first and asserts zero lost jobs, remotely
-# completed shards, a reconverged ring, and >= 0.7 x 4 x baseline
-# jobs/s.
+# across the ring, with a mid-run node kill and rejoin; -check asserts
+# zero lost jobs, remotely completed shards, and a reconverged ring.
 distjobssmoke:
 	$(GO) run ./cmd/ttmcas-loadgen -scenario distjobs -nodes 4 -kill -d 2s -c 3 -check
 

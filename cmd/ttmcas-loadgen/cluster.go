@@ -17,7 +17,8 @@ import (
 
 // The cluster scenario: an in-process fleet under a placement-aware
 // client, with one node killed and revived mid-run when -kill is set.
-// See the package comment for the contract it gates.
+// See the package comment for the contract it gates; the honest
+// measure of the forward hop's cost is bench/'s cluster-fwd workload.
 
 type clusterOpts struct {
 	nodes       int
@@ -45,44 +46,30 @@ func runCluster(o clusterOpts) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// The contract is relative: N nodes versus this same workload on one
-	// node. The baseline runs first so a regression in single-node
-	// throughput cannot masquerade as cluster scaling.
-	var baseline float64
-	if o.check {
-		base, err := clusterRun(ctx, o, 1, false)
-		if err != nil {
-			return err
-		}
-		if base.rep.RPS <= 0 {
-			return fmt.Errorf("cluster baseline run completed no requests")
-		}
-		baseline = base.rep.RPS
-	}
-
-	out, err := clusterRun(ctx, o, o.nodes, o.kill && o.nodes > 1)
+	out, err := clusterRun(ctx, o)
 	if err != nil {
 		return err
 	}
 
 	if o.asJSON {
-		if err := writeClusterJSON(os.Stdout, o, out, baseline); err != nil {
+		if err := writeClusterJSON(os.Stdout, o, out); err != nil {
 			return err
 		}
 	} else {
-		writeClusterText(os.Stdout, o, out, baseline)
+		writeClusterText(os.Stdout, o, out)
 	}
 
 	if o.check {
-		return checkCluster(o, out, baseline)
+		return checkCluster(o, out)
 	}
 	return nil
 }
 
-// clusterRun boots an n-node fleet, drives the mix for the configured
-// duration (killing and reviving the last node when kill is set), and
-// tears the fleet down.
-func clusterRun(ctx context.Context, o clusterOpts, n int, kill bool) (clusterOutcome, error) {
+// clusterRun boots the fleet, drives the mix for the configured
+// duration (killing and reviving the last node with -kill), and tears
+// the fleet down.
+func clusterRun(ctx context.Context, o clusterOpts) (clusterOutcome, error) {
+	n, kill := o.nodes, o.kill && o.nodes > 1
 	tc, err := loadtest.StartCluster(n, loadtest.ClusterConfig{
 		Configure: func(i int, cfg *server.Config) {
 			// Generous admission: the scenario measures placement and
@@ -90,8 +77,6 @@ func clusterRun(ctx context.Context, o clusterOpts, n int, kill bool) (clusterOu
 			// occupy slots on both nodes of the hop.
 			cfg.CheapConcurrent = 256
 			cfg.MaxConcurrent = 64
-			cfg.FaultSpec = clusterFaultSpec
-			cfg.FaultSeed = o.seed
 		},
 	})
 	if err != nil {
@@ -101,9 +86,7 @@ func clusterRun(ctx context.Context, o clusterOpts, n int, kill bool) (clusterOu
 
 	// Every request carries a distinct chip count: distinct canonical
 	// keys spread ownership across the ring and defeat the response
-	// cache, while the compiled-evaluator cache still hits (evaluators
-	// compile at n=1), keeping per-request CPU far below the injected
-	// 5ms floor — the single-core scaling headroom.
+	// cache, while the compiled-evaluator cache still hits.
 	bodyFor := func(seq uint64) []byte {
 		return []byte(fmt.Sprintf(`{"design":%q,"node":%q,"n":%.17g}`,
 			o.design, o.node, o.chips+float64(seq)))
@@ -167,12 +150,11 @@ func clusterRun(ctx context.Context, o clusterOpts, n int, kill bool) (clusterOu
 	return out, nil
 }
 
-// checkCluster asserts the scaling contract: near-linear throughput,
-// no lost requests even across a kill and rejoin, and membership
+// checkCluster asserts the cluster contract: no lost requests even
+// across a kill and rejoin, forwards exercised, and membership
 // reconverged.
-func checkCluster(o clusterOpts, out clusterOutcome, baseline float64) error {
+func checkCluster(o clusterOpts, out clusterOutcome) error {
 	rep := out.rep
-	floor := 0.8 * float64(o.nodes) * baseline
 	switch {
 	case rep.Requests == 0:
 		return fmt.Errorf("cluster check failed: no completed requests")
@@ -185,20 +167,16 @@ func checkCluster(o clusterOpts, out clusterOutcome, baseline float64) error {
 		return fmt.Errorf("cluster check failed: no requests were forwarded — ownership never exercised")
 	case out.killed && !out.converged:
 		return fmt.Errorf("cluster check failed: ring did not reconverge after the killed node rejoined")
-	case rep.RPS < floor:
-		return fmt.Errorf("cluster check failed: %.1f req/s < 0.8 × %d × %.1f = %.1f req/s",
-			rep.RPS, o.nodes, baseline, floor)
 	}
 	return nil
 }
 
-func writeClusterJSON(w io.Writer, o clusterOpts, out clusterOutcome, baseline float64) error {
+func writeClusterJSON(w io.Writer, o clusterOpts, out clusterOutcome) error {
 	doc := struct {
 		Scenario    string  `json:"scenario"`
 		Nodes       int     `json:"nodes"`
 		Concurrency int     `json:"concurrency"`
 		DurationS   float64 `json:"duration_s"`
-		BaselineRPS float64 `json:"baseline_rps,omitempty"`
 		Killed      bool    `json:"killed"`
 		Converged   *bool   `json:"converged,omitempty"`
 		Local       uint64  `json:"cluster_local"`
@@ -212,7 +190,6 @@ func writeClusterJSON(w io.Writer, o clusterOpts, out clusterOutcome, baseline f
 		Nodes:       o.nodes,
 		Concurrency: out.rep.Concurrency,
 		DurationS:   out.rep.Elapsed.Seconds(),
-		BaselineRPS: baseline,
 		Killed:      out.killed,
 		Local:       out.stats.Local,
 		Forwarded:   out.stats.Forwarded,
@@ -231,12 +208,9 @@ func writeClusterJSON(w io.Writer, o clusterOpts, out clusterOutcome, baseline f
 	return json.NewEncoder(w).Encode(doc)
 }
 
-func writeClusterText(w io.Writer, o clusterOpts, out clusterOutcome, baseline float64) {
+func writeClusterText(w io.Writer, o clusterOpts, out clusterOutcome) {
 	fmt.Fprintf(w, "scenario=cluster nodes=%d concurrency=%d duration=%s",
 		o.nodes, out.rep.Concurrency, out.rep.Elapsed.Round(time.Millisecond))
-	if baseline > 0 {
-		fmt.Fprintf(w, " baseline=%.1f req/s scale=%.2fx", baseline, out.rep.RPS/baseline)
-	}
 	if out.killed {
 		fmt.Fprintf(w, " killed=1 converged=%t", out.converged)
 	}

@@ -44,20 +44,17 @@
 //     drive heavy mc-band batch jobs end to end (submit, poll, fetch)
 //     with distinct seeds so ownership spreads across the ring. Each
 //     job is sharded across the alive peers by the distributed
-//     executor, with a synthetic per-evaluation latency floor
-//     (jobs.PaceShard) so job wall time is sleep-bound and sharding is
-//     a genuine ~P× speedup on one CPU. -kill kills one node a quarter
-//     into the run and restarts it at three quarters; shard dispatches
-//     to the dead peer hedge to the next-alive node and fall back to
-//     local compute, so no job is lost. With -check, a single-node
-//     baseline runs first and the run must lose zero jobs, complete
-//     shards remotely, reconverge after the kill, and sustain at least
-//     0.7 × nodes × baseline jobs/s.
+//     executor, and every shard runs real compute. -kill kills one
+//     node a quarter into the run and restarts it at three quarters;
+//     shard dispatches to the dead peer hedge to the next-alive node
+//     and fall back to local compute, so no job is lost. With -check,
+//     the run must lose zero jobs, complete shards remotely, and
+//     reconverge after the kill.
 //   - netsplit: the partition-tolerance harness. -nodes full server
-//     stacks (at least 3) run in-process with paused network-fault
-//     injectors armed with an asymmetric partition: every majority
-//     node's traffic to the last node blackholed, the victim's own
-//     outbound untouched. The run drives three phases — healthy (d/4),
+//     stacks (at least 3) run in-process with paused fault injectors
+//     armed with an asymmetric partition: every majority node's
+//     traffic to the last node blackholed, the victim's own outbound
+//     untouched. The run drives three phases — healthy (d/4),
 //     partitioned (d/2), healed (d/4) — flips the injectors live at the
 //     partition boundary, and submits one batch job per node while the
 //     split is open. With -check, the partition-tolerance contract must
@@ -67,19 +64,16 @@
 //     breaker opened and none still open after the heal, the ring
 //     reconverged, and partitioned-phase throughput at least half the
 //     healthy phase's.
-//   - cluster: the scaling-contract harness. -nodes full server stacks
-//     run in-process, each on a real loopback listener so peer forwards
-//     travel over actual HTTP; clients dispatch straight into the node
-//     a placement-aware balancer would pick (plus a deliberate 10%
-//     misroute share that measures the forward hop). Every request
-//     carries a distinct key and a 5ms injected compute floor, so
-//     throughput is bounded by per-node service time and scales with
-//     node count even on one CPU. -kill hard-kills one node a quarter
-//     into the run and restarts it at three quarters, exercising the
-//     suspicion → eviction → rejoin path under load. With -check, a
-//     single-node baseline runs first and the run must sustain at
-//     least 0.8 × nodes × baseline RPS with every request answered
-//     200 — the near-linear-scaling, zero-lost-requests CI gate.
+//   - cluster: the membership-contract harness. -nodes full server
+//     stacks run in-process, each on a real loopback listener so peer
+//     forwards travel over actual HTTP; clients dispatch straight into
+//     the node a placement-aware balancer would pick (plus a deliberate
+//     10% misroute share that measures the forward hop). Every request
+//     carries a distinct key. -kill hard-kills one node a quarter into
+//     the run and restarts it at three quarters, exercising the
+//     suspicion → eviction → rejoin path under load. With -check, every
+//     request must be answered 200, forwards must be exercised, and the
+//     ring must reconverge — the zero-lost-requests CI gate.
 //
 // -json emits one machine-readable JSON object on stdout, including
 // per-status-class counts (2xx/4xx/5xx), shed and stale counts, and
@@ -110,21 +104,13 @@ import (
 	"time"
 
 	"ttmcas/internal/loadtest"
-	"ttmcas/internal/resilience/faultinject"
+	"ttmcas/internal/resilience/fault"
 	"ttmcas/internal/server"
 )
 
 // defaultChaosSpec is the fault mix of the chaos scenario: occasional
 // latency spikes, a steady error rate, and exactly one panic per run.
 const defaultChaosSpec = "route=/v1/ttm latency=50ms latency-rate=0.02 error-rate=0.05 panics=1"
-
-// clusterFaultSpec pins every /v1/ttm evaluation to a 5ms floor. The
-// scaling contract must hold on a single-core CI runner, where genuine
-// N× CPU throughput is impossible; a sleep-bound service time makes
-// per-node capacity latency-limited instead, which DOES scale with node
-// count in-process — the same way real capacity scales when evaluation
-// cost dominates.
-const clusterFaultSpec = "route=/v1/ttm latency=5ms"
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -147,7 +133,7 @@ func run(args []string) error {
 	nodes := fs.Int("nodes", 4, "cluster scenario: node count")
 	kill := fs.Bool("kill", false, "cluster scenario: kill one node mid-run and restart it")
 	asJSON := fs.Bool("json", false, "emit the report as one JSON object on stdout")
-	check := fs.Bool("check", false, "exit non-zero unless requests completed with zero errors and zero 5xx (chaos: the resilience contract; cluster: the scaling contract)")
+	check := fs.Bool("check", false, "exit non-zero unless requests completed with zero errors and zero 5xx (chaos: the resilience contract; cluster, distjobs, netsplit: their fleet contracts)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -186,7 +172,7 @@ func run(args []string) error {
 		if *target != "" {
 			return fmt.Errorf("scenario chaos drives an in-process server; -target is not supported")
 		}
-		if _, err := faultinject.Parse(*faultSpec, *seed); err != nil {
+		if _, err := fault.Parse(*faultSpec, *seed); err != nil {
 			return err
 		}
 	}
@@ -305,7 +291,7 @@ func run(args []string) error {
 	// goroutine baseline we can check the drain against.
 	var baseline int
 	if chaos {
-		srv.FaultInjector().Pause()
+		srv.Faults().Pause()
 		for _, b := range chaosBodies {
 			if err := warmInProcess(srv, "/v1/ttm", b); err != nil {
 				return err
@@ -315,7 +301,7 @@ func run(args []string) error {
 			return err
 		}
 		baseline = runtime.NumGoroutine()
-		srv.FaultInjector().Resume()
+		srv.Faults().Resume()
 	}
 
 	// The timeline scenario starts with one end-to-end batch job: a tiny

@@ -76,8 +76,8 @@ func runNetsplit(o netsplitOpts) error {
 
 // netsplitSpec builds the asymmetric partition: every majority node's
 // traffic to the victim is dropped, the victim's outbound untouched.
-// All nodes share the spec — each injector is bound to its own self
-// URL, so only the majority sides match the directional rules.
+// All nodes share the spec — each node binds its injector to its own
+// self URL, so only the majority sides match the directional rules.
 func netsplitSpec(urls []string, victim int) string {
 	var rules []string
 	for k, u := range urls {
@@ -95,13 +95,9 @@ func netsplitRun(ctx context.Context, o netsplitOpts) (netsplitOutcome, error) {
 	victim := o.nodes - 1
 	tc, err := loadtest.StartCluster(o.nodes, loadtest.ClusterConfig{
 		Configure: func(i int, cfg *server.Config) {
-			// Same shaping as the cluster scenario: generous admission,
-			// 5ms injected compute floor so throughput is latency-bound
-			// and phase RPS comparisons are meaningful on one CPU.
+			// Same shaping as the cluster scenario: generous admission.
 			cfg.CheapConcurrent = 256
 			cfg.MaxConcurrent = 64
-			cfg.FaultSpec = clusterFaultSpec
-			cfg.FaultSeed = o.seed
 			// Reconstruct the node-ordered URL list (peers is urls minus
 			// self, order preserved) and arm the injector paused; the
 			// scenario flips it live at the partition boundary.
@@ -109,9 +105,9 @@ func netsplitRun(ctx context.Context, o netsplitOpts) (netsplitOutcome, error) {
 			urls = append(urls, cfg.ClusterPeers[:i]...)
 			urls = append(urls, cfg.ClusterSelfURL)
 			urls = append(urls, cfg.ClusterPeers[i:]...)
-			cfg.NetFaultSpec = netsplitSpec(urls, victim)
-			cfg.NetFaultSeed = o.seed
-			cfg.NetFaultPaused = true
+			cfg.FaultSpec = netsplitSpec(urls, victim)
+			cfg.FaultSeed = o.seed
+			cfg.FaultPaused = true
 		},
 	})
 	if err != nil {
@@ -168,9 +164,7 @@ func netsplitRun(ctx context.Context, o netsplitOpts) (netsplitOutcome, error) {
 
 	// Partition: every majority node loses its path to the victim.
 	for _, cn := range tc.Nodes {
-		if nf := cn.Srv.NetFault(); nf != nil {
-			nf.Resume()
-		}
+		cn.Srv.Faults().Resume()
 	}
 	// One small batch job per node while the split is live: submits
 	// landing anywhere must survive — forwarded when the owner is
@@ -193,9 +187,7 @@ func netsplitRun(ctx context.Context, o netsplitOpts) (netsplitOutcome, error) {
 	// breakers probe half-open and close, the victim rejoins.
 	healedAt := time.Now()
 	for _, cn := range tc.Nodes {
-		if nf := cn.Srv.NetFault(); nf != nil {
-			nf.Pause()
-		}
+		cn.Srv.Faults().Pause()
 	}
 	out.converged = tc.WaitConverged(10 * time.Second)
 	out.recovery = time.Since(healedAt)

@@ -15,7 +15,6 @@
 //	             [-fault-spec ""] [-fault-seed 1] [-pprof-addr localhost:6060]
 //	             [-peers URL,URL] [-cluster-addr http://host:port] [-node-id ID]
 //	             [-vnodes 64] [-forward] [-probe-interval 1s] [-probe-timeout 0]
-//	             [-net-fault-spec ""] [-net-fault-seed 1]
 //
 // Endpoints:
 //
@@ -64,14 +63,17 @@
 // is served with X-Cache: STALE and a background refresh is kicked
 // off. Both TTLs default to zero, which disables aging entirely.
 //
-// -fault-spec enables the fault-injection middleware (off by
-// default) for chaos testing, e.g.:
+// -fault-spec enables fault injection (off by default; seeded by
+// -fault-seed) for chaos testing. Route rules degrade this node's
+// handlers, e.g.:
 //
 //	-fault-spec "route=/v1/ttm latency=50ms latency-rate=0.02 error-rate=0.05 panics=1"
 //
-// Injected faults surface as 503s (or one-shot contained panics) and
-// are counted in ttmcas_faults_injected_total{kind}. See
-// ttmcas-loadgen -scenario chaos for the matching availability check.
+// Injected route faults surface as 503s with Retry-After (or one-shot
+// contained panics). All injected faults are counted in
+// ttmcas_faults_injected_total{kind}. See ttmcas-loadgen -scenario
+// chaos for the matching availability check, and "Failure model"
+// below for link rules.
 //
 // # Cluster mode
 //
@@ -121,13 +123,13 @@
 //     connections, never answering) is suspected on schedule instead of
 //     wedging the prober.
 //
-// -net-fault-spec injects deterministic network faults into this exact
-// machinery for drills (empty disables; seeded by -net-fault-seed).
-// Rules are ';'-separated, fields space-separated:
+// Link rules in the same -fault-spec inject deterministic network
+// faults into this exact machinery for drills. Rules are
+// ';'-separated, fields space-separated:
 //
-//	-net-fault-spec "partition=a:8080,b:8080"          # symmetric split
-//	-net-fault-spec "partition=a:8080->b:8080"         # one direction only
-//	-net-fault-spec "to=b:8080 drop-rate=0.3 delay=50ms"
+//	-fault-spec "partition=a:8080,b:8080"             # symmetric split
+//	-fault-spec "partition=a:8080->b:8080"            # one direction only
+//	-fault-spec "to=b:8080 error-rate=0.3 latency=50ms"
 //
 // See ttmcas-loadgen -scenario netsplit for the matching
 // partition-tolerance check, and README.md "Failure model" for the
@@ -147,8 +149,7 @@ import (
 	"syscall"
 	"time"
 
-	"ttmcas/internal/resilience/faultinject"
-	"ttmcas/internal/resilience/netfault"
+	"ttmcas/internal/resilience/fault"
 	"ttmcas/internal/server"
 )
 
@@ -181,7 +182,7 @@ func run(args []string) error {
 	maxSamples := fs.Int("max-samples", 8192, "largest accepted sample count (sensitivity N, Monte-Carlo samples)")
 	maxCurvePoints := fs.Int("max-curve-points", 64, "largest accepted curve/grid point list")
 	maxTimelineSteps := fs.Int("max-timeline-steps", 256, "largest timeline evaluated inline by /v1/scenarios (bigger ones go through /v1/jobs)")
-	faultSpec := fs.String("fault-spec", "", "fault-injection spec for chaos testing (empty disables), e.g. \"route=/v1/ttm error-rate=0.05\"")
+	faultSpec := fs.String("fault-spec", "", "fault-injection spec for routes and cluster links (empty disables), e.g. \"route=/v1/ttm error-rate=0.05; partition=a:8080,b:8080\"")
 	faultSeed := fs.Int64("fault-seed", 1, "deterministic seed for the fault-injection draw stream")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060; empty disables)")
 	peers := fs.String("peers", "", "comma-separated base URLs of the other cluster members (empty disables clustering)")
@@ -191,16 +192,11 @@ func run(args []string) error {
 	forward := fs.Bool("forward", true, "forward mis-owned requests to the owner (false answers 307 redirects instead)")
 	probeInterval := fs.Duration("probe-interval", time.Second, "peer health-probe period")
 	probeTimeout := fs.Duration("probe-timeout", 0, "per-probe deadline, decoupled from -probe-interval (0 = the interval, capped at 2s)")
-	netFaultSpec := fs.String("net-fault-spec", "", "network-fault spec on the cluster transport (empty disables), e.g. \"partition=a:8080,b:8080;drop-rate=0.1\"")
-	netFaultSeed := fs.Int64("net-fault-seed", 1, "deterministic seed for the network-fault draw stream")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if _, err := faultinject.Parse(*faultSpec, *faultSeed); err != nil {
+	if _, err := fault.Parse(*faultSpec, *faultSeed); err != nil {
 		return fmt.Errorf("-fault-spec: %w", err)
-	}
-	if _, err := netfault.Parse(*netFaultSpec, *netFaultSeed); err != nil {
-		return fmt.Errorf("-net-fault-spec: %w", err)
 	}
 	var peerList []string
 	if *peers != "" {
@@ -270,8 +266,6 @@ func run(args []string) error {
 		ClusterRedirect:      !*forward,
 		ClusterProbeInterval: *probeInterval,
 		ClusterProbeTimeout:  *probeTimeout,
-		NetFaultSpec:         *netFaultSpec,
-		NetFaultSeed:         *netFaultSeed,
 	})
 	return srv.ListenAndServe(ctx)
 }

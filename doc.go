@@ -62,10 +62,10 @@
 // have gone stale are recomputed on access, but a shed or failed
 // recompute falls back to the retained body, marked X-Cache: STALE,
 // while a bounded background refresh repopulates the entry; client
-// errors are never stale-masked. An off-by-default fault-injection
-// middleware (-fault-spec; internal/resilience/faultinject) drives
-// chaos tests: cmd/ttmcas-loadgen's chaos scenario runs fault-injected
-// load and asserts availability — every 5xx a deliberate shed, goodput
+// errors are never stale-masked. An off-by-default fault injector
+// (-fault-spec; internal/resilience/fault) degrades routes and cluster
+// links for drills: cmd/ttmcas-loadgen's chaos scenario runs
+// fault-injected load and asserts availability — every 5xx a deliberate shed, goodput
 // at least 90% of admitted requests, no goroutine leaks after drain.
 //
 // # Running a cluster

@@ -307,7 +307,7 @@ type ForwardResult struct {
 // ForwardOptions select the retry behavior of one forwarded request.
 type ForwardOptions struct {
 	// Retry opts the request into the retry budget. Only set it for
-	// idempotent requests: a netfault-style connection reset delivers
+	// idempotent requests: a connection reset (fault's reset-rate) delivers
 	// the request and destroys the response, so a retried
 	// non-idempotent request (a job submit) could execute twice.
 	Retry bool

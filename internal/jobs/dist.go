@@ -69,38 +69,6 @@ func planShards(s Spec, job string, targets, minEvals int) []ShardRequest {
 	return reqs
 }
 
-// PaceShard blocks for req's share of a synthetic per-unit latency
-// floor — shardUnits(Lo, Hi) × perUnit — honoring ctx cancellation.
-// It exists for benchmark harnesses: on a single-core runner genuine
-// N-node CPU scaling is impossible, so the loadtest cluster gives job
-// compute a sleep-bound cost (the same way the cluster scenario pins
-// /v1/ttm to a 5ms injected floor). A paced shard's wall time then
-// tracks its unit count on whichever node executes it, and splitting a
-// job into P shards is a genuine ~P× speedup. Production configs leave
-// the delay zero, which makes this a no-op.
-func PaceShard(ctx context.Context, req ShardRequest, perUnit time.Duration) {
-	if perUnit <= 0 || req.Hi <= req.Lo {
-		return
-	}
-	d := time.Duration(req.Spec.normalized().shardUnits(req.Lo, req.Hi)) * perUnit
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
-}
-
-// pace applies the manager's configured latency floor after a local
-// compute has succeeded (post-compute keeps invalid requests from
-// sleeping and costs the same wall time as pacing the work itself).
-func (m *Manager) pace(ctx context.Context, req ShardRequest) {
-	PaceShard(ctx, req, m.cfg.EvalDelay)
-}
-
 // runSpec executes a job's spec, distributed across the ring when a
 // Distributor is wired, peers are alive, and the spec is heavy enough
 // to shard; otherwise it is the plain single-node run. The runHook
@@ -124,13 +92,7 @@ func (m *Manager) runSpec(ctx context.Context, j *Job) (any, error) {
 			return m.runDistributed(ctx, j, d, targets, reqs)
 		}
 	}
-	out, err := j.spec.run(ctx, Tracker{j})
-	if err == nil && m.cfg.EvalDelay > 0 {
-		if space := j.spec.shardSpace(); space > 0 {
-			m.pace(ctx, ShardRequest{Hi: space, Spec: j.spec})
-		}
-	}
-	return out, err
+	return j.spec.run(ctx, Tracker{j})
 }
 
 // runDistributed scatters the planned shards and gathers their partial
@@ -179,12 +141,9 @@ func (m *Manager) runDistributed(ctx context.Context, j *Job, d Distributor, tar
 		Tracker{j}.Add(res.Evals)
 	} else {
 		results[0], errs[0] = RunShard(ctx, m.cfg.Limits, reqs[0], Tracker{j}.Add)
-		if errs[0] == nil {
-			m.pace(ctx, reqs[0])
-			if results[0].Err == "" {
-				j.noteShard(results[0])
-				m.persist(j)
-			}
+		if errs[0] == nil && results[0].Err == "" {
+			j.noteShard(results[0])
+			m.persist(j)
 		}
 	}
 	wg.Wait()
@@ -252,11 +211,7 @@ func (m *Manager) dispatchShard(ctx context.Context, j *Job, d Distributor, targ
 	if obs != nil {
 		obs.ShardFallback(kind)
 	}
-	res, err := RunShard(ctx, m.cfg.Limits, req, Tracker{j}.Add)
-	if err == nil {
-		m.pace(ctx, req)
-	}
-	return res, err
+	return RunShard(ctx, m.cfg.Limits, req, Tracker{j}.Add)
 }
 
 // mergeShards gathers ordered, error-free partials into the kind's

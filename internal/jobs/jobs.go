@@ -126,11 +126,6 @@ type Config struct {
 	// a job to be worth distributing (default 4096); smaller jobs run
 	// locally regardless of ring size.
 	DistMinEvaluations int
-	// EvalDelay, when positive, stretches every shardable compute by
-	// shardUnits × EvalDelay of sleep — the benchmark harness's
-	// latency-bound compute floor (see PaceShard). Zero (the default)
-	// disables pacing; production configs never set it.
-	EvalDelay time.Duration
 
 	// now is the test seam for time.
 	now func() time.Time

@@ -2,9 +2,9 @@
 // overload and misbehaving dependencies: an adaptive admission-control
 // limiter that sheds excess load before queueing delay collapses
 // latency, a per-peer circuit breaker and a budgeted retry policy for
-// the cluster transport, and (in the faultinject and netfault
-// subpackages) configurable fault injectors that make the failure
-// paths testable.
+// the cluster transport, and (in the fault subpackage) a configurable
+// fault injector for routes and links that makes the failure paths
+// testable.
 //
 // The breaker (Breaker) is the fast-fail half of the failure model: a
 // peer that keeps failing transport-level is declared open and calls

@@ -11,7 +11,7 @@ import (
 	"ttmcas/internal/cluster"
 	"ttmcas/internal/jobs"
 	"ttmcas/internal/resilience"
-	"ttmcas/internal/resilience/faultinject"
+	"ttmcas/internal/resilience/fault"
 )
 
 // Metrics aggregates the server's operational counters and renders
@@ -58,7 +58,7 @@ type Metrics struct {
 	cacheStats   func() cacheStats
 	evalStats    func() evalStats
 	limiterStats func() []resilience.LimiterStats
-	faultStats   func() faultinject.Stats
+	faultStats   func() fault.Stats
 	clusterStats func() cluster.Stats
 }
 
@@ -570,7 +570,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		for _, kv := range []struct {
 			kind  string
 			value uint64
-		}{{"error", fs.Errors}, {"latency", fs.Latencies}, {"panic", fs.Panics}} {
+		}{{"error", fs.Errors}, {"latency", fs.Latencies}, {"panic", fs.Panics}, {"reset", fs.Resets}, {"partition", fs.Partitioned}} {
 			if err := emit("ttmcas_faults_injected_total{kind=%q} %d\n", kv.kind, kv.value); err != nil {
 				return total, err
 			}

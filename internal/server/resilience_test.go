@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -38,7 +39,7 @@ func TestStaleServedOnComputeFailure(t *testing.T) {
 		StaleTTL:  time.Hour,
 		FaultSpec: "route=/v1/ttm error-rate=1",
 	})
-	s.FaultInjector().Pause() // warm the cache faultlessly
+	s.Faults().Pause() // warm the cache faultlessly
 
 	body := `{"design":"a11","node":"28nm","n":1e6}`
 	w := doRec(t, s, "POST", "/v1/ttm", body)
@@ -48,7 +49,7 @@ func TestStaleServedOnComputeFailure(t *testing.T) {
 	fresh := w.Body.String()
 
 	ageCache(s, 10*time.Minute) // past fresh, well within stale
-	s.FaultInjector().Resume()
+	s.Faults().Resume()
 
 	w = doRec(t, s, "POST", "/v1/ttm", body)
 	if w.Code != http.StatusOK {
@@ -76,6 +77,32 @@ func TestInjectedErrorWithoutStaleIs503(t *testing.T) {
 	}
 	if w.Header().Get("Retry-After") == "" {
 		t.Error("503 without Retry-After")
+	}
+}
+
+// TestInjectedRouteErrors: an injected error on a job or listing route
+// answers exactly like one on the compute path — 503, Retry-After: 1
+// and a valid JSON body, even when the path is not valid UTF-8 — while
+// uninjected routes and a fault-free server pass untouched.
+func TestInjectedRouteErrors(t *testing.T) {
+	s := testServer(t, Config{FaultSpec: "error-rate=1"})
+	for _, path := range []string{"/v1/jobs/%FF", "/v1/jobs/%7F", "/v1/nodes"} {
+		w := doRec(t, s, "GET", path, "")
+		if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") != "1" || !json.Valid(w.Body.Bytes()) {
+			t.Errorf("GET %s: %d Retry-After=%q body %q; want 503, 1, valid JSON",
+				path, w.Code, w.Header().Get("Retry-After"), w.Body.String())
+		}
+	}
+	if w := doRec(t, s, "GET", "/healthz", ""); w.Code != http.StatusOK {
+		t.Errorf("/healthz was injected: %d", w.Code)
+	}
+
+	clean := testServer(t, Config{})
+	if clean.Faults() != nil {
+		t.Fatal("empty FaultSpec built an injector")
+	}
+	if w := doRec(t, clean, "GET", "/v1/nodes", ""); w.Code != http.StatusOK {
+		t.Errorf("fault-free /v1/nodes: %d", w.Code)
 	}
 }
 

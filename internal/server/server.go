@@ -19,8 +19,7 @@ import (
 	"ttmcas/internal/cluster"
 	"ttmcas/internal/jobs"
 	"ttmcas/internal/resilience"
-	"ttmcas/internal/resilience/faultinject"
-	"ttmcas/internal/resilience/netfault"
+	"ttmcas/internal/resilience/fault"
 )
 
 // Config parameterizes a Server. The zero value of every field selects
@@ -61,26 +60,20 @@ type Config struct {
 	// stale body is served with X-Cache: STALE instead of an error
 	// (default 0: no stale serving). Meaningful only with FreshTTL set.
 	StaleTTL time.Duration
-	// FaultSpec enables the fault-injection layer (see the
-	// resilience/faultinject package for the grammar); empty disables
-	// it. Injection applies to the evaluation routes' compute path —
-	// downstream of the cache, upstream of the degradation machinery —
-	// and wraps every other route as middleware.
+	// FaultSpec enables fault injection (see internal/resilience/fault
+	// for the grammar); empty disables it. Route rules apply to the
+	// evaluation routes' compute path — downstream of the cache,
+	// upstream of the degradation machinery — and ahead of the job and
+	// listing handlers. Link rules shape this node's outbound cluster
+	// traffic (forwards, shard dispatches and gossip probes), e.g.
+	// "partition=10.0.0.1:8080,10.0.0.3:8080; to=* error-rate=0.3";
+	// client requests to this node are not touched by them.
 	FaultSpec string
 	// FaultSeed fixes the fault injector's decision stream (default 1).
 	FaultSeed int64
-	// NetFaultSpec enables the network-level fault injector on the
-	// cluster transport (see internal/resilience/netfault): drop,
-	// delay, reset, or fully partition traffic between named peers,
-	// e.g. "partition=10.0.0.1:8080,10.0.0.3:8080; drop-rate=0.3".
-	// It shapes peer-to-peer traffic only — client requests to this
-	// node are not touched.
-	NetFaultSpec string
-	// NetFaultSeed fixes the net-fault decision stream (default 1).
-	NetFaultSeed int64
-	// NetFaultPaused starts the net-fault injector paused; the
-	// netsplit harness resumes it mid-run to induce the partition.
-	NetFaultPaused bool
+	// FaultPaused starts the fault injector paused; harnesses resume it
+	// mid-run (the netsplit scenario opens its partition this way).
+	FaultPaused bool
 	// RequestTimeout is the per-request deadline (default 30s); work
 	// queued behind a full worker pool gives up when it expires.
 	RequestTimeout time.Duration
@@ -127,12 +120,6 @@ type Config struct {
 	// MaxJobEvaluations caps the estimated evaluation units of one job
 	// (default 2,000,000).
 	MaxJobEvaluations int
-	// JobEvalDelay, when positive, stretches every shardable job
-	// compute — serial runs, local shards, and shards executed here on
-	// behalf of peers — by shardUnits × JobEvalDelay of sleep. It is
-	// the loadtest harness's latency-bound compute floor (see
-	// jobs.PaceShard); production deployments leave it zero.
-	JobEvalDelay time.Duration
 
 	// NodeID identifies this process in /healthz and cluster state
 	// (default: ClusterSelfURL without its scheme, or "single").
@@ -192,9 +179,6 @@ func (c Config) withDefaults() Config {
 	if c.FaultSeed == 0 {
 		c.FaultSeed = 1
 	}
-	if c.NetFaultSeed == 0 {
-		c.NetFaultSeed = 1
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
@@ -245,12 +229,11 @@ type Server struct {
 	// inexpensive evaluations behind response-cache misses, heavy gates
 	// sensitivity analysis and planning. Both shed with 503 +
 	// Retry-After once their queue delay stands above ShedTarget.
-	cheap  *resilience.Limiter
-	heavy  *resilience.Limiter
-	faults *faultinject.Injector
-	// netFaults shapes the cluster transport (forwards and gossip
-	// probes) for partition testing; nil when disabled.
-	netFaults *netfault.Injector
+	cheap *resilience.Limiter
+	heavy *resilience.Limiter
+	// faults injects deliberate failures into routes and the cluster
+	// transport; nil when disabled.
+	faults *fault.Injector
 	// refreshSem bounds concurrent background stale refreshes so a
 	// burst of stale serves cannot spawn unbounded goroutines.
 	refreshSem chan struct{}
@@ -288,14 +271,14 @@ func New(cfg Config) *Server {
 		refreshSem: make(chan struct{}, 2),
 		started:    time.Now(),
 	}
-	if inj, err := netfault.Parse(cfg.NetFaultSpec, cfg.NetFaultSeed); err != nil {
-		// Same contract as FaultSpec below: the CLI pre-validates, so
-		// this path only logs and disables.
-		cfg.Logger.Printf("ignoring invalid net-fault spec: %v", err)
+	if inj, err := fault.Parse(cfg.FaultSpec, cfg.FaultSeed); err != nil {
+		// Config errors here cannot fail New's signature; the CLI
+		// pre-validates the spec, so this path only logs and disables.
+		cfg.Logger.Printf("ignoring invalid fault spec: %v", err)
 	} else if inj != nil {
-		s.netFaults = inj.Bind(cfg.ClusterSelfURL)
-		if cfg.NetFaultPaused {
-			s.netFaults.Pause()
+		s.faults = inj
+		if cfg.FaultPaused {
+			inj.Pause()
 		}
 	}
 	if cfg.ClusterSelfURL != "" && len(cfg.ClusterPeers) > 0 {
@@ -313,13 +296,13 @@ func New(cfg Config) *Server {
 			Retry:         cfg.ClusterRetry,
 			Logger:        cfg.Logger,
 		}
-		if s.netFaults != nil {
+		if s.faults != nil {
 			// Wrap the whole cluster transport — forwards AND gossip
 			// probes — so a partition is symmetric with production: a
 			// peer this node cannot reach is also a peer it cannot
 			// probe, and suspicion machinery reacts accordingly.
 			copts.Client = &http.Client{
-				Transport: s.netFaults.Transport(&http.Transport{
+				Transport: s.faults.Bind(cfg.ClusterSelfURL).Transport(&http.Transport{
 					MaxIdleConns:        64,
 					MaxIdleConnsPerHost: 64,
 					IdleConnTimeout:     90 * time.Second,
@@ -328,13 +311,6 @@ func New(cfg Config) *Server {
 		}
 		s.cluster = cluster.New(copts)
 		s.metrics.clusterStats = s.cluster.Stats
-	}
-	if inj, err := faultinject.Parse(cfg.FaultSpec, cfg.FaultSeed); err != nil {
-		// Config errors here cannot fail New's signature; the CLI
-		// pre-validates the spec, so this path only logs and disables.
-		cfg.Logger.Printf("ignoring invalid fault spec: %v", err)
-	} else {
-		s.faults = inj
 	}
 	s.metrics.cacheStats = s.cache.Stats
 	s.metrics.evalStats = s.evals.Stats
@@ -353,9 +329,8 @@ func New(cfg Config) *Server {
 			MaxPoints:      cfg.MaxCurvePoints,
 			MaxEvaluations: cfg.MaxJobEvaluations,
 		},
-		Logger:    cfg.Logger,
-		Observer:  s.metrics,
-		EvalDelay: cfg.JobEvalDelay,
+		Logger:   cfg.Logger,
+		Observer: s.metrics,
 	}
 	if s.cluster != nil {
 		// Heavy jobs shard across alive peers; a lone node (or an
@@ -377,15 +352,10 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // Jobs returns the batch-job manager, for the CLI and tests.
 func (s *Server) Jobs() *jobs.Manager { return s.jobs }
 
-// FaultInjector returns the configured fault injector (nil when
-// disabled). The chaos harness uses it to pause injection while
-// warming caches and to read injected-fault counts.
-func (s *Server) FaultInjector() *faultinject.Injector { return s.faults }
-
-// NetFault returns the network-fault injector on the cluster
-// transport (nil when disabled). The netsplit harness uses it to
-// start and heal partitions mid-run.
-func (s *Server) NetFault() *netfault.Injector { return s.netFaults }
+// Faults returns the fault injector (nil when disabled). Harnesses
+// pause it while warming caches, resume it to open a partition, and
+// read its injected-fault counts.
+func (s *Server) Faults() *fault.Injector { return s.faults }
 
 // Cluster returns the consistent-hash peer layer, or nil when the node
 // runs alone. The cluster harness reads its stats and status.
@@ -410,7 +380,7 @@ func (s *Server) Close() {
 // middleware stack under its own metrics label. The evaluation routes
 // inject faults inside respondCached's compute path (so the cache and
 // degradation machinery are exercised, not bypassed); the job and
-// listing routes take the injector as plain middleware. /healthz and
+// listing routes inject them before their handlers run. /healthz and
 // /metrics are never injected — operators must be able to observe a
 // chaos run.
 func (s *Server) routes() http.Handler {
@@ -419,7 +389,17 @@ func (s *Server) routes() http.Handler {
 		mux.Handle(pattern, s.wrap(pattern, h))
 	}
 	injected := func(pattern string, h http.HandlerFunc) {
-		mux.Handle(pattern, s.wrap(pattern, s.faults.Middleware(h).ServeHTTP))
+		if s.faults == nil {
+			handle(pattern, h)
+			return
+		}
+		handle(pattern, func(w http.ResponseWriter, r *http.Request) {
+			if err := s.inject(r.URL.Path); err != nil {
+				s.fail(w, err)
+				return
+			}
+			h(w, r)
+		})
 	}
 	handle("POST /v1/ttm", s.handleTTM)
 	handle("POST /v1/cas", s.handleCAS)
@@ -641,7 +621,7 @@ func (s *Server) computeBody(ctx context.Context, key, path string, compute func
 	if s.slowEval != nil {
 		s.slowEval()
 	}
-	if err := s.faults.Inject(path); err != nil {
+	if err := s.inject(path); err != nil {
 		return nil, err
 	}
 	s.metrics.Evaluation()
@@ -662,6 +642,16 @@ func (s *Server) computeBody(ctx context.Context, key, path string, compute func
 	release()
 	s.cache.Put(key, b)
 	return b, nil
+}
+
+// inject applies the route fault rules to one request. An injected
+// error answers like a shed — 503 with Retry-After — so clients back
+// off and retry.
+func (s *Server) inject(path string) error {
+	if err := s.faults.Inject(path); err != nil {
+		return &apiError{status: http.StatusServiceUnavailable, msg: err.Error(), retryAfter: 1}
+	}
+	return nil
 }
 
 // staleEligible reports whether a compute failure may be papered over
@@ -810,15 +800,12 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route str
 				return
 			}
 		}
-		switch {
-		case errors.Is(err, resilience.ErrShed):
+		if errors.Is(err, resilience.ErrShed) {
 			err = &apiError{
 				status:     http.StatusServiceUnavailable,
 				msg:        fmt.Sprintf("overloaded: %s admission shed request", lim.Stats().Name),
 				retryAfter: int(lim.RetryAfter() / time.Second),
 			}
-		case errors.Is(err, faultinject.ErrInjected):
-			err = &apiError{status: http.StatusServiceUnavailable, msg: err.Error(), retryAfter: 1}
 		}
 		s.fail(w, err)
 		return

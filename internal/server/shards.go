@@ -66,10 +66,6 @@ func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, jobError(err))
 		return
 	}
-	// The benchmark latency floor: remote shards pay their unit share
-	// of the synthetic compute cost just like local ones (no-op when
-	// the delay is unconfigured).
-	jobs.PaceShard(r.Context(), req, s.cfg.JobEvalDelay)
 	// Shard responses are large (a sensitivity shard is 8 bytes per
 	// output before base64), so they carry Content-Length: the
 	// coordinator's forward reads into one buffer of exactly that size.

@@ -9,25 +9,23 @@
 # It then load-tests the serving layer with ttmcas-loadgen (cached-hit,
 # uncached and mixed /v1/ttm scenarios against an in-process server)
 # and records RPS and p50/p95/p99/max latency as BENCH_serve.json,
-# followed by the cluster scaling sweep (N in 1, 2, 4 in-process nodes
-# under the latency-bound cluster scenario) recorded as
-# BENCH_cluster.json with per-N RPS and the forward-hop p99, the
-# timeline step-sweep (per-step evaluation at 64 and 512 steps)
-# recorded as BENCH_timeline.json in steps/s, and the
-# distributed-job sweep (heavy mc-band batch jobs sharded across a
-# 4-node in-process ring with a mid-run node kill, vs the same workload
-# single-node) recorded as BENCH_distjobs.json in jobs/s, and the
-# netsplit partition sweep (a 4-node ring crossing a mid-run asymmetric
-# partition and heal) recorded as BENCH_netsplit.json with per-phase
-# RPS and the heal-to-reconvergence time.
+# followed by the timeline step-sweep (per-step evaluation at 64 and
+# 512 steps) recorded as BENCH_timeline.json in steps/s, the
+# distributed-job run (heavy mc-band batch jobs sharded across a 4-node
+# in-process ring with a mid-run node kill, every shard real compute)
+# recorded as BENCH_distjobs.json in jobs/s, and the netsplit partition
+# run (a 4-node ring crossing a mid-run asymmetric partition and heal)
+# recorded as BENCH_netsplit.json with per-phase RPS and the
+# heal-to-reconvergence time. The cost of distribution itself — the
+# forward hop and scatter/gather — is measured by bench/run.sh's
+# cluster-fwd and cluster-dist workloads.
 #
 # After the measurement runs, a delta table against the committed
 # BENCH_*.json baselines is printed (% change per benchmark/scenario)
 # so perf movement is visible in PR logs even when every guard passes.
 #
-#   scripts/bench.sh [out.json] [serve_out.json] [cluster_out.json] [timeline_out.json] [distjobs_out.json] [netsplit_out.json]
-#                # defaults: BENCH_jobs.json BENCH_serve.json
-#                #           BENCH_cluster.json BENCH_timeline.json
+#   scripts/bench.sh [out.json] [serve_out.json] [timeline_out.json] [distjobs_out.json] [netsplit_out.json]
+#                # defaults: BENCH_jobs.json BENCH_serve.json BENCH_timeline.json
 #                #           BENCH_distjobs.json BENCH_netsplit.json
 #   BENCHTIME=5s scripts/bench.sh     # longer kernel runs for stabler numbers
 #   BENCHCOUNT=5 scripts/bench.sh     # more repetitions per benchmark
@@ -52,21 +50,18 @@
 #     (3.68M evals/s) or allocating on its steady-state path
 #   - cached-hit p99 latency not below uncached p99
 #   - cached-hit RPS below 3x uncached RPS
-#   - 4-node cluster RPS below 0.8 x 4 x single-node RPS
-#   - 4-node distributed jobs/s below 0.7 x 4 x single-node jobs/s
-#   - distjobs sweep losing jobs, completing no remote shards at N=4,
-#     or failing to reconverge the ring after the mid-run kill
-#   - netsplit sweep losing requests or jobs, breakers never opening
+#   - distjobs run losing jobs, completing no remote shards, or
+#     failing to reconverge the ring after the mid-run kill
+#   - netsplit run losing requests or jobs, breakers never opening
 #     (or still open after the heal), the ring not reconverging, or
 #     partitioned-phase RPS below half the healthy phase's
 set -eu
 
 out="${1:-BENCH_jobs.json}"
 serveout="${2:-BENCH_serve.json}"
-clusterout="${3:-BENCH_cluster.json}"
-timelineout="${4:-BENCH_timeline.json}"
-distjobsout="${5:-BENCH_distjobs.json}"
-netsplitout="${6:-BENCH_netsplit.json}"
+timelineout="${3:-BENCH_timeline.json}"
+distjobsout="${4:-BENCH_distjobs.json}"
+netsplitout="${5:-BENCH_netsplit.json}"
 tmp="$(mktemp)"
 tmpbest="$(mktemp)"
 tmptl="$(mktemp)"
@@ -225,37 +220,6 @@ else
     echo "ok: cached-hit RPS ${cached_rps} >= 3x uncached RPS ${uncached_rps}"
 fi
 
-# ---- cluster scaling sweep -----------------------------------------
-# The latency-bound cluster scenario at N in {1, 2, 4} in-process
-# nodes. RPS should grow near-linearly with N (the per-request 5ms
-# floor is sleep, not CPU); the ttm-forward target's p99 is the cost of
-# one peer hop.
-cluster_rps_1=""
-cluster_rps_4=""
-{
-    printf '{\n'
-    printf '  "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-    printf '  "go": "%s",\n' "$(go env GOVERSION)"
-    printf '  "scaling": [\n'
-    first=1
-    for n in 1 2 4; do
-        run_json="$("$tmpbin/ttmcas-loadgen" -scenario cluster -nodes "$n" -d "$servedur" -c 4 -json)"
-        # "baseline_rps" never matches: the grep needs the quote right
-        # before "rps". The aggregate precedes the per-target stats.
-        rps="$(printf '%s' "$run_json" | grep -o '"rps":[0-9.eE+-]*' | head -n 1 | cut -d: -f2)"
-        fwd_p99="$(printf '%s' "$run_json" | sed -n 's/.*"name":"ttm-forward"[^}]*"p99_us":\([0-9.eE+-]*\).*/\1/p')"
-        [ "$n" = 1 ] && cluster_rps_1="$rps"
-        [ "$n" = 4 ] && cluster_rps_4="$rps"
-        [ "$first" = 1 ] || printf ',\n'
-        first=0
-        printf '    {"nodes": %s, "rps": %s, "forward_p99_us": %s}' \
-            "$n" "${rps:-null}" "${fwd_p99:-null}"
-    done
-    printf '\n  ]\n'
-    printf '}\n'
-} > "$clusterout"
-echo "wrote $clusterout"
-
 # ---- timeline step sweep -------------------------------------------
 # Per-step timeline evaluation of a 3-segment disruption spec at 64 and
 # 512 steps, recorded in steps/s.
@@ -271,22 +235,17 @@ best_of "steps/s" < "$tmptl" > "$tmptlbest"
 emit_json "$tmptlbest" steps_per_s > "$timelineout"
 echo "wrote $timelineout"
 
-# ---- distributed-job sweep -----------------------------------------
-# Heavy mc-band batch jobs (paced so each job is latency-bound, like
-# the cluster scenario's per-request 5ms floor) run single-node, then
-# sharded across a 4-node in-process ring with a mid-run node kill and
-# rejoin. Distribution must deliver >= 0.7 x 4 x the single-node
-# jobs/s with zero lost jobs, remotely completed shards, and a
-# reconverged ring.
-distjobs_1="$("$tmpbin/ttmcas-loadgen" -scenario distjobs -nodes 1 -d "$servedur" -c 3 -json)"
-distjobs_4="$("$tmpbin/ttmcas-loadgen" -scenario distjobs -nodes 4 -kill -d "$servedur" -c 3 -json)"
+# ---- distributed-job run -------------------------------------------
+# Heavy mc-band batch jobs sharded across a 4-node in-process ring with
+# a mid-run node kill and rejoin, every shard real compute: zero lost
+# jobs, remotely completed shards, and a reconverged ring.
+distjobs_json="$("$tmpbin/ttmcas-loadgen" -scenario distjobs -nodes 4 -kill -d "$servedur" -c 3 -json)"
 {
     printf '{\n'
     printf '  "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
     printf '  "go": "%s",\n' "$(go env GOVERSION)"
     printf '  "runs": [\n'
-    printf '    %s,\n' "$distjobs_1"
-    printf '    %s\n' "$distjobs_4"
+    printf '    %s\n' "$distjobs_json"
     printf '  ]\n'
     printf '}\n'
 } > "$distjobsout"
@@ -295,42 +254,30 @@ echo "wrote $distjobsout"
 # The distjobs JSON is one compact line per run, so take the first
 # occurrence of each key (keys are unambiguous prefixes when quoted).
 djfield() { printf '%s' "$1" | grep -o "\"$2\":[0-9.eE+-]*" | head -n 1 | cut -d: -f2; }
-djps1="$(djfield "$distjobs_1" jobs_per_sec)"
-djps4="$(djfield "$distjobs_4" jobs_per_sec)"
-dfail1="$(djfield "$distjobs_1" jobs_failed)"
-dfail4="$(djfield "$distjobs_4" jobs_failed)"
-dshards4="$(djfield "$distjobs_4" shards_completed)"
-dconv4="$(printf '%s' "$distjobs_4" | grep -o '"converged":[a-z]*' | cut -d: -f2)"
+dfail="$(djfield "$distjobs_json" jobs_failed)"
+dshards="$(djfield "$distjobs_json" shards_completed)"
+dconv="$(printf '%s' "$distjobs_json" | grep -o '"converged":[a-z]*' | cut -d: -f2)"
 
-if [ -z "$djps1" ] || [ -z "$djps4" ]; then
-    echo "WARNING: distjobs sweep produced no jobs/s figures" >&2
-    guard_status=1
-elif awk -v d="$djps4" -v s="$djps1" 'BEGIN { exit !(d < 0.7 * 4 * s) }'; then
-    echo "WARNING: 4-node distributed jobs/s (${djps4}) below 0.7 x 4 x single-node jobs/s (${djps1})" >&2
+if [ "${dfail:-1}" != "0" ]; then
+    echo "WARNING: distjobs run lost jobs (failed=${dfail:-?})" >&2
     guard_status=1
 else
-    echo "ok: 4-node distributed jobs/s ${djps4} >= 0.7 x 4 x single-node ${djps1}"
+    echo "ok: distjobs run lost zero jobs"
 fi
-if [ "${dfail1:-1}" != "0" ] || [ "${dfail4:-1}" != "0" ]; then
-    echo "WARNING: distjobs sweep lost jobs (single-node failed=${dfail1:-?}, 4-node failed=${dfail4:-?})" >&2
+if [ -z "$dshards" ] || [ "$dshards" = "0" ]; then
+    echo "WARNING: 4-node distjobs run completed no remote shards (shards_completed=${dshards:-?})" >&2
     guard_status=1
 else
-    echo "ok: distjobs sweep lost zero jobs"
+    echo "ok: 4-node distjobs run completed ${dshards} shards remotely"
 fi
-if [ -z "$dshards4" ] || [ "$dshards4" = "0" ]; then
-    echo "WARNING: 4-node distjobs run completed no remote shards (shards_completed=${dshards4:-?})" >&2
-    guard_status=1
-else
-    echo "ok: 4-node distjobs run completed ${dshards4} shards remotely"
-fi
-if [ "${dconv4:-}" != "true" ]; then
-    echo "WARNING: ring did not reconverge after the distjobs mid-run kill (converged=${dconv4:-?})" >&2
+if [ "${dconv:-}" != "true" ]; then
+    echo "WARNING: ring did not reconverge after the distjobs mid-run kill (converged=${dconv:-?})" >&2
     guard_status=1
 else
     echo "ok: ring reconverged after the distjobs mid-run kill"
 fi
 
-# ---- netsplit partition sweep --------------------------------------
+# ---- netsplit partition run ----------------------------------------
 # A 4-node ring driven through healthy / partitioned / healed phases:
 # mid-run every majority node's traffic to the last node is blackholed
 # (its own outbound keeps working — the asymmetric case), then the
@@ -361,16 +308,16 @@ ns_errs="$(printf '%s' "$netsplit_json" | grep -o '"errors":[0-9]*' | awk -F: '{
 ns_5xx="$(printf '%s' "$netsplit_json" | grep -o '"status_5xx":[0-9]*' | awk -F: '{ s += $2 } END { print s + 0 }')"
 
 if [ "${ns_errs:-1}" != "0" ] || [ "${ns_5xx:-1}" != "0" ]; then
-    echo "WARNING: netsplit sweep saw client-visible failures (errors=${ns_errs:-?}, 5xx=${ns_5xx:-?})" >&2
+    echo "WARNING: netsplit run saw client-visible failures (errors=${ns_errs:-?}, 5xx=${ns_5xx:-?})" >&2
     guard_status=1
 else
-    echo "ok: netsplit sweep lost zero requests across the partition"
+    echo "ok: netsplit run lost zero requests across the partition"
 fi
 if [ -z "$ns_jobs" ] || [ "$ns_jobs" = "0" ] || [ "${ns_jobsok:-}" != "$ns_jobs" ]; then
-    echo "WARNING: netsplit sweep lost jobs (ok=${ns_jobsok:-?}/${ns_jobs:-?})" >&2
+    echo "WARNING: netsplit run lost jobs (ok=${ns_jobsok:-?}/${ns_jobs:-?})" >&2
     guard_status=1
 else
-    echo "ok: netsplit sweep completed all ${ns_jobs} jobs"
+    echo "ok: netsplit run completed all ${ns_jobs} jobs"
 fi
 if [ -z "$ns_opens" ] || [ "$ns_opens" = "0" ]; then
     echo "WARNING: no breaker opened during the netsplit partition" >&2
@@ -388,25 +335,13 @@ else
     echo "ok: ring reconverged after the netsplit heal"
 fi
 if [ -z "$ns_healthy" ] || [ -z "$ns_part" ]; then
-    echo "WARNING: netsplit sweep produced no RPS figures" >&2
+    echo "WARNING: netsplit run produced no RPS figures" >&2
     guard_status=1
 elif awk -v p="$ns_part" -v h="$ns_healthy" 'BEGIN { exit !(p < 0.5 * h) }'; then
     echo "WARNING: partitioned RPS (${ns_part}) below 0.5 x healthy RPS (${ns_healthy})" >&2
     guard_status=1
 else
     echo "ok: partitioned RPS ${ns_part} >= 0.5 x healthy RPS ${ns_healthy}"
-fi
-
-if [ -n "$cluster_rps_1" ] && [ -n "$cluster_rps_4" ]; then
-    if awk -v r4="$cluster_rps_4" -v r1="$cluster_rps_1" 'BEGIN { exit !(r4 < 0.8 * 4 * r1) }'; then
-        echo "WARNING: 4-node cluster RPS (${cluster_rps_4}) below 0.8 x 4 x single-node RPS (${cluster_rps_1})" >&2
-        guard_status=1
-    else
-        echo "ok: 4-node cluster RPS ${cluster_rps_4} >= 0.8 x 4 x single-node RPS ${cluster_rps_1}"
-    fi
-else
-    echo "WARNING: cluster sweep produced no RPS figures" >&2
-    guard_status=1
 fi
 
 # ---- delta vs committed baselines ----------------------------------
@@ -417,7 +352,6 @@ fi
 # positive is faster. A table is skipped when HEAD carries no baseline
 # for it (first run, or git unavailable).
 kv_ns() { sed -n 's/.*"name": "\([^"]*\)", "ns_per_op": \([0-9.eE+-]*\).*/\1 \2/p'; }
-kv_cluster() { sed -n 's/.*{"nodes": \([0-9]*\), "rps": \([0-9.eE+-]*\).*/nodes=\1 \2/p'; }
 kv_rate() {
     # One "label rate" row per line bearing a "scenario" tag; the first
     # occurrence of the rate key on the line is the aggregate figure.
@@ -455,10 +389,6 @@ delta_section "kernel ns/op (negative = faster)"
 kv_rate rps < "$serveout" > "$tmpkvnew"
 baseline_of BENCH_serve.json | kv_rate rps > "$tmpkvold"
 delta_section "serving RPS (positive = faster)"
-
-kv_cluster < "$clusterout" > "$tmpkvnew"
-baseline_of BENCH_cluster.json | kv_cluster > "$tmpkvold"
-delta_section "cluster RPS by node count (positive = faster)"
 
 kv_ns < "$timelineout" > "$tmpkvnew"
 baseline_of BENCH_timeline.json | kv_ns > "$tmpkvold"
