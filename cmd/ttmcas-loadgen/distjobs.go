@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/signal"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -18,6 +17,7 @@ import (
 
 	"ttmcas/internal/jobs"
 	"ttmcas/internal/loadtest"
+	"ttmcas/internal/metrics"
 	"ttmcas/internal/server"
 )
 
@@ -157,8 +157,7 @@ func distjobsRun(ctx context.Context, o distjobsOpts) (distjobsOutcome, error) {
 
 	var (
 		submitted, succeeded, failed atomic.Uint64
-		mu                           sync.Mutex
-		lats                         []time.Duration
+		lats                         metrics.Histogram
 	)
 	deadline := time.Now().Add(o.duration)
 	start := time.Now()
@@ -217,9 +216,7 @@ func distjobsRun(ctx context.Context, o distjobsOpts) (distjobsOutcome, error) {
 					continue
 				}
 				succeeded.Add(1)
-				mu.Lock()
-				lats = append(lats, time.Since(t0))
-				mu.Unlock()
+				lats.Record(time.Since(t0))
 			}
 		}()
 	}
@@ -235,18 +232,7 @@ func distjobsRun(ctx context.Context, o distjobsOpts) (distjobsOutcome, error) {
 	if out.elapsed > 0 {
 		out.jps = float64(out.succeeded) / out.elapsed.Seconds()
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	q := func(p float64) time.Duration {
-		if len(lats) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(lats)-1))
-		return lats[i]
-	}
-	out.p50, out.p95, out.p99 = q(0.50), q(0.95), q(0.99)
-	if len(lats) > 0 {
-		out.max = lats[len(lats)-1]
-	}
+	out.p50, out.p95, out.p99, out.max = lats.Quantile(0.50), lats.Quantile(0.95), lats.Quantile(0.99), lats.Max()
 
 	if kill {
 		out.converged = tc.WaitConverged(5 * time.Second)

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ttmcas/internal/metrics"
 	"ttmcas/internal/resilience"
 )
 
@@ -193,10 +194,7 @@ type Cluster struct {
 	breakerTransitions atomic.Uint64
 	breakerOpens       atomic.Uint64
 
-	latMu  sync.Mutex
-	latCnt uint64
-	latSum time.Duration
-	latMax time.Duration
+	forwardLatency metrics.Histogram
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -407,13 +405,7 @@ func (c *Cluster) forwardOnce(ctx context.Context, peerURL, method, path string,
 	}
 	d := time.Since(began)
 	c.forwarded.Add(1)
-	c.latMu.Lock()
-	c.latCnt++
-	c.latSum += d
-	if d > c.latMax {
-		c.latMax = d
-	}
-	c.latMu.Unlock()
+	c.forwardLatency.Record(d)
 	return ForwardResult{
 		Status:     resp.StatusCode,
 		Body:       b,
@@ -650,9 +642,9 @@ type Stats struct {
 	ForwardErrors uint64
 	Redirected    uint64
 	ProbeFailures uint64
-	ForwardCount  uint64
-	ForwardSum    time.Duration
-	ForwardMax    time.Duration
+	// ForwardLatency is the cluster's live histogram of successful
+	// forward round trips, shared rather than copied.
+	ForwardLatency *metrics.Histogram
 
 	Retries              uint64 // forward retries admitted by the budget
 	RetriesDenied        uint64 // retries refused (budget dry or attempts exhausted)
@@ -679,6 +671,7 @@ func (c *Cluster) Stats() Stats {
 		BreakerShortCircuits: c.breakerShort.Load(),
 		BreakerTransitions:   c.breakerTransitions.Load(),
 		BreakerOpens:         c.breakerOpens.Load(),
+		ForwardLatency:       &c.forwardLatency,
 	}
 	c.mu.Lock()
 	for u, p := range c.peers {
@@ -694,11 +687,6 @@ func (c *Cluster) Stats() Stats {
 	}
 	c.mu.Unlock()
 	sort.Slice(st.Breakers, func(i, j int) bool { return st.Breakers[i].URL < st.Breakers[j].URL })
-	c.latMu.Lock()
-	st.ForwardCount = c.latCnt
-	st.ForwardSum = c.latSum
-	st.ForwardMax = c.latMax
-	c.latMu.Unlock()
 	return st
 }
 

@@ -153,7 +153,7 @@ func TestForward(t *testing.T) {
 		t.Fatal("forwarded request did not carry the guard header")
 	}
 	st := c.Stats()
-	if st.Forwarded != 1 || st.ForwardCount != 1 || st.ForwardSum <= 0 {
+	if st.Forwarded != 1 || st.ForwardLatency.Count() != 1 || st.ForwardLatency.Sum() <= 0 {
 		t.Fatalf("forward counters = %+v", st)
 	}
 

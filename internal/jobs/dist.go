@@ -28,23 +28,6 @@ type Distributor interface {
 	Dispatch(ctx context.Context, target string, req ShardRequest) (ShardResult, error)
 }
 
-// ShardObserver is an optional extension of Observer; when the
-// manager's observer also implements it, shard lifecycle events feed
-// the ttmcas_jobs_shards_* metrics.
-type ShardObserver interface {
-	// ShardDispatched fires before each remote dispatch attempt.
-	ShardDispatched(kind string)
-	// ShardCompleted fires when a remote shard returns, with its
-	// round-trip latency.
-	ShardCompleted(kind string, latency time.Duration)
-	// ShardHedged fires when a dispatch attempt fails (deadline or
-	// transport) and the shard is re-dispatched to the next peer.
-	ShardHedged(kind string)
-	// ShardFallback fires when every peer attempt failed and the
-	// coordinator computes the shard locally.
-	ShardFallback(kind string)
-}
-
 // planShards splits a spec into one shard per participant (the
 // coordinator plus each target), balanced over the kind's shard space.
 // nil means the job should run single-node: no peers, a kind that
@@ -172,7 +155,7 @@ func (m *Manager) runDistributed(ctx context.Context, j *Job, d Distributor, tar
 // evaluations are in hand (streamed for the local fallback).
 func (m *Manager) dispatchShard(ctx context.Context, j *Job, d Distributor, targets []string, req ShardRequest) (ShardResult, error) {
 	kind := req.Spec.Kind
-	obs, _ := m.cfg.Observer.(ShardObserver)
+	obs := m.cfg.Observer
 	attempts := len(targets)
 	if attempts > 2 {
 		attempts = 2

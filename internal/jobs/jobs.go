@@ -37,8 +37,8 @@
 // job a single node could finish. Compute errors inside a shard are
 // the job's answer and are not retried. Progress aggregates across
 // shards through the job's Tracker, cancellation fans out to every
-// in-flight shard, and a ShardObserver (the server's metrics
-// registry) sees every dispatch, completion, hedge and fallback.
+// in-flight shard, and the Observer (the server's metrics registry)
+// sees every dispatch, completion, hedge and fallback.
 package jobs
 
 import (
@@ -111,9 +111,8 @@ type Config struct {
 	Limits Limits
 	// Logger receives job lifecycle logs (default log.Default()).
 	Logger *log.Logger
-	// Observer receives lifecycle callbacks for metrics; nil disables.
-	// An observer that also implements ShardObserver receives shard
-	// lifecycle events from distributed runs.
+	// Observer receives job and shard lifecycle callbacks for
+	// metrics; nil disables.
 	Observer Observer
 
 	// Distributor, when non-nil, shards heavy jobs across cluster
@@ -131,13 +130,27 @@ type Config struct {
 	now func() time.Time
 }
 
-// Observer receives job lifecycle events; the server folds them into
-// its /metrics registry. Implementations must be safe for concurrent
-// use.
+// Observer receives job and distributed-shard lifecycle events; the
+// server folds them into its /metrics registry. Implementations must
+// be safe for concurrent use.
 type Observer interface {
+	// JobSubmitted fires once per accepted submission.
 	JobSubmitted(kind string)
-	JobStarted(kind string)
+	// JobFinished fires once per job reaching a terminal status,
+	// cancelled-while-queued included, with its completed evaluation
+	// units.
 	JobFinished(kind string, status Status, evaluations uint64)
+	// ShardDispatched fires before each remote dispatch attempt.
+	ShardDispatched(kind string)
+	// ShardCompleted fires when a remote shard returns, with its
+	// round-trip latency.
+	ShardCompleted(kind string, latency time.Duration)
+	// ShardHedged fires when a dispatch attempt fails (deadline or
+	// transport) and the shard is re-dispatched to the next peer.
+	ShardHedged(kind string)
+	// ShardFallback fires when every peer attempt failed and the
+	// coordinator computes the shard locally.
+	ShardFallback(kind string)
 }
 
 func (c Config) withDefaults() Config {
@@ -534,8 +547,9 @@ func (m *Manager) Cancel(id string) (View, error) {
 		return View{}, ErrNotFound
 	}
 	j.mu.Lock()
+	wasPending := j.status == StatusPending
 	switch {
-	case j.status == StatusPending:
+	case wasPending:
 		// Still queued: finish it here; the worker skips it.
 		j.status = StatusCancelled
 		j.userCancelled = true
@@ -548,6 +562,9 @@ func (m *Manager) Cancel(id string) (View, error) {
 		}
 	}
 	j.mu.Unlock()
+	if wasPending && m.cfg.Observer != nil {
+		m.cfg.Observer.JobFinished(j.spec.Kind, StatusCancelled, 0)
+	}
 	v := j.view(m.cfg.now())
 	if v.Status == StatusCancelled {
 		m.persist(j)
@@ -597,9 +614,6 @@ func (m *Manager) runJob(j *Job) {
 	j.started = m.cfg.now()
 	j.cancel = cancel
 	j.mu.Unlock()
-	if m.cfg.Observer != nil {
-		m.cfg.Observer.JobStarted(j.spec.Kind)
-	}
 	m.log.Printf("jobs: %s started (%s)", j.id, j.spec.Kind)
 
 	var (

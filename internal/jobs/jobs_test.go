@@ -483,25 +483,24 @@ func TestSubmitAfterCloseErrs(t *testing.T) {
 	}
 }
 
-// observerRecorder records lifecycle callbacks.
+// observerRecorder records job lifecycle callbacks and ignores shard
+// ones.
 type observerRecorder struct {
 	mu        sync.Mutex
 	submitted int
-	started   int
 	finished  map[Status]int
 	evals     uint64
 }
+
+func (o *observerRecorder) ShardDispatched(string)               {}
+func (o *observerRecorder) ShardCompleted(string, time.Duration) {}
+func (o *observerRecorder) ShardHedged(string)                   {}
+func (o *observerRecorder) ShardFallback(string)                 {}
 
 func (o *observerRecorder) JobSubmitted(string) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.submitted++
-}
-
-func (o *observerRecorder) JobStarted(string) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.started++
 }
 
 func (o *observerRecorder) JobFinished(_ string, s Status, evals uint64) {
@@ -533,7 +532,7 @@ func TestObserverSeesLifecycle(t *testing.T) {
 	waitFinished(t, m, v.ID)
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
-	if obs.submitted != 1 || obs.started != 1 || obs.finished[StatusSucceeded] != 1 || obs.evals != 3 {
+	if obs.submitted != 1 || obs.finished[StatusSucceeded] != 1 || obs.evals != 3 {
 		t.Fatalf("observer = %+v", obs)
 	}
 }

@@ -1,3 +1,12 @@
+// Package loadtest is a closed-loop HTTP load generator for the
+// ttmcas service: a fixed pool of workers issues requests back-to-back
+// against a weighted target mix and reports throughput (RPS) and
+// latency quantiles (p50/p95/p99/max) from the shared log-linear
+// histogram of internal/metrics, one per worker and target, merged
+// after the run. It drives either a live base URL or an http.Handler
+// in-process with no network in the path, which is how the benchmark
+// scripts measure the serving stack itself rather than the loopback
+// interface.
 package loadtest
 
 import (
@@ -12,6 +21,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ttmcas/internal/metrics"
 )
 
 // Target is one entry of the request mix.
@@ -133,7 +144,7 @@ type workerStats struct {
 	requests, errors        uint64
 	s2xx, s4xx, s5xx, other uint64
 	shed, stale             uint64
-	hist                    Histogram
+	hist                    metrics.Histogram
 }
 
 // Run drives the configured mix for the configured duration and

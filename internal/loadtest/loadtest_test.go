@@ -4,78 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 )
-
-func TestHistogramExactBelowLinearRegion(t *testing.T) {
-	var h Histogram
-	for v := 0; v < 2*subBuckets; v++ {
-		if got := bucketUpper(bucketIndex(int64(v))); got != int64(v) {
-			t.Fatalf("value %d maps to bucket upper %d, want exact", v, got)
-		}
-	}
-	h.Record(3)
-	if h.Quantile(0.5) != 3 || h.Max() != 3 {
-		t.Errorf("p50 = %v, max = %v, want 3ns both", h.Quantile(0.5), h.Max())
-	}
-}
-
-func TestHistogramRelativeError(t *testing.T) {
-	// Every representable value must land in a bucket whose upper
-	// bound is within 1/subBuckets of the value itself.
-	for _, v := range []int64{1, 63, 64, 65, 1000, 12345, 1e6, 987654321, 1e12, math.MaxInt64 / 2} {
-		i := bucketIndex(v)
-		up := bucketUpper(i)
-		if up < v {
-			t.Fatalf("bucketUpper(%d) = %d below value %d", i, up, v)
-		}
-		if rel := float64(up-v) / float64(v); rel > 1.0/subBuckets {
-			t.Errorf("value %d: upper %d relative error %v too large", v, up, rel)
-		}
-		if i > 0 && bucketUpper(i-1) >= v {
-			t.Errorf("value %d not in the first bucket that can hold it (index %d)", v, i)
-		}
-	}
-}
-
-func TestHistogramQuantilesAndMerge(t *testing.T) {
-	var a, b Histogram
-	for i := 1; i <= 900; i++ {
-		a.Record(time.Duration(i) * time.Microsecond)
-	}
-	for i := 901; i <= 1000; i++ {
-		b.Record(time.Duration(i) * time.Microsecond)
-	}
-	a.Merge(&b)
-	if a.Count() != 1000 {
-		t.Fatalf("merged count = %d, want 1000", a.Count())
-	}
-	for _, tc := range []struct {
-		q    float64
-		want time.Duration
-	}{
-		{0.50, 500 * time.Microsecond},
-		{0.95, 950 * time.Microsecond},
-		{0.99, 990 * time.Microsecond},
-	} {
-		got := a.Quantile(tc.q)
-		if got < tc.want || float64(got) > float64(tc.want)*(1+1.0/subBuckets) {
-			t.Errorf("p%v = %v, want within ~3%% above %v", tc.q*100, got, tc.want)
-		}
-	}
-	if a.Quantile(1) != time.Millisecond {
-		t.Errorf("p100 = %v, want exact max 1ms", a.Quantile(1))
-	}
-	var empty Histogram
-	if empty.Quantile(0.5) != 0 {
-		t.Error("empty histogram must report zero")
-	}
-}
 
 func TestRunValidation(t *testing.T) {
 	ctx := context.Background()

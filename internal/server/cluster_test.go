@@ -117,7 +117,7 @@ func TestClusterForwardPath(t *testing.T) {
 	if got := resp.Header.Get("X-Cache"); got != "FWD" {
 		t.Fatalf("X-Cache = %q, want FWD", got)
 	}
-	if st := srvs[0].Cluster().Stats(); st.Forwarded != 1 || st.ForwardCount != 1 {
+	if st := srvs[0].Cluster().Stats(); st.Forwarded != 1 || st.ForwardLatency.Count() != 1 {
 		t.Fatalf("origin forward counters = %+v", st)
 	}
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -157,6 +158,49 @@ func TestJobCancelViaDelete(t *testing.T) {
 	fin := waitJob(t, s, v.ID)
 	if fin.Status != jobs.StatusCancelled {
 		t.Fatalf("status = %s, want cancelled", fin.Status)
+	}
+}
+
+// TestJobCancelledWhileQueuedCountsAsFinished: with one worker, a job
+// cancelled while still queued is finished by the cancel itself and
+// never reaches a worker; /metrics must still count it as a cancelled
+// finish, and the running gauge must return to zero.
+func TestJobCancelledWhileQueuedCountsAsFinished(t *testing.T) {
+	s := testServer(t, Config{JobWorkers: 1})
+	spec := `{"kind":"mc-band","design":"a11","metric":"cas","samples":8192,"seed":%d}`
+	running := submitJob(t, s, fmt.Sprintf(spec, 1))
+	queued := submitJob(t, s, fmt.Sprintf(spec, 2))
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		got, _ := s.Jobs().Get(running.ID)
+		if got.Status == jobs.StatusRunning {
+			break
+		}
+		if got.Status.Finished() {
+			t.Fatalf("job finished (%s) before it could be cancelled", got.Status)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, id := range []string{queued.ID, running.ID} {
+		if status, body := doOn(t, s, "DELETE", "/v1/jobs/"+id, ""); status != http.StatusOK {
+			t.Fatalf("cancel %s: status %d, body %s", id, status, body)
+		}
+	}
+	for _, id := range []string{queued.ID, running.ID} {
+		if fin := waitJob(t, s, id); fin.Status != jobs.StatusCancelled {
+			t.Fatalf("%s status = %s, want cancelled", id, fin.Status)
+		}
+	}
+	_, out := doOn(t, s, "GET", "/metrics", "")
+	for _, want := range []string{
+		`ttmcas_jobs_submitted_total{kind="mc-band"} 2`,
+		`ttmcas_jobs_finished_total{kind="mc-band",status="cancelled"} 2`,
+		"ttmcas_jobs_running 0\n",
+		"ttmcas_jobs_queue_depth 0\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
 	}
 }
 

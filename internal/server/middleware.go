@@ -40,6 +40,7 @@ var swPool = sync.Pool{New: func() any { return new(statusWriter) }}
 // max-body-size guard, structured logging, and per-route metrics.
 // route is the metrics/log label ("POST /v1/ttm").
 func (s *Server) wrap(route string, h http.HandlerFunc) http.Handler {
+	stats := s.metrics.route(route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		s.metrics.IncInflight()
@@ -55,7 +56,7 @@ func (s *Server) wrap(route string, h http.HandlerFunc) http.Handler {
 			}
 			s.metrics.DecInflight()
 			d := time.Since(start)
-			s.metrics.ObserveRequest(route, sw.status, d)
+			stats.observe(sw.status, d)
 			if !s.cfg.DisableAccessLog {
 				s.log.Printf("%s %s %d %dB %s", r.Method, r.URL.RequestURI(), sw.status, sw.written, d)
 			}

@@ -233,8 +233,9 @@ func TestDistributedJobSurvivesPeerKill(t *testing.T) {
 	}
 }
 
-// TestMetricsJobGaugesExposed: the queue-depth and running-jobs gauges
-// ride every exposition once a manager is attached.
+// TestMetricsJobGaugesExposed: the queue-depth and running-jobs gauges,
+// both read from a scan of the job store, ride every exposition once a
+// manager is attached.
 func TestMetricsJobGaugesExposed(t *testing.T) {
 	s := testServer(t, Config{})
 	rec := httptest.NewRecorder()
@@ -244,9 +245,8 @@ func TestMetricsJobGaugesExposed(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE ttmcas_jobs_queue_depth gauge",
 		"ttmcas_jobs_queue_depth 0",
-		"# TYPE ttmcas_jobs_active gauge",
-		"ttmcas_jobs_active 0",
 		"# TYPE ttmcas_jobs_running gauge",
+		"ttmcas_jobs_running 0",
 		"# TYPE ttmcas_jobs_shard_seconds summary",
 	} {
 		if !strings.Contains(out, want) {
