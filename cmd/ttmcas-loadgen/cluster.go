@@ -5,174 +5,154 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"ttmcas/internal/loadtest"
-	"ttmcas/internal/server"
 )
 
 // The cluster scenario: an in-process fleet under a placement-aware
 // client, with one node killed and revived mid-run when -kill is set.
 // See the package comment for the contract it gates; the honest
 // measure of the forward hop's cost is bench/'s cluster-fwd workload.
+// This file also holds the pieces the fleet scenarios share: the
+// /v1/ttm load mix and the -kill schedule.
 
-type clusterOpts struct {
-	nodes       int
-	kill        bool
-	concurrency int // per-node workers; the fleet runs nodes×concurrency
-	duration    time.Duration
-	design      string
-	node        string
-	chips       float64
-	seed        int64
-	asJSON      bool
-	check       bool
+// fleetLoad is the /v1/ttm mix of the cluster and netsplit scenarios:
+// nodes×-c workers for d, 9 parts sent to the owner of each body's key
+// and, on a multi-node ring, 1 part misrouted to the owner's successor,
+// which must forward it one hop (TestCluster.Route). Every body carries
+// a distinct chip count past base: distinct canonical keys spread
+// ownership across the ring and defeat the response cache, while the
+// compiled-evaluator cache still hits.
+func fleetLoad(tc *loadtest.TestCluster, o opts, d time.Duration, base float64) loadtest.Config {
+	bodyFor := func(seq uint64) []byte {
+		return []byte(fmt.Sprintf(`{"design":%q,"node":%q,"n":%.17g}`,
+			o.design, o.node, o.chips+base+float64(seq)))
+	}
+	targets := []loadtest.Target{{Name: "ttm-owner", Path: "/v1/ttm", BodyFunc: bodyFor, Weight: 9}}
+	if o.nodes > 1 {
+		targets = append(targets, loadtest.Target{Name: "ttm-forward", Path: "/v1/ttm", BodyFunc: bodyFor, Weight: 1})
+	}
+	return loadtest.Config{
+		Targets:     targets,
+		Concurrency: o.concurrency * o.nodes,
+		Duration:    d,
+		Seed:        o.seed,
+		Router:      tc.Route,
+	}
+}
+
+// killResult is the -kill half of a fleet outcome.
+type killResult struct {
+	killed     bool
+	restartErr error // the killed node's re-listen failed
+	converged  bool
+}
+
+// victim is the node -kill takes down — the last one — or -1 when the
+// run kills none (no -kill, or no peer left to serve).
+func (o opts) victim() int {
+	if !o.kill || o.nodes < 2 {
+		return -1
+	}
+	return o.nodes - 1
+}
+
+// killMidRun starts the -kill schedule on o's victim, if any. The
+// returned func waits for the restart and then for every ring to hold
+// every member again.
+func killMidRun(ctx context.Context, tc *loadtest.TestCluster, o opts) func() killResult {
+	if o.victim() < 0 {
+		return func() killResult { return killResult{} }
+	}
+	restarted := tc.KillRestart(ctx, o.victim(), o.duration)
+	return func() killResult {
+		k := killResult{killed: true, restartErr: <-restarted}
+		if k.restartErr == nil {
+			k.converged = tc.WaitConverged(5 * time.Second)
+		}
+		return k
+	}
+}
+
+// failure is the kill clause of a fleet contract: the killed node must
+// come back and rejoin every ring.
+func (k killResult) failure(scenario string) error {
+	switch {
+	case !k.killed:
+		return nil
+	case k.restartErr != nil:
+		return fmt.Errorf("%s check failed: killed node did not restart: %v", scenario, k.restartErr)
+	case !k.converged:
+		return fmt.Errorf("%s check failed: ring did not reconverge after the killed node rejoined", scenario)
+	}
+	return nil
+}
+
+// convergedJSON renders the kill outcome's convergence for JSON:
+// absent without a kill.
+func (k killResult) convergedJSON() *bool {
+	if !k.killed {
+		return nil
+	}
+	return &k.converged
+}
+
+// writeText appends the kill outcome to a scenario's header line.
+func (k killResult) writeText(w io.Writer) {
+	if k.killed {
+		fmt.Fprintf(w, " killed=1 converged=%t", k.converged)
+		if k.restartErr != nil {
+			fmt.Fprintf(w, " restart_error=%q", k.restartErr)
+		}
+	}
+	fmt.Fprintln(w)
 }
 
 // clusterOutcome is one fleet run plus the cluster-side counters the
 // report cannot see.
 type clusterOutcome struct {
-	rep       loadtest.Report
-	stats     loadtest.ClusterStats
-	killed    bool
-	converged bool
+	nodes int
+	rep   loadtest.Report
+	stats loadtest.ClusterStats
+	kill  killResult
 }
 
-func runCluster(o clusterOpts) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	out, err := clusterRun(ctx, o)
+func runCluster(ctx context.Context, o opts) (outcome, error) {
+	tc, err := loadtest.StartCluster(o.nodes, loadtest.ClusterConfig{})
 	if err != nil {
-		return err
-	}
-
-	if o.asJSON {
-		if err := writeClusterJSON(os.Stdout, o, out); err != nil {
-			return err
-		}
-	} else {
-		writeClusterText(os.Stdout, o, out)
-	}
-
-	if o.check {
-		return checkCluster(o, out)
-	}
-	return nil
-}
-
-// clusterRun boots the fleet, drives the mix for the configured
-// duration (killing and reviving the last node with -kill), and tears
-// the fleet down.
-func clusterRun(ctx context.Context, o clusterOpts) (clusterOutcome, error) {
-	n, kill := o.nodes, o.kill && o.nodes > 1
-	tc, err := loadtest.StartCluster(n, loadtest.ClusterConfig{
-		Configure: func(i int, cfg *server.Config) {
-			// Generous admission: the scenario measures placement and
-			// forwarding, not overload control, and forwarded requests
-			// occupy slots on both nodes of the hop.
-			cfg.CheapConcurrent = 256
-			cfg.MaxConcurrent = 64
-		},
-	})
-	if err != nil {
-		return clusterOutcome{}, err
+		return nil, err
 	}
 	defer tc.Close()
 
-	// Every request carries a distinct chip count: distinct canonical
-	// keys spread ownership across the ring and defeat the response
-	// cache, while the compiled-evaluator cache still hits.
-	bodyFor := func(seq uint64) []byte {
-		return []byte(fmt.Sprintf(`{"design":%q,"node":%q,"n":%.17g}`,
-			o.design, o.node, o.chips+float64(seq)))
-	}
-	targets := []loadtest.Target{
-		{Name: "ttm-cluster", Path: "/v1/ttm", BodyFunc: bodyFor, Weight: 9},
-	}
-	if n > 1 {
-		// The misroute share: sent to the node AFTER the owner, so the
-		// serving node must forward one hop. Its latency distribution is
-		// the forward-hop cost a placement-blind balancer would pay.
-		targets = append(targets,
-			loadtest.Target{Name: "ttm-forward", Path: "/v1/ttm", BodyFunc: bodyFor, Weight: 1})
-	}
-
-	ownerOf := func(body []byte) int {
-		var req server.EvalRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return 0
-		}
-		key, err := server.CacheKey("POST /v1/ttm", req)
-		if err != nil {
-			return 0
-		}
-		return tc.OwnerIndex(key)
-	}
-
-	cfg := loadtest.Config{
-		Targets:     targets,
-		Concurrency: o.concurrency * n,
-		Duration:    o.duration,
-		Seed:        o.seed,
-		Router: func(ti int, body []byte) http.Handler {
-			idx := ownerOf(body)
-			if ti == 1 {
-				idx = (idx + 1) % n
-			}
-			return tc.Handler(tc.NextAlive(idx))
-		},
-	}
-
-	out := clusterOutcome{killed: kill}
-	if kill {
-		victim := n - 1
-		killT := time.AfterFunc(o.duration/4, func() { tc.Kill(victim) })
-		defer killT.Stop()
-		restartT := time.AfterFunc(3*o.duration/4, func() { tc.Restart(victim) })
-		defer restartT.Stop()
-	}
-
-	out.rep, err = loadtest.Run(ctx, cfg)
+	killed := killMidRun(ctx, tc, o)
+	rep, err := loadtest.Run(ctx, fleetLoad(tc, o, o.duration, 0))
+	out := clusterOutcome{nodes: o.nodes, rep: rep, kill: killed()}
 	if err != nil {
-		return clusterOutcome{}, err
-	}
-	if kill {
-		// The revived node must be back on every ring — the rejoin half
-		// of the membership contract.
-		out.converged = tc.WaitConverged(5 * time.Second)
+		return nil, err
 	}
 	out.stats = tc.Stats()
 	return out, nil
 }
 
-// checkCluster asserts the cluster contract: no lost requests even
-// across a kill and rejoin, forwards exercised, and membership
-// reconverged.
-func checkCluster(o clusterOpts, out clusterOutcome) error {
+// check asserts the cluster contract: no lost requests even across a
+// kill and rejoin, forwards exercised, and membership reconverged.
+func (out clusterOutcome) check() error {
 	rep := out.rep
 	switch {
 	case rep.Requests == 0:
 		return fmt.Errorf("cluster check failed: no completed requests")
-	case rep.Errors > 0:
-		return fmt.Errorf("cluster check failed: %d transport errors", rep.Errors)
 	case rep.Status2xx != rep.Requests:
 		return fmt.Errorf("cluster check failed: %d/%d requests lost (4xx=%d 5xx=%d)",
 			rep.Requests-rep.Status2xx, rep.Requests, rep.Status4xx, rep.Status5xx)
-	case o.nodes > 1 && out.stats.Forwarded == 0:
+	case out.nodes > 1 && out.stats.Forwarded == 0:
 		return fmt.Errorf("cluster check failed: no requests were forwarded — ownership never exercised")
-	case out.killed && !out.converged:
-		return fmt.Errorf("cluster check failed: ring did not reconverge after the killed node rejoined")
 	}
-	return nil
+	return out.kill.failure("cluster")
 }
 
-func writeClusterJSON(w io.Writer, o clusterOpts, out clusterOutcome) error {
-	doc := struct {
+func (out clusterOutcome) writeJSON(w io.Writer) error {
+	return json.NewEncoder(w).Encode(struct {
 		Scenario    string  `json:"scenario"`
 		Nodes       int     `json:"nodes"`
 		Concurrency int     `json:"concurrency"`
@@ -187,35 +167,25 @@ func writeClusterJSON(w io.Writer, o clusterOpts, out clusterOutcome) error {
 		Targets []jsonStats `json:"targets,omitempty"`
 	}{
 		Scenario:    "cluster",
-		Nodes:       o.nodes,
+		Nodes:       out.nodes,
 		Concurrency: out.rep.Concurrency,
 		DurationS:   out.rep.Elapsed.Seconds(),
-		Killed:      out.killed,
+		Killed:      out.kill.killed,
+		Converged:   out.kill.convergedJSON(),
 		Local:       out.stats.Local,
 		Forwarded:   out.stats.Forwarded,
 		ForwardErrs: out.stats.ForwardErrors,
 		Redirected:  out.stats.Redirected,
 		jsonStats:   toJSONStats("", out.rep.Stats),
-	}
-	if out.killed {
-		doc.Converged = &out.converged
-	}
-	if len(out.rep.Targets) > 1 {
-		for _, t := range out.rep.Targets {
-			doc.Targets = append(doc.Targets, toJSONStats(t.Name, t.Stats))
-		}
-	}
-	return json.NewEncoder(w).Encode(doc)
+		Targets:     targetsJSON(out.rep),
+	})
 }
 
-func writeClusterText(w io.Writer, o clusterOpts, out clusterOutcome) {
+func (out clusterOutcome) writeText(w io.Writer) {
 	fmt.Fprintf(w, "scenario=cluster nodes=%d concurrency=%d duration=%s",
-		o.nodes, out.rep.Concurrency, out.rep.Elapsed.Round(time.Millisecond))
-	if out.killed {
-		fmt.Fprintf(w, " killed=1 converged=%t", out.converged)
-	}
-	fmt.Fprintln(w)
+		out.nodes, out.rep.Concurrency, out.rep.Elapsed.Round(time.Millisecond))
+	out.kill.writeText(w)
 	fmt.Fprintf(w, "cluster: local=%d forwarded=%d forward_errors=%d redirected=%d\n",
 		out.stats.Local, out.stats.Forwarded, out.stats.ForwardErrors, out.stats.Redirected)
-	writeText(w, "", out.rep, nil)
+	writeStats(w, "total", out.rep)
 }

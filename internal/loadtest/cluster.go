@@ -1,6 +1,8 @@
 package loadtest
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log"
@@ -32,7 +34,8 @@ type ClusterConfig struct {
 	// test-speed convergence).
 	ProbeInterval time.Duration
 	// Configure, when set, adjusts each node's server config after the
-	// cluster fields are filled in (fault specs, pool sizes, ...).
+	// cluster fields and the generous admission defaults are filled in
+	// (fault specs, job-store sizes, ...).
 	Configure func(i int, cfg *server.Config)
 }
 
@@ -55,13 +58,15 @@ type TestCluster struct {
 
 	ring *cluster.Ring  // client-side view: all members, by URL
 	idx  map[string]int // URL → node index
-	urls []string
 }
 
 // StartCluster boots n nodes on loopback ports and returns once every
 // listener accepts. Peer probing starts immediately; membership is
 // optimistic (everyone starts alive), so the ring is complete from the
-// first request.
+// first request. Admission is generous (256 cheap, 64 heavy slots per
+// node): the fleet harnesses measure placement, forwarding and job
+// sharding, not overload control, and a forwarded request occupies a
+// slot on both nodes of its hop.
 func StartCluster(n int, cfg ClusterConfig) (*TestCluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("loadtest: cluster size %d", n)
@@ -84,7 +89,6 @@ func StartCluster(n int, cfg ClusterConfig) (*TestCluster, error) {
 	tc := &TestCluster{
 		ring: cluster.NewRing(cfg.VNodes, urls),
 		idx:  make(map[string]int, n),
-		urls: urls,
 	}
 	for i, u := range urls {
 		tc.idx[u] = i
@@ -104,6 +108,8 @@ func StartCluster(n int, cfg ClusterConfig) (*TestCluster, error) {
 			ClusterVNodes:        cfg.VNodes,
 			ClusterRedirect:      cfg.Redirect,
 			ClusterProbeInterval: cfg.ProbeInterval,
+			CheapConcurrent:      256,
+			MaxConcurrent:        64,
 			Logger:               log.New(io.Discard, "", 0),
 			DisableAccessLog:     true,
 		}
@@ -135,14 +141,33 @@ func (cn *ClusterNode) serve(ln net.Listener) {
 // Handler returns node i's in-process entry point.
 func (tc *TestCluster) Handler(i int) http.Handler { return tc.Nodes[i].Srv.Handler() }
 
-// URLs lists every member's base URL in node order.
-func (tc *TestCluster) URLs() []string { return append([]string(nil), tc.urls...) }
-
-// OwnerIndex maps a canonical cache key to the index of the node owning
-// it on the full (client-side) ring — where a placement-aware client
-// would send the request.
-func (tc *TestCluster) OwnerIndex(key string) int {
+// Owner maps a request to the index of the node owning its canonical
+// cache key (server.CacheKey of route and req) on the full client-side
+// ring — where a placement-aware client would send it. A request with
+// no key maps to node 0.
+func (tc *TestCluster) Owner(route string, req any) int {
+	key, err := server.CacheKey(route, req)
+	if err != nil {
+		return 0
+	}
 	return tc.idx[tc.ring.Owner(key)]
+}
+
+// Route is a Config.Router over /v1/ttm bodies: target 0 goes to the
+// owner of the body's key, any other target — the misroute share — to
+// the owner's successor in node order, which must forward it one hop.
+// A dead node's traffic fails over to the next live one, as a real
+// load balancer's would.
+func (tc *TestCluster) Route(ti int, body []byte) http.Handler {
+	var req server.EvalRequest
+	idx := 0
+	if json.Unmarshal(body, &req) == nil {
+		idx = tc.Owner("POST /v1/ttm", req)
+	}
+	if ti > 0 {
+		idx = (idx + 1) % len(tc.Nodes)
+	}
+	return tc.Handler(tc.NextAlive(idx))
 }
 
 // NextAlive returns i if node i is up, otherwise the next live node in
@@ -192,6 +217,36 @@ func (tc *TestCluster) Restart(i int) error {
 	}
 	cn.serve(ln)
 	return nil
+}
+
+// KillRestart kills node victim a quarter of the way into a run of
+// length d and restarts it at three quarters, in the background. The
+// channel yields Restart's error once the node is back. If ctx ends
+// first, a pending kill is skipped and a pending restart happens at
+// once, so the schedule never leaves a node down.
+func (tc *TestCluster) KillRestart(ctx context.Context, victim int, d time.Duration) <-chan error {
+	errc := make(chan error, 1)
+	go func() {
+		start := time.Now()
+		wait := func(until time.Duration) bool {
+			t := time.NewTimer(until - time.Since(start))
+			defer t.Stop()
+			select {
+			case <-t.C:
+				return true
+			case <-ctx.Done():
+				return false
+			}
+		}
+		if !wait(d / 4) {
+			errc <- nil
+			return
+		}
+		tc.Kill(victim)
+		wait(3 * d / 4)
+		errc <- tc.Restart(victim)
+	}()
+	return errc
 }
 
 // WaitConverged blocks until every live node's ring again contains

@@ -3,20 +3,24 @@
 // against a weighted target mix and reports throughput (RPS) and
 // latency quantiles (p50/p95/p99/max) from the shared log-linear
 // histogram of internal/metrics, one per worker and target, merged
-// after the run. It drives either a live base URL or an http.Handler
-// in-process with no network in the path, which is how the benchmark
-// scripts measure the serving stack itself rather than the loopback
-// interface.
+// after the run. Requests dispatch straight into an http.Handler
+// in-process, with no network in the path, so the numbers measure the
+// serving stack itself rather than the loopback interface. The package
+// also holds what every scenario of cmd/ttmcas-loadgen shares: one-shot
+// dispatch (Do), the batch-job workflow (SubmitJob, AwaitJob) and the
+// in-process cluster harness (StartCluster).
 package loadtest
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"sync"
 	"sync/atomic"
@@ -31,8 +35,7 @@ type Target struct {
 	Name string
 	// Method defaults to POST when a body is configured, GET otherwise.
 	Method string
-	// Path is appended to the base URL (in-process dispatch uses it as
-	// the request URI).
+	// Path is the request URI.
 	Path string
 	// Body is a static request body, sent verbatim on every request.
 	Body []byte
@@ -63,21 +66,14 @@ type Config struct {
 	Concurrency int
 	// Duration is how long the measured phase runs (default 5s).
 	Duration time.Duration
-	// BaseURL drives a live server ("http://host:port"). Exactly one
-	// of BaseURL and Handler must be set.
-	BaseURL string
-	// Handler dispatches requests in-process with no network in the
-	// path, measuring the serving stack itself.
+	// Handler receives every request.
 	Handler http.Handler
-	// Router, when set, picks the in-process handler per request —
-	// the multi-node hook: a cluster harness routes each body to the
-	// node a real client would hit. It receives the target index and
-	// the request body and must be safe for concurrent use. Exactly
-	// one of BaseURL, Handler and Router must be set.
+	// Router, when set, picks the handler per request — the multi-node
+	// hook: a cluster harness routes each body to the node a real
+	// client would hit. It receives the target index and the request
+	// body and must be safe for concurrent use. Exactly one of Handler
+	// and Router must be set.
 	Router func(ti int, body []byte) http.Handler
-	// Client overrides the live-mode HTTP client; the default pools
-	// one idle connection per worker.
-	Client *http.Client
 	// Seed fixes the workers' target-selection streams (default 1).
 	Seed int64
 	// Warmup, when set, issues every static-body target once before
@@ -103,7 +99,6 @@ func (c Config) withDefaults() Config {
 // requests.
 type Stats struct {
 	Requests  uint64
-	Errors    uint64 // transport failures (connect, timeout mid-run)
 	Status2xx uint64
 	Status4xx uint64
 	Status5xx uint64
@@ -141,7 +136,7 @@ type Report struct {
 // workerStats accumulates one worker's view of one target; merged
 // single-threaded after the run.
 type workerStats struct {
-	requests, errors        uint64
+	requests                uint64
 	s2xx, s4xx, s5xx, other uint64
 	shed, stale             uint64
 	hist                    metrics.Histogram
@@ -157,18 +152,8 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	if len(cfg.Targets) == 0 {
 		return Report{}, errors.New("loadtest: no targets configured")
 	}
-	modes := 0
-	if cfg.BaseURL != "" {
-		modes++
-	}
-	if cfg.Handler != nil {
-		modes++
-	}
-	if cfg.Router != nil {
-		modes++
-	}
-	if modes != 1 {
-		return Report{}, errors.New("loadtest: exactly one of BaseURL, Handler and Router must be set")
+	if (cfg.Handler == nil) == (cfg.Router == nil) {
+		return Report{}, errors.New("loadtest: exactly one of Handler and Router must be set")
 	}
 	totalWeight := 0
 	for i := range cfg.Targets {
@@ -189,18 +174,11 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 
 	if cfg.Warmup {
 		send := newSender()
-		wctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 		for i := range cfg.Targets {
-			t := &cfg.Targets[i]
-			if t.BodyFunc != nil {
-				continue
-			}
-			if _, err := send(wctx, i, t, t.Body); err != nil {
-				cancel()
-				return Report{}, fmt.Errorf("loadtest: warming %q: %w", t.Name, err)
+			if t := &cfg.Targets[i]; t.BodyFunc == nil {
+				send(ctx, i, t.Body)
 			}
 		}
-		cancel()
 	}
 
 	runCtx, cancel := context.WithTimeout(ctx, cfg.Duration)
@@ -226,21 +204,12 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 					body = t.BodyFunc(seq.Add(1))
 				}
 				began := time.Now()
-				res, err := send(runCtx, ti, t, body)
-				if err != nil {
-					// The deadline tearing down an in-flight request is
-					// the run ending, not a server failure.
-					if runCtx.Err() != nil {
-						break
-					}
-					stats[ti].requests++
-					stats[ti].errors++
-					continue
-				}
+				res := send(runCtx, ti, body)
 				if res.status >= 500 && runCtx.Err() != nil {
-					// Same teardown through the in-process sender: the
-					// expired run context surfaces as the handler's own
-					// timeout response instead of a transport error.
+					// The deadline tearing down an in-flight request is
+					// the run ending, not a server failure: the expired
+					// run context surfaces as the handler's own timeout
+					// response.
 					break
 				}
 				st := &stats[ti]
@@ -298,7 +267,6 @@ func buildReport(cfg Config, perWorker [][]workerStats, elapsed time.Duration) R
 		for w := range perWorker {
 			s := &perWorker[w][ti]
 			agg.requests += s.requests
-			agg.errors += s.errors
 			agg.s2xx += s.s2xx
 			agg.s4xx += s.s4xx
 			agg.s5xx += s.s5xx
@@ -311,7 +279,6 @@ func buildReport(cfg Config, perWorker [][]workerStats, elapsed time.Duration) R
 			Stats: agg.stats(secs),
 		})
 		total.requests += agg.requests
-		total.errors += agg.errors
 		total.s2xx += agg.s2xx
 		total.s4xx += agg.s4xx
 		total.s5xx += agg.s5xx
@@ -326,7 +293,6 @@ func buildReport(cfg Config, perWorker [][]workerStats, elapsed time.Duration) R
 func (s *workerStats) stats(secs float64) Stats {
 	out := Stats{
 		Requests:  s.requests,
-		Errors:    s.errors,
 		Status2xx: s.s2xx,
 		Status4xx: s.s4xx,
 		Status5xx: s.s5xx,
@@ -361,56 +327,17 @@ func classify(status int, h http.Header) sendResult {
 	}
 }
 
-// sendFunc issues one request to target index ti and reports the
+// sendFunc issues one request for target index ti and reports the
 // outcome. A sendFunc is owned by one worker and must not be shared.
-type sendFunc func(ctx context.Context, ti int, t *Target, body []byte) (sendResult, error)
+type sendFunc func(ctx context.Context, ti int, body []byte) sendResult
 
 // senderFactory validates the targets once and returns a constructor
-// for per-worker senders.
+// for per-worker senders. A sender dispatches straight into the handler
+// on the worker's goroutine — no sockets, no response serialization
+// beyond what the handler itself does. Each worker reuses pre-parsed
+// request templates and a response sink, so the generator's own
+// overhead stays a small, constant fraction of the measured request.
 func (c Config) senderFactory() (func() sendFunc, error) {
-	if c.Handler != nil || c.Router != nil {
-		return c.handlerSenderFactory()
-	}
-	client := c.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        c.Concurrency,
-			MaxIdleConnsPerHost: c.Concurrency,
-		}}
-	}
-	base := c.BaseURL
-	send := func(ctx context.Context, _ int, t *Target, body []byte) (sendResult, error) {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, t.method(), base+t.Path, rd)
-		if err != nil {
-			return sendResult{}, err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return sendResult{}, err
-		}
-		_, err = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return sendResult{}, err
-		}
-		return classify(resp.StatusCode, resp.Header), nil
-	}
-	return func() sendFunc { return send }, nil
-}
-
-// handlerSenderFactory dispatches straight into the handler on the
-// worker's goroutine — no sockets, no response serialization beyond
-// what the handler itself does. Each worker reuses pre-parsed request
-// templates and a response sink, so the generator's own overhead stays
-// a small, constant fraction of the measured request.
-func (c Config) handlerSenderFactory() (func() sendFunc, error) {
 	route := c.Router
 	if route == nil {
 		h := c.Handler
@@ -440,7 +367,7 @@ func (c Config) handlerSenderFactory() (func() sendFunc, error) {
 			}
 			readers[i] = &bytes.Reader{}
 		}
-		return func(ctx context.Context, ti int, t *Target, body []byte) (sendResult, error) {
+		return func(ctx context.Context, ti int, body []byte) sendResult {
 			req := reqs[ti]
 			if body != nil {
 				readers[ti].Reset(body)
@@ -452,7 +379,7 @@ func (c Config) handlerSenderFactory() (func() sendFunc, error) {
 			}
 			w.reset()
 			route(ti, body).ServeHTTP(w, req.WithContext(ctx))
-			return classify(w.status(), w.header), nil
+			return classify(w.status(), w.header)
 		}
 	}, nil
 }
@@ -491,4 +418,82 @@ func (w *discardResponseWriter) status() int {
 		return http.StatusOK
 	}
 	return w.code
+}
+
+// Do issues one request straight into h, with no network in the path,
+// and returns the response status and body. A non-nil body is sent as
+// JSON.
+func Do(h http.Handler, method, path string, body []byte) (int, []byte) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req := httptest.NewRequest(method, path, rd)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec.Code, rec.Body.Bytes()
+}
+
+// ErrJobsFull is SubmitJob's error for a 429: the server's job store
+// is full. It is backpressure, not loss — the job was never accepted.
+var ErrJobsFull = errors.New("loadtest: job store full (429)")
+
+// jobTimeout bounds how long AwaitJob waits for a job to finish.
+const jobTimeout = 30 * time.Second
+
+// SubmitJob posts a batch-job spec to h's /v1/jobs and returns the
+// accepted job's ID.
+func SubmitJob(h http.Handler, spec []byte) (string, error) {
+	code, body := Do(h, http.MethodPost, "/v1/jobs", spec)
+	if code == http.StatusTooManyRequests {
+		return "", ErrJobsFull
+	}
+	if code != http.StatusAccepted {
+		return "", fmt.Errorf("job submit: status %d: %s", code, bytes.TrimSpace(body))
+	}
+	var v struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(body, &v); err != nil {
+		return "", fmt.Errorf("job submit: %w", err)
+	}
+	return v.ID, nil
+}
+
+// AwaitJob polls job id through h until it finishes, then fetches its
+// result. It returns nil only for a job that succeeded and whose
+// result h serves; any other outcome — a poll that does not answer
+// 200, a failed or cancelled job, a job still unfinished after 30 s —
+// is a lost job, and the error says which.
+func AwaitJob(h http.Handler, id string) error {
+	deadline := time.Now().Add(jobTimeout)
+	for {
+		code, body := Do(h, http.MethodGet, "/v1/jobs/"+id, nil)
+		if code != http.StatusOK {
+			return fmt.Errorf("job %s poll: status %d: %s", id, code, bytes.TrimSpace(body))
+		}
+		var v struct {
+			Status string `json:"status"`
+		}
+		if err := json.Unmarshal(body, &v); err != nil {
+			return fmt.Errorf("job %s poll: %w", id, err)
+		}
+		switch v.Status {
+		case "succeeded":
+			if code, body = Do(h, http.MethodGet, "/v1/jobs/"+id+"/result", nil); code != http.StatusOK {
+				return fmt.Errorf("job %s result: status %d: %s", id, code, bytes.TrimSpace(body))
+			}
+			return nil
+		case "pending", "running":
+			if time.Now().After(deadline) {
+				return fmt.Errorf("job %s still %s after %s", id, v.Status, jobTimeout)
+			}
+			time.Sleep(2 * time.Millisecond)
+		default:
+			return fmt.Errorf("job %s finished %s: %s", id, v.Status, bytes.TrimSpace(body))
+		}
+	}
 }

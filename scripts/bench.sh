@@ -1,35 +1,31 @@
 #!/bin/sh
 # Runs the throughput benchmarks behind the evaluation stack — the
 # compiled core kernel, the Monte-Carlo band curve (batch walk and
-# compiled end to end), and Sobol sensitivity — and records them as
-# JSON: ns/op, allocs/op, and the model-evaluations-per-second metric
-# the benchmarks report, so speedups (and allocation regressions) can
-# be tracked across commits.
+# compiled end to end), Sobol sensitivity, and the server's /v1/ttm
+# response-cache hit path — and records them as JSON: ns/op, allocs/op,
+# and the model-evaluations-per-second metric the benchmarks report, so
+# speedups (and allocation regressions) can be tracked across commits.
 #
-# It then load-tests the serving layer with ttmcas-loadgen (cached-hit,
-# uncached and mixed /v1/ttm scenarios against an in-process server)
-# and records RPS and p50/p95/p99/max latency as BENCH_serve.json,
-# followed by the timeline step-sweep (per-step evaluation at 64 and
-# 512 steps) recorded as BENCH_timeline.json in steps/s, the
-# distributed-job run (heavy mc-band batch jobs sharded across a 4-node
-# in-process ring with a mid-run node kill, every shard real compute)
-# recorded as BENCH_distjobs.json in jobs/s, and the netsplit partition
-# run (a 4-node ring crossing a mid-run asymmetric partition and heal)
-# recorded as BENCH_netsplit.json with per-phase RPS and the
-# heal-to-reconvergence time. The cost of distribution itself — the
-# forward hop and scatter/gather — is measured by bench/run.sh's
-# cluster-fwd and cluster-dist workloads.
+# It then records the timeline step-sweep (per-step evaluation at 64
+# and 512 steps) as BENCH_timeline.json in steps/s, the distributed-job
+# run (heavy mc-band batch jobs sharded across a 4-node in-process ring
+# with a mid-run node kill, every shard real compute) as
+# BENCH_distjobs.json in jobs/s, and the netsplit partition run (a
+# 4-node ring crossing a mid-run asymmetric partition and heal) as
+# BENCH_netsplit.json with per-phase RPS and the heal-to-reconvergence
+# time. The serving paths end to end — cache hits and misses, the
+# forward hop and scatter/gather — are measured by bench/run.sh.
 #
 # After the measurement runs, a delta table against the committed
 # BENCH_*.json baselines is printed (% change per benchmark/scenario)
 # so perf movement is visible in PR logs even when every guard passes.
 #
-#   scripts/bench.sh [out.json] [serve_out.json] [timeline_out.json] [distjobs_out.json] [netsplit_out.json]
-#                # defaults: BENCH_jobs.json BENCH_serve.json BENCH_timeline.json
+#   scripts/bench.sh [out.json] [timeline_out.json] [distjobs_out.json] [netsplit_out.json]
+#                # defaults: BENCH_jobs.json BENCH_timeline.json
 #                #           BENCH_distjobs.json BENCH_netsplit.json
 #   BENCHTIME=5s scripts/bench.sh     # longer kernel runs for stabler numbers
 #   BENCHCOUNT=5 scripts/bench.sh     # more repetitions per benchmark
-#   SERVE_DURATION=10s scripts/bench.sh   # longer load-test scenarios
+#   SERVE_DURATION=10s scripts/bench.sh   # longer distjobs and netsplit runs
 #   BENCH_STRICT=1 scripts/bench.sh   # exit non-zero when a guard fails
 #
 # The kernel and timeline benchmark suites run BENCHCOUNT times each
@@ -48,20 +44,14 @@
 # runs it):
 #   - batched band curve below 2x the pre-batch compiled driver
 #     (3.68M evals/s) or allocating on its steady-state path
-#   - cached-hit p99 latency not below uncached p99
-#   - cached-hit RPS below 3x uncached RPS
-#   - distjobs run losing jobs, completing no remote shards, or
-#     failing to reconverge the ring after the mid-run kill
-#   - netsplit run losing requests or jobs, breakers never opening
-#     (or still open after the heal), the ring not reconverging, or
-#     partitioned-phase RPS below half the healthy phase's
+#   - the distjobs or netsplit run failing its ttmcas-loadgen -check
+#     contract (the loadgen names the failed clause on stderr)
 set -eu
 
 out="${1:-BENCH_jobs.json}"
-serveout="${2:-BENCH_serve.json}"
-timelineout="${3:-BENCH_timeline.json}"
-distjobsout="${4:-BENCH_distjobs.json}"
-netsplitout="${5:-BENCH_netsplit.json}"
+timelineout="${2:-BENCH_timeline.json}"
+distjobsout="${3:-BENCH_distjobs.json}"
+netsplitout="${4:-BENCH_netsplit.json}"
 tmp="$(mktemp)"
 tmpbest="$(mktemp)"
 tmptl="$(mktemp)"
@@ -122,9 +112,9 @@ emit_json() {
 : > "$tmp"
 rep=0
 while [ "$rep" -lt "${BENCHCOUNT:-3}" ]; do
-    go test -run '^$' -bench '^Benchmark(BandCurve|Sobol|ModelEvaluate|Evaluator)' -benchmem \
+    go test -run '^$' -bench '^Benchmark(BandCurve|Sobol|ModelEvaluate|Evaluator|ServerTTMCachedHit)' -benchmem \
         -benchtime "${BENCHTIME:-2s}" \
-        ./internal/core ./internal/mc ./internal/sens | tee -a "$tmp"
+        ./internal/core ./internal/mc ./internal/sens ./internal/server | tee -a "$tmp"
     rep=$((rep + 1))
 done
 best_of "evals/s" < "$tmp" > "$tmpbest"
@@ -167,59 +157,6 @@ else
     fi
 fi
 
-# ---- serving-layer load test ---------------------------------------
-# Three in-process scenarios: every request a response-cache hit, every
-# request a full miss (unique capacity -> decode, resolve, bind the
-# request's conditions onto the cached compiled design, evaluate,
-# encode), and a 9:1 mix.
-go build -o "$tmpbin/ttmcas-loadgen" ./cmd/ttmcas-loadgen
-
-servedur="${SERVE_DURATION:-3s}"
-servec="${SERVE_CONCURRENCY:-8}"
-cached_json="$("$tmpbin/ttmcas-loadgen" -scenario cached -d "$servedur" -c "$servec" -json)"
-uncached_json="$("$tmpbin/ttmcas-loadgen" -scenario uncached -d "$servedur" -c "$servec" -json)"
-mixed_json="$("$tmpbin/ttmcas-loadgen" -scenario mixed -d "$servedur" -c "$servec" -json)"
-
-{
-    printf '{\n'
-    printf '  "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-    printf '  "go": "%s",\n' "$(go env GOVERSION)"
-    printf '  "scenarios": [\n'
-    printf '    %s,\n' "$cached_json"
-    printf '    %s,\n' "$uncached_json"
-    printf '    %s\n' "$mixed_json"
-    printf '  ]\n'
-    printf '}\n'
-} > "$serveout"
-echo "wrote $serveout"
-
-# The first "rps"/"p99_us" in a scenario line is the aggregate (the
-# per-target breakdown comes later in the object).
-field() { printf '%s' "$1" | sed -n "s/.*\"$2\":\([0-9.eE+-]*\).*/\1/p" | head -n 1; }
-cached_rps="$(field "$cached_json" rps)"
-uncached_rps="$(field "$uncached_json" rps)"
-cached_p99="$(field "$cached_json" p99_us)"
-uncached_p99="$(field "$uncached_json" p99_us)"
-
-if awk -v c="$cached_p99" -v u="$uncached_p99" 'BEGIN { exit !(c >= u) }'; then
-    echo "WARNING: cached-hit p99 (${cached_p99}us) is not below uncached p99 (${uncached_p99}us)" >&2
-    guard_status=1
-else
-    echo "ok: cached-hit p99 ${cached_p99}us < uncached p99 ${uncached_p99}us"
-fi
-# The response cache must pay for itself. The floor follows the
-# measured ratio: while every miss compiled its own evaluator, hits ran
-# 5.5-8.3x the miss RPS on a 2-vCPU VM; now that a miss binds its
-# conditions onto the design's cached compiled evaluator it costs far
-# less, and the ratio measured 4.2-4.6x there. 3x leaves room for
-# shared-runner noise and still fails if hits stop skipping the work.
-if awk -v c="$cached_rps" -v u="$uncached_rps" 'BEGIN { exit !(c < 3 * u) }'; then
-    echo "WARNING: cached-hit RPS (${cached_rps}) is below 3x uncached RPS (${uncached_rps})" >&2
-    guard_status=1
-else
-    echo "ok: cached-hit RPS ${cached_rps} >= 3x uncached RPS ${uncached_rps}"
-fi
-
 # ---- timeline step sweep -------------------------------------------
 # Per-step timeline evaluation of a 3-segment disruption spec at 64 and
 # 512 steps, recorded in steps/s.
@@ -235,114 +172,50 @@ best_of "steps/s" < "$tmptl" > "$tmptlbest"
 emit_json "$tmptlbest" steps_per_s > "$timelineout"
 echo "wrote $timelineout"
 
-# ---- distributed-job run -------------------------------------------
-# Heavy mc-band batch jobs sharded across a 4-node in-process ring with
-# a mid-run node kill and rejoin, every shard real compute: zero lost
-# jobs, remotely completed shards, and a reconverged ring.
-distjobs_json="$("$tmpbin/ttmcas-loadgen" -scenario distjobs -nodes 4 -kill -d "$servedur" -c 3 -json)"
-{
-    printf '{\n'
-    printf '  "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-    printf '  "go": "%s",\n' "$(go env GOVERSION)"
-    printf '  "runs": [\n'
-    printf '    %s\n' "$distjobs_json"
-    printf '  ]\n'
-    printf '}\n'
-} > "$distjobsout"
-echo "wrote $distjobsout"
+# ---- fleet runs ----------------------------------------------------
+# Each run's contract is ttmcas-loadgen's own -check: a failed contract
+# exits non-zero and names its clause on stderr, while the JSON record
+# on stdout is kept either way.
+go build -o "$tmpbin/ttmcas-loadgen" ./cmd/ttmcas-loadgen
+servedur="${SERVE_DURATION:-3s}"
 
-# The distjobs JSON is one compact line per run, so take the first
-# occurrence of each key (keys are unambiguous prefixes when quoted).
-djfield() { printf '%s' "$1" | grep -o "\"$2\":[0-9.eE+-]*" | head -n 1 | cut -d: -f2; }
-dfail="$(djfield "$distjobs_json" jobs_failed)"
-dshards="$(djfield "$distjobs_json" shards_completed)"
-dconv="$(printf '%s' "$distjobs_json" | grep -o '"converged":[a-z]*' | cut -d: -f2)"
+# fleet_run OUT ARGS... runs one checked loadgen scenario and records
+# its JSON line as OUT.
+fleet_run() {
+    fout="$1"
+    shift
+    if line="$("$tmpbin/ttmcas-loadgen" "$@" -d "$servedur" -json -check)"; then
+        echo "ok: ttmcas-loadgen $* met its -check contract"
+    else
+        echo "WARNING: ttmcas-loadgen $* failed its -check contract" >&2
+        guard_status=1
+    fi
+    {
+        printf '{\n'
+        printf '  "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
+        printf '  "go": "%s",\n' "$(go env GOVERSION)"
+        printf '  "runs": [\n'
+        printf '    %s\n' "$line"
+        printf '  ]\n'
+        printf '}\n'
+    } > "$fout"
+    echo "wrote $fout"
+}
 
-if [ "${dfail:-1}" != "0" ]; then
-    echo "WARNING: distjobs run lost jobs (failed=${dfail:-?})" >&2
-    guard_status=1
-else
-    echo "ok: distjobs run lost zero jobs"
-fi
-if [ -z "$dshards" ] || [ "$dshards" = "0" ]; then
-    echo "WARNING: 4-node distjobs run completed no remote shards (shards_completed=${dshards:-?})" >&2
-    guard_status=1
-else
-    echo "ok: 4-node distjobs run completed ${dshards} shards remotely"
-fi
-if [ "${dconv:-}" != "true" ]; then
-    echo "WARNING: ring did not reconverge after the distjobs mid-run kill (converged=${dconv:-?})" >&2
-    guard_status=1
-else
-    echo "ok: ring reconverged after the distjobs mid-run kill"
-fi
+# Heavy mc-band batch jobs sharded across a 4-node ring with a mid-run
+# node kill and rejoin, every shard real compute: zero lost jobs,
+# remotely completed shards, the killed node restarted and the ring
+# reconverged.
+fleet_run "$distjobsout" -scenario distjobs -nodes 4 -kill -c 3
 
-# ---- netsplit partition run ----------------------------------------
 # A 4-node ring driven through healthy / partitioned / healed phases:
 # mid-run every majority node's traffic to the last node is blackholed
 # (its own outbound keeps working — the asymmetric case), then the
-# partition heals. The run must not cost a single request or job;
-# breakers must open during the split and all be closed again at the
-# end; the ring must reconverge; and the majority side must hold at
-# least half the healthy throughput while the split is open.
-netsplit_json="$("$tmpbin/ttmcas-loadgen" -scenario netsplit -nodes 4 -d "$servedur" -c 2 -json)"
-{
-    printf '{\n'
-    printf '  "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-    printf '  "go": "%s",\n' "$(go env GOVERSION)"
-    printf '  "runs": [\n'
-    printf '    %s\n' "$netsplit_json"
-    printf '  ]\n'
-    printf '}\n'
-} > "$netsplitout"
-echo "wrote $netsplitout"
-
-ns_healthy="$(djfield "$netsplit_json" healthy_rps)"
-ns_part="$(djfield "$netsplit_json" partitioned_rps)"
-ns_jobs="$(djfield "$netsplit_json" jobs_total)"
-ns_jobsok="$(djfield "$netsplit_json" jobs_ok)"
-ns_opens="$(djfield "$netsplit_json" breaker_opens)"
-ns_open_end="$(djfield "$netsplit_json" open_breakers)"
-ns_conv="$(printf '%s' "$netsplit_json" | grep -o '"converged":[a-z]*' | cut -d: -f2)"
-ns_errs="$(printf '%s' "$netsplit_json" | grep -o '"errors":[0-9]*' | awk -F: '{ s += $2 } END { print s + 0 }')"
-ns_5xx="$(printf '%s' "$netsplit_json" | grep -o '"status_5xx":[0-9]*' | awk -F: '{ s += $2 } END { print s + 0 }')"
-
-if [ "${ns_errs:-1}" != "0" ] || [ "${ns_5xx:-1}" != "0" ]; then
-    echo "WARNING: netsplit run saw client-visible failures (errors=${ns_errs:-?}, 5xx=${ns_5xx:-?})" >&2
-    guard_status=1
-else
-    echo "ok: netsplit run lost zero requests across the partition"
-fi
-if [ -z "$ns_jobs" ] || [ "$ns_jobs" = "0" ] || [ "${ns_jobsok:-}" != "$ns_jobs" ]; then
-    echo "WARNING: netsplit run lost jobs (ok=${ns_jobsok:-?}/${ns_jobs:-?})" >&2
-    guard_status=1
-else
-    echo "ok: netsplit run completed all ${ns_jobs} jobs"
-fi
-if [ -z "$ns_opens" ] || [ "$ns_opens" = "0" ]; then
-    echo "WARNING: no breaker opened during the netsplit partition" >&2
-    guard_status=1
-elif [ "${ns_open_end:-1}" != "0" ]; then
-    echo "WARNING: ${ns_open_end:-?} breakers still open after the netsplit heal" >&2
-    guard_status=1
-else
-    echo "ok: netsplit breakers opened (${ns_opens}) and all re-closed"
-fi
-if [ "${ns_conv:-}" != "true" ]; then
-    echo "WARNING: ring did not reconverge after the netsplit heal (converged=${ns_conv:-?})" >&2
-    guard_status=1
-else
-    echo "ok: ring reconverged after the netsplit heal"
-fi
-if [ -z "$ns_healthy" ] || [ -z "$ns_part" ]; then
-    echo "WARNING: netsplit run produced no RPS figures" >&2
-    guard_status=1
-elif awk -v p="$ns_part" -v h="$ns_healthy" 'BEGIN { exit !(p < 0.5 * h) }'; then
-    echo "WARNING: partitioned RPS (${ns_part}) below 0.5 x healthy RPS (${ns_healthy})" >&2
-    guard_status=1
-else
-    echo "ok: partitioned RPS ${ns_part} >= 0.5 x healthy RPS ${ns_healthy}"
-fi
+# partition heals. No request or job may be lost; breakers must open
+# during the split and all be closed again at the end; the ring must
+# reconverge; and the majority side must hold at least half the
+# healthy throughput while the split is open.
+fleet_run "$netsplitout" -scenario netsplit -nodes 4 -c 2
 
 # ---- delta vs committed baselines ----------------------------------
 # Informational only (never flips guard_status): % change for every
@@ -385,10 +258,6 @@ delta_section() {
 kv_ns < "$out" > "$tmpkvnew"
 baseline_of BENCH_jobs.json | kv_ns > "$tmpkvold"
 delta_section "kernel ns/op (negative = faster)"
-
-kv_rate rps < "$serveout" > "$tmpkvnew"
-baseline_of BENCH_serve.json | kv_rate rps > "$tmpkvold"
-delta_section "serving RPS (positive = faster)"
 
 kv_ns < "$timelineout" > "$tmpkvnew"
 baseline_of BENCH_timeline.json | kv_ns > "$tmpkvold"

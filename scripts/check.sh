@@ -22,49 +22,29 @@ go test -race ./...
 (cd bench && go vet ./... && go test ./...)
 
 # Bench smoke: one iteration of each throughput benchmark — including
-# the compiled core kernel's — so a broken benchmark fails CI without
-# CI paying for real measurement runs.
+# the compiled core kernel's and the server's cached-hit path — so a
+# broken benchmark fails CI without CI paying for real measurement
+# runs.
 go test -run '^$' -bench . -benchtime 1x ./internal/core ./internal/mc ./internal/sens ./internal/sweep ./internal/timeline
+go test -run '^$' -bench '^BenchmarkServerTTMCachedHit$' -benchtime 1x ./internal/server
 
-# Load-generator smoke: one short mixed run against an in-process
-# server. -check fails the run on zero completed requests, any
-# transport error, or any 5xx — a one-second end-to-end exercise of the
-# whole serving stack (routing, caches, worker pool, encoding).
-go run ./cmd/ttmcas-loadgen -scenario mixed -d 1s -c 4 -check
-
-# Chaos smoke: one short fault-injected run (latency spikes, errors,
-# one panic) against a deliberately small in-process server. -check
-# asserts the availability contract: zero transport errors, every 5xx
-# a deliberate Retry-After-bearing shed, goodput >= 90% of admitted
-# requests, bounded p99, stale fallbacks observed, and the goroutine
-# count back at baseline after drain.
+# The loadgen smokes: each scenario once, briefly, under -check, which
+# fails the run unless the scenario's contract holds. The contracts are
+# spelled out in the cmd/ttmcas-loadgen package comment and
+# table-tested in cmd/ttmcas-loadgen/check_test.go:
+#   chaos     fault-injected single server: every 5xx a deliberate shed,
+#             goodput, bounded p99, stale serves, goroutines drained
+#   cluster   4 nodes, one killed and revived: every request 200,
+#             forwards exercised, node restarted, ring reconverged
+#   timeline  one batch job end to end, then a /v1/scenarios mix: no
+#             5xx beyond deliberate sheds
+#   distjobs  sharded mc-band jobs across 4 nodes with a kill: zero lost
+#             jobs, remote shards, node restarted, ring reconverged
+#   netsplit  4 nodes across an asymmetric partition and heal: every
+#             request 2xx, zero lost jobs, breakers open and re-close,
+#             ring reconverged, partitioned RPS >= 0.5 x healthy
 go run ./cmd/ttmcas-loadgen -scenario chaos -d 2s -c 8 -check
-
-# Cluster smoke: a 4-node in-process cluster (real loopback listeners
-# between peers) with one node killed a quarter in and revived at three
-# quarters. -check asserts zero transport errors, every request
-# answered 200 across the kill and rejoin, forwards actually exercised,
-# and the ring reconverged.
 go run ./cmd/ttmcas-loadgen -scenario cluster -nodes 4 -kill -d 2s -c 4 -check
-
-# Timeline smoke: one fab-fire-recovery batch job driven end to end
-# through /v1/jobs (submit, poll to success, fetch the result), then a
-# short 9:1 cached/uncached POST /v1/scenarios mix against an
-# in-process server. -check fails on transport errors or any 5xx
-# beyond deliberate Retry-After-bearing sheds.
 go run ./cmd/ttmcas-loadgen -scenario timeline -d 2s -c 4 -check
-
-# Distributed-job smoke: heavy mc-band batch jobs sharded across a
-# 4-node in-process ring with a mid-run node kill and rejoin. -check
-# asserts zero lost jobs, remotely completed shards, and a reconverged
-# ring.
 go run ./cmd/ttmcas-loadgen -scenario distjobs -nodes 4 -kill -d 2s -c 3 -check
-
-# Netsplit smoke: a 4-node in-process cluster with a mid-run asymmetric
-# partition (every majority node's traffic to the victim blackholed,
-# the victim's outbound intact) that heals before the run ends. -check
-# asserts the partition-tolerance contract: zero transport errors and
-# zero non-2xx in every phase, zero lost jobs, breakers open and
-# re-close, the ring reconverges, and partitioned-phase throughput at
-# least half the healthy phase's.
 go run ./cmd/ttmcas-loadgen -scenario netsplit -nodes 4 -d 2s -c 2 -check
