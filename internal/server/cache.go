@@ -4,17 +4,19 @@
 // a request is fully described by its canonical JSON — so the server
 // is built around a keyed response cache with single-flight
 // deduplication: concurrent identical evaluations compute once, and
-// repeated ones are served from memory. The cache is sharded (per-shard
-// locks keyed by an FNV-1a hash, so concurrent hits on different keys
-// never contend) and byte-budgeted (eviction is by total cached body
-// bytes, not entry count, so one curve response cannot silently crowd
-// out a thousand scalar ones). Expensive analyses (sensitivity,
-// planning) additionally pass through a bounded worker pool so a burst
-// of heavy requests cannot starve the cheap hot path.
+// repeated ones are served from memory — a byte-identical repeat
+// through a raw-body alias, before its JSON is even decoded. The cache
+// is sharded (per-shard locks keyed by a seeded hash, so concurrent
+// hits on different keys never contend) and byte-budgeted (eviction is
+// by total cached bytes, not entry count, so one curve response cannot
+// silently crowd out a thousand scalar ones). Expensive analyses
+// (sensitivity, planning) additionally pass through a bounded worker
+// pool so a burst of heavy requests cannot starve the cheap hot path.
 package server
 
 import (
 	"container/list"
+	"hash/maphash"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -24,7 +26,7 @@ import (
 // shardedCache is a byte-budgeted least-recently-used response cache
 // split into power-of-two shards. Each shard owns an independent mutex,
 // LRU list and byte budget, so Get/Put on different keys proceed in
-// parallel; a key always maps to the same shard via FNV-1a, so
+// parallel; a key always maps to the same shard via the seeded hash, so
 // per-entry operations stay linearizable.
 //
 // Entries optionally age through two TTLs. Within freshTTL an entry is
@@ -35,9 +37,15 @@ import (
 // freshTTL+staleTTL the entry is dropped lazily on the next lookup.
 // freshTTL == 0 (the default) disables aging entirely: entries stay
 // fresh until evicted and the hot path never reads the clock.
+//
+// Besides response bodies under their canonical keys, the cache holds
+// raw-body aliases (PutAlias, GetAlias): small entries whose value is
+// a canonical key. They share the byte budget and the LRU with the
+// bodies, and own no freshness of their own.
 type shardedCache struct {
 	shards   []cacheShard
-	mask     uint32
+	mask     uint64
+	seed     maphash.Seed
 	disabled bool
 
 	freshTTL time.Duration
@@ -50,7 +58,7 @@ type shardedCache struct {
 }
 
 // cacheShard is one lock domain of the cache: an LRU list over the
-// shard's entries plus the running total of their body bytes.
+// shard's entries plus the running total of the bytes they charge.
 type cacheShard struct {
 	mu     sync.Mutex
 	budget int64
@@ -61,8 +69,12 @@ type cacheShard struct {
 }
 
 type cacheEntry struct {
-	key  string
+	key string
+	// body is the response body, or for an alias the canonical key.
 	body []byte
+	// size is what the entry charges against the shard budget: the
+	// body's length, or an alias's key plus canonical key.
+	size int64
 	// cl is the precomputed Content-Length header value, built once at
 	// insert so serving a hit allocates nothing for headers.
 	cl []string
@@ -100,7 +112,8 @@ func newShardedCache(totalBytes int64, shards int, freshTTL, staleTTL time.Durat
 	}
 	c := &shardedCache{
 		shards:   make([]cacheShard, n),
-		mask:     uint32(n - 1),
+		mask:     uint64(n - 1),
+		seed:     maphash.MakeSeed(),
 		freshTTL: freshTTL,
 		staleTTL: staleTTL,
 		now:      time.Now,
@@ -115,25 +128,16 @@ func newShardedCache(totalBytes int64, shards int, freshTTL, staleTTL time.Durat
 	return c
 }
 
-// fnv1a is the 32-bit FNV-1a hash — cheap, inlineable, and plenty
-// uniform for shard selection over canonical-JSON keys. Generic over
-// string and []byte so the hot path can hash a pooled key buffer
-// without converting it to a string first.
-func fnv1a[T ~string | ~[]byte](key T) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return h
+// shard maps a key to its shard with the runtime's seeded hash, which
+// runs many bytes per step: hashing the key is most of a hit's lookup.
+func (c *shardedCache) shard(key string) *cacheShard {
+	return &c.shards[maphash.String(c.seed, key)&c.mask]
 }
 
-func (c *shardedCache) shard(key string) *cacheShard {
-	return &c.shards[fnv1a(key)&c.mask]
+// shardOf is shard for a key held as bytes (hashed without converting
+// to a string).
+func (c *shardedCache) shardOf(key []byte) *cacheShard {
+	return &c.shards[maphash.Bytes(c.seed, key)&c.mask]
 }
 
 // Get returns the cached body for key, with its precomputed
@@ -152,7 +156,7 @@ func (c *shardedCache) Get(key []byte) (body []byte, cl []string, ok bool) {
 	if c.freshTTL > 0 {
 		now = c.now() // read the clock outside the shard lock
 	}
-	s := &c.shards[fnv1a(key)&c.mask]
+	s := c.shardOf(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, found := s.items[string(key)]
@@ -166,7 +170,7 @@ func (c *shardedCache) Get(key []byte) (body []byte, cl []string, ok bool) {
 			// Hard-expired: drop lazily so GetAny cannot resurrect it.
 			s.ll.Remove(el)
 			delete(s.items, e.key)
-			s.bytes -= int64(len(e.body))
+			s.bytes -= e.size
 			c.expired.Add(1)
 			return nil, nil, false
 		case age > c.freshTTL:
@@ -199,7 +203,7 @@ func (c *shardedCache) GetAny(key string) (body []byte, cl []string, ok bool) {
 	if c.freshTTL > 0 && now.Sub(e.stored) > c.freshTTL+c.staleTTL {
 		s.ll.Remove(el)
 		delete(s.items, e.key)
-		s.bytes -= int64(len(e.body))
+		s.bytes -= e.size
 		c.expired.Add(1)
 		return nil, nil, false
 	}
@@ -207,19 +211,56 @@ func (c *shardedCache) GetAny(key string) (body []byte, cl []string, ok bool) {
 	return e.body, e.cl, true
 }
 
+// GetAlias resolves a raw-body alias recorded by PutAlias and serves
+// its canonical entry through Get, so freshness, stale handling and the
+// body all stay the canonical entry's: a miss on either lookup is a
+// miss. Aliases themselves never age; the LRU and the byte budget
+// retire them.
+func (c *shardedCache) GetAlias(raw []byte) (body []byte, cl []string, ok bool) {
+	if c.disabled {
+		return nil, nil, false
+	}
+	s := c.shardOf(raw)
+	s.mu.Lock()
+	el, found := s.items[string(raw)]
+	if !found {
+		s.mu.Unlock()
+		return nil, nil, false
+	}
+	s.ll.MoveToFront(el)
+	canonical := el.Value.(*cacheEntry).body
+	s.mu.Unlock()
+	return c.Get(canonical)
+}
+
 // Put inserts or refreshes key, then evicts least-recently-used entries
-// until the shard's cached body bytes fit its budget. A body larger
-// than the whole shard budget is not cached at all (it would evict
+// until the shard's charged bytes fit its budget. A body larger than
+// the whole shard budget is not cached at all (it would evict
 // everything and then exceed the budget alone).
 func (c *shardedCache) Put(key string, body []byte) {
 	if c.disabled {
 		return
 	}
-	s := c.shard(key)
-	if int64(len(body)) > s.budget {
+	c.put(key, body, int64(len(body)), []string{strconv.Itoa(len(body))})
+}
+
+// PutAlias records that the raw key names the entry under canonical,
+// charging both keys' bytes against the budget. The server records an
+// alias only when canonical has just hit, and GetAlias serves through
+// the canonical entry, so an alias can go dead (its target evicted or
+// expired) but can never serve anything the canonical key would not.
+func (c *shardedCache) PutAlias(raw, canonical string) {
+	if c.disabled {
 		return
 	}
-	cl := []string{strconv.Itoa(len(body))}
+	c.put(raw, []byte(canonical), int64(len(raw)+len(canonical)), nil)
+}
+
+func (c *shardedCache) put(key string, body []byte, size int64, cl []string) {
+	s := c.shard(key)
+	if size > s.budget {
+		return
+	}
 	var now time.Time
 	if c.freshTTL > 0 {
 		now = c.now()
@@ -228,21 +269,22 @@ func (c *shardedCache) Put(key string, body []byte) {
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
 		e := el.Value.(*cacheEntry)
-		s.bytes += int64(len(body)) - int64(len(e.body))
+		s.bytes += size - e.size
 		e.body = body
+		e.size = size
 		e.cl = cl
 		e.stored = now // a refresh restarts the freshness clock
 		s.ll.MoveToFront(el)
 	} else {
-		s.items[key] = s.ll.PushFront(&cacheEntry{key: key, body: body, cl: cl, stored: now})
-		s.bytes += int64(len(body))
+		s.items[key] = s.ll.PushFront(&cacheEntry{key: key, body: body, size: size, cl: cl, stored: now})
+		s.bytes += size
 	}
 	for s.bytes > s.budget {
 		oldest := s.ll.Back()
 		e := oldest.Value.(*cacheEntry)
 		s.ll.Remove(oldest)
 		delete(s.items, e.key)
-		s.bytes -= int64(len(e.body))
+		s.bytes -= e.size
 		c.evictions.Add(1)
 	}
 }

@@ -87,6 +87,48 @@ func TestCacheRejectsOversizedBody(t *testing.T) {
 	}
 }
 
+// TestCacheAlias: an alias serves its canonical entry, charges both
+// keys' bytes, shares the LRU with bodies, and misses once its target
+// is gone.
+func TestCacheAlias(t *testing.T) {
+	c := singleShard(64)
+	c.Put("r|canon", []byte("body"))
+	c.PutAlias("r#raw", "r|canon")
+	if v, cl, ok := c.GetAlias([]byte("r#raw")); !ok || string(v) != "body" || len(cl) != 1 || cl[0] != "4" {
+		t.Fatalf("GetAlias = %q, %v, %v; want the canonical body", v, cl, ok)
+	}
+	if st := c.Stats(); st.Entries != 2 || st.Bytes != 4+5+7 {
+		t.Fatalf("Stats = %+v, want 2 entries and %d bytes", st, 4+5+7)
+	}
+	if _, _, ok := c.GetAlias([]byte("r#other")); ok {
+		t.Error("an unknown raw key must miss")
+	}
+	// Re-recording the alias charges nothing new and leaves the
+	// canonical entry least recently used: filling the budget evicts
+	// it first, and the alias goes dead.
+	c.PutAlias("r#raw", "r|canon")
+	if st := c.Stats(); st.Bytes != 4+5+7 {
+		t.Fatalf("re-recorded alias: %d bytes, want %d", st.Bytes, 4+5+7)
+	}
+	c.Put("r|fill", make([]byte, 64-12))
+	if _, _, ok := c.Get([]byte("r|canon")); ok {
+		t.Fatal("canonical entry should have been evicted")
+	}
+	if _, _, ok := c.GetAlias([]byte("r#raw")); ok {
+		t.Error("an alias must miss once its canonical entry is gone")
+	}
+	c.Put("r|canon", []byte("body")) // recomputed: the alias serves again
+	if v, _, ok := c.GetAlias([]byte("r#raw")); !ok || string(v) != "body" {
+		t.Errorf("revived alias = %q, %v", v, ok)
+	}
+
+	off := newShardedCache(-1, 1, 0, 0)
+	off.PutAlias("r#raw", "r|canon")
+	if off.Len() != 0 {
+		t.Error("a disabled cache must not store aliases")
+	}
+}
+
 func TestCacheDisabled(t *testing.T) {
 	for _, budget := range []int64{0, -1} {
 		c := newShardedCache(budget, 4, 0, 0)
@@ -190,6 +232,11 @@ func TestCacheConcurrent(t *testing.T) {
 				if v, _, ok := c.Get([]byte(key)); ok && v[0] != 'v' {
 					t.Errorf("Get(%s) = %q", key, v)
 				}
+				raw := fmt.Sprintf("r#%d", (g*5+i)%64)
+				c.PutAlias(raw, key)
+				if v, _, ok := c.GetAlias([]byte(raw)); ok && v[0] != 'v' {
+					t.Errorf("GetAlias(%s) = %q", raw, v)
+				}
 			}
 		}(g)
 	}
@@ -199,13 +246,18 @@ func TestCacheConcurrent(t *testing.T) {
 	if st.Bytes > budget {
 		t.Errorf("cached bytes %d exceed budget %d", st.Bytes, budget)
 	}
-	// The tracked byte total must equal the actual stored body bytes.
+	// The tracked byte total must equal what the stored entries charge:
+	// body bytes, or an alias's raw plus canonical key bytes.
 	var actual int64
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for el := s.ll.Front(); el != nil; el = el.Next() {
-			actual += int64(len(el.Value.(*cacheEntry).body))
+			e := el.Value.(*cacheEntry)
+			actual += int64(len(e.body))
+			if strings.HasPrefix(e.key, "r#") {
+				actual += int64(len(e.key))
+			}
 		}
 		if s.bytes > s.budget {
 			t.Errorf("shard %d: bytes %d exceed shard budget %d", i, s.bytes, s.budget)

@@ -140,7 +140,7 @@ func (c *evalCache) Stats() evalStats {
 // cache. The caller must have resolved (d, c) from the same request;
 // they are only used on a cache miss to compile, and acquire binds the
 // request's own conditions onto the clone it lends out.
-func (s *Server) evaluatorFor(req EvalRequest, d ttmcas.Design, c ttmcas.Conditions) (*compiledEval, error) {
+func (s *Server) evaluatorFor(req *EvalRequest, d ttmcas.Design, c ttmcas.Conditions) (*compiledEval, error) {
 	key := evalKey{variant: modelVariant, design: req.Design, node: req.Node}
 	if req.Spec != nil {
 		sb, err := json.Marshal(req.Spec)

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
@@ -104,22 +103,6 @@ type PlanRequest struct {
 }
 
 // ---- request resolution --------------------------------------------
-
-func decodeJSON(r *http.Request, dst any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return err
-		}
-		return badRequestf("decoding request: %v", err)
-	}
-	if dec.More() {
-		return badRequestf("decoding request: trailing data after JSON body")
-	}
-	return nil
-}
 
 func (spec *DesignSpec) design() (ttmcas.Design, error) {
 	if len(spec.Dies) == 0 {
@@ -369,223 +352,204 @@ func finiteWeeks(w ttmcas.Weeks) *float64 {
 
 // ---- evaluation handlers -------------------------------------------
 
-func (s *Server) handleTTM(w http.ResponseWriter, r *http.Request) {
-	var req EvalRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.respondCached(w, r, "POST /v1/ttm", req, false, func(context.Context) (any, error) {
-		d, c, err := req.resolve()
-		if err != nil {
-			return nil, err
-		}
-		ce, err := s.evaluatorFor(req, d, c)
-		if err != nil {
-			return nil, err
-		}
-		ev := ce.acquire(c)
-		res, err := ev.EvalResultChips(ttmcas.Perturbation{}, req.N)
-		ce.release(ev)
-		if err != nil {
-			return nil, unprocessablef("%v", err)
-		}
-		if finiteWeeks(res.TTM) == nil {
-			return nil, unprocessablef("time-to-market is infinite under these conditions (a required node is at zero capacity)")
-		}
-		out := TTMResponse{
-			Design:           d.Name,
-			Chips:            req.N,
-			Conditions:       c.String(),
-			DesignWeeks:      float64(res.DesignTime),
-			TapeoutWeeks:     float64(res.Tapeout),
-			FabricationWeeks: float64(res.Fabrication),
-			PackagingWeeks:   float64(res.Packaging),
-			TTMWeeks:         float64(res.TTM),
-			CriticalNode:     res.CriticalNode.String(),
-		}
-		for _, die := range res.Dies {
-			out.Dies = append(out.Dies, DieResponse{
-				Name: die.Name, Node: die.Node.String(), AreaMM2: float64(die.Area),
-				Yield: die.Yield, GrossPerWafer: die.GrossPerWafer, Wafers: float64(die.Wafers),
-			})
-		}
-		for _, nf := range res.Nodes {
-			out.Nodes = append(out.Nodes, NodeResponse{
-				Node: nf.Node.String(), Wafers: float64(nf.Wafers),
-				QueueWeeks: float64(nf.Queue), ProductionWeeks: float64(nf.Production),
-				TotalWeeks: float64(nf.FabTotal),
-			})
-		}
-		return out, nil
-	})
-}
-
-func (s *Server) handleCAS(w http.ResponseWriter, r *http.Request) {
-	var req EvalRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.respondCached(w, r, "POST /v1/cas", req, false, func(context.Context) (any, error) {
-		d, c, err := req.resolve()
-		if err != nil {
-			return nil, err
-		}
-		out := CASResponse{Design: d.Name, Chips: req.N, Conditions: c.String()}
-		ce, err := s.evaluatorFor(req, d, c)
-		if err != nil {
-			return nil, err
-		}
-		ev := ce.acquire(c)
-		defer ce.release(ev)
-		res, err := ev.CASResultChips(ttmcas.Perturbation{}, req.N)
-		if err != nil {
-			return nil, unprocessablef("%v", err)
-		}
-		out.CAS = res.CAS
-		out.Derivatives = make(map[string]float64, len(res.Derivatives))
-		for node, der := range res.Derivatives {
-			out.Derivatives[node.String()] = der
-		}
-		if len(req.Curve) > s.cfg.MaxCurvePoints {
-			return nil, unprocessablef("curve has %d points, max %d", len(req.Curve), s.cfg.MaxCurvePoints)
-		}
-		for i, f := range req.Curve {
-			if f <= 0 || f > 1 {
-				return nil, badRequestf("curve[%d] = %v outside (0, 1]", i, f)
+// evalRoute builds the handler of a cached evaluation route: it serves
+// the request through respondCached, decoding the body strictly into a
+// fresh *T only when the raw-body lookup misses, and answers it with
+// eval.
+func evalRoute[T any](s *Server, route string, heavy bool, eval func(ctx context.Context, req *T) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.respondCached(w, r, route, heavy, func(body []byte) (any, func(ctx context.Context) (any, error), error) {
+			req := new(T)
+			if err := decodeStrict(body, req); err != nil {
+				return nil, nil, err
 			}
-		}
-		// The curve rides the same cached evaluator: each point is one
-		// TTM pass plus the CAS stencil, all on the compiled kernel.
-		for _, f := range req.Curve {
-			ttm, err := ev.EvalChipsAtCapacity(ttmcas.Perturbation{}, req.N, f)
-			if err != nil {
-				return nil, unprocessablef("%v", err)
-			}
-			cas, err := ev.CASChipsAtCapacity(ttmcas.Perturbation{}, req.N, f)
-			if err != nil {
-				return nil, unprocessablef("%v", err)
-			}
-			fw := finiteWeeks(ttm)
-			out.Curve = append(out.Curve, CASPointResponse{
-				Capacity: f, CAS: cas, TTMWeeks: fw, Stalled: fw == nil,
-			})
-		}
-		return out, nil
-	})
-}
-
-func (s *Server) handleCost(w http.ResponseWriter, r *http.Request) {
-	var req EvalRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.respondCached(w, r, "POST /v1/cost", req, false, func(context.Context) (any, error) {
-		d, _, err := req.resolve()
-		if err != nil {
-			return nil, err
-		}
-		b, err := ttmcas.Cost(d, req.N)
-		if err != nil {
-			return nil, unprocessablef("%v", err)
-		}
-		return CostResponse{
-			Design:        d.Name,
-			Chips:         req.N,
-			MaskNREUSD:    float64(b.MaskNRE),
-			TapeoutNREUSD: float64(b.TapeoutNRE),
-			WafersUSD:     float64(b.Wafers),
-			WaferCount:    float64(b.WaferCount),
-			PackagingUSD:  float64(b.Packaging),
-			TotalUSD:      float64(b.Total),
-			PerChipUSD:    float64(b.PerChip),
-		}, nil
-	})
-}
-
-func (s *Server) handleSensitivity(w http.ResponseWriter, r *http.Request) {
-	var req EvalRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.respondCached(w, r, "POST /v1/sensitivity", req, true, func(context.Context) (any, error) {
-		// The sample count multiplies into N·(k+2) model evaluations:
-		// a well-formed request can still ask for more work than the
-		// server accepts, hence 422 rather than 400.
-		if req.Samples < 0 || req.Samples > s.cfg.MaxSamples {
-			return nil, unprocessablef("samples %d outside [0, %d]", req.Samples, s.cfg.MaxSamples)
-		}
-		d, c, err := req.resolve()
-		if err != nil {
-			return nil, err
-		}
-		cfg := ttmcas.SensitivityConfig{N: req.Samples, Variation: req.Variation, Seed: req.Seed}
-		res, err := ttmcas.Sensitivity(d, req.N, c, cfg)
-		if err != nil {
-			return nil, unprocessablef("%v", err)
-		}
-		return SensitivityResponse{
-			Design: d.Name, Chips: req.N, Conditions: c.String(),
-			Inputs: res.Inputs, TotalEffect: res.Total, FirstOrder: res.First,
-			VarY: res.VarY, Evaluations: res.Evaluations,
-		}, nil
-	})
-}
-
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	var req PlanRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.fail(w, err)
-		return
-	}
-	s.respondCached(w, r, "POST /v1/plan", req, true, func(context.Context) (any, error) {
-		d, err := resolveDesign(req.Design, req.Spec, "")
-		if err != nil {
-			return nil, err
-		}
-		if req.N <= 0 {
-			return nil, badRequestf(`"n" (number of chips) must be positive`)
-		}
-		if req.DeadlineWeeks < 0 || req.BudgetUSD < 0 || req.MinCAS < 0 {
-			return nil, badRequestf("constraints must be non-negative")
-		}
-		planner := ttmcas.NewPlanner(d)
-		if req.Multi != nil {
-			planner.MultiProcess = *req.Multi
-		}
-		best, all, err := planner.Recommend(ttmcas.PlanRequirements{
-			Volume:   req.N,
-			Deadline: ttmcas.Weeks(req.DeadlineWeeks),
-			Budget:   ttmcas.USD(req.BudgetUSD),
-			MinCAS:   req.MinCAS,
+			return req, func(ctx context.Context) (any, error) { return eval(ctx, req) }, nil
 		})
-		out := PlanResponse{Design: d.Name, Chips: req.N}
-		switch {
-		case err == nil:
-			out.Feasible = true
-			rec := planOption(best)
-			out.Recommended = &rec
-		case errors.Is(err, ttmcas.ErrNoFeasiblePlan):
-			// Feasible stays false; the ranked nearest candidates
-			// below tell the caller what to relax.
-		default:
+	}
+}
+
+func (s *Server) evalTTM(_ context.Context, req *EvalRequest) (any, error) {
+	d, c, err := req.resolve()
+	if err != nil {
+		return nil, err
+	}
+	ce, err := s.evaluatorFor(req, d, c)
+	if err != nil {
+		return nil, err
+	}
+	ev := ce.acquire(c)
+	res, err := ev.EvalResultChips(ttmcas.Perturbation{}, req.N)
+	ce.release(ev)
+	if err != nil {
+		return nil, unprocessablef("%v", err)
+	}
+	if finiteWeeks(res.TTM) == nil {
+		return nil, unprocessablef("time-to-market is infinite under these conditions (a required node is at zero capacity)")
+	}
+	out := TTMResponse{
+		Design:           d.Name,
+		Chips:            req.N,
+		Conditions:       c.String(),
+		DesignWeeks:      float64(res.DesignTime),
+		TapeoutWeeks:     float64(res.Tapeout),
+		FabricationWeeks: float64(res.Fabrication),
+		PackagingWeeks:   float64(res.Packaging),
+		TTMWeeks:         float64(res.TTM),
+		CriticalNode:     res.CriticalNode.String(),
+	}
+	for _, die := range res.Dies {
+		out.Dies = append(out.Dies, DieResponse{
+			Name: die.Name, Node: die.Node.String(), AreaMM2: float64(die.Area),
+			Yield: die.Yield, GrossPerWafer: die.GrossPerWafer, Wafers: float64(die.Wafers),
+		})
+	}
+	for _, nf := range res.Nodes {
+		out.Nodes = append(out.Nodes, NodeResponse{
+			Node: nf.Node.String(), Wafers: float64(nf.Wafers),
+			QueueWeeks: float64(nf.Queue), ProductionWeeks: float64(nf.Production),
+			TotalWeeks: float64(nf.FabTotal),
+		})
+	}
+	return out, nil
+}
+
+func (s *Server) evalCAS(_ context.Context, req *EvalRequest) (any, error) {
+	d, c, err := req.resolve()
+	if err != nil {
+		return nil, err
+	}
+	out := CASResponse{Design: d.Name, Chips: req.N, Conditions: c.String()}
+	ce, err := s.evaluatorFor(req, d, c)
+	if err != nil {
+		return nil, err
+	}
+	ev := ce.acquire(c)
+	defer ce.release(ev)
+	res, err := ev.CASResultChips(ttmcas.Perturbation{}, req.N)
+	if err != nil {
+		return nil, unprocessablef("%v", err)
+	}
+	out.CAS = res.CAS
+	out.Derivatives = make(map[string]float64, len(res.Derivatives))
+	for node, der := range res.Derivatives {
+		out.Derivatives[node.String()] = der
+	}
+	if len(req.Curve) > s.cfg.MaxCurvePoints {
+		return nil, unprocessablef("curve has %d points, max %d", len(req.Curve), s.cfg.MaxCurvePoints)
+	}
+	for i, f := range req.Curve {
+		if f <= 0 || f > 1 {
+			return nil, badRequestf("curve[%d] = %v outside (0, 1]", i, f)
+		}
+	}
+	// The curve rides the same cached evaluator: each point is one
+	// TTM pass plus the CAS stencil, all on the compiled kernel.
+	for _, f := range req.Curve {
+		ttm, err := ev.EvalChipsAtCapacity(ttmcas.Perturbation{}, req.N, f)
+		if err != nil {
 			return nil, unprocessablef("%v", err)
 		}
-		top := req.Top
-		if top <= 0 {
-			top = 8
+		cas, err := ev.CASChipsAtCapacity(ttmcas.Perturbation{}, req.N, f)
+		if err != nil {
+			return nil, unprocessablef("%v", err)
 		}
-		for i, o := range all {
-			if i >= top {
-				break
-			}
-			out.Options = append(out.Options, planOption(o))
-		}
-		return out, nil
+		fw := finiteWeeks(ttm)
+		out.Curve = append(out.Curve, CASPointResponse{
+			Capacity: f, CAS: cas, TTMWeeks: fw, Stalled: fw == nil,
+		})
+	}
+	return out, nil
+}
+
+func (s *Server) evalCost(_ context.Context, req *EvalRequest) (any, error) {
+	d, _, err := req.resolve()
+	if err != nil {
+		return nil, err
+	}
+	b, err := ttmcas.Cost(d, req.N)
+	if err != nil {
+		return nil, unprocessablef("%v", err)
+	}
+	return CostResponse{
+		Design:        d.Name,
+		Chips:         req.N,
+		MaskNREUSD:    float64(b.MaskNRE),
+		TapeoutNREUSD: float64(b.TapeoutNRE),
+		WafersUSD:     float64(b.Wafers),
+		WaferCount:    float64(b.WaferCount),
+		PackagingUSD:  float64(b.Packaging),
+		TotalUSD:      float64(b.Total),
+		PerChipUSD:    float64(b.PerChip),
+	}, nil
+}
+
+func (s *Server) evalSensitivity(_ context.Context, req *EvalRequest) (any, error) {
+	// The sample count multiplies into N·(k+2) model evaluations:
+	// a well-formed request can still ask for more work than the
+	// server accepts, hence 422 rather than 400.
+	if req.Samples < 0 || req.Samples > s.cfg.MaxSamples {
+		return nil, unprocessablef("samples %d outside [0, %d]", req.Samples, s.cfg.MaxSamples)
+	}
+	d, c, err := req.resolve()
+	if err != nil {
+		return nil, err
+	}
+	cfg := ttmcas.SensitivityConfig{N: req.Samples, Variation: req.Variation, Seed: req.Seed}
+	res, err := ttmcas.Sensitivity(d, req.N, c, cfg)
+	if err != nil {
+		return nil, unprocessablef("%v", err)
+	}
+	return SensitivityResponse{
+		Design: d.Name, Chips: req.N, Conditions: c.String(),
+		Inputs: res.Inputs, TotalEffect: res.Total, FirstOrder: res.First,
+		VarY: res.VarY, Evaluations: res.Evaluations,
+	}, nil
+}
+
+func (s *Server) evalPlan(_ context.Context, req *PlanRequest) (any, error) {
+	d, err := resolveDesign(req.Design, req.Spec, "")
+	if err != nil {
+		return nil, err
+	}
+	if req.N <= 0 {
+		return nil, badRequestf(`"n" (number of chips) must be positive`)
+	}
+	if req.DeadlineWeeks < 0 || req.BudgetUSD < 0 || req.MinCAS < 0 {
+		return nil, badRequestf("constraints must be non-negative")
+	}
+	planner := ttmcas.NewPlanner(d)
+	if req.Multi != nil {
+		planner.MultiProcess = *req.Multi
+	}
+	best, all, err := planner.Recommend(ttmcas.PlanRequirements{
+		Volume:   req.N,
+		Deadline: ttmcas.Weeks(req.DeadlineWeeks),
+		Budget:   ttmcas.USD(req.BudgetUSD),
+		MinCAS:   req.MinCAS,
 	})
+	out := PlanResponse{Design: d.Name, Chips: req.N}
+	switch {
+	case err == nil:
+		out.Feasible = true
+		rec := planOption(best)
+		out.Recommended = &rec
+	case errors.Is(err, ttmcas.ErrNoFeasiblePlan):
+		// Feasible stays false; the ranked nearest candidates
+		// below tell the caller what to relax.
+	default:
+		return nil, unprocessablef("%v", err)
+	}
+	top := req.Top
+	if top <= 0 {
+		top = 8
+	}
+	for i, o := range all {
+		if i >= top {
+			break
+		}
+		out.Options = append(out.Options, planOption(o))
+	}
+	return out, nil
 }
 
 func planOption(o ttmcas.PlanOption) PlanOptionResponse {

@@ -44,7 +44,7 @@ func jobError(err error) error {
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec jobs.Spec
-	if err := decodeJSON(r, &spec); err != nil {
+	if err := decodeBody(r, &spec); err != nil {
 		s.fail(w, err)
 		return
 	}

@@ -166,8 +166,12 @@ func TestJobCancelViaDelete(t *testing.T) {
 // never reaches a worker; /metrics must still count it as a cancelled
 // finish, and the running gauge must return to zero.
 func TestJobCancelledWhileQueuedCountsAsFinished(t *testing.T) {
-	s := testServer(t, Config{JobWorkers: 1})
-	spec := `{"kind":"mc-band","design":"a11","metric":"cas","samples":8192,"seed":%d}`
+	// The running job must outlast the poll that sees it running and the
+	// DELETE that follows, or the DELETE removes a finished job instead:
+	// at 8192 samples the batch kernel finishes it in milliseconds, so
+	// the limits are raised for a job 16 times that size.
+	s := testServer(t, Config{JobWorkers: 1, MaxSamples: 1 << 17, MaxJobEvaluations: 1 << 22})
+	spec := `{"kind":"mc-band","design":"a11","metric":"cas","samples":131072,"seed":%d}`
 	running := submitJob(t, s, fmt.Sprintf(spec, 1))
 	queued := submitJob(t, s, fmt.Sprintf(spec, 2))
 	deadline := time.Now().Add(10 * time.Second)

@@ -32,6 +32,7 @@ type Metrics struct {
 	routes []*routeStats
 
 	cacheHits    atomic.Uint64
+	aliasHits    atomic.Uint64
 	cacheMisses  atomic.Uint64
 	flightShared atomic.Uint64
 	evaluations  atomic.Uint64
@@ -171,6 +172,10 @@ func (m *Metrics) route(pattern string) *routeStats {
 // CacheHit records a response served from the LRU cache.
 func (m *Metrics) CacheHit() { m.cacheHits.Add(1) }
 
+// AliasHit records a cache hit served through a raw-body alias, without
+// decoding the request; it comes on top of the request's CacheHit.
+func (m *Metrics) AliasHit() { m.aliasHits.Add(1) }
+
 // CacheMiss records a cache lookup that found nothing.
 func (m *Metrics) CacheMiss() { m.cacheMisses.Add(1) }
 
@@ -220,6 +225,7 @@ func (m *Metrics) RequestCount(route string, code int) uint64 {
 // CacheHits, CacheMisses, Shared and Evaluations expose the counters
 // for tests and acceptance checks.
 func (m *Metrics) CacheHits() uint64   { return m.cacheHits.Load() }
+func (m *Metrics) AliasHits() uint64   { return m.aliasHits.Load() }
 func (m *Metrics) CacheMisses() uint64 { return m.cacheMisses.Load() }
 func (m *Metrics) Shared() uint64      { return m.flightShared.Load() }
 func (m *Metrics) Evaluations() uint64 { return m.evaluations.Load() }
@@ -356,6 +362,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		{"ttmcas_jobs_running", "Batch jobs currently running.", "gauge", running},
 		{"ttmcas_job_evaluations_total", "Evaluation units completed by finished batch jobs.", "counter", m.jobEvaluations.Load()},
 		{"ttmcas_cache_hits_total", "Responses served from the LRU cache.", "counter", m.cacheHits.Load()},
+		{"ttmcas_cache_alias_hits_total", "Cache hits served through a raw-body alias, without decoding the request (a subset of ttmcas_cache_hits_total).", "counter", m.aliasHits.Load()},
 		{"ttmcas_cache_misses_total", "Cache lookups that found nothing.", "counter", m.cacheMisses.Load()},
 		{"ttmcas_singleflight_shared_total", "Requests that shared an identical in-flight computation.", "counter", m.flightShared.Load()},
 		{"ttmcas_model_evaluations_total", "Actual model computations performed.", "counter", m.evaluations.Load()},

@@ -102,6 +102,7 @@ func recordGoldenScript(m *Metrics) {
 	m.route("GET /v1/nodes") // registered, never requested: no series
 	m.CacheHit()
 	m.CacheHit()
+	m.AliasHit()
 	m.CacheMiss()
 	m.FlightShared()
 	m.Evaluation()
@@ -197,6 +198,7 @@ func TestMetricsRecordingAllocs(t *testing.T) {
 	for name, f := range map[string]func(){
 		"route observe": func() { rs.observe(200, 42*time.Microsecond) },
 		"cache hit":     m.CacheHit,
+		"alias hit":     m.AliasHit,
 		"cache miss":    m.CacheMiss,
 		"shard latency": func() { m.ShardCompleted(jobs.KindMCBand, 3*time.Millisecond) },
 		"job finished":  func() { m.JobFinished(jobs.KindSweep, jobs.StatusSucceeded, 1) },

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -28,7 +29,8 @@ type Config struct {
 	// Addr is the listen address for ListenAndServe (default ":8080").
 	Addr string
 	// CacheBytes budgets the sharded response cache by total cached
-	// body bytes (default 64 MiB); negative disables caching.
+	// bytes — response bodies plus the keys of raw-body aliases
+	// (default 64 MiB); negative disables caching, aliases included.
 	CacheBytes int64
 	// CacheShards is the response-cache shard count, rounded up to a
 	// power of two (default 16). More shards means less lock
@@ -401,12 +403,12 @@ func (s *Server) routes() http.Handler {
 			h(w, r)
 		})
 	}
-	handle("POST /v1/ttm", s.handleTTM)
-	handle("POST /v1/cas", s.handleCAS)
-	handle("POST /v1/cost", s.handleCost)
-	handle("POST /v1/sensitivity", s.handleSensitivity)
-	handle("POST /v1/plan", s.handlePlan)
-	handle("POST /v1/scenarios", s.handleTimeline)
+	handle("POST /v1/ttm", evalRoute(s, "POST /v1/ttm", false, s.evalTTM))
+	handle("POST /v1/cas", evalRoute(s, "POST /v1/cas", false, s.evalCAS))
+	handle("POST /v1/cost", evalRoute(s, "POST /v1/cost", false, s.evalCost))
+	handle("POST /v1/sensitivity", evalRoute(s, "POST /v1/sensitivity", true, s.evalSensitivity))
+	handle("POST /v1/plan", evalRoute(s, "POST /v1/plan", true, s.evalPlan))
+	handle("POST /v1/scenarios", evalRoute(s, "POST /v1/scenarios", true, s.evalTimeline))
 	injected("POST /v1/jobs", s.handleJobSubmit)
 	injected("GET /v1/jobs", s.handleJobList)
 	injected("GET /v1/jobs/{id}", s.handleJobGet)
@@ -527,6 +529,82 @@ func encodeJSON(v any) (body []byte, release func(), err error) {
 	return eb.buf.Bytes(), func() { encPool.Put(eb) }, nil
 }
 
+// bodyBuffer holds one request body read whole, after an optional
+// alias-key prefix (see readBody).
+type bodyBuffer struct {
+	buf    bytes.Buffer
+	prefix int
+}
+
+// maxPooledBody is the largest buffer returned to bodyPool, so one
+// large body cannot stay pinned in the pool.
+const maxPooledBody = 64 << 10
+
+var bodyPool = sync.Pool{New: func() any { return new(bodyBuffer) }}
+
+// readBody reads r's body — bounded by the MaxBytesReader that wrap
+// installs — whole into a pooled buffer. A non-empty route is written
+// first as the prefix route + '#', so the buffer holds the body's
+// raw-alias cache key. A body over the limit is a *http.MaxBytesError,
+// which fail answers 413; any other read failure is a 400. The caller
+// must release the buffer.
+func readBody(r *http.Request, route string) (*bodyBuffer, error) {
+	bb := bodyPool.Get().(*bodyBuffer)
+	bb.buf.Reset()
+	if route != "" {
+		bb.buf.WriteString(route)
+		bb.buf.WriteByte('#')
+	}
+	bb.prefix = bb.buf.Len()
+	if r.Body != nil {
+		if _, err := bb.buf.ReadFrom(r.Body); err != nil {
+			bb.release()
+			var mbe *http.MaxBytesError
+			if errors.As(err, &mbe) {
+				return nil, err
+			}
+			return nil, badRequestf("reading request: %v", err)
+		}
+	}
+	return bb, nil
+}
+
+// keyed returns the prefix followed by the body: the alias key.
+func (bb *bodyBuffer) keyed() []byte { return bb.buf.Bytes() }
+
+// body returns the body alone.
+func (bb *bodyBuffer) body() []byte { return bb.buf.Bytes()[bb.prefix:] }
+
+func (bb *bodyBuffer) release() {
+	if bb.buf.Cap() <= maxPooledBody {
+		bodyPool.Put(bb)
+	}
+}
+
+// decodeStrict decodes exactly one JSON value from body into dst:
+// unknown fields and anything but whitespace after the value are 400s.
+func decodeStrict(body []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return badRequestf("decoding request: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return badRequestf("decoding request: trailing data after JSON body")
+	}
+	return nil
+}
+
+// decodeBody reads r's body and decodes it strictly into dst.
+func decodeBody(r *http.Request, dst any) error {
+	bb, err := readBody(r, "")
+	if err != nil {
+		return err
+	}
+	defer bb.release()
+	return decodeStrict(bb.body(), dst)
+}
+
 // encodeResponseError classifies a failure to encode a response body.
 // A result holding a non-finite number — JSON has no +Inf or NaN — is
 // the model's answer to inputs that push it past its finite range (a
@@ -576,6 +654,17 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 	h["Content-Type"] = headerJSON
 	h["Content-Length"] = []string{strconv.Itoa(len(body))}
 	w.WriteHeader(status)
+	w.Write(body)
+}
+
+// writeHit serves a cached body verbatim with its precomputed
+// Content-Length.
+func writeHit(w http.ResponseWriter, cl []string, body []byte) {
+	h := w.Header()
+	h["X-Cache"] = headerHit
+	h["Content-Type"] = headerJSON
+	h["Content-Length"] = cl
+	w.WriteHeader(http.StatusOK)
 	w.Write(body)
 }
 
@@ -699,14 +788,38 @@ func (s *Server) tryRefresh(lim *resilience.Limiter, key, path string, compute f
 }
 
 // respondCached serves a POST evaluation through the cache →
-// single-flight → admission → compute pipeline. req must already be
-// decoded: its canonical JSON, prefixed by the route, keys both
-// layers. Only successful responses are cached; errors pass through
-// single-flight (concurrent identical failures fail once) but are
-// never remembered. When the computation is shed by admission control
-// or fails with a server-side error, a retained stale body — if one
-// exists — is served with X-Cache: STALE instead.
-func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route string, req any, heavy bool, compute func(ctx context.Context) (any, error)) {
+// single-flight → admission → compute pipeline. The body is read whole
+// and first looked up as route + '#' + its exact bytes: a raw-body
+// alias of a canonical entry, so a byte-identical repeat is served
+// without decoding. Otherwise decode turns the body into the request,
+// whose canonical JSON prefixed by route + '|' keys both layers, and
+// the computation that answers it. When that canonical key hits, the
+// body has been seen at least twice and its alias is recorded. Only
+// successful responses are cached; errors pass through single-flight
+// (concurrent identical failures fail once) but are never remembered.
+// When the computation is shed by admission control or fails with a
+// server-side error, a retained stale body — if one exists — is served
+// with X-Cache: STALE instead.
+func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route string, heavy bool,
+	decode func(body []byte) (req any, compute func(ctx context.Context) (any, error), err error)) {
+	bb, err := readBody(r, route)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	defer bb.release()
+	if body, cl, ok := s.cache.GetAlias(bb.keyed()); ok {
+		s.metrics.CacheHit()
+		s.metrics.AliasHit()
+		writeHit(w, cl, body)
+		return
+	}
+	req, compute, err := decode(bb.body())
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+
 	// The canonical key is built in a pooled buffer: a cache hit never
 	// materializes the key as a string (Get looks the bytes up
 	// directly), so the hot path performs no key allocations at all.
@@ -721,14 +834,10 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route str
 	}
 
 	if body, cl, ok := s.cache.Get(eb.buf.Bytes()); ok {
+		s.cache.PutAlias(string(bb.keyed()), eb.buf.String())
 		encPool.Put(eb)
 		s.metrics.CacheHit()
-		h := w.Header()
-		h["X-Cache"] = headerHit
-		h["Content-Type"] = headerJSON
-		h["Content-Length"] = cl
-		w.WriteHeader(http.StatusOK)
-		w.Write(body)
+		writeHit(w, cl, body)
 		return
 	}
 	key := eb.buf.String()

@@ -316,6 +316,23 @@ func TestRequestBodyLimit(t *testing.T) {
 	}
 }
 
+// TestRequestBodyLimitCountsTrailingBytes: the body limit covers the
+// whole body, not just its first JSON value — a valid request padded
+// past MaxBodyBytes with whitespace is 413 on every JSON route.
+func TestRequestBodyLimitCountsTrailingBytes(t *testing.T) {
+	s := testServer(t, Config{})
+	pad := strings.Repeat(" ", 2<<20)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/ttm", `{"design":"a11","node":"28nm","n":10e6}`},
+		{"/v1/scenarios", `{"design":"zen2","n":1e6,"episode":"export-control-shock"}`},
+		{"/v1/jobs", `{"kind":"mc-band","design":"a11","node":"28nm","samples":64}`},
+	} {
+		if w := doRec(t, s, "POST", tc.path, tc.body+pad); w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d trailing spaces: %d %s, want 413", tc.path, len(pad), w.Code, w.Body)
+		}
+	}
+}
+
 func TestMethodNotAllowed(t *testing.T) {
 	s := testServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())

@@ -57,7 +57,7 @@ func (d clusterDistributor) Dispatch(ctx context.Context, target string, req job
 // handleShardExec executes one shard on behalf of a coordinating peer.
 func (s *Server) handleShardExec(w http.ResponseWriter, r *http.Request) {
 	var req jobs.ShardRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		s.fail(w, err)
 		return
 	}

@@ -59,47 +59,40 @@ func (req TimelineRequest) timelineSpec() (ttmcas.TimelineSpec, error) {
 	}
 }
 
-func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	var req TimelineRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.fail(w, err)
-		return
+func (s *Server) evalTimeline(ctx context.Context, req *TimelineRequest) (any, error) {
+	d, err := resolveDesign(req.Design, req.Spec, req.Node)
+	if err != nil {
+		return nil, err
 	}
-	s.respondCached(w, r, "POST /v1/scenarios", req, true, func(ctx context.Context) (any, error) {
-		d, err := resolveDesign(req.Design, req.Spec, req.Node)
-		if err != nil {
-			return nil, err
-		}
-		if req.N <= 0 {
-			return nil, badRequestf(`"n" (number of chips) must be positive`)
-		}
-		spec, err := req.timelineSpec()
-		if err != nil {
-			return nil, err
-		}
-		tl, err := ttmcas.CompileTimeline(spec, ttmcas.TimelineLimits{
-			MaxSteps:    s.cfg.MaxTimelineSteps,
-			MaxSegments: s.cfg.MaxCurvePoints,
-		})
-		if err != nil {
-			if errors.Is(err, ttmcas.ErrInvalidTimelineSpec) {
-				msg := err.Error()
-				if spec.StepCount() > s.cfg.MaxTimelineSteps {
-					msg += `; longer timelines run as batch jobs (POST /v1/jobs, kind "timeline")`
-				}
-				return nil, unprocessablef("%s", msg)
-			}
-			return nil, err
-		}
-		res, err := ttmcas.EvaluateTimeline(ctx, d, req.N, tl, ttmcas.TimelineOptions{InFlight: req.InFlight})
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, unprocessablef("%v", err)
-		}
-		return res, nil
+	if req.N <= 0 {
+		return nil, badRequestf(`"n" (number of chips) must be positive`)
+	}
+	spec, err := req.timelineSpec()
+	if err != nil {
+		return nil, err
+	}
+	tl, err := ttmcas.CompileTimeline(spec, ttmcas.TimelineLimits{
+		MaxSteps:    s.cfg.MaxTimelineSteps,
+		MaxSegments: s.cfg.MaxCurvePoints,
 	})
+	if err != nil {
+		if errors.Is(err, ttmcas.ErrInvalidTimelineSpec) {
+			msg := err.Error()
+			if spec.StepCount() > s.cfg.MaxTimelineSteps {
+				msg += `; longer timelines run as batch jobs (POST /v1/jobs, kind "timeline")`
+			}
+			return nil, unprocessablef("%s", msg)
+		}
+		return nil, err
+	}
+	res, err := ttmcas.EvaluateTimeline(ctx, d, req.N, tl, ttmcas.TimelineOptions{InFlight: req.InFlight})
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, unprocessablef("%v", err)
+	}
+	return res, nil
 }
 
 func (s *Server) handleEpisodes(w http.ResponseWriter, r *http.Request) {
