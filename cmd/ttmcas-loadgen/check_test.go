@@ -39,16 +39,26 @@ func restartFailed(k *killResult) {
 }
 
 func TestCheckChaos(t *testing.T) {
-	clean := chaosOutcome{drained: true, rep: loadtest.Report{Stats: loadtest.Stats{
-		Requests: 1000, Status2xx: 950, Status5xx: 50, Shed: 50, Stale: 5, P99: 10 * time.Millisecond,
-	}}}
+	// 50 5xx: 49 sheds and the one contained panic, all on ttm-fresh.
+	clean := chaosOutcome{panics: 1, drained: true, rep: loadtest.Report{
+		Stats: loadtest.Stats{Requests: 1000, Status2xx: 950, Status5xx: 50, Shed: 49, P99: 10 * time.Millisecond},
+		Targets: []loadtest.TargetStats{
+			{Name: "ttm-hit", Stats: loadtest.Stats{Requests: 800, Status2xx: 800}},
+			{Name: "sensitivity-hit", Stats: loadtest.Stats{Requests: 100, Status2xx: 100}},
+			{Name: "ttm-fresh", Stats: loadtest.Stats{Requests: 100, Status2xx: 50, Status5xx: 50, Shed: 49}},
+		},
+	}}
 	checkCases(t, clean, chaosOutcome.check, map[string]func(*chaosOutcome){
-		"no completed requests":     func(r *chaosOutcome) { r.rep = loadtest.Report{} },
-		"only 49 deliberate sheds":  func(r *chaosOutcome) { r.rep.Shed = 49 },
-		"every request was shed":    func(r *chaosOutcome) { r.rep.Requests, r.rep.Status2xx = 50, 0 },
-		"goodput 800/950":           func(r *chaosOutcome) { r.rep.Status2xx = 800 },
+		"no completed requests": func(r *chaosOutcome) { r.rep = loadtest.Report{} },
+		"hit target sensitivity-hit answered 1/100 non-2xx": func(r *chaosOutcome) {
+			r.rep.Targets = append([]loadtest.TargetStats(nil), r.rep.Targets...)
+			r.rep.Targets[1].Status2xx, r.rep.Targets[1].Status5xx = 99, 1
+		},
+		"1 5xx beyond the 48 deliberate sheds (503+Retry-After) and 1 contained panics": func(r *chaosOutcome) { r.rep.Shed = 48 },
+		"1 5xx beyond the 49 deliberate sheds (503+Retry-After) and 0 contained panics": func(r *chaosOutcome) { r.panics = 0 },
+		"every request was shed":    func(r *chaosOutcome) { r.rep.Requests, r.rep.Status2xx, r.rep.Shed, r.panics = 50, 0, 50, 0 },
+		"goodput 800/951":           func(r *chaosOutcome) { r.rep.Status2xx = 800 },
 		"p99 1s exceeds 500ms":      func(r *chaosOutcome) { r.rep.P99 = time.Second },
-		"no stale serves":           func(r *chaosOutcome) { r.rep.Stale = 0 },
 		"goroutines did not return": func(r *chaosOutcome) { r.drained = false },
 	})
 }

@@ -162,7 +162,6 @@ func (out clusterOutcome) writeJSON(w io.Writer) error {
 		Local       uint64  `json:"cluster_local"`
 		Forwarded   uint64  `json:"cluster_forwarded"`
 		ForwardErrs uint64  `json:"cluster_forward_errors"`
-		Redirected  uint64  `json:"cluster_redirected"`
 		jsonStats
 		Targets []jsonStats `json:"targets,omitempty"`
 	}{
@@ -175,7 +174,6 @@ func (out clusterOutcome) writeJSON(w io.Writer) error {
 		Local:       out.stats.Local,
 		Forwarded:   out.stats.Forwarded,
 		ForwardErrs: out.stats.ForwardErrors,
-		Redirected:  out.stats.Redirected,
 		jsonStats:   toJSONStats("", out.rep.Stats),
 		Targets:     targetsJSON(out.rep),
 	})
@@ -185,7 +183,7 @@ func (out clusterOutcome) writeText(w io.Writer) {
 	fmt.Fprintf(w, "scenario=cluster nodes=%d concurrency=%d duration=%s",
 		out.nodes, out.rep.Concurrency, out.rep.Elapsed.Round(time.Millisecond))
 	out.kill.writeText(w)
-	fmt.Fprintf(w, "cluster: local=%d forwarded=%d forward_errors=%d redirected=%d\n",
-		out.stats.Local, out.stats.Forwarded, out.stats.ForwardErrors, out.stats.Redirected)
+	fmt.Fprintf(w, "cluster: local=%d forwarded=%d forward_errors=%d\n",
+		out.stats.Local, out.stats.Forwarded, out.stats.ForwardErrors)
 	writeStats(w, "total", out.rep)
 }

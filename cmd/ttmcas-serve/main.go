@@ -8,13 +8,13 @@
 //
 //	ttmcas-serve [-addr :8080] [-cache-bytes 67108864] [-cache-shards 16] [-eval-cache 256]
 //	             [-max-concurrent 4] [-cheap-concurrent 2*GOMAXPROCS] [-request-timeout 30s]
-//	             [-shed-target-ms 25] [-fresh-ttl 0] [-stale-ttl 0]
+//	             [-shed-target-ms 25]
 //	             [-job-workers 2] [-max-jobs 32] [-job-ttl 1h] [-job-timeout 10m]
 //	             [-job-snapshots DIR] [-max-samples 8192] [-max-curve-points 64]
 //	             [-max-timeline-steps 256]
 //	             [-fault-spec ""] [-fault-seed 1] [-pprof-addr localhost:6060]
 //	             [-peers URL,URL] [-cluster-addr http://host:port] [-node-id ID]
-//	             [-vnodes 64] [-forward] [-probe-interval 1s] [-probe-timeout 0]
+//	             [-vnodes 64] [-probe-interval 1s] [-probe-timeout 0]
 //
 // Endpoints:
 //
@@ -56,12 +56,10 @@
 // finish in time. Admission counters are exported on /metrics as
 // ttmcas_admission_{admitted,shed}_total{class}.
 //
-// With -fresh-ttl and -stale-ttl set, cached responses age through
-// two windows: within -fresh-ttl they are served as ordinary hits;
-// between -fresh-ttl and -fresh-ttl + -stale-ttl they are recomputed
-// on access, but if the recompute is shed or fails the retained body
-// is served with X-Cache: STALE and a background refresh is kicked
-// off. Both TTLs default to zero, which disables aging entirely.
+// Cached answers never degrade: every model is a pure function of its
+// request and the built-in node database, so a cached body stays valid
+// until evicted, and cache hits bypass both admission and fault
+// injection. Overload and injected faults reach only cache misses.
 //
 // -fault-spec enables fault injection (off by default; seeded by
 // -fault-seed) for chaos testing. Route rules degrade this node's
@@ -80,12 +78,10 @@
 // With -peers and -cluster-addr set, the node joins a consistent-hash
 // cluster: every canonical request key has exactly one owning node, and
 // a node receiving a key it does not own forwards the request to the
-// owner over HTTP (or, with -forward=false, answers 307 with the
-// owner's URL in Location and lets the client re-issue). Peer health is
-// probed via /healthz every -probe-interval; a peer failing probes is
-// first suspected (kept on the ring) and then evicted, its key range
-// redistributing to the survivors, and re-admitted on its first
-// successful probe. Forwarding failures never lose requests — the node
+// owner over HTTP. Peer health is probed via /healthz every
+// -probe-interval; a peer failing probes is first suspected (kept on
+// the ring) and then evicted, its key range redistributing to the
+// survivors, and re-admitted on its first successful probe. Forwarding failures never lose requests — the node
 // computes locally instead. Batch jobs route to the owner of their spec
 // so snapshots never collide. See README.md "Running a cluster".
 //
@@ -170,8 +166,6 @@ func run(args []string) error {
 	maxConcurrent := fs.Int("max-concurrent", 4, "worker-pool bound for sensitivity/plan requests")
 	cheapConcurrent := fs.Int("cheap-concurrent", 0, "admission bound for cheap evaluation requests (0 = 2*GOMAXPROCS)")
 	shedTargetMS := fs.Int("shed-target-ms", 25, "admission queue-delay target in milliseconds before shedding")
-	freshTTL := fs.Duration("fresh-ttl", 0, "how long cached responses are served as fresh hits (0 disables aging)")
-	staleTTL := fs.Duration("stale-ttl", 0, "how long past fresh-ttl stale responses may be served on shed or failure")
 	requestTimeout := fs.Duration("request-timeout", 30*time.Second, "per-request deadline")
 	maxBody := fs.Int64("max-body", 1<<20, "largest accepted request body in bytes")
 	jobWorkers := fs.Int("job-workers", 2, "concurrent batch jobs")
@@ -189,7 +183,6 @@ func run(args []string) error {
 	clusterAddr := fs.String("cluster-addr", "", "this node's advertised base URL, e.g. http://10.0.0.1:8080 (required with -peers)")
 	nodeID := fs.String("node-id", "", "node identity in /healthz and cluster state (default: -cluster-addr without scheme)")
 	vnodes := fs.Int("vnodes", 0, "virtual nodes per ring member (0 = default 64)")
-	forward := fs.Bool("forward", true, "forward mis-owned requests to the owner (false answers 307 redirects instead)")
 	probeInterval := fs.Duration("probe-interval", time.Second, "peer health-probe period")
 	probeTimeout := fs.Duration("probe-timeout", 0, "per-probe deadline, decoupled from -probe-interval (0 = the interval, capped at 2s)")
 	if err := fs.Parse(args); err != nil {
@@ -243,8 +236,6 @@ func run(args []string) error {
 		MaxConcurrent:    *maxConcurrent,
 		CheapConcurrent:  *cheapConcurrent,
 		ShedTarget:       time.Duration(*shedTargetMS) * time.Millisecond,
-		FreshTTL:         *freshTTL,
-		StaleTTL:         *staleTTL,
 		RequestTimeout:   *requestTimeout,
 		MaxBodyBytes:     *maxBody,
 		JobWorkers:       *jobWorkers,
@@ -263,7 +254,6 @@ func run(args []string) error {
 		ClusterSelfURL:       strings.TrimSuffix(*clusterAddr, "/"),
 		ClusterPeers:         peerList,
 		ClusterVNodes:        *vnodes,
-		ClusterRedirect:      !*forward,
 		ClusterProbeInterval: *probeInterval,
 		ClusterProbeTimeout:  *probeTimeout,
 	})

@@ -58,15 +58,15 @@
 // arrivals are shed with 503 and a Retry-After header rather than
 // queued behind work that cannot finish in time. Cache hits bypass
 // admission, so a shedding server still serves its hot set at full
-// speed. With -fresh-ttl/-stale-ttl configured, cached bodies that
-// have gone stale are recomputed on access, but a shed or failed
-// recompute falls back to the retained body, marked X-Cache: STALE,
-// while a bounded background refresh repopulates the entry; client
-// errors are never stale-masked. An off-by-default fault injector
+// speed. Cached answers never degrade: the models are deterministic, so
+// a cached body stays valid until evicted, and hits bypass both
+// admission and fault injection. An off-by-default fault injector
 // (-fault-spec; internal/resilience/fault) degrades routes and cluster
 // links for drills: cmd/ttmcas-loadgen's chaos scenario runs
-// fault-injected load and asserts availability — every 5xx a deliberate shed, goodput
-// at least 90% of admitted requests, no goroutine leaks after drain.
+// fault-injected load over warmed and fresh keys and asserts
+// availability — every warmed key answered 2xx, every 5xx a deliberate
+// shed or a contained panic, goodput at least 90% of admitted
+// requests, no goroutine leaks after drain.
 //
 // # Running a cluster
 //
@@ -75,9 +75,8 @@
 // coordinator, no external store). A consistent-hash ring with
 // virtual nodes maps each request's canonical cache key to one owning
 // node: send any request to any node, the owner computes and caches
-// it, a non-owner forwards server-side in one hop (X-Cache: FWD) or,
-// with -forward=false, answers a 307 redirect to the owner — so each
-// distinct evaluation is computed once cluster-wide. Batch jobs route
+// it, a non-owner forwards server-side in one hop (X-Cache: FWD) — so
+// each distinct evaluation is computed once cluster-wide. Batch jobs route
 // to their owner the same way and are findable through any node.
 // Gossip-style health probes drive an alive → suspect → dead state
 // machine: a suspect peer keeps its ring segment (brief stalls don't

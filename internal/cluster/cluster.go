@@ -76,9 +76,6 @@ type Options struct {
 	Peers []string
 	// VNodes is the virtual-node count per member (default DefaultVNodes).
 	VNodes int
-	// Redirect disables server-side forwarding: ownership misses should
-	// be answered with 307 redirects to the owner instead.
-	Redirect bool
 	// ProbeInterval is the per-peer health-probe period (default 1s).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe (default: ProbeInterval, capped at
@@ -187,7 +184,6 @@ type Cluster struct {
 	local         atomic.Uint64
 	forwarded     atomic.Uint64
 	forwardErrors atomic.Uint64
-	redirected    atomic.Uint64
 	probeFailures atomic.Uint64
 
 	breakerShort       atomic.Uint64 // forwards short-circuited by an open breaker
@@ -250,10 +246,6 @@ func (c *Cluster) SelfURL() string { return c.opts.SelfURL }
 // Epoch returns the ring epoch: 1 at startup, +1 per membership change.
 func (c *Cluster) Epoch() uint64 { return c.epoch.Load() }
 
-// Forwarding reports whether ownership misses are forwarded
-// server-side (true) or should be redirected to the owner (false).
-func (c *Cluster) Forwarding() bool { return !c.opts.Redirect }
-
 // Ring returns the current ring snapshot.
 func (c *Cluster) Ring() *Ring { return c.ring.Load() }
 
@@ -290,9 +282,6 @@ func (c *Cluster) PeerURLs(aliveOnly bool) []string {
 
 // NoteLocal counts an ownership decision that stayed local.
 func (c *Cluster) NoteLocal() { c.local.Add(1) }
-
-// NoteRedirect counts an ownership miss answered with a redirect.
-func (c *Cluster) NoteRedirect() { c.redirected.Add(1) }
 
 // ForwardResult is a peer's answer to a forwarded request.
 type ForwardResult struct {
@@ -640,7 +629,6 @@ type Stats struct {
 	Local         uint64
 	Forwarded     uint64
 	ForwardErrors uint64
-	Redirected    uint64
 	ProbeFailures uint64
 	// ForwardLatency is the cluster's live histogram of successful
 	// forward round trips, shared rather than copied.
@@ -664,7 +652,6 @@ func (c *Cluster) Stats() Stats {
 		Local:                c.local.Load(),
 		Forwarded:            c.forwarded.Load(),
 		ForwardErrors:        c.forwardErrors.Load(),
-		Redirected:           c.redirected.Load(),
 		ProbeFailures:        c.probeFailures.Load(),
 		Retries:              rs.Retries,
 		RetriesDenied:        rs.BudgetDenied,
@@ -704,31 +691,27 @@ type PeerStatus struct {
 
 // Status is the /v1/cluster response body.
 type Status struct {
-	Enabled    bool         `json:"enabled"`
-	Self       PeerStatus   `json:"self"`
-	Epoch      uint64       `json:"epoch"`
-	VNodes     int          `json:"vnodes"`
-	Forwarding bool         `json:"forwarding"`
-	RingNodes  []string     `json:"ring_nodes"`
-	Peers      []PeerStatus `json:"peers"`
-	Local      uint64       `json:"local"`
-	Forwarded  uint64       `json:"forwarded"`
-	Redirected uint64       `json:"redirected"`
+	Enabled   bool         `json:"enabled"`
+	Self      PeerStatus   `json:"self"`
+	Epoch     uint64       `json:"epoch"`
+	VNodes    int          `json:"vnodes"`
+	RingNodes []string     `json:"ring_nodes"`
+	Peers     []PeerStatus `json:"peers"`
+	Local     uint64       `json:"local"`
+	Forwarded uint64       `json:"forwarded"`
 }
 
 // Status builds the full cluster-state document.
 func (c *Cluster) Status() Status {
 	now := time.Now()
 	st := Status{
-		Enabled:    true,
-		Self:       PeerStatus{ID: c.opts.SelfID, URL: c.opts.SelfURL, State: StateAlive.String()},
-		Epoch:      c.epoch.Load(),
-		VNodes:     c.opts.VNodes,
-		Forwarding: c.Forwarding(),
-		RingNodes:  c.ring.Load().Members(),
-		Local:      c.local.Load(),
-		Forwarded:  c.forwarded.Load(),
-		Redirected: c.redirected.Load(),
+		Enabled:   true,
+		Self:      PeerStatus{ID: c.opts.SelfID, URL: c.opts.SelfURL, State: StateAlive.String()},
+		Epoch:     c.epoch.Load(),
+		VNodes:    c.opts.VNodes,
+		RingNodes: c.ring.Load().Members(),
+		Local:     c.local.Load(),
+		Forwarded: c.forwarded.Load(),
 	}
 	c.mu.Lock()
 	for _, p := range c.peers {

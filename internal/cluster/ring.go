@@ -1,10 +1,9 @@
 // Package cluster scales ttmcas-serve horizontally: N cooperating
 // processes share one logical response cache by consistent-hashing the
 // canonical cache key onto a ring of member nodes. Each key has exactly
-// one owner; non-owners either forward the request to the owner over
-// plain HTTP (with a single-hop guard header so ring disagreements can
-// never loop) or answer with a 307 redirect when forwarding is
-// disabled. Membership is maintained gossip-style from each node's
+// one owner; non-owners forward the request to the owner over plain
+// HTTP, with a single-hop guard header so ring disagreements can never
+// loop. Membership is maintained gossip-style from each node's
 // point of view: peers are probed on /healthz, walk an alive → suspect
 // → dead state machine on consecutive failures, are evicted from the
 // ring when dead, and rejoin automatically on the first successful

@@ -28,8 +28,6 @@ type ClusterConfig struct {
 	// VNodes is the per-member virtual-node count (default
 	// cluster.DefaultVNodes).
 	VNodes int
-	// Redirect disables forwarding in favour of 307 redirects.
-	Redirect bool
 	// ProbeInterval is the peer health-probe period (default 50ms —
 	// test-speed convergence).
 	ProbeInterval time.Duration
@@ -106,7 +104,6 @@ func StartCluster(n int, cfg ClusterConfig) (*TestCluster, error) {
 			ClusterSelfURL:       urls[i],
 			ClusterPeers:         peers,
 			ClusterVNodes:        cfg.VNodes,
-			ClusterRedirect:      cfg.Redirect,
 			ClusterProbeInterval: cfg.ProbeInterval,
 			CheapConcurrent:      256,
 			MaxConcurrent:        64,
@@ -283,7 +280,6 @@ type ClusterStats struct {
 	Local         uint64
 	Forwarded     uint64
 	ForwardErrors uint64
-	Redirected    uint64
 
 	// Resilience counters (summed) and the number of per-peer circuit
 	// breakers currently not closed (sampled at the Stats call).
@@ -306,7 +302,6 @@ func (tc *TestCluster) Stats() ClusterStats {
 		agg.Local += st.Local
 		agg.Forwarded += st.Forwarded
 		agg.ForwardErrors += st.ForwardErrors
-		agg.Redirected += st.Redirected
 		agg.Retries += st.Retries
 		agg.RetriesDenied += st.RetriesDenied
 		agg.BreakerShortCircuits += st.BreakerShortCircuits

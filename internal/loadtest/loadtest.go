@@ -108,13 +108,11 @@ type Stats struct {
 	// the chaos gate uses that distinction to separate controlled
 	// degradation from genuine failures.
 	Shed uint64
-	// Stale counts degraded serves: 200 responses with X-Cache: STALE.
-	Stale uint64
-	RPS   float64
-	P50   time.Duration
-	P95   time.Duration
-	P99   time.Duration
-	Max   time.Duration
+	RPS  float64
+	P50  time.Duration
+	P95  time.Duration
+	P99  time.Duration
+	Max  time.Duration
 }
 
 // TargetStats pairs a target's name with its aggregate.
@@ -138,7 +136,7 @@ type Report struct {
 type workerStats struct {
 	requests                uint64
 	s2xx, s4xx, s5xx, other uint64
-	shed, stale             uint64
+	shed                    uint64
 	hist                    metrics.Histogram
 }
 
@@ -228,9 +226,6 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 				if res.shed {
 					st.shed++
 				}
-				if res.stale {
-					st.stale++
-				}
 			}
 		}(w)
 	}
@@ -271,7 +266,6 @@ func buildReport(cfg Config, perWorker [][]workerStats, elapsed time.Duration) R
 			agg.s4xx += s.s4xx
 			agg.s5xx += s.s5xx
 			agg.shed += s.shed
-			agg.stale += s.stale
 			agg.hist.Merge(&s.hist)
 		}
 		rep.Targets = append(rep.Targets, TargetStats{
@@ -283,7 +277,6 @@ func buildReport(cfg Config, perWorker [][]workerStats, elapsed time.Duration) R
 		total.s4xx += agg.s4xx
 		total.s5xx += agg.s5xx
 		total.shed += agg.shed
-		total.stale += agg.stale
 		total.hist.Merge(&agg.hist)
 	}
 	rep.Stats = total.stats(secs)
@@ -297,7 +290,6 @@ func (s *workerStats) stats(secs float64) Stats {
 		Status4xx: s.s4xx,
 		Status5xx: s.s5xx,
 		Shed:      s.shed,
-		Stale:     s.stale,
 		P50:       s.hist.Quantile(0.50),
 		P95:       s.hist.Quantile(0.95),
 		P99:       s.hist.Quantile(0.99),
@@ -310,20 +302,17 @@ func (s *workerStats) stats(secs float64) Stats {
 }
 
 // sendResult is the per-request outcome a sender observes: the HTTP
-// status plus the degradation markers the serving stack advertises in
-// headers.
+// status plus whether the serving stack marked it a deliberate shed.
 type sendResult struct {
 	status int
 	shed   bool // 503 with Retry-After: deliberate admission shed
-	stale  bool // X-Cache: STALE: degraded serve from a retained body
 }
 
-// classify fills the degradation markers from a response's headers.
+// classify fills the shed marker from a response's headers.
 func classify(status int, h http.Header) sendResult {
 	return sendResult{
 		status: status,
 		shed:   status == http.StatusServiceUnavailable && h.Get("Retry-After") != "",
-		stale:  h.Get("X-Cache") == "STALE",
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // respell re-encodes a JSON body with the same meaning in different
@@ -154,60 +153,6 @@ func TestAliasByteIdentity(t *testing.T) {
 					path, m.AliasHits(), m.Evaluations())
 			}
 		}
-	}
-}
-
-// TestAliasFollowsCanonicalFreshness: with entry aging on, an alias
-// serves only a fresh canonical entry. A stale one is recomputed, or
-// served STALE exactly as without aliases when recomputation fails,
-// and a hard-expired one is never served.
-func TestAliasFollowsCanonicalFreshness(t *testing.T) {
-	s := testServer(t, Config{
-		FreshTTL:  50 * time.Millisecond,
-		StaleTTL:  time.Hour,
-		FaultSpec: "route=/v1/ttm error-rate=1",
-	})
-	s.Faults().Pause()
-	m := s.Metrics()
-	const body = `{"design":"a11","node":"28nm","n":1e6}`
-	post := func(wantCode int, wantCache string) *httptest.ResponseRecorder {
-		t.Helper()
-		w := doRec(t, s, "POST", "/v1/ttm", body)
-		if w.Code != wantCode || w.Header().Get("X-Cache") != wantCache {
-			t.Fatalf("status %d X-Cache %q, want %d %q: %s", w.Code, w.Header().Get("X-Cache"), wantCode, wantCache, w.Body)
-		}
-		return w
-	}
-	fresh := post(http.StatusOK, "MISS").Body.String()
-	post(http.StatusOK, "HIT")
-	post(http.StatusOK, "HIT")
-	if m.AliasHits() != 1 {
-		t.Fatalf("alias hits %d, want 1", m.AliasHits())
-	}
-
-	ageCache(s, 10*time.Minute) // stale, recomputation works
-	post(http.StatusOK, "MISS")
-	if m.AliasHits() != 1 || m.Evaluations() != 2 {
-		t.Fatalf("stale entry: alias hits %d, evaluations %d; want 1, 2", m.AliasHits(), m.Evaluations())
-	}
-	post(http.StatusOK, "HIT") // the refreshed entry is fresh again
-	if m.AliasHits() != 2 {
-		t.Fatalf("refreshed entry: alias hits %d, want 2", m.AliasHits())
-	}
-
-	ageCache(s, 20*time.Minute) // stale, recomputation fails
-	s.Faults().Resume()
-	if got := post(http.StatusOK, "STALE").Body.String(); got != fresh {
-		t.Fatalf("stale body %q, want %q", got, fresh)
-	}
-	if m.AliasHits() != 2 || m.StaleServes() != 1 {
-		t.Fatalf("stale serve: alias hits %d, stale serves %d; want 2, 1", m.AliasHits(), m.StaleServes())
-	}
-
-	ageCache(s, 3*time.Hour) // hard-expired: nothing to serve
-	post(http.StatusServiceUnavailable, "")
-	if m.AliasHits() != 2 {
-		t.Fatalf("expired entry: alias hits %d, want 2", m.AliasHits())
 	}
 }
 

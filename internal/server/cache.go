@@ -20,7 +20,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // shardedCache is a byte-budgeted least-recently-used response cache
@@ -29,32 +28,21 @@ import (
 // parallel; a key always maps to the same shard via the seeded hash, so
 // per-entry operations stay linearizable.
 //
-// Entries optionally age through two TTLs. Within freshTTL an entry is
-// served directly (Get hits). Past freshTTL but within staleTTL the
-// entry no longer hits — the caller recomputes — but it is retained
-// and reachable through GetAny, the degraded-mode read the server uses
-// to serve a stale body when recomputation is shed or fails. Past
-// freshTTL+staleTTL the entry is dropped lazily on the next lookup.
-// freshTTL == 0 (the default) disables aging entirely: entries stay
-// fresh until evicted and the hot path never reads the clock.
+// Entries never age: a cached body is a pure function of its request
+// and the built-in database, so it stays valid until evicted, and the
+// cache never reads the clock.
 //
 // Besides response bodies under their canonical keys, the cache holds
 // raw-body aliases (PutAlias, GetAlias): small entries whose value is
 // a canonical key. They share the byte budget and the LRU with the
-// bodies, and own no freshness of their own.
+// bodies.
 type shardedCache struct {
 	shards   []cacheShard
 	mask     uint64
 	seed     maphash.Seed
 	disabled bool
 
-	freshTTL time.Duration
-	staleTTL time.Duration
-	// now is the clock, swappable in tests.
-	now func() time.Time
-
 	evictions atomic.Uint64
-	expired   atomic.Uint64
 }
 
 // cacheShard is one lock domain of the cache: an LRU list over the
@@ -78,9 +66,6 @@ type cacheEntry struct {
 	// cl is the precomputed Content-Length header value, built once at
 	// insert so serving a hit allocates nothing for headers.
 	cl []string
-	// stored is when the body was inserted or last refreshed; the
-	// aging TTLs are measured from it.
-	stored time.Time
 }
 
 // cacheStats is a point-in-time aggregate across shards, surfaced in
@@ -91,16 +76,15 @@ type cacheStats struct {
 	BudgetBytes int64
 	Shards      int
 	Evictions   uint64
-	Expired     uint64
 }
 
 // newShardedCache returns a cache bounded to roughly totalBytes of
 // cached response bodies across `shards` shards (rounded up to a power
 // of two). totalBytes <= 0 disables caching: every Get misses and Put
-// is a no-op. freshTTL/staleTTL configure entry aging (0 disables it).
-func newShardedCache(totalBytes int64, shards int, freshTTL, staleTTL time.Duration) *shardedCache {
+// is a no-op.
+func newShardedCache(totalBytes int64, shards int) *shardedCache {
 	if totalBytes <= 0 {
-		return &shardedCache{disabled: true, now: time.Now}
+		return &shardedCache{disabled: true}
 	}
 	n := 1
 	for n < shards {
@@ -111,12 +95,9 @@ func newShardedCache(totalBytes int64, shards int, freshTTL, staleTTL time.Durat
 		per = 1
 	}
 	c := &shardedCache{
-		shards:   make([]cacheShard, n),
-		mask:     uint64(n - 1),
-		seed:     maphash.MakeSeed(),
-		freshTTL: freshTTL,
-		staleTTL: staleTTL,
-		now:      time.Now,
+		shards: make([]cacheShard, n),
+		mask:   uint64(n - 1),
+		seed:   maphash.MakeSeed(),
 	}
 	for i := range c.shards {
 		c.shards[i] = cacheShard{
@@ -141,20 +122,13 @@ func (c *shardedCache) shardOf(key []byte) *cacheShard {
 }
 
 // Get returns the cached body for key, with its precomputed
-// Content-Length header value, and marks it most recently used. Only
-// fresh entries hit: with aging enabled, an entry past its fresh TTL
-// reports a miss (so the caller revalidates) but stays reachable via
-// GetAny, and an entry past its hard TTL is dropped on the spot. The
+// Content-Length header value, and marks it most recently used. The
 // key is a byte slice so a hit — the hot path — performs zero
 // allocations: the map lookup through string(key) is resolved by the
 // compiler without materializing the string.
 func (c *shardedCache) Get(key []byte) (body []byte, cl []string, ok bool) {
 	if c.disabled {
 		return nil, nil, false
-	}
-	var now time.Time
-	if c.freshTTL > 0 {
-		now = c.now() // read the clock outside the shard lock
 	}
 	s := c.shardOf(key)
 	s.mu.Lock()
@@ -164,58 +138,14 @@ func (c *shardedCache) Get(key []byte) (body []byte, cl []string, ok bool) {
 		return nil, nil, false
 	}
 	e := el.Value.(*cacheEntry)
-	if c.freshTTL > 0 {
-		switch age := now.Sub(e.stored); {
-		case age > c.freshTTL+c.staleTTL:
-			// Hard-expired: drop lazily so GetAny cannot resurrect it.
-			s.ll.Remove(el)
-			delete(s.items, e.key)
-			s.bytes -= e.size
-			c.expired.Add(1)
-			return nil, nil, false
-		case age > c.freshTTL:
-			return nil, nil, false
-		}
-	}
-	s.ll.MoveToFront(el)
-	return e.body, e.cl, true
-}
-
-// GetAny returns the entry for key whether fresh or stale — the
-// degraded-mode read used to serve a retained body when recomputation
-// was shed or failed. Hard-expired entries are dropped, never served.
-func (c *shardedCache) GetAny(key string) (body []byte, cl []string, ok bool) {
-	if c.disabled {
-		return nil, nil, false
-	}
-	var now time.Time
-	if c.freshTTL > 0 {
-		now = c.now()
-	}
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, found := s.items[key]
-	if !found {
-		return nil, nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	if c.freshTTL > 0 && now.Sub(e.stored) > c.freshTTL+c.staleTTL {
-		s.ll.Remove(el)
-		delete(s.items, e.key)
-		s.bytes -= e.size
-		c.expired.Add(1)
-		return nil, nil, false
-	}
 	s.ll.MoveToFront(el)
 	return e.body, e.cl, true
 }
 
 // GetAlias resolves a raw-body alias recorded by PutAlias and serves
-// its canonical entry through Get, so freshness, stale handling and the
-// body all stay the canonical entry's: a miss on either lookup is a
-// miss. Aliases themselves never age; the LRU and the byte budget
-// retire them.
+// its canonical entry through Get, so the body stays the canonical
+// entry's: a miss on either lookup is a miss. The LRU and the byte
+// budget retire aliases like any other entry.
 func (c *shardedCache) GetAlias(raw []byte) (body []byte, cl []string, ok bool) {
 	if c.disabled {
 		return nil, nil, false
@@ -247,8 +177,8 @@ func (c *shardedCache) Put(key string, body []byte) {
 // PutAlias records that the raw key names the entry under canonical,
 // charging both keys' bytes against the budget. The server records an
 // alias only when canonical has just hit, and GetAlias serves through
-// the canonical entry, so an alias can go dead (its target evicted or
-// expired) but can never serve anything the canonical key would not.
+// the canonical entry, so an alias can go dead (its target evicted)
+// but can never serve anything the canonical key would not.
 func (c *shardedCache) PutAlias(raw, canonical string) {
 	if c.disabled {
 		return
@@ -261,10 +191,6 @@ func (c *shardedCache) put(key string, body []byte, size int64, cl []string) {
 	if size > s.budget {
 		return
 	}
-	var now time.Time
-	if c.freshTTL > 0 {
-		now = c.now()
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
@@ -273,10 +199,9 @@ func (c *shardedCache) put(key string, body []byte, size int64, cl []string) {
 		e.body = body
 		e.size = size
 		e.cl = cl
-		e.stored = now // a refresh restarts the freshness clock
 		s.ll.MoveToFront(el)
 	} else {
-		s.items[key] = s.ll.PushFront(&cacheEntry{key: key, body: body, size: size, cl: cl, stored: now})
+		s.items[key] = s.ll.PushFront(&cacheEntry{key: key, body: body, size: size, cl: cl})
 		s.bytes += size
 	}
 	for s.bytes > s.budget {
@@ -304,7 +229,7 @@ func (c *shardedCache) Len() int {
 // Stats aggregates entry/byte counts and the eviction counter across
 // shards.
 func (c *shardedCache) Stats() cacheStats {
-	st := cacheStats{Shards: len(c.shards), Evictions: c.evictions.Load(), Expired: c.expired.Load()}
+	st := cacheStats{Shards: len(c.shards), Evictions: c.evictions.Load()}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()

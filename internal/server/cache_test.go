@@ -5,12 +5,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // singleShard returns a cache with one shard so LRU ordering is
 // globally observable in tests.
-func singleShard(budget int64) *shardedCache { return newShardedCache(budget, 1, 0, 0) }
+func singleShard(budget int64) *shardedCache { return newShardedCache(budget, 1) }
 
 func TestCacheBasics(t *testing.T) {
 	c := singleShard(2) // two one-byte bodies fit, a third evicts
@@ -122,7 +121,7 @@ func TestCacheAlias(t *testing.T) {
 		t.Errorf("revived alias = %q, %v", v, ok)
 	}
 
-	off := newShardedCache(-1, 1, 0, 0)
+	off := newShardedCache(-1, 1)
 	off.PutAlias("r#raw", "r|canon")
 	if off.Len() != 0 {
 		t.Error("a disabled cache must not store aliases")
@@ -131,7 +130,7 @@ func TestCacheAlias(t *testing.T) {
 
 func TestCacheDisabled(t *testing.T) {
 	for _, budget := range []int64{0, -1} {
-		c := newShardedCache(budget, 4, 0, 0)
+		c := newShardedCache(budget, 4)
 		c.Put("a", []byte("1"))
 		if _, _, ok := c.Get([]byte("a")); ok {
 			t.Errorf("budget %d: disabled cache must never hit", budget)
@@ -146,7 +145,7 @@ func TestCacheShardRounding(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{
 		{1, 1}, {2, 2}, {3, 4}, {16, 16}, {17, 32},
 	} {
-		c := newShardedCache(1<<20, tc.ask, 0, 0)
+		c := newShardedCache(1<<20, tc.ask)
 		if got := len(c.shards); got != tc.want {
 			t.Errorf("shards(%d) = %d, want %d", tc.ask, got, tc.want)
 		}
@@ -154,63 +153,11 @@ func TestCacheShardRounding(t *testing.T) {
 }
 
 func TestCacheKeyStableShard(t *testing.T) {
-	c := newShardedCache(1<<20, 8, 0, 0)
+	c := newShardedCache(1<<20, 8)
 	for _, key := range []string{"", "a", "POST /v1/ttm|{...}", strings.Repeat("k", 100)} {
 		if c.shard(key) != c.shard(key) {
 			t.Fatalf("shard(%q) not stable", key)
 		}
-	}
-}
-
-// TestCacheTTLAging walks an entry through the two-TTL lifecycle with
-// a fake clock: fresh (Get hits), stale (Get misses, GetAny serves),
-// hard-expired (dropped everywhere), and refresh restarting the clock.
-func TestCacheTTLAging(t *testing.T) {
-	c := newShardedCache(1<<20, 1, 100*time.Millisecond, 200*time.Millisecond)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-
-	c.Put("a", []byte("body"))
-	if _, _, ok := c.Get([]byte("a")); !ok {
-		t.Fatal("fresh entry must hit")
-	}
-
-	now = now.Add(150 * time.Millisecond) // past fresh, within stale
-	if _, _, ok := c.Get([]byte("a")); ok {
-		t.Fatal("stale entry must miss Get")
-	}
-	if b, cl, ok := c.GetAny("a"); !ok || string(b) != "body" || len(cl) != 1 {
-		t.Fatalf("GetAny stale = %q, %v, %v; want the retained body", b, cl, ok)
-	}
-
-	// A refresh restarts the freshness clock.
-	c.Put("a", []byte("body"))
-	if _, _, ok := c.Get([]byte("a")); !ok {
-		t.Fatal("refreshed entry must hit again")
-	}
-
-	now = now.Add(301 * time.Millisecond) // past fresh+stale
-	if _, _, ok := c.GetAny("a"); ok {
-		t.Fatal("hard-expired entry must not be served, even degraded")
-	}
-	if st := c.Stats(); st.Expired != 1 || st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("after expiry: %+v, want 1 expired, empty cache", st)
-	}
-}
-
-// TestCacheTTLDisabledNeverExpires pins the default: freshTTL == 0
-// means entries never age and Get/GetAny behave identically.
-func TestCacheTTLDisabledNeverExpires(t *testing.T) {
-	c := newShardedCache(1<<20, 1, 0, 0)
-	now := time.Unix(1000, 0)
-	c.now = func() time.Time { return now }
-	c.Put("a", []byte("body"))
-	now = now.Add(1000 * time.Hour)
-	if _, _, ok := c.Get([]byte("a")); !ok {
-		t.Fatal("entry aged out with TTLs disabled")
-	}
-	if _, _, ok := c.GetAny("a"); !ok {
-		t.Fatal("GetAny lost an entry with TTLs disabled")
 	}
 }
 
@@ -219,7 +166,7 @@ func TestCacheTTLDisabledNeverExpires(t *testing.T) {
 // cached body lengths never exceeds the configured budget.
 func TestCacheConcurrent(t *testing.T) {
 	const budget = 1 << 10
-	c := newShardedCache(budget, 4, 0, 0)
+	c := newShardedCache(budget, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

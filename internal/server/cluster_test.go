@@ -134,34 +134,6 @@ func TestClusterForwardPath(t *testing.T) {
 	}
 }
 
-// With forwarding disabled the non-owner answers 307 with the owner's
-// URL so the client can re-issue directly.
-func TestClusterRedirect(t *testing.T) {
-	srvs, urls := startClusterNodes(t, 2, func(i int, cfg *Config) { cfg.ClusterRedirect = true })
-	body := bodyOwnedBy(t, srvs[0].Cluster().Ring(), urls[1], 0)
-
-	req, _ := http.NewRequest(http.MethodPost, urls[0]+"/v1/ttm", bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	resp, err := client.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("status = %d, want 307", resp.StatusCode)
-	}
-	if loc := resp.Header.Get("Location"); !strings.HasPrefix(loc, urls[1]) {
-		t.Fatalf("Location = %q, want owner %s", loc, urls[1])
-	}
-	if st := srvs[0].Cluster().Stats(); st.Redirected != 1 {
-		t.Fatalf("redirected = %d, want 1", st.Redirected)
-	}
-}
-
 // The guard header pins a request to the receiving node: even a
 // mis-owned key is served locally, so ring disagreements cannot loop.
 func TestClusterForwardGuardNoLoop(t *testing.T) {
@@ -394,5 +366,53 @@ func TestClusterJobRouting(t *testing.T) {
 			t.Fatalf("job never visible through non-owner: %d %s", gresp.StatusCode, gb)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// The scatter path receives a job ID decoded from the request path and
+// must send it on escaped: otherwise "<id>%3Fx" reaches the holder as
+// "<id>?x" (and "<id>%23x" as "<id>#x") and reads or deletes <id>
+// itself.
+func TestClusterScatterEscapesJobID(t *testing.T) {
+	srvs, urls := startClusterNodes(t, 2, nil)
+
+	// Pin the job to node 1 with the guard header, whatever the ring says.
+	req := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(`{"kind":"mc-band","design":"a11","samples":8}`))
+	req.Header.Set(cluster.ForwardHeader, "test")
+	w := httptest.NewRecorder()
+	srvs[1].Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("submit on node 1 = %d %s", w.Code, w.Body)
+	}
+	var view jobs.View
+	if err := json.Unmarshal(w.Body.Bytes(), &view); err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, srvs[1], view.ID) // finished, so a DELETE would remove it
+
+	for _, method := range []string{http.MethodGet, http.MethodDelete} {
+		for _, suffix := range []string{"%3Fx", "%23x"} {
+			req, err := http.NewRequest(method, urls[0]+"/v1/jobs/"+view.ID+suffix, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s%s via the non-holder = %d %s, want 404", method, view.ID, suffix, resp.StatusCode, b)
+			}
+		}
+	}
+	code, body := doOn(t, srvs[1], http.MethodGet, "/v1/jobs", "")
+	var listed []jobs.View
+	if err := json.Unmarshal([]byte(body), &listed); code != http.StatusOK || err != nil {
+		t.Fatalf("list on node 1 = %d %s (err %v)", code, body, err)
+	}
+	if len(listed) != 1 || listed[0].ID != view.ID {
+		t.Fatalf("node 1 lists %s, want only job %s", body, view.ID)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"ttmcas/internal/cluster"
@@ -75,15 +76,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 
 // forwardJob relays a job submission to the owning peer; false means
 // the forward failed in transport and the caller should submit
-// locally. With forwarding disabled the client is redirected instead.
+// locally.
 func (s *Server) forwardJob(w http.ResponseWriter, r *http.Request, ownerURL, key string) bool {
-	if !s.cluster.Forwarding() {
-		s.cluster.NoteRedirect()
-		w.Header()["Location"] = []string{ownerURL + "/v1/jobs"}
-		writeJSON(w, http.StatusTemporaryRedirect,
-			errorResponse{Error: "jobs owned by peer " + ownerURL})
-		return true
-	}
 	body := key[len("POST /v1/jobs|"):]
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
@@ -104,8 +98,9 @@ func (s *Server) forwardJob(w http.ResponseWriter, r *http.Request, ownerURL, ke
 // different node needs the lookup fanned out. Peers are tried
 // healthiest-first; the first non-404 answer wins. Returns false when
 // no peer knows the job (or clustering is off), leaving the local 404.
+// path is sent verbatim, so callers must escape the job ID in it.
 func (s *Server) scatterJob(w http.ResponseWriter, r *http.Request, path string) bool {
-	if s.cluster == nil || !s.cluster.Forwarding() || r.Header.Get(cluster.ForwardHeader) != "" {
+	if s.cluster == nil || r.Header.Get(cluster.ForwardHeader) != "" {
 		return false
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
@@ -147,7 +142,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	v, ok := s.jobs.Get(id)
 	if !ok {
-		if s.scatterJob(w, r, "/v1/jobs/"+id) {
+		if s.scatterJob(w, r, "/v1/jobs/"+url.PathEscape(id)) {
 			return
 		}
 		s.fail(w, jobError(jobs.ErrNotFound))
@@ -171,7 +166,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	raw, v, err := s.jobs.Result(id)
 	if err != nil {
-		if errors.Is(err, jobs.ErrNotFound) && s.scatterJob(w, r, "/v1/jobs/"+id+"/result") {
+		if errors.Is(err, jobs.ErrNotFound) && s.scatterJob(w, r, "/v1/jobs/"+url.PathEscape(id)+"/result") {
 			return
 		}
 		s.fail(w, jobError(err))
@@ -188,7 +183,7 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	v, ok := s.jobs.Get(id)
 	if !ok {
-		if s.scatterJob(w, r, "/v1/jobs/"+id) {
+		if s.scatterJob(w, r, "/v1/jobs/"+url.PathEscape(id)) {
 			return
 		}
 		s.fail(w, jobError(jobs.ErrNotFound))

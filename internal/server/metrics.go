@@ -37,10 +37,6 @@ type Metrics struct {
 	flightShared atomic.Uint64
 	evaluations  atomic.Uint64
 
-	staleServed          atomic.Uint64
-	staleRefreshes       atomic.Uint64
-	staleRefreshFailures atomic.Uint64
-
 	jobsSubmitted  counterVec // by kind
 	jobsFinished   counterVec // by kind, then terminal status
 	jobEvaluations atomic.Uint64
@@ -186,16 +182,6 @@ func (m *Metrics) FlightShared() { m.flightShared.Add(1) }
 // Evaluation records one actual model computation.
 func (m *Metrics) Evaluation() { m.evaluations.Add(1) }
 
-// StaleServed records a degraded response: a retained stale body
-// served because recomputation was shed or failed.
-func (m *Metrics) StaleServed() { m.staleServed.Add(1) }
-
-// StaleRefresh records a background recomputation kicked off after a
-// stale serve; StaleRefreshFailed records one that did not produce a
-// fresh body.
-func (m *Metrics) StaleRefresh()       { m.staleRefreshes.Add(1) }
-func (m *Metrics) StaleRefreshFailed() { m.staleRefreshFailures.Add(1) }
-
 // IncInflight/DecInflight track the in-flight request gauge.
 func (m *Metrics) IncInflight() { m.inflight.Add(1) }
 func (m *Metrics) DecInflight() { m.inflight.Add(-1) }
@@ -229,9 +215,6 @@ func (m *Metrics) AliasHits() uint64   { return m.aliasHits.Load() }
 func (m *Metrics) CacheMisses() uint64 { return m.cacheMisses.Load() }
 func (m *Metrics) Shared() uint64      { return m.flightShared.Load() }
 func (m *Metrics) Evaluations() uint64 { return m.evaluations.Load() }
-
-// StaleServes exposes the degradation counter.
-func (m *Metrics) StaleServes() uint64 { return m.staleServed.Load() }
 
 // Metrics implements jobs.Observer, folding the job manager's job and
 // shard lifecycles into the same registry.
@@ -366,9 +349,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		{"ttmcas_cache_misses_total", "Cache lookups that found nothing.", "counter", m.cacheMisses.Load()},
 		{"ttmcas_singleflight_shared_total", "Requests that shared an identical in-flight computation.", "counter", m.flightShared.Load()},
 		{"ttmcas_model_evaluations_total", "Actual model computations performed.", "counter", m.evaluations.Load()},
-		{"ttmcas_stale_served_total", "Degraded responses served from a stale cache entry.", "counter", m.staleServed.Load()},
-		{"ttmcas_stale_refreshes_total", "Background recomputations started after a stale serve.", "counter", m.staleRefreshes.Load()},
-		{"ttmcas_stale_refresh_failures_total", "Background stale refreshes that failed.", "counter", m.staleRefreshFailures.Load()},
 		{"ttmcas_inflight_requests", "Requests currently being served.", "gauge", m.inflight.Load()},
 	}
 	if m.jobCounts != nil {
@@ -382,7 +362,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 			scalar{"ttmcas_response_cache_budget_bytes", "Byte budget of the sharded response cache.", "gauge", cs.BudgetBytes},
 			scalar{"ttmcas_response_cache_shards", "Shard count of the response cache.", "gauge", cs.Shards},
 			scalar{"ttmcas_response_cache_evictions_total", "Entries evicted from the response cache to respect the byte budget.", "counter", cs.Evictions},
-			scalar{"ttmcas_response_cache_expired_total", "Entries dropped from the response cache past their hard TTL.", "counter", cs.Expired},
 		)
 	}
 	if m.evalStats != nil {
@@ -427,7 +406,6 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 			{"ttmcas_cluster_local_total", "Ownership decisions served locally (this node owned the key).", "counter", cs.Local},
 			{"ttmcas_cluster_forwarded_total", "Requests forwarded to the owning peer.", "counter", cs.Forwarded},
 			{"ttmcas_cluster_forward_errors_total", "Forwards that failed at the transport level and fell back to local compute.", "counter", cs.ForwardErrors},
-			{"ttmcas_cluster_redirected_total", "Ownership misses answered with a 307 redirect to the owner.", "counter", cs.Redirected},
 			{"ttmcas_cluster_probe_failures_total", "Peer health probes that failed.", "counter", cs.ProbeFailures},
 			{"ttmcas_cluster_retries_total", "Forward retries admitted by the retry budget.", "counter", cs.Retries},
 			{"ttmcas_cluster_retries_denied_total", "Forward retries refused: budget dry or attempts exhausted.", "counter", cs.RetriesDenied},

@@ -107,9 +107,6 @@ func recordGoldenScript(m *Metrics) {
 	m.FlightShared()
 	m.Evaluation()
 	m.Evaluation()
-	m.StaleServed()
-	m.StaleRefresh()
-	m.StaleRefreshFailed()
 	m.IncInflight()
 	m.IncInflight()
 	m.DecInflight()
@@ -134,7 +131,7 @@ func recordGoldenScript(m *Metrics) {
 	fwd.Record(900 * time.Microsecond)
 	m.jobCounts = func() (int, int) { return 3, 2 }
 	m.cacheStats = func() cacheStats {
-		return cacheStats{Entries: 7, Bytes: 2048, BudgetBytes: 1 << 20, Shards: 16, Evictions: 5, Expired: 1}
+		return cacheStats{Entries: 7, Bytes: 2048, BudgetBytes: 1 << 20, Shards: 16, Evictions: 5}
 	}
 	m.evalStats = func() evalStats { return evalStats{Entries: 2, Hits: 9, Misses: 2} }
 	m.limiterStats = func() []resilience.LimiterStats {
@@ -149,7 +146,7 @@ func recordGoldenScript(m *Metrics) {
 	m.clusterStats = func() cluster.Stats {
 		return cluster.Stats{
 			RingNodes: 3, Epoch: 4, Alive: 3, Suspect: 1, Dead: 0,
-			Local: 11, Forwarded: 2, ForwardErrors: 1, Redirected: 0, ProbeFailures: 6,
+			Local: 11, Forwarded: 2, ForwardErrors: 1, ProbeFailures: 6,
 			Retries: 1, RetriesDenied: 2, BreakerShortCircuits: 3, BreakerTransitions: 4, BreakerOpens: 1,
 			Breakers: []cluster.PeerBreaker{
 				{URL: "http://127.0.0.1:9001", State: resilience.BreakerClosed},

@@ -23,22 +23,13 @@ func doRec(t *testing.T, s *Server, method, path, body string) *httptest.Respons
 	return w
 }
 
-// ageCache pushes the response cache's clock forward so fresh entries
-// turn stale. Only call between requests, never while any is in
-// flight.
-func ageCache(s *Server, by time.Duration) {
-	s.cache.now = func() time.Time { return time.Now().Add(by) }
-}
-
-// TestStaleServedOnComputeFailure is the graceful-degradation
-// acceptance check: when recomputing a stale entry fails, the retained
-// body is served with X-Cache: STALE instead of an error.
-func TestStaleServedOnComputeFailure(t *testing.T) {
-	s := testServer(t, Config{
-		FreshTTL:  50 * time.Millisecond,
-		StaleTTL:  time.Hour,
-		FaultSpec: "route=/v1/ttm error-rate=1",
-	})
+// TestFaultsSpareCachedHits is the graceful-degradation acceptance
+// check: faults are injected only into the compute path behind the
+// cache, so a warmed key keeps answering its cached bytes — canonically
+// and through its raw-body alias — while a cold key meets the fault as
+// a JSON 503.
+func TestFaultsSpareCachedHits(t *testing.T) {
+	s := testServer(t, Config{FaultSpec: "route=/v1/ttm error-rate=1"})
 	s.Faults().Pause() // warm the cache faultlessly
 
 	body := `{"design":"a11","node":"28nm","n":1e6}`
@@ -46,29 +37,34 @@ func TestStaleServedOnComputeFailure(t *testing.T) {
 	if w.Code != http.StatusOK || w.Header().Get("X-Cache") != "MISS" {
 		t.Fatalf("warmup: %d %q", w.Code, w.Header().Get("X-Cache"))
 	}
-	fresh := w.Body.String()
-
-	ageCache(s, 10*time.Minute) // past fresh, well within stale
+	cached := w.Body.String()
 	s.Faults().Resume()
 
-	w = doRec(t, s, "POST", "/v1/ttm", body)
-	if w.Code != http.StatusOK {
-		t.Fatalf("degraded request: %d %s", w.Code, w.Body.String())
+	// The second post hits the canonical entry, the third its alias.
+	for i, wantAlias := range []uint64{0, 1} {
+		w = doRec(t, s, "POST", "/v1/ttm", body)
+		if w.Code != http.StatusOK || w.Header().Get("X-Cache") != "HIT" {
+			t.Fatalf("post %d under faults: %d %q, want 200 HIT (body %s)",
+				i+2, w.Code, w.Header().Get("X-Cache"), w.Body.String())
+		}
+		if w.Body.String() != cached {
+			t.Errorf("post %d: body differs from the cached one", i+2)
+		}
+		if n := s.Metrics().AliasHits(); n != wantAlias {
+			t.Errorf("post %d: alias hits = %d, want %d", i+2, n, wantAlias)
+		}
 	}
-	if got := w.Header().Get("X-Cache"); got != "STALE" {
-		t.Errorf("X-Cache = %q, want STALE", got)
-	}
-	if w.Body.String() != fresh {
-		t.Errorf("stale body differs from the cached one")
-	}
-	if n := s.Metrics().StaleServes(); n != 1 {
-		t.Errorf("stale serves = %d, want 1", n)
+
+	w = doRec(t, s, "POST", "/v1/ttm", `{"design":"zen2","node":"28nm","n":1e6}`)
+	if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") == "" || !json.Valid(w.Body.Bytes()) {
+		t.Errorf("cold key under faults: %d Retry-After=%q body %q; want a JSON 503 with Retry-After",
+			w.Code, w.Header().Get("Retry-After"), w.Body.String())
 	}
 }
 
-// TestInjectedErrorWithoutStaleIs503 pins down the no-fallback path: a
-// fault with nothing stale to serve surfaces as 503 with Retry-After,
-// never as a client-error status.
+// TestInjectedErrorWithoutStaleIs503 pins down the miss path: a fault
+// on a key with no cached body surfaces as 503 with Retry-After, never
+// as a client-error status.
 func TestInjectedErrorWithoutStaleIs503(t *testing.T) {
 	s := testServer(t, Config{FaultSpec: "route=/v1/ttm error-rate=1"})
 	w := doRec(t, s, "POST", "/v1/ttm", `{"design":"a11","node":"28nm","n":1e6}`)
@@ -106,22 +102,19 @@ func TestInjectedRouteErrors(t *testing.T) {
 	}
 }
 
-// TestShedServesStaleThen503 drives the admission limiter into a shed
-// and checks both degradation tiers: a key with a stale body is served
-// STALE, a cold key gets 503 + Retry-After.
-func TestShedServesStaleThen503(t *testing.T) {
+// TestShedSparesCachedHits drives the admission limiter into a shed:
+// a warmed key bypasses admission and still answers its cached body,
+// while a cold key gets 503 + Retry-After.
+func TestShedSparesCachedHits(t *testing.T) {
 	s := testServer(t, Config{
 		CheapConcurrent: 1,
 		ShedTarget:      5 * time.Millisecond, // MaxWait = 20ms
-		FreshTTL:        50 * time.Millisecond,
-		StaleTTL:        time.Hour,
 	})
 
 	warm := `{"design":"a11","node":"28nm","n":1e6}`
 	if w := doRec(t, s, "POST", "/v1/ttm", warm); w.Code != http.StatusOK {
 		t.Fatalf("warmup: %d", w.Code)
 	}
-	ageCache(s, 10*time.Minute)
 
 	// Occupy the single cheap slot with a request held in compute.
 	started := make(chan struct{})
@@ -138,14 +131,14 @@ func TestShedServesStaleThen503(t *testing.T) {
 	}()
 	<-started
 
-	// The warmed key sheds on admission but has a stale body: 200 STALE.
+	// The warmed key never reaches admission: 200 HIT.
 	w := doRec(t, s, "POST", "/v1/ttm", warm)
-	if w.Code != http.StatusOK || w.Header().Get("X-Cache") != "STALE" {
-		t.Errorf("stale-capable shed: %d %q, want 200 STALE",
+	if w.Code != http.StatusOK || w.Header().Get("X-Cache") != "HIT" {
+		t.Errorf("warmed key with the slot held: %d %q, want 200 HIT",
 			w.Code, w.Header().Get("X-Cache"))
 	}
 
-	// A cold key has nothing to fall back on: 503 with Retry-After.
+	// A cold key must be admitted and cannot be: 503 with Retry-After.
 	w = doRec(t, s, "POST", "/v1/ttm", `{"design":"h100","node":"28nm","n":1e6}`)
 	if w.Code != http.StatusServiceUnavailable {
 		t.Errorf("cold-key shed: %d, want 503 (body %s)", w.Code, w.Body.String())
@@ -228,8 +221,8 @@ func TestFlightPanicWakesPiggybackers(t *testing.T) {
 	}
 }
 
-// TestMetricsExposeResilienceSeries checks the new admission, stale
-// and fault series appear in /metrics.
+// TestMetricsExposeResilienceSeries checks the admission and fault
+// series appear in /metrics.
 func TestMetricsExposeResilienceSeries(t *testing.T) {
 	s := testServer(t, Config{FaultSpec: "route=/v1/ttm error-rate=1"})
 	doRec(t, s, "POST", "/v1/ttm", `{"design":"a11","node":"28nm","n":1e6}`)
@@ -239,9 +232,7 @@ func TestMetricsExposeResilienceSeries(t *testing.T) {
 		`ttmcas_admission_admitted_total{class="cheap"} 1`,
 		`ttmcas_admission_shed_total{class="heavy"} 0`,
 		`ttmcas_admission_shedding{class="cheap"} 0`,
-		`ttmcas_stale_served_total 0`,
 		`ttmcas_faults_injected_total{kind="error"} 1`,
-		`ttmcas_response_cache_expired_total 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -53,20 +53,10 @@ type Config struct {
 	// wait over an observation interval exceeds it, new arrivals are
 	// shed with 503 + Retry-After instead of queueing.
 	ShedTarget time.Duration
-	// FreshTTL is how long a cached response is served directly; past
-	// it the entry is revalidated by recomputation (default 0: cached
-	// responses never go stale — the models are deterministic).
-	FreshTTL time.Duration
-	// StaleTTL is how long past freshness an entry is retained for
-	// graceful degradation: when revalidation is shed or fails, the
-	// stale body is served with X-Cache: STALE instead of an error
-	// (default 0: no stale serving). Meaningful only with FreshTTL set.
-	StaleTTL time.Duration
 	// FaultSpec enables fault injection (see internal/resilience/fault
 	// for the grammar); empty disables it. Route rules apply to the
-	// evaluation routes' compute path — downstream of the cache,
-	// upstream of the degradation machinery — and ahead of the job and
-	// listing handlers. Link rules shape this node's outbound cluster
+	// evaluation routes' compute path — downstream of the cache, so
+	// hits never see them — and ahead of the job and listing handlers. Link rules shape this node's outbound cluster
 	// traffic (forwards, shard dispatches and gossip probes), e.g.
 	// "partition=10.0.0.1:8080,10.0.0.3:8080; to=* error-rate=0.3";
 	// client requests to this node are not touched by them.
@@ -135,9 +125,6 @@ type Config struct {
 	// ClusterVNodes is the virtual-node count per ring member
 	// (default 64). All members must agree on it.
 	ClusterVNodes int
-	// ClusterRedirect answers ownership misses with 307 redirects to
-	// the owning node instead of forwarding server-side.
-	ClusterRedirect bool
 	// ClusterProbeInterval is the peer health-probe period (default 1s).
 	ClusterProbeInterval time.Duration
 	// ClusterSuspectAfter and ClusterEvictAfter are the consecutive
@@ -236,10 +223,7 @@ type Server struct {
 	// faults injects deliberate failures into routes and the cluster
 	// transport; nil when disabled.
 	faults *fault.Injector
-	// refreshSem bounds concurrent background stale refreshes so a
-	// burst of stale serves cannot spawn unbounded goroutines.
-	refreshSem chan struct{}
-	jobs       *jobs.Manager
+	jobs   *jobs.Manager
 	// cluster is the consistent-hash peer layer (nil when the node runs
 	// alone): ownership lookup, peer-to-peer forwarding, gossip health.
 	cluster *cluster.Cluster
@@ -257,7 +241,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		log:     cfg.Logger,
-		cache:   newShardedCache(cfg.CacheBytes, cfg.CacheShards, cfg.FreshTTL, cfg.StaleTTL),
+		cache:   newShardedCache(cfg.CacheBytes, cfg.CacheShards),
 		evals:   newEvalCache(cfg.EvalCacheSize),
 		metrics: NewMetrics(),
 		cheap: resilience.NewLimiter(resilience.LimiterConfig{
@@ -270,8 +254,7 @@ func New(cfg Config) *Server {
 			MaxConcurrent: cfg.MaxConcurrent,
 			Target:        cfg.ShedTarget,
 		}),
-		refreshSem: make(chan struct{}, 2),
-		started:    time.Now(),
+		started: time.Now(),
 	}
 	if inj, err := fault.Parse(cfg.FaultSpec, cfg.FaultSeed); err != nil {
 		// Config errors here cannot fail New's signature; the CLI
@@ -289,7 +272,6 @@ func New(cfg Config) *Server {
 			SelfURL:       cfg.ClusterSelfURL,
 			Peers:         cfg.ClusterPeers,
 			VNodes:        cfg.ClusterVNodes,
-			Redirect:      cfg.ClusterRedirect,
 			ProbeInterval: cfg.ClusterProbeInterval,
 			ProbeTimeout:  cfg.ClusterProbeTimeout,
 			SuspectAfter:  cfg.ClusterSuspectAfter,
@@ -380,8 +362,8 @@ func (s *Server) Close() {
 
 // routes builds the route table. Every route is wrapped with the
 // middleware stack under its own metrics label. The evaluation routes
-// inject faults inside respondCached's compute path (so the cache and
-// degradation machinery are exercised, not bypassed); the job and
+// inject faults inside respondCached's compute path (so cache hits
+// are spared and only misses meet them); the job and
 // listing routes inject them before their handlers run. /healthz and
 // /metrics are never injected — operators must be able to observe a
 // chaos run.
@@ -640,11 +622,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // under the already-canonical key skips textproto's canonicalization
 // pass and the per-request slice allocation Header.Set would pay.
 var (
-	headerJSON  = []string{"application/json"}
-	headerHit   = []string{"HIT"}
-	headerMiss  = []string{"MISS"}
-	headerStale = []string{"STALE"}
-	headerFwd   = []string{"FWD"}
+	headerJSON = []string{"application/json"}
+	headerHit  = []string{"HIT"}
+	headerMiss = []string{"MISS"}
+	headerFwd  = []string{"FWD"}
 )
 
 // writeBody writes a complete, newline-terminated JSON body verbatim
@@ -697,9 +678,9 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 // the computation itself, pooled JSON encoding, cache insert — and
 // contains panics: an injected or genuine panic in the compute path
 // becomes a 500 apiError instead of tearing down the single-flight
-// call, which both keeps piggybacked waiters alive and makes the
-// failure eligible for stale rescue. path is the request path (the
-// route label minus its method), which the fault injector matches on.
+// call, which keeps piggybacked waiters alive. path is the request
+// path (the route label minus its method), which the fault injector
+// matches on.
 func (s *Server) computeBody(ctx context.Context, key, path string, compute func(ctx context.Context) (any, error)) (body []byte, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -743,50 +724,6 @@ func (s *Server) inject(path string) error {
 	return nil
 }
 
-// staleEligible reports whether a compute failure may be papered over
-// with a retained stale body: sheds, injected faults, panics and
-// timeouts qualify; client errors (4xx) never do — the client sent a
-// bad request and must hear so.
-func staleEligible(err error) bool {
-	var ae *apiError
-	if errors.As(err, &ae) && ae.status < 500 {
-		return false
-	}
-	return true
-}
-
-// tryRefresh starts a best-effort background recomputation of a stale
-// entry so the next request finds it fresh. It runs after every stale
-// serve but never queues: it needs a free refresh slot and a free
-// limiter slot right now, otherwise it does nothing — under a shed the
-// limiter is full, so foreground traffic keeps the capacity and the
-// stale body keeps being served; after a transient compute failure the
-// freed slot is usually available and the retry proceeds.
-func (s *Server) tryRefresh(lim *resilience.Limiter, key, path string, compute func(ctx context.Context) (any, error)) {
-	select {
-	case s.refreshSem <- struct{}{}:
-	default:
-		return
-	}
-	rel, ok := lim.TryAdmit()
-	if !ok {
-		<-s.refreshSem
-		return
-	}
-	s.metrics.StaleRefresh()
-	go func() {
-		defer func() { <-s.refreshSem }()
-		defer rel()
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.RequestTimeout)
-		defer cancel()
-		if _, _, err := s.flight.Do(key, func() ([]byte, error) {
-			return s.computeBody(ctx, key, path, compute)
-		}); err != nil {
-			s.metrics.StaleRefreshFailed()
-		}
-	}()
-}
-
 // respondCached serves a POST evaluation through the cache →
 // single-flight → admission → compute pipeline. The body is read whole
 // and first looked up as route + '#' + its exact bytes: a raw-body
@@ -797,9 +734,6 @@ func (s *Server) tryRefresh(lim *resilience.Limiter, key, path string, compute f
 // body has been seen at least twice and its alias is recorded. Only
 // successful responses are cached; errors pass through single-flight
 // (concurrent identical failures fail once) but are never remembered.
-// When the computation is shed by admission control or fails with a
-// server-side error, a retained stale body — if one exists — is served
-// with X-Cache: STALE instead.
 func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route string, heavy bool,
 	decode func(body []byte) (req any, compute func(ctx context.Context) (any, error), err error)) {
 	bb, err := readBody(r, route)
@@ -852,8 +786,8 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route str
 	}
 
 	// Cluster routing: on a local cache miss, a key owned by a peer is
-	// forwarded to (or redirected at) its owner, so each key is
-	// computed and cached on exactly one node. A request already
+	// forwarded to its owner, so each key is computed and cached on
+	// exactly one node. A request already
 	// carrying the single-hop guard header is served locally no matter
 	// what this node's ring says — two nodes with divergent membership
 	// views must degrade to duplicated work, never to a forwarding
@@ -883,8 +817,7 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route str
 		defer cancel()
 		// Admission happens inside the flight so N identical concurrent
 		// requests cost one slot; a shed is shared with the
-		// piggybackers, each of which falls back to its own stale
-		// lookup.
+		// piggybackers.
 		release, err := lim.Admit(ctx)
 		if err != nil {
 			return nil, err
@@ -896,19 +829,6 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route str
 		s.metrics.FlightShared()
 	}
 	if err != nil {
-		if staleEligible(err) {
-			if body, cl, ok := s.cache.GetAny(key); ok {
-				s.metrics.StaleServed()
-				s.tryRefresh(lim, key, path, compute)
-				h := w.Header()
-				h["X-Cache"] = headerStale
-				h["Content-Type"] = headerJSON
-				h["Content-Length"] = cl
-				w.WriteHeader(http.StatusOK)
-				w.Write(body)
-				return
-			}
-		}
 		if errors.Is(err, resilience.ErrShed) {
 			err = &apiError{
 				status:     http.StatusServiceUnavailable,
@@ -946,17 +866,8 @@ func CacheKey(route string, req any) (string, error) {
 //
 // Forwards ride the same single-flight group as local computations, so
 // N concurrent callers of a hot remote key cost the owner one upstream
-// request per flight, not N. With forwarding disabled the caller is
-// sent a 307 to the owner instead — the ownership-aware-client
-// topology, where a smart client or LB learns the ring from redirects.
+// request per flight, not N.
 func (s *Server) forwardEval(w http.ResponseWriter, r *http.Request, ownerURL, path, key string) bool {
-	if !s.cluster.Forwarding() {
-		s.cluster.NoteRedirect()
-		w.Header()["Location"] = []string{ownerURL + path}
-		writeJSON(w, http.StatusTemporaryRedirect,
-			errorResponse{Error: "resource owned by peer " + ownerURL})
-		return true
-	}
 	// The canonical JSON after the route prefix is byte-for-byte the
 	// body the owner will decode — no re-encoding.
 	fwdBody := key[strings.IndexByte(key, '|')+1:]

@@ -32,8 +32,9 @@ go test -run '^$' -bench '^BenchmarkServerTTMCachedHit$' -benchtime 1x ./interna
 # fails the run unless the scenario's contract holds. The contracts are
 # spelled out in the cmd/ttmcas-loadgen package comment and
 # table-tested in cmd/ttmcas-loadgen/check_test.go:
-#   chaos     fault-injected single server: every 5xx a deliberate shed,
-#             goodput, bounded p99, stale serves, goroutines drained
+#   chaos     fault-injected single server: hits all 2xx, panics
+#             contained, every other 5xx a deliberate shed, goodput,
+#             bounded p99, goroutines drained
 #   cluster   4 nodes, one killed and revived: every request 200,
 #             forwards exercised, node restarted, ring reconverged
 #   timeline  one batch job end to end, then a /v1/scenarios mix: no
