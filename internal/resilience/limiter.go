@@ -199,25 +199,6 @@ func (l *Limiter) Admit(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// TryAdmit acquires a slot only if one is free right now — the
-// non-blocking entry point background work uses so it never competes
-// with foreground requests for queue positions.
-func (l *Limiter) TryAdmit() (release func(), ok bool) {
-	select {
-	case <-l.closed:
-		return nil, false
-	default:
-	}
-	select {
-	case l.slots <- struct{}{}:
-		l.observe(0)
-		l.admitted.Add(1)
-		return l.releaseFunc(), true
-	default:
-		return nil, false
-	}
-}
-
 // releaseFunc returns the slot exactly once even if called twice.
 func (l *Limiter) releaseFunc() func() {
 	var once sync.Once

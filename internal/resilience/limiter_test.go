@@ -117,21 +117,6 @@ func TestSheddingEngagesAndRecovers(t *testing.T) {
 	}
 }
 
-func TestTryAdmit(t *testing.T) {
-	l := NewLimiter(LimiterConfig{MaxConcurrent: 1})
-	rel, ok := l.TryAdmit()
-	if !ok {
-		t.Fatal("TryAdmit on empty limiter failed")
-	}
-	if _, ok := l.TryAdmit(); ok {
-		t.Fatal("TryAdmit on full limiter succeeded")
-	}
-	rel()
-	if _, ok := l.TryAdmit(); !ok {
-		t.Fatal("TryAdmit after release failed")
-	}
-}
-
 func TestCloseWakesWaitersAndRejects(t *testing.T) {
 	l := NewLimiter(LimiterConfig{MaxConcurrent: 1, Target: time.Minute, MaxWait: time.Minute})
 	rel, err := l.Admit(context.Background())

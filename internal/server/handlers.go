@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"net/http"
+	"slices"
 	"time"
 
 	"ttmcas"
@@ -201,27 +202,48 @@ func (req EvalRequest) conditions() (ttmcas.Conditions, error) {
 	if req.QueueWeeks > 0 {
 		c = c.WithQueueAll(ttmcas.Weeks(req.QueueWeeks))
 	}
-	for name, f := range req.NodeCapacity {
-		n, err := ttmcas.ParseNode(name)
-		if err != nil {
-			return c, badRequestf("node_capacity: %v", err)
-		}
+	err := eachNode("node_capacity", req.NodeCapacity, func(n ttmcas.Node, name string, f float64) error {
 		if f < 0 || f > 1 {
-			return c, badRequestf("node_capacity[%s] = %v outside [0, 1]", name, f)
+			return badRequestf("node_capacity[%s] = %v outside [0, 1]", name, f)
 		}
 		c = c.WithNodeCapacity(n, f)
+		return nil
+	})
+	if err != nil {
+		return c, err
 	}
-	for name, w := range req.NodeQueueWeeks {
-		n, err := ttmcas.ParseNode(name)
-		if err != nil {
-			return c, badRequestf("node_queue_weeks: %v", err)
-		}
+	err = eachNode("node_queue_weeks", req.NodeQueueWeeks, func(n ttmcas.Node, name string, w float64) error {
 		if w < 0 {
-			return c, badRequestf("node_queue_weeks[%s] = %v is negative", name, w)
+			return badRequestf("node_queue_weeks[%s] = %v is negative", name, w)
 		}
 		c = c.WithQueue(n, ttmcas.Weeks(w))
+		return nil
+	})
+	return c, err
+}
+
+// eachNode calls fn on the entries of the per-node map field in key
+// order, so a body with several bad entries always names the same one.
+// Two keys that spell one node ("7" and "7nm") are a 400: applied in
+// map order, either could win, and one body would have two answers.
+func eachNode(field string, m map[string]float64, fn func(n ttmcas.Node, name string, v float64) error) error {
+	var buf [8]string
+	names := sortedKeys(buf[:0], m)
+	nodes := make([]ttmcas.Node, 0, 8)
+	for _, name := range names {
+		n, err := ttmcas.ParseNode(name)
+		if err != nil {
+			return badRequestf("%s: %v", field, err)
+		}
+		if j := slices.Index(nodes, n); j >= 0 {
+			return badRequestf("%s: node %v given twice (%q, %q)", field, n, names[j], name)
+		}
+		nodes = append(nodes, n)
+		if err := fn(n, name, m[name]); err != nil {
+			return err
+		}
 	}
-	return c, nil
+	return nil
 }
 
 func (req EvalRequest) resolve() (ttmcas.Design, ttmcas.Conditions, error) {
@@ -353,15 +375,18 @@ func finiteWeeks(w ttmcas.Weeks) *float64 {
 // ---- evaluation handlers -------------------------------------------
 
 // evalRoute builds the handler of a cached evaluation route: it serves
-// the request through respondCached, decoding the body strictly into a
-// fresh *T only when the raw-body lookup misses, and answers it with
-// eval.
+// the request through respondCached, decoding the body into a fresh *T
+// only when the raw-body lookup misses, and answers it with eval. A
+// plain EvalRequest body is filled by the accept-only scanner; any
+// other body, every rejection included, is decodeStrict's.
 func evalRoute[T any](s *Server, route string, heavy bool, eval func(ctx context.Context, req *T) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.respondCached(w, r, route, heavy, func(body []byte) (any, func(ctx context.Context) (any, error), error) {
 			req := new(T)
-			if err := decodeStrict(body, req); err != nil {
-				return nil, nil, err
+			if er, ok := any(req).(*EvalRequest); !ok || !scanEvalRequest(body, er) {
+				if err := decodeStrict(body, req); err != nil {
+					return nil, nil, err
+				}
 			}
 			return req, func(ctx context.Context) (any, error) { return eval(ctx, req) }, nil
 		})

@@ -154,6 +154,23 @@ func TestTTMBadRequests(t *testing.T) {
 	}
 }
 
+// TestDuplicateNodeSpellings: two keys of one per-node map that parse
+// to the same node ("7" and "7nm") are a 400 naming both spellings.
+// Applied in map order, either value could win, and one body would get
+// two answers.
+func TestDuplicateNodeSpellings(t *testing.T) {
+	for _, field := range []string{"node_capacity", "node_queue_weeks"} {
+		body := `{"design":"a11","node":"7nm","n":1e7,"` + field + `":{"7nm":0.2,"7":0.9}}`
+		status, resp := do(t, "POST", "/v1/ttm", body)
+		var er errorResponse
+		json.Unmarshal([]byte(resp), &er)
+		want := field + `: node 7nm given twice ("7", "7nm")`
+		if status != http.StatusBadRequest || er.Error != want {
+			t.Errorf("%s: status %d, body %s; want 400 %q", body, status, resp, want)
+		}
+	}
+}
+
 func TestCASEndpoint(t *testing.T) {
 	status, body := do(t, "POST", "/v1/cas", `{"design":"a11","node":"7nm","n":10e6}`)
 	if status != http.StatusOK {

@@ -426,3 +426,64 @@ func BenchmarkServerTTMCachedHit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServerWhatIfMiss measures the what-if path through the full
+// serving stack: every iteration posts new market conditions, so each
+// request misses the response cache and pays decode, key, compute and
+// encode, while the evaluator cache hits. The mix follows bench/'s
+// what-if workload: 70% ttm and 30% cas with the 8-point curve, each of
+// the design's nodes at its own capacity. Dispatch is direct, as in
+// BenchmarkServerTTMCachedHit.
+func BenchmarkServerWhatIfMiss(b *testing.B) {
+	s := New(Config{Logger: log.New(io.Discard, "", 0), DisableAccessLog: true})
+	defer s.Close()
+	h := s.Handler()
+	d, err := ttmcas.DesignByName("zen2")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var nodes []string
+	for _, n := range d.Nodes() {
+		nodes = append(nodes, n.String())
+	}
+	ttm := httptest.NewRequest(http.MethodPost, "/v1/ttm", nil)
+	cas := httptest.NewRequest(http.MethodPost, "/v1/cas", nil)
+	rng := rand.New(rand.NewSource(1))
+	var rb reusableBody
+	var body []byte
+	w := &nopResponseWriter{h: make(http.Header)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body = append(body[:0], `{"design":"zen2","capacity":`...)
+		body = strconv.AppendFloat(body, 0.5+0.5*rng.Float64(), 'g', -1, 64)
+		body = append(body, `,"queue_weeks":`...)
+		body = strconv.AppendFloat(body, 8*rng.Float64(), 'g', -1, 64)
+		body = append(body, `,"node_capacity":{`...)
+		for j, n := range nodes {
+			if j > 0 {
+				body = append(body, ',')
+			}
+			body = strconv.AppendQuote(body, n)
+			body = append(body, ':')
+			body = strconv.AppendFloat(body, 0.4+0.6*rng.Float64(), 'g', -1, 64)
+		}
+		req := ttm
+		if i%10 >= 7 {
+			req = cas
+			body = append(body, `},"curve":[0.3,0.4,0.5,0.6,0.7,0.8,0.9,1],"n":`...)
+		} else {
+			body = append(body, `},"n":`...)
+		}
+		body = strconv.AppendFloat(body, 1e5*math.Pow(1e3, rng.Float64()), 'g', -1, 64)
+		body = append(body, '}')
+		rb.Reset(body)
+		req.Body, req.ContentLength = &rb, int64(len(body))
+		w.code = 0
+		clear(w.h)
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK || w.h.Get("X-Cache") != "MISS" {
+			b.Fatalf("%s: status %d, X-Cache %q", body, w.code, w.h.Get("X-Cache"))
+		}
+	}
+}

@@ -498,13 +498,28 @@ var encPool = sync.Pool{New: func() any {
 	return eb
 }}
 
+// encode appends v's encoding/json encoding, newline-terminated, to
+// the buffer: the fixed what-if types through their append-built codec
+// (codec.go), any other value through the encoder. The bytes, and any
+// error, are the same either way.
+func (eb *encodeBuffer) encode(v any) error {
+	b, ok, err := appendJSON(eb.buf.AvailableBuffer(), v)
+	if !ok {
+		return eb.enc.Encode(v)
+	}
+	if err == nil {
+		eb.buf.Write(b)
+	}
+	return err
+}
+
 // encodeJSON marshals v into a pooled buffer (newline-terminated).
 // The returned release func recycles the buffer; the byte slice is
 // only valid until then.
 func encodeJSON(v any) (body []byte, release func(), err error) {
 	eb := encPool.Get().(*encodeBuffer)
 	eb.buf.Reset()
-	if err := eb.enc.Encode(v); err != nil {
+	if err := eb.encode(v); err != nil {
 		encPool.Put(eb)
 		return nil, nil, err
 	}
@@ -761,7 +776,7 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route str
 	eb.buf.Reset()
 	eb.buf.WriteString(route)
 	eb.buf.WriteByte('|')
-	if err := eb.enc.Encode(req); err != nil {
+	if err := eb.encode(req); err != nil {
 		encPool.Put(eb)
 		s.fail(w, badRequestf("encoding request key: %v", err))
 		return
