@@ -25,10 +25,21 @@ import (
 // the per-node resolution work is hoisted out of the per-sample path
 // and the remaining inner loops are branch-light slice walks.
 //
-// The arithmetic mirrors Evaluator.eval operation for operation, in
-// the same order, so batch results are bit-for-bit identical to the
-// per-call path (held by the property tests in batch_test.go), and
-// per-element failures reproduce the exact per-call error values.
+// The kernel has the per-call kernel's two phases. The die phase
+// (dieBatchInto) runs tapeout and the per-die area, yield, gross dies,
+// wafer demand, test and packaging sums, and owns every per-sample
+// error. The fab phase (fabBatchInto) turns the wafer demand into
+// per-node fabrication time under the capacity factors, takes the
+// slowest node and completes Eq. 1. EvalBatch runs the two back to
+// back. A CAS probe changes one node's capacity factor, which only the
+// fab phase reads, so CASBatch runs the die phase once and then two fab
+// phases per node.
+//
+// The arithmetic of each phase mirrors diePhase and fabPhase operation
+// for operation, in the same order, so batch results are bit-for-bit
+// identical to the per-call path (held by the property tests in
+// batch_test.go), and per-element failures reproduce the exact
+// per-call error values.
 //
 // Error convention: structural misuse (ragged columns, wrong output
 // length, nil error sink) is reported as the call's error return;
@@ -171,15 +182,21 @@ type batchScratch struct {
 	global []float64 // resolved per-sample raw global capacity
 	failed []byte    // non-zero once a sample has failed
 
+	// Die phase accumulators.
 	tapH   []float64 // accumulated tapeout hours
 	tapLat []float64 // max die TAP latency (weeks)
 	testW  []float64 // accumulated testing weeks
 	packW  []float64 // accumulated packaging weeks
-	fab    []float64 // slowest-node fabrication weeks
+
+	// Die phase results, read by every fab phase of the call.
+	head   []float64 // designTime + tapeout (weeks)
+	pack   []float64 // packaging weeks
 	wafers []float64 // node-major wafer demand, len(nodes)·n
 
-	// CAS-only state, kept separate so the nested EvalBatch probes do
-	// not clobber it.
+	fab []float64 // slowest-node fabrication weeks of one fab phase
+
+	// CAS-only state: each node's probe factors and probe TTMs, and the
+	// per-sample derivative sum.
 	fUp, fDown []float64
 	up, down   []units.Weeks
 	sum        []float64
@@ -215,6 +232,8 @@ func (sc *batchScratch) ensure(n, nodes int) {
 	sc.tapLat = grow(sc.tapLat, n)
 	sc.testW = grow(sc.testW, n)
 	sc.packW = grow(sc.packW, n)
+	sc.head = grow(sc.head, n)
+	sc.pack = grow(sc.pack, n)
 	sc.fab = grow(sc.fab, n)
 	if cap(sc.wafers) < nodes*n {
 		sc.wafers = make([]float64, nodes*n)
@@ -311,7 +330,7 @@ func (e *Evaluator) EvalBatch(b *Batch, out []units.Weeks, errs *BatchErrors) er
 	if err != nil || n == 0 {
 		return err
 	}
-	e.evalBatchInto(sc, b, n, -1, nil, out, errs)
+	e.evalBatchInto(sc, b, n, out, errs)
 	sc.zeroFailed(out, n)
 	scratchPool.Put(sc)
 	return nil
@@ -331,15 +350,16 @@ func (e *Evaluator) EvalBatchAtCapacity(b *Batch, global float64, out []units.We
 	for s := 0; s < n; s++ {
 		sc.global[s] = global
 	}
-	e.evalBatchInto(sc, b, n, -1, nil, out, errs)
+	e.evalBatchInto(sc, b, n, out, errs)
 	sc.zeroFailed(out, n)
 	scratchPool.Put(sc)
 	return nil
 }
 
 // CASBatch computes the Chip Agility Score per sample at the compiled
-// conditions via the same per-node central differences as CAS, with
-// the two capacity probes of each node evaluated as nested batches.
+// conditions via the same per-node central differences as CAS: one die
+// phase for the whole batch, then each node's two capacity probes as
+// fab phases over its results.
 func (e *Evaluator) CASBatch(b *Batch, out []float64, errs *BatchErrors) error {
 	sc, n, err := e.batchSetup(b, len(out), errs)
 	if err != nil || n == 0 {
@@ -435,14 +455,20 @@ func (sc *batchScratch) zeroFailed(out []units.Weeks, n int) {
 	}
 }
 
-// evalBatchInto is the batch kernel body: the three phases of eval
-// (tapeout, per-die geometry/yield/wafer demand, per-node fabrication)
-// each run as a compiled-table-outer, sample-inner loop, so every
-// table row is resolved once per batch instead of once per sample.
-// overrideIdx/overrideCol replace one node's capacity factor per
-// sample (the CAS probes). Samples already marked failed are skipped;
-// new failures are recorded in errs.
-func (e *Evaluator) evalBatchInto(sc *batchScratch, b *Batch, n int, overrideIdx int, overrideCol []float64, out []units.Weeks, errs *BatchErrors) {
+// evalBatchInto is the batch kernel body: the die phase, then one fab
+// phase at the batch's own capacity factors.
+func (e *Evaluator) evalBatchInto(sc *batchScratch, b *Batch, n int, out []units.Weeks, errs *BatchErrors) {
+	e.dieBatchInto(sc, b, n, errs)
+	e.fabBatchInto(sc, b, n, -1, nil, out)
+}
+
+// dieBatchInto is diePhase over the batch: tapeout and the per-die
+// geometry, yield and wafer demand, each run as a compiled-table-outer,
+// sample-inner loop, so every table row is resolved once per batch
+// instead of once per sample. It leaves sc.head, sc.pack and sc.wafers
+// for the fab phases. Samples already marked failed are skipped; new
+// failures are recorded in errs. This is the only phase that fails.
+func (e *Evaluator) dieBatchInto(sc *batchScratch, b *Batch, n int, errs *BatchErrors) {
 	failed := sc.failed
 
 	// Tapeout phase (Eq. 2): per-sample accumulation in node order.
@@ -531,7 +557,21 @@ func (e *Evaluator) evalBatchInto(sc *batchScratch, b *Batch, n int, overrideIdx
 		}
 	}
 
-	// Eqs. 3–5 per node, synchronized at the slowest node.
+	// The terms of Eq. 1 that no capacity factor touches.
+	for s := 0; s < n; s++ {
+		tapeout := units.Weeks(sc.tapH[s] / (units.HoursPerWeek * e.team))
+		sc.head[s] = float64(e.designTime + tapeout)
+		sc.pack[s] = float64(units.Weeks(sc.tapLat[s]) + units.Weeks(sc.testW[s]) + units.Weeks(sc.packW[s]))
+	}
+}
+
+// fabBatchInto is fabPhase over the batch: Eqs. 3–5 per node over the
+// die phase's wafer demand, synchronized at the slowest node, then
+// Eq. 1's sum into out. overrideIdx/overrideCol replace one node's
+// capacity factor per sample (the CAS probes). It reads the die
+// phase's columns and never fails, so one die phase serves any number
+// of fab phases.
+func (e *Evaluator) fabBatchInto(sc *batchScratch, b *Batch, n int, overrideIdx int, overrideCol []float64, out []units.Weeks) {
 	if len(e.nodes) == 0 {
 		for s := 0; s < n; s++ {
 			sc.fab[s] = 0
@@ -587,19 +627,20 @@ func (e *Evaluator) evalBatchInto(sc *batchScratch, b *Batch, n int, overrideIdx
 	}
 
 	for s := 0; s < n; s++ {
-		tapeout := units.Weeks(sc.tapH[s] / (units.HoursPerWeek * e.team))
-		packaging := units.Weeks(sc.tapLat[s]) + units.Weeks(sc.testW[s]) + units.Weeks(sc.packW[s])
-		out[s] = e.designTime + tapeout + units.Weeks(sc.fab[s]) + packaging
+		out[s] = units.Weeks(sc.head[s]) + units.Weeks(sc.fab[s]) + units.Weeks(sc.pack[s])
 	}
 }
 
-// casBatchInto mirrors cas over the batch: for each node the two
-// capacity probes run as nested batch evaluations, then the
-// finite-difference derivatives accumulate per sample in node order.
+// casBatchInto mirrors cas over the batch: one die phase, then for each
+// node its up and down capacity probes as two fab phases, with the
+// finite-difference derivatives accumulated per sample in node order.
+// A CAS over K nodes costs one die phase and 2K fab phases, and each
+// failing sample is recorded once, by the die phase.
 func (e *Evaluator) casBatchInto(sc *batchScratch, b *Batch, n int, out []float64, errs *BatchErrors) {
 	sc.ensureCAS(n)
 	failed := sc.failed
 	const step = DefaultDerivativeStep
+	e.dieBatchInto(sc, b, n, errs)
 	for s := 0; s < n; s++ {
 		sc.sum[s] = 0
 	}
@@ -620,8 +661,8 @@ func (e *Evaluator) casBatchInto(sc *batchScratch, b *Batch, n int, out []float6
 			}
 			sc.fUp[s], sc.fDown[s] = fUp, fDown
 		}
-		e.evalBatchInto(sc, b, n, i, sc.fUp, sc.up, errs)
-		e.evalBatchInto(sc, b, n, i, sc.fDown, sc.down, errs)
+		e.fabBatchInto(sc, b, n, i, sc.fUp, sc.up)
+		e.fabBatchInto(sc, b, n, i, sc.fDown, sc.down)
 		for s := 0; s < n; s++ {
 			if failed[s] != 0 {
 				continue

@@ -255,6 +255,77 @@ func TestEvalBatchErrorIndices(t *testing.T) {
 	}
 }
 
+// TestCASBatchErrorIndices is TestEvalBatchErrorIndices for the CAS
+// kernel on a two-node design, whose CAS runs four capacity probes per
+// sample: CASBatch, CASBatchAtCapacity and the per-call
+// CASChipsAtCapacity must fail the same samples with the same errors,
+// the batches recording each failing sample once (not once per probe)
+// and zeroing its output.
+func TestCASBatchErrorIndices(t *testing.T) {
+	m := core.Model{}
+	// Zen 2 with die areas derived from the transistor counts, so the
+	// NTT multipliers below reach both dies.
+	d := scenario.Zen2()
+	for i := range d.Dies {
+		d.Dies[i].AreaOverride = 0
+	}
+	const chips = 10e6
+	c := market.Full()
+	ev, err := m.Compile(d, chips, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.NodeCount() < 2 {
+		t.Fatalf("test needs a multi-node design; %s has %d nodes", d.Name, ev.NodeCount())
+	}
+	// NTT multipliers: huge values push the die area past the wafer.
+	ntt := []float64{1, 1e6, 0.9, 5e5, 1.1, 1e6}
+	b := &core.Batch{NTT: ntt}
+	for _, global := range []float64{0, 0.6} {
+		out := make([]float64, len(ntt))
+		for i := range out {
+			out[i] = -1 // a stale value the batch must overwrite
+		}
+		var errs core.BatchErrors
+		var err error
+		if global == 0 {
+			err = ev.CASBatch(b, out, &errs)
+		} else {
+			err = ev.CASBatchAtCapacity(b, global, out, &errs)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := ev.Clone()
+		failWant := 0
+		for i, v := range ntt {
+			p := core.Perturbation{NTT: v}
+			ctx := fmt.Sprintf("global %v sample %d", global, i)
+			want, wantErr := ref.CASChipsAtCapacity(p, chips, global)
+			sameValue(t, ctx, out[i], want, batchErrAt(&errs, i), wantErr)
+			om := m
+			om.Perturb = p
+			oracle, oracleErr := om.CAS(d, chips, c.AtCapacity(global))
+			sameValue(t, ctx+" vs Model.CAS", want, oracle.CAS, wantErr, oracleErr)
+			if wantErr != nil {
+				failWant++
+				if out[i] != 0 {
+					t.Errorf("%s: failed sample output = %v, want 0", ctx, out[i])
+				}
+			}
+		}
+		if failWant == 0 {
+			t.Fatal("test needs at least one failing sample; NTT blow-up did not fail")
+		}
+		if errs.Len() != failWant || len(errs.Errs) != failWant {
+			t.Fatalf("global %v: errs has %d indices and %d errors, want %d of each", global, errs.Len(), len(errs.Errs), failWant)
+		}
+		if idx, _ := errs.First(); idx != 1 {
+			t.Fatalf("global %v: First() index = %d, want 1", global, idx)
+		}
+	}
+}
+
 // TestBatchShapes fuzzes the degenerate batch shapes: empty, len-1,
 // ragged, mismatched outputs, and misuse of the at-capacity variants.
 func TestBatchShapes(t *testing.T) {

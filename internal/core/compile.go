@@ -25,10 +25,20 @@ import (
 // batch.go; the per-call methods below serve single request-path
 // evaluations.
 //
-// The kernel mirrors Evaluate's floating-point operations in the exact
+// The kernel runs in two phases. The die phase (diePhase) computes
+// tapeout and each die's area, yield, gross dies and wafer demand, and
+// the test and packaging sums; it is the only phase that can fail. The
+// fab phase (fabPhase) turns the wafer demand into each node's queue,
+// production and fab time under a capacity factor and takes the
+// slowest node. An evaluation runs both; a CAS runs the die phase once
+// and the fab phase for each node's up and down capacity probe, since
+// the probes change nothing the die phase reads.
+//
+// Each phase mirrors Evaluate's floating-point operations in the exact
 // same order, so its results are bit-for-bit identical to the
-// map-based oracle; the property tests in compile_test.go hold the two
-// paths equal across every registered design × scenario.
+// map-based oracle, which recomputes everything per probe; the
+// property tests in compile_test.go hold the two paths equal across
+// every registered design × scenario.
 
 // Evaluator is a design × conditions pair compiled for repeated
 // evaluation under varying perturbations. The batch entry points
@@ -221,7 +231,7 @@ func (e *Evaluator) EvalResultChips(p Perturbation, n float64) (Result, error) {
 		return Result{}, fmt.Errorf("core: negative chip count %v", n)
 	}
 	var res Result
-	if _, err := e.eval(p, n, e.global, -1, 0, &res); err != nil {
+	if _, err := e.eval(p, n, e.global, &res); err != nil {
 		return Result{}, err
 	}
 	return res, nil
@@ -237,7 +247,7 @@ func (e *Evaluator) EvalChipsAtCapacity(p Perturbation, n float64, global float6
 	if n < 0 {
 		return 0, fmt.Errorf("core: negative chip count %v", n)
 	}
-	return e.eval(p, n, global, -1, 0, nil)
+	return e.eval(p, n, global, nil)
 }
 
 // CASChipsAtCapacity computes the Chip Agility Score (Eq. 8) under the
@@ -268,13 +278,49 @@ func (e *Evaluator) CASResultChips(p Perturbation, n float64) (CASResult, error)
 	return res, nil
 }
 
-// eval is the kernel. overrideIdx < 0 means no node-capacity override.
-// The arithmetic mirrors Model.Evaluate operation for operation so the
-// result is bit-for-bit identical to the oracle. detail, when non-nil,
-// receives the full per-phase/per-die/per-node breakdown exactly as
+// dieSums is the die phase's result for one evaluation: every term of
+// Eq. 1 except fabrication, which depends on the capacity factors. The
+// phase also leaves the per-node wafer demand in e.scratch for the fab
+// phase.
+type dieSums struct {
+	head      units.Weeks // designTime + tapeout, the sum's leading terms
+	packaging units.Weeks
+}
+
+// ttm completes Eq. 1 with a fab phase's fabrication time, adding in
+// Model.Evaluate's order: ((designTime + tapeout) + fabrication) +
+// packaging.
+func (d dieSums) ttm(fabrication units.Weeks) units.Weeks {
+	return d.head + fabrication + d.packaging
+}
+
+// eval is the kernel: the die phase, then the fab phase at the bound
+// conditions with the global capacity overridden. The arithmetic
+// mirrors Model.Evaluate operation for operation so the result is
+// bit-for-bit identical to the oracle. detail, when non-nil, receives
+// the full per-phase/per-die/per-node breakdown exactly as
 // Model.Evaluate would report it; the hot path passes nil and stays
 // allocation-free.
-func (e *Evaluator) eval(p Perturbation, chips, global float64, overrideIdx int, overrideF float64, detail *Result) (units.Weeks, error) {
+func (e *Evaluator) eval(p Perturbation, chips, global float64, detail *Result) (units.Weeks, error) {
+	d, err := e.diePhase(p, chips, detail)
+	if err != nil {
+		return 0, err
+	}
+	fabrication := e.fabPhase(p, global, -1, 0, detail)
+	ttm := d.ttm(fabrication)
+	if detail != nil {
+		detail.Fabrication = fabrication
+		detail.Packaging = d.packaging
+		detail.TTM = ttm
+	}
+	return ttm, nil
+}
+
+// diePhase runs tapeout (Eq. 2) and the per-die geometry, yield and
+// wafer demand (Eqs. 5–7), accumulating each node's wafer demand into
+// e.scratch. It owns every data-dependent error: a die fails here or
+// nowhere, whatever the capacity.
+func (e *Evaluator) diePhase(p Perturbation, chips float64, detail *Result) (dieSums, error) {
 	// Tapeout phase (Eq. 2).
 	var tapeoutHours units.Hours
 	for i := range e.nodes {
@@ -324,7 +370,7 @@ func (e *Evaluator) eval(p Perturbation, chips, global float64, overrideIdx int,
 				var err error
 				y, err = yield.SalvageYield(yp, *die.salvage)
 				if err != nil {
-					return 0, fmt.Errorf("core: die %q: %w", die.name, err)
+					return dieSums{}, fmt.Errorf("core: die %q: %w", die.name, err)
 				}
 			} else {
 				y = yield.Yield(yp)
@@ -338,7 +384,7 @@ func (e *Evaluator) eval(p Perturbation, chips, global float64, overrideIdx int,
 			gross = die.wafer.GrossDiesFrac(area)
 		}
 		if gross < 1 {
-			return 0, fmt.Errorf("core: die %q (%.0f mm² at %s): %w",
+			return dieSums{}, fmt.Errorf("core: die %q (%.0f mm² at %s): %w",
 				die.name, float64(area), die.node, geometry.ErrDieTooLarge)
 		}
 
@@ -360,8 +406,17 @@ func (e *Evaluator) eval(p Perturbation, chips, global float64, overrideIdx int,
 		}
 		packWeeks += chips * die.countF * float64(area) * die.packageEffort
 	}
+	return dieSums{
+		head:      e.designTime + tapeout,
+		packaging: tapLatency + units.Weeks(testWeeks) + units.Weeks(packWeeks),
+	}, nil
+}
 
-	// Eqs. 3–5 per node, synchronized at the slowest node.
+// fabPhase runs Eqs. 3–5 per node over the wafer demand the die phase
+// left in e.scratch and returns the fabrication time of the slowest
+// node. overrideIdx < 0 means no node-capacity override; otherwise node
+// overrideIdx runs at capacity factor overrideF (a CAS probe).
+func (e *Evaluator) fabPhase(p Perturbation, global float64, overrideIdx int, overrideF float64, detail *Result) units.Weeks {
 	var fabrication units.Weeks
 	first := true
 	for i := range e.nodes {
@@ -412,21 +467,20 @@ func (e *Evaluator) eval(p Perturbation, chips, global float64, overrideIdx int,
 			first = false
 		}
 	}
-
-	packaging := tapLatency + units.Weeks(testWeeks) + units.Weeks(packWeeks)
-	ttm := e.designTime + tapeout + fabrication + packaging
-	if detail != nil {
-		detail.Fabrication = fabrication
-		detail.Packaging = packaging
-		detail.TTM = ttm
-	}
-	return ttm, nil
+	return fabrication
 }
 
-// cas mirrors Model.CASWithStep at the default step. derivs, when
-// non-nil, receives |∂TTM/∂μ_W| per node exactly as Model.CAS reports
-// it; the hot path passes nil.
+// cas mirrors Model.CASWithStep at the default step. The capacity
+// probes change one node's factor, which enters only the fab phase, so
+// the die phase runs once and each node's up and down probe runs the
+// fab phase alone: a CAS over K nodes costs one die phase and 2K fab
+// phases. derivs, when non-nil, receives |∂TTM/∂μ_W| per node exactly
+// as Model.CAS reports it; the hot path passes nil.
 func (e *Evaluator) cas(p Perturbation, chips, global float64, derivs map[technode.Node]float64) (float64, error) {
+	d, err := e.diePhase(p, chips, nil)
+	if err != nil {
+		return 0, err
+	}
 	g := global
 	if g == 0 {
 		g = 1
@@ -440,14 +494,8 @@ func (e *Evaluator) cas(p Perturbation, chips, global float64, derivs map[techno
 		if fDown <= 0 {
 			fDown = f0
 		}
-		up, err := e.eval(p, chips, global, i, fUp, nil)
-		if err != nil {
-			return 0, err
-		}
-		down, err := e.eval(p, chips, global, i, fDown, nil)
-		if err != nil {
-			return 0, err
-		}
+		up := d.ttm(e.fabPhase(p, global, i, fUp, nil))
+		down := d.ttm(e.fabPhase(p, global, i, fDown, nil))
 		if math.IsInf(float64(up), 0) || math.IsInf(float64(down), 0) {
 			if derivs != nil {
 				derivs[nd.node] = math.Inf(1)

@@ -60,6 +60,10 @@ func modelVariants() map[string]core.Model {
 		"no-edge":  {NoEdgeCorrection: true},
 		"poisson":  {YieldModel: yield.Poisson},
 		"murphy-2": {YieldModel: yield.Murphy, Alpha: 2},
+		// Eq. 6 at an integer α other than the default (the fast path)
+		// and at a fractional one (the math.Pow fallback).
+		"negbin-2":   {Alpha: 2},
+		"negbin-2.5": {Alpha: 2.5},
 	}
 }
 

@@ -421,8 +421,12 @@ func (m *Manager) Submit(spec Spec) (View, error) {
 	if m.cfg.Observer != nil {
 		m.cfg.Observer.JobSubmitted(spec.Kind)
 	}
+	// The view is taken before the job is queued: a worker may finish
+	// a fast job before Submit returns, and the caller is owed the
+	// submitted (pending) state, not a race with the worker.
+	v := j.view(now)
 	m.queue <- j // cannot block: queue capacity == MaxActive
-	return j.view(now), nil
+	return v, nil
 }
 
 // insertLocked stores a job and evicts the oldest finished jobs beyond

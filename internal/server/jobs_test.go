@@ -134,11 +134,12 @@ func TestJobsEndToEnd(t *testing.T) {
 }
 
 func TestJobCancelViaDelete(t *testing.T) {
-	s := testServer(t, Config{})
-
-	// A CAS curve at the sample cap keeps the compiled kernel busy long
-	// enough that the cancel lands while the job is still running.
-	v := submitJob(t, s, `{"kind":"mc-band","design":"a11","metric":"cas","samples":8192,"seed":1}`)
+	// The job must outlast the poll that sees it running and the DELETE
+	// that follows. At the default 8192-sample cap the kernel finishes a
+	// CAS curve in milliseconds, so the limits are raised for a job 16
+	// times that size.
+	s := testServer(t, Config{MaxSamples: 1 << 17, MaxJobEvaluations: 1 << 22})
+	v := submitJob(t, s, `{"kind":"mc-band","design":"a11","metric":"cas","samples":131072,"seed":1}`)
 	// Cancel as soon as it is running.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {

@@ -81,8 +81,30 @@ func Yield(p Params) float64 {
 		if alpha <= 0 {
 			alpha = DefaultAlpha
 		}
-		return math.Pow(1+ad/alpha, -alpha)
+		return powNeg(1+ad/alpha, alpha)
 	}
+}
+
+// powNeg returns math.Pow(x, -alpha), bit for bit. For the paper's
+// α = 3, and any integer α in 1…8, it skips math.Pow's special-case
+// dispatch and Frexp/Ldexp bookkeeping and runs the square-and-multiply
+// math.Pow runs internally, on x itself instead of on x's mantissa.
+// With 1 ≤ x < 2^64 every product it uses is a normal float below
+// 2^512, so scaling by a power of two changes no rounding, and 1/x^α is
+// normal too: the result is the same bits. Anything else (a fractional
+// α, NaN, x ≥ 2^64, +Inf) goes to math.Pow.
+func powNeg(x, alpha float64) float64 {
+	if n := int(alpha); alpha >= 1 && alpha <= 8 && float64(n) == alpha && x >= 1 && x < 0x1p64 {
+		a, x1 := 1.0, x
+		for i := n; i != 0; i >>= 1 {
+			if i&1 == 1 {
+				a *= x1
+			}
+			x1 *= x1
+		}
+		return 1 / a
+	}
+	return math.Pow(x, -alpha)
 }
 
 // NegBinomial is shorthand for the paper's Eq. 6 with the default α.

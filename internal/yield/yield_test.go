@@ -2,6 +2,7 @@ package yield
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -121,4 +122,80 @@ func TestModelString(t *testing.T) {
 	if Model(99).String() == "" {
 		t.Error("unknown model should still render")
 	}
+}
+
+// negBinomialRef is Eq. 6 as math.Pow computes it: the reference the
+// integer-α fast path of Yield must reproduce bit for bit.
+func negBinomialRef(p Params) float64 {
+	ad := float64(p.Area) * p.D0.PerMM2()
+	if ad <= 0 {
+		return 1
+	}
+	alpha := p.Alpha
+	if alpha <= 0 {
+		alpha = DefaultAlpha
+	}
+	return math.Pow(1+ad/alpha, -alpha)
+}
+
+func sameNegBinomial(t *testing.T, p Params) {
+	t.Helper()
+	got, want := Yield(p), negBinomialRef(p)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("Yield(%+v) = %v (%#x), math.Pow gives %v (%#x)",
+			p, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestNegBinomialMatchesPow draws expected-defect counts from three
+// distributions (uniform, exponential over many decades, raw bit
+// patterns) for every α the fast path takes and two it leaves to
+// math.Pow, and requires Yield to equal math.Pow bit for bit.
+func TestNegBinomialMatchesPow(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	alphas := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 2.5, 3 + 1e-12, 9, 16}
+	for _, alpha := range alphas {
+		for i := 0; i < 20000; i++ {
+			var ad float64
+			switch i % 3 {
+			case 0:
+				ad = rng.Float64() * 10
+			case 1:
+				ad = math.Exp(rng.NormFloat64() * 30)
+			default:
+				ad = math.Float64frombits(rng.Uint64() &^ (1 << 63))
+			}
+			// D0 = 100 defects/cm² is 1 defect/mm², so Area carries ad.
+			sameNegBinomial(t, Params{Area: units.MM2(ad), D0: 100, Alpha: alpha})
+		}
+	}
+}
+
+// FuzzNegBinomialMatchesPow holds Yield under the negative binomial to
+// math.Pow(1+A·D0/α, −α) bit for bit for any area, defect density and
+// α: the integer-α fast path, its math.Pow fallback and the A·D0 ≤ 0
+// limit. The seeds run in tier-1; CI's fuzz-smoke job explores further.
+func FuzzNegBinomialMatchesPow(f *testing.F) {
+	// With D0 = 100/cm² (1/mm²), x = 1 + area/α.
+	for _, alpha := range []float64{1, 2, 3, 4, 5, 6, 7, 8, 2.5, 3 + 1e-12} {
+		for _, area := range []float64{
+			1e-300,                    // x = 1
+			alpha * 0x1p-52,           // x = Nextafter(1, 2)
+			alpha * (0x1p64 - 0x1p12), // x just below 2^64
+			alpha * (0x1p64 + 0x1p13), // x just above 2^64
+		} {
+			f.Add(area, 100.0, alpha)
+		}
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f.Add(v, 0.1, 3.0)
+		f.Add(100.0, v, 3.0)
+		f.Add(100.0, 0.1, v)
+	}
+	f.Add(1660.0, 0.05, 3.0) // the paper's 250 nm A11 anchor
+	f.Add(-5.0, 0.1, 3.0)
+	f.Add(100.0, 0.1, 0.0)
+	f.Fuzz(func(t *testing.T, area, d0, alpha float64) {
+		sameNegBinomial(t, Params{Area: units.MM2(area), D0: units.DefectsPerCM2(d0), Alpha: alpha})
+	})
 }
