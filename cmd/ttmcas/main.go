@@ -313,8 +313,8 @@ func cmdCAS(args []string) error {
 	}
 	fmt.Printf("design %s, %s chips, %s\n", d.Name, report.FmtSI(*df.n), c)
 	fmt.Printf("CAS = %.0f wafers/week²\n", r.CAS)
-	for node, der := range r.Derivatives {
-		fmt.Printf("  |∂TTM/∂μ_W(%s)| = %.3g weeks per wafer/week\n", node, der)
+	for _, node := range d.Nodes() {
+		fmt.Printf("  |∂TTM/∂μ_W(%s)| = %.3g weeks per wafer/week\n", node, r.Derivatives[node])
 	}
 	return nil
 }

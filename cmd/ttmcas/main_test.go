@@ -100,6 +100,22 @@ func TestCASCommand(t *testing.T) {
 	}
 }
 
+func TestCASCommandNodeOrder(t *testing.T) {
+	// The derivatives print in the design's node order (oldest first),
+	// not in map order: zen2's 12 nm I/O die before its 7 nm compute
+	// dies, on every run.
+	for i := 0; i < 20; i++ {
+		out, err := capture(t, "cas", "-design", "zen2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		i12, i7 := strings.Index(out, "μ_W(12nm)"), strings.Index(out, "μ_W(7nm)")
+		if i12 < 0 || i7 < 0 || i12 > i7 {
+			t.Fatalf("run %d: derivatives out of node order:\n%s", i, out)
+		}
+	}
+}
+
 func TestCostCommand(t *testing.T) {
 	out, err := capture(t, "cost", "-design", "raven", "-n", "1e8")
 	if err != nil {

@@ -127,16 +127,19 @@
 //
 // # Performance
 //
-// The analysis layers do not evaluate the map-based model directly:
 // core.Model.Compile resolves a (design, volume, conditions) triple
 // once into a flat, allocation-free evaluation kernel, and the
 // Monte-Carlo, Sobol and split-study drivers fan out over it in
 // adaptive chunks with one kernel clone and one RNG per worker
 // (falling back to inline execution for small batches, so the fan-out
-// costs nothing on one core). The compiled kernel is tested
-// bit-for-bit against the oracle Evaluate across all built-in designs
-// and market scenarios, and `make bench` records the kernel and driver
-// throughput — with allocation counts — in BENCH_jobs.json.
+// costs nothing on one core). Model.Evaluate, TTM and CAS are that
+// kernel run once, so production code holds two implementations of
+// the equations: this per-call kernel and the batch path below. The
+// kernel is tested bit-for-bit, error text included, against a
+// map-based reference that exists only in internal/core's tests,
+// across all built-in designs, model variants and market scenarios
+// and under fuzzed inputs, and `make bench` records the kernel and
+// driver throughput — with allocation counts — in BENCH_jobs.json.
 //
 // On top of the compiled kernel sits a structure-of-arrays batch path:
 // Evaluator.EvalBatch and CASBatch (plus at-capacity variants) take a
@@ -156,7 +159,7 @@
 // evaluator, one reducer), the split-study fraction sweep, and per-step
 // timeline evaluation (compiled once, stepped via SetConditions) — and
 // each package's tests hold its driver bit for bit against a
-// per-sample reference on the map-based model.
+// per-sample reference on core.Model.
 //
 // The HTTP service applies the same discipline to its hot path. A
 // sharded, byte-budgeted LRU caches encoded response bodies (a hit

@@ -39,7 +39,9 @@ import (
 // for operation, in the same order, so batch results are bit-for-bit
 // identical to the per-call path (held by the property tests in
 // batch_test.go), and per-element failures reproduce the exact
-// per-call error values.
+// per-call error values. The two kernels are the model's only
+// implementations in production code; the map-based reference both
+// are held to lives in reference_test.go.
 //
 // Error convention: structural misuse (ragged columns, wrong output
 // length, nil error sink) is reported as the call's error return;

@@ -305,8 +305,8 @@ func TestCASBatchErrorIndices(t *testing.T) {
 			sameValue(t, ctx, out[i], want, batchErrAt(&errs, i), wantErr)
 			om := m
 			om.Perturb = p
-			oracle, oracleErr := om.CAS(d, chips, c.AtCapacity(global))
-			sameValue(t, ctx+" vs Model.CAS", want, oracle.CAS, wantErr, oracleErr)
+			refCAS, refErr := referenceCAS(om, d, chips, c.AtCapacity(global))
+			sameValue(t, ctx+" vs reference", want, refCAS.CAS, wantErr, refErr)
 			if wantErr != nil {
 				failWant++
 				if out[i] != 0 {

@@ -11,10 +11,12 @@ import (
 )
 
 // The kernel benchmarks pin the compiled evaluator's claim: a per-call
-// evaluation runs the full TTM model with zero allocations, roughly an
-// order of magnitude faster than the map-based Model.Evaluate it
-// compiles away. bench.sh records both so a regression in either shows
-// up in BENCH_jobs.json.
+// evaluation runs the full TTM model with zero allocations.
+// BenchmarkModelEvaluate is the one-shot cost a caller without a cached
+// Evaluator pays — Model.TTM, which is a Compile plus one evaluation —
+// and BenchmarkEvaluatorEval the per-evaluation cost once compiled.
+// bench.sh records both so a regression in either shows up in
+// BENCH_jobs.json.
 
 var benchPert = core.Perturbation{NTT: 1.05, NUT: 0.95, D0: 1.1, Rate: 0.9, FabLatency: 1.02, TAPLatency: 1.01}
 

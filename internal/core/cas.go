@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"ttmcas/internal/design"
 	"ttmcas/internal/market"
@@ -45,69 +44,20 @@ func (m Model) CAS(d design.Design, n float64, c market.Conditions) (CASResult, 
 }
 
 // CASWithStep is CAS with an explicit relative derivative step,
-// exposed for the step-size ablation.
+// exposed for the step-size ablation; a step of zero or below means
+// DefaultDerivativeStep. Like Evaluate it compiles the design ×
+// conditions pair and runs the kernel's CAS once under the model's
+// Perturb: one die phase, then each node's up and down capacity probe
+// as a fab phase.
 func (m Model) CASWithStep(d design.Design, n float64, c market.Conditions, step float64) (CASResult, error) {
 	if step <= 0 {
 		step = DefaultDerivativeStep
 	}
-	res := CASResult{Derivatives: make(map[technode.Node]float64)}
-	g := c.GlobalCapacity
-	if g == 0 {
-		g = 1
+	ev, err := m.Compile(d, n, c)
+	if err != nil {
+		return CASResult{}, err
 	}
-	sum := 0.0
-	for _, node := range d.Nodes() {
-		p, err := m.Nodes.Lookup(node)
-		if err != nil {
-			return CASResult{}, err
-		}
-		// Finite difference on the node's capacity fraction f. The
-		// effective rate is μ = g·f·μ_full, so dTTM/dμ =
-		// ΔTTM / (Δf · g · μ_full). Central where possible, forward at
-		// the capacity floor.
-		f0 := nodeFactor(c, node)
-		fUp, fDown := f0+step, f0-step
-		if fDown <= 0 {
-			fDown = f0
-		}
-		up, err := m.TTM(d, n, c.WithNodeCapacity(node, fUp))
-		if err != nil {
-			return CASResult{}, err
-		}
-		down, err := m.TTM(d, n, c.WithNodeCapacity(node, fDown))
-		if err != nil {
-			return CASResult{}, err
-		}
-		if math.IsInf(float64(up), 0) || math.IsInf(float64(down), 0) {
-			res.Derivatives[node] = math.Inf(1)
-			sum = math.Inf(1)
-			continue
-		}
-		der := math.Abs(float64(up-down)) / ((fUp - fDown) * g * float64(p.WaferRate))
-		res.Derivatives[node] = der
-		sum += der
-	}
-	if sum <= 0 {
-		// TTM is locally flat in every node's rate (e.g. zero chips):
-		// the design is perfectly agile; report +Inf explicitly.
-		res.CAS = math.Inf(1)
-		return res, nil
-	}
-	res.CAS = 1 / sum
-	if math.IsInf(sum, 1) {
-		res.CAS = 0
-	}
-	return res, nil
-}
-
-// nodeFactor reports the node-specific capacity multiplier currently in
-// c (default 1), so the finite difference perturbs around the actual
-// operating point.
-func nodeFactor(c market.Conditions, n technode.Node) float64 {
-	if f, ok := c.NodeCapacity[n]; ok {
-		return f
-	}
-	return 1
+	return ev.casResult(m.Perturb, n, step)
 }
 
 // CASPoint is one sample of a CAS-versus-capacity curve.

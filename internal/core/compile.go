@@ -12,18 +12,16 @@ import (
 	"ttmcas/internal/yield"
 )
 
-// This file implements the compiled evaluation kernel: Model.Evaluate
-// resolves every per-node parameter through map lookups and builds
-// fresh result slices on each call, which is fine for a one-shot
-// evaluation but dominates the runtime of the Monte-Carlo, Sobol and
-// sweep drivers that call it 10³–10⁶ times with nothing changing but
-// the Perturbation. Compile performs all of that resolution once —
-// node parameters, effort curves, wafer geometry, queue depths,
-// capacity factors — into flat slices indexed by a dense node index,
-// so the kernel runs the model with zero map operations and zero heap
-// allocations. Drivers reach it through the batch entry points of
-// batch.go; the per-call methods below serve single request-path
-// evaluations.
+// This file implements the compiled evaluation kernel, the one scalar
+// implementation of the model: Model.Evaluate, TTM and CAS compile and
+// run it once. Compile resolves everything the equations read from the
+// design, the node database and the market conditions — node
+// parameters, effort curves, wafer geometry, queue depths, capacity
+// factors — into flat slices indexed by a dense node index, so the
+// kernel runs the model with zero map operations and zero heap
+// allocations however many perturbations it is asked about. Drivers
+// reach it through the batch entry points of batch.go; the per-call
+// methods below serve single request-path evaluations.
 //
 // The kernel runs in two phases. The die phase (diePhase) computes
 // tapeout and each die's area, yield, gross dies and wafer demand, and
@@ -34,11 +32,12 @@ import (
 // and the fab phase for each node's up and down capacity probe, since
 // the probes change nothing the die phase reads.
 //
-// Each phase mirrors Evaluate's floating-point operations in the exact
-// same order, so its results are bit-for-bit identical to the
-// map-based oracle, which recomputes everything per probe; the
-// property tests in compile_test.go hold the two paths equal across
-// every registered design × scenario.
+// The tests hold the kernel bit for bit, error text included, to a
+// map-based reference that walks the design and the condition maps
+// directly and re-evaluates the whole model per CAS probe
+// (reference_test.go): the property tests in compile_test.go over
+// every registered design × scenario, and
+// FuzzEvaluateMatchesReference.
 
 // Evaluator is a design × conditions pair compiled for repeated
 // evaluation under varying perturbations. The batch entry points
@@ -101,6 +100,16 @@ func (nd *evalNode) resolve(c market.Conditions) (factor, queueWafers float64) {
 	return nodeFactor(c, nd.node), queueWafers
 }
 
+// nodeFactor reports the node-specific capacity multiplier currently in
+// c (default 1), so a CAS probe perturbs around the actual operating
+// point.
+func nodeFactor(c market.Conditions, n technode.Node) float64 {
+	if f, ok := c.NodeCapacity[n]; ok {
+		return f
+	}
+	return 1
+}
+
 // evalDie is one die type with its node parameters resolved.
 type evalDie struct {
 	name          string
@@ -143,13 +152,13 @@ func (m Model) Compile(d design.Design, n float64, c market.Conditions) (*Evalua
 		yieldModel: m.YieldModel,
 		noEdge:     m.NoEdgeCorrection,
 	}
-	nodeIdx := make(map[technode.Node]int)
-	for _, node := range d.Nodes() {
+	nodes := d.Nodes()
+	e.nodes = make([]evalNode, 0, len(nodes))
+	for _, node := range nodes {
 		p, err := m.Nodes.Lookup(node)
 		if err != nil {
 			return nil, err
 		}
-		nodeIdx[node] = len(e.nodes)
 		e.nodes = append(e.nodes, evalNode{
 			node:          node,
 			nutBase:       float64(d.UniqueTransistorsAt(node)),
@@ -159,6 +168,7 @@ func (m Model) Compile(d design.Design, n float64, c market.Conditions) (*Evalua
 		})
 	}
 	e.Bind(c)
+	e.dies = make([]evalDie, 0, len(d.Dies))
 	for _, die := range d.Dies {
 		p, err := m.Nodes.Lookup(die.Node)
 		if err != nil {
@@ -172,7 +182,7 @@ func (m Model) Compile(d design.Design, n float64, c market.Conditions) (*Evalua
 		e.dies = append(e.dies, evalDie{
 			name:          die.Name,
 			node:          die.Node,
-			nodeIdx:       nodeIdx[die.Node],
+			nodeIdx:       e.NodeIndex(die.Node),
 			tapLatency:    float64(p.TAPLatency),
 			nttBase:       float64(die.TotalTransistors()),
 			areaOverride:  die.AreaOverride,
@@ -220,10 +230,10 @@ func (e *Evaluator) Bind(c market.Conditions) {
 func (e *Evaluator) Chips() float64 { return e.chips }
 
 // EvalResultChips computes TTM under the perturbation for n final
-// chips with the full per-phase, per-die and per-node breakdown,
-// bit-for-bit identical to Model.Evaluate on the compiled design ×
-// conditions pair at that chip count, so one compiled evaluator serves
-// detailed evaluations across request volumes. It allocates the result
+// chips with the full per-phase, per-die and per-node breakdown, the
+// Result Model.Evaluate reports for the compiled design × conditions
+// pair at that chip count, so one compiled evaluator serves detailed
+// evaluations across request volumes. It allocates the result
 // slices, so it belongs on request paths that need the detail once, not
 // in Monte-Carlo inner loops.
 func (e *Evaluator) EvalResultChips(p Perturbation, n float64) (Result, error) {
@@ -252,25 +262,31 @@ func (e *Evaluator) EvalChipsAtCapacity(p Perturbation, n float64, global float6
 
 // CASChipsAtCapacity computes the Chip Agility Score (Eq. 8) under the
 // perturbation for n final chips at the global capacity fraction, via
-// the same central differences as Model.CAS, without the per-node
-// Derivatives map; the CAS counterpart of EvalChipsAtCapacity.
+// Model.CAS's central differences at the default step, without the
+// per-node Derivatives map; the CAS counterpart of EvalChipsAtCapacity.
 func (e *Evaluator) CASChipsAtCapacity(p Perturbation, n float64, global float64) (float64, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("core: negative chip count %v", n)
 	}
-	return e.cas(p, n, global, nil)
+	return e.cas(p, n, global, DefaultDerivativeStep, nil)
 }
 
 // CASResultChips computes the agility score with its per-node
-// derivative composition, bit-for-bit identical to Model.CAS, with the
+// derivative composition, as Model.CAS reports it, with the
 // final-chip count overridden. It allocates the Derivatives map, so it
 // belongs on request paths, not inner loops.
 func (e *Evaluator) CASResultChips(p Perturbation, n float64) (CASResult, error) {
 	if n < 0 {
 		return CASResult{}, fmt.Errorf("core: negative chip count %v", n)
 	}
+	return e.casResult(p, n, DefaultDerivativeStep)
+}
+
+// casResult runs the kernel's CAS at the bound conditions with the
+// given step and collects the per-node derivatives.
+func (e *Evaluator) casResult(p Perturbation, n, step float64) (CASResult, error) {
 	res := CASResult{Derivatives: make(map[technode.Node]float64, len(e.nodes))}
-	cas, err := e.cas(p, n, e.global, res.Derivatives)
+	cas, err := e.cas(p, n, e.global, step, res.Derivatives)
 	if err != nil {
 		return CASResult{}, err
 	}
@@ -288,18 +304,16 @@ type dieSums struct {
 }
 
 // ttm completes Eq. 1 with a fab phase's fabrication time, adding in
-// Model.Evaluate's order: ((designTime + tapeout) + fabrication) +
+// the equation's order: ((designTime + tapeout) + fabrication) +
 // packaging.
 func (d dieSums) ttm(fabrication units.Weeks) units.Weeks {
 	return d.head + fabrication + d.packaging
 }
 
 // eval is the kernel: the die phase, then the fab phase at the bound
-// conditions with the global capacity overridden. The arithmetic
-// mirrors Model.Evaluate operation for operation so the result is
-// bit-for-bit identical to the oracle. detail, when non-nil, receives
-// the full per-phase/per-die/per-node breakdown exactly as
-// Model.Evaluate would report it; the hot path passes nil and stays
+// conditions with the global capacity overridden. detail, when
+// non-nil, receives the full per-phase/per-die/per-node breakdown
+// Model.Evaluate reports; the hot path passes nil and stays
 // allocation-free.
 func (e *Evaluator) eval(p Perturbation, chips, global float64, detail *Result) (units.Weeks, error) {
 	d, err := e.diePhase(p, chips, detail)
@@ -470,13 +484,16 @@ func (e *Evaluator) fabPhase(p Perturbation, global float64, overrideIdx int, ov
 	return fabrication
 }
 
-// cas mirrors Model.CASWithStep at the default step. The capacity
-// probes change one node's factor, which enters only the fab phase, so
-// the die phase runs once and each node's up and down probe runs the
-// fab phase alone: a CAS over K nodes costs one die phase and 2K fab
-// phases. derivs, when non-nil, receives |∂TTM/∂μ_W| per node exactly
-// as Model.CAS reports it; the hot path passes nil.
-func (e *Evaluator) cas(p Perturbation, chips, global float64, derivs map[technode.Node]float64) (float64, error) {
+// cas is Eq. 8 by finite differences of the given relative step on
+// each node's capacity factor f. The effective rate is μ = g·f·μ_full,
+// so dTTM/dμ = ΔTTM / (Δf · g · μ_full); the difference is central
+// where possible and forward at the capacity floor. The probes change
+// one node's factor, which enters only the fab phase, so the die phase
+// runs once and each node's up and down probe runs the fab phase
+// alone: a CAS over K nodes costs one die phase and 2K fab phases.
+// derivs, when non-nil, receives |∂TTM/∂μ_W| per node as Model.CAS
+// reports it; the hot path passes nil.
+func (e *Evaluator) cas(p Perturbation, chips, global, step float64, derivs map[technode.Node]float64) (float64, error) {
 	d, err := e.diePhase(p, chips, nil)
 	if err != nil {
 		return 0, err
@@ -485,7 +502,6 @@ func (e *Evaluator) cas(p Perturbation, chips, global float64, derivs map[techno
 	if g == 0 {
 		g = 1
 	}
-	const step = DefaultDerivativeStep
 	sum := 0.0
 	for i := range e.nodes {
 		nd := &e.nodes[i]
@@ -510,9 +526,12 @@ func (e *Evaluator) cas(p Perturbation, chips, global float64, derivs map[techno
 		sum += der
 	}
 	if sum <= 0 {
+		// TTM is locally flat in every node's rate (e.g. zero chips):
+		// the design is perfectly agile.
 		return math.Inf(1), nil
 	}
 	if math.IsInf(sum, 1) {
+		// A node out of production: no agility at all.
 		return 0, nil
 	}
 	return 1 / sum, nil

@@ -15,11 +15,13 @@ import (
 	"ttmcas/internal/yield"
 )
 
-// The compiled evaluator must be indistinguishable from the map-based
-// oracle: same float64 bits, same error/no-error outcomes, across every
-// registered design, every built-in market scenario, and a cloud of
-// random perturbations. These property tests are the contract that lets
-// every driver (mc, sens, jobs, server) switch to the kernel blindly.
+// The compiled evaluator, and the Model methods that compile and run
+// it, must be indistinguishable from the map-based reference
+// (core.ReferenceEvaluate, core.ReferenceCASWithStep): same float64
+// bits, same error text, across every registered design, every
+// built-in market scenario, and a cloud of random perturbations. These
+// property tests are the contract that lets every driver (mc, sens,
+// jobs, server) run the kernel blindly.
 
 func registeredDesigns() map[string]design.Design {
 	return map[string]design.Design{
@@ -91,9 +93,9 @@ func sameValue(t *testing.T, ctx string, got, want float64, gotErr, wantErr erro
 	}
 }
 
-// matchAtCapacity checks the per-call TTM kernel against the oracle at
-// each global capacity caps yields for a scenario, over every model
-// variant, registered design and built-in scenario.
+// matchAtCapacity checks the per-call TTM kernel and Model.TTM against
+// the reference at each global capacity caps yields for a scenario,
+// over every model variant, registered design and built-in scenario.
 func matchAtCapacity(t *testing.T, perts []core.Perturbation, caps func(market.Conditions) []float64) {
 	t.Helper()
 	const chips = 10e6
@@ -108,10 +110,12 @@ func matchAtCapacity(t *testing.T, perts []core.Perturbation, caps func(market.C
 					for i, p := range perts {
 						om := m
 						om.Perturb = p
-						want, wantErr := om.TTM(d, chips, sc.Conditions.AtCapacity(f))
+						ctx := fmt.Sprintf("%s/%s/%s f=%v pert %d", mname, dname, sc.Name, f, i)
+						want, wantErr := core.ReferenceTTM(om, d, chips, sc.Conditions.AtCapacity(f))
 						got, gotErr := ev.EvalChipsAtCapacity(p, chips, f)
-						sameWeeks(t, fmt.Sprintf("%s/%s/%s f=%v pert %d", mname, dname, sc.Name, f, i),
-							got, want, gotErr, wantErr)
+						sameWeeks(t, ctx, got, want, gotErr, wantErr)
+						got, gotErr = om.TTM(d, chips, sc.Conditions.AtCapacity(f))
+						sameWeeks(t, ctx+": Model.TTM", got, want, gotErr, wantErr)
 					}
 				}
 			}
@@ -147,7 +151,7 @@ func TestEvaluatorChipsAndNodeCapacityMatchOracle(t *testing.T) {
 				for i, p := range perts {
 					om := m
 					om.Perturb = p
-					want, wantErr := om.TTM(d, chips, sc.Conditions)
+					want, wantErr := core.ReferenceTTM(om, d, chips, sc.Conditions)
 					got, gotErr := evalTTM(ev, p, chips)
 					sameWeeks(t, fmt.Sprintf("%s/%s n=%v pert %d", dname, sc.Name, chips, i),
 						got, want, gotErr, wantErr)
@@ -161,7 +165,7 @@ func TestEvaluatorChipsAndNodeCapacityMatchOracle(t *testing.T) {
 			om.Perturb = p
 			for _, node := range d.Nodes() {
 				for _, f := range []float64{0.01, 0.6, 0.99, 1.01} {
-					want, wantErr := om.TTM(d, 10e6, sc.Conditions.WithNodeCapacity(node, f))
+					want, wantErr := core.ReferenceTTM(om, d, 10e6, sc.Conditions.WithNodeCapacity(node, f))
 					b := columns([]core.Perturbation{p})
 					b.Factor = make([][]float64, ev.NodeCount())
 					b.Factor[ev.NodeIndex(node)] = []float64{f}
@@ -191,14 +195,15 @@ func TestEvaluatorCASMatchesOracleBitForBit(t *testing.T) {
 				for i, p := range perts {
 					om := m
 					om.Perturb = p
-					wantRes, wantErr := om.CAS(d, chips, sc.Conditions)
+					wantRes, wantErr := referenceCAS(om, d, chips, sc.Conditions)
 					got, gotErr := ev.CASChipsAtCapacity(p, chips, sc.Conditions.GlobalCapacity)
 					sameValue(t, fmt.Sprintf("%s/%s/%s pert %d: CAS", mname, dname, sc.Name, i),
 						got, wantRes.CAS, gotErr, wantErr)
 				}
-				// CASChipsAtCapacity vs oracle at swept global capacity.
+				// CASChipsAtCapacity vs the reference at swept global
+				// capacity.
 				for _, f := range []float64{0.25, 0.7, 1.0} {
-					wantRes, wantErr := m.CAS(d, chips, sc.Conditions.AtCapacity(f))
+					wantRes, wantErr := referenceCAS(m, d, chips, sc.Conditions.AtCapacity(f))
 					got, gotErr := ev.CASChipsAtCapacity(core.Perturbation{}, chips, f)
 					sameValue(t, fmt.Sprintf("%s/%s/%s f=%v: CAS", mname, dname, sc.Name, f),
 						got, wantRes.CAS, gotErr, wantErr)
@@ -357,10 +362,10 @@ func TestBindMatchesCompile(t *testing.T) {
 			ctx := fmt.Sprintf("%s conditions %d (%s)", dname, i, c)
 			sameAnswers(t, ctx, ev, ref, perts)
 			// Compile binds through Bind too, so also anchor the bound
-			// evaluator to the map-based oracle.
-			want, wantErr := m.TTM(d, 1e6, c)
+			// evaluator to the map-based reference.
+			want, wantErr := core.ReferenceTTM(m, d, 1e6, c)
 			got, gotErr := evalTTM(ev, core.Perturbation{}, 1e6)
-			sameWeeks(t, ctx+": vs Model.TTM", got, want, gotErr, wantErr)
+			sameWeeks(t, ctx+": vs reference", got, want, gotErr, wantErr)
 		}
 	}
 }
@@ -439,11 +444,89 @@ func sameF64(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
+// referenceCAS is the reference agility score at the default step.
+func referenceCAS(m core.Model, d design.Design, n float64, c market.Conditions) (core.CASResult, error) {
+	return core.ReferenceCASWithStep(m, d, n, c, core.DefaultDerivativeStep)
+}
+
+// sameResult requires a full evaluation and its reference to agree:
+// the same error text, or no error and every phase, die row, node row
+// and the critical node equal, floats bit for bit.
+func sameResult(t *testing.T, ctx string, got, want core.Result, gotErr, wantErr error) {
+	t.Helper()
+	sameWeeks(t, ctx, got.TTM, want.TTM, gotErr, wantErr)
+	if gotErr != nil {
+		return
+	}
+	for _, ph := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"DesignTime", float64(got.DesignTime), float64(want.DesignTime)},
+		{"Tapeout", float64(got.Tapeout), float64(want.Tapeout)},
+		{"TapeoutHours", float64(got.TapeoutHours), float64(want.TapeoutHours)},
+		{"Fabrication", float64(got.Fabrication), float64(want.Fabrication)},
+		{"Packaging", float64(got.Packaging), float64(want.Packaging)},
+		{"TTM", float64(got.TTM), float64(want.TTM)},
+	} {
+		if !sameF64(ph.got, ph.want) {
+			t.Fatalf("%s: %s got %v, reference %v", ctx, ph.name, ph.got, ph.want)
+		}
+	}
+	if got.CriticalNode != want.CriticalNode {
+		t.Fatalf("%s: CriticalNode got %v, reference %v", ctx, got.CriticalNode, want.CriticalNode)
+	}
+	if len(got.Dies) != len(want.Dies) || len(got.Nodes) != len(want.Nodes) {
+		t.Fatalf("%s: breakdown lengths %d/%d vs %d/%d",
+			ctx, len(got.Dies), len(got.Nodes), len(want.Dies), len(want.Nodes))
+	}
+	for j := range want.Dies {
+		g, w := got.Dies[j], want.Dies[j]
+		if g.Name != w.Name || g.Node != w.Node ||
+			!sameF64(float64(g.Area), float64(w.Area)) ||
+			!sameF64(g.Yield, w.Yield) ||
+			!sameF64(g.GrossPerWafer, w.GrossPerWafer) ||
+			!sameF64(float64(g.Wafers), float64(w.Wafers)) {
+			t.Fatalf("%s: die %d got %+v, reference %+v", ctx, j, g, w)
+		}
+	}
+	for j := range want.Nodes {
+		g, w := got.Nodes[j], want.Nodes[j]
+		if g.Node != w.Node ||
+			!sameF64(float64(g.Wafers), float64(w.Wafers)) ||
+			!sameF64(float64(g.Queue), float64(w.Queue)) ||
+			!sameF64(float64(g.Production), float64(w.Production)) ||
+			!sameF64(float64(g.FabTotal), float64(w.FabTotal)) {
+			t.Fatalf("%s: node %d got %+v, reference %+v", ctx, j, g, w)
+		}
+	}
+}
+
+// sameCASResult requires an agility score and its reference to agree:
+// the same error text, or no error and the score and every node's
+// derivative equal bit for bit.
+func sameCASResult(t *testing.T, ctx string, got, want core.CASResult, gotErr, wantErr error) {
+	t.Helper()
+	sameValue(t, ctx+": CAS", got.CAS, want.CAS, gotErr, wantErr)
+	if gotErr != nil {
+		return
+	}
+	if len(got.Derivatives) != len(want.Derivatives) {
+		t.Fatalf("%s: derivative count %d vs %d", ctx, len(got.Derivatives), len(want.Derivatives))
+	}
+	for node, w := range want.Derivatives {
+		if g, ok := got.Derivatives[node]; !ok || !sameF64(g, w) {
+			t.Fatalf("%s: derivative[%v] got %v, reference %v", ctx, node, g, w)
+		}
+	}
+}
+
 func TestEvaluatorEvalResultMatchesOracle(t *testing.T) {
-	// EvalResultChips must reproduce Model.Evaluate's full breakdown —
-	// every phase, every die row, every node row, the critical node —
-	// bit-for-bit, across designs, scenarios and chip counts, so the
-	// server can serve detailed responses from a cached evaluator.
+	// EvalResultChips, and Model.Evaluate which runs it, must reproduce
+	// the reference's full breakdown — every phase, every die row,
+	// every node row, the critical node — bit-for-bit, across designs,
+	// scenarios and chip counts, so the server can serve detailed
+	// responses from a cached evaluator.
 	perts := perturbations(11, 6)
 	for mname, m := range modelVariants() {
 		for dname, d := range registeredDesigns() {
@@ -457,54 +540,11 @@ func TestEvaluatorEvalResultMatchesOracle(t *testing.T) {
 						ctx := fmt.Sprintf("%s/%s/%s n=%v pert %d", mname, dname, sc.Name, chips, i)
 						om := m
 						om.Perturb = p
-						want, wantErr := om.Evaluate(d, chips, sc.Conditions)
+						want, wantErr := core.ReferenceEvaluate(om, d, chips, sc.Conditions)
 						got, gotErr := ev.EvalResultChips(p, chips)
-						sameWeeks(t, ctx, got.TTM, want.TTM, gotErr, wantErr)
-						if gotErr != nil {
-							continue
-						}
-						for _, ph := range []struct {
-							name      string
-							got, want float64
-						}{
-							{"DesignTime", float64(got.DesignTime), float64(want.DesignTime)},
-							{"Tapeout", float64(got.Tapeout), float64(want.Tapeout)},
-							{"TapeoutHours", float64(got.TapeoutHours), float64(want.TapeoutHours)},
-							{"Fabrication", float64(got.Fabrication), float64(want.Fabrication)},
-							{"Packaging", float64(got.Packaging), float64(want.Packaging)},
-							{"TTM", float64(got.TTM), float64(want.TTM)},
-						} {
-							if !sameF64(ph.got, ph.want) {
-								t.Fatalf("%s: %s compiled %v, oracle %v", ctx, ph.name, ph.got, ph.want)
-							}
-						}
-						if got.CriticalNode != want.CriticalNode {
-							t.Fatalf("%s: CriticalNode compiled %v, oracle %v", ctx, got.CriticalNode, want.CriticalNode)
-						}
-						if len(got.Dies) != len(want.Dies) || len(got.Nodes) != len(want.Nodes) {
-							t.Fatalf("%s: breakdown lengths %d/%d vs %d/%d",
-								ctx, len(got.Dies), len(got.Nodes), len(want.Dies), len(want.Nodes))
-						}
-						for j := range want.Dies {
-							g, w := got.Dies[j], want.Dies[j]
-							if g.Name != w.Name || g.Node != w.Node ||
-								!sameF64(float64(g.Area), float64(w.Area)) ||
-								!sameF64(g.Yield, w.Yield) ||
-								!sameF64(g.GrossPerWafer, w.GrossPerWafer) ||
-								!sameF64(float64(g.Wafers), float64(w.Wafers)) {
-								t.Fatalf("%s: die %d compiled %+v, oracle %+v", ctx, j, g, w)
-							}
-						}
-						for j := range want.Nodes {
-							g, w := got.Nodes[j], want.Nodes[j]
-							if g.Node != w.Node ||
-								!sameF64(float64(g.Wafers), float64(w.Wafers)) ||
-								!sameF64(float64(g.Queue), float64(w.Queue)) ||
-								!sameF64(float64(g.Production), float64(w.Production)) ||
-								!sameF64(float64(g.FabTotal), float64(w.FabTotal)) {
-								t.Fatalf("%s: node %d compiled %+v, oracle %+v", ctx, j, g, w)
-							}
-						}
+						sameResult(t, ctx, got, want, gotErr, wantErr)
+						got, gotErr = om.Evaluate(d, chips, sc.Conditions)
+						sameResult(t, ctx+": Model.Evaluate", got, want, gotErr, wantErr)
 					}
 				}
 			}
@@ -513,31 +553,30 @@ func TestEvaluatorEvalResultMatchesOracle(t *testing.T) {
 }
 
 func TestEvaluatorCASResultMatchesOracle(t *testing.T) {
+	// CASResultChips at the default step, and Model.CASWithStep at the
+	// default and at the step-size ablation's steps (0 meaning the
+	// default), against the reference's score and derivatives.
 	perts := perturbations(12, 4)
-	m := core.Model{}
-	for dname, d := range registeredDesigns() {
-		for _, sc := range market.Scenarios() {
-			ev, err := m.Compile(d, 1, sc.Conditions)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, chips := range []float64{1e4, 10e6} {
-				for i, p := range perts {
-					ctx := fmt.Sprintf("%s/%s n=%v pert %d", dname, sc.Name, chips, i)
-					om := m
-					om.Perturb = p
-					want, wantErr := om.CAS(d, chips, sc.Conditions)
-					got, gotErr := ev.CASResultChips(p, chips)
-					sameValue(t, ctx+": CAS", got.CAS, want.CAS, gotErr, wantErr)
-					if gotErr != nil {
-						continue
-					}
-					if len(got.Derivatives) != len(want.Derivatives) {
-						t.Fatalf("%s: derivative count %d vs %d", ctx, len(got.Derivatives), len(want.Derivatives))
-					}
-					for node, w := range want.Derivatives {
-						if g, ok := got.Derivatives[node]; !ok || !sameF64(g, w) {
-							t.Fatalf("%s: derivative[%v] compiled %v, oracle %v", ctx, node, g, w)
+	steps := []float64{0, 0.001, core.DefaultDerivativeStep, 0.05, 0.1}
+	for mname, m := range modelVariants() {
+		for dname, d := range registeredDesigns() {
+			for _, sc := range market.Scenarios() {
+				ev, err := m.Compile(d, 1, sc.Conditions)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, chips := range []float64{1e4, 10e6} {
+					for i, p := range perts {
+						ctx := fmt.Sprintf("%s/%s/%s n=%v pert %d", mname, dname, sc.Name, chips, i)
+						om := m
+						om.Perturb = p
+						want, wantErr := referenceCAS(om, d, chips, sc.Conditions)
+						got, gotErr := ev.CASResultChips(p, chips)
+						sameCASResult(t, ctx, got, want, gotErr, wantErr)
+						for _, h := range steps {
+							want, wantErr := core.ReferenceCASWithStep(om, d, chips, sc.Conditions, h)
+							got, gotErr := om.CASWithStep(d, chips, sc.Conditions, h)
+							sameCASResult(t, fmt.Sprintf("%s step=%v: Model.CASWithStep", ctx, h), got, want, gotErr, wantErr)
 						}
 					}
 				}
@@ -562,11 +601,11 @@ func TestEvaluatorChipsAtCapacityMatchesOracle(t *testing.T) {
 				ctx := fmt.Sprintf("n=%v f=%v pert %d", chips, f, i)
 				om := m
 				om.Perturb = p
-				want, wantErr := om.TTM(d, chips, base.AtCapacity(f))
+				want, wantErr := core.ReferenceTTM(om, d, chips, base.AtCapacity(f))
 				got, gotErr := ev.EvalChipsAtCapacity(p, chips, f)
 				sameWeeks(t, ctx, got, want, gotErr, wantErr)
 
-				wantCAS, wantErr := om.CAS(d, chips, base.AtCapacity(f))
+				wantCAS, wantErr := referenceCAS(om, d, chips, base.AtCapacity(f))
 				gotCAS, gotErr := ev.CASChipsAtCapacity(p, chips, f)
 				sameValue(t, ctx+": CAS", gotCAS, wantCAS.CAS, gotErr, wantErr)
 			}

@@ -18,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"ttmcas/internal/design"
 	"ttmcas/internal/geometry"
@@ -138,143 +137,17 @@ type Result struct {
 }
 
 // Evaluate computes the time-to-market of producing n final chips of
-// the design under the given market conditions.
+// the design under the given market conditions, with the full
+// per-phase, per-die and per-node breakdown. It compiles the design ×
+// conditions pair and runs the kernel once under the model's Perturb;
+// a caller evaluating one design many times keeps the Evaluator from
+// Compile instead.
 func (m Model) Evaluate(d design.Design, n float64, c market.Conditions) (Result, error) {
-	if err := d.Validate(); err != nil {
+	ev, err := m.Compile(d, n, c)
+	if err != nil {
 		return Result{}, err
 	}
-	if n < 0 {
-		return Result{}, fmt.Errorf("core: negative chip count %v", n)
-	}
-	res := Result{DesignTime: d.DesignTime}
-
-	// Tapeout phase (Eq. 2): engineering-hours summed over the nodes
-	// the design uses, then divided across the tapeout team.
-	for _, node := range d.Nodes() {
-		p, err := m.Nodes.Lookup(node)
-		if err != nil {
-			return Result{}, err
-		}
-		nut := float64(d.UniqueTransistorsAt(node)) * or1(m.Perturb.NUT)
-		res.TapeoutHours += units.Hours(nut / 1e6 * p.TapeoutEffort)
-	}
-	res.Tapeout = res.TapeoutHours.Weeks(d.Team())
-
-	// Fabrication phase (Eqs. 3–5): all dies fabricated at the same
-	// node share that node's wafer production rate, so wafer demand
-	// aggregates per node; packaging then synchronizes on the slowest
-	// node (the max of Eq. 3).
-	var testWeeks, packWeeks float64
-	var tapLatency units.Weeks
-	nodeWafers := map[technode.Node]units.Wafers{}
-	for _, die := range d.Dies {
-		p, err := m.Nodes.Lookup(die.Node)
-		if err != nil {
-			return Result{}, err
-		}
-		if units.Weeks(float64(p.TAPLatency)*or1(m.Perturb.TAPLatency)) > tapLatency {
-			tapLatency = units.Weeks(float64(p.TAPLatency) * or1(m.Perturb.TAPLatency))
-		}
-
-		ntt := units.Transistors(float64(die.TotalTransistors()) * or1(m.Perturb.NTT))
-		area := die.AreaOverride
-		if area <= 0 {
-			// Derive area from the (possibly perturbed) transistor
-			// count so NTT variance propagates through area, yield and
-			// wafer count.
-			area = p.Area(ntt)
-		}
-		if area < die.MinArea {
-			area = die.MinArea
-		}
-
-		y := die.YieldOverride
-		if y == 0 {
-			yp := yield.Params{
-				Area:  area,
-				D0:    units.DefectsPerCM2(float64(p.DefectDensity) * or1(m.Perturb.D0)),
-				Alpha: m.Alpha,
-				Model: m.YieldModel,
-			}
-			if die.Salvage != nil {
-				y, err = yield.SalvageYield(yp, *die.Salvage)
-				if err != nil {
-					return Result{}, fmt.Errorf("core: die %q: %w", die.Name, err)
-				}
-			} else {
-				y = yield.Yield(yp)
-			}
-		}
-
-		wafer := m.waferFor(p)
-		var gross float64
-		if m.NoEdgeCorrection {
-			gross = float64(wafer.NaiveDies(area))
-		} else {
-			gross = wafer.GrossDiesFrac(area)
-		}
-		if gross < 1 {
-			return Result{}, fmt.Errorf("core: die %q (%.0f mm² at %s): %w",
-				die.Name, float64(area), die.Node, geometry.ErrDieTooLarge)
-		}
-
-		diesNeeded := yield.DiesNeeded(n*float64(die.Count()), y)
-		wafers := units.Wafers(diesNeeded / gross)
-		nodeWafers[die.Node] += wafers
-
-		res.Dies = append(res.Dies, DieResult{
-			Name:          die.Name,
-			Node:          die.Node,
-			Area:          area,
-			Yield:         y,
-			GrossPerWafer: gross,
-			Wafers:        wafers,
-		})
-
-		// Packaging phase contributions (Eq. 7). Testing covers every
-		// fabricated die (n/Y of them); assembly covers the n good
-		// chips' packaged area.
-		if y > 0 {
-			testWeeks += n * float64(die.Count()) / y * float64(ntt) * p.TestingEffort
-		}
-		packWeeks += n * float64(die.Count()) * float64(area) * p.PackageEffort
-	}
-
-	// Eqs. 3–5 per node, synchronized at the slowest node.
-	first := true
-	for _, node := range d.Nodes() {
-		p, err := m.Nodes.Lookup(node)
-		if err != nil {
-			return Result{}, err
-		}
-		nf := NodeFabResult{Node: node, Wafers: nodeWafers[node]}
-		rate := float64(c.Rate(p)) * or1(m.Perturb.Rate)
-		lfab := units.Weeks(float64(p.FabLatency) * or1(m.Perturb.FabLatency))
-		switch {
-		case rate > 0:
-			nf.Queue = units.Weeks(float64(c.QueueWafers(p)) / rate)    // Eq. 4
-			nf.Production = units.Weeks(float64(nf.Wafers)/rate) + lfab // Eq. 5
-			nf.FabTotal = nf.Queue + nf.Production
-		case nf.Wafers > 0 || c.QueueWafers(p) > 0:
-			// No production at this node: fabrication never finishes.
-			nf.Queue = units.Weeks(math.Inf(1))
-			nf.Production = units.Weeks(math.Inf(1))
-			nf.FabTotal = units.Weeks(math.Inf(1))
-		default:
-			nf.Production = lfab
-			nf.FabTotal = lfab
-		}
-		res.Nodes = append(res.Nodes, nf)
-		if first || nf.FabTotal > res.Fabrication {
-			res.Fabrication = nf.FabTotal
-			res.CriticalNode = node
-			first = false
-		}
-	}
-
-	res.Packaging = tapLatency + units.Weeks(testWeeks) + units.Weeks(packWeeks)
-	res.TTM = res.DesignTime + res.Tapeout + res.Fabrication + res.Packaging
-	return res, nil
+	return ev.EvalResultChips(m.Perturb, n)
 }
 
 // waferFor resolves the wafer geometry for a node: an explicit model
@@ -291,11 +164,11 @@ func (m Model) waferFor(p technode.Params) geometry.Wafer {
 	}
 }
 
-// TTM is a convenience wrapper returning only the headline number.
+// TTM is Evaluate's headline number, computed without the breakdown.
 func (m Model) TTM(d design.Design, n float64, c market.Conditions) (units.Weeks, error) {
-	r, err := m.Evaluate(d, n, c)
+	ev, err := m.Compile(d, n, c)
 	if err != nil {
 		return 0, err
 	}
-	return r.TTM, nil
+	return ev.EvalChipsAtCapacity(m.Perturb, n, c.GlobalCapacity)
 }

@@ -110,6 +110,36 @@ func TestTTMMonotoneInVolumeAndCapacity(t *testing.T) {
 	}
 }
 
+func TestQueueScalesInverselyWithCapacity(t *testing.T) {
+	// Eq. 4: the queue ahead is a wafer count fixed at quote time, so
+	// its wait is N_ahead/(f·μ_W) and scales as 1/f in the global
+	// capacity fraction f. A node out of production queues forever at
+	// every f.
+	var m core.Model
+	c := market.Full().WithQueueAll(4)
+	for name, d := range registeredDesigns() {
+		full, err := m.Evaluate(d, 10e6, c)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, f := range []float64{0.25, 0.5, 1} {
+			r, err := m.Evaluate(d, 10e6, c.AtCapacity(f))
+			if err != nil {
+				t.Fatalf("%s f=%v: %v", name, f, err)
+			}
+			for i, nf := range r.Nodes {
+				got, want := float64(nf.Queue)*f, float64(full.Nodes[i].Queue)
+				if got == want {
+					continue
+				}
+				if math.IsInf(want, 0) || math.Abs(got-want) > 1e-15*math.Abs(want) {
+					t.Errorf("%s f=%v node %s: queue·f = %v, full-capacity queue %v", name, f, nf.Node, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestQueueAddsLeadTime(t *testing.T) {
 	var m core.Model
 	d := simple(technode.N7)

@@ -162,8 +162,8 @@ const (
 // BandCurveEval evaluates the metric across the global capacity
 // fractions xs, attaching both the ±10% and ±25% confidence bands at
 // each point: the design × conditions pair is compiled once and the
-// curve rides BandCurveBatch. Each band is bit-for-bit what the
-// map-based model gives on the same perturbation streams.
+// curve rides BandCurveBatch. Each band is bit-for-bit what
+// core.Model gives sample by sample on the same perturbation streams.
 //
 // onEval, when non-nil, is told each evaluated batch's sample count
 // from worker goroutines (it must be concurrency-safe); jobs use it for
@@ -290,7 +290,7 @@ func (c *bandCall) run(lo, hi int) error {
 			return err
 		}
 		// Mean before the in-place selection reorders buf10: it sums in
-		// stream order, the order the map-based reference in the tests
+		// stream order, the order the per-sample reference in the tests
 		// sums in.
 		mean := stats.Mean(w.buf10)
 		c.out[i] = Band{

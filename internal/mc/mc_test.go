@@ -227,7 +227,7 @@ func TestBandCurveMatchesSerialBitForBit(t *testing.T) {
 }
 
 func TestBandCurveEvalMatchesGenericBitForBit(t *testing.T) {
-	// BandCurveEval must be indistinguishable from the map-based
+	// BandCurveEval must be indistinguishable from the per-sample
 	// reference walking the same perturbation streams: the kernel is
 	// bit-for-bit equal to core.Model and the estimator order is
 	// shared, so every band must match exactly.
@@ -352,7 +352,7 @@ func TestColumnFillMatchesRowFillBitForBit(t *testing.T) {
 
 func TestRunBatchMatchesRunEvalBitForBit(t *testing.T) {
 	// RunBatch (column batches through EvalBatch/CASBatch) must carry the
-	// same bits as the map-based reference walking the same stream one
+	// same bits as the per-sample reference walking the same stream one
 	// sample at a time: same mean, same CI bounds, for both metrics.
 	var m core.Model
 	d := scenario.A11At(technode.N7)

@@ -9,7 +9,7 @@ import (
 	"ttmcas/internal/stats"
 )
 
-// This file holds the map-based reference the batch drivers are held
+// This file holds the per-sample reference the batch drivers are held
 // to: the perturbation stream materialized row by row, each sample
 // evaluated one at a time on core.Model, and the estimates summarized
 // with the unsorted stats helpers. It shares nothing with the batch
@@ -28,7 +28,7 @@ func fillPerturbations(dst []core.Perturbation, seed int64, v float64) {
 	}
 }
 
-// refMetric evaluates one sample of the metric on the map-based model.
+// refMetric evaluates one sample of the metric on core.Model.
 func refMetric(m core.Model, d design.Design, n float64, c market.Conditions, metric Metric) (float64, error) {
 	if metric == MetricCAS {
 		r, err := m.CAS(d, n, c)
@@ -54,7 +54,7 @@ func refSamples(base core.Model, d design.Design, n float64, c market.Conditions
 	return xs, nil
 }
 
-// refRun is the map-based reference of RunBatch.
+// refRun is the per-sample reference of RunBatch.
 func refRun(base core.Model, d design.Design, n float64, c market.Conditions, cfg Config, metric Metric) (Estimate, error) {
 	perts := make([]core.Perturbation, cfg.samples())
 	fillPerturbations(perts, cfg.Seed, cfg.variation())
@@ -67,7 +67,7 @@ func refRun(base core.Model, d design.Design, n float64, c market.Conditions, cf
 	return Estimate{Mean: stats.Mean(xs), CI: stats.CI95(xs), Samples: len(xs)}, nil
 }
 
-// refBandCurve is the map-based reference of BandCurveEval: one
+// refBandCurve is the per-sample reference of BandCurveEval: one
 // x-position at a time, each with its own ±10% and ±25% streams.
 func refBandCurve(base core.Model, cfg Config, d design.Design, n float64, c market.Conditions, xs []float64, metric Metric) ([]Band, error) {
 	out := make([]Band, len(xs))

@@ -234,7 +234,7 @@ func eachSweep(t *testing.T, step, n float64, fn func(name string, pr [2]technod
 }
 
 func TestCompiledPortfolioMatchesOracleBitForBit(t *testing.T) {
-	// The batched sweep columns must reproduce the map-based
+	// The batched sweep columns must reproduce the per-probe
 	// portfolioTTM exactly — base TTM and every CAS finite-difference
 	// probe — for every pair and scenario.
 	const n = 1e9
@@ -265,7 +265,7 @@ func TestCompiledPortfolioMatchesOracleBitForBit(t *testing.T) {
 
 func TestBatchedSweepMatchesPerCallBitForBit(t *testing.T) {
 	// Every point of the batched fraction sweep must reproduce the
-	// map-based reference exactly: TTM, cost and CAS bit-for-bit, and
+	// per-probe reference exactly: TTM, cost and CAS bit-for-bit, and
 	// identical error strings where points fail.
 	const n = 1e9
 	eachSweep(t, 0.05, n, func(name string, pr [2]technode.Node, cp *compiledPair, sw *pairSweep, steps int) {

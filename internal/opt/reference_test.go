@@ -9,7 +9,7 @@ import (
 	"ttmcas/internal/units"
 )
 
-// This file holds the map-based portfolio reference the batched split
+// This file holds the per-probe portfolio reference the batched split
 // sweep is held to: every TTM a fresh core.Model evaluation of the
 // pair's designs, every CAS probe a c.WithNodeCapacity override.
 

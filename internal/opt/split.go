@@ -152,7 +152,7 @@ type probe struct {
 
 // constCols fills the batch's perturbation columns with the study's
 // scalar Model.Perturb, one constant per sample, so every sample sees
-// the same or1-resolved factors the map-based model applies.
+// the same or1-resolved factors core.Model applies.
 func constCols(b *core.Batch, p core.Perturbation, m int) {
 	if p == (core.Perturbation{}) {
 		return // nil columns already mean "unperturbed"

@@ -49,7 +49,7 @@ func BenchmarkSobolBatch(b *testing.B) {
 
 // BenchmarkAblationSobolEstimator is the Saltelli-vs-naive estimator
 // ablation of DESIGN.md §6: both estimators spend the same N·(k+2)
-// budget of map-based TTM evaluations of the A11 at 28 nm.
+// budget of one-shot core.Model TTM evaluations of the A11 at 28 nm.
 func BenchmarkAblationSobolEstimator(b *testing.B) {
 	model := ttmModel(scenario.A11At(technode.N28), market.Full())
 	cfg := Config{N: 128, Seed: 1}

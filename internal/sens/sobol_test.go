@@ -236,8 +236,8 @@ func TestSaltelliColumnsTransposeMatrices(t *testing.T) {
 
 func TestTotalEffectBatchMatchesPerCallBitForBit(t *testing.T) {
 	// The shared column adapter on the compiled kernel must be
-	// indistinguishable from the per-row serial reference on the
-	// map-based model: same samples, same estimator order, same bits in
+	// indistinguishable from the per-row serial reference on
+	// core.Model: same samples, same estimator order, same bits in
 	// every index.
 	d := scenario.A11At(technode.N28)
 	c := market.Full().WithQueueAll(2)
@@ -264,7 +264,7 @@ func TestTotalEffectBatchMatchesPerCallBitForBit(t *testing.T) {
 	}
 }
 
-// ttmModel is the per-row map-based TTM of 10M chips of d under c, the
+// ttmModel is the per-row one-shot TTM of 10M chips of d under c, the
 // multipliers in core.Inputs order.
 func ttmModel(d design.Design, c market.Conditions) func([]float64) (float64, error) {
 	return func(mult []float64) (float64, error) {

@@ -191,7 +191,7 @@ func whatIfRequests(n int) []EvalRequest {
 }
 
 // whatIfAnswer posts req to route (/v1/ttm or /v1/cas) and compares the
-// answer with the facade's map-based model under the same design and
+// answer with the facade's one-shot model under the same design and
 // conditions, floats by their bits.
 func whatIfAnswer(s *Server, route string, req EvalRequest) error {
 	body, err := json.Marshal(req)

@@ -27,7 +27,7 @@ func oracleDesigns() map[string]design.Design {
 
 // The episode oracle: every shipped episode's first and last timeline
 // steps must reproduce the anchored static scenarios' TTM and CAS
-// bit-for-bit through the map-based (uncompiled) evaluation path. This
+// bit-for-bit through core.Model's one-shot evaluation path. This
 // is the contract that makes the composer trustworthy — wherever no
 // segment is active, it IS the static model.
 func TestEpisodeEndpointsMatchStaticScenarios(t *testing.T) {
