@@ -109,16 +109,17 @@ func TestCheckNetsplit(t *testing.T) {
 		nodes:   4,
 		healthy: okReport(100), partitioned: okReport(60), healed: okReport(100),
 		stats:     loadtest.ClusterStats{BreakerOpens: 2},
-		jobsTotal: 4, jobsOK: 4, converged: true,
+		jobsTotal: 4, jobsOK: 4, converged: true, breakersClosed: true,
 	}
 	checkCases(t, clean, netsplitOutcome.check, map[string]func(*netsplitOutcome){
-		"healthy phase completed no requests":     func(out *netsplitOutcome) { out.healthy = loadtest.Report{} },
-		"1/100 requests lost in the healed phase": func(out *netsplitOutcome) { out.healed.Status2xx = 99 },
-		"1/4 jobs lost across the partition":      func(out *netsplitOutcome) { out.jobsOK = 3 },
-		"no breaker ever opened":                  func(out *netsplitOutcome) { out.stats.BreakerOpens = 0 },
-		"1 breakers still open after the heal":    func(out *netsplitOutcome) { out.stats.OpenBreakers = 1 },
-		"did not reconverge":                      func(out *netsplitOutcome) { out.converged = false },
-		"partitioned 40.0 req/s < 0.5 × healthy":  func(out *netsplitOutcome) { out.partitioned = okReport(40) },
+		"breakers not all closed within 10s of the heal": func(out *netsplitOutcome) { out.breakersClosed = false },
+		"healthy phase completed no requests":            func(out *netsplitOutcome) { out.healthy = loadtest.Report{} },
+		"1/100 requests lost in the healed phase":        func(out *netsplitOutcome) { out.healed.Status2xx = 99 },
+		"1/4 jobs lost across the partition":             func(out *netsplitOutcome) { out.jobsOK = 3 },
+		"no breaker ever opened":                         func(out *netsplitOutcome) { out.stats.BreakerOpens = 0 },
+		"1 breakers still open after the heal":           func(out *netsplitOutcome) { out.stats.OpenBreakers = 1 },
+		"did not reconverge":                             func(out *netsplitOutcome) { out.converged = false },
+		"partitioned 40.0 req/s < 0.5 × healthy":         func(out *netsplitOutcome) { out.partitioned = okReport(40) },
 	})
 }
 

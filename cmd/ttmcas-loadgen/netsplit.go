@@ -32,7 +32,14 @@ type netsplitOutcome struct {
 	jobsOK      int
 	converged   bool
 	recovery    time.Duration // heal → every ring complete again
+	// breakersClosed: every breaker closed within breakerWait of the
+	// healed phase. That phase's deadline cancels the forwards it leaves
+	// in flight, each a failure on its peer's breaker, so on a starved
+	// host a breaker can trip just as the phase ends.
+	breakersClosed bool
 }
+
+const breakerWait = 10 * time.Second
 
 // netsplitSpec builds the asymmetric partition: every majority node's
 // traffic to the victim is dropped, the victim's outbound untouched.
@@ -126,6 +133,7 @@ func runNetsplit(ctx context.Context, o opts) (outcome, error) {
 			out.jobsOK++
 		}
 	}
+	out.breakersClosed = tc.WaitBreakersClosed(breakerWait)
 	out.stats = tc.Stats()
 	return out, nil
 }
@@ -151,6 +159,8 @@ func (out netsplitOutcome) check() error {
 			out.jobsTotal-out.jobsOK, out.jobsTotal)
 	case out.stats.BreakerOpens == 0:
 		return fmt.Errorf("netsplit check failed: no breaker ever opened — the partition was not felt")
+	case !out.breakersClosed:
+		return fmt.Errorf("netsplit check failed: breakers not all closed within %s of the heal", breakerWait)
 	case out.stats.OpenBreakers > 0:
 		return fmt.Errorf("netsplit check failed: %d breakers still open after the heal", out.stats.OpenBreakers)
 	case !out.converged:

@@ -126,6 +126,12 @@ func TestCostCommand(t *testing.T) {
 			t.Errorf("cost output missing %q:\n%s", want, out)
 		}
 	}
+	// A negative chip count fails as the ttm command does instead of
+	// pricing negative packaging.
+	if _, err := capture(t, "cost", "-design", "zen2", "-n", "-1e6"); err == nil ||
+		!strings.Contains(err.Error(), "negative chip count") {
+		t.Errorf("cost -n -1e6: err = %v", err)
+	}
 }
 
 func TestSenseCommand(t *testing.T) {

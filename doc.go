@@ -133,8 +133,11 @@
 // adaptive chunks with one kernel clone and one RNG per worker
 // (falling back to inline execution for small batches, so the fan-out
 // costs nothing on one core). Model.Evaluate, TTM and CAS are that
-// kernel run once, so production code holds two implementations of
-// the equations: this per-call kernel and the batch path below. The
+// kernel run once and the cost model reads its die phase, so
+// production code holds two implementations of the equations: this
+// per-call kernel (EvalResultChips, EvalChipsAtCapacity,
+// CASChipsAtCapacity, CASResultChips, CostChips) and the batch path
+// below. The
 // kernel is tested bit-for-bit, error text included, against a
 // map-based reference that exists only in internal/core's tests,
 // across all built-in designs, model variants and market scenarios

@@ -14,7 +14,7 @@ import (
 
 // This file implements the compiled evaluation kernel, the one scalar
 // implementation of the model: Model.Evaluate, TTM and CAS compile and
-// run it once. Compile resolves everything the equations read from the
+// run it once, and cost reads its die phase (CostChips). Compile resolves everything the equations read from the
 // design, the node database and the market conditions — node
 // parameters, effort curves, wafer geometry, queue depths, capacity
 // factors — into flat slices indexed by a dense node index, so the
@@ -25,7 +25,8 @@ import (
 //
 // The kernel runs in two phases. The die phase (diePhase) computes
 // tapeout and each die's area, yield, gross dies and wafer demand, and
-// the test and packaging sums; it is the only phase that can fail. The
+// the test and packaging sums (and a cost read's wafer cost and
+// packaged area); it is the only phase that can fail. The
 // fab phase (fabPhase) turns the wafer demand into each node's queue,
 // production and fab time under a capacity factor and takes the
 // slowest node. An evaluation runs both; a CAS runs the die phase once
@@ -37,7 +38,8 @@ import (
 // directly and re-evaluates the whole model per CAS probe
 // (reference_test.go): the property tests in compile_test.go over
 // every registered design × scenario, and
-// FuzzEvaluateMatchesReference.
+// FuzzEvaluateMatchesReference; internal/cost's FuzzCostMatchesReference
+// holds CostChips to its cost walk.
 
 // Evaluator is a design × conditions pair compiled for repeated
 // evaluation under varying perturbations. The batch entry points
@@ -45,11 +47,12 @@ import (
 // their scratch from a package pool per call, so one Evaluator serves
 // batch calls from any number of goroutines at once. The per-call
 // methods (EvalResultChips, EvalChipsAtCapacity, CASChipsAtCapacity,
-// CASResultChips) share one scratch buffer owned by the Evaluator, and
-// Bind rewrites its bound conditions, so those are NOT safe for
-// concurrent use; callers that run them in parallel give each goroutine
-// its own Clone (cheap: the compiled die tables are shared and
-// immutable, only the small node table and the scratch are duplicated).
+// CASResultChips, CostChips) share one scratch buffer owned by the
+// Evaluator, and Bind rewrites its bound conditions, so those are NOT
+// safe for concurrent use; callers that run them in parallel give each
+// goroutine its own Clone (cheap: the compiled die tables are shared
+// and immutable, only the small node table and the scratch are
+// duplicated).
 type Evaluator struct {
 	// chips is the compiled final-chip count n.
 	chips float64
@@ -58,8 +61,9 @@ type Evaluator struct {
 	// market.Conditions.capacity does).
 	global float64
 
-	designTime units.Weeks
-	team       float64 // float64(d.Team())
+	designTime     units.Weeks
+	team           float64 // float64(d.Team())
+	diesPerPackage float64 // float64(d.DiesPerPackage())
 
 	alpha      float64
 	yieldModel yield.Model
@@ -81,10 +85,11 @@ type evalNode struct {
 	node          technode.Node
 	nutBase       float64 // float64(d.UniqueTransistorsAt(node))
 	tapeoutEffort float64
-	waferRate     float64 // float64(p.WaferRate), full capacity
-	factor        float64 // node capacity multiplier (1 when unset)
-	queueWafers   float64 // float64(c.QueueWafers(p)), fixed at quote time
-	fabLatency    float64 // float64(p.FabLatency)
+	waferRate     float64   // float64(p.WaferRate), full capacity
+	factor        float64   // node capacity multiplier (1 when unset)
+	queueWafers   float64   // float64(c.QueueWafers(p)), fixed at quote time
+	fabLatency    float64   // float64(p.FabLatency)
+	maskNRE       units.USD // p.MaskSetCost × the dies taped out here
 }
 
 // resolve is the one definition of "market conditions → node columns"
@@ -127,6 +132,7 @@ type evalDie struct {
 	countF        float64 // float64(die.Count())
 	testingEffort float64
 	packageEffort float64
+	waferCost     units.USD // p.WaferCost
 }
 
 // Compile resolves the design and market conditions against the
@@ -145,58 +151,60 @@ func (m Model) Compile(d design.Design, n float64, c market.Conditions) (*Evalua
 		return nil, fmt.Errorf("core: negative chip count %v", n)
 	}
 	e := &Evaluator{
-		chips:      n,
-		designTime: d.DesignTime,
-		team:       float64(d.Team()),
-		alpha:      m.Alpha,
-		yieldModel: m.YieldModel,
-		noEdge:     m.NoEdgeCorrection,
+		chips:          n,
+		designTime:     d.DesignTime,
+		team:           float64(d.Team()),
+		diesPerPackage: float64(d.DiesPerPackage()),
+		alpha:          m.Alpha,
+		yieldModel:     m.YieldModel,
+		noEdge:         m.NoEdgeCorrection,
 	}
+	// One lookup per node serves the node and every die made there.
 	nodes := d.Nodes()
-	e.nodes = make([]evalNode, 0, len(nodes))
-	for _, node := range nodes {
+	e.nodes = make([]evalNode, len(nodes))
+	e.dies = make([]evalDie, len(d.Dies))
+	for k, node := range nodes {
 		p, err := m.Nodes.Lookup(node)
 		if err != nil {
 			return nil, err
 		}
-		e.nodes = append(e.nodes, evalNode{
+		maskSets := 0
+		for i, die := range d.Dies {
+			if die.Node != node {
+				continue
+			}
+			if !die.SkipTapeout {
+				maskSets++
+			}
+			e.dies[i] = evalDie{
+				name:          die.Name,
+				node:          node,
+				nodeIdx:       k,
+				tapLatency:    float64(p.TAPLatency),
+				nttBase:       float64(die.TotalTransistors()),
+				areaOverride:  die.AreaOverride,
+				minArea:       die.MinArea,
+				density:       p.Density,
+				d0Base:        float64(p.DefectDensity),
+				yieldOverride: die.YieldOverride,
+				salvage:       die.Salvage,
+				wafer:         m.waferFor(p),
+				countF:        float64(die.Count()),
+				testingEffort: p.TestingEffort,
+				packageEffort: p.PackageEffort,
+				waferCost:     p.WaferCost,
+			}
+		}
+		e.nodes[k] = evalNode{
 			node:          node,
 			nutBase:       float64(d.UniqueTransistorsAt(node)),
 			tapeoutEffort: p.TapeoutEffort,
 			waferRate:     float64(p.WaferRate),
 			fabLatency:    float64(p.FabLatency),
-		})
+			maskNRE:       p.MaskSetCost * units.USD(maskSets),
+		}
 	}
 	e.Bind(c)
-	e.dies = make([]evalDie, 0, len(d.Dies))
-	for _, die := range d.Dies {
-		p, err := m.Nodes.Lookup(die.Node)
-		if err != nil {
-			return nil, err
-		}
-		if die.Salvage != nil {
-			if err := die.Salvage.Validate(); err != nil {
-				return nil, fmt.Errorf("core: die %q: %w", die.Name, err)
-			}
-		}
-		e.dies = append(e.dies, evalDie{
-			name:          die.Name,
-			node:          die.Node,
-			nodeIdx:       e.NodeIndex(die.Node),
-			tapLatency:    float64(p.TAPLatency),
-			nttBase:       float64(die.TotalTransistors()),
-			areaOverride:  die.AreaOverride,
-			minArea:       die.MinArea,
-			density:       p.Density,
-			d0Base:        float64(p.DefectDensity),
-			yieldOverride: die.YieldOverride,
-			salvage:       die.Salvage,
-			wafer:         m.waferFor(p),
-			countF:        float64(die.Count()),
-			testingEffort: p.TestingEffort,
-			packageEffort: p.PackageEffort,
-		})
-	}
 	e.scratch = make([]units.Wafers, len(e.nodes))
 	return e, nil
 }
@@ -237,9 +245,6 @@ func (e *Evaluator) Chips() float64 { return e.chips }
 // slices, so it belongs on request paths that need the detail once, not
 // in Monte-Carlo inner loops.
 func (e *Evaluator) EvalResultChips(p Perturbation, n float64) (Result, error) {
-	if n < 0 {
-		return Result{}, fmt.Errorf("core: negative chip count %v", n)
-	}
 	var res Result
 	if _, err := e.eval(p, n, e.global, &res); err != nil {
 		return Result{}, err
@@ -254,9 +259,6 @@ func (e *Evaluator) EvalResultChips(p Perturbation, n float64) (Result, error) {
 // The call performs no map operations and no heap allocations (asserted
 // by testing.AllocsPerRun in the tests); only the error path allocates.
 func (e *Evaluator) EvalChipsAtCapacity(p Perturbation, n float64, global float64) (units.Weeks, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("core: negative chip count %v", n)
-	}
 	return e.eval(p, n, global, nil)
 }
 
@@ -265,9 +267,6 @@ func (e *Evaluator) EvalChipsAtCapacity(p Perturbation, n float64, global float6
 // Model.CAS's central differences at the default step, without the
 // per-node Derivatives map; the CAS counterpart of EvalChipsAtCapacity.
 func (e *Evaluator) CASChipsAtCapacity(p Perturbation, n float64, global float64) (float64, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("core: negative chip count %v", n)
-	}
 	return e.cas(p, n, global, DefaultDerivativeStep, nil)
 }
 
@@ -276,9 +275,6 @@ func (e *Evaluator) CASChipsAtCapacity(p Perturbation, n float64, global float64
 // final-chip count overridden. It allocates the Derivatives map, so it
 // belongs on request paths, not inner loops.
 func (e *Evaluator) CASResultChips(p Perturbation, n float64) (CASResult, error) {
-	if n < 0 {
-		return CASResult{}, fmt.Errorf("core: negative chip count %v", n)
-	}
 	return e.casResult(p, n, DefaultDerivativeStep)
 }
 
@@ -292,6 +288,41 @@ func (e *Evaluator) casResult(p Perturbation, n, step float64) (CASResult, error
 	}
 	res.CAS = cas
 	return res, nil
+}
+
+// costSums is the die phase's cost accumulator, summed in die order.
+type costSums struct {
+	waferCount   units.Wafers
+	wafers       units.USD
+	packagedArea units.MM2
+}
+
+// CostChips prices n final chips at rates r (the cost model of
+// internal/cost): the per-node NRE, the wafers the unperturbed die
+// phase demands, and packaging. It runs no fab phase, reads none of
+// the bound conditions and allocates nothing.
+func (e *Evaluator) CostChips(r CostRates, n float64) (CostBreakdown, error) {
+	var acc costSums
+	if _, err := e.diePhase(Perturbation{}, n, nil, &acc); err != nil {
+		return CostBreakdown{}, err
+	}
+	var b CostBreakdown
+	for i := range e.nodes {
+		nd := &e.nodes[i]
+		b.MaskNRE += nd.maskNRE
+		b.TapeoutNRE += units.USD(nd.nutBase/1e6*nd.tapeoutEffort) * r.TapeoutLaborPerHour
+	}
+	b.Wafers = acc.wafers
+	b.WaferCount = acc.waferCount
+	perChip := r.PackageBasePerChip +
+		r.PackagePerDie*units.USD(e.diesPerPackage) +
+		r.PackagePerMM2*units.USD(float64(acc.packagedArea))
+	b.Packaging = perChip * units.USD(n)
+	b.Total = b.MaskNRE + b.TapeoutNRE + b.Wafers + b.Packaging
+	if n > 0 {
+		b.PerChip = b.Total / units.USD(n)
+	}
+	return b, nil
 }
 
 // dieSums is the die phase's result for one evaluation: every term of
@@ -316,7 +347,7 @@ func (d dieSums) ttm(fabrication units.Weeks) units.Weeks {
 // Model.Evaluate reports; the hot path passes nil and stays
 // allocation-free.
 func (e *Evaluator) eval(p Perturbation, chips, global float64, detail *Result) (units.Weeks, error) {
-	d, err := e.diePhase(p, chips, detail)
+	d, err := e.diePhase(p, chips, detail, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -332,9 +363,13 @@ func (e *Evaluator) eval(p Perturbation, chips, global float64, detail *Result) 
 
 // diePhase runs tapeout (Eq. 2) and the per-die geometry, yield and
 // wafer demand (Eqs. 5–7), accumulating each node's wafer demand into
-// e.scratch. It owns every data-dependent error: a die fails here or
-// nowhere, whatever the capacity.
-func (e *Evaluator) diePhase(p Perturbation, chips float64, detail *Result) (dieSums, error) {
+// e.scratch. It owns every data-dependent error, a negative chip count
+// included: a die fails here or nowhere, whatever the capacity. cost,
+// when non-nil, sums what CostChips prices; TTM and CAS pass nil.
+func (e *Evaluator) diePhase(p Perturbation, chips float64, detail *Result, cost *costSums) (dieSums, error) {
+	if chips < 0 {
+		return dieSums{}, fmt.Errorf("core: negative chip count %v", chips)
+	}
 	// Tapeout phase (Eq. 2).
 	var tapeoutHours units.Hours
 	for i := range e.nodes {
@@ -402,8 +437,13 @@ func (e *Evaluator) diePhase(p Perturbation, chips float64, detail *Result) (die
 				die.name, float64(area), die.node, geometry.ErrDieTooLarge)
 		}
 
-		diesNeeded := yield.DiesNeeded(chips*die.countF, y)
-		e.scratch[die.nodeIdx] += units.Wafers(diesNeeded / gross)
+		wafers := units.Wafers(yield.DiesNeeded(chips*die.countF, y) / gross)
+		e.scratch[die.nodeIdx] += wafers
+		if cost != nil {
+			cost.waferCount += wafers
+			cost.wafers += units.USD(float64(wafers)) * die.waferCost
+			cost.packagedArea += area * units.MM2(die.countF)
+		}
 		if detail != nil {
 			detail.Dies = append(detail.Dies, DieResult{
 				Name:          die.name,
@@ -411,7 +451,7 @@ func (e *Evaluator) diePhase(p Perturbation, chips float64, detail *Result) (die
 				Area:          area,
 				Yield:         y,
 				GrossPerWafer: gross,
-				Wafers:        units.Wafers(diesNeeded / gross),
+				Wafers:        wafers,
 			})
 		}
 
@@ -494,7 +534,7 @@ func (e *Evaluator) fabPhase(p Perturbation, global float64, overrideIdx int, ov
 // derivs, when non-nil, receives |∂TTM/∂μ_W| per node as Model.CAS
 // reports it; the hot path passes nil.
 func (e *Evaluator) cas(p Perturbation, chips, global, step float64, derivs map[technode.Node]float64) (float64, error) {
-	d, err := e.diePhase(p, chips, nil)
+	d, err := e.diePhase(p, chips, nil, nil)
 	if err != nil {
 		return 0, err
 	}

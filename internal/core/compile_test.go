@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ttmcas/internal/core"
+	"ttmcas/internal/cost"
 	"ttmcas/internal/design"
 	"ttmcas/internal/market"
 	"ttmcas/internal/scenario"
@@ -253,6 +254,39 @@ func TestEvaluatorZeroAllocs(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Errorf("%s: CASChipsAtCapacity allocates %v/op, want 0", dname, n)
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			if _, err := ev.CostChips(cost.DefaultRates(), 10e6); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: CostChips allocates %v/op, want 0", dname, n)
+		}
+	}
+}
+
+func TestCostWaferCountMatchesDies(t *testing.T) {
+	// Cost and TTM read one die phase, so the wafers cost pays for are,
+	// bit for bit, the sum of the TTM breakdown's per-die wafers.
+	var m core.Model
+	var cm cost.Model
+	for dname, d := range registeredDesigns() {
+		for _, n := range []float64{1e4, 1e6, 1e7, 3.3e7} {
+			res, err := m.Evaluate(d, n, market.Full())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum units.Wafers
+			for _, die := range res.Dies {
+				sum += die.Wafers
+			}
+			b, err := cm.Evaluate(d, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameF64(float64(b.WaferCount), float64(sum)) {
+				t.Errorf("%s n=%v: cost WaferCount %v, Σ Dies[i].Wafers %v", dname, n, b.WaferCount, sum)
+			}
 		}
 	}
 }

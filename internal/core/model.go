@@ -52,6 +52,47 @@ type Model struct {
 	Perturb Perturbation
 }
 
+// Wafer and YieldModel name Model's manufacturing field types for
+// packages that mirror them (internal/cost's Model).
+type (
+	Wafer      = geometry.Wafer
+	YieldModel = yield.Model
+)
+
+// CostRates are the economy-wide constants of the cost model.
+type CostRates struct {
+	// TapeoutLaborPerHour is the loaded cost of one tapeout
+	// engineering hour, including EDA licenses and compute.
+	TapeoutLaborPerHour units.USD
+	// PackageBasePerChip is the fixed test/assembly cost per final
+	// chip.
+	PackageBasePerChip units.USD
+	// PackagePerDie is the incremental assembly cost per packaged die
+	// (chiplet alignment effort).
+	PackagePerDie units.USD
+	// PackagePerMM2 is the incremental cost per mm² of packaged
+	// silicon (substrate, bumping, pins).
+	PackagePerMM2 units.USD
+}
+
+// CostBreakdown is a full cost evaluation.
+type CostBreakdown struct {
+	// MaskNRE is the summed mask-set cost over the nodes used.
+	MaskNRE units.USD
+	// TapeoutNRE is the tapeout engineering labor cost (Eq. 2 hours
+	// priced at the labor rate).
+	TapeoutNRE units.USD
+	// Wafers is the total wafer purchase cost.
+	Wafers units.USD
+	// Packaging is the total per-unit test/assembly/packaging cost.
+	Packaging units.USD
+	// Total sums all components; PerChip divides by the chip count.
+	Total   units.USD
+	PerChip units.USD
+	// WaferCount is the total expected wafers purchased across dies.
+	WaferCount units.Wafers
+}
+
 // Perturbation multiplies the six inputs Section 5 varies (±10%): total
 // transistor count, unique transistor count, defect density, wafer
 // production rate, foundry latency, and OSAT (testing/assembly/

@@ -19,14 +19,19 @@ import (
 // Affine decomposes a design's cost into its fixed NRE and per-chip
 // variable components.
 func (m Model) Affine(d design.Design) (fixed, perChip units.USD, err error) {
-	// Two evaluations pin the line; a third point is asserted equal by
-	// the linearity unit test, not here.
+	// Two volumes read off one compiled evaluator pin the line; a third
+	// point is asserted equal by the linearity unit test, not here.
 	const n1, n2 = 1e6, 3e6
-	b1, err := m.Evaluate(d, n1)
+	ev, err := m.compile(d, n1)
 	if err != nil {
 		return 0, 0, err
 	}
-	b2, err := m.Evaluate(d, n2)
+	r := m.rates()
+	b1, err := ev.CostChips(r, n1)
+	if err != nil {
+		return 0, 0, err
+	}
+	b2, err := ev.CostChips(r, n2)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -13,31 +13,26 @@
 // and per-unit testing/assembly/packaging. As in the paper, absolute
 // dollar values are representational; comparisons between designs and
 // nodes are the deliverable.
+//
+// The wafer count N_W and the die areas are the TTM model's own
+// (Eqs. 5–7): a cost is read from the die phase of the compiled kernel
+// (core.Evaluator.CostChips), so TTM, CAS and cost share one walk of
+// the design and agree on every wafer.
 package cost
 
 import (
+	"ttmcas/internal/core"
 	"ttmcas/internal/design"
-	"ttmcas/internal/geometry"
+	"ttmcas/internal/market"
 	"ttmcas/internal/technode"
 	"ttmcas/internal/units"
-	"ttmcas/internal/yield"
 )
 
 // Rates are the economy-wide constants of the cost model.
-type Rates struct {
-	// TapeoutLaborPerHour is the loaded cost of one tapeout
-	// engineering hour, including EDA licenses and compute.
-	TapeoutLaborPerHour units.USD
-	// PackageBasePerChip is the fixed test/assembly cost per final
-	// chip.
-	PackageBasePerChip units.USD
-	// PackagePerDie is the incremental assembly cost per packaged die
-	// (chiplet alignment effort).
-	PackagePerDie units.USD
-	// PackagePerMM2 is the incremental cost per mm² of packaged
-	// silicon (substrate, bumping, pins).
-	PackagePerMM2 units.USD
-}
+type Rates = core.CostRates
+
+// Breakdown is a full cost evaluation.
+type Breakdown = core.CostBreakdown
 
 // DefaultRates returns the calibrated rates. TapeoutLaborPerHour is set
 // so the accelerator tapeout costs of the paper's Table 3 are
@@ -54,33 +49,15 @@ func DefaultRates() Rates {
 	}
 }
 
-// Breakdown is a full cost evaluation.
-type Breakdown struct {
-	// MaskNRE is the summed mask-set cost over the nodes used.
-	MaskNRE units.USD
-	// TapeoutNRE is the tapeout engineering labor cost (Eq. 2 hours
-	// priced at the labor rate).
-	TapeoutNRE units.USD
-	// Wafers is the total wafer purchase cost.
-	Wafers units.USD
-	// Packaging is the total per-unit test/assembly/packaging cost.
-	Packaging units.USD
-	// Total sums all components; PerChip divides by the chip count.
-	Total   units.USD
-	PerChip units.USD
-	// WaferCount is the total expected wafers purchased across dies.
-	WaferCount units.Wafers
-}
-
 // Model prices designs. The zero value uses DefaultRates and the
 // paper's wafer/yield configuration.
 type Model struct {
 	Rates Rates
 	// Wafer is the wafer geometry; zero means 300 mm.
-	Wafer geometry.Wafer
+	Wafer core.Wafer
 	// YieldModel and Alpha mirror core.Model so TTM and cost agree on
 	// manufacturing quantities.
-	YieldModel yield.Model
+	YieldModel core.YieldModel
 	Alpha      float64
 	// Nodes is the process-node database; nil means the built-in one.
 	Nodes *technode.Database
@@ -94,83 +71,20 @@ func (m Model) rates() Rates {
 	return m.Rates
 }
 
+// compile compiles the design on the TTM model with m's manufacturing
+// configuration; cost reads no market conditions.
+func (m Model) compile(d design.Design, n float64) (*core.Evaluator, error) {
+	tm := core.Model{Wafer: m.Wafer, YieldModel: m.YieldModel, Alpha: m.Alpha, Nodes: m.Nodes}
+	return tm.Compile(d, n, market.Conditions{})
+}
+
 // Evaluate prices the creation of n final chips of the design.
 func (m Model) Evaluate(d design.Design, n float64) (Breakdown, error) {
-	if err := d.Validate(); err != nil {
+	ev, err := m.compile(d, n)
+	if err != nil {
 		return Breakdown{}, err
 	}
-	r := m.rates()
-
-	var b Breakdown
-
-	// NRE per node: one mask set per die taped out at the node plus
-	// the labor of Eq. 2.
-	for _, node := range d.Nodes() {
-		p, err := m.Nodes.Lookup(node)
-		if err != nil {
-			return Breakdown{}, err
-		}
-		maskSets := 0
-		for _, die := range d.Dies {
-			if die.Node == node && !die.SkipTapeout {
-				maskSets++
-			}
-		}
-		b.MaskNRE += p.MaskSetCost * units.USD(maskSets)
-		hours := float64(d.UniqueTransistorsAt(node)) / 1e6 * p.TapeoutEffort
-		b.TapeoutNRE += units.USD(hours) * r.TapeoutLaborPerHour
-	}
-
-	// Wafer purchase per die type.
-	var packagedArea units.MM2
-	for _, die := range d.Dies {
-		p, err := m.Nodes.Lookup(die.Node)
-		if err != nil {
-			return Breakdown{}, err
-		}
-		area := die.Area(p)
-		packagedArea += area * units.MM2(die.Count())
-		y := die.YieldOverride
-		if y == 0 {
-			yp := yield.Params{Area: area, D0: p.DefectDensity, Alpha: m.Alpha, Model: m.YieldModel}
-			if die.Salvage != nil {
-				y, err = yield.SalvageYield(yp, *die.Salvage)
-				if err != nil {
-					return Breakdown{}, err
-				}
-			} else {
-				y = yield.Yield(yp)
-			}
-		}
-		wafer := m.Wafer
-		switch {
-		case wafer.DiameterMM != 0:
-			// explicit override
-		case p.WaferDiameterMM > 0:
-			wafer = geometry.Wafer{DiameterMM: p.WaferDiameterMM}
-		default:
-			wafer = geometry.Default300()
-		}
-		gross := wafer.GrossDiesFrac(area)
-		if gross < 1 {
-			return Breakdown{}, geometry.ErrDieTooLarge
-		}
-		wafers := units.Wafers(yield.DiesNeeded(n*float64(die.Count()), y) / gross)
-		b.WaferCount += wafers
-		b.Wafers += units.USD(float64(wafers)) * p.WaferCost
-	}
-
-	// Per-unit testing/assembly/packaging.
-	perChip := r.PackageBasePerChip +
-		r.PackagePerDie*units.USD(d.DiesPerPackage()) +
-		r.PackagePerMM2*units.USD(float64(packagedArea))
-	b.Packaging = perChip * units.USD(n)
-
-	b.Total = b.MaskNRE + b.TapeoutNRE + b.Wafers + b.Packaging
-	if n > 0 {
-		b.PerChip = b.Total / units.USD(n)
-	}
-	return b, nil
+	return ev.CostChips(m.rates(), n)
 }
 
 // Total is a convenience wrapper returning only the total cost.

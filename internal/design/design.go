@@ -9,9 +9,10 @@
 package design
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ttmcas/internal/technode"
 	"ttmcas/internal/units"
@@ -196,15 +197,13 @@ func (d Design) Validate() error {
 // Nodes returns the distinct process nodes the design uses, oldest
 // (largest feature size) first.
 func (d Design) Nodes() []technode.Node {
-	seen := map[technode.Node]bool{}
 	var out []technode.Node
 	for _, die := range d.Dies {
-		if !seen[die.Node] {
-			seen[die.Node] = true
+		if !slices.Contains(out, die.Node) {
 			out = append(out, die.Node)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
+	slices.SortFunc(out, func(a, b technode.Node) int { return cmp.Compare(b, a) })
 	return out
 }
 
@@ -253,7 +252,7 @@ func (d Design) Retarget(node technode.Node) Design {
 		die.SkipTapeout = false
 		out.Dies[i] = die
 	}
-	out.Name = fmt.Sprintf("%s@%s", d.Name, node)
+	out.Name = d.Name + "@" + node.String()
 	return out
 }
 

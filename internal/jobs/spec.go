@@ -11,6 +11,7 @@ import (
 	"ttmcas"
 	"ttmcas/internal/cachesim"
 	"ttmcas/internal/core"
+	"ttmcas/internal/cost"
 	"ttmcas/internal/mc"
 	"ttmcas/internal/opt"
 	"ttmcas/internal/plan"
@@ -627,23 +628,28 @@ func (s Spec) runSweep(ctx context.Context, pr Tracker) (any, error) {
 }
 
 // sweepCellEval returns the per-cell evaluator of the sweep kind:
-// retarget the design to the cell's node and report TTM, CAS and cost
-// at the cell's quantity. Shared by the serial runner and the shard
-// runner so both produce identical cells.
+// retarget the design to the cell's node, compile it once and read TTM,
+// CAS and cost at the cell's quantity off the one evaluator. Shared by
+// the serial runner and the shard runner so both produce identical
+// cells.
 func sweepCellEval(d ttmcas.Design, c ttmcas.Conditions) func(gridCell) (SweepCell, error) {
 	var m core.Model
-	var cm ttmcas.CostModel
+	var p core.Perturbation
+	rates := cost.DefaultRates()
 	return func(cell gridCell) (SweepCell, error) {
-		rd := d.Retarget(cell.node)
-		ttm, err := m.TTM(rd, cell.q, c)
+		ev, err := m.Compile(d.Retarget(cell.node), cell.q, c)
 		if err != nil {
 			return SweepCell{}, err
 		}
-		cas, err := m.CAS(rd, cell.q, c)
+		ttm, err := ev.EvalChipsAtCapacity(p, cell.q, c.GlobalCapacity)
 		if err != nil {
 			return SweepCell{}, err
 		}
-		total, err := cm.Total(rd, cell.q)
+		cas, err := ev.CASChipsAtCapacity(p, cell.q, c.GlobalCapacity)
+		if err != nil {
+			return SweepCell{}, err
+		}
+		b, err := ev.CostChips(rates, cell.q)
 		if err != nil {
 			return SweepCell{}, err
 		}
@@ -651,7 +657,7 @@ func sweepCellEval(d ttmcas.Design, c ttmcas.Conditions) func(gridCell) (SweepCe
 		return SweepCell{
 			Node: cell.node.String(), Quantity: cell.q,
 			TTMWeeks: w, Stalled: w == nil,
-			CAS: cas.CAS, CostUSD: float64(total),
+			CAS: cas, CostUSD: float64(b.Total),
 		}, nil
 	}
 }

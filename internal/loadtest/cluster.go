@@ -250,29 +250,38 @@ func (tc *TestCluster) KillRestart(ctx context.Context, victim int, d time.Durat
 // every member (epoch-stable rejoin), or the timeout lapses. Returns
 // whether convergence was observed.
 func (tc *TestCluster) WaitConverged(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
-		ok := true
+	return pollUntil(timeout, func() bool {
 		for _, cn := range tc.Nodes {
 			cn.mu.Lock()
 			down := cn.down
 			cn.mu.Unlock()
-			if down || cn.Srv.Cluster() == nil {
-				continue
-			}
-			if cn.Srv.Cluster().Ring().Len() != len(tc.Nodes) {
-				ok = false
-				break
+			if !down && cn.Srv.Cluster() != nil && cn.Srv.Cluster().Ring().Len() != len(tc.Nodes) {
+				return false
 			}
 		}
-		if ok {
-			return true
-		}
+		return true
+	})
+}
+
+// WaitBreakersClosed blocks until every node's per-peer circuit
+// breakers are closed, or the timeout lapses, and reports whether that
+// was observed. Probe successes close a breaker whose peer answers
+// within a few probe intervals.
+func (tc *TestCluster) WaitBreakersClosed(timeout time.Duration) bool {
+	return pollUntil(timeout, func() bool { return tc.Stats().OpenBreakers == 0 })
+}
+
+// pollUntil checks cond every 10 ms until it holds or the timeout
+// lapses, and reports whether it held.
+func pollUntil(timeout time.Duration, cond func() bool) bool {
+	deadline := time.Now().Add(timeout)
+	for !cond() {
 		if time.Now().After(deadline) {
 			return false
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	return true
 }
 
 // ClusterStats sums the per-node cluster counters.

@@ -85,6 +85,9 @@ func TestClusterRouteKillRestart(t *testing.T) {
 	if !tc.WaitConverged(5 * time.Second) {
 		t.Fatalf("ring did not reconverge after restart: sizes %v", ringSizes(tc, -1))
 	}
+	if !tc.WaitBreakersClosed(5 * time.Second) {
+		t.Fatalf("%d breakers still open after the restart", tc.Stats().OpenBreakers)
+	}
 
 	// The schedule: a short run kills and restarts; a run that ends
 	// before the kill skips it. Either way the node ends up serving.

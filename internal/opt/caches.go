@@ -62,10 +62,9 @@ type CacheStudy struct {
 	Table cachesim.IPCTable
 	// Cores is the core count; zero means 16.
 	Cores int
-	// Model and CostModel evaluate TTM and cost; zero values are the
-	// paper's defaults.
-	Model     core.Model
-	CostModel cost.Model
+	// Model evaluates TTM and cost (at cost.DefaultRates); the zero
+	// value is the paper's defaults.
+	Model core.Model
 	// Conditions are the market conditions; the zero value is full
 	// capacity.
 	Conditions market.Conditions
@@ -95,14 +94,19 @@ func (s CacheStudy) EvaluateCtx(ctx context.Context, node technode.Node, n float
 			return CachePoint{}, err
 		}
 		d := scenario.ArianeConfig{Cores: cores, ICacheKB: ikb, DCacheKB: dkb, Node: node}.Design()
-		ttm, err := s.Model.TTM(d, n, s.Conditions)
+		ev, err := s.Model.Compile(d, n, s.Conditions)
 		if err != nil {
 			return CachePoint{}, err
 		}
-		total, err := s.CostModel.Total(d, n)
+		ttm, err := ev.EvalChipsAtCapacity(s.Model.Perturb, n, s.Conditions.GlobalCapacity)
 		if err != nil {
 			return CachePoint{}, err
 		}
+		b, err := ev.CostChips(cost.DefaultRates(), n)
+		if err != nil {
+			return CachePoint{}, err
+		}
+		total := b.Total
 		pt := CachePoint{IKB: ikb, DKB: dkb, IPC: ipc, TTM: ttm, Cost: total}
 		if ttm > 0 {
 			pt.IPCPerTTM = ipc / float64(ttm)

@@ -316,7 +316,6 @@ func TestPairMatrixSmall(t *testing.T) {
 	}
 	study := ravenStudy(0.25)
 	study.Model.Nodes = db
-	study.CostModel.Nodes = db
 	matrix, err := study.PairMatrix(1e8)
 	if err != nil {
 		t.Fatal(err)

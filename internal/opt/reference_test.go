@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"ttmcas/internal/core"
+	"ttmcas/internal/cost"
 	"ttmcas/internal/market"
 	"ttmcas/internal/technode"
 	"ttmcas/internal/units"
@@ -40,7 +41,8 @@ func refPoint(cp *compiledPair, frac, n float64) (SplitPoint, error) {
 	}
 	pt.TTM = ttm
 	for _, part := range cp.parts(frac, n) {
-		c, err := s.CostModel.Total(part.d, part.n)
+		cm := cost.Model{Wafer: s.Model.Wafer, YieldModel: s.Model.YieldModel, Alpha: s.Model.Alpha, Nodes: s.Model.Nodes}
+		c, err := cm.Total(part.d, part.n)
 		if err != nil {
 			return pt, err
 		}

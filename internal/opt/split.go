@@ -37,11 +37,12 @@ type SplitPoint struct {
 	CAS         float64
 }
 
-// SplitStudy evaluates two-process manufacturing portfolios.
+// SplitStudy evaluates two-process manufacturing portfolios. Cost is
+// priced at cost.DefaultRates on the model's own wafer and yield
+// configuration.
 type SplitStudy struct {
 	Factory    Factory
 	Model      core.Model
-	CostModel  cost.Model
 	Conditions market.Conditions
 	// Step is the split granularity; zero means 0.01 (1%).
 	Step float64
@@ -93,14 +94,14 @@ func (s SplitStudy) compilePair(primary, secondary technode.Node) (*compiledPair
 // node has one production line, so the whole volume lands on it.
 func (cp *compiledPair) parts(frac, n float64) []part {
 	if cp.primary == cp.secondary {
-		return []part{{d: cp.pd, n: n}}
+		return []part{{d: cp.pd, ev: cp.pe, n: n}}
 	}
 	var out []part
 	if frac > 0 {
-		out = append(out, part{d: cp.pd, n: frac * n})
+		out = append(out, part{d: cp.pd, ev: cp.pe, n: frac * n})
 	}
 	if frac < 1 {
-		out = append(out, part{d: cp.sd, n: (1 - frac) * n})
+		out = append(out, part{d: cp.sd, ev: cp.se, n: (1 - frac) * n})
 	}
 	return out
 }
@@ -308,15 +309,14 @@ func (sw *pairSweep) point(k int) (SplitPoint, error) {
 	}
 	pt.TTM = ttm
 
-	var total units.USD
+	rates := cost.DefaultRates()
 	for _, part := range cp.parts(frac, sw.n) {
-		c, err := s.CostModel.Total(part.d, part.n)
+		b, err := part.ev.CostChips(rates, part.n)
 		if err != nil {
 			return pt, err
 		}
-		total += c
+		pt.Cost += b.Total
 	}
-	pt.Cost = total
 
 	nodes := []technode.Node{cp.primary}
 	if frac < 1 && cp.secondary != cp.primary {
@@ -372,9 +372,12 @@ func (s SplitStudy) capacityProbes(node technode.Node) (up, down float64) {
 	return up, down
 }
 
+// part is one variant's share of a split: its design, its compiled
+// evaluator and its chip count.
 type part struct {
-	d design.Design
-	n float64
+	d  design.Design
+	ev *core.Evaluator
+	n  float64
 }
 
 // BestSplit sweeps the split fraction for a node pair and returns the

@@ -68,10 +68,10 @@ type Option struct {
 type Planner struct {
 	// Factory builds the architecture for a node (as in opt.SplitStudy).
 	Factory opt.Factory
-	// Model, CostModel and Conditions mirror the other layers; zero
-	// values are the defaults.
+	// Model and Conditions mirror the other layers; zero values are the
+	// defaults. Cost is priced at cost.DefaultRates on the model's own
+	// wafer and yield configuration.
 	Model      core.Model
-	CostModel  cost.Model
 	Conditions market.Conditions
 	// MultiProcess also explores CAS-optimal two-node splits.
 	MultiProcess bool
@@ -109,7 +109,6 @@ func (p Planner) Explore(req Requirements) ([]Option, error) {
 	study := opt.SplitStudy{
 		Factory:    p.Factory,
 		Model:      p.Model,
-		CostModel:  p.CostModel,
 		Conditions: p.Conditions,
 		Step:       p.splitStep(),
 	}
@@ -119,23 +118,11 @@ func (p Planner) Explore(req Requirements) ([]Option, error) {
 	for _, node := range nodes {
 		// Single-process candidates evaluate directly so idle nodes
 		// surface as infeasible options instead of search errors.
-		d := p.Factory(node)
-		ttm, err := p.Model.TTM(d, req.Volume, p.Conditions)
+		o, err := p.single(node, req.Volume)
 		if err != nil {
 			return nil, fmt.Errorf("plan: %s: %w", node, err)
 		}
-		cas, err := p.Model.CAS(d, req.Volume, p.Conditions)
-		if err != nil {
-			return nil, fmt.Errorf("plan: %s: %w", node, err)
-		}
-		total, err := p.CostModel.Total(d, req.Volume)
-		if err != nil {
-			return nil, fmt.Errorf("plan: %s: %w", node, err)
-		}
-		options = append(options, p.judge(req, Option{
-			Name: node.String(), Primary: node, FracPrimary: 1,
-			TTM: ttm, Cost: total, CAS: cas.CAS,
-		}))
+		options = append(options, p.judge(req, o))
 	}
 	if p.MultiProcess {
 		for _, prim := range nodes {
@@ -175,6 +162,32 @@ func (p Planner) Explore(req Requirements) ([]Option, error) {
 		return options[i].Cost < options[j].Cost
 	})
 	return options, nil
+}
+
+// single evaluates the single-process plan on node: one compiled
+// evaluator serves its TTM, CAS and cost.
+func (p Planner) single(node technode.Node, n float64) (Option, error) {
+	ev, err := p.Model.Compile(p.Factory(node), n, p.Conditions)
+	if err != nil {
+		return Option{}, err
+	}
+	g := p.Conditions.GlobalCapacity
+	ttm, err := ev.EvalChipsAtCapacity(p.Model.Perturb, n, g)
+	if err != nil {
+		return Option{}, err
+	}
+	cas, err := ev.CASChipsAtCapacity(p.Model.Perturb, n, g)
+	if err != nil {
+		return Option{}, err
+	}
+	b, err := ev.CostChips(cost.DefaultRates(), n)
+	if err != nil {
+		return Option{}, err
+	}
+	return Option{
+		Name: node.String(), Primary: node, FracPrimary: 1,
+		TTM: ttm, Cost: b.Total, CAS: cas,
+	}, nil
 }
 
 // judge fills the feasibility fields.

@@ -11,6 +11,7 @@ import (
 
 	"ttmcas"
 	"ttmcas/internal/cluster"
+	"ttmcas/internal/cost"
 )
 
 // ---- request types -------------------------------------------------
@@ -393,18 +394,27 @@ func evalRoute[T any](s *Server, route string, heavy bool, eval func(ctx context
 	}
 }
 
-func (s *Server) evalTTM(_ context.Context, req *EvalRequest) (any, error) {
-	d, c, err := req.resolve()
-	if err != nil {
-		return nil, err
+// compiledRoute adapts a route body that reads the request's compiled
+// design: it resolves the request, borrows the cached evaluator bound
+// to the request's conditions, and returns it to the pool afterwards.
+func (s *Server) compiledRoute(body func(req *EvalRequest, ev *ttmcas.Evaluator, d ttmcas.Design, c ttmcas.Conditions) (any, error)) func(context.Context, *EvalRequest) (any, error) {
+	return func(_ context.Context, req *EvalRequest) (any, error) {
+		d, c, err := req.resolve()
+		if err != nil {
+			return nil, err
+		}
+		ce, err := s.evaluatorFor(req, d, c)
+		if err != nil {
+			return nil, err
+		}
+		ev := ce.acquire(c)
+		defer ce.release(ev)
+		return body(req, ev, d, c)
 	}
-	ce, err := s.evaluatorFor(req, d, c)
-	if err != nil {
-		return nil, err
-	}
-	ev := ce.acquire(c)
+}
+
+func evalTTM(req *EvalRequest, ev *ttmcas.Evaluator, d ttmcas.Design, c ttmcas.Conditions) (any, error) {
 	res, err := ev.EvalResultChips(ttmcas.Perturbation{}, req.N)
-	ce.release(ev)
 	if err != nil {
 		return nil, unprocessablef("%v", err)
 	}
@@ -438,18 +448,8 @@ func (s *Server) evalTTM(_ context.Context, req *EvalRequest) (any, error) {
 	return out, nil
 }
 
-func (s *Server) evalCAS(_ context.Context, req *EvalRequest) (any, error) {
-	d, c, err := req.resolve()
-	if err != nil {
-		return nil, err
-	}
+func (s *Server) evalCAS(req *EvalRequest, ev *ttmcas.Evaluator, d ttmcas.Design, c ttmcas.Conditions) (any, error) {
 	out := CASResponse{Design: d.Name, Chips: req.N, Conditions: c.String()}
-	ce, err := s.evaluatorFor(req, d, c)
-	if err != nil {
-		return nil, err
-	}
-	ev := ce.acquire(c)
-	defer ce.release(ev)
 	res, err := ev.CASResultChips(ttmcas.Perturbation{}, req.N)
 	if err != nil {
 		return nil, unprocessablef("%v", err)
@@ -486,12 +486,10 @@ func (s *Server) evalCAS(_ context.Context, req *EvalRequest) (any, error) {
 	return out, nil
 }
 
-func (s *Server) evalCost(_ context.Context, req *EvalRequest) (any, error) {
-	d, _, err := req.resolve()
-	if err != nil {
-		return nil, err
-	}
-	b, err := ttmcas.Cost(d, req.N)
+// evalCost reads the die phase of the cached evaluator; the bound
+// conditions play no part in cost.
+func evalCost(req *EvalRequest, ev *ttmcas.Evaluator, d ttmcas.Design, _ ttmcas.Conditions) (any, error) {
+	b, err := ev.CostChips(cost.DefaultRates(), req.N)
 	if err != nil {
 		return nil, unprocessablef("%v", err)
 	}

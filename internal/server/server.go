@@ -385,9 +385,9 @@ func (s *Server) routes() http.Handler {
 			h(w, r)
 		})
 	}
-	handle("POST /v1/ttm", evalRoute(s, "POST /v1/ttm", false, s.evalTTM))
-	handle("POST /v1/cas", evalRoute(s, "POST /v1/cas", false, s.evalCAS))
-	handle("POST /v1/cost", evalRoute(s, "POST /v1/cost", false, s.evalCost))
+	handle("POST /v1/ttm", evalRoute(s, "POST /v1/ttm", false, s.compiledRoute(evalTTM)))
+	handle("POST /v1/cas", evalRoute(s, "POST /v1/cas", false, s.compiledRoute(s.evalCAS)))
+	handle("POST /v1/cost", evalRoute(s, "POST /v1/cost", false, s.compiledRoute(evalCost)))
 	handle("POST /v1/sensitivity", evalRoute(s, "POST /v1/sensitivity", true, s.evalSensitivity))
 	handle("POST /v1/plan", evalRoute(s, "POST /v1/plan", true, s.evalPlan))
 	handle("POST /v1/scenarios", evalRoute(s, "POST /v1/scenarios", true, s.evalTimeline))

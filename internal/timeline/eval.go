@@ -257,14 +257,17 @@ func AssembleResult(ctx context.Context, m core.Model, d design.Design, n float6
 		Summary:      summarize(steps, tl.StepWeeks()),
 	}
 
-	// Cost mirrors the TTM model's manufacturing configuration so the
-	// two agree on wafer counts.
-	cm := cost.Model{Wafer: m.Wafer, YieldModel: m.YieldModel, Alpha: m.Alpha, Nodes: m.Nodes}
-	total, err := cm.Total(d, n)
+	// Cost is read off the TTM model's own die phase, so the two agree
+	// on wafer counts; the market conditions play no part in it.
+	ev, err := m.Compile(d, n, market.Conditions{})
 	if err != nil {
 		return nil, err
 	}
-	res.CostUSD = float64(total)
+	b, err := ev.CostChips(cost.DefaultRates(), n)
+	if err != nil {
+		return nil, err
+	}
+	res.CostUSD = float64(b.Total)
 
 	if opt.InFlight {
 		inf, err := inFlight(ctx, m, d, n, tl)
