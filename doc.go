@@ -132,31 +132,32 @@
 // Monte-Carlo, Sobol and split-study drivers fan out over it in
 // adaptive chunks with one kernel clone and one RNG per worker
 // (falling back to inline execution for small batches, so the fan-out
-// costs nothing on one core). Model.Evaluate, TTM and CAS are that
-// kernel run once and the cost model reads its die phase, so
-// production code holds two implementations of the equations: this
-// per-call kernel (EvalResultChips, EvalChipsAtCapacity,
-// CASChipsAtCapacity, CASResultChips, CostChips) and the batch path
-// below. The
-// kernel is tested bit-for-bit, error text included, against a
+// costs nothing on one core). Production code holds one
+// implementation of the equations, the batch path below: the per-call
+// methods (EvalResultChips, EvalChipsAtCapacity, CASChipsAtCapacity,
+// CASResultChips, CostChips) run it on a one-sample batch the
+// Evaluator owns, Model.Evaluate, TTM and CAS are a Compile plus one
+// such call, and the cost model reads its die phase. The kernel is
+// tested bit-for-bit, error text included, against a
 // map-based reference that exists only in internal/core's tests,
 // across all built-in designs, model variants and market scenarios
 // and under fuzzed inputs, and `make bench` records the kernel and
 // driver throughput — with allocation counts — in BENCH_jobs.json.
 //
-// On top of the compiled kernel sits a structure-of-arrays batch path:
-// Evaluator.EvalBatch and CASBatch (plus at-capacity variants) take a
-// core.Batch of flat per-input columns — perturbation fields, chip
+// The batch path is structure-of-arrays: Evaluator.EvalBatch and
+// CASBatch take a core.Batch of flat per-input columns — perturbation fields, chip
 // counts, a global factor, per-node factor and queue columns in
 // compiled node order, with nil meaning "default for every sample" —
 // and fill caller-preallocated output slices in one call. Per-sample
 // failures come back as a compact index list (core.BatchErrors) whose
 // First method returns the lowest-index failure, exactly what a serial
-// per-call loop would have hit, with the identical error value. The
-// batch path is oracle-tested bit-for-bit against the per-call
-// evaluator (values and error reporting) and is allocation-free in
-// steady state; callers pool the Batch, outputs and BatchErrors per
-// worker and give each worker its own Evaluator.Clone. It is the one
+// per-call loop would have hit, with the identical error value. A
+// capacity sweep is a Global column. Batches are oracle-tested
+// bit-for-bit against the per-call methods, sample by sample (values
+// and error reporting), and are allocation-free in steady state;
+// callers pool the Batch, outputs and BatchErrors per worker and share
+// one Evaluator, while per-call callers give each goroutine its own
+// Evaluator.Clone. It is the one
 // evaluation path of every driver — the Monte-Carlo estimates and
 // bands, the Saltelli estimator (serial and sharded alike: one range
 // evaluator, one reducer), the split-study fraction sweep, and per-step

@@ -12,36 +12,33 @@ import (
 	"ttmcas/internal/yield"
 )
 
-// This file implements the structure-of-arrays batch entry points of
-// the compiled kernel. The per-call methods run one perturbation per
-// call; the Monte-Carlo, Sobol, sweep and timeline drivers need
+// This file implements the batch kernel, the one implementation of the
+// model's equations in production code, and its structure-of-arrays
+// entry points. The Monte-Carlo, Sobol, sweep and timeline drivers need
 // 10³–10⁶ evaluations in tight loops, and calling per sample would pay
 // per-call dispatch (argument marshalling, bounds-checked scratch
-// resets, error wrapping) on every one.
-// EvalBatch takes the whole sample set as flat float64 columns — one
-// slice per perturbed input, shared condition columns per node — and
-// evaluates it phase by phase: each compiled table row (node, die) is
-// resolved once and then applied across the dense sample columns, so
-// the per-node resolution work is hoisted out of the per-sample path
-// and the remaining inner loops are branch-light slice walks.
+// resets, error wrapping) on every one. EvalBatch takes the whole
+// sample set as flat float64 columns — one slice per perturbed input,
+// shared condition columns per node — and evaluates it phase by phase:
+// each compiled table row (node, die) is resolved once and then applied
+// across the dense sample columns, so the per-node resolution work is
+// hoisted out of the per-sample path and the remaining inner loops are
+// branch-light slice walks. The per-call methods of compile.go run the
+// same phases on a one-sample batch.
 //
-// The kernel has the per-call kernel's two phases. The die phase
-// (dieBatchInto) runs tapeout and the per-die area, yield, gross dies,
-// wafer demand, test and packaging sums, and owns every per-sample
-// error. The fab phase (fabBatchInto) turns the wafer demand into
-// per-node fabrication time under the capacity factors, takes the
-// slowest node and completes Eq. 1. EvalBatch runs the two back to
-// back. A CAS probe changes one node's capacity factor, which only the
-// fab phase reads, so CASBatch runs the die phase once and then two fab
-// phases per node.
-//
-// The arithmetic of each phase mirrors diePhase and fabPhase operation
-// for operation, in the same order, so batch results are bit-for-bit
-// identical to the per-call path (held by the property tests in
-// batch_test.go), and per-element failures reproduce the exact
-// per-call error values. The two kernels are the model's only
-// implementations in production code; the map-based reference both
-// are held to lives in reference_test.go.
+// The kernel runs in two phases. The die phase (dieBatchInto) runs
+// tapeout and the per-die area, yield, gross dies, wafer demand, test
+// and packaging sums, and owns every per-sample error. The fab phase
+// (fabBatchInto) turns the wafer demand into per-node fabrication time
+// under the capacity factors, takes the slowest node and completes
+// Eq. 1. EvalBatch runs the two back to back. A CAS probe changes one
+// node's capacity factor, which only the fab phase reads, so a CAS
+// runs the die phase once and then casBatchInto's two fab phases per
+// node. The phases take optional sinks for what only the per-call
+// methods report — the Result breakdown, the CAS derivatives, the cost
+// sums — and record sample 0 into them; only one-sample batches pass
+// them. The map-based reference the kernel is held to bit for bit
+// lives in reference_test.go.
 //
 // Error convention: structural misuse (ragged columns, wrong output
 // length, nil error sink) is reported as the call's error return;
@@ -204,56 +201,27 @@ type batchScratch struct {
 	sum        []float64
 }
 
-var scratchPool sync.Pool
+// scratchPool recycles batchScratches; a batch call returns its own
+// with Put when it is done.
+var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// getScratch takes a scratch from the pool; callers return it with
-// scratchPool.Put when the call is done.
-func getScratch() *batchScratch {
-	if sc, ok := scratchPool.Get().(*batchScratch); ok {
-		return sc
-	}
-	return &batchScratch{}
-}
-
-func grow(s []float64, n int) []float64 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
+// ensure sizes the scratch for n samples of an evaluator with the given
+// node count, the CAS columns included.
 func (sc *batchScratch) ensure(n, nodes int) {
-	sc.chips = grow(sc.chips, n)
-	sc.global = grow(sc.global, n)
-	if cap(sc.failed) < n {
-		sc.failed = make([]byte, n)
-	} else {
-		sc.failed = sc.failed[:n]
-	}
-	sc.tapH = grow(sc.tapH, n)
-	sc.tapLat = grow(sc.tapLat, n)
-	sc.testW = grow(sc.testW, n)
-	sc.packW = grow(sc.packW, n)
-	sc.head = grow(sc.head, n)
-	sc.pack = grow(sc.pack, n)
-	sc.fab = grow(sc.fab, n)
-	if cap(sc.wafers) < nodes*n {
-		sc.wafers = make([]float64, nodes*n)
-	} else {
-		sc.wafers = sc.wafers[:nodes*n]
-	}
-}
-
-func (sc *batchScratch) ensureCAS(n int) {
-	sc.fUp = grow(sc.fUp, n)
-	sc.fDown = grow(sc.fDown, n)
-	sc.sum = grow(sc.sum, n)
-	if cap(sc.up) < n {
-		sc.up = make([]units.Weeks, n)
-		sc.down = make([]units.Weeks, n)
-	} else {
-		sc.up, sc.down = sc.up[:n], sc.down[:n]
-	}
+	sc.chips, sc.global, sc.failed = grow(sc.chips, n), grow(sc.global, n), grow(sc.failed, n)
+	sc.tapH, sc.tapLat = grow(sc.tapH, n), grow(sc.tapLat, n)
+	sc.testW, sc.packW = grow(sc.testW, n), grow(sc.packW, n)
+	sc.head, sc.pack, sc.fab = grow(sc.head, n), grow(sc.pack, n), grow(sc.fab, n)
+	sc.wafers = grow(sc.wafers, nodes*n)
+	sc.fUp, sc.fDown, sc.sum = grow(sc.fUp, n), grow(sc.fDown, n), grow(sc.sum, n)
+	sc.up, sc.down = grow(sc.up, n), grow(sc.down, n)
 }
 
 // NodeCount returns the number of compiled process nodes — the outer
@@ -280,16 +248,8 @@ func (e *Evaluator) NodeIndex(node technode.Node) int {
 // allocations.
 func (e *Evaluator) ResizeConditions(b *Batch, n int) {
 	b.Global = grow(b.Global, n)
-	if cap(b.Factor) < len(e.nodes) {
-		b.Factor = make([][]float64, len(e.nodes))
-	} else {
-		b.Factor = b.Factor[:len(e.nodes)]
-	}
-	if cap(b.Queue) < len(e.nodes) {
-		b.Queue = make([][]float64, len(e.nodes))
-	} else {
-		b.Queue = b.Queue[:len(e.nodes)]
-	}
+	b.Factor = grow(b.Factor, len(e.nodes))
+	b.Queue = grow(b.Queue, len(e.nodes))
 	for i := range e.nodes {
 		b.Factor[i] = grow(b.Factor[i], n)
 		b.Queue[i] = grow(b.Queue[i], n)
@@ -332,28 +292,8 @@ func (e *Evaluator) EvalBatch(b *Batch, out []units.Weeks, errs *BatchErrors) er
 	if err != nil || n == 0 {
 		return err
 	}
-	e.evalBatchInto(sc, b, n, out, errs)
-	sc.zeroFailed(out, n)
-	scratchPool.Put(sc)
-	return nil
-}
-
-// EvalBatchAtCapacity is EvalBatch with the global capacity fraction
-// overridden for every sample, the batch form of EvalChipsAtCapacity. The
-// batch must not also carry a Global column.
-func (e *Evaluator) EvalBatchAtCapacity(b *Batch, global float64, out []units.Weeks, errs *BatchErrors) error {
-	if b.Global != nil {
-		return fmt.Errorf("core: batch has both a Global column and a scalar capacity override")
-	}
-	sc, n, err := e.batchSetup(b, len(out), errs)
-	if err != nil || n == 0 {
-		return err
-	}
-	for s := 0; s < n; s++ {
-		sc.global[s] = global
-	}
-	e.evalBatchInto(sc, b, n, out, errs)
-	sc.zeroFailed(out, n)
+	e.dieBatchInto(sc, b, n, errs, nil, nil)
+	e.fabBatchInto(sc, b, n, -1, nil, out, nil)
 	scratchPool.Put(sc)
 	return nil
 }
@@ -367,25 +307,8 @@ func (e *Evaluator) CASBatch(b *Batch, out []float64, errs *BatchErrors) error {
 	if err != nil || n == 0 {
 		return err
 	}
-	e.casBatchInto(sc, b, n, out, errs)
-	scratchPool.Put(sc)
-	return nil
-}
-
-// CASBatchAtCapacity is CASBatch with the global capacity fraction
-// overridden for every sample.
-func (e *Evaluator) CASBatchAtCapacity(b *Batch, global float64, out []float64, errs *BatchErrors) error {
-	if b.Global != nil {
-		return fmt.Errorf("core: batch has both a Global column and a scalar capacity override")
-	}
-	sc, n, err := e.batchSetup(b, len(out), errs)
-	if err != nil || n == 0 {
-		return err
-	}
-	for s := 0; s < n; s++ {
-		sc.global[s] = global
-	}
-	e.casBatchInto(sc, b, n, out, errs)
+	e.dieBatchInto(sc, b, n, errs, nil, nil)
+	e.casBatchInto(sc, b, n, DefaultDerivativeStep, out, nil)
 	scratchPool.Put(sc)
 	return nil
 }
@@ -419,7 +342,7 @@ func (e *Evaluator) batchSetup(b *Batch, outLen int, errs *BatchErrors) (*batchS
 	if n == 0 {
 		return nil, 0, nil
 	}
-	sc := getScratch()
+	sc := scratchPool.Get().(*batchScratch)
 	sc.ensure(n, len(e.nodes))
 	for s := 0; s < n; s++ {
 		sc.failed[s] = 0
@@ -429,7 +352,7 @@ func (e *Evaluator) batchSetup(b *Batch, outLen int, errs *BatchErrors) (*batchS
 		for s := 0; s < n; s++ {
 			if sc.chips[s] < 0 {
 				sc.failed[s] = 1
-				errs.add(s, fmt.Errorf("core: negative chip count %v", sc.chips[s]))
+				errs.add(s, negativeChips(sc.chips[s]))
 			}
 		}
 	} else {
@@ -447,30 +370,22 @@ func (e *Evaluator) batchSetup(b *Batch, outLen int, errs *BatchErrors) (*batchS
 	return sc, n, nil
 }
 
-// zeroFailed zeroes the outputs of failed samples, matching the zero
-// value the per-call methods return alongside their error.
-func (sc *batchScratch) zeroFailed(out []units.Weeks, n int) {
-	for s := 0; s < n; s++ {
-		if sc.failed[s] != 0 {
-			out[s] = 0
-		}
-	}
+// negativeChips is the error of a negative final-chip count.
+func negativeChips(n float64) error {
+	return fmt.Errorf("core: negative chip count %v", n)
 }
 
-// evalBatchInto is the batch kernel body: the die phase, then one fab
-// phase at the batch's own capacity factors.
-func (e *Evaluator) evalBatchInto(sc *batchScratch, b *Batch, n int, out []units.Weeks, errs *BatchErrors) {
-	e.dieBatchInto(sc, b, n, errs)
-	e.fabBatchInto(sc, b, n, -1, nil, out)
-}
-
-// dieBatchInto is diePhase over the batch: tapeout and the per-die
-// geometry, yield and wafer demand, each run as a compiled-table-outer,
-// sample-inner loop, so every table row is resolved once per batch
-// instead of once per sample. It leaves sc.head, sc.pack and sc.wafers
-// for the fab phases. Samples already marked failed are skipped; new
-// failures are recorded in errs. This is the only phase that fails.
-func (e *Evaluator) dieBatchInto(sc *batchScratch, b *Batch, n int, errs *BatchErrors) {
+// dieBatchInto is the die phase: tapeout (Eq. 2) and the per-die
+// geometry, yield and wafer demand (Eqs. 5–7), each run as a
+// compiled-table-outer, sample-inner loop, so every table row is
+// resolved once per batch instead of once per sample. It leaves
+// sc.head, sc.pack and sc.wafers for the fab phases. Samples already
+// marked failed are skipped; new failures are recorded in errs. This is
+// the only phase that fails: a die fails here or nowhere, whatever the
+// capacity. detail, when non-nil, receives the tapeout and per-die rows
+// of the Result breakdown; cost, when non-nil, sums what CostChips
+// prices. Both record sample 0 and are passed with n = 1 only.
+func (e *Evaluator) dieBatchInto(sc *batchScratch, b *Batch, n int, errs *BatchErrors, detail *Result, cost *costSums) {
 	failed := sc.failed
 
 	// Tapeout phase (Eq. 2): per-sample accumulation in node order.
@@ -487,6 +402,10 @@ func (e *Evaluator) dieBatchInto(sc *batchScratch, b *Batch, n int, errs *BatchE
 			nut := nd.nutBase * or1(colAt(nutCol, s))
 			sc.tapH[s] += nut / 1e6 * nd.tapeoutEffort
 		}
+	}
+	if detail != nil {
+		detail.Dies = make([]DieResult, 0, len(e.dies))
+		detail.Nodes = make([]NodeFabResult, 0, len(e.nodes))
 	}
 
 	// Per-die geometry, yield and wafer demand (Eqs. 5–7), die order
@@ -550,12 +469,27 @@ func (e *Evaluator) dieBatchInto(sc *batchScratch, b *Batch, n int, errs *BatchE
 				continue
 			}
 
-			diesNeeded := yield.DiesNeeded(sc.chips[s]*die.countF, y)
-			sc.wafers[base+s] += diesNeeded / gross
+			wafers := yield.DiesNeeded(sc.chips[s]*die.countF, y) / gross
+			sc.wafers[base+s] += wafers
 			if y > 0 {
 				sc.testW[s] += sc.chips[s] * die.countF / y * float64(ntt) * die.testingEffort
 			}
 			sc.packW[s] += sc.chips[s] * die.countF * float64(area) * die.packageEffort
+			if cost != nil {
+				cost.waferCount += units.Wafers(wafers)
+				cost.wafers += units.USD(wafers) * die.waferCost
+				cost.packagedArea += area * units.MM2(die.countF)
+			}
+			if detail != nil {
+				detail.Dies = append(detail.Dies, DieResult{
+					Name:          die.name,
+					Node:          die.node,
+					Area:          area,
+					Yield:         y,
+					GrossPerWafer: gross,
+					Wafers:        units.Wafers(wafers),
+				})
+			}
 		}
 	}
 
@@ -564,22 +498,24 @@ func (e *Evaluator) dieBatchInto(sc *batchScratch, b *Batch, n int, errs *BatchE
 		tapeout := units.Weeks(sc.tapH[s] / (units.HoursPerWeek * e.team))
 		sc.head[s] = float64(e.designTime + tapeout)
 		sc.pack[s] = float64(units.Weeks(sc.tapLat[s]) + units.Weeks(sc.testW[s]) + units.Weeks(sc.packW[s]))
+		if detail != nil {
+			detail.DesignTime = e.designTime
+			detail.TapeoutHours = units.Hours(sc.tapH[s])
+			detail.Tapeout = tapeout
+		}
 	}
 }
 
-// fabBatchInto is fabPhase over the batch: Eqs. 3–5 per node over the
-// die phase's wafer demand, synchronized at the slowest node, then
-// Eq. 1's sum into out. overrideIdx/overrideCol replace one node's
-// capacity factor per sample (the CAS probes). It reads the die
-// phase's columns and never fails, so one die phase serves any number
-// of fab phases.
-func (e *Evaluator) fabBatchInto(sc *batchScratch, b *Batch, n int, overrideIdx int, overrideCol []float64, out []units.Weeks) {
-	if len(e.nodes) == 0 {
-		for s := 0; s < n; s++ {
-			sc.fab[s] = 0
-		}
-	}
-	for i := range e.nodes {
+// fabBatchInto is the fab phase: Eqs. 3–5 per node over the die
+// phase's wafer demand, synchronized at the slowest node, then Eq. 1's
+// sum into out (0 for a failed sample). overrideIdx/overrideCol
+// replace one node's capacity factor per sample (the CAS probes). It
+// reads the die phase's columns and never fails, so one die phase
+// serves any number of fab phases. detail, when non-nil, receives
+// sample 0's per-node rows and critical node; it is passed with n = 1
+// only.
+func (e *Evaluator) fabBatchInto(sc *batchScratch, b *Batch, n int, overrideIdx int, overrideCol []float64, out []units.Weeks, detail *Result) {
+	for i := range e.nodes { // Validate guarantees a node; node 0 sets sc.fab
 		nd := &e.nodes[i]
 		var fcol []float64
 		if overrideIdx == i {
@@ -613,36 +549,59 @@ func (e *Evaluator) fabBatchInto(sc *batchScratch, b *Batch, n int, overrideIdx 
 			if qcol != nil {
 				qw = qcol[s]
 			}
-			var fabTotal float64
+			var queue, production, fabTotal float64
 			switch {
 			case rate > 0:
-				fabTotal = qw/rate + (wafers/rate + lfab) // Eqs. 4–5
+				queue = qw / rate               // Eq. 4
+				production = wafers/rate + lfab // Eq. 5
+				fabTotal = queue + production
 			case wafers > 0 || qw > 0:
+				queue = math.Inf(1)
+				production = math.Inf(1)
 				fabTotal = math.Inf(1)
 			default:
+				production = lfab
 				fabTotal = lfab
+			}
+			if detail != nil {
+				detail.Nodes = append(detail.Nodes, NodeFabResult{
+					Node:       nd.node,
+					Wafers:     units.Wafers(wafers),
+					Queue:      units.Weeks(queue),
+					Production: units.Weeks(production),
+					FabTotal:   units.Weeks(fabTotal),
+				})
 			}
 			if i == 0 || fabTotal > sc.fab[s] {
 				sc.fab[s] = fabTotal
+				if detail != nil {
+					detail.CriticalNode = nd.node
+				}
 			}
 		}
 	}
 
 	for s := 0; s < n; s++ {
+		if sc.failed[s] != 0 {
+			out[s] = 0 // what the per-call methods return with their error
+			continue
+		}
 		out[s] = units.Weeks(sc.head[s]) + units.Weeks(sc.fab[s]) + units.Weeks(sc.pack[s])
 	}
 }
 
-// casBatchInto mirrors cas over the batch: one die phase, then for each
-// node its up and down capacity probes as two fab phases, with the
-// finite-difference derivatives accumulated per sample in node order.
-// A CAS over K nodes costs one die phase and 2K fab phases, and each
-// failing sample is recorded once, by the die phase.
-func (e *Evaluator) casBatchInto(sc *batchScratch, b *Batch, n int, out []float64, errs *BatchErrors) {
-	sc.ensureCAS(n)
+// casBatchInto is Eq. 8 over the batch by finite differences of the
+// given relative step on each node's capacity factor f. The effective
+// rate is μ = g·f·μ_full, so dTTM/dμ = ΔTTM / (Δf · g · μ_full); the
+// difference is central where possible and forward at the capacity
+// floor. The probes change one node's factor, which enters only the fab
+// phase, so it runs after one die phase, whose failures it skips: a CAS
+// over K nodes costs one die phase and 2K fab phases, and each failing
+// sample is recorded once, by the die phase.
+// derivs, when non-nil, receives sample 0's |∂TTM/∂μ_W| per node, as
+// Model.CAS reports it; it is passed with n = 1 only.
+func (e *Evaluator) casBatchInto(sc *batchScratch, b *Batch, n int, step float64, out []float64, derivs map[technode.Node]float64) {
 	failed := sc.failed
-	const step = DefaultDerivativeStep
-	e.dieBatchInto(sc, b, n, errs)
 	for s := 0; s < n; s++ {
 		sc.sum[s] = 0
 	}
@@ -663,14 +622,17 @@ func (e *Evaluator) casBatchInto(sc *batchScratch, b *Batch, n int, out []float6
 			}
 			sc.fUp[s], sc.fDown[s] = fUp, fDown
 		}
-		e.fabBatchInto(sc, b, n, i, sc.fUp, sc.up)
-		e.fabBatchInto(sc, b, n, i, sc.fDown, sc.down)
+		e.fabBatchInto(sc, b, n, i, sc.fUp, sc.up, nil)
+		e.fabBatchInto(sc, b, n, i, sc.fDown, sc.down, nil)
 		for s := 0; s < n; s++ {
 			if failed[s] != 0 {
 				continue
 			}
 			up, down := sc.up[s], sc.down[s]
 			if math.IsInf(float64(up), 0) || math.IsInf(float64(down), 0) {
+				if derivs != nil {
+					derivs[nd.node] = math.Inf(1)
+				}
 				sc.sum[s] = math.Inf(1)
 				continue
 			}
@@ -679,6 +641,9 @@ func (e *Evaluator) casBatchInto(sc *batchScratch, b *Batch, n int, out []float6
 				g = 1
 			}
 			der := math.Abs(float64(up-down)) / ((sc.fUp[s] - sc.fDown[s]) * g * nd.waferRate)
+			if derivs != nil {
+				derivs[nd.node] = der
+			}
 			sc.sum[s] += der
 		}
 	}
@@ -689,8 +654,11 @@ func (e *Evaluator) casBatchInto(sc *batchScratch, b *Batch, n int, out []float6
 		}
 		switch sum := sc.sum[s]; {
 		case sum <= 0:
+			// TTM is locally flat in every node's rate (e.g. zero
+			// chips): the design is perfectly agile.
 			out[s] = math.Inf(1)
 		case math.IsInf(sum, 1):
+			// A node out of production: no agility at all.
 			out[s] = 0
 		default:
 			out[s] = 1 / sum

@@ -3,10 +3,12 @@ package core_test
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ttmcas/internal/core"
+	"ttmcas/internal/cost"
 	"ttmcas/internal/market"
 	"ttmcas/internal/scenario"
 	"ttmcas/internal/technode"
@@ -100,9 +102,19 @@ func TestCASBatchMatchesCASBitForBit(t *testing.T) {
 	}
 }
 
+// atCapacity returns b with every sample at global capacity g, as a
+// Global column.
+func atCapacity(b *core.Batch, n int, g float64) *core.Batch {
+	out := *b
+	out.Global = make([]float64, n)
+	for i := range out.Global {
+		out.Global[i] = g
+	}
+	return &out
+}
+
 func TestBatchAtCapacityMatchesPerCall(t *testing.T) {
 	perts := perturbations(13, 8)
-	b := columns(perts)
 	wout := make([]units.Weeks, len(perts))
 	cout := make([]float64, len(perts))
 	var errs core.BatchErrors
@@ -114,7 +126,8 @@ func TestBatchAtCapacityMatchesPerCall(t *testing.T) {
 		}
 		ref := ev.Clone()
 		for _, g := range []float64{0.05, 0.3, 0.75, 1.0} {
-			if err := ev.EvalBatchAtCapacity(b, g, wout, &errs); err != nil {
+			b := atCapacity(columns(perts), len(perts), g)
+			if err := ev.EvalBatch(b, wout, &errs); err != nil {
 				t.Fatal(err)
 			}
 			for i, p := range perts {
@@ -122,7 +135,7 @@ func TestBatchAtCapacityMatchesPerCall(t *testing.T) {
 				sameWeeks(t, fmt.Sprintf("%s ttm@%v sample %d", dname, g, i),
 					wout[i], want, batchErrAt(&errs, i), wantErr)
 			}
-			if err := ev.CASBatchAtCapacity(b, g, cout, &errs); err != nil {
+			if err := ev.CASBatch(b, cout, &errs); err != nil {
 				t.Fatal(err)
 			}
 			for i, p := range perts {
@@ -257,7 +270,7 @@ func TestEvalBatchErrorIndices(t *testing.T) {
 
 // TestCASBatchErrorIndices is TestEvalBatchErrorIndices for the CAS
 // kernel on a two-node design, whose CAS runs four capacity probes per
-// sample: CASBatch, CASBatchAtCapacity and the per-call
+// sample: CASBatch, with and without a Global column, and the per-call
 // CASChipsAtCapacity must fail the same samples with the same errors,
 // the batches recording each failing sample once (not once per probe)
 // and zeroing its output.
@@ -280,20 +293,17 @@ func TestCASBatchErrorIndices(t *testing.T) {
 	}
 	// NTT multipliers: huge values push the die area past the wafer.
 	ntt := []float64{1, 1e6, 0.9, 5e5, 1.1, 1e6}
-	b := &core.Batch{NTT: ntt}
 	for _, global := range []float64{0, 0.6} {
+		b := &core.Batch{NTT: ntt}
+		if global != 0 {
+			b = atCapacity(b, len(ntt), global)
+		}
 		out := make([]float64, len(ntt))
 		for i := range out {
 			out[i] = -1 // a stale value the batch must overwrite
 		}
 		var errs core.BatchErrors
-		var err error
-		if global == 0 {
-			err = ev.CASBatch(b, out, &errs)
-		} else {
-			err = ev.CASBatchAtCapacity(b, global, out, &errs)
-		}
-		if err != nil {
+		if err := ev.CASBatch(b, out, &errs); err != nil {
 			t.Fatal(err)
 		}
 		ref := ev.Clone()
@@ -327,7 +337,7 @@ func TestCASBatchErrorIndices(t *testing.T) {
 }
 
 // TestBatchShapes fuzzes the degenerate batch shapes: empty, len-1,
-// ragged, mismatched outputs, and misuse of the at-capacity variants.
+// ragged and mismatched outputs.
 func TestBatchShapes(t *testing.T) {
 	m := core.Model{}
 	ev, err := m.Compile(scenario.Zen2(), 10e6, market.Full())
@@ -384,14 +394,6 @@ func TestBatchShapes(t *testing.T) {
 	if err := ev.EvalBatch(badOuter, make([]units.Weeks, 2), &errs); err == nil {
 		t.Fatal("wrong Factor outer length: want error")
 	}
-	// Global column + scalar capacity override.
-	g := &core.Batch{Global: []float64{0.5}}
-	if err := ev.EvalBatchAtCapacity(g, 0.7, out[:1], &errs); err == nil {
-		t.Fatal("Global column with scalar override: want error")
-	}
-	if err := ev.CASBatchAtCapacity(g, 0.7, []float64{0}, &errs); err == nil {
-		t.Fatal("CAS Global column with scalar override: want error")
-	}
 	// A nil error sink is structural misuse.
 	if err := ev.EvalBatch(one, out[:1], nil); err == nil {
 		t.Fatal("nil errs: want error")
@@ -399,7 +401,9 @@ func TestBatchShapes(t *testing.T) {
 }
 
 // TestBatchCloneIndependence: concurrent clones each run batch calls
-// with their own pooled scratch; results match the parent bit for bit.
+// with their own pooled scratch, and the per-call methods on their own
+// one-sample batch; results match the parent bit for bit. A Clone that
+// shared the parent's one-sample batch fails here under -race.
 func TestBatchCloneIndependence(t *testing.T) {
 	m := core.Model{}
 	ev, err := m.Compile(scenario.Zen2(), 10e6, market.Full())
@@ -412,6 +416,32 @@ func TestBatchCloneIndependence(t *testing.T) {
 	var errs core.BatchErrors
 	if err := ev.EvalBatch(b, wantOut, &errs); err != nil {
 		t.Fatal(err)
+	}
+	// The parent's per-call answers, run first so the parent owns a
+	// one-sample batch before it is cloned.
+	rates := cost.DefaultRates()
+	type perCall struct {
+		res  core.Result
+		cas  core.CASResult
+		cost core.CostBreakdown
+	}
+	perCallAt := func(ev *core.Evaluator, i int) (perCall, error) {
+		var pc perCall
+		var err error
+		if pc.res, err = ev.EvalResultChips(perts[i], 10e6); err != nil {
+			return pc, err
+		}
+		if pc.cas, err = ev.CASResultChips(perts[i], 10e6); err != nil {
+			return pc, err
+		}
+		pc.cost, err = ev.CostChips(rates, 1e6*float64(i+1))
+		return pc, err
+	}
+	want := make([]perCall, len(perts))
+	for i := range perts {
+		if want[i], err = perCallAt(ev, i); err != nil {
+			t.Fatal(err)
+		}
 	}
 	done := make(chan error, 4)
 	for w := 0; w < 4; w++ {
@@ -430,6 +460,17 @@ func TestBatchCloneIndependence(t *testing.T) {
 						return
 					}
 				}
+				for i := range perts {
+					got, err := perCallAt(cl, i)
+					if err != nil {
+						done <- err
+						return
+					}
+					if !reflect.DeepEqual(got, want[i]) {
+						done <- fmt.Errorf("clone per-call answers for sample %d = %+v, want %+v", i, got, want[i])
+						return
+					}
+				}
 			}
 			done <- nil
 		}()
@@ -442,8 +483,8 @@ func TestBatchCloneIndependence(t *testing.T) {
 }
 
 // batchRun is one goroutine's view of every batch entry point on one
-// perturbation cloud: TTM and CAS at the compiled conditions and at an
-// overridden capacity, with the per-sample error lists.
+// perturbation cloud: TTM and CAS at the compiled conditions and at a
+// Global column's capacity, with the per-sample error lists.
 type batchRun struct {
 	ttm, ttmAt []units.Weeks
 	cas, casAt []float64
@@ -455,11 +496,12 @@ func runAllBatches(ev *core.Evaluator, b *core.Batch, n int) (*batchRun, error) 
 		ttm: make([]units.Weeks, n), ttmAt: make([]units.Weeks, n),
 		cas: make([]float64, n), casAt: make([]float64, n),
 	}
+	at := atCapacity(b, n, 0.6)
 	for _, err := range []error{
 		ev.EvalBatch(b, r.ttm, &r.errs[0]),
-		ev.EvalBatchAtCapacity(b, 0.6, r.ttmAt, &r.errs[1]),
+		ev.EvalBatch(at, r.ttmAt, &r.errs[1]),
 		ev.CASBatch(b, r.cas, &r.errs[2]),
-		ev.CASBatchAtCapacity(b, 0.6, r.casAt, &r.errs[3]),
+		ev.CASBatch(at, r.casAt, &r.errs[3]),
 	} {
 		if err != nil {
 			return nil, err
@@ -475,11 +517,11 @@ func (r *batchRun) diff(o *batchRun) error {
 		case math.Float64bits(float64(r.ttm[i])) != math.Float64bits(float64(o.ttm[i])):
 			return fmt.Errorf("EvalBatch sample %d: %v vs %v", i, r.ttm[i], o.ttm[i])
 		case math.Float64bits(float64(r.ttmAt[i])) != math.Float64bits(float64(o.ttmAt[i])):
-			return fmt.Errorf("EvalBatchAtCapacity sample %d: %v vs %v", i, r.ttmAt[i], o.ttmAt[i])
+			return fmt.Errorf("EvalBatch at capacity sample %d: %v vs %v", i, r.ttmAt[i], o.ttmAt[i])
 		case math.Float64bits(r.cas[i]) != math.Float64bits(o.cas[i]):
 			return fmt.Errorf("CASBatch sample %d: %v vs %v", i, r.cas[i], o.cas[i])
 		case math.Float64bits(r.casAt[i]) != math.Float64bits(o.casAt[i]):
-			return fmt.Errorf("CASBatchAtCapacity sample %d: %v vs %v", i, r.casAt[i], o.casAt[i])
+			return fmt.Errorf("CASBatch at capacity sample %d: %v vs %v", i, r.casAt[i], o.casAt[i])
 		}
 	}
 	for k := range r.errs {

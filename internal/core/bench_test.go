@@ -121,7 +121,7 @@ func BenchmarkEvaluatorCASBatch(b *testing.B) {
 
 // TestBatchAllocs pins the steady-state zero-allocation contract of the
 // batch entry points, including the Sobol inner-loop shape (an A-matrix
-// column batch with one column swapped to B) and the at-capacity and
+// column batch with one column swapped to B) and the Global-column and
 // CAS forms the MC band driver uses. Each call takes its scratch from a
 // package pool, which the race detector randomly drops puts to, so the
 // contract is checked without -race only.
@@ -154,12 +154,17 @@ func TestBatchAllocs(t *testing.T) {
 		}); a != 0 {
 			t.Errorf("%s: EvalBatch allocates %v/op, want 0", dname, a)
 		}
+		at := *batch
+		at.Global = make([]float64, n)
+		for i := range at.Global {
+			at.Global[i] = 0.5
+		}
 		if a := testing.AllocsPerRun(20, func() {
-			if err := ev.EvalBatchAtCapacity(batch, 0.5, wout, &errs); err != nil {
+			if err := ev.EvalBatch(&at, wout, &errs); err != nil {
 				t.Fatal(err)
 			}
 		}); a != 0 {
-			t.Errorf("%s: EvalBatchAtCapacity allocates %v/op, want 0", dname, a)
+			t.Errorf("%s: EvalBatch with a Global column allocates %v/op, want 0", dname, a)
 		}
 		if a := testing.AllocsPerRun(10, func() {
 			if err := ev.CASBatch(batch, cout, &errs); err != nil {

@@ -76,27 +76,54 @@ type CASPoint struct {
 // positive; points where production stalls report CAS 0 and infinite
 // TTM.
 func (m Model) CASCurve(d design.Design, n float64, base market.Conditions, fractions []float64) ([]CASPoint, error) {
-	// One compiled evaluator serves the whole sweep: each curve point is
-	// 1 + 2·|nodes| evaluations, so the curve rides the zero-allocation
-	// kernel instead of re-resolving the design per point.
+	// One compiled evaluator and one batch call per output serve the
+	// whole sweep, the fractions riding as the batch's Global column.
 	ev, err := m.Compile(d, n, base)
 	if err != nil {
 		return nil, err
 	}
+	b := m.Perturb.columns(len(fractions))
+	b.Global = fractions
+	ttm := make([]units.Weeks, len(fractions))
+	cas := make([]float64, len(fractions))
+	var errs BatchErrors
+	if err := ev.EvalBatch(&b, ttm, &errs); err != nil {
+		return nil, err
+	}
+	// A die fails whatever the capacity, so TTM and CAS fail the same
+	// points; report what a point-by-point walk meets first.
+	bad, dieErr := errs.First()
+	if err := ev.CASBatch(&b, cas, &errs); err != nil {
+		return nil, err
+	}
 	pts := make([]CASPoint, 0, len(fractions))
-	for _, f := range fractions {
+	for i, f := range fractions {
 		if f <= 0 {
 			return nil, fmt.Errorf("core: capacity fraction %v must be positive", f)
 		}
-		ttm, err := ev.EvalChipsAtCapacity(m.Perturb, n, f)
-		if err != nil {
-			return nil, err
+		if i == bad {
+			return nil, dieErr
 		}
-		cas, err := ev.CASChipsAtCapacity(m.Perturb, n, f)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, CASPoint{Capacity: f, CAS: cas, TTM: ttm})
+		pts = append(pts, CASPoint{Capacity: f, CAS: cas[i], TTM: ttm[i]})
 	}
 	return pts, nil
+}
+
+// columns spreads p over n samples as constant batch columns; the
+// unperturbed p leaves every column nil, which the kernel reads alike.
+func (p Perturbation) columns(n int) Batch {
+	if p == (Perturbation{}) {
+		return Batch{}
+	}
+	col := func(v float64) []float64 {
+		c := make([]float64, n)
+		for i := range c {
+			c[i] = v
+		}
+		return c
+	}
+	return Batch{
+		NTT: col(p.NTT), NUT: col(p.NUT), D0: col(p.D0),
+		Rate: col(p.Rate), FabLatency: col(p.FabLatency), TAPLatency: col(p.TAPLatency),
+	}
 }

@@ -1,11 +1,15 @@
 package core_test
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"ttmcas/internal/core"
 	"ttmcas/internal/design"
+	"ttmcas/internal/geometry"
 	"ttmcas/internal/market"
 	"ttmcas/internal/scenario"
 	"ttmcas/internal/technode"
@@ -166,5 +170,53 @@ func TestCASCurveRejectsZeroCapacity(t *testing.T) {
 	var m core.Model
 	if _, err := m.CASCurve(simple(technode.N7), 1e6, market.Full(), []float64{0}); err == nil {
 		t.Error("zero capacity fraction should error")
+	}
+	// A die too large for the wafer fails at every capacity. The curve
+	// reports what a point-by-point walk meets first: the die error at
+	// a valid first point, ahead of a later non-positive fraction, and
+	// the fraction error when it comes first.
+	m.Perturb = core.Perturbation{NTT: 1e6}
+	if _, err := m.CASCurve(simple(technode.N7), 1e6, market.Full(), []float64{0.5, 0}); !errors.Is(err, geometry.ErrDieTooLarge) {
+		t.Errorf("die error first: got %v", err)
+	}
+	if _, err := m.CASCurve(simple(technode.N7), 1e6, market.Full(), []float64{-1, 0.5}); err == nil ||
+		!strings.Contains(err.Error(), "capacity fraction -1 must be positive") {
+		t.Errorf("fraction error first: got %v", err)
+	}
+}
+
+// TestCASCurveMatchesPerCall holds the batched curve to the per-call
+// methods point by point, bit for bit, perturbed and not, stalled
+// points included.
+func TestCASCurveMatchesPerCall(t *testing.T) {
+	fractions := []float64{0.05, 0.3, 0.5, 0.75, 1, 1.2}
+	for _, p := range []core.Perturbation{{}, {NTT: 1.05, NUT: 0.95, D0: 1.1, Rate: 0.9, FabLatency: 1.02, TAPLatency: 1.01}} {
+		m := core.Model{Perturb: p}
+		for dname, d := range registeredDesigns() {
+			for _, sc := range market.Scenarios() {
+				pts, err := m.CASCurve(d, 10e6, sc.Conditions, fractions)
+				ev, cerr := m.Compile(d, 10e6, sc.Conditions)
+				if cerr != nil {
+					t.Fatal(cerr)
+				}
+				for i, f := range fractions {
+					ctx := fmt.Sprintf("%s/%s f=%v pert %v", dname, sc.Name, f, p)
+					wantTTM, wantErr := ev.EvalChipsAtCapacity(p, 10e6, f)
+					wantCAS, _ := ev.CASChipsAtCapacity(p, 10e6, f)
+					if wantErr != nil {
+						if err == nil || err.Error() != wantErr.Error() {
+							t.Fatalf("%s: curve error %v, want %v", ctx, err, wantErr)
+						}
+						break
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", ctx, err)
+					}
+					if pts[i].Capacity != f || !sameF64(float64(pts[i].TTM), float64(wantTTM)) || !sameF64(pts[i].CAS, wantCAS) {
+						t.Fatalf("%s: point %+v, want TTM %v CAS %v", ctx, pts[i], wantTTM, wantCAS)
+					}
+				}
+			}
+		}
 	}
 }

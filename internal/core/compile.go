@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"ttmcas/internal/design"
 	"ttmcas/internal/geometry"
@@ -12,26 +11,19 @@ import (
 	"ttmcas/internal/yield"
 )
 
-// This file implements the compiled evaluation kernel, the one scalar
-// implementation of the model: Model.Evaluate, TTM and CAS compile and
-// run it once, and cost reads its die phase (CostChips). Compile resolves everything the equations read from the
+// This file compiles the evaluation kernel and holds its per-call
+// methods. Compile resolves everything the equations read from the
 // design, the node database and the market conditions — node
 // parameters, effort curves, wafer geometry, queue depths, capacity
 // factors — into flat slices indexed by a dense node index, so the
 // kernel runs the model with zero map operations and zero heap
-// allocations however many perturbations it is asked about. Drivers
-// reach it through the batch entry points of batch.go; the per-call
-// methods below serve single request-path evaluations.
-//
-// The kernel runs in two phases. The die phase (diePhase) computes
-// tapeout and each die's area, yield, gross dies and wafer demand, and
-// the test and packaging sums (and a cost read's wafer cost and
-// packaged area); it is the only phase that can fail. The
-// fab phase (fabPhase) turns the wafer demand into each node's queue,
-// production and fab time under a capacity factor and takes the
-// slowest node. An evaluation runs both; a CAS runs the die phase once
-// and the fab phase for each node's up and down capacity probe, since
-// the probes change nothing the die phase reads.
+// allocations however many perturbations it is asked about. The kernel
+// is batch.go's, the one implementation of Eqs. 1–8 in production
+// code. The per-call methods below (Model.Evaluate, TTM, CAS and the
+// cost model run them after a Compile) load one sample into a
+// one-sample batch the Evaluator owns, run the batch phases at n = 1
+// and read sample 0; the detail only they report comes from the
+// phases' optional sinks.
 //
 // The tests hold the kernel bit for bit, error text included, to a
 // map-based reference that walks the design and the condition maps
@@ -43,16 +35,16 @@ import (
 
 // Evaluator is a design × conditions pair compiled for repeated
 // evaluation under varying perturbations. The batch entry points
-// (EvalBatch, EvalBatchAtCapacity, CASBatch, CASBatchAtCapacity) take
-// their scratch from a package pool per call, so one Evaluator serves
-// batch calls from any number of goroutines at once. The per-call
-// methods (EvalResultChips, EvalChipsAtCapacity, CASChipsAtCapacity,
-// CASResultChips, CostChips) share one scratch buffer owned by the
-// Evaluator, and Bind rewrites its bound conditions, so those are NOT
-// safe for concurrent use; callers that run them in parallel give each
+// (EvalBatch, CASBatch) take their scratch from a package pool per
+// call, so one Evaluator serves batch calls from any number of
+// goroutines at once. The per-call methods (EvalResultChips,
+// EvalChipsAtCapacity, CASChipsAtCapacity, CASResultChips, CostChips)
+// run the batch kernel on a one-sample batch owned by the Evaluator,
+// and Bind rewrites its bound conditions, so those are NOT safe for
+// concurrent use; callers that run them in parallel give each
 // goroutine its own Clone (cheap: the compiled die tables are shared
-// and immutable, only the small node table and the scratch are
-// duplicated).
+// and immutable, only the small node table is copied, and each clone
+// makes its own one-sample batch).
 type Evaluator struct {
 	// chips is the compiled final-chip count n.
 	chips float64
@@ -72,9 +64,10 @@ type Evaluator struct {
 	nodes []evalNode
 	dies  []evalDie
 
-	// scratch accumulates per-node wafer demand during one per-call
-	// evaluation; it is the Evaluator's only mutable state.
-	scratch []units.Wafers
+	// one is the per-call methods' one-sample batch, made on first
+	// use; with the bound conditions it is the Evaluator's only mutable
+	// state.
+	one *single
 }
 
 // evalNode is one distinct process node of the design with every
@@ -205,18 +198,17 @@ func (m Model) Compile(d design.Design, n float64, c market.Conditions) (*Evalua
 		}
 	}
 	e.Bind(c)
-	e.scratch = make([]units.Wafers, len(e.nodes))
 	return e, nil
 }
 
 // Clone returns an Evaluator sharing the compiled die tables but owning
-// a copy of the node table and a fresh per-call scratch buffer, for one
+// a copy of the node table and its own one-sample batch, for one
 // goroutine of a parallel caller of the per-call methods. Binding the
 // clone never writes into e.
 func (e *Evaluator) Clone() *Evaluator {
 	out := *e
 	out.nodes = append([]evalNode(nil), e.nodes...)
-	out.scratch = make([]units.Wafers, len(e.nodes))
+	out.one = nil
 	return &out
 }
 
@@ -237,6 +229,61 @@ func (e *Evaluator) Bind(c market.Conditions) {
 // Chips returns the compiled final-chip count.
 func (e *Evaluator) Chips() float64 { return e.chips }
 
+// single is the per-call methods' one-sample batch state: the
+// perturbation, a batch scratch sized for one sample, and the output
+// sinks. Its columns are carved from its own arrays, so it costs two
+// allocations, on an Evaluator's first per-call method, and a per-call
+// method none after that.
+type single struct {
+	pert   [6]float64  // NTT, NUT, D0, Rate, FabLatency, TAPLatency
+	cols   [12]float64 // the scratch's per-sample columns
+	failed [1]byte
+	up     [1]units.Weeks
+	down   [1]units.Weeks
+	ttm    [1]units.Weeks
+	cas    [1]float64
+	sc     batchScratch
+}
+
+func newSingle(nodes int) *single {
+	o := &single{}
+	c := &o.cols
+	o.sc = batchScratch{
+		chips: c[0:1], global: c[1:2], failed: o.failed[:],
+		tapH: c[2:3], tapLat: c[3:4], testW: c[4:5], packW: c[5:6],
+		head: c[6:7], pack: c[7:8], wafers: make([]float64, nodes), fab: c[8:9],
+		fUp: c[9:10], fDown: c[10:11], up: o.up[:], down: o.down[:], sum: c[11:12],
+	}
+	return o
+}
+
+// die makes sample 0 of the one-sample batch perturbation p at chips
+// final chips and raw global capacity global, points b's columns at
+// it, and runs the die phase on it with the given sinks, returning the
+// sample's failure. A negative chip count fails as in batchSetup.
+func (e *Evaluator) die(b *Batch, p Perturbation, chips, global float64, detail *Result, cost *costSums) (*single, error) {
+	if chips < 0 {
+		return nil, negativeChips(chips)
+	}
+	o := e.one
+	if o == nil {
+		o = newSingle(len(e.nodes))
+		e.one = o
+	}
+	q := &o.pert
+	q[0], q[1], q[2], q[3], q[4], q[5] = p.NTT, p.NUT, p.D0, p.Rate, p.FabLatency, p.TAPLatency
+	b.NTT, b.NUT, b.D0 = q[0:1], q[1:2], q[2:3]
+	b.Rate, b.FabLatency, b.TAPLatency = q[3:4], q[4:5], q[5:6]
+	o.sc.failed[0] = 0
+	o.sc.chips[0], o.sc.global[0] = chips, global
+	var errs BatchErrors
+	e.dieBatchInto(&o.sc, b, 1, &errs, detail, cost)
+	if errs.Len() != 0 {
+		return nil, errs.Errs[0]
+	}
+	return o, nil
+}
+
 // EvalResultChips computes TTM under the perturbation for n final
 // chips with the full per-phase, per-die and per-node breakdown, the
 // Result Model.Evaluate reports for the compiled design × conditions
@@ -246,7 +293,7 @@ func (e *Evaluator) Chips() float64 { return e.chips }
 // in Monte-Carlo inner loops.
 func (e *Evaluator) EvalResultChips(p Perturbation, n float64) (Result, error) {
 	var res Result
-	if _, err := e.eval(p, n, e.global, &res); err != nil {
+	if _, err := e.evalOne(p, n, e.global, &res); err != nil {
 		return Result{}, err
 	}
 	return res, nil
@@ -259,7 +306,25 @@ func (e *Evaluator) EvalResultChips(p Perturbation, n float64) (Result, error) {
 // The call performs no map operations and no heap allocations (asserted
 // by testing.AllocsPerRun in the tests); only the error path allocates.
 func (e *Evaluator) EvalChipsAtCapacity(p Perturbation, n float64, global float64) (units.Weeks, error) {
-	return e.eval(p, n, global, nil)
+	return e.evalOne(p, n, global, nil)
+}
+
+// evalOne runs the die phase, then the fab phase at the bound
+// conditions and raw global capacity global, on the one-sample batch. detail, when non-nil, receives the breakdown Model.Evaluate
+// reports; the hot path passes nil and stays allocation-free.
+func (e *Evaluator) evalOne(p Perturbation, chips, global float64, detail *Result) (units.Weeks, error) {
+	var b Batch
+	o, err := e.die(&b, p, chips, global, detail, nil)
+	if err != nil {
+		return 0, err
+	}
+	e.fabBatchInto(&o.sc, &b, 1, -1, nil, o.ttm[:], detail)
+	if detail != nil {
+		detail.Fabrication = units.Weeks(o.sc.fab[0])
+		detail.Packaging = units.Weeks(o.sc.pack[0])
+		detail.TTM = o.ttm[0]
+	}
+	return o.ttm[0], nil
 }
 
 // CASChipsAtCapacity computes the Chip Agility Score (Eq. 8) under the
@@ -267,7 +332,7 @@ func (e *Evaluator) EvalChipsAtCapacity(p Perturbation, n float64, global float6
 // Model.CAS's central differences at the default step, without the
 // per-node Derivatives map; the CAS counterpart of EvalChipsAtCapacity.
 func (e *Evaluator) CASChipsAtCapacity(p Perturbation, n float64, global float64) (float64, error) {
-	return e.cas(p, n, global, DefaultDerivativeStep, nil)
+	return e.casOne(p, n, global, DefaultDerivativeStep, nil)
 }
 
 // CASResultChips computes the agility score with its per-node
@@ -282,12 +347,25 @@ func (e *Evaluator) CASResultChips(p Perturbation, n float64) (CASResult, error)
 // given step and collects the per-node derivatives.
 func (e *Evaluator) casResult(p Perturbation, n, step float64) (CASResult, error) {
 	res := CASResult{Derivatives: make(map[technode.Node]float64, len(e.nodes))}
-	cas, err := e.cas(p, n, e.global, step, res.Derivatives)
+	cas, err := e.casOne(p, n, e.global, step, res.Derivatives)
 	if err != nil {
 		return CASResult{}, err
 	}
 	res.CAS = cas
 	return res, nil
+}
+
+// casOne runs the die phase and the CAS probes on the one-sample
+// batch. derivs, when non-nil, receives |∂TTM/∂μ_W| per node; the hot
+// path passes nil.
+func (e *Evaluator) casOne(p Perturbation, chips, global, step float64, derivs map[technode.Node]float64) (float64, error) {
+	var b Batch
+	o, err := e.die(&b, p, chips, global, nil, nil)
+	if err != nil {
+		return 0, err
+	}
+	e.casBatchInto(&o.sc, &b, 1, step, o.cas[:], derivs)
+	return o.cas[0], nil
 }
 
 // costSums is the die phase's cost accumulator, summed in die order.
@@ -302,8 +380,9 @@ type costSums struct {
 // phase demands, and packaging. It runs no fab phase, reads none of
 // the bound conditions and allocates nothing.
 func (e *Evaluator) CostChips(r CostRates, n float64) (CostBreakdown, error) {
+	var one Batch
 	var acc costSums
-	if _, err := e.diePhase(Perturbation{}, n, nil, &acc); err != nil {
+	if _, err := e.die(&one, Perturbation{}, n, e.global, nil, &acc); err != nil {
 		return CostBreakdown{}, err
 	}
 	var b CostBreakdown
@@ -323,256 +402,4 @@ func (e *Evaluator) CostChips(r CostRates, n float64) (CostBreakdown, error) {
 		b.PerChip = b.Total / units.USD(n)
 	}
 	return b, nil
-}
-
-// dieSums is the die phase's result for one evaluation: every term of
-// Eq. 1 except fabrication, which depends on the capacity factors. The
-// phase also leaves the per-node wafer demand in e.scratch for the fab
-// phase.
-type dieSums struct {
-	head      units.Weeks // designTime + tapeout, the sum's leading terms
-	packaging units.Weeks
-}
-
-// ttm completes Eq. 1 with a fab phase's fabrication time, adding in
-// the equation's order: ((designTime + tapeout) + fabrication) +
-// packaging.
-func (d dieSums) ttm(fabrication units.Weeks) units.Weeks {
-	return d.head + fabrication + d.packaging
-}
-
-// eval is the kernel: the die phase, then the fab phase at the bound
-// conditions with the global capacity overridden. detail, when
-// non-nil, receives the full per-phase/per-die/per-node breakdown
-// Model.Evaluate reports; the hot path passes nil and stays
-// allocation-free.
-func (e *Evaluator) eval(p Perturbation, chips, global float64, detail *Result) (units.Weeks, error) {
-	d, err := e.diePhase(p, chips, detail, nil)
-	if err != nil {
-		return 0, err
-	}
-	fabrication := e.fabPhase(p, global, -1, 0, detail)
-	ttm := d.ttm(fabrication)
-	if detail != nil {
-		detail.Fabrication = fabrication
-		detail.Packaging = d.packaging
-		detail.TTM = ttm
-	}
-	return ttm, nil
-}
-
-// diePhase runs tapeout (Eq. 2) and the per-die geometry, yield and
-// wafer demand (Eqs. 5–7), accumulating each node's wafer demand into
-// e.scratch. It owns every data-dependent error, a negative chip count
-// included: a die fails here or nowhere, whatever the capacity. cost,
-// when non-nil, sums what CostChips prices; TTM and CAS pass nil.
-func (e *Evaluator) diePhase(p Perturbation, chips float64, detail *Result, cost *costSums) (dieSums, error) {
-	if chips < 0 {
-		return dieSums{}, fmt.Errorf("core: negative chip count %v", chips)
-	}
-	// Tapeout phase (Eq. 2).
-	var tapeoutHours units.Hours
-	for i := range e.nodes {
-		nd := &e.nodes[i]
-		nut := nd.nutBase * or1(p.NUT)
-		tapeoutHours += units.Hours(nut / 1e6 * nd.tapeoutEffort)
-	}
-	tapeout := units.Weeks(float64(tapeoutHours) / (units.HoursPerWeek * e.team))
-	if detail != nil {
-		detail.DesignTime = e.designTime
-		detail.TapeoutHours = tapeoutHours
-		detail.Tapeout = tapeout
-		detail.Dies = make([]DieResult, 0, len(e.dies))
-		detail.Nodes = make([]NodeFabResult, 0, len(e.nodes))
-	}
-
-	// Per-die geometry, yield and wafer demand (Eqs. 5–7).
-	for i := range e.scratch {
-		e.scratch[i] = 0
-	}
-	var testWeeks, packWeeks float64
-	var tapLatency units.Weeks
-	for i := range e.dies {
-		die := &e.dies[i]
-		if units.Weeks(die.tapLatency*or1(p.TAPLatency)) > tapLatency {
-			tapLatency = units.Weeks(die.tapLatency * or1(p.TAPLatency))
-		}
-
-		ntt := units.Transistors(die.nttBase * or1(p.NTT))
-		area := die.areaOverride
-		if area <= 0 {
-			area = die.density.Area(ntt)
-		}
-		if area < die.minArea {
-			area = die.minArea
-		}
-
-		y := die.yieldOverride
-		if y == 0 {
-			yp := yield.Params{
-				Area:  area,
-				D0:    units.DefectsPerCM2(die.d0Base * or1(p.D0)),
-				Alpha: e.alpha,
-				Model: e.yieldModel,
-			}
-			if die.salvage != nil {
-				var err error
-				y, err = yield.SalvageYield(yp, *die.salvage)
-				if err != nil {
-					return dieSums{}, fmt.Errorf("core: die %q: %w", die.name, err)
-				}
-			} else {
-				y = yield.Yield(yp)
-			}
-		}
-
-		var gross float64
-		if e.noEdge {
-			gross = float64(die.wafer.NaiveDies(area))
-		} else {
-			gross = die.wafer.GrossDiesFrac(area)
-		}
-		if gross < 1 {
-			return dieSums{}, fmt.Errorf("core: die %q (%.0f mm² at %s): %w",
-				die.name, float64(area), die.node, geometry.ErrDieTooLarge)
-		}
-
-		wafers := units.Wafers(yield.DiesNeeded(chips*die.countF, y) / gross)
-		e.scratch[die.nodeIdx] += wafers
-		if cost != nil {
-			cost.waferCount += wafers
-			cost.wafers += units.USD(float64(wafers)) * die.waferCost
-			cost.packagedArea += area * units.MM2(die.countF)
-		}
-		if detail != nil {
-			detail.Dies = append(detail.Dies, DieResult{
-				Name:          die.name,
-				Node:          die.node,
-				Area:          area,
-				Yield:         y,
-				GrossPerWafer: gross,
-				Wafers:        wafers,
-			})
-		}
-
-		if y > 0 {
-			testWeeks += chips * die.countF / y * float64(ntt) * die.testingEffort
-		}
-		packWeeks += chips * die.countF * float64(area) * die.packageEffort
-	}
-	return dieSums{
-		head:      e.designTime + tapeout,
-		packaging: tapLatency + units.Weeks(testWeeks) + units.Weeks(packWeeks),
-	}, nil
-}
-
-// fabPhase runs Eqs. 3–5 per node over the wafer demand the die phase
-// left in e.scratch and returns the fabrication time of the slowest
-// node. overrideIdx < 0 means no node-capacity override; otherwise node
-// overrideIdx runs at capacity factor overrideF (a CAS probe).
-func (e *Evaluator) fabPhase(p Perturbation, global float64, overrideIdx int, overrideF float64, detail *Result) units.Weeks {
-	var fabrication units.Weeks
-	first := true
-	for i := range e.nodes {
-		nd := &e.nodes[i]
-		g := global
-		if g == 0 {
-			g = 1
-		}
-		if overrideIdx == i {
-			g *= overrideF
-		} else {
-			g *= nd.factor
-		}
-		if g < 0 {
-			g = 0
-		}
-		rate := nd.waferRate * g * or1(p.Rate)
-		lfab := units.Weeks(nd.fabLatency * or1(p.FabLatency))
-		wafers := e.scratch[i]
-		var queue, production, fabTotal units.Weeks
-		switch {
-		case rate > 0:
-			queue = units.Weeks(nd.queueWafers / rate)            // Eq. 4
-			production = units.Weeks(float64(wafers)/rate) + lfab // Eq. 5
-			fabTotal = queue + production
-		case wafers > 0 || nd.queueWafers > 0:
-			queue = units.Weeks(math.Inf(1))
-			production = units.Weeks(math.Inf(1))
-			fabTotal = units.Weeks(math.Inf(1))
-		default:
-			production = lfab
-			fabTotal = lfab
-		}
-		if detail != nil {
-			detail.Nodes = append(detail.Nodes, NodeFabResult{
-				Node:       nd.node,
-				Wafers:     wafers,
-				Queue:      queue,
-				Production: production,
-				FabTotal:   fabTotal,
-			})
-		}
-		if first || fabTotal > fabrication {
-			fabrication = fabTotal
-			if detail != nil {
-				detail.CriticalNode = nd.node
-			}
-			first = false
-		}
-	}
-	return fabrication
-}
-
-// cas is Eq. 8 by finite differences of the given relative step on
-// each node's capacity factor f. The effective rate is μ = g·f·μ_full,
-// so dTTM/dμ = ΔTTM / (Δf · g · μ_full); the difference is central
-// where possible and forward at the capacity floor. The probes change
-// one node's factor, which enters only the fab phase, so the die phase
-// runs once and each node's up and down probe runs the fab phase
-// alone: a CAS over K nodes costs one die phase and 2K fab phases.
-// derivs, when non-nil, receives |∂TTM/∂μ_W| per node as Model.CAS
-// reports it; the hot path passes nil.
-func (e *Evaluator) cas(p Perturbation, chips, global, step float64, derivs map[technode.Node]float64) (float64, error) {
-	d, err := e.diePhase(p, chips, nil, nil)
-	if err != nil {
-		return 0, err
-	}
-	g := global
-	if g == 0 {
-		g = 1
-	}
-	sum := 0.0
-	for i := range e.nodes {
-		nd := &e.nodes[i]
-		f0 := nd.factor
-		fUp, fDown := f0+step, f0-step
-		if fDown <= 0 {
-			fDown = f0
-		}
-		up := d.ttm(e.fabPhase(p, global, i, fUp, nil))
-		down := d.ttm(e.fabPhase(p, global, i, fDown, nil))
-		if math.IsInf(float64(up), 0) || math.IsInf(float64(down), 0) {
-			if derivs != nil {
-				derivs[nd.node] = math.Inf(1)
-			}
-			sum = math.Inf(1)
-			continue
-		}
-		der := math.Abs(float64(up-down)) / ((fUp - fDown) * g * nd.waferRate)
-		if derivs != nil {
-			derivs[nd.node] = der
-		}
-		sum += der
-	}
-	if sum <= 0 {
-		// TTM is locally flat in every node's rate (e.g. zero chips):
-		// the design is perfectly agile.
-		return math.Inf(1), nil
-	}
-	if math.IsInf(sum, 1) {
-		// A node out of production: no agility at all.
-		return 0, nil
-	}
-	return 1 / sum, nil
 }

@@ -182,16 +182,18 @@ func BandCurveEval(ctx context.Context, base core.Model, cfg Config, d design.De
 }
 
 // mcWorker is the pooled per-goroutine state of the batch drivers: the
-// six perturbation columns and the sample buffers. Workers are reused
-// across calls through mcWorkerPool, and the batch entry points are safe
-// to call concurrently on one evaluator, so every chunk body evaluates
-// on the caller's evaluator and steady-state chunks allocate nothing.
+// six perturbation columns, the band curve's capacity column and the
+// sample buffers. Workers are reused across calls through mcWorkerPool,
+// and the batch entry points are safe to call concurrently on one
+// evaluator, so every chunk body evaluates on the caller's evaluator
+// and steady-state chunks allocate nothing.
 type mcWorker struct {
-	b     core.Batch
-	wout  []units.Weeks
-	buf10 []float64
-	buf25 []float64
-	errs  core.BatchErrors
+	b      core.Batch
+	global []float64 // the band curve's Global column, one x per sample
+	wout   []units.Weeks
+	buf10  []float64
+	buf25  []float64
+	errs   core.BatchErrors
 }
 
 var mcWorkerPool sync.Pool
@@ -214,6 +216,8 @@ func getMCWorker(n int) *mcWorker {
 	w.b.Rate = growFloats(w.b.Rate, n)
 	w.b.FabLatency = growFloats(w.b.FabLatency, n)
 	w.b.TAPLatency = growFloats(w.b.TAPLatency, n)
+	w.b.Global = nil
+	w.global = growFloats(w.global, n)
 	if cap(w.wout) < n {
 		w.wout = make([]units.Weeks, n)
 	}
@@ -243,10 +247,10 @@ var bandCallPool sync.Pool
 // BandCurveBatch is the batched core of BandCurveEval: it walks the
 // x-positions of an already-compiled evaluator and writes one Band per
 // x-position into out (len(out) must equal len(xs)). Each position's
-// ±10% and ±25% streams are drawn column-major into pooled batches and
-// evaluated through EvalBatchAtCapacity/CASBatchAtCapacity; all worker
-// state comes from package pools, so steady-state calls allocate
-// nothing.
+// ±10% and ±25% streams are drawn column-major into pooled batches,
+// with the position's capacity as their Global column, and evaluated
+// through EvalBatch/CASBatch; all worker state comes from package
+// pools, so steady-state calls allocate nothing.
 func BandCurveBatch(ctx context.Context, ev *core.Evaluator, cfg Config, xs []float64, metric Metric, out []Band, onEval func(n uint64)) error {
 	return BandCurveBatchAt(ctx, ev, cfg, xs, 0, metric, out, onEval)
 }
@@ -278,8 +282,12 @@ func (c *bandCall) run(lo, hi int) error {
 	n := c.cfg.samples()
 	w := getMCWorker(n)
 	defer mcWorkerPool.Put(w)
+	w.b.Global = w.global
 	for i := lo; i < hi; i++ {
 		x := c.xs[i]
+		for j := range w.global {
+			w.global[j] = x
+		}
 		seed := c.cfg.seedAt(c.pos0 + i)
 		fillPerturbationColumns(&w.b, n, seed, 0, 0.10)
 		if err := w.stream(c.ev, c.metric, x, w.buf10, c.onEval); err != nil {
@@ -303,18 +311,19 @@ func (c *bandCall) run(lo, hi int) error {
 	return nil
 }
 
-// stream evaluates the batch currently in w.b on ev at capacity x and
-// writes the metric into buf. The first per-sample error (lowest index,
-// the one a serial per-sample loop would have hit first) is returned
-// wrapped with its position and sample index.
+// stream evaluates the batch currently in w.b (at capacity x, its
+// Global column) on ev and writes the metric into buf. The first
+// per-sample error (lowest index, the one a serial per-sample loop
+// would have hit first) is returned wrapped with its position and
+// sample index.
 func (w *mcWorker) stream(ev *core.Evaluator, metric Metric, x float64, buf []float64, onEval func(n uint64)) error {
 	switch metric {
 	case MetricCAS:
-		if err := ev.CASBatchAtCapacity(&w.b, x, buf, &w.errs); err != nil {
+		if err := ev.CASBatch(&w.b, buf, &w.errs); err != nil {
 			return err
 		}
 	default:
-		if err := ev.EvalBatchAtCapacity(&w.b, x, w.wout, &w.errs); err != nil {
+		if err := ev.EvalBatch(&w.b, w.wout, &w.errs); err != nil {
 			return err
 		}
 		for j, t := range w.wout {

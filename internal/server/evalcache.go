@@ -15,7 +15,7 @@ const modelVariant = "default"
 
 // compiledEval is one cached compile result: the base evaluator plus a
 // pool of per-worker clones. An Evaluator is not safe for concurrent
-// use (it carries per-node scratch and the conditions bound to it), so
+// use (it carries a one-sample batch and the conditions bound to it), so
 // each request borrows a clone, binds its own market conditions onto
 // it and returns it — steady-state requests touch no compile work and
 // no fresh scratch allocations.

@@ -11,6 +11,7 @@ import (
 
 	"ttmcas"
 	"ttmcas/internal/cluster"
+	"ttmcas/internal/core"
 	"ttmcas/internal/cost"
 )
 
@@ -467,21 +468,29 @@ func (s *Server) evalCAS(req *EvalRequest, ev *ttmcas.Evaluator, d ttmcas.Design
 			return nil, badRequestf("curve[%d] = %v outside (0, 1]", i, f)
 		}
 	}
-	// The curve rides the same cached evaluator: each point is one
-	// TTM pass plus the CAS stencil, all on the compiled kernel.
-	for _, f := range req.Curve {
-		ttm, err := ev.EvalChipsAtCapacity(ttmcas.Perturbation{}, req.N, f)
-		if err != nil {
-			return nil, unprocessablef("%v", err)
-		}
-		cas, err := ev.CASChipsAtCapacity(ttmcas.Perturbation{}, req.N, f)
-		if err != nil {
-			return nil, unprocessablef("%v", err)
-		}
-		fw := finiteWeeks(ttm)
-		out.Curve = append(out.Curve, CASPointResponse{
-			Capacity: f, CAS: cas, TTMWeeks: fw, Stalled: fw == nil,
-		})
+	// The curve rides the same cached evaluator as one TTM and one CAS
+	// batch, the capacities as their Global column, every point at
+	// req.N chips.
+	k := len(req.Curve)
+	b := core.Batch{Global: req.Curve, Chips: make([]float64, k)}
+	for i := range b.Chips {
+		b.Chips[i] = req.N
+	}
+	ttm, cas := make([]ttmcas.Weeks, k), make([]float64, k)
+	var errs core.BatchErrors
+	if err := ev.EvalBatch(&b, ttm, &errs); err != nil {
+		return nil, err
+	}
+	if _, err := errs.First(); err != nil {
+		return nil, unprocessablef("%v", err)
+	}
+	if err := ev.CASBatch(&b, cas, &errs); err != nil {
+		return nil, err
+	}
+	out.Curve = make([]CASPointResponse, k)
+	for i, f := range req.Curve {
+		fw := finiteWeeks(ttm[i])
+		out.Curve[i] = CASPointResponse{Capacity: f, CAS: cas[i], TTMWeeks: fw, Stalled: fw == nil}
 	}
 	return out, nil
 }

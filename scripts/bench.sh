@@ -45,6 +45,8 @@
 #   - the batched band curve (BandCurveBatch) or the batch CAS kernel
 #     (EvaluatorCASBatch) below half the rate of its row in the
 #     BENCH_jobs.json committed at HEAD, or that row missing
+#   - a per-call evaluation (EvaluatorEval) or CAS (EvaluatorCAS) above
+#     twice the ns/op of its committed row, or that row missing
 #   - the batched band curve allocating on its steady-state path
 #   - the distjobs or netsplit run failing its ttmcas-loadgen -check
 #     contract (the loadgen names the failed clause on stderr)
@@ -154,6 +156,27 @@ rate_guard() {
 }
 rate_guard BandCurveBatch
 rate_guard EvaluatorCASBatch
+
+# Per-call ceiling guards: the per-call methods run the batch kernel on
+# a one-sample batch, so their ns/op must stay at most twice their row
+# in the BENCH_jobs.json committed at HEAD. A missing row fails the
+# guard, as for the rate guards.
+ns_guard() {
+    ns="$(best_field "$1" "$tmpbest" 2)"
+    base="$(baseline_of BENCH_jobs.json |
+        sed -n "s/.*\"name\": \"$1\", \"ns_per_op\": \([0-9.eE+-]*\),.*/\1/p")"
+    if [ -z "$ns" ] || [ -z "$base" ]; then
+        echo "WARNING: $1 has no measured ns/op or no committed BENCH_jobs.json row" >&2
+        guard_status=1
+    elif awk -v n="$ns" -v b="$base" 'BEGIN { exit !(n > 2 * b) }'; then
+        echo "WARNING: $1 (${ns} ns/op) above twice its committed ns/op (${base})" >&2
+        guard_status=1
+    else
+        echo "ok: $1 ${ns} ns/op <= twice its committed ns/op (${base})"
+    fi
+}
+ns_guard EvaluatorEval
+ns_guard EvaluatorCAS
 
 # The band-curve walk must stay allocation-free in steady state. The
 # check runs it on one CPU: with more, sweep.ForChunks starts its
