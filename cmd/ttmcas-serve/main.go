@@ -1,8 +1,8 @@
 // Command ttmcas-serve runs the supply-chain model as an always-on
 // HTTP evaluation service: a JSON REST API over the public ttmcas
-// package with a keyed LRU response cache, single-flight deduplication
-// of concurrent identical evaluations, a bounded worker pool for the
-// expensive analyses, and health/metrics endpoints.
+// package with a keyed, byte-budgeted response cache, single-flight
+// deduplication of concurrent identical evaluations, a bounded worker
+// pool for the expensive analyses, and health/metrics endpoints.
 //
 // Usage:
 //
@@ -159,7 +159,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("ttmcas-serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	cacheBytes := fs.Int64("cache-bytes", 64<<20, "response-cache byte budget across shards (negative disables caching)")
+	cacheBytes := fs.Int64("cache-bytes", 64<<20, "response-cache byte budget across shards, charged per entry as its 16-byte record header, key and body; the oldest entry not hit since written is evicted first (negative disables caching)")
 	cacheShards := fs.Int("cache-shards", 16, "response-cache shard count, rounded up to a power of two")
 	evalCache := fs.Int("eval-cache", 256, "compiled-evaluator cache capacity in entries, one per design identity (negative disables)")
 	accessLog := fs.Bool("access-log", true, "log one line per request (disable for peak throughput)")

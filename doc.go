@@ -40,9 +40,9 @@
 // package — POST /v1/ttm, /v1/cas, /v1/cost, /v1/sensitivity,
 // /v1/plan, /v1/scenarios (timeline evaluation) and GET /v1/nodes,
 // /v1/scenarios, /v1/designs, /v1/episodes — with a
-// keyed LRU response cache, single-flight deduplication of concurrent
-// identical evaluations, a bounded worker pool for the expensive
-// analyses, per-request timeouts, graceful shutdown, and
+// keyed, byte-budgeted response cache, single-flight deduplication of
+// concurrent identical evaluations, a bounded worker pool for the
+// expensive analyses, per-request timeouts, graceful shutdown, and
 // /healthz + /metrics endpoints. Built-in designs are addressable by
 // name through DesignByName, the same registry the CLI's -design flag
 // uses.
@@ -166,10 +166,12 @@
 // per-sample reference on core.Model.
 //
 // The HTTP service applies the same discipline to its hot path. A
-// sharded, byte-budgeted LRU caches encoded response bodies (a hit
-// costs a map lookup plus pooled, precomputed writes — no encoding,
-// no timer, near-zero allocation), single-flight collapses concurrent
-// identical misses, and a second LRU caches compiled evaluators per
+// sharded, byte-budgeted cache holds encoded response bodies in
+// pointer-free byte rings the collector never scans, evicting
+// second-chance FIFO (a hit costs a map lookup, a key compare and a
+// copy into a pooled buffer — no encoding, no timer, near-zero
+// allocation), single-flight collapses concurrent
+// identical misses, and an LRU caches compiled evaluators per
 // design identity (model variant, design, re-target node), onto which
 // each miss binds its own market conditions, so misses skip
 // re-compilation even under conditions never seen before.

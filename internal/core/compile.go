@@ -44,7 +44,7 @@ import (
 // concurrent use; callers that run them in parallel give each
 // goroutine its own Clone (cheap: the compiled die tables are shared
 // and immutable, only the small node table is copied, and each clone
-// makes its own one-sample batch).
+// holds its own one-sample batch).
 type Evaluator struct {
 	// chips is the compiled final-chip count n.
 	chips float64
@@ -64,10 +64,10 @@ type Evaluator struct {
 	nodes []evalNode
 	dies  []evalDie
 
-	// one is the per-call methods' one-sample batch, made on first
-	// use; with the bound conditions it is the Evaluator's only mutable
-	// state.
-	one *single
+	// one is the per-call methods' one-sample batch, held in the
+	// Evaluator's own allocation; with the bound conditions it is the
+	// Evaluator's only mutable state.
+	one single
 }
 
 // evalNode is one distinct process node of the design with every
@@ -208,7 +208,7 @@ func (m Model) Compile(d design.Design, n float64, c market.Conditions) (*Evalua
 func (e *Evaluator) Clone() *Evaluator {
 	out := *e
 	out.nodes = append([]evalNode(nil), e.nodes...)
-	out.one = nil
+	out.one.wafers = nil
 	return &out
 }
 
@@ -229,59 +229,51 @@ func (e *Evaluator) Bind(c market.Conditions) {
 // Chips returns the compiled final-chip count.
 func (e *Evaluator) Chips() float64 { return e.chips }
 
-// single is the per-call methods' one-sample batch state: the
-// perturbation, a batch scratch sized for one sample, and the output
-// sinks. Its columns are carved from its own arrays, so it costs two
-// allocations, on an Evaluator's first per-call method, and a per-call
-// method none after that.
+// single is the per-call methods' one-sample batch: the perturbation
+// and the columns of a batch scratch sized for one sample, the CAS
+// probe outputs included. It lives in the Evaluator and the scratch's
+// slice headers are built on the stack for each call, so it costs the
+// Evaluator under two hundred bytes and one allocation, the per-node
+// wafer column, made on the first per-call method.
 type single struct {
 	pert   [6]float64  // NTT, NUT, D0, Rate, FabLatency, TAPLatency
 	cols   [12]float64 // the scratch's per-sample columns
 	failed [1]byte
 	up     [1]units.Weeks
 	down   [1]units.Weeks
-	ttm    [1]units.Weeks
-	cas    [1]float64
-	sc     batchScratch
-}
-
-func newSingle(nodes int) *single {
-	o := &single{}
-	c := &o.cols
-	o.sc = batchScratch{
-		chips: c[0:1], global: c[1:2], failed: o.failed[:],
-		tapH: c[2:3], tapLat: c[3:4], testW: c[4:5], packW: c[5:6],
-		head: c[6:7], pack: c[7:8], wafers: make([]float64, nodes), fab: c[8:9],
-		fUp: c[9:10], fDown: c[10:11], up: o.up[:], down: o.down[:], sum: c[11:12],
-	}
-	return o
+	wafers []float64
 }
 
 // die makes sample 0 of the one-sample batch perturbation p at chips
-// final chips and raw global capacity global, points b's columns at
-// it, and runs the die phase on it with the given sinks, returning the
-// sample's failure. A negative chip count fails as in batchSetup.
-func (e *Evaluator) die(b *Batch, p Perturbation, chips, global float64, detail *Result, cost *costSums) (*single, error) {
+// final chips and raw global capacity global, points b's and sc's
+// columns at it, and runs the die phase on it with the given sinks,
+// returning the sample's failure. A negative chip count fails as in
+// batchSetup.
+func (e *Evaluator) die(sc *batchScratch, b *Batch, p Perturbation, chips, global float64, detail *Result, cost *costSums) error {
 	if chips < 0 {
-		return nil, negativeChips(chips)
+		return negativeChips(chips)
 	}
-	o := e.one
-	if o == nil {
-		o = newSingle(len(e.nodes))
-		e.one = o
+	o := &e.one
+	if o.wafers == nil {
+		o.wafers = make([]float64, len(e.nodes))
 	}
+	c := &o.cols
+	sc.chips, sc.global, sc.failed = c[0:1], c[1:2], o.failed[:]
+	sc.tapH, sc.tapLat, sc.testW, sc.packW = c[2:3], c[3:4], c[4:5], c[5:6]
+	sc.head, sc.pack, sc.wafers, sc.fab = c[6:7], c[7:8], o.wafers, c[8:9]
+	sc.fUp, sc.fDown, sc.up, sc.down, sc.sum = c[9:10], c[10:11], o.up[:], o.down[:], c[11:12]
 	q := &o.pert
 	q[0], q[1], q[2], q[3], q[4], q[5] = p.NTT, p.NUT, p.D0, p.Rate, p.FabLatency, p.TAPLatency
 	b.NTT, b.NUT, b.D0 = q[0:1], q[1:2], q[2:3]
 	b.Rate, b.FabLatency, b.TAPLatency = q[3:4], q[4:5], q[5:6]
-	o.sc.failed[0] = 0
-	o.sc.chips[0], o.sc.global[0] = chips, global
+	o.failed[0] = 0
+	c[0], c[1] = chips, global
 	var errs BatchErrors
-	e.dieBatchInto(&o.sc, b, 1, &errs, detail, cost)
+	e.dieBatchInto(sc, b, 1, &errs, detail, cost)
 	if errs.Len() != 0 {
-		return nil, errs.Errs[0]
+		return errs.Errs[0]
 	}
-	return o, nil
+	return nil
 }
 
 // EvalResultChips computes TTM under the perturbation for n final
@@ -314,17 +306,18 @@ func (e *Evaluator) EvalChipsAtCapacity(p Perturbation, n float64, global float6
 // reports; the hot path passes nil and stays allocation-free.
 func (e *Evaluator) evalOne(p Perturbation, chips, global float64, detail *Result) (units.Weeks, error) {
 	var b Batch
-	o, err := e.die(&b, p, chips, global, detail, nil)
-	if err != nil {
+	var sc batchScratch
+	if err := e.die(&sc, &b, p, chips, global, detail, nil); err != nil {
 		return 0, err
 	}
-	e.fabBatchInto(&o.sc, &b, 1, -1, nil, o.ttm[:], detail)
+	var ttm [1]units.Weeks
+	e.fabBatchInto(&sc, &b, 1, -1, nil, ttm[:], detail)
 	if detail != nil {
-		detail.Fabrication = units.Weeks(o.sc.fab[0])
-		detail.Packaging = units.Weeks(o.sc.pack[0])
-		detail.TTM = o.ttm[0]
+		detail.Fabrication = units.Weeks(sc.fab[0])
+		detail.Packaging = units.Weeks(sc.pack[0])
+		detail.TTM = ttm[0]
 	}
-	return o.ttm[0], nil
+	return ttm[0], nil
 }
 
 // CASChipsAtCapacity computes the Chip Agility Score (Eq. 8) under the
@@ -360,12 +353,13 @@ func (e *Evaluator) casResult(p Perturbation, n, step float64) (CASResult, error
 // path passes nil.
 func (e *Evaluator) casOne(p Perturbation, chips, global, step float64, derivs map[technode.Node]float64) (float64, error) {
 	var b Batch
-	o, err := e.die(&b, p, chips, global, nil, nil)
-	if err != nil {
+	var sc batchScratch
+	if err := e.die(&sc, &b, p, chips, global, nil, nil); err != nil {
 		return 0, err
 	}
-	e.casBatchInto(&o.sc, &b, 1, step, o.cas[:], derivs)
-	return o.cas[0], nil
+	var cas [1]float64
+	e.casBatchInto(&sc, &b, 1, step, cas[:], derivs)
+	return cas[0], nil
 }
 
 // costSums is the die phase's cost accumulator, summed in die order.
@@ -381,8 +375,9 @@ type costSums struct {
 // the bound conditions and allocates nothing.
 func (e *Evaluator) CostChips(r CostRates, n float64) (CostBreakdown, error) {
 	var one Batch
+	var sc batchScratch
 	var acc costSums
-	if _, err := e.die(&one, Perturbation{}, n, e.global, nil, &acc); err != nil {
+	if err := e.die(&sc, &one, Perturbation{}, n, e.global, nil, &acc); err != nil {
 		return CostBreakdown{}, err
 	}
 	var b CostBreakdown

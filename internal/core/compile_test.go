@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"ttmcas/internal/core"
@@ -650,5 +651,48 @@ func TestEvaluatorChipsAtCapacityMatchesOracle(t *testing.T) {
 	}
 	if _, err := ev.CASResultChips(core.Perturbation{}, -1); err == nil {
 		t.Error("CASResultChips accepted a negative chip count")
+	}
+}
+
+// TestClonesShareNoScratch runs the per-call methods on clones in
+// parallel (meaningful under -race): each clone owns its one-sample
+// batch, its wafer column included, so every clone answers exactly as
+// the evaluator it was cloned from answered serially.
+func TestClonesShareNoScratch(t *testing.T) {
+	perts := perturbations(5, 16)
+	for _, d := range registeredDesigns() {
+		ev, err := core.Model{}.Compile(d, 1e6, market.Full().WithQueueAll(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ttm := make([]units.Weeks, len(perts))
+		cas := make([]float64, len(perts))
+		for i, p := range perts {
+			if ttm[i], err = ev.EvalChipsAtCapacity(p, 1e6, 0.8); err != nil {
+				t.Fatal(err)
+			}
+			if cas[i], err = ev.CASChipsAtCapacity(p, 1e6, 0.8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			cl := ev.Clone()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for rep := 0; rep < 20; rep++ {
+					for i, p := range perts {
+						got, err := cl.EvalChipsAtCapacity(p, 1e6, 0.8)
+						gotCAS, errCAS := cl.CASChipsAtCapacity(p, 1e6, 0.8)
+						if err != nil || errCAS != nil || got != ttm[i] || gotCAS != cas[i] {
+							t.Errorf("%s sample %d: clone %v, %v (%v, %v); serial %v, %v", d.Name, i, got, gotCAS, err, errCAS, ttm[i], cas[i])
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

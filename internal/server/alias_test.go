@@ -159,7 +159,8 @@ func TestAliasByteIdentity(t *testing.T) {
 // TestAliasAfterCanonicalEviction: an alias whose canonical entry was
 // evicted falls through to the decode path and the request recomputes;
 // the recomputed entry revives the alias. The alias is charged its
-// raw and canonical key bytes against the cache budget.
+// record header and its raw and canonical key bytes against the cache
+// budget.
 func TestAliasAfterCanonicalEviction(t *testing.T) {
 	const budget = 8 << 10
 	s := testServer(t, Config{CacheBytes: budget, CacheShards: 1})
@@ -173,30 +174,36 @@ func TestAliasAfterCanonicalEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alias := int64(len(route + "#" + body + canonical))
+	alias := charge(route+"#"+body, len(canonical))
 
 	first := doRec(t, s, "POST", "/v1/ttm", body)
 	doRec(t, s, "POST", "/v1/ttm", body) // records the alias
-	if st := s.cache.Stats(); st.Entries != 2 || st.Bytes != int64(first.Body.Len())+alias {
-		t.Fatalf("cache holds %d entries, %d bytes; want 2, %d", st.Entries, st.Bytes, int64(first.Body.Len())+alias)
+	entry := charge(canonical, first.Body.Len())
+	if st := s.cache.Stats(); st.Entries != 2 || st.Bytes != entry+alias {
+		t.Fatalf("cache holds %d entries, %d bytes; want 2, %d", st.Entries, st.Bytes, entry+alias)
 	}
-	// The canonical entry is now the least recently used: a filler that
-	// leaves room for the alias alone evicts exactly it.
-	s.cache.Put("filler", make([]byte, budget-alias))
-	if _, _, ok := s.cache.Get([]byte(canonical)); ok {
+	// The third post is served through the alias, so both entries have
+	// been hit: a filler that leaves room for the alias alone gives
+	// each its second chance, then evicts the older, the canonical
+	// entry.
+	if w := doRec(t, s, "POST", "/v1/ttm", body); w.Header().Get("X-Cache") != "HIT" || m.AliasHits() != 1 {
+		t.Fatalf("third post: X-Cache %q, alias hits %d; want HIT, 1", w.Header().Get("X-Cache"), m.AliasHits())
+	}
+	s.cache.Put("filler", make([]byte, budget-alias-charge("filler", 0)))
+	if _, ok := get(s.cache, canonical); ok {
 		t.Fatal("canonical entry survived the filler")
 	}
 
 	w := doRec(t, s, "POST", "/v1/ttm", body)
 	sameResponse(t, "after eviction", first, w)
-	if w.Header().Get("X-Cache") != "MISS" || m.Evaluations() != 2 || m.AliasHits() != 0 {
-		t.Fatalf("after eviction: X-Cache %q, evaluations %d, alias hits %d; want MISS, 2, 0",
+	if w.Header().Get("X-Cache") != "MISS" || m.Evaluations() != 2 || m.AliasHits() != 1 {
+		t.Fatalf("after eviction: X-Cache %q, evaluations %d, alias hits %d; want MISS, 2, 1",
 			w.Header().Get("X-Cache"), m.Evaluations(), m.AliasHits())
 	}
 	w = doRec(t, s, "POST", "/v1/ttm", body)
 	sameResponse(t, "revived alias", first, w)
-	if w.Header().Get("X-Cache") != "HIT" || m.AliasHits() != 1 {
-		t.Fatalf("revived alias: X-Cache %q, alias hits %d; want HIT, 1", w.Header().Get("X-Cache"), m.AliasHits())
+	if w.Header().Get("X-Cache") != "HIT" || m.AliasHits() != 2 {
+		t.Fatalf("revived alias: X-Cache %q, alias hits %d; want HIT, 2", w.Header().Get("X-Cache"), m.AliasHits())
 	}
 }
 

@@ -165,7 +165,7 @@ func (m *Metrics) route(pattern string) *routeStats {
 	return m.routes[i]
 }
 
-// CacheHit records a response served from the LRU cache.
+// CacheHit records a response served from the response cache.
 func (m *Metrics) CacheHit() { m.cacheHits.Add(1) }
 
 // AliasHit records a cache hit served through a raw-body alias, without
@@ -344,7 +344,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	scalars := []scalar{
 		{"ttmcas_jobs_running", "Batch jobs currently running.", "gauge", running},
 		{"ttmcas_job_evaluations_total", "Evaluation units completed by finished batch jobs.", "counter", m.jobEvaluations.Load()},
-		{"ttmcas_cache_hits_total", "Responses served from the LRU cache.", "counter", m.cacheHits.Load()},
+		{"ttmcas_cache_hits_total", "Responses served from the response cache.", "counter", m.cacheHits.Load()},
 		{"ttmcas_cache_alias_hits_total", "Cache hits served through a raw-body alias, without decoding the request (a subset of ttmcas_cache_hits_total).", "counter", m.aliasHits.Load()},
 		{"ttmcas_cache_misses_total", "Cache lookups that found nothing.", "counter", m.cacheMisses.Load()},
 		{"ttmcas_singleflight_shared_total", "Requests that shared an identical in-flight computation.", "counter", m.flightShared.Load()},
@@ -358,10 +358,11 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		cs := m.cacheStats()
 		scalars = append(scalars,
 			scalar{"ttmcas_response_cache_entries", "Entries held by the sharded response cache.", "gauge", cs.Entries},
-			scalar{"ttmcas_response_cache_bytes", "Body bytes held by the sharded response cache.", "gauge", cs.Bytes},
-			scalar{"ttmcas_response_cache_budget_bytes", "Byte budget of the sharded response cache.", "gauge", cs.BudgetBytes},
+			scalar{"ttmcas_response_cache_bytes", "Bytes of the live records (header, key and body) held by the sharded response cache.", "gauge", cs.Bytes},
+			scalar{"ttmcas_response_cache_budget_bytes", "Byte budget of the sharded response cache, charged per record: header, key and body.", "gauge", cs.BudgetBytes},
 			scalar{"ttmcas_response_cache_shards", "Shard count of the response cache.", "gauge", cs.Shards},
 			scalar{"ttmcas_response_cache_evictions_total", "Entries evicted from the response cache to respect the byte budget.", "counter", cs.Evictions},
+			scalar{"ttmcas_cache_reprieves_total", "Oldest response-cache entries kept because they were hit since written: moved to the newest end once instead of evicted.", "counter", cs.Reprieves},
 		)
 	}
 	if m.evalStats != nil {

@@ -131,7 +131,7 @@ func recordGoldenScript(m *Metrics) {
 	fwd.Record(900 * time.Microsecond)
 	m.jobCounts = func() (int, int) { return 3, 2 }
 	m.cacheStats = func() cacheStats {
-		return cacheStats{Entries: 7, Bytes: 2048, BudgetBytes: 1 << 20, Shards: 16, Evictions: 5}
+		return cacheStats{Entries: 7, Bytes: 2048, BudgetBytes: 1 << 20, Shards: 16, Evictions: 5, Reprieves: 3}
 	}
 	m.evalStats = func() evalStats { return evalStats{Entries: 2, Hits: 9, Misses: 2} }
 	m.limiterStats = func() []resilience.LimiterStats {
@@ -202,6 +202,30 @@ func TestMetricsRecordingAllocs(t *testing.T) {
 	} {
 		if a := testing.AllocsPerRun(1000, f); a != 0 {
 			t.Errorf("%s allocates %v times per call, want 0", name, a)
+		}
+	}
+}
+
+// TestMetricsCacheReprieves: a response-cache entry hit since it was
+// written survives its first turn at the tail, and /metrics counts the
+// reprieve beside the evictions.
+func TestMetricsCacheReprieves(t *testing.T) {
+	const budget = 8 << 10
+	s := testServer(t, Config{CacheBytes: budget, CacheShards: 1})
+	const body = `{"design":"a11","node":"28nm","n":1e6}`
+	doRec(t, s, "POST", "/v1/ttm", body)
+	doRec(t, s, "POST", "/v1/ttm", body) // hits the entry and records its alias
+	// A filler as large as the budget retires everything: the hit entry
+	// is reprieved once, the alias is evicted, then the entry is.
+	s.cache.Put("filler", make([]byte, budget-charge("filler", 0)))
+	out := doRec(t, s, "GET", "/metrics", "").Body.String()
+	for _, want := range []string{
+		"ttmcas_cache_reprieves_total 1\n",
+		"ttmcas_response_cache_evictions_total 2\n",
+		"ttmcas_response_cache_entries 1\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q", want)
 		}
 	}
 }

@@ -28,9 +28,12 @@ import (
 type Config struct {
 	// Addr is the listen address for ListenAndServe (default ":8080").
 	Addr string
-	// CacheBytes budgets the sharded response cache by total cached
-	// bytes — response bodies plus the keys of raw-body aliases
-	// (default 64 MiB); negative disables caching, aliases included.
+	// CacheBytes budgets the sharded response cache by the bytes it
+	// holds: each entry, raw-body aliases included, is charged its
+	// 16-byte record header, key and body (default 64 MiB). When a
+	// shard is full the oldest entry is evicted unless it was hit since
+	// it was written (second-chance FIFO). Negative disables caching,
+	// aliases included.
 	CacheBytes int64
 	// CacheShards is the response-cache shard count, rounded up to a
 	// power of two (default 16). More shards means less lock
@@ -203,7 +206,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the HTTP evaluation service: JSON handlers over the public
-// ttmcas API, a keyed LRU response cache with single-flight
+// ttmcas API, a keyed, byte-budgeted response cache with single-flight
 // deduplication, per-class adaptive admission control for the compute
 // paths, and a metrics registry exposed at /metrics.
 type Server struct {
@@ -527,10 +530,12 @@ func encodeJSON(v any) (body []byte, release func(), err error) {
 }
 
 // bodyBuffer holds one request body read whole, after an optional
-// alias-key prefix (see readBody).
+// alias-key prefix (see readBody), and out, the buffer a cache hit
+// copies its body into.
 type bodyBuffer struct {
 	buf    bytes.Buffer
 	prefix int
+	out    []byte
 }
 
 // maxPooledBody is the largest buffer returned to bodyPool, so one
@@ -573,7 +578,7 @@ func (bb *bodyBuffer) keyed() []byte { return bb.buf.Bytes() }
 func (bb *bodyBuffer) body() []byte { return bb.buf.Bytes()[bb.prefix:] }
 
 func (bb *bodyBuffer) release() {
-	if bb.buf.Cap() <= maxPooledBody {
+	if bb.buf.Cap() <= maxPooledBody && cap(bb.out) <= maxPooledBody {
 		bodyPool.Put(bb)
 	}
 }
@@ -626,7 +631,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 	// No explicit Content-Length here: net/http computes it for
 	// buffered responses, and the cached paths — where the header is
-	// guaranteed — precompute it at insert (writeBody / cache hits).
+	// guaranteed — take it from the interned table (writeBody /
+	// writeHit).
 	w.Header()["Content-Type"] = headerJSON
 	w.WriteHeader(status)
 	w.Write(body)
@@ -644,22 +650,22 @@ var (
 )
 
 // writeBody writes a complete, newline-terminated JSON body verbatim
-// with a precomputed Content-Length.
+// with its interned Content-Length.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()
 	h["Content-Type"] = headerJSON
-	h["Content-Length"] = []string{strconv.Itoa(len(body))}
+	h["Content-Length"] = contentLength(len(body))
 	w.WriteHeader(status)
 	w.Write(body)
 }
 
-// writeHit serves a cached body verbatim with its precomputed
+// writeHit serves a cached body verbatim with its interned
 // Content-Length.
-func writeHit(w http.ResponseWriter, cl []string, body []byte) {
+func writeHit(w http.ResponseWriter, body []byte) {
 	h := w.Header()
 	h["X-Cache"] = headerHit
 	h["Content-Type"] = headerJSON
-	h["Content-Length"] = cl
+	h["Content-Length"] = contentLength(len(body))
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
 }
@@ -714,18 +720,19 @@ func (s *Server) computeBody(ctx context.Context, key, path string, compute func
 	if err != nil {
 		return nil, err
 	}
-	// The pooled buffer cannot outlive this call (the body is cached
-	// and shared across piggybacked requests), so copy it into an owned
-	// slice — still one precisely-sized allocation instead of Marshal's
-	// grow-and-copy churn.
+	// The cache copies the body into its arena, but the pooled buffer
+	// cannot outlive this call (the body is shared across piggybacked
+	// requests), so copy it into an owned slice too — still one
+	// precisely-sized allocation instead of Marshal's grow-and-copy
+	// churn.
 	pooled, release, err := encodeJSON(v)
 	if err != nil {
 		return nil, encodeResponseError(err)
 	}
+	s.cache.Put(key, pooled)
 	b := make([]byte, len(pooled))
 	copy(b, pooled)
 	release()
-	s.cache.Put(key, b)
 	return b, nil
 }
 
@@ -757,10 +764,12 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route str
 		return
 	}
 	defer bb.release()
-	if body, cl, ok := s.cache.GetAlias(bb.keyed()); ok {
+	out, ok := s.cache.GetAlias(bb.out[:0], bb.keyed())
+	bb.out = out
+	if ok {
 		s.metrics.CacheHit()
 		s.metrics.AliasHit()
-		writeHit(w, cl, body)
+		writeHit(w, out)
 		return
 	}
 	req, compute, err := decode(bb.body())
@@ -782,11 +791,13 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route str
 		return
 	}
 
-	if body, cl, ok := s.cache.Get(eb.buf.Bytes()); ok {
-		s.cache.PutAlias(string(bb.keyed()), eb.buf.String())
+	out, ok = s.cache.Get(bb.out[:0], eb.buf.Bytes())
+	bb.out = out
+	if ok {
+		s.cache.PutAlias(bb.keyed(), eb.buf.Bytes())
 		encPool.Put(eb)
 		s.metrics.CacheHit()
-		writeHit(w, cl, body)
+		writeHit(w, out)
 		return
 	}
 	key := eb.buf.String()

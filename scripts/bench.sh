@@ -2,7 +2,8 @@
 # Runs the throughput benchmarks behind the evaluation stack — the
 # compiled core kernel, the Monte-Carlo band curve (batch walk and
 # compiled end to end), Sobol sensitivity, and the server's /v1/ttm
-# response-cache hit path — and records them as JSON: ns/op, allocs/op,
+# response-cache hit path and what-if miss path (new market conditions
+# on every request) — and records them as JSON: ns/op, allocs/op,
 # and the model-evaluations-per-second metric the benchmarks report, so
 # speedups (and allocation regressions) can be tracked across commits.
 #
@@ -47,6 +48,9 @@
 #     BENCH_jobs.json committed at HEAD, or that row missing
 #   - a per-call evaluation (EvaluatorEval) or CAS (EvaluatorCAS) above
 #     twice the ns/op of its committed row, or that row missing
+#   - the server's cached hit (ServerTTMCachedHit) or what-if miss
+#     (ServerWhatIfMiss) above twice the ns/op or above the allocs/op
+#     of its committed row, or that row missing
 #   - the batched band curve allocating on its steady-state path
 #   - the distjobs or netsplit run failing its ttmcas-loadgen -check
 #     contract (the loadgen names the failed clause on stderr)
@@ -116,7 +120,7 @@ emit_json() {
 : > "$tmp"
 rep=0
 while [ "$rep" -lt "${BENCHCOUNT:-3}" ]; do
-    go test -run '^$' -bench '^Benchmark(BandCurve|Sobol|ModelEvaluate|Evaluator|ServerTTMCachedHit)' -benchmem \
+    go test -run '^$' -bench '^Benchmark(BandCurve|Sobol|ModelEvaluate|Evaluator|ServerTTMCachedHit|ServerWhatIfMiss)' -benchmem \
         -benchtime "${BENCHTIME:-2s}" \
         ./internal/core ./internal/mc ./internal/sens ./internal/server | tee -a "$tmp"
     rep=$((rep + 1))
@@ -177,6 +181,29 @@ ns_guard() {
 }
 ns_guard EvaluatorEval
 ns_guard EvaluatorCAS
+
+# Serving ceilings: the response cache's hit path and the what-if miss
+# path through the whole in-process stack must stay at most twice the
+# ns/op and at most the allocs/op of their rows committed at HEAD; a
+# missing row fails the guard.
+allocs_guard() {
+    allocs="$(best_field "$1" "$tmpbest" 3)"
+    base="$(baseline_of BENCH_jobs.json |
+        sed -n "s/.*\"name\": \"$1\",.*\"allocs_per_op\": \([0-9.eE+-]*\),.*/\1/p")"
+    if [ -z "$allocs" ] || [ "$allocs" = "null" ] || [ -z "$base" ]; then
+        echo "WARNING: $1 has no measured allocs/op or no committed BENCH_jobs.json row" >&2
+        guard_status=1
+    elif awk -v a="$allocs" -v b="$base" 'BEGIN { exit !(a > b) }'; then
+        echo "WARNING: $1 (${allocs} allocs/op) above its committed allocs/op (${base})" >&2
+        guard_status=1
+    else
+        echo "ok: $1 ${allocs} allocs/op <= its committed allocs/op (${base})"
+    fi
+}
+for b in ServerTTMCachedHit ServerWhatIfMiss; do
+    ns_guard "$b"
+    allocs_guard "$b"
+done
 
 # The band-curve walk must stay allocation-free in steady state. The
 # check runs it on one CPU: with more, sweep.ForChunks starts its

@@ -22,11 +22,12 @@ go test -race ./...
 (cd bench && go vet ./... && go test ./...)
 
 # Bench smoke: one iteration of each throughput benchmark — including
-# the compiled core kernel's and the server's cached-hit path — so a
+# the compiled core kernel's and the server's cached-hit and what-if
+# miss paths — so a
 # broken benchmark fails CI without CI paying for real measurement
 # runs.
 go test -run '^$' -bench . -benchtime 1x ./internal/core ./internal/mc ./internal/sens ./internal/sweep ./internal/timeline
-go test -run '^$' -bench '^BenchmarkServerTTMCachedHit$' -benchtime 1x ./internal/server
+go test -run '^$' -bench '^BenchmarkServer(TTMCachedHit|WhatIfMiss)$' -benchtime 1x ./internal/server
 
 # The loadgen smokes: each scenario once, briefly, under -check, which
 # fails the run unless the scenario's contract holds. The contracts are
