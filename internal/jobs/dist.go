@@ -3,14 +3,8 @@ package jobs
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
-
-	"ttmcas/internal/core"
-	"ttmcas/internal/mc"
-	"ttmcas/internal/sens"
-	"ttmcas/internal/timeline"
 )
 
 // Distributor is the cluster seam for sharded job execution: the
@@ -57,22 +51,26 @@ func planShards(s Spec, job string, targets, minEvals int) []ShardRequest {
 // to shard; otherwise it is the plain single-node run. The runHook
 // test seam always runs locally — it replaces the runner itself.
 func (m *Manager) runSpec(ctx context.Context, j *Job) (any, error) {
-	if plan := j.shardPlan(); plan != nil && runHook == nil {
-		// A restored checkpoint: resume the persisted scatter plan —
-		// NOT a freshly computed one, whose shard boundaries could
-		// differ and misalign the completed results. With no (or a
-		// dead) distributor the missing shards simply run locally.
+	if runHook == nil {
 		d := m.cfg.Distributor
 		var targets []string
 		if d != nil {
 			targets = d.Targets()
 		}
-		return m.runDistributed(ctx, j, d, targets, plan)
-	}
-	if d := m.cfg.Distributor; d != nil && runHook == nil {
-		targets := d.Targets()
-		if reqs := planShards(j.spec, j.id, len(targets), m.cfg.DistMinEvaluations); reqs != nil {
-			return m.runDistributed(ctx, j, d, targets, reqs)
+		// A restored checkpoint resumes the persisted scatter plan —
+		// NOT a freshly computed one, whose shard boundaries could
+		// differ and misalign the completed results. With no (or a
+		// dead) distributor the missing shards simply run locally.
+		reqs := j.shardPlan()
+		if reqs == nil && d != nil {
+			reqs = planShards(j.spec, j.id, len(targets), m.cfg.DistMinEvaluations)
+		}
+		if reqs != nil {
+			p, err := j.spec.prepare()
+			if err != nil {
+				return nil, err
+			}
+			return m.runDistributed(ctx, j, &p, d, targets, reqs)
 		}
 	}
 	return j.spec.run(ctx, Tracker{j})
@@ -87,13 +85,11 @@ func (m *Manager) runSpec(ctx context.Context, j *Job) (any, error) {
 // single-node run could. Transport failures hedge to the next-alive
 // peer and finally fall back to local compute, so a dead ring
 // degrades throughput, never correctness. A deterministic compute
-// error is surfaced from the lowest-index erroring shard, which — the
-// shard runners report their internally-first error — is exactly the
-// error the serial run would have returned.
-func (m *Manager) runDistributed(ctx context.Context, j *Job, d Distributor, targets []string, reqs []ShardRequest) (any, error) {
-	s := reqs[0].Spec
-	space := s.shardSpace()
-	Tracker{j}.SetTotal(s.shardUnits(0, space))
+// error is surfaced from the lowest-index erroring shard, which — each
+// shard reports its internally-first error — is exactly the error the
+// one-shard plan returns.
+func (m *Manager) runDistributed(ctx context.Context, j *Job, p *prepared, d Distributor, targets []string, reqs []ShardRequest) (any, error) {
+	Tracker{j}.SetTotal(p.spec.shardUnits(0, p.space))
 	// Record the in-flight coordinator and its scatter plan: if the
 	// process dies mid-gather the restarted manager resumes this plan,
 	// re-running only the shards whose results were not checkpointed.
@@ -102,33 +98,31 @@ func (m *Manager) runDistributed(ctx context.Context, j *Job, d Distributor, tar
 
 	results := make([]ShardResult, len(reqs))
 	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
-	for i := 1; i < len(reqs); i++ {
+	runOne := func(i int) {
 		if res, ok := j.shardDone(i); ok {
 			results[i] = res
 			Tracker{j}.Add(res.Evals)
-			continue
+			return
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = m.dispatchShard(ctx, j, d, targets, reqs[i])
-			if errs[i] == nil && results[i].Err == "" {
-				j.noteShard(results[i])
-				m.persist(j)
-			}
-		}(i)
-	}
-	if res, ok := j.shardDone(0); ok {
-		results[0] = res
-		Tracker{j}.Add(res.Evals)
-	} else {
-		results[0], errs[0] = RunShard(ctx, m.cfg.Limits, reqs[0], Tracker{j}.Add)
-		if errs[0] == nil && results[0].Err == "" {
-			j.noteShard(results[0])
+		if r := reqs[i]; i == 0 {
+			results[i], errs[i] = p.runShard(ctx, r.Index, r.Lo, r.Hi, Tracker{j}.Add)
+		} else {
+			results[i], errs[i] = m.dispatchShard(ctx, j, p, d, targets, r)
+		}
+		if errs[i] == nil && results[i].Err == "" {
+			j.noteShard(results[i])
 			m.persist(j)
 		}
 	}
+	var wg sync.WaitGroup
+	for i := 1; i < len(reqs); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			runOne(i)
+		}(i)
+	}
+	runOne(0)
 	wg.Wait()
 
 	if err := ctx.Err(); err != nil {
@@ -146,15 +140,15 @@ func (m *Manager) runDistributed(ctx context.Context, j *Job, d Distributor, tar
 			return nil, errors.New(results[i].Err)
 		}
 	}
-	return mergeShards(ctx, s, results)
+	return p.merge(ctx, results)
 }
 
 // dispatchShard runs one remote shard to completion: up to two peer
 // attempts under per-attempt deadlines (the straggler hedge), then
 // local fallback. Progress lands on the job tracker when the shard's
 // evaluations are in hand (streamed for the local fallback).
-func (m *Manager) dispatchShard(ctx context.Context, j *Job, d Distributor, targets []string, req ShardRequest) (ShardResult, error) {
-	kind := req.Spec.Kind
+func (m *Manager) dispatchShard(ctx context.Context, j *Job, p *prepared, d Distributor, targets []string, req ShardRequest) (ShardResult, error) {
+	kind := p.spec.Kind
 	obs := m.cfg.Observer
 	attempts := len(targets)
 	if attempts > 2 {
@@ -194,83 +188,5 @@ func (m *Manager) dispatchShard(ctx context.Context, j *Job, d Distributor, targ
 	if obs != nil {
 		obs.ShardFallback(kind)
 	}
-	return RunShard(ctx, m.cfg.Limits, req, Tracker{j}.Add)
-}
-
-// mergeShards gathers ordered, error-free partials into the kind's
-// result — bit-for-bit what the serial runner returns, because every
-// shard drew exactly the serial run's values for its range.
-func mergeShards(ctx context.Context, s Spec, parts []ShardResult) (any, error) {
-	d, _, err := s.resolveEval()
-	if err != nil {
-		return nil, err
-	}
-	switch s.Kind {
-	case KindMCBand:
-		metric := s.Metric
-		if metric == "" {
-			metric = "ttm"
-		}
-		res := BandResult{
-			Design: d.Name, Metric: metric, Chips: s.n(),
-			Samples: s.samples(mc.DefaultSamples), Seed: s.Seed,
-		}
-		for _, p := range parts {
-			res.Points = append(res.Points, p.Points...)
-		}
-		if want := len(s.xs()); len(res.Points) != want {
-			return nil, fmt.Errorf("jobs: merged %d band points, want %d", len(res.Points), want)
-		}
-		return res, nil
-
-	case KindSensitivity:
-		cfg := sens.Config{N: s.samples(512), Variation: s.Variation, Seed: s.Seed}
-		want := cfg.N * (len(core.Inputs) + 2)
-		ys := make([]float64, 0, want)
-		for _, p := range parts {
-			if ys, err = appendOutputs(ys, p.Outputs); err != nil {
-				return nil, err
-			}
-		}
-		if len(ys) != want {
-			return nil, fmt.Errorf("jobs: merged %d sensitivity outputs, want %d", len(ys), want)
-		}
-		sr, err := sens.Reduce(core.Inputs, cfg, ys)
-		if err != nil {
-			return nil, err
-		}
-		return SensitivityResult{
-			Design: d.Name, Chips: s.n(),
-			Inputs: sr.Inputs, TotalEffect: sr.Total, FirstOrder: sr.First,
-			VarY: sr.VarY, Evaluations: sr.Evaluations,
-		}, nil
-
-	case KindSweep:
-		var cells []SweepCell
-		for _, p := range parts {
-			cells = append(cells, p.Cells...)
-		}
-		if want := s.shardSpace(); len(cells) != want {
-			return nil, fmt.Errorf("jobs: merged %d sweep cells, want %d", len(cells), want)
-		}
-		return SweepResult{Design: d.Name, Cells: cells}, nil
-
-	case KindTimeline:
-		ts, err := s.timelineSpec()
-		if err != nil {
-			return nil, err
-		}
-		tl, err := timeline.Compile(ts, timeline.Limits{MaxSteps: 1 << 20})
-		if err != nil {
-			return nil, err
-		}
-		var steps []timeline.Step
-		for _, p := range parts {
-			steps = append(steps, p.Steps...)
-		}
-		return timeline.AssembleResult(ctx, core.Model{}, d, s.n(), tl, steps, timeline.Options{InFlight: s.InFlight})
-
-	default:
-		return nil, invalidf("kind %q is not shardable", s.Kind)
-	}
+	return p.runShard(ctx, req.Index, req.Lo, req.Hi, Tracker{j}.Add)
 }

@@ -13,6 +13,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ttmcas/internal/core"
+	"ttmcas/internal/mc"
+	"ttmcas/internal/sens"
+	"ttmcas/internal/timeline"
 )
 
 // loopback is an in-process Distributor: Dispatch runs the shard
@@ -110,26 +115,162 @@ func oracleSpecs() map[string]Spec {
 	}
 }
 
+// oracleReference builds a shardable spec's result document straight
+// from the package drivers — mc.BandCurveEval, sens.TotalEffectBatch,
+// sweepCellEval per cell in node-major order, timeline.Evaluate — with
+// none of the shard path's code: the reference every plan, the
+// single-node one-shard plan included, must match.
+func oracleReference(t *testing.T, s Spec) (any, error) {
+	t.Helper()
+	s = s.normalized()
+	d, c, err := s.resolveEval()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	switch s.Kind {
+	case KindMCBand:
+		metric, sel := "ttm", mc.MetricTTM
+		if s.Metric == "cas" {
+			metric, sel = "cas", mc.MetricCAS
+		}
+		cfg := mc.Config{Samples: s.samples(mc.DefaultSamples), Seed: s.Seed}
+		bands, err := mc.BandCurveEval(ctx, core.Model{}, cfg, d, s.n(), c, s.xs(), sel, nil)
+		if err != nil {
+			return nil, err
+		}
+		res := BandResult{Design: d.Name, Metric: metric, Chips: s.n(), Samples: cfg.Samples, Seed: s.Seed}
+		for _, b := range bands {
+			res.Points = append(res.Points, BandPoint{
+				X: b.X, Mean: finite(b.Mean),
+				CI10Lo: finite(b.CI10.Lo), CI10Hi: finite(b.CI10.Hi),
+				CI25Lo: finite(b.CI25.Lo), CI25Hi: finite(b.CI25.Hi),
+			})
+		}
+		return res, nil
+	case KindSensitivity:
+		ev, err := core.Model{}.Compile(d, s.n(), c)
+		if err != nil {
+			return nil, err
+		}
+		cfg := sens.Config{N: s.samples(512), Variation: s.Variation, Seed: s.Seed}
+		r, err := sens.TotalEffectBatch(ctx, core.Inputs, cfg, sens.TTMFactory(ev, nil))
+		if err != nil {
+			return nil, err
+		}
+		return SensitivityResult{Design: d.Name, Chips: s.n(), Inputs: r.Inputs,
+			TotalEffect: r.Total, FirstOrder: r.First, VarY: r.VarY, Evaluations: r.Evaluations}, nil
+	case KindSweep:
+		nodes, err := s.gridNodes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eval := sweepCellEval(d, c)
+		res := SweepResult{Design: d.Name}
+		for _, node := range nodes {
+			for _, q := range s.quantities() {
+				cell, err := eval(gridCell{node, q})
+				if err != nil {
+					return nil, err
+				}
+				res.Cells = append(res.Cells, cell)
+			}
+		}
+		return res, nil
+	case KindTimeline:
+		ts, err := s.timelineSpec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl, err := timeline.Compile(ts, timeline.Limits{MaxSteps: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return timeline.Evaluate(ctx, core.Model{}, d, s.n(), tl, timeline.Options{InFlight: s.InFlight})
+	}
+	t.Fatalf("kind %q has no reference", s.Kind)
+	return nil, nil
+}
+
+// oracleJSON is oracleReference's document as a job result carries it.
+func oracleJSON(t *testing.T, s Spec) []byte {
+	t.Helper()
+	ref, err := oracleReference(t, s)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	raw, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// runPlan runs a hand-made scatter plan of spec over a loopback ring —
+// shard 0 in process, the rest through RunShard's wire form — and
+// returns the merged result's JSON.
+func runPlan(t *testing.T, spec Spec, cuts ...int) []byte {
+	t.Helper()
+	m := New(quietConfig())
+	defer m.Close()
+	s := spec.normalized()
+	p, err := s.prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := append(append([]int{0}, cuts...), p.space)
+	var reqs []ShardRequest
+	for i := 0; i+1 < len(bounds); i++ {
+		reqs = append(reqs, ShardRequest{Job: "job-000001", Index: i, Lo: bounds[i], Hi: bounds[i+1], Spec: s})
+	}
+	lb := newLoopback(2)
+	res, err := m.runDistributed(context.Background(), &Job{id: "job-000001", spec: s}, &p, lb, lb.targets, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lb.calls() != len(reqs)-1 {
+		t.Fatalf("%d dispatches for a %d-shard plan", lb.calls(), len(reqs))
+	}
+	raw, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // TestDistributedOracleBitForBit is the tentpole guarantee: for every
-// shardable kind, the sharded scatter/gather result is byte-for-byte
-// the single-node result. Byte equality of the JSON is strictly
-// stronger than per-value math.Float64bits equality — Go renders each
-// distinct float64 bit pattern as a distinct shortest-round-trip
-// string — and additionally pins field order and structure.
+// shardable kind, the single-node job (the one-shard plan), the 2- and
+// 3-shard scatter/gather jobs and an uneven hand-made split are all
+// byte-for-byte the document the package drivers build directly. Byte
+// equality of the JSON is strictly stronger than per-value
+// math.Float64bits equality — Go renders each distinct float64 bit
+// pattern as a distinct shortest-round-trip string — and additionally
+// pins field order and structure.
 func TestDistributedOracleBitForBit(t *testing.T) {
 	for name, spec := range oracleSpecs() {
 		t.Run(name, func(t *testing.T) {
-			_, serial := runJobOn(t, nil, spec)
-			d := newLoopback(2)
-			fin, dist := runJobOn(t, d, spec)
-			if fin.Status != StatusSucceeded {
-				t.Fatalf("distributed job: %s (%s)", fin.Status, fin.Error)
+			want := oracleJSON(t, spec)
+			_, single := runJobOn(t, nil, spec)
+			if !bytes.Equal(single, want) {
+				t.Fatalf("single-node result differs from the reference:\nref:    %s\nsingle: %s", want, single)
 			}
-			if d.calls() == 0 {
-				t.Fatal("job never dispatched a shard — distribution did not engage")
+			for peers := 1; peers <= 2; peers++ {
+				d := newLoopback(peers)
+				fin, dist := runJobOn(t, d, spec)
+				if fin.Status != StatusSucceeded {
+					t.Fatalf("%d-shard job: %s (%s)", peers+1, fin.Status, fin.Error)
+				}
+				if d.calls() != peers {
+					t.Fatalf("%d-shard job dispatched %d shards, want %d", peers+1, d.calls(), peers)
+				}
+				if !bytes.Equal(dist, want) {
+					t.Fatalf("%d-shard result differs from the reference:\nref:  %s\ndist: %s", peers+1, want, dist)
+				}
 			}
-			if !bytes.Equal(serial, dist) {
-				t.Fatalf("distributed result differs from serial:\nserial: %s\ndist:   %s", serial, dist)
+			// An uneven split: a one-index first shard, the rest in two.
+			space := spec.normalized().shardSpace()
+			if got := runPlan(t, spec, 1, 1+(space-1)/3); !bytes.Equal(got, want) {
+				t.Fatalf("uneven split differs from the reference:\nref:   %s\nsplit: %s", want, got)
 			}
 		})
 	}
@@ -139,50 +280,56 @@ func TestDistributedOracleBitForBit(t *testing.T) {
 // float64 bit level after decoding, independent of JSON rendering.
 func TestDistributedOracleBandBits(t *testing.T) {
 	spec := oracleSpecs()["mc-band"]
-	_, serialRaw := runJobOn(t, nil, spec)
-	_, distRaw := runJobOn(t, newLoopback(3), spec)
-	var serial, dist BandResult
-	if err := json.Unmarshal(serialRaw, &serial); err != nil {
+	ref, err := oracleReference(t, spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(distRaw, &dist); err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Points) != len(dist.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(serial.Points), len(dist.Points))
-	}
+	want := ref.(BandResult)
 	bits := func(p *float64) uint64 {
 		if p == nil {
 			return 0
 		}
 		return math.Float64bits(*p)
 	}
-	for i := range serial.Points {
-		s, g := serial.Points[i], dist.Points[i]
-		if bits(s.Mean) != bits(g.Mean) || bits(s.CI10Lo) != bits(g.CI10Lo) ||
-			bits(s.CI10Hi) != bits(g.CI10Hi) || bits(s.CI25Lo) != bits(g.CI25Lo) ||
-			bits(s.CI25Hi) != bits(g.CI25Hi) {
-			t.Fatalf("point %d differs at the bit level: %+v vs %+v", i, s, g)
+	for _, d := range []Distributor{nil, newLoopback(3)} {
+		_, raw := runJobOn(t, d, spec)
+		var got BandResult
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Points) != len(want.Points) {
+			t.Fatalf("point counts differ: %d vs %d", len(got.Points), len(want.Points))
+		}
+		for i := range want.Points {
+			w, g := want.Points[i], got.Points[i]
+			if bits(w.Mean) != bits(g.Mean) || bits(w.CI10Lo) != bits(g.CI10Lo) ||
+				bits(w.CI10Hi) != bits(g.CI10Hi) || bits(w.CI25Lo) != bits(g.CI25Lo) ||
+				bits(w.CI25Hi) != bits(g.CI25Hi) {
+				t.Fatalf("point %d differs at the bit level: %+v vs %+v", i, w, g)
+			}
 		}
 	}
 }
 
 // TestDistributedErrorSurfaceMatchesSerial: a deterministic compute
 // error (degenerate Sobol variance from a vanishing variation) must
-// fail the distributed job with exactly the serial job's error string.
+// fail the single-node and the distributed job alike with exactly the
+// error sens.TotalEffectBatch reports.
 func TestDistributedErrorSurfaceMatchesSerial(t *testing.T) {
 	spec := Spec{Kind: KindSensitivity, Design: "a11", Samples: 16,
 		Seed: 5, Variation: 1e-300}
-	serial, _ := runJobOn(t, nil, spec)
-	if serial.Status != StatusFailed {
-		t.Fatalf("serial job: %s (%s), want failed", serial.Status, serial.Error)
+	_, refErr := oracleReference(t, spec)
+	if refErr == nil {
+		t.Fatal("reference run succeeded, want a degenerate-variance error")
 	}
-	dist, _ := runJobOn(t, newLoopback(2), spec)
-	if dist.Status != StatusFailed {
-		t.Fatalf("distributed job: %s (%s), want failed", dist.Status, dist.Error)
-	}
-	if serial.Error != dist.Error {
-		t.Fatalf("error surfaces differ:\nserial: %q\ndist:   %q", serial.Error, dist.Error)
+	for _, d := range []Distributor{nil, newLoopback(2)} {
+		fin, _ := runJobOn(t, d, spec)
+		if fin.Status != StatusFailed {
+			t.Fatalf("job: %s (%s), want failed", fin.Status, fin.Error)
+		}
+		if fin.Error != refErr.Error() {
+			t.Fatalf("error surfaces differ:\nref: %q\njob: %q", refErr.Error(), fin.Error)
+		}
 	}
 }
 
@@ -206,7 +353,11 @@ func TestDistributedShardErrorLowestIndexWins(t *testing.T) {
 		{Index: 1, Lo: 1, Hi: 2, Spec: j.spec},
 		{Index: 2, Lo: 2, Hi: 3, Spec: j.spec},
 	}
-	_, err := m.runDistributed(context.Background(), j, d, targets, reqs)
+	p, err := j.spec.prepare()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.runDistributed(context.Background(), j, &p, d, targets, reqs)
 	if err == nil || err.Error() != "boom at shard 1" {
 		t.Fatalf("err = %v, want the lowest-index shard error", err)
 	}

@@ -17,18 +17,22 @@
 //
 // # Distributed execution
 //
-// When a Distributor is configured (in the server, the cluster peer
-// layer) and a job's estimated evaluation count reaches
-// Config.DistMinEvaluations, the manager shards the job across alive
-// peers instead of running it serially: mc-band by x-position range,
-// sensitivity by flattened Saltelli evaluation-index range (merged by
-// sens.Reduce, the serial reducer), sweep by grid-cell range and
-// timeline by step range. Because the underlying sample streams are
+// The four shardable kinds have one job path: mc-band splits by
+// x-position range, sensitivity by flattened Saltelli evaluation-index
+// range (folded by sens.Reduce), sweep by grid-cell range and timeline
+// by step range, and a single-node job is the one-shard plan over the
+// whole range, run by the same shard runner and assembled by the same
+// merge. When a Distributor is configured (in the server, the cluster
+// peer layer) and a job's estimated evaluation count reaches
+// Config.DistMinEvaluations, the manager splits the job across alive
+// peers instead. Because the underlying sample streams are
 // counter-based (O(1)-seekable by position), a shard computing
-// [lo,hi) draws exactly the values the serial run would have drawn
-// there, and the gathered result — values and error surface alike —
-// is byte-identical to the single-node answer; dist_test.go holds the
-// oracle tests.
+// [lo,hi) draws exactly the values the unsplit run draws there, and
+// every plan's result — values and error surface alike — is the same
+// bytes; dist_test.go holds the oracle tests, which compare each plan
+// with a reference built straight from the package drivers. Sensitivity
+// outputs stay float64s in process and become words only on the wire
+// and in checkpoints.
 //
 // Distribution is an optimization, never a correctness dependency.
 // Each shard runs under Config.ShardTimeout; transport failures and
@@ -236,8 +240,9 @@ func (j *Job) shardDone(i int) (ShardResult, bool) {
 	return res, ok
 }
 
-// noteShard checkpoints one completed shard result.
+// noteShard checkpoints one completed shard result, in its wire form.
 func (j *Job) noteShard(res ShardResult) {
+	res = res.wire()
 	j.mu.Lock()
 	if j.completed == nil {
 		j.completed = make(map[int]ShardResult)

@@ -12,23 +12,22 @@ import (
 	"ttmcas/internal/cachesim"
 	"ttmcas/internal/core"
 	"ttmcas/internal/cost"
-	"ttmcas/internal/mc"
 	"ttmcas/internal/opt"
 	"ttmcas/internal/plan"
-	"ttmcas/internal/sens"
-	"ttmcas/internal/sweep"
 	"ttmcas/internal/technode"
 	"ttmcas/internal/timeline"
 )
 
 // The job kinds: each wraps one of the repo's batch-evaluation engines.
 const (
-	// KindMCBand runs mc.BandCurveEval: a Monte-Carlo mean curve with ±10%
-	// and ±25% confidence bands across global capacity fractions (the
-	// shaded plots of Figs. 7/9/11/12).
+	// KindMCBand is a Monte-Carlo mean curve with ±10% and ±25%
+	// confidence bands across global capacity fractions (the shaded
+	// plots of Figs. 7/9/11/12), drawn by mc.BandCurveBatchAt over
+	// x-position ranges.
 	KindMCBand = "mc-band"
-	// KindSensitivity runs sens.TotalEffectBatch: Sobol first-order and
-	// total-effect indices of TTM over the six guarded inputs (Fig. 8).
+	// KindSensitivity is the Sobol first-order and total-effect indices
+	// of TTM over the six guarded inputs (Fig. 8): sens.EvalRange over
+	// Saltelli evaluation ranges, folded by sens.Reduce.
 	KindSensitivity = "sensitivity"
 	// KindSweep evaluates TTM, CAS and cost for a design re-targeted
 	// across a node × quantity grid.
@@ -224,6 +223,15 @@ func (s Spec) gridNodes() ([]technode.Node, error) {
 	return out, nil
 }
 
+// gridCells is the size of the sweep/pareto grid: nodes × quantities.
+func (s Spec) gridCells() int {
+	nodes := len(s.Nodes)
+	if nodes == 0 {
+		nodes = len(technode.Producing())
+	}
+	return nodes * len(s.quantities())
+}
+
 func (s Spec) quantities() []float64 {
 	if len(s.Quantities) > 0 {
 		return s.Quantities
@@ -236,37 +244,17 @@ func (s Spec) quantities() []float64 {
 // Limits.MaxEvaluations bounds.
 func (s Spec) EstimatedEvaluations() int {
 	switch s.Kind {
-	case KindMCBand:
-		return len(s.xs()) * 2 * s.samples(mc.DefaultSamples)
-	case KindSensitivity:
-		return s.samples(512) * (len(core.Inputs) + 2)
-	case KindSweep:
-		nodes := len(s.Nodes)
-		if nodes == 0 {
-			nodes = len(technode.Producing())
-		}
-		return nodes * len(s.quantities())
 	case KindPareto:
-		nodes := len(s.Nodes)
-		if nodes == 0 {
-			nodes = len(technode.Producing())
-		}
 		// Each grid cell evaluates the full (I$, D$) cross-product.
 		k := len(cachesim.SweepSizesKB)
-		return nodes * len(s.quantities()) * k * k
+		return s.gridCells() * k * k
 	case KindPlanPortfolio:
 		// One planner exploration per scenario; each explores every
 		// producing node plus the two-node splits.
 		p := len(technode.Producing())
 		return len(s.scenarioNames()) * p * p
-	case KindTimeline:
-		ts, err := s.timelineSpec()
-		if err != nil {
-			return 0
-		}
-		return ts.StepCount()
 	default:
-		return 0
+		return int(s.shardUnits(0, s.shardSpace()))
 	}
 }
 
@@ -336,12 +324,12 @@ func (s Spec) Validate(lim Limits) error {
 	if s.Variation < 0 || s.Variation >= 1 {
 		return invalidf("variation %v outside [0, 1)", s.Variation)
 	}
-	for name, n := range map[string]int{
-		"xs": len(s.Xs), "nodes": len(s.Nodes),
-		"quantities": len(s.Quantities), "scenarios": len(s.Scenarios),
-	} {
+	// A fixed order, so a spec with several lists over the limit always
+	// names the same one.
+	lists := [...]string{"xs", "nodes", "quantities", "scenarios"}
+	for i, n := range [...]int{len(s.Xs), len(s.Nodes), len(s.Quantities), len(s.Scenarios)} {
 		if n > lim.MaxPoints {
-			return invalidf("%s has %d entries, max %d", name, n, lim.MaxPoints)
+			return invalidf("%s has %d entries, max %d", lists[i], n, lim.MaxPoints)
 		}
 	}
 	for i, x := range s.Xs {
@@ -438,28 +426,33 @@ func (s Spec) resolveEval() (ttmcas.Design, ttmcas.Conditions, error) {
 // cancellation paths with synthetic workloads.
 var runHook func(ctx context.Context, s Spec, pr Tracker) (any, error)
 
-// run dispatches to the kind's engine. The returned value must be
+// run executes the spec on this node. The returned value must be
 // JSON-marshalable; pr receives progress as evaluation units complete.
+// A job of a shardable kind is the one-shard plan over its whole shard
+// space: the same runShard and merge a distributed run uses.
 func (s Spec) run(ctx context.Context, pr Tracker) (any, error) {
 	if h := runHook; h != nil {
 		return h(ctx, s, pr)
 	}
 	switch s.Kind {
-	case KindMCBand:
-		return s.runMCBand(ctx, pr)
-	case KindSensitivity:
-		return s.runSensitivity(ctx, pr)
-	case KindSweep:
-		return s.runSweep(ctx, pr)
 	case KindPareto:
 		return s.runPareto(ctx, pr)
 	case KindPlanPortfolio:
 		return s.runPlanPortfolio(ctx, pr)
-	case KindTimeline:
-		return s.runTimeline(ctx, pr)
-	default:
-		return nil, invalidf("unknown kind %q", s.Kind)
 	}
+	p, err := s.prepare()
+	if err != nil {
+		return nil, err
+	}
+	pr.SetTotal(s.shardUnits(0, p.space))
+	res, err := p.runShard(ctx, 0, 0, p.space, pr.Add)
+	if err != nil {
+		return nil, err
+	}
+	if res.Err != "" {
+		return nil, errors.New(res.Err)
+	}
+	return p.merge(ctx, []ShardResult{res})
 }
 
 // finite returns a pointer to v, or nil when it is not finite —
@@ -494,42 +487,6 @@ type BandResult struct {
 	Points  []BandPoint `json:"points"`
 }
 
-func (s Spec) runMCBand(ctx context.Context, pr Tracker) (any, error) {
-	d, c, err := s.resolveEval()
-	if err != nil {
-		return nil, err
-	}
-	n := s.n()
-	samples := s.samples(mc.DefaultSamples)
-	xs := s.xs()
-	pr.SetTotal(uint64(len(xs) * 2 * samples))
-
-	metric := s.Metric
-	if metric == "" {
-		metric = "ttm"
-	}
-	sel := mc.MetricTTM
-	if metric == "cas" {
-		sel = mc.MetricCAS
-	}
-	cfg := mc.Config{Samples: samples, Seed: s.Seed}
-	// BandCurveEval compiles the design once and runs the whole curve on
-	// the zero-allocation kernel.
-	bands, err := mc.BandCurveEval(ctx, core.Model{}, cfg, d, n, c, xs, sel, pr.Add)
-	if err != nil {
-		return nil, err
-	}
-	res := BandResult{Design: d.Name, Metric: metric, Chips: n, Samples: samples, Seed: s.Seed}
-	for _, b := range bands {
-		res.Points = append(res.Points, BandPoint{
-			X: b.X, Mean: finite(b.Mean),
-			CI10Lo: finite(b.CI10.Lo), CI10Hi: finite(b.CI10.Hi),
-			CI25Lo: finite(b.CI25.Lo), CI25Hi: finite(b.CI25.Hi),
-		})
-	}
-	return res, nil
-}
-
 // ---- sensitivity ---------------------------------------------------
 
 // SensitivityResult is the sensitivity job result.
@@ -541,32 +498,6 @@ type SensitivityResult struct {
 	FirstOrder  []float64 `json:"first_order"`
 	VarY        float64   `json:"var_y"`
 	Evaluations int       `json:"evaluations"`
-}
-
-func (s Spec) runSensitivity(ctx context.Context, pr Tracker) (any, error) {
-	d, c, err := s.resolveEval()
-	if err != nil {
-		return nil, err
-	}
-	n := s.n()
-	cfg := sens.Config{N: s.samples(512), Variation: s.Variation, Seed: s.Seed}
-	pr.SetTotal(uint64(cfg.N * (len(core.Inputs) + 2)))
-	ev, err := core.Model{}.Compile(d, n, c)
-	if err != nil {
-		return nil, err
-	}
-	// The Saltelli columns feed the kernel's EvalBatch directly
-	// (core.Inputs order is the batch column order); progress advances
-	// by each batch's row count, so the tracker total stays N·(k+2).
-	res, err := sens.TotalEffectBatch(ctx, core.Inputs, cfg, sens.TTMFactory(ev, pr.Add))
-	if err != nil {
-		return nil, err
-	}
-	return SensitivityResult{
-		Design: d.Name, Chips: n,
-		Inputs: res.Inputs, TotalEffect: res.Total, FirstOrder: res.First,
-		VarY: res.VarY, Evaluations: res.Evaluations,
-	}, nil
 }
 
 // ---- sweep ---------------------------------------------------------
@@ -606,32 +537,9 @@ func (s Spec) grid() ([]gridCell, error) {
 	return cells, nil
 }
 
-func (s Spec) runSweep(ctx context.Context, pr Tracker) (any, error) {
-	d, c, err := s.resolveEval()
-	if err != nil {
-		return nil, err
-	}
-	cells, err := s.grid()
-	if err != nil {
-		return nil, err
-	}
-	pr.SetTotal(uint64(len(cells)))
-	eval := sweepCellEval(d, c)
-	out, err := sweep.Map(ctx, cells, 0, func(cell gridCell) (SweepCell, error) {
-		defer pr.Add(1)
-		return eval(cell)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return SweepResult{Design: d.Name, Cells: out}, nil
-}
-
 // sweepCellEval returns the per-cell evaluator of the sweep kind:
 // retarget the design to the cell's node, compile it once and read TTM,
-// CAS and cost at the cell's quantity off the one evaluator. Shared by
-// the serial runner and the shard runner so both produce identical
-// cells.
+// CAS and cost at the cell's quantity off the one evaluator.
 func sweepCellEval(d ttmcas.Design, c ttmcas.Conditions) func(gridCell) (SweepCell, error) {
 	var m core.Model
 	var p core.Perturbation
@@ -817,31 +725,6 @@ func (s Spec) runPlanPortfolio(ctx context.Context, pr Tracker) (any, error) {
 		pr.Add(1)
 	}
 	return res, nil
-}
-
-// ---- timeline ------------------------------------------------------
-
-func (s Spec) runTimeline(ctx context.Context, pr Tracker) (any, error) {
-	d, _, err := s.resolveEval()
-	if err != nil {
-		return nil, err
-	}
-	ts, err := s.timelineSpec()
-	if err != nil {
-		return nil, err
-	}
-	// Submission already validated the spec against the manager's
-	// limits; compile under a generous ceiling so a manager configured
-	// above the defaults is not re-clamped here.
-	tl, err := timeline.Compile(ts, timeline.Limits{MaxSteps: 1 << 20})
-	if err != nil {
-		return nil, err
-	}
-	pr.SetTotal(uint64(tl.StepCount()))
-	return timeline.Evaluate(ctx, core.Model{}, d, s.n(), tl, timeline.Options{
-		InFlight: s.InFlight,
-		OnStep:   pr.Add,
-	})
 }
 
 func planChoice(o plan.Option) PlanChoice {

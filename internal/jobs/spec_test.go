@@ -58,6 +58,24 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestValidateNamesFirstLongList: a spec with several point lists over
+// MaxPoints is rejected naming the first of them in field order, the
+// same message on every call.
+func TestValidateNamesFirstLongList(t *testing.T) {
+	s := Spec{Kind: KindSweep, Design: "a11",
+		Xs:         []float64{0.5, 0.6, 0.7},
+		Nodes:      []string{"28", "40", "65"},
+		Quantities: []float64{1e5, 1e6, 1e7},
+		Scenarios:  []string{"a", "b", "c"},
+	}.normalized()
+	const want = "jobs: invalid spec: xs has 3 entries, max 2"
+	for i := 0; i < 200; i++ {
+		if err := s.Validate(Limits{MaxPoints: 2}); err == nil || err.Error() != want {
+			t.Fatalf("call %d: err = %v, want %q", i, err, want)
+		}
+	}
+}
+
 func TestNormalizedFoldsCase(t *testing.T) {
 	s := Spec{Kind: " MC-Band ", Metric: "TTM"}.normalized()
 	if s.Kind != KindMCBand || s.Metric != "ttm" {

@@ -133,20 +133,9 @@ func TotalEffectBatch(ctx context.Context, names []string, cfg Config, factory f
 // totalEffect is TotalEffectBatch also returning the flattened output
 // vector Reduce folded, which the bootstrap resamples.
 func totalEffect(ctx context.Context, names []string, cfg Config, factory func() (BatchEval, error)) (Result, []float64, error) {
-	k := len(names)
-	if k == 0 {
-		return Result{}, nil, errors.New("sens: no inputs")
-	}
-	n := cfg.n()
-	A, B := saltelliColumns(cfg, k)
-	ys := make([]float64, (k+2)*n)
-	if err := evalRange(ctx, A, B, n, 0, 2*n, ys[:2*n], factory); err != nil {
+	ys := make([]float64, (len(names)+2)*cfg.n())
+	if err := EvalRange(ctx, len(names), cfg, 0, len(ys), ys, factory); err != nil {
 		return Result{}, nil, err
-	}
-	if !degenerate(stats.Variance(ys[:2*n])) {
-		if err := evalRange(ctx, A, B, n, 2*n, len(ys), ys[2*n:], factory); err != nil {
-			return Result{}, nil, err
-		}
 	}
 	res, err := Reduce(names, cfg, ys)
 	return res, ys, err
@@ -163,10 +152,16 @@ func totalEffect(ctx context.Context, names []string, cfg Config, factory func()
 // bit for bit. This is the sharding surface of distributed jobs: peers
 // evaluate disjoint ranges, the coordinator reduces.
 //
+// A range holding the whole pooled block [0, 2n) evaluates it first
+// and, when its variance is degenerate (the indices are undefined),
+// leaves the rest of out unevaluated: Reduce then reads only [0, 2n),
+// so the result is the same without the wasted AB evaluations.
+//
 // Error surface: a chunk stops at its first failing row, errors are
 // wrapped as "sens: model eval: ...", and the lowest-index error of the
 // range wins — so the minimum-index error across disjoint ranges is the
-// error the unsplit run would have reported.
+// error the unsplit run would have reported, up to AB-region errors an
+// unsplit run skips after a degenerate pooled block.
 func EvalRange(ctx context.Context, k int, cfg Config, lo, hi int, out []float64, factory func() (BatchEval, error)) error {
 	if k <= 0 {
 		return errors.New("sens: no inputs")
@@ -180,6 +175,15 @@ func EvalRange(ctx context.Context, k int, cfg Config, lo, hi int, out []float64
 		return fmt.Errorf("sens: output length %d != range length %d", len(out), hi-lo)
 	}
 	A, B := saltelliColumns(cfg, k)
+	if lo == 0 && hi > 2*n {
+		if err := evalRange(ctx, A, B, n, 0, 2*n, out[:2*n], factory); err != nil {
+			return err
+		}
+		if degenerate(stats.Variance(out[:2*n])) {
+			return nil
+		}
+		lo, out = 2*n, out[2*n:]
+	}
 	return evalRange(ctx, A, B, n, lo, hi, out, factory)
 }
 

@@ -103,10 +103,22 @@ func TestIndicesClamped(t *testing.T) {
 
 func TestDegenerateModel(t *testing.T) {
 	names := []string{"a"}
-	model := func([]float64) (float64, error) { return 42, nil }
-	_, err := totalEffectOf(context.Background(), names, Config{N: 64, Seed: 5}, model)
+	var calls atomic.Int64
+	model := func([]float64) (float64, error) { calls.Add(1); return 42, nil }
+	cfg := Config{N: 64, Seed: 5}
+	_, err := totalEffectOf(context.Background(), names, cfg, model)
 	if !errors.Is(err, ErrDegenerate) {
 		t.Errorf("constant model should report ErrDegenerate, got %v", err)
+	}
+	// A range holding the whole pooled block stops after it when its
+	// variance is degenerate: only the 2N f(A)/f(B) rows are evaluated.
+	ys := make([]float64, 3*64)
+	factory := func() (BatchEval, error) { return batchOf(model), nil }
+	if err := EvalRange(context.Background(), len(names), cfg, 0, len(ys), ys, factory); err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 2*2*64 {
+		t.Errorf("%d model calls over two degenerate runs, want %d", got, 2*2*64)
 	}
 }
 

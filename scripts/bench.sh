@@ -41,6 +41,18 @@
 # the suite spreads the repetitions of each benchmark across the full
 # wall-clock span of the run.
 #
+# BenchmarkJobRun (internal/jobs: one whole single-node job per op, per
+# studies kind) runs pinned to one CPU: with more, sweep.ForChunks
+# starts its workers per call, so a job's allocs/op would depend on the
+# host's core count rather than on the code.
+#
+# Every row records the `cpu:` line of the `go test -bench` run that
+# measured it (the fleet records the host of the kernel runs). Beside
+# each ns/op and rate guard the script prints "recorded on X, running
+# on Y" when the committed row's host differs from this one, and
+# "recorded on unknown host" for a row without a cpu field: a 2x
+# ceiling taken on a faster host guards less than it seems.
+#
 # Guards (loud warning, failing the run when BENCH_STRICT=1, as CI
 # runs it):
 #   - the batched band curve (BandCurveBatch) or the batch CAS kernel
@@ -51,6 +63,8 @@
 #   - the server's cached hit (ServerTTMCachedHit) or what-if miss
 #     (ServerWhatIfMiss) above twice the ns/op or above the allocs/op
 #     of its committed row, or that row missing
+#   - a whole job (JobRun/<kind>) above the allocs/op of its committed
+#     row, or that row missing
 #   - the batched band curve allocating on its steady-state path
 #   - the distjobs or netsplit run failing its ttmcas-loadgen -check
 #     contract (the loadgen names the failed clause on stderr)
@@ -98,18 +112,22 @@ best_of() {
         }'
 }
 
-# emit_json turns a best-of table into the recorded JSON document.
+# host_of prints the `cpu:` line of go test -bench output on stdin.
+host_of() { awk '/^cpu: / { sub(/^cpu: /, ""); print; exit }'; }
+
+# emit_json turns a best-of table into the recorded JSON document; $3
+# is the host that measured every row.
 emit_json() {
     printf '{\n'
     printf '  "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
     printf '  "go": "%s",\n' "$(go env GOVERSION)"
     printf '  "benchmarks": [\n'
-    awk -v field="$2" '
+    awk -v field="$2" -v cpu="$3" '
         {
             name = $1
             sub(/^Benchmark/, "", name)
             if (n++) printf ",\n"
-            printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s, \"%s\": %s}", name, $2, $3, field, $4
+            printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"allocs_per_op\": %s, \"%s\": %s, \"cpu\": \"%s\"}", name, $2, $3, field, $4, cpu
         }
         END { printf "\n" }
     ' "$1"
@@ -123,11 +141,14 @@ while [ "$rep" -lt "${BENCHCOUNT:-3}" ]; do
     go test -run '^$' -bench '^Benchmark(BandCurve|Sobol|ModelEvaluate|Evaluator|ServerTTMCachedHit|ServerWhatIfMiss)' -benchmem \
         -benchtime "${BENCHTIME:-2s}" \
         ./internal/core ./internal/mc ./internal/sens ./internal/server | tee -a "$tmp"
+    go test -run '^$' -bench '^BenchmarkJobRun$' -benchmem -cpu 1 \
+        -benchtime "${BENCHTIME:-2s}" ./internal/jobs | tee -a "$tmp"
     rep=$((rep + 1))
 done
 best_of "evals/s" < "$tmp" > "$tmpbest"
+host="$(host_of < "$tmp")"
 
-emit_json "$tmpbest" evals_per_s > "$out"
+emit_json "$tmpbest" evals_per_s "$host" > "$out"
 echo "wrote $out"
 
 guard_status=0
@@ -139,6 +160,18 @@ best_field() {
 
 baseline_of() { git show "HEAD:$1" 2>/dev/null || true; }
 
+# host_note names the host a committed BENCH_jobs.json row was
+# recorded on when it is not this one.
+host_note() {
+    rowhost="$(baseline_of BENCH_jobs.json |
+        sed -n "s|.*\"name\": \"$1\",.*\"cpu\": \"\([^\"]*\)\"}.*|\1|p")"
+    if [ -z "$rowhost" ]; then
+        echo "  note: $1 recorded on unknown host, running on ${host:-unknown host}"
+    elif [ "$rowhost" != "$host" ]; then
+        echo "  note: $1 recorded on $rowhost, running on ${host:-unknown host}"
+    fi
+}
+
 # Batch-kernel rate guards: each benchmark must hold at least half the
 # evals/s of its row in the BENCH_jobs.json committed at HEAD. Runs on
 # one shared host spread by up to ±30% (see README), so half the
@@ -147,7 +180,7 @@ baseline_of() { git show "HEAD:$1" 2>/dev/null || true; }
 rate_guard() {
     rate="$(best_field "$1" "$tmpbest" 4)"
     base="$(baseline_of BENCH_jobs.json |
-        sed -n "s/.*\"name\": \"$1\",.*\"evals_per_s\": \([0-9.eE+-]*\)}.*/\1/p")"
+        sed -n "s/.*\"name\": \"$1\",.*\"evals_per_s\": \([0-9.eE+-]*\)[,}].*/\1/p")"
     if [ -z "$rate" ] || [ "$rate" = "null" ] || [ -z "$base" ]; then
         echo "WARNING: $1 has no measured rate or no committed BENCH_jobs.json row" >&2
         guard_status=1
@@ -157,6 +190,7 @@ rate_guard() {
     else
         echo "ok: $1 ${rate} evals/s >= half its committed rate (${base})"
     fi
+    host_note "$1"
 }
 rate_guard BandCurveBatch
 rate_guard EvaluatorCASBatch
@@ -178,6 +212,7 @@ ns_guard() {
     else
         echo "ok: $1 ${ns} ns/op <= twice its committed ns/op (${base})"
     fi
+    host_note "$1"
 }
 ns_guard EvaluatorEval
 ns_guard EvaluatorCAS
@@ -185,11 +220,12 @@ ns_guard EvaluatorCAS
 # Serving ceilings: the response cache's hit path and the what-if miss
 # path through the whole in-process stack must stay at most twice the
 # ns/op and at most the allocs/op of their rows committed at HEAD; a
-# missing row fails the guard.
+# missing row fails the guard. (Row names may hold a "/", hence the
+# "|" delimiter.)
 allocs_guard() {
     allocs="$(best_field "$1" "$tmpbest" 3)"
     base="$(baseline_of BENCH_jobs.json |
-        sed -n "s/.*\"name\": \"$1\",.*\"allocs_per_op\": \([0-9.eE+-]*\),.*/\1/p")"
+        sed -n "s|.*\"name\": \"$1\",.*\"allocs_per_op\": \([0-9.eE+-]*\),.*|\1|p")"
     if [ -z "$allocs" ] || [ "$allocs" = "null" ] || [ -z "$base" ]; then
         echo "WARNING: $1 has no measured allocs/op or no committed BENCH_jobs.json row" >&2
         guard_status=1
@@ -203,6 +239,13 @@ allocs_guard() {
 for b in ServerTTMCachedHit ServerWhatIfMiss; do
     ns_guard "$b"
     allocs_guard "$b"
+done
+
+# Whole-job ceilings: a single-node job of each studies kind, at the
+# studies sizes, must stay at or below the allocs/op of its committed
+# row; a missing row fails the guard.
+for b in mc-band-ttm mc-band-cas sensitivity sweep timeline; do
+    allocs_guard "JobRun/$b"
 done
 
 # The band-curve walk must stay allocation-free in steady state. The
@@ -233,7 +276,7 @@ while [ "$rep" -lt "${BENCHCOUNT:-3}" ]; do
 done
 best_of "steps/s" < "$tmptl" > "$tmptlbest"
 
-emit_json "$tmptlbest" steps_per_s > "$timelineout"
+emit_json "$tmptlbest" steps_per_s "$(host_of < "$tmptl")" > "$timelineout"
 echo "wrote $timelineout"
 
 # ---- fleet runs ----------------------------------------------------
@@ -258,6 +301,7 @@ fleet_run() {
         printf '{\n'
         printf '  "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
         printf '  "go": "%s",\n' "$(go env GOVERSION)"
+        printf '  "cpu": "%s",\n' "$host"
         printf '  "runs": [\n'
         printf '    %s\n' "$line"
         printf '  ]\n'

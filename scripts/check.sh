@@ -22,11 +22,11 @@ go test -race ./...
 (cd bench && go vet ./... && go test ./...)
 
 # Bench smoke: one iteration of each throughput benchmark — including
-# the compiled core kernel's and the server's cached-hit and what-if
-# miss paths — so a
+# the compiled core kernel's, the whole single-node jobs' and the
+# server's cached-hit and what-if miss paths — so a
 # broken benchmark fails CI without CI paying for real measurement
 # runs.
-go test -run '^$' -bench . -benchtime 1x ./internal/core ./internal/mc ./internal/sens ./internal/sweep ./internal/timeline
+go test -run '^$' -bench . -benchtime 1x ./internal/core ./internal/mc ./internal/sens ./internal/sweep ./internal/timeline ./internal/jobs
 go test -run '^$' -bench '^BenchmarkServer(TTMCachedHit|WhatIfMiss)$' -benchtime 1x ./internal/server
 
 # The loadgen smokes: each scenario once, briefly, under -check, which
