@@ -60,6 +60,10 @@ func (c Conditions) WithQueue(n technode.Node, w units.Weeks) Conditions {
 // set and its variants.
 var databaseNodes = append(technode.All(), technode.Variants()...)
 
+// DatabaseNodes returns every node of the built-in database, variants
+// included: the node set WithQueueAll quotes.
+func DatabaseNodes() []technode.Node { return slices.Clone(databaseNodes) }
+
 // WithQueueAll returns a copy of c quoting the same lead time at every
 // node of the built-in database, variants included (the aggregate
 // lead-time reporting the paper describes).

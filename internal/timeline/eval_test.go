@@ -22,6 +22,9 @@ func oracleDesigns() map[string]design.Design {
 		// Retargeted to 40 nm so the fab-fire-anchored episodes hit a
 		// node the design actually fabricates on.
 		"a11@40nm": scenario.A11At(technode.N40),
+		// The 12 nm variant: a global queue segment must quote it as
+		// shortage-2021's WithQueueAll does.
+		"zen2@12nm": scenario.Zen2().Retarget(technode.N12),
 	}
 }
 

@@ -498,6 +498,12 @@ func (tl *Timeline) StepWeeks() float64 { return tl.spec.stepWeeks() }
 // WeekAt returns the week of step i.
 func (tl *Timeline) WeekAt(i int) float64 { return float64(i) * tl.spec.stepWeeks() }
 
+// globalQueueNodes are the nodes a global queue segment quotes: the
+// set market.Conditions.WithQueueAll quotes, the 12 nm variant
+// included, so a global drift that ends at a static scenario's
+// WithQueueAll quote reproduces it at every node.
+var globalQueueNodes = market.DatabaseNodes()
+
 // ConditionsAt composes the market conditions at step i: the base
 // scenario's snapshot with every active fab-outage multiplied into the
 // capacity fields and every queue contribution (drift plus demand
@@ -510,7 +516,7 @@ func (tl *Timeline) ConditionsAt(i int) market.Conditions {
 	var qdelta map[technode.Node]float64
 	addQueue := func(n technode.Node, v float64) {
 		if qdelta == nil {
-			qdelta = make(map[technode.Node]float64, len(technode.All()))
+			qdelta = make(map[technode.Node]float64, len(globalQueueNodes))
 		}
 		qdelta[n] += v
 	}
@@ -541,7 +547,7 @@ func (tl *Timeline) ConditionsAt(i int) market.Conditions {
 				continue
 			}
 			if cs.global {
-				for _, n := range technode.All() {
+				for _, n := range globalQueueNodes {
 					addQueue(n, dq)
 				}
 			} else {
@@ -553,7 +559,7 @@ func (tl *Timeline) ConditionsAt(i int) market.Conditions {
 				continue
 			}
 			if cs.global {
-				for _, n := range technode.All() {
+				for _, n := range globalQueueNodes {
 					addQueue(n, b)
 				}
 			} else {
