@@ -38,6 +38,9 @@ type (
 	Block = design.Block
 	// Conditions is the supply-chain state a design is evaluated under.
 	Conditions = market.Conditions
+	// ConditionsBuilder composes Conditions field by field in storage
+	// it owns, without the per-change copy of the With* methods.
+	ConditionsBuilder = market.Builder
 	// Scenario is a named market situation.
 	Scenario = market.Scenario
 	// Model is the time-to-market model (Eqs. 1–7) plus CAS (Eq. 8).
@@ -337,18 +340,21 @@ func ChipB() Design { return scenario.ChipB() }
 
 // designRegistry is the single source of truth for the built-in
 // case-study designs addressable by name: the CLI's -design flag and
-// the server's "design" request field both resolve through it.
+// the server's "design" request field both resolve through it. Each
+// design is built once and shared: no caller writes into a design's
+// dies or blocks (Retarget and WithInterposer copy the die slice they
+// change).
 var designRegistry = []struct {
-	name  string
-	study string
-	build func() Design
+	name   string
+	study  string
+	design Design
 }{
-	{"a11", "Section 6.2 (re-release study)", A11},
-	{"zen2", "Section 6.5 (chiplets)", Zen2},
-	{"ariane16", "Section 6.1 (cache sizing)", func() Design { return Ariane16(16, 32, N14) }},
-	{"raven", "Section 7 (multi-process)", func() Design { return RavenMCU(N180) }},
-	{"chipA", "Fig. 3", ChipA},
-	{"chipB", "Fig. 3", ChipB},
+	{"a11", "Section 6.2 (re-release study)", A11()},
+	{"zen2", "Section 6.5 (chiplets)", Zen2()},
+	{"ariane16", "Section 6.1 (cache sizing)", Ariane16(16, 32, N14)},
+	{"raven", "Section 7 (multi-process)", RavenMCU(N180)},
+	{"chipA", "Fig. 3", ChipA()},
+	{"chipB", "Fig. 3", ChipB()},
 }
 
 // DesignNames returns the canonical names DesignByName accepts, in
@@ -363,11 +369,14 @@ func DesignNames() []string {
 
 // DesignByName returns a built-in case-study design by its canonical
 // name (case-insensitive): a11, zen2, ariane16, raven, chipA, chipB.
+// The design shares its dies with every other caller's copy, so it
+// must not be written into; Retarget and the other Design methods
+// return designs of their own.
 func DesignByName(name string) (Design, error) {
-	want := strings.ToLower(strings.TrimSpace(name))
+	want := strings.TrimSpace(name)
 	for _, e := range designRegistry {
-		if strings.ToLower(e.name) == want {
-			return e.build(), nil
+		if strings.EqualFold(e.name, want) {
+			return e.design, nil
 		}
 	}
 	return Design{}, fmt.Errorf("unknown design %q (%s)", name, strings.Join(DesignNames(), ", "))
@@ -376,9 +385,9 @@ func DesignByName(name string) (Design, error) {
 // DesignStudy returns the paper section a built-in design reproduces
 // ("Section 6.2 (re-release study)" for a11), or "" for unknown names.
 func DesignStudy(name string) string {
-	want := strings.ToLower(strings.TrimSpace(name))
+	want := strings.TrimSpace(name)
 	for _, e := range designRegistry {
-		if strings.ToLower(e.name) == want {
+		if strings.EqualFold(e.name, want) {
 			return e.study
 		}
 	}

@@ -264,12 +264,14 @@ func (e *Evaluator) ResizeConditions(b *Batch, n int) {
 // batch filled this way evaluates bit-for-bit like an evaluator
 // compiled at c. It is Bind's per-sample counterpart: Bind rewrites one
 // evaluator's conditions for per-call use, SetConditions gives every
-// sample of one batch call its own.
+// sample of one batch call its own. Like Bind it finds each node's
+// entry in c's sorted node table by a merge with the evaluator's own
+// sorted nodes, with no map or lookup, and allocates nothing.
 func (e *Evaluator) SetConditions(b *Batch, s int, c market.Conditions) {
 	b.Global[s] = c.GlobalCapacity
-	for i := range e.nodes {
-		b.Factor[i][s], b.Queue[i][s] = e.nodes[i].resolve(c)
-	}
+	e.resolve(c, func(i int, factor, queueWafers float64) {
+		b.Factor[i][s], b.Queue[i][s] = factor, queueWafers
+	})
 }
 
 // colAt reads column col at sample s, defaulting to 0 (the unperturbed

@@ -26,7 +26,7 @@ import (
 // phases' optional sinks.
 //
 // The tests hold the kernel bit for bit, error text included, to a
-// map-based reference that walks the design and the condition maps
+// map-based reference that walks the design and the market conditions
 // directly and re-evaluates the whole model per CAS probe
 // (reference_test.go): the property tests in compile_test.go over
 // every registered design × scenario, and
@@ -86,26 +86,36 @@ type evalNode struct {
 }
 
 // resolve is the one definition of "market conditions → node columns"
-// that Compile, Bind and SetConditions share: the node's capacity
-// factor (1 when unset) and its queued-wafer count, fixed at quote time
-// as weeks × the full-capacity rate unless the quote is missing or
-// non-positive — exactly market.Conditions.QueueWafers, so a NaN quote
-// queues NaN wafers there and here alike.
-func (nd *evalNode) resolve(c market.Conditions) (factor, queueWafers float64) {
-	if w, ok := c.QueueWeeks[nd.node]; ok && !(w <= 0) {
-		queueWafers = float64(w) * nd.waferRate
+// that Compile, Bind and SetConditions share. It walks the evaluator's
+// nodes in increasing node order (the reverse of their compiled order,
+// Design.Nodes' oldest first) alongside c's node entries, which market
+// keeps sorted the same way, so each node finds its entry by a merge,
+// with no lookup. For each node it calls set with the node's compiled
+// index, its capacity factor (1 when unset) and its queued-wafer count,
+// fixed at quote time as weeks × the full-capacity rate unless the
+// quote is missing or non-positive — exactly
+// market.Conditions.QueueWafers, so a NaN quote queues NaN wafers there
+// and here alike.
+func (e *Evaluator) resolve(c market.Conditions, set func(i int, factor, queueWafers float64)) {
+	j, n := 0, c.Len()
+	for i := len(e.nodes) - 1; i >= 0; i-- {
+		nd := &e.nodes[i]
+		for j < n && c.At(j).Node < nd.node {
+			j++
+		}
+		factor, queueWafers := 1.0, 0.0
+		if j < n {
+			if s := c.At(j); s.Node == nd.node {
+				if s.HasCapacity {
+					factor = s.Capacity
+				}
+				if s.HasQueue && !(s.Queue <= 0) {
+					queueWafers = float64(s.Queue) * nd.waferRate
+				}
+			}
+		}
+		set(i, factor, queueWafers)
 	}
-	return nodeFactor(c, nd.node), queueWafers
-}
-
-// nodeFactor reports the node-specific capacity multiplier currently in
-// c (default 1), so a CAS probe perturbs around the actual operating
-// point.
-func nodeFactor(c market.Conditions, n technode.Node) float64 {
-	if f, ok := c.NodeCapacity[n]; ok {
-		return f
-	}
-	return 1
 }
 
 // evalDie is one die type with its node parameters resolved.
@@ -215,15 +225,16 @@ func (e *Evaluator) Clone() *Evaluator {
 // Bind re-binds the evaluator to market conditions c in place: the raw
 // global capacity, and each node's capacity factor and queued wafers,
 // resolved exactly as Compile resolves them, so a bound evaluator is
-// bit-for-bit an evaluator compiled at c. It allocates nothing, which
-// lets a cached compiled design serve each request's conditions on a
-// borrowed Clone instead of compiling again.
+// bit-for-bit an evaluator compiled at c. Each node finds its entry
+// in c's sorted node table by a merge with the evaluator's own sorted
+// nodes (see resolve), with no map or lookup, and Bind allocates
+// nothing, which lets a cached compiled design serve each request's
+// conditions on a borrowed Clone instead of compiling again.
 func (e *Evaluator) Bind(c market.Conditions) {
 	e.global = c.GlobalCapacity
-	for i := range e.nodes {
-		nd := &e.nodes[i]
-		nd.factor, nd.queueWafers = nd.resolve(c)
-	}
+	e.resolve(c, func(i int, factor, queueWafers float64) {
+		e.nodes[i].factor, e.nodes[i].queueWafers = factor, queueWafers
+	})
 }
 
 // Chips returns the compiled final-chip count.

@@ -225,3 +225,12 @@ func referenceCASWithStep(m Model, d design.Design, n float64, c market.Conditio
 	}
 	return res, nil
 }
+
+// nodeFactor is the reference's capacity multiplier for node n in c:
+// the node's override, 1 when unset.
+func nodeFactor(c market.Conditions, n technode.Node) float64 {
+	if f, ok := c.NodeCapacity(n); ok {
+		return f
+	}
+	return 1
+}

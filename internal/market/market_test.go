@@ -89,12 +89,12 @@ func TestWithQueueAll(t *testing.T) {
 		}
 		resolved++
 		want := 3 * float64(p.WaferRate)
-		if math.Abs(float64(c.QueueWafers(p))-want) > 1e-9 || c.QueueWeeks[n] != 3 {
-			t.Errorf("queue at %s = %v wafers (%v weeks), want %v", n, float64(c.QueueWafers(p)), float64(c.QueueWeeks[n]), want)
+		if w, _ := c.QueueWeeks(n); math.Abs(float64(c.QueueWafers(p))-want) > 1e-9 || w != 3 {
+			t.Errorf("queue at %s = %v wafers (%v weeks), want %v", n, float64(c.QueueWafers(p)), float64(w), want)
 		}
 	}
-	if want := len(technode.All()) + len(technode.Variants()); resolved != want || len(c.QueueWeeks) != want {
-		t.Errorf("resolved %d nodes, quoted %d, want %d", resolved, len(c.QueueWeeks), want)
+	if want := len(technode.All()) + len(technode.Variants()); resolved != want || c.Len() != want {
+		t.Errorf("resolved %d nodes, quoted %d, want %d", resolved, c.Len(), want)
 	}
 }
 
@@ -147,21 +147,30 @@ func TestConditionsString(t *testing.T) {
 // implementation replaced, kept as its oracle.
 func sprintfString(c Conditions) string {
 	s := fmt.Sprintf("capacity=%.0f%%", c.capacity0()*100)
-	if len(c.NodeCapacity) > 0 {
-		s += fmt.Sprintf(" node-overrides=%d", len(c.NodeCapacity))
-	}
-	if len(c.QueueWeeks) > 0 {
-		keys := make([]int, 0, len(c.QueueWeeks))
-		for k := range c.QueueWeeks {
-			keys = append(keys, int(k))
+	overrides := 0
+	var keys []int
+	queue := map[technode.Node]units.Weeks{}
+	for i := 0; i < c.Len(); i++ {
+		nc := c.At(i)
+		if nc.HasCapacity {
+			overrides++
 		}
+		if nc.HasQueue {
+			keys = append(keys, int(nc.Node))
+			queue[nc.Node] = nc.Queue
+		}
+	}
+	if overrides > 0 {
+		s += fmt.Sprintf(" node-overrides=%d", overrides)
+	}
+	if len(keys) > 0 {
 		sort.Ints(keys)
 		s += " queue={"
 		for i, k := range keys {
 			if i > 0 {
 				s += ","
 			}
-			s += fmt.Sprintf("%dnm:%.0fwk", k, float64(c.QueueWeeks[technode.Node(k)]))
+			s += fmt.Sprintf("%dnm:%.0fwk", k, float64(queue[technode.Node(k)]))
 		}
 		s += "}"
 	}

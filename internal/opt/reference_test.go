@@ -87,7 +87,7 @@ func refPoint(cp *compiledPair, frac, n float64) (SplitPoint, error) {
 
 // refProbes is core.Model.CAS's probe pair for node under c.
 func refProbes(c market.Conditions, node technode.Node) (up, down float64) {
-	f0, ok := c.NodeCapacity[node]
+	f0, ok := c.NodeCapacity(node)
 	if !ok {
 		f0 = 1
 	}

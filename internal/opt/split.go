@@ -361,7 +361,7 @@ func (sw *pairSweep) point(k int) (SplitPoint, error) {
 // factor when it would reach zero.
 func (s SplitStudy) capacityProbes(node technode.Node) (up, down float64) {
 	f0 := 1.0
-	if f, ok := s.Conditions.NodeCapacity[node]; ok {
+	if f, ok := s.Conditions.NodeCapacity(node); ok {
 		f0 = f
 	}
 	const h = core.DefaultDerivativeStep

@@ -182,7 +182,10 @@ func resolveDesign(name string, spec *DesignSpec, node string) (ttmcas.Design, e
 }
 
 // conditions builds the market conditions, mirroring the CLI: a named
-// scenario overrides the explicit capacity/queue fields.
+// scenario overrides the explicit capacity/queue fields. It composes
+// them in one builder, so a request's conditions cost one allocation,
+// the node table: a quote at every node sizes it for the whole
+// database, whose nodes are the only ones a request can name.
 func (req EvalRequest) conditions() (ttmcas.Conditions, error) {
 	if req.Scenario != "" {
 		s, ok := ttmcas.FindScenario(req.Scenario)
@@ -191,37 +194,40 @@ func (req EvalRequest) conditions() (ttmcas.Conditions, error) {
 		}
 		return s.Conditions, nil
 	}
-	c := ttmcas.FullCapacity()
+	var b ttmcas.ConditionsBuilder
+	b.SetGlobalCapacity(1)
 	if req.Capacity != 0 {
 		if req.Capacity < 0 || req.Capacity > 1 {
-			return c, badRequestf("capacity %v outside (0, 1]", req.Capacity)
+			return b.Conditions(), badRequestf("capacity %v outside (0, 1]", req.Capacity)
 		}
-		c = c.AtCapacity(req.Capacity)
+		b.SetGlobalCapacity(req.Capacity)
 	}
 	if req.QueueWeeks < 0 {
-		return c, badRequestf("negative queue_weeks %v", req.QueueWeeks)
+		return b.Conditions(), badRequestf("negative queue_weeks %v", req.QueueWeeks)
 	}
 	if req.QueueWeeks > 0 {
-		c = c.WithQueueAll(ttmcas.Weeks(req.QueueWeeks))
+		b.SetQueueAll(ttmcas.Weeks(req.QueueWeeks))
+	} else {
+		b.Grow(len(req.NodeCapacity) + len(req.NodeQueueWeeks))
 	}
 	err := eachNode("node_capacity", req.NodeCapacity, func(n ttmcas.Node, name string, f float64) error {
 		if f < 0 || f > 1 {
 			return badRequestf("node_capacity[%s] = %v outside [0, 1]", name, f)
 		}
-		c = c.WithNodeCapacity(n, f)
+		b.SetCapacity(n, f)
 		return nil
 	})
 	if err != nil {
-		return c, err
+		return b.Conditions(), err
 	}
 	err = eachNode("node_queue_weeks", req.NodeQueueWeeks, func(n ttmcas.Node, name string, w float64) error {
 		if w < 0 {
 			return badRequestf("node_queue_weeks[%s] = %v is negative", name, w)
 		}
-		c = c.WithQueue(n, ttmcas.Weeks(w))
+		b.SetQueue(n, ttmcas.Weeks(w))
 		return nil
 	})
-	return c, err
+	return b.Conditions(), err
 }
 
 // eachNode calls fn on the entries of the per-node map field in key
@@ -634,17 +640,20 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		if resp.Capacity == 0 {
 			resp.Capacity = 1
 		}
-		for n, f := range sc.Conditions.NodeCapacity {
-			if resp.NodeCapacity == nil {
-				resp.NodeCapacity = make(map[string]float64)
+		for i := 0; i < sc.Conditions.Len(); i++ {
+			nc := sc.Conditions.At(i)
+			if nc.HasCapacity {
+				if resp.NodeCapacity == nil {
+					resp.NodeCapacity = make(map[string]float64)
+				}
+				resp.NodeCapacity[nc.Node.String()] = nc.Capacity
 			}
-			resp.NodeCapacity[n.String()] = f
-		}
-		for n, q := range sc.Conditions.QueueWeeks {
-			if resp.NodeQueueWeeks == nil {
-				resp.NodeQueueWeeks = make(map[string]float64)
+			if nc.HasQueue {
+				if resp.NodeQueueWeeks == nil {
+					resp.NodeQueueWeeks = make(map[string]float64)
+				}
+				resp.NodeQueueWeeks[nc.Node.String()] = float64(nc.Queue)
 			}
-			resp.NodeQueueWeeks[n.String()] = float64(q)
 		}
 		out = append(out, resp)
 	}

@@ -520,13 +520,23 @@ func (eb *encodeBuffer) encode(v any) error {
 // The returned release func recycles the buffer; the byte slice is
 // only valid until then.
 func encodeJSON(v any) (body []byte, release func(), err error) {
+	eb, err := encodePooled(v)
+	if err != nil {
+		return nil, nil, err
+	}
+	return eb.buf.Bytes(), func() { encPool.Put(eb) }, nil
+}
+
+// encodePooled marshals v into a buffer from encPool, which the
+// caller returns to it.
+func encodePooled(v any) (*encodeBuffer, error) {
 	eb := encPool.Get().(*encodeBuffer)
 	eb.buf.Reset()
 	if err := eb.encode(v); err != nil {
 		encPool.Put(eb)
-		return nil, nil, err
+		return nil, err
 	}
-	return eb.buf.Bytes(), func() { encPool.Put(eb) }, nil
+	return eb, nil
 }
 
 // bodyBuffer holds one request body read whole, after an optional
@@ -701,12 +711,13 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 // becomes a 500 apiError instead of tearing down the single-flight
 // call, which keeps piggybacked waiters alive. path is the request
 // path (the route label minus its method), which the fault injector
-// matches on.
-func (s *Server) computeBody(ctx context.Context, key, path string, compute func(ctx context.Context) (any, error)) (body []byte, err error) {
+// matches on. The body is returned in the pooled encode buffer, which
+// the caller returns to encPool once it has written it.
+func (s *Server) computeBody(ctx context.Context, key, path string, compute func(ctx context.Context) (any, error)) (eb *encodeBuffer, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.log.Printf("panic computing %s: %v\n%s", path, p, debug.Stack())
-			body, err = nil, &apiError{status: http.StatusInternalServerError, msg: "internal error: computation panicked"}
+			eb, err = nil, &apiError{status: http.StatusInternalServerError, msg: "internal error: computation panicked"}
 		}
 	}()
 	if s.slowEval != nil {
@@ -720,20 +731,15 @@ func (s *Server) computeBody(ctx context.Context, key, path string, compute func
 	if err != nil {
 		return nil, err
 	}
-	// The cache copies the body into its arena, but the pooled buffer
-	// cannot outlive this call (the body is shared across piggybacked
-	// requests), so copy it into an owned slice too — still one
-	// precisely-sized allocation instead of Marshal's grow-and-copy
-	// churn.
-	pooled, release, err := encodeJSON(v)
+	// The cache copies the body into its arena. The response is
+	// written from the pooled buffer itself; the single-flight group
+	// copies it only for requests that joined the flight.
+	eb, err = encodePooled(v)
 	if err != nil {
 		return nil, encodeResponseError(err)
 	}
-	s.cache.Put(key, pooled)
-	b := make([]byte, len(pooled))
-	copy(b, pooled)
-	release()
-	return b, nil
+	s.cache.Put(key, eb.buf.Bytes())
+	return eb, nil
 }
 
 // inject applies the route fault rules to one request. An injected
@@ -836,6 +842,9 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route str
 		lim = s.heavy
 	}
 
+	// pooled is the leader's encode buffer, set only when this request
+	// computed the body: it is written from, then recycled.
+	var pooled *encodeBuffer
 	body, shared, err := s.flight.Do(key, func() ([]byte, error) {
 		// The request deadline is armed here, around the only work
 		// that can stall, so cache hits never pay for a timer context.
@@ -849,8 +858,14 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route str
 			return nil, err
 		}
 		defer release()
-		return s.computeBody(ctx, key, path, compute)
+		if pooled, err = s.computeBody(ctx, key, path, compute); err != nil {
+			return nil, err
+		}
+		return pooled.buf.Bytes(), nil
 	})
+	if pooled != nil {
+		defer encPool.Put(pooled)
+	}
 	if shared {
 		s.metrics.FlightShared()
 	}

@@ -110,3 +110,56 @@ func TestFlightSharesErrors(t *testing.T) {
 		}
 	}
 }
+
+// The executing caller may hand Do a borrowed body and recycle it once
+// Do returns. Joiners must then hold their own copy, made before the
+// recycle; a call no one joined hands the borrowed body back uncopied.
+func TestFlightCopiesBorrowedBodyOnlyForJoiners(t *testing.T) {
+	var g flightGroup
+	borrowed := []byte("result")
+	body, shared, err := g.Do("k", func() ([]byte, error) { return borrowed, nil })
+	if err != nil || shared || &body[0] != &borrowed[0] {
+		t.Fatalf("lone call: body %q shared %v err %v, want the borrowed body itself", body, shared, err)
+	}
+
+	const joiners = 4
+	var joined atomic.Int64
+	flightTestHookJoin = func() { joined.Add(1) }
+	defer func() { flightTestHookJoin = nil }()
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		body, shared, err := g.Do("k", func() ([]byte, error) {
+			close(started)
+			<-gate
+			return borrowed, nil
+		})
+		if err != nil || shared || &body[0] != &borrowed[0] {
+			t.Errorf("leader: body %q shared %v err %v, want the borrowed body itself", body, shared, err)
+		}
+		copy(borrowed, "XXXXXX") // recycle the buffer
+	}()
+	<-started
+	results := make(chan []byte, joiners)
+	for i := 0; i < joiners; i++ {
+		go func() {
+			body, shared, err := g.Do("k", func() ([]byte, error) { return nil, errors.New("joiner ran fn") })
+			if err != nil || !shared {
+				t.Errorf("joiner: shared %v err %v", shared, err)
+			}
+			results <- body
+		}()
+	}
+	for joined.Load() < joiners {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	<-leaderDone
+	for i := 0; i < joiners; i++ {
+		if got := <-results; string(got) != "result" {
+			t.Errorf("joiner %d read %q after the leader recycled its buffer, want %q", i, got, "result")
+		}
+	}
+}

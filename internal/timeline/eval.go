@@ -106,18 +106,19 @@ type Result struct {
 
 // stepWorker is the pooled per-goroutine state of the batched step
 // fan-out: a batch whose condition columns are refilled per chunk, the
-// TTM/CAS output slices and a conditions scratch for the per-step
-// summary strings. Workers are reused across EvaluateSteps calls
-// through stepWorkerPool and every chunk evaluates on the one compiled
-// evaluator (its batch entry points are safe for concurrent use), so
-// steady-state chunk bodies allocate nothing beyond the per-step
-// Conditions composition itself.
+// TTM/CAS output slices, the composer each step's conditions are
+// built in and the per-step summary strings. Workers are reused across
+// EvaluateSteps calls through stepWorkerPool and every chunk evaluates
+// on the one compiled evaluator (its batch entry points are safe for
+// concurrent use), so steady-state chunk bodies allocate nothing but
+// each step's summary string and finite TTM.
 type stepWorker struct {
-	b     core.Batch
-	ttm   []units.Weeks
-	cas   []float64
-	conds []market.Conditions
-	errs  core.BatchErrors
+	b    core.Batch
+	ttm  []units.Weeks
+	cas  []float64
+	comp composer
+	strs []string
+	errs core.BatchErrors
 }
 
 var stepWorkerPool sync.Pool
@@ -136,10 +137,10 @@ func getStepWorker(ev *core.Evaluator, n int) *stepWorker {
 		w.cas = make([]float64, n)
 	}
 	w.cas = w.cas[:n]
-	if cap(w.conds) < n {
-		w.conds = make([]market.Conditions, n)
+	if cap(w.strs) < n {
+		w.strs = make([]string, n)
 	}
-	w.conds = w.conds[:n]
+	w.strs = w.strs[:n]
 	return w
 }
 
@@ -175,11 +176,14 @@ func stepRangeBody(ev *core.Evaluator, tl *Timeline, base int, out []Step, onSte
 	return func(lo, hi int) error {
 		cnt := hi - lo
 		w := getStepWorker(ev, cnt)
-		defer stepWorkerPool.Put(w)
+		defer func() {
+			clear(w.strs)
+			stepWorkerPool.Put(w)
+		}()
 		for s := 0; s < cnt; s++ {
-			c := tl.ConditionsAt(base + lo + s)
-			w.conds[s] = c
+			c := tl.compose(base+lo+s, &w.comp)
 			ev.SetConditions(&w.b, s, c)
+			w.strs[s] = c.String()
 		}
 		if err := ev.EvalBatch(&w.b, w.ttm, &w.errs); err != nil {
 			return err
@@ -201,7 +205,7 @@ func stepRangeBody(ev *core.Evaluator, tl *Timeline, base int, out []Step, onSte
 				TTMWeeks:   wk,
 				Stalled:    wk == nil,
 				CAS:        w.cas[s],
-				Conditions: w.conds[s].String(),
+				Conditions: w.strs[s],
 			}
 		}
 		if onStep != nil {

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"ttmcas/internal/demand"
@@ -341,6 +342,10 @@ type compiledSeg struct {
 	// weeks of full capacity (the line is normalized to capacity 1, so
 	// wafers and weeks coincide) — the segment's additive queue quote.
 	backlog []float64
+	// queued indexes, for a queue segment, the nodes it quotes in the
+	// timeline's queue table (Timeline.queued): its own node, or every
+	// node of the built-in database for a global segment.
+	queued []int
 }
 
 // capFrac is the capacity multiplier a fab-outage contributes at week t.
@@ -393,6 +398,11 @@ type Timeline struct {
 	baseName string
 	base     market.Conditions
 	segs     []compiledSeg
+	// queued are the nodes any queue segment quotes, in increasing
+	// order; each queue segment indexes into it (compiledSeg.queued),
+	// so composing a step sums its queue contributions in a flat
+	// per-node table instead of a map.
+	queued []technode.Node
 }
 
 // Compile validates the spec under the limits and resolves it.
@@ -443,7 +453,42 @@ func Compile(s Spec, lim Limits) (*Timeline, error) {
 		}
 		tl.segs = append(tl.segs, cs)
 	}
+	tl.indexQueues()
 	return tl, nil
+}
+
+// indexQueues builds the queue table: the nodes the queue segments
+// quote, sorted, and each queue segment's indexes into it. A global
+// queue segment quotes the node set market.Conditions.WithQueueAll
+// quotes, the 12 nm variant included, so a global drift that ends at a
+// static scenario's WithQueueAll quote reproduces it at every node.
+func (tl *Timeline) indexQueues() {
+	for i := range tl.segs {
+		cs := &tl.segs[i]
+		switch {
+		case cs.kind == KindFabOutage:
+		case cs.global:
+			tl.queued = append(tl.queued, globalQueueNodes...)
+		default:
+			tl.queued = append(tl.queued, cs.node)
+		}
+	}
+	slices.Sort(tl.queued)
+	tl.queued = slices.Compact(tl.queued)
+	for i := range tl.segs {
+		cs := &tl.segs[i]
+		switch {
+		case cs.kind == KindFabOutage:
+		case cs.global:
+			for _, n := range globalQueueNodes {
+				k, _ := slices.BinarySearch(tl.queued, n)
+				cs.queued = append(cs.queued, k)
+			}
+		default:
+			k, _ := slices.BinarySearch(tl.queued, cs.node)
+			cs.queued = []int{k}
+		}
+	}
 }
 
 // simulateShock runs the weekly bullwhip simulation for a demand-shock
@@ -498,30 +543,45 @@ func (tl *Timeline) StepWeeks() float64 { return tl.spec.stepWeeks() }
 // WeekAt returns the week of step i.
 func (tl *Timeline) WeekAt(i int) float64 { return float64(i) * tl.spec.stepWeeks() }
 
-// globalQueueNodes are the nodes a global queue segment quotes: the
-// set market.Conditions.WithQueueAll quotes, the 12 nm variant
-// included, so a global drift that ends at a static scenario's
-// WithQueueAll quote reproduces it at every node.
+// globalQueueNodes are the nodes a global queue segment quotes.
 var globalQueueNodes = market.DatabaseNodes()
 
 // ConditionsAt composes the market conditions at step i: the base
 // scenario's snapshot with every active fab-outage multiplied into the
 // capacity fields and every queue contribution (drift plus demand
 // backlog) added to the queue quotes. Segments that contribute nothing
-// at i leave the base values untouched — including map identity-free
-// equality, which is what keeps the episode endpoint oracles exact.
+// at i leave the base values untouched, down to which nodes carry an
+// entry, which is what keeps the episode endpoint oracles exact. The
+// returned conditions are the caller's; the step loop composes into a
+// buffer it reuses instead (see composer).
 func (tl *Timeline) ConditionsAt(i int) market.Conditions {
+	var w composer
+	return tl.compose(i, &w)
+}
+
+// composer is the scratch of the one conditions composer: the builder
+// the step's conditions are written into and the per-node queue sums.
+// A step worker owns one and reuses it for every step it composes.
+type composer struct {
+	b      market.Builder
+	dq     []float64
+	queued []bool
+}
+
+// compose builds the conditions at step i into w (see ConditionsAt).
+// The result shares w's storage, so it is valid until w's next
+// compose. Queue contributions are summed per node in segment order,
+// then added to the base quote and floored at zero.
+func (tl *Timeline) compose(i int, w *composer) market.Conditions {
 	t := tl.WeekAt(i)
-	c := tl.base
-	var qdelta map[technode.Node]float64
-	addQueue := func(n technode.Node, v float64) {
-		if qdelta == nil {
-			qdelta = make(map[technode.Node]float64, len(globalQueueNodes))
-		}
-		qdelta[n] += v
-	}
+	b := &w.b
+	b.Reset(tl.base)
+	global := tl.base.GlobalCapacity
+	w.dq = append(w.dq[:0], make([]float64, len(tl.queued))...)
+	w.queued = append(w.queued[:0], make([]bool, len(tl.queued))...)
 	for si := range tl.segs {
 		cs := &tl.segs[si]
+		var dq float64
 		switch cs.kind {
 		case KindFabOutage:
 			f := cs.capFrac(t)
@@ -529,55 +589,46 @@ func (tl *Timeline) ConditionsAt(i int) market.Conditions {
 				continue
 			}
 			if cs.global {
-				g := c.GlobalCapacity
-				if g == 0 {
-					g = 1
+				if global == 0 {
+					global = 1
 				}
-				c.GlobalCapacity = g * f
+				global *= f
 			} else {
 				v := 1.0
-				if bv, ok := c.NodeCapacity[cs.node]; ok {
+				if bv, ok := b.Conditions().NodeCapacity(cs.node); ok {
 					v = bv
 				}
-				c = c.WithNodeCapacity(cs.node, v*f)
+				b.SetCapacity(cs.node, v*f)
 			}
+			continue
 		case KindQueueDrift:
-			dq := cs.queueDelta(t)
-			if dq == 0 {
-				continue
-			}
-			if cs.global {
-				for _, n := range globalQueueNodes {
-					addQueue(n, dq)
-				}
-			} else {
-				addQueue(cs.node, dq)
-			}
+			dq = cs.queueDelta(t)
 		case KindDemandShock:
-			b := cs.backlogAt(t)
-			if b == 0 {
-				continue
-			}
-			if cs.global {
-				for _, n := range globalQueueNodes {
-					addQueue(n, b)
-				}
-			} else {
-				addQueue(cs.node, b)
-			}
+			dq = cs.backlogAt(t)
+		}
+		if dq == 0 {
+			continue
+		}
+		for _, k := range cs.queued {
+			w.dq[k] += dq
+			w.queued[k] = true
 		}
 	}
-	for n, dq := range qdelta {
-		q := dq
-		if bq, ok := c.QueueWeeks[n]; ok {
+	b.SetGlobalCapacity(global)
+	for k, n := range tl.queued {
+		if !w.queued[k] {
+			continue
+		}
+		q := w.dq[k]
+		if bq, ok := tl.base.QueueWeeks(n); ok {
 			q += float64(bq)
 		}
 		if q < 0 {
 			q = 0
 		}
-		c = c.WithQueue(n, units.Weeks(q))
+		b.SetQueue(n, units.Weeks(q))
 	}
-	return c
+	return b.Conditions()
 }
 
 // FabDisruptions converts the timeline's capacity curve for one node

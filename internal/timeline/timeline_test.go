@@ -8,6 +8,7 @@ import (
 
 	"ttmcas/internal/market"
 	"ttmcas/internal/technode"
+	"ttmcas/internal/units"
 )
 
 func validSpec() Spec {
@@ -159,7 +160,7 @@ func TestFabOutageComposition(t *testing.T) {
 	}
 	capAt := func(step int) float64 {
 		c := tl.ConditionsAt(step)
-		if v, ok := c.NodeCapacity[n40]; ok {
+		if v, ok := c.NodeCapacity(n40); ok {
 			return v
 		}
 		return 1
@@ -227,7 +228,7 @@ func TestQueueDriftCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := func(step int) float64 { return float64(tl.ConditionsAt(step).QueueWeeks[n40]) }
+	q := func(step int) float64 { return float64(queueOf(tl.ConditionsAt(step), n40)) }
 	if got := q(0); got != 0 {
 		t.Errorf("week 0 queue %v, want 0", got)
 	}
@@ -251,7 +252,7 @@ func TestQueueDriftCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := float64(tl2.ConditionsAt(8).QueueWeeks[n40]); got != 0 {
+	if got := float64(queueOf(tl2.ConditionsAt(8), n40)); got != 0 {
 		t.Errorf("clamped queue %v, want 0", got)
 	}
 }
@@ -291,7 +292,7 @@ func TestDemandShockBacklog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := func(step int) float64 { return float64(tl.ConditionsAt(step).QueueWeeks[n7]) }
+	q := func(step int) float64 { return float64(queueOf(tl.ConditionsAt(step), n7)) }
 	if got := q(0); got != 0 {
 		t.Errorf("pre-shock queue %v, want 0", got)
 	}
@@ -302,7 +303,7 @@ func TestDemandShockBacklog(t *testing.T) {
 		t.Errorf("post-drain queue %v, want float-exact 0", got)
 	}
 	// The shock is scoped to 7nm: other nodes never see it.
-	if got := float64(tl.ConditionsAt(21).QueueWeeks[technode.N40]); got != 0 {
+	if got := float64(queueOf(tl.ConditionsAt(21), technode.N40)); got != 0 {
 		t.Errorf("40nm queue %v during a 7nm-scoped shock, want 0", got)
 	}
 }
@@ -334,12 +335,12 @@ func TestSeededShocksDeterministic(t *testing.T) {
 	n7 := technode.N7
 	same, differ := true, false
 	for i := 0; i < a1.StepCount(); i++ {
-		qa1 := a1.ConditionsAt(i).QueueWeeks[n7]
-		qa2 := a2.ConditionsAt(i).QueueWeeks[n7]
+		qa1 := queueOf(a1.ConditionsAt(i), n7)
+		qa2 := queueOf(a2.ConditionsAt(i), n7)
 		if qa1 != qa2 {
 			same = false
 		}
-		if qa1 != b.ConditionsAt(i).QueueWeeks[n7] {
+		if qa1 != queueOf(b.ConditionsAt(i), n7) {
 			differ = true
 		}
 	}
@@ -385,13 +386,15 @@ func TestFabDisruptionsSchedule(t *testing.T) {
 	}
 }
 
-// Compiling must leave the base scenario's shared maps untouched:
+// Compiling must leave the base scenario's shared node table untouched:
 // ConditionsAt composes on copies, never in place.
 func TestBaseConditionsNotMutated(t *testing.T) {
 	sc, _ := market.FindScenario("fab-fire")
 	before := map[technode.Node]float64{}
-	for n, v := range sc.Conditions.NodeCapacity {
-		before[n] = v
+	for i := 0; i < sc.Conditions.Len(); i++ {
+		if s := sc.Conditions.At(i); s.HasCapacity {
+			before[s.Node] = s.Capacity
+		}
 	}
 	tl, err := Compile(Spec{
 		Base:         "fab-fire",
@@ -409,12 +412,12 @@ func TestBaseConditionsNotMutated(t *testing.T) {
 	}
 	after, _ := market.FindScenario("fab-fire")
 	for n, v := range before {
-		if after.Conditions.NodeCapacity[n] != v {
-			t.Errorf("scenario NodeCapacity[%s] mutated: %v → %v", n, v, after.Conditions.NodeCapacity[n])
+		if got, _ := after.Conditions.NodeCapacity(n); got != v {
+			t.Errorf("scenario NodeCapacity[%s] mutated: %v → %v", n, v, got)
 		}
 	}
 	// The compiled outage stacks multiplicatively on the base 0.25.
-	if got := tl.ConditionsAt(5).NodeCapacity[technode.N40]; got != 0.125 {
+	if got, _ := tl.ConditionsAt(5).NodeCapacity(technode.N40); got != 0.125 {
 		t.Errorf("stacked 40nm capacity %v, want 0.25 × 0.5 = 0.125", got)
 	}
 }
@@ -442,4 +445,10 @@ func TestEpisodeLookup(t *testing.T) {
 	if _, ok := FindEpisode("alien-invasion"); ok {
 		t.Error("FindEpisode invented an episode")
 	}
+}
+
+// queueOf is c's queue quote at n, zero when unset.
+func queueOf(c market.Conditions, n technode.Node) units.Weeks {
+	w, _ := c.QueueWeeks(n)
+	return w
 }

@@ -8,9 +8,9 @@
 # speedups (and allocation regressions) can be tracked across commits.
 #
 # It then records the timeline step-sweep (per-step evaluation at 64
-# and 512 steps) as BENCH_timeline.json in steps/s, the distributed-job
-# run (heavy mc-band batch jobs sharded across a 4-node in-process ring
-# with a mid-run node kill, every shard real compute) as
+# and 512 steps, on one CPU) as BENCH_timeline.json in steps/s, the
+# distributed-job run (heavy mc-band batch jobs sharded across a 4-node
+# in-process ring with a mid-run node kill, every shard real compute) as
 # BENCH_distjobs.json in jobs/s, and the netsplit partition run (a
 # 4-node ring crossing a mid-run asymmetric partition and heal) as
 # BENCH_netsplit.json with per-phase RPS and the heal-to-reconvergence
@@ -42,9 +42,9 @@
 # wall-clock span of the run.
 #
 # BenchmarkJobRun (internal/jobs: one whole single-node job per op, per
-# studies kind) runs pinned to one CPU: with more, sweep.ForChunks
-# starts its workers per call, so a job's allocs/op would depend on the
-# host's core count rather than on the code.
+# studies kind) and the timeline step-sweep run pinned to one CPU: with
+# more, sweep.ForChunks starts its workers per call, so their allocs/op
+# would depend on the host's core count rather than on the code.
 #
 # Every row records the `cpu:` line of the `go test -bench` run that
 # measured it (the fleet records the host of the kernel runs). Beside
@@ -65,6 +65,8 @@
 #     of its committed row, or that row missing
 #   - a whole job (JobRun/<kind>) above the allocs/op of its committed
 #     row, or that row missing
+#   - the 512-step timeline sweep (TimelineParallel/steps=512) above the
+#     allocs/op of its BENCH_timeline.json row, or that row missing
 #   - the batched band curve allocating on its steady-state path
 #   - the distjobs or netsplit run failing its ttmcas-loadgen -check
 #     contract (the loadgen names the failed clause on stderr)
@@ -221,13 +223,16 @@ ns_guard EvaluatorCAS
 # path through the whole in-process stack must stay at most twice the
 # ns/op and at most the allocs/op of their rows committed at HEAD; a
 # missing row fails the guard. (Row names may hold a "/", hence the
-# "|" delimiter.)
+# "|" delimiter.) allocs_guard NAME [TABLE RECORD] reads the measured
+# figure from TABLE (default: the kernel runs) and the committed one
+# from RECORD (default: BENCH_jobs.json).
 allocs_guard() {
-    allocs="$(best_field "$1" "$tmpbest" 3)"
-    base="$(baseline_of BENCH_jobs.json |
+    allocs="$(best_field "$1" "${2:-$tmpbest}" 3)"
+    record="${3:-BENCH_jobs.json}"
+    base="$(baseline_of "$record" |
         sed -n "s|.*\"name\": \"$1\",.*\"allocs_per_op\": \([0-9.eE+-]*\),.*|\1|p")"
     if [ -z "$allocs" ] || [ "$allocs" = "null" ] || [ -z "$base" ]; then
-        echo "WARNING: $1 has no measured allocs/op or no committed BENCH_jobs.json row" >&2
+        echo "WARNING: $1 has no measured allocs/op or no committed $record row" >&2
         guard_status=1
     elif awk -v a="$allocs" -v b="$base" 'BEGIN { exit !(a > b) }'; then
         echo "WARNING: $1 (${allocs} allocs/op) above its committed allocs/op (${base})" >&2
@@ -266,15 +271,19 @@ fi
 
 # ---- timeline step sweep -------------------------------------------
 # Per-step timeline evaluation of a 3-segment disruption spec at 64 and
-# 512 steps, recorded in steps/s.
+# 512 steps on one CPU, recorded in steps/s. The 512-step run must stay
+# at or below the allocs/op of its committed row: the step loop composes
+# each step's conditions into a buffer its worker reuses, so a step
+# allocates only its summary string and its finite TTM.
 : > "$tmptl"
 rep=0
 while [ "$rep" -lt "${BENCHCOUNT:-3}" ]; do
-    go test -run '^$' -bench 'Timeline' -benchmem \
+    go test -run '^$' -bench 'Timeline' -benchmem -cpu 1 \
         -benchtime "${BENCHTIME:-2s}" ./internal/timeline | tee -a "$tmptl"
     rep=$((rep + 1))
 done
 best_of "steps/s" < "$tmptl" > "$tmptlbest"
+allocs_guard TimelineParallel/steps=512 "$tmptlbest" BENCH_timeline.json
 
 emit_json "$tmptlbest" steps_per_s "$(host_of < "$tmptl")" > "$timelineout"
 echo "wrote $timelineout"
