@@ -80,12 +80,17 @@ func (c Conditions) WithQueue(n technode.Node, w units.Weeks) Conditions {
 	return b.c
 }
 
-// databaseNodes is every node of the built-in database: the Table 2
-// set and its variants.
-var databaseNodes = append(technode.All(), technode.Variants()...)
+// databaseNodes is every node of the built-in database, the Table 2
+// set and its variants, in increasing order, so SetQueueAll appends
+// where the table has no entry.
+var databaseNodes = func() []technode.Node {
+	nodes := append(technode.All(), technode.Variants()...)
+	slices.Sort(nodes)
+	return nodes
+}()
 
 // DatabaseNodes returns every node of the built-in database, variants
-// included: the node set WithQueueAll quotes.
+// included, in increasing order: the node set WithQueueAll quotes.
 func DatabaseNodes() []technode.Node { return slices.Clone(databaseNodes) }
 
 // WithQueueAll returns a copy of c quoting the same lead time at every

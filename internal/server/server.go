@@ -863,9 +863,6 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route str
 		}
 		return pooled.buf.Bytes(), nil
 	})
-	if pooled != nil {
-		defer encPool.Put(pooled)
-	}
 	if shared {
 		s.metrics.FlightShared()
 	}
@@ -882,6 +879,9 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, route str
 	}
 	w.Header()["X-Cache"] = headerMiss
 	writeBody(w, http.StatusOK, body)
+	if pooled != nil {
+		encPool.Put(pooled)
+	}
 }
 
 // CacheKey returns the canonical cache key of a decoded request on a

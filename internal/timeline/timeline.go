@@ -458,37 +458,35 @@ func Compile(s Spec, lim Limits) (*Timeline, error) {
 }
 
 // indexQueues builds the queue table: the nodes the queue segments
-// quote, sorted, and each queue segment's indexes into it. A global
-// queue segment quotes the node set market.Conditions.WithQueueAll
-// quotes, the 12 nm variant included, so a global drift that ends at a
-// static scenario's WithQueueAll quote reproduces it at every node.
+// quote, sorted, and each queue segment's indexes into it.
 func (tl *Timeline) indexQueues() {
 	for i := range tl.segs {
-		cs := &tl.segs[i]
-		switch {
-		case cs.kind == KindFabOutage:
-		case cs.global:
-			tl.queued = append(tl.queued, globalQueueNodes...)
-		default:
-			tl.queued = append(tl.queued, cs.node)
-		}
+		tl.queued = append(tl.queued, tl.segs[i].quotedNodes()...)
 	}
 	slices.Sort(tl.queued)
 	tl.queued = slices.Compact(tl.queued)
 	for i := range tl.segs {
 		cs := &tl.segs[i]
-		switch {
-		case cs.kind == KindFabOutage:
-		case cs.global:
-			for _, n := range globalQueueNodes {
-				k, _ := slices.BinarySearch(tl.queued, n)
-				cs.queued = append(cs.queued, k)
-			}
-		default:
-			k, _ := slices.BinarySearch(tl.queued, cs.node)
-			cs.queued = []int{k}
+		for _, n := range cs.quotedNodes() {
+			k, _ := slices.BinarySearch(tl.queued, n)
+			cs.queued = append(cs.queued, k)
 		}
 	}
+}
+
+// quotedNodes are the nodes a queue segment quotes: its own, or for a
+// global segment the node set market.Conditions.WithQueueAll quotes,
+// the 12 nm variant included, so a global drift that ends at a static
+// scenario's WithQueueAll quote reproduces it at every node. A
+// fab-outage quotes none.
+func (cs *compiledSeg) quotedNodes() []technode.Node {
+	switch {
+	case cs.kind == KindFabOutage:
+		return nil
+	case cs.global:
+		return globalQueueNodes
+	}
+	return []technode.Node{cs.node}
 }
 
 // simulateShock runs the weekly bullwhip simulation for a demand-shock
