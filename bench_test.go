@@ -211,7 +211,8 @@ func BenchmarkAblationFabClosedFormVsDES(b *testing.B) {
 	b.Run("closed-form", func(b *testing.B) {
 		var last units.Weeks
 		for i := 0; i < b.N; i++ {
-			last = fabsim.ClosedForm(cfg, 150_000, 10_000)
+			// Eqs. 4–5: queue/μ + N_W/μ + L_fab.
+			last = units.Weeks(10_000/float64(cfg.Rate) + 150_000/float64(cfg.Rate) + float64(cfg.FabLatency))
 		}
 		b.ReportMetric(float64(last), "weeks")
 	})

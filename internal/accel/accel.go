@@ -18,7 +18,6 @@
 package accel
 
 import (
-	"fmt"
 	"math"
 
 	"ttmcas/internal/units"
@@ -87,17 +86,6 @@ type Accelerator struct {
 	// UniqueTransistors is the design's synthesized N_UT (the paper's
 	// published Table 3 figures; non-memory transistors are unique).
 	UniqueTransistors units.Transistors
-}
-
-// Validate checks the structural parameters.
-func (a Accelerator) Validate() error {
-	if a.TotalStages <= 0 || a.HWStages <= 0 || a.Width <= 0 {
-		return fmt.Errorf("accel: %s: stages/width must be positive", a.Name)
-	}
-	if a.HWStages > a.TotalStages {
-		return fmt.Errorf("accel: %s: hardware stages exceed network depth", a.Name)
-	}
-	return nil
 }
 
 // Passes returns how many trips a dataset makes through the hardware.

@@ -15,6 +15,17 @@ import (
 // it also applies the real bitonic compare-exchanges, so the simulated
 // machine must actually sort.
 
+// Validate checks the structural parameters.
+func (a Accelerator) Validate() error {
+	if a.TotalStages <= 0 || a.HWStages <= 0 || a.Width <= 0 {
+		return fmt.Errorf("accel: %s: stages/width must be positive", a.Name)
+	}
+	if a.HWStages > a.TotalStages {
+		return fmt.Errorf("accel: %s: hardware stages exceed network depth", a.Name)
+	}
+	return nil
+}
+
 // Trace records one pass of a machine execution.
 type Trace struct {
 	Pass   int
@@ -111,8 +122,7 @@ func (a Accelerator) StepCount(n int) (MachineRun, error) {
 	return run, nil
 }
 
-// VerifySorted reports whether data is ascending (test helper shared
-// with examples).
+// VerifySorted reports whether data is ascending.
 func VerifySorted(data []int32) bool {
 	return sort.SliceIsSorted(data, func(i, j int) bool { return data[i] < data[j] })
 }

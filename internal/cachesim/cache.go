@@ -80,7 +80,6 @@ func (s Stats) MissRate() float64 {
 // not contents.
 type Cache struct {
 	cfg       Config
-	sets      int
 	lineShift uint
 	setMask   uint64
 	// tags[set*ways + way]; lru holds per-line recency counters
@@ -102,7 +101,6 @@ func New(cfg Config) (*Cache, error) {
 	sets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
 	c := &Cache{
 		cfg:       cfg,
-		sets:      sets,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setMask:   uint64(sets - 1),
 		tags:      make([]uint64, sets*cfg.Ways),
@@ -112,12 +110,6 @@ func New(cfg Config) (*Cache, error) {
 	}
 	return c, nil
 }
-
-// Config returns the (defaulted) configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
 
 // Access references addr and returns true on a hit. Misses fill the
 // line, evicting the LRU way.
@@ -151,16 +143,3 @@ func (c *Cache) Access(addr uint64) bool {
 
 // Stats returns the accumulated counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.lru[i] = 0
-		c.tags[i] = 0
-	}
-	for i := range c.clock {
-		c.clock[i] = 0
-	}
-	c.stats = Stats{}
-}

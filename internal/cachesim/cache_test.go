@@ -94,21 +94,6 @@ func TestLRUMatchesSmallWorkingSet(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c, err := New(Config{SizeBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Access(0)
-	c.Reset()
-	if s := c.Stats(); s.Accesses != 0 || s.Misses != 0 {
-		t.Errorf("stats after reset = %+v", s)
-	}
-	if c.Access(0) {
-		t.Error("reset cache should cold-miss")
-	}
-}
-
 func TestMissRateBounds(t *testing.T) {
 	// Property: for any address stream, 0 ≤ miss rate ≤ 1 and misses
 	// ≤ accesses.
@@ -169,10 +154,10 @@ func TestConfigAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Config().LineBytes != DefaultLineBytes || c.Config().Ways != DefaultWays {
-		t.Errorf("defaults not applied: %+v", c.Config())
+	if c.cfg.LineBytes != DefaultLineBytes || c.cfg.Ways != DefaultWays {
+		t.Errorf("defaults not applied: %+v", c.cfg)
 	}
-	if c.Sets() != 4096/(DefaultLineBytes*DefaultWays) {
-		t.Errorf("sets = %d", c.Sets())
+	if len(c.clock) != 4096/(DefaultLineBytes*DefaultWays) {
+		t.Errorf("sets = %d", len(c.clock))
 	}
 }

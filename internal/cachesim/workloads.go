@@ -26,16 +26,6 @@ func Presets() []Workload {
 	}
 }
 
-// FindPreset returns the named preset, or false.
-func FindPreset(name string) (Workload, bool) {
-	for _, w := range Presets() {
-		if w.Name == name {
-			return w, true
-		}
-	}
-	return Workload{}, false
-}
-
 // ComputeBound models a register-resident kernel: tiny footprints and
 // a light data-reference rate.
 func ComputeBound() Workload {

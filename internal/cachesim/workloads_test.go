@@ -20,11 +20,8 @@ func TestPresetsDistinctAndValid(t *testing.T) {
 			g.Next()
 		}
 	}
-	if _, ok := FindPreset("spec-like"); !ok {
-		t.Error("spec-like preset missing")
-	}
-	if _, ok := FindPreset("nope"); ok {
-		t.Error("unknown preset should not resolve")
+	if Presets()[0].Name != SPECLike().Name {
+		t.Error("the reference mix should come first")
 	}
 }
 

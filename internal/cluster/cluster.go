@@ -237,12 +237,6 @@ func (c *Cluster) Close() {
 	c.wg.Wait()
 }
 
-// SelfID returns the node's configured identity.
-func (c *Cluster) SelfID() string { return c.opts.SelfID }
-
-// SelfURL returns the node's advertised base URL.
-func (c *Cluster) SelfURL() string { return c.opts.SelfURL }
-
 // Epoch returns the ring epoch: 1 at startup, +1 per membership change.
 func (c *Cluster) Epoch() uint64 { return c.epoch.Load() }
 
@@ -302,14 +296,6 @@ type ForwardOptions struct {
 	// ("eval", "job", ...; default "forward"), so one misbehaving
 	// request class cannot drain another's budget.
 	Class string
-}
-
-// Forward sends one request to a peer with the single-hop guard header
-// set and returns its response, with no retries: exactly one attempt,
-// gated by the peer's circuit breaker. Idempotent callers that want
-// the retry budget use ForwardOpts.
-func (c *Cluster) Forward(ctx context.Context, peerURL, method, path string, body []byte) (ForwardResult, error) {
-	return c.ForwardOpts(ctx, peerURL, method, path, body, ForwardOptions{})
 }
 
 // ForwardOpts forwards one request through the peer's circuit breaker
@@ -433,12 +419,6 @@ func (c *Cluster) breakerFor(url string) *resilience.Breaker {
 		return p.br
 	}
 	return nil
-}
-
-// BreakerState reports the named peer's breaker state (closed for
-// unknown peers).
-func (c *Cluster) BreakerState(url string) resilience.BreakerState {
-	return c.breakerFor(url).State()
 }
 
 // onBreakerTransition is every peer breaker's transition hook: it

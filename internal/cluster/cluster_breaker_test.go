@@ -71,16 +71,16 @@ func TestBreakerShortCircuitsForward(t *testing.T) {
 	p.ts.Close() // kill the listener: transport errors, not 503s
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if _, err := c.Forward(ctx, url, http.MethodGet, "/v1/nodes", nil); err == nil {
+		if _, err := c.ForwardOpts(ctx, url, http.MethodGet, "/v1/nodes", nil, ForwardOptions{}); err == nil {
 			t.Fatalf("forward %d to a closed listener succeeded", i)
 		} else if errors.Is(err, resilience.ErrBreakerOpen) {
 			t.Fatalf("forward %d short-circuited before the breaker tripped: %v", i, err)
 		}
 	}
-	if got := c.BreakerState(url); got != resilience.BreakerOpen {
+	if got := c.breakerFor(url).State(); got != resilience.BreakerOpen {
 		t.Fatalf("breaker state after 3 failures = %v, want open", got)
 	}
-	if _, err := c.Forward(ctx, url, http.MethodGet, "/v1/nodes", nil); !errors.Is(err, resilience.ErrBreakerOpen) {
+	if _, err := c.ForwardOpts(ctx, url, http.MethodGet, "/v1/nodes", nil, ForwardOptions{}); !errors.Is(err, resilience.ErrBreakerOpen) {
 		t.Fatalf("tripped breaker forward err = %v, want ErrBreakerOpen", err)
 	}
 	st := c.Stats()
@@ -173,7 +173,7 @@ func TestForwardNoRetryWithoutOptIn(t *testing.T) {
 	})
 	defer c.Close()
 
-	if _, err := c.Forward(context.Background(), srv.URL, http.MethodPost, "/v1/jobs", []byte("{}")); err == nil {
+	if _, err := c.ForwardOpts(context.Background(), srv.URL, http.MethodPost, "/v1/jobs", []byte("{}"), ForwardOptions{}); err == nil {
 		t.Fatal("forward to a resetting peer succeeded")
 	}
 	if got := calls.Load(); got != 1 {
@@ -236,13 +236,13 @@ func TestPartitionHealReclosesBreaker(t *testing.T) {
 
 	p.down.Store(true) // /healthz answers 503: probes fail, peer dies
 	waitFor(t, "breaker open", func() bool {
-		return c.BreakerState(p.ts.URL) == resilience.BreakerOpen
+		return c.breakerFor(p.ts.URL).State() == resilience.BreakerOpen
 	})
 	waitFor(t, "peer dead", func() bool { return c.Stats().Dead == 1 })
 
 	p.down.Store(false) // heal
 	waitFor(t, "breaker closed again", func() bool {
-		return c.BreakerState(p.ts.URL) == resilience.BreakerClosed
+		return c.breakerFor(p.ts.URL).State() == resilience.BreakerClosed
 	})
 	waitFor(t, "peer alive and ring rebuilt", func() bool {
 		st := c.Stats()

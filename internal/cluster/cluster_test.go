@@ -142,7 +142,7 @@ func TestForward(t *testing.T) {
 	})
 	defer c.Close()
 
-	res, err := c.Forward(context.Background(), peer.URL, http.MethodPost, "/v1/ttm", []byte(`{"n":1}`))
+	res, err := c.ForwardOpts(context.Background(), peer.URL, http.MethodPost, "/v1/ttm", []byte(`{"n":1}`), ForwardOptions{})
 	if err != nil {
 		t.Fatalf("Forward: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestForward(t *testing.T) {
 	// Transport failure: a closed peer yields an error and a counter,
 	// not a relayed response.
 	peer.Close()
-	if _, err := c.Forward(context.Background(), peer.URL, http.MethodPost, "/v1/ttm", nil); err == nil {
+	if _, err := c.ForwardOpts(context.Background(), peer.URL, http.MethodPost, "/v1/ttm", nil, ForwardOptions{}); err == nil {
 		t.Fatal("Forward to a closed peer must fail")
 	}
 	if st := c.Stats(); st.ForwardErrors != 1 {

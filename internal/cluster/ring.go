@@ -46,7 +46,6 @@ type point struct {
 type Ring struct {
 	points  []point
 	members []string
-	vnodes  int
 }
 
 // DefaultVNodes is the virtual-node count used when none is configured.
@@ -75,7 +74,6 @@ func NewRing(vnodes int, members []string) *Ring {
 	r := &Ring{
 		points:  make([]point, 0, len(uniq)*vnodes),
 		members: uniq,
-		vnodes:  vnodes,
 	}
 	for _, m := range uniq {
 		for v := 0; v < vnodes; v++ {
@@ -122,14 +120,6 @@ func (r *Ring) Len() int {
 		return 0
 	}
 	return len(r.members)
-}
-
-// VNodes reports the virtual-node count per member.
-func (r *Ring) VNodes() int {
-	if r == nil {
-		return 0
-	}
-	return r.vnodes
 }
 
 // hash64 is 64-bit FNV-1a with a murmur-style finalizer. Raw FNV-1a is

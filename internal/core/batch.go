@@ -228,9 +228,6 @@ func (sc *batchScratch) ensure(n, nodes int) {
 // length condition columns (Batch.Factor/Queue) must have.
 func (e *Evaluator) NodeCount() int { return len(e.nodes) }
 
-// NodeAt returns the process node at compiled index i.
-func (e *Evaluator) NodeAt(i int) technode.Node { return e.nodes[i].node }
-
 // NodeIndex returns the compiled index of a node, or -1 when the
 // design does not use it.
 func (e *Evaluator) NodeIndex(node technode.Node) int {

@@ -237,9 +237,6 @@ func (e *Evaluator) Bind(c market.Conditions) {
 	})
 }
 
-// Chips returns the compiled final-chip count.
-func (e *Evaluator) Chips() float64 { return e.chips }
-
 // single is the per-call methods' one-sample batch: the perturbation
 // and the columns of a batch scratch sized for one sample, the CAS
 // probe outputs included. It lives in the Evaluator and the scratch's

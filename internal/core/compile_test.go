@@ -35,7 +35,7 @@ func registeredDesigns() map[string]design.Design {
 		"zen2-mono@7nm":  scenario.Zen2Monolithic(technode.N7),
 		"chip-a":         scenario.ChipA(),
 		"chip-b":         scenario.ChipB(),
-		"accel-host@7nm": scenario.AccelHost(technode.N7),
+		"accel-host@7nm": scenario.ArianeConfig{Cores: 1, ICacheKB: 16, DCacheKB: 32, Node: technode.N7}.Design(),
 		"raven":          scenario.RavenConfig{}.Design(),
 	}
 }

@@ -7,3 +7,6 @@ var (
 	ReferenceTTM         = referenceTTM
 	ReferenceCASWithStep = referenceCASWithStep
 )
+
+// Chips returns the compiled final-chip count.
+func (e *Evaluator) Chips() float64 { return e.chips }

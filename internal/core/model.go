@@ -17,8 +17,6 @@
 package core
 
 import (
-	"fmt"
-
 	"ttmcas/internal/design"
 	"ttmcas/internal/geometry"
 	"ttmcas/internal/market"
@@ -111,27 +109,6 @@ func or1(m float64) float64 {
 
 // Inputs enumerates the perturbable inputs in the paper's Fig. 8 order.
 var Inputs = []string{"NTT", "NUT", "D0", "muW", "Lfab", "LOSAT"}
-
-// SetInput sets the multiplier for the named input (one of Inputs).
-func (p *Perturbation) SetInput(name string, m float64) error {
-	switch name {
-	case "NTT":
-		p.NTT = m
-	case "NUT":
-		p.NUT = m
-	case "D0":
-		p.D0 = m
-	case "muW":
-		p.Rate = m
-	case "Lfab":
-		p.FabLatency = m
-	case "LOSAT":
-		p.TAPLatency = m
-	default:
-		return fmt.Errorf("core: unknown perturbation input %q", name)
-	}
-	return nil
-}
 
 // DieResult reports the geometry and wafer demand of one die type.
 type DieResult struct {

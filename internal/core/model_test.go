@@ -227,21 +227,6 @@ func TestPerturbationDirections(t *testing.T) {
 	}
 }
 
-func TestPerturbationSetInput(t *testing.T) {
-	var p core.Perturbation
-	for _, name := range core.Inputs {
-		if err := p.SetInput(name, 1.1); err != nil {
-			t.Errorf("SetInput(%q): %v", name, err)
-		}
-	}
-	if p.NTT != 1.1 || p.TAPLatency != 1.1 {
-		t.Errorf("SetInput did not stick: %+v", p)
-	}
-	if err := p.SetInput("bogus", 1); err == nil {
-		t.Error("unknown input should error")
-	}
-}
-
 func TestYieldOverrideRespected(t *testing.T) {
 	var m core.Model
 	d := design.Design{Dies: []design.Die{{

@@ -31,7 +31,7 @@ func oracleDesigns() []design.Design {
 		scenario.Zen2Monolithic(technode.N7),
 		scenario.ChipA(),
 		scenario.ChipB(),
-		scenario.AccelHost(technode.N7),
+		scenario.ArianeConfig{Cores: 1, ICacheKB: 16, DCacheKB: 32, Node: technode.N7}.Design(),
 		scenario.RavenConfig{}.Design(),
 	}
 }

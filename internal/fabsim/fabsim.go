@@ -273,10 +273,3 @@ func RunCtx(ctx context.Context, cfg Config, wafers float64, queueAhead units.Wa
 	}
 	return res, nil
 }
-
-// ClosedForm returns the Eqs. 4–5 prediction for the same order under
-// constant full capacity: queue/μ + N_W/μ + L_fab (fabrication only).
-func ClosedForm(cfg Config, wafers float64, queueAhead units.Wafers) units.Weeks {
-	mu := float64(cfg.Rate)
-	return units.Weeks(float64(queueAhead)/mu + wafers/mu + float64(cfg.FabLatency))
-}

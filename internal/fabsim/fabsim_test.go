@@ -15,6 +15,13 @@ func line() Config {
 	return Config{Rate: 10000, FabLatency: 12, TAPLatency: 6}
 }
 
+// ClosedForm returns the Eqs. 4–5 prediction for the same order under
+// constant full capacity: queue/μ + N_W/μ + L_fab (fabrication only).
+func ClosedForm(cfg Config, wafers float64, queueAhead units.Wafers) units.Weeks {
+	mu := float64(cfg.Rate)
+	return units.Weeks(float64(queueAhead)/mu + wafers/mu + float64(cfg.FabLatency))
+}
+
 func TestAgreesWithClosedForm(t *testing.T) {
 	// Cross-validation: on constant conditions the DES must match
 	// Eqs. 4–5 within one lot's worth of start time.

@@ -633,7 +633,7 @@ func TestFig8BootstrapCIs(t *testing.T) {
 	for _, in := range d.Inputs {
 		for _, node := range d.Nodes {
 			ci := d.TotalCI[in][node]
-			if !ci.Contains(d.Total[in][node]) {
+			if st := d.Total[in][node]; !(ci.Lo <= st && st <= ci.Hi) {
 				t.Errorf("S_T[%s][%s] outside its bootstrap CI", in, node)
 			}
 			if ci.Width() < 0 || ci.Width() > 0.6 {

@@ -26,11 +26,6 @@ import (
 // 300 mm equivalents).
 const DefaultWaferDiameterMM = 300.0
 
-// ReticleLimitMM2 is the approximate maximum die area a single
-// photolithography exposure field can pattern (~26 mm × 33 mm). Designs
-// whose dies exceed this cannot be manufactured monolithically.
-const ReticleLimitMM2 units.MM2 = 858.0
-
 // ErrDieTooLarge is returned when a die cannot fit on the wafer at all.
 var ErrDieTooLarge = errors.New("geometry: die area exceeds usable wafer area")
 
@@ -49,21 +44,11 @@ func (w Wafer) Area() units.MM2 {
 	return units.MM2(math.Pi * r * r)
 }
 
-// GrossDies returns the estimated number of complete die sites for a die
-// of the given area, applying the partial-edge-die correction. The
-// result is at least zero; it is zero when the die is larger than the
-// wafer can hold.
-func (w Wafer) GrossDies(die units.MM2) int {
-	n := w.GrossDiesFrac(die)
-	if n <= 0 {
-		return 0
-	}
-	return int(n)
-}
-
-// GrossDiesFrac is GrossDies before truncation to an integer; exposed
-// for smooth optimization sweeps where integer steps would create
-// artificial plateaus.
+// GrossDiesFrac returns the estimated number of complete die sites for
+// a die of the given area, applying the partial-edge-die correction. It
+// is zero when the die does not fit, and fractional: the model works in
+// expectations, and integer steps would put artificial plateaus into
+// smooth sweeps.
 func (w Wafer) GrossDiesFrac(die units.MM2) float64 {
 	if die <= 0 {
 		return 0
@@ -88,34 +73,4 @@ func (w Wafer) NaiveDies(die units.MM2) int {
 		return 0
 	}
 	return int(n)
-}
-
-// WafersFor returns the expected number of wafers required to obtain
-// gross die sites for `dies` dies of the given area. It returns an error
-// when no die fits on the wafer. The result is fractional: the model
-// works in expectations and the caller decides whether to round up to
-// whole wafers (or lots).
-func (w Wafer) WafersFor(dies float64, die units.MM2) (units.Wafers, error) {
-	per := w.GrossDiesFrac(die)
-	if per < 1 {
-		return 0, ErrDieTooLarge
-	}
-	if dies <= 0 {
-		return 0, nil
-	}
-	return units.Wafers(dies / per), nil
-}
-
-// SplitDie returns the number of equal-sized dies a design of the given
-// total area must be split into so each die fits the reticle limit, and
-// the per-die area. A design that already fits returns (1, total).
-func SplitDie(total units.MM2) (n int, per units.MM2) {
-	if total <= 0 {
-		return 1, 0
-	}
-	n = int(math.Ceil(float64(total) / float64(ReticleLimitMM2)))
-	if n < 1 {
-		n = 1
-	}
-	return n, total / units.MM2(n)
 }

@@ -19,18 +19,18 @@ func TestWaferArea(t *testing.T) {
 func TestGrossDiesKnownValues(t *testing.T) {
 	w := Default300()
 	// ~100 mm² die: 70686/100 − 942.48/√200 ≈ 706.9 − 66.6 ≈ 640.
-	if got := w.GrossDies(100); got < 630 || got > 650 {
-		t.Errorf("GrossDies(100mm²) = %d, want ~640", got)
+	if got := w.GrossDiesFrac(100); got < 630 || got > 650 {
+		t.Errorf("GrossDiesFrac(100mm²) = %v, want ~640", got)
 	}
 	// A die the size of the wafer cannot fit once edge loss applies.
-	if got := w.GrossDies(w.Area()); got != 0 {
-		t.Errorf("GrossDies(wafer-sized) = %d, want 0", got)
+	if got := w.GrossDiesFrac(w.Area()); got != 0 {
+		t.Errorf("GrossDiesFrac(wafer-sized) = %v, want 0", got)
 	}
-	if got := w.GrossDies(0); got != 0 {
-		t.Errorf("GrossDies(0) = %d, want 0", got)
+	if got := w.GrossDiesFrac(0); got != 0 {
+		t.Errorf("GrossDiesFrac(0) = %v, want 0", got)
 	}
-	if got := w.GrossDies(-5); got != 0 {
-		t.Errorf("GrossDies(-5) = %d, want 0", got)
+	if got := w.GrossDiesFrac(-5); got != 0 {
+		t.Errorf("GrossDiesFrac(-5) = %v, want 0", got)
 	}
 }
 
@@ -41,55 +41,15 @@ func TestNaiveExceedsCorrected(t *testing.T) {
 	f := func(raw uint16) bool {
 		area := units.MM2(1 + float64(raw%2000))
 		naive := w.NaiveDies(area)
-		corr := w.GrossDies(area)
-		if naive < corr {
+		corr := w.GrossDiesFrac(area)
+		if float64(naive) < corr {
 			return false
 		}
 		bigger := area * 2
-		return w.GrossDies(bigger) <= corr
+		return w.GrossDiesFrac(bigger) <= corr
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestWafersFor(t *testing.T) {
-	w := Default300()
-	n, err := w.WafersFor(6400, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ~640 dies per wafer → ~10 wafers.
-	if float64(n) < 9.5 || float64(n) > 10.5 {
-		t.Errorf("WafersFor = %v, want ~10", float64(n))
-	}
-	if _, err := w.WafersFor(10, 70000); err == nil {
-		t.Error("oversized die should error")
-	}
-	zero, err := w.WafersFor(0, 100)
-	if err != nil || zero != 0 {
-		t.Errorf("WafersFor(0) = %v, %v", zero, err)
-	}
-}
-
-func TestSplitDie(t *testing.T) {
-	cases := []struct {
-		total units.MM2
-		wantN int
-	}{
-		{100, 1}, {858, 1}, {859, 2}, {1716, 2}, {1717, 3}, {0, 1},
-	}
-	for _, c := range cases {
-		n, per := SplitDie(c.total)
-		if n != c.wantN {
-			t.Errorf("SplitDie(%v) = %d dies, want %d", float64(c.total), n, c.wantN)
-		}
-		if c.total > 0 && math.Abs(float64(per)*float64(n)-float64(c.total)) > 1e-9 {
-			t.Errorf("SplitDie(%v): %d × %v ≠ total", float64(c.total), n, float64(per))
-		}
-		if per > ReticleLimitMM2 {
-			t.Errorf("SplitDie(%v): per-die %v exceeds reticle", float64(c.total), float64(per))
-		}
 	}
 }
 

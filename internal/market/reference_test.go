@@ -260,14 +260,13 @@ func compareConditions(t *testing.T, c market.Conditions, ref refConditions, nod
 	if !same(b.Global[0], ref.GlobalCapacity) {
 		t.Fatalf("resolved global capacity %v, reference %v", b.Global[0], ref.GlobalCapacity)
 	}
-	for i := range b.Factor {
-		n := ev.NodeAt(i)
-		var p technode.Params
-		for _, q := range nodes {
-			if q.Node == n {
-				p = q
-			}
+	resolved := 0
+	for _, p := range nodes {
+		n, i := p.Node, ev.NodeIndex(p.Node)
+		if i < 0 {
+			continue
 		}
+		resolved++
 		factor, ok := ref.NodeCapacity[n]
 		if !ok {
 			factor = 1
@@ -279,5 +278,8 @@ func compareConditions(t *testing.T, c market.Conditions, ref refConditions, nod
 		if !same(b.Factor[i][0], factor) || !same(b.Queue[i][0], queue) {
 			t.Fatalf("%s: resolved factor %v queue %v, reference %v and %v", n, b.Factor[i][0], b.Queue[i][0], factor, queue)
 		}
+	}
+	if resolved != len(b.Factor) {
+		t.Fatalf("%d of the evaluator's %d nodes checked", resolved, len(b.Factor))
 	}
 }

@@ -110,7 +110,7 @@ func TestTTMEstimateBracketsNominal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !est.CI.Contains(float64(nominal)) {
+	if x := float64(nominal); !(est.CI.Lo <= x && x <= est.CI.Hi) {
 		t.Errorf("nominal %v outside CI [%v, %v]", float64(nominal), est.CI.Lo, est.CI.Hi)
 	}
 	if math.Abs(est.Mean-float64(nominal))/float64(nominal) > 0.05 {
@@ -151,7 +151,7 @@ func TestCASEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !est.CI.Contains(nominal.CAS) {
+	if x := nominal.CAS; !(est.CI.Lo <= x && x <= est.CI.Hi) {
 		t.Errorf("nominal CAS %v outside CI [%v, %v]", nominal.CAS, est.CI.Lo, est.CI.Hi)
 	}
 }
@@ -171,7 +171,7 @@ func TestBandCurve(t *testing.T) {
 		if b.CI25.Width() <= b.CI10.Width() {
 			t.Errorf("at x=%v: ±25%% band should be wider", b.X)
 		}
-		if !b.CI10.Contains(b.Mean) {
+		if !(b.CI10.Lo <= b.Mean && b.Mean <= b.CI10.Hi) {
 			t.Errorf("at x=%v: mean outside its own band", b.X)
 		}
 	}

@@ -38,13 +38,3 @@ func ParetoFront(points []CachePoint) []CachePoint {
 	}
 	return front
 }
-
-// OnFront reports whether the point is non-dominated within points.
-func OnFront(p CachePoint, points []CachePoint) bool {
-	for _, q := range points {
-		if q != p && dominates(q, p) {
-			return false
-		}
-	}
-	return true
-}

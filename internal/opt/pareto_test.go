@@ -8,6 +8,16 @@ import (
 	"ttmcas/internal/units"
 )
 
+// OnFront reports whether the point is non-dominated within points.
+func OnFront(p CachePoint, points []CachePoint) bool {
+	for _, q := range points {
+		if q != p && dominates(q, p) {
+			return false
+		}
+	}
+	return true
+}
+
 func pt(ipc, ttm, cost float64) CachePoint {
 	return CachePoint{IPC: ipc, TTM: wk(ttm), Cost: usd(cost)}
 }

@@ -1,6 +1,6 @@
 // Package report renders the framework's results as aligned text
 // tables, labeled matrices (the textual equivalent of the paper's
-// heatmaps), and CSV for downstream plotting.
+// heatmaps) and stdlib-only SVG charts.
 package report
 
 import (
@@ -48,9 +48,6 @@ func trimFloat(v float64) string {
 	return strings.TrimRight(s, ".")
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // WriteTo renders the table.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	widths := make([]int, len(t.Headers))
@@ -95,31 +92,6 @@ func (t *Table) String() string {
 	var b strings.Builder
 	if _, err := t.WriteTo(&b); err != nil {
 		return ""
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values with the header row.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(esc(c))
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	for _, r := range t.rows {
-		writeRow(r)
 	}
 	return b.String()
 }

@@ -24,8 +24,8 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(out, "alpha  1.5") {
 		t.Errorf("row misaligned:\n%s", out)
 	}
-	if tb.Rows() != 3 {
-		t.Errorf("Rows = %d", tb.Rows())
+	if len(tb.rows) != 3 {
+		t.Errorf("rows = %d", len(tb.rows))
 	}
 }
 
@@ -50,17 +50,6 @@ func TestTrimFloat(t *testing.T) {
 		if got := trimFloat(v); got != want {
 			t.Errorf("trimFloat(%v) = %q, want %q", v, got, want)
 		}
-	}
-}
-
-func TestCSV(t *testing.T) {
-	tb := NewTable("t", "a", "b")
-	tb.AddRow("plain", 1)
-	tb.AddRow("with,comma", `quote"inside`)
-	csv := tb.CSV()
-	want := "a,b\nplain,1\n\"with,comma\",\"quote\"\"inside\"\n"
-	if csv != want {
-		t.Errorf("CSV = %q, want %q", csv, want)
 	}
 }
 

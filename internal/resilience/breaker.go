@@ -40,8 +40,8 @@ func (s BreakerState) String() string {
 // BreakerConfig parameterizes a Breaker. The zero value of every field
 // selects a sensible default.
 type BreakerConfig struct {
-	// Name labels the breaker in stats and transition logs (the peer
-	// URL, in cluster use).
+	// Name labels the breaker in OnTransition calls (the peer URL, in
+	// cluster use).
 	Name string
 	// ConsecutiveFailures trips the breaker when this many calls fail
 	// back to back, regardless of rate (default 5).
@@ -102,16 +102,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	return c
 }
 
-// BreakerStats is a point-in-time snapshot of one breaker.
-type BreakerStats struct {
-	Name        string
-	State       BreakerState
-	Failures    int // consecutive failures (closed state)
-	Successes   int // consecutive successes (half-open state)
-	Transitions uint64
-	Opens       uint64
-}
-
 // Breaker is a per-dependency circuit breaker: Closed passes
 // everything and counts outcomes; enough failures (consecutive or
 // rate-over-window) trip it Open, which rejects instantly; after
@@ -125,14 +115,12 @@ type BreakerStats struct {
 type Breaker struct {
 	cfg BreakerConfig
 
-	mu          sync.Mutex
-	state       BreakerState
-	consecFail  int // consecutive failures while closed
-	consecOK    int // consecutive successes while half-open
-	inflight    int // admitted half-open probes not yet recorded
-	openedAt    time.Time
-	transitions uint64
-	opens       uint64
+	mu         sync.Mutex
+	state      BreakerState
+	consecFail int // consecutive failures while closed
+	consecOK   int // consecutive successes while half-open
+	inflight   int // admitted half-open probes not yet recorded
+	openedAt   time.Time
 
 	// Rolling failure-rate window: two half-Window buckets rotated in
 	// place, so the rate always covers between one and two half-spans
@@ -265,23 +253,6 @@ func (b *Breaker) State() BreakerState {
 	return b.state
 }
 
-// Stats returns a snapshot of the breaker's counters.
-func (b *Breaker) Stats() BreakerStats {
-	if b == nil {
-		return BreakerStats{State: BreakerClosed}
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return BreakerStats{
-		Name:        b.cfg.Name,
-		State:       b.state,
-		Failures:    b.consecFail,
-		Successes:   b.consecOK,
-		Transitions: b.transitions,
-		Opens:       b.opens,
-	}
-}
-
 // transitionLocked moves to state to, resetting per-state counters,
 // and returns the previous state. Callers hold b.mu.
 func (b *Breaker) transitionLocked(to BreakerState) (from BreakerState) {
@@ -290,10 +261,8 @@ func (b *Breaker) transitionLocked(to BreakerState) (from BreakerState) {
 		return from
 	}
 	b.state = to
-	b.transitions++
 	switch to {
 	case BreakerOpen:
-		b.opens++
 		b.openedAt = b.cfg.now()
 		b.consecOK = 0
 		b.inflight = 0

@@ -36,9 +36,6 @@ func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("open breaker admitted a call before OpenFor elapsed")
 	}
-	if st := b.Stats(); st.Opens != 1 {
-		t.Fatalf("Opens = %d, want 1", st.Opens)
-	}
 }
 
 func TestBreakerTripsOnFailureRate(t *testing.T) {
@@ -179,9 +176,6 @@ func TestBreakerTransitionCallback(t *testing.T) {
 		if hops[i] != want[i] {
 			t.Fatalf("transition %d = %v, want %v", i, hops[i], want[i])
 		}
-	}
-	if st := b.Stats(); st.Transitions != 3 {
-		t.Fatalf("Transitions = %d, want 3", st.Transitions)
 	}
 }
 

@@ -135,9 +135,6 @@ func NewLimiter(cfg LimiterConfig) *Limiter {
 	}
 }
 
-// Name returns the limiter's label.
-func (l *Limiter) Name() string { return l.cfg.Name }
-
 // Admit acquires one admission slot, waiting up to MaxWait (or the
 // context's deadline, whichever is sooner) when the pool is full. It
 // returns a release function that must be called exactly once when
@@ -233,10 +230,6 @@ func (l *Limiter) observe(d time.Duration) {
 func (l *Limiter) Close() {
 	l.closeOnce.Do(func() { close(l.closed) })
 }
-
-// Shedding reports whether the control law is currently rejecting
-// queue entry.
-func (l *Limiter) Shedding() bool { return l.shedding.Load() }
 
 // RetryAfter is the client back-off hint attached to shed responses:
 // one control-law interval, rounded up to a whole second (Retry-After

@@ -85,7 +85,7 @@ func TestSheddingEngagesAndRecovers(t *testing.T) {
 
 	// Generate standing-queue observations until the law reacts.
 	deadline := time.Now().Add(5 * time.Second)
-	for !l.Shedding() {
+	for !l.shedding.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("limiter never entered shedding despite a standing queue")
 		}
@@ -105,7 +105,7 @@ func TestSheddingEngagesAndRecovers(t *testing.T) {
 	// their zero-delay observations clear the flag.
 	rel()
 	deadline = time.Now().Add(5 * time.Second)
-	for l.Shedding() {
+	for l.shedding.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("limiter never recovered after capacity returned")
 		}

@@ -85,9 +85,6 @@ func NewRetrier(policy RetryPolicy, seed int64) *Retrier {
 	}
 }
 
-// Policy returns the retrier's effective (defaulted) policy.
-func (r *Retrier) Policy() RetryPolicy { return r.policy }
-
 // Attempt records a first attempt for class, depositing BudgetRatio
 // retry tokens into the class bucket (capped so idle periods don't
 // accumulate an unbounded burst allowance).

@@ -216,12 +216,3 @@ func ChipB() design.Design {
 		}},
 	}
 }
-
-// AccelHost returns the general-purpose Ariane host core the
-// accelerator study (Section 6.4) augments.
-func AccelHost(node technode.Node) design.Design {
-	cfg := ArianeConfig{Cores: 1, ICacheKB: 16, DCacheKB: 32, Node: node}
-	d := cfg.Design()
-	d.Name = "ariane-host"
-	return d
-}

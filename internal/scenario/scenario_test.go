@@ -155,13 +155,3 @@ func TestChipAVsChipB(t *testing.T) {
 		t.Error("Chip A should have the larger die")
 	}
 }
-
-func TestAccelHost(t *testing.T) {
-	d := AccelHost(technode.N5)
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if d.Dies[0].Node != technode.N5 {
-		t.Error("host node wrong")
-	}
-}

@@ -19,16 +19,17 @@ func TestBootstrapCoversPointEstimate(t *testing.T) {
 	den := 1.0 + 4 + 16
 	want := []float64{1 / den, 4 / den, 16 / den}
 	for i := range names {
-		if !res.TotalCI[i].Contains(res.Total[i]) {
+		ci := res.TotalCI[i]
+		if !(ci.Lo <= res.Total[i] && res.Total[i] <= ci.Hi) {
 			t.Errorf("S_T[%s] = %v outside its own CI %v", names[i], res.Total[i], res.TotalCI[i])
 		}
-		if !res.TotalCI[i].Contains(want[i]) {
+		if !(ci.Lo <= want[i] && want[i] <= ci.Hi) {
 			t.Errorf("analytic S_T[%s] = %v outside CI [%v, %v]", names[i], want[i], res.TotalCI[i].Lo, res.TotalCI[i].Hi)
 		}
 		if res.TotalCI[i].Width() <= 0 || res.TotalCI[i].Width() > 0.3 {
 			t.Errorf("S_T[%s] CI width = %v implausible", names[i], res.TotalCI[i].Width())
 		}
-		if !res.FirstCI[i].Contains(res.First[i]) {
+		if fci := res.FirstCI[i]; !(fci.Lo <= res.First[i] && res.First[i] <= fci.Hi) {
 			t.Errorf("S1[%s] outside its CI", names[i])
 		}
 	}

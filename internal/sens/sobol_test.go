@@ -280,12 +280,9 @@ func TestTotalEffectBatchMatchesPerCallBitForBit(t *testing.T) {
 // multipliers in core.Inputs order.
 func ttmModel(d design.Design, c market.Conditions) func([]float64) (float64, error) {
 	return func(mult []float64) (float64, error) {
-		var m core.Model
-		for i, name := range core.Inputs {
-			if err := m.Perturb.SetInput(name, mult[i]); err != nil {
-				return 0, err
-			}
-		}
+		m := core.Model{Perturb: core.Perturbation{
+			NTT: mult[0], NUT: mult[1], D0: mult[2], Rate: mult[3], FabLatency: mult[4], TAPLatency: mult[5],
+		}}
 		ttm, err := m.TTM(d, 10e6, c)
 		return float64(ttm), err
 	}

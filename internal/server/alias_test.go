@@ -126,9 +126,9 @@ func TestAliasByteIdentity(t *testing.T) {
 				}
 			}
 			if first.Code != http.StatusOK {
-				if n := s.cache.Len(); n != 0 || m.AliasHits() != 0 {
+				if n := s.cache.Stats().Entries; n != 0 || m.aliasHits.Load() != 0 {
 					t.Fatalf("POST %s %s: %d error answered, yet %d cache entries and %d alias hits",
-						path, body, first.Code, n, m.AliasHits())
+						path, body, first.Code, n, m.aliasHits.Load())
 				}
 				// Decode errors name the first offending field, which the
 				// key order decides, so only the status must match.
@@ -137,9 +137,9 @@ func TestAliasByteIdentity(t *testing.T) {
 				}
 				continue
 			}
-			if m.AliasHits() != 1 || m.CacheHits() != 2 || m.Evaluations() != 1 {
+			if m.aliasHits.Load() != 1 || m.cacheHits.Load() != 2 || m.evaluations.Load() != 1 {
 				t.Fatalf("POST %s %s ×3: alias hits %d, hits %d, evaluations %d; want 1, 2, 1",
-					path, body, m.AliasHits(), m.CacheHits(), m.Evaluations())
+					path, body, m.aliasHits.Load(), m.cacheHits.Load(), m.evaluations.Load())
 			}
 			for i := 0; i < 2; i++ {
 				w := doRec(t, s, "POST", path, variant)
@@ -148,9 +148,9 @@ func TestAliasByteIdentity(t *testing.T) {
 					t.Fatalf("variant POST %s %s: X-Cache %q, want HIT", path, variant, got)
 				}
 			}
-			if m.AliasHits() != 2 || m.Evaluations() != 1 {
+			if m.aliasHits.Load() != 2 || m.evaluations.Load() != 1 {
 				t.Fatalf("POST %s: variant ×2 left alias hits %d, evaluations %d; want 2, 1",
-					path, m.AliasHits(), m.Evaluations())
+					path, m.aliasHits.Load(), m.evaluations.Load())
 			}
 		}
 	}
@@ -186,8 +186,8 @@ func TestAliasAfterCanonicalEviction(t *testing.T) {
 	// been hit: a filler that leaves room for the alias alone gives
 	// each its second chance, then evicts the older, the canonical
 	// entry.
-	if w := doRec(t, s, "POST", "/v1/ttm", body); w.Header().Get("X-Cache") != "HIT" || m.AliasHits() != 1 {
-		t.Fatalf("third post: X-Cache %q, alias hits %d; want HIT, 1", w.Header().Get("X-Cache"), m.AliasHits())
+	if w := doRec(t, s, "POST", "/v1/ttm", body); w.Header().Get("X-Cache") != "HIT" || m.aliasHits.Load() != 1 {
+		t.Fatalf("third post: X-Cache %q, alias hits %d; want HIT, 1", w.Header().Get("X-Cache"), m.aliasHits.Load())
 	}
 	s.cache.Put("filler", make([]byte, budget-alias-charge("filler", 0)))
 	if _, ok := get(s.cache, canonical); ok {
@@ -196,14 +196,14 @@ func TestAliasAfterCanonicalEviction(t *testing.T) {
 
 	w := doRec(t, s, "POST", "/v1/ttm", body)
 	sameResponse(t, "after eviction", first, w)
-	if w.Header().Get("X-Cache") != "MISS" || m.Evaluations() != 2 || m.AliasHits() != 1 {
+	if w.Header().Get("X-Cache") != "MISS" || m.evaluations.Load() != 2 || m.aliasHits.Load() != 1 {
 		t.Fatalf("after eviction: X-Cache %q, evaluations %d, alias hits %d; want MISS, 2, 1",
-			w.Header().Get("X-Cache"), m.Evaluations(), m.AliasHits())
+			w.Header().Get("X-Cache"), m.evaluations.Load(), m.aliasHits.Load())
 	}
 	w = doRec(t, s, "POST", "/v1/ttm", body)
 	sameResponse(t, "revived alias", first, w)
-	if w.Header().Get("X-Cache") != "HIT" || m.AliasHits() != 2 {
-		t.Fatalf("revived alias: X-Cache %q, alias hits %d; want HIT, 2", w.Header().Get("X-Cache"), m.AliasHits())
+	if w.Header().Get("X-Cache") != "HIT" || m.aliasHits.Load() != 2 {
+		t.Fatalf("revived alias: X-Cache %q, alias hits %d; want HIT, 2", w.Header().Get("X-Cache"), m.aliasHits.Load())
 	}
 }
 
@@ -217,7 +217,7 @@ func TestAliasDisabledWithCache(t *testing.T) {
 			t.Fatalf("post %d: %d %q, want 200 MISS", i+1, w.Code, w.Header().Get("X-Cache"))
 		}
 	}
-	if m := s.Metrics(); m.AliasHits() != 0 || m.Evaluations() != 3 || s.cache.Len() != 0 {
-		t.Fatalf("alias hits %d, evaluations %d, entries %d; want 0, 3, 0", m.AliasHits(), m.Evaluations(), s.cache.Len())
+	if m := s.Metrics(); m.aliasHits.Load() != 0 || m.evaluations.Load() != 3 || s.cache.Stats().Entries != 0 {
+		t.Fatalf("alias hits %d, evaluations %d, entries %d; want 0, 3, 0", m.aliasHits.Load(), m.evaluations.Load(), s.cache.Stats().Entries)
 	}
 }

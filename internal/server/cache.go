@@ -401,18 +401,6 @@ func (s *cacheShard) move(src, dst, n int64) {
 	}
 }
 
-// Len reports the number of cached entries across shards.
-func (c *shardedCache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.entries
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // Stats aggregates entry/byte counts and the eviction and reprieve
 // counters across shards.
 func (c *shardedCache) Stats() cacheStats {

@@ -76,8 +76,8 @@ func TestCacheBasics(t *testing.T) {
 	if _, ok := get(c, "c"); !ok {
 		t.Error("c should be present")
 	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
+	if c.Stats().Entries != 2 {
+		t.Errorf("Len = %d, want 2", c.Stats().Entries)
 	}
 	if st := c.Stats(); st.Evictions != 1 || st.Reprieves != 1 || st.Bytes != 2*charge("a", 1) {
 		t.Errorf("Stats = %+v, want 1 eviction, 1 reprieve and %d bytes", st, 2*charge("a", 1))
@@ -91,8 +91,8 @@ func TestCacheUpdateExisting(t *testing.T) {
 	if v, _ := get(c, "a"); string(v) != "new!" {
 		t.Errorf("Get(a) = %q, want new!", v)
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
+	if c.Stats().Entries != 1 {
+		t.Errorf("Len = %d, want 1", c.Stats().Entries)
 	}
 	if st := c.Stats(); st.Bytes != charge("a", 4) {
 		t.Errorf("Bytes = %d, want %d (replacement must not double-count)", st.Bytes, charge("a", 4))
@@ -105,8 +105,8 @@ func TestCacheEvictsByBytesNotEntries(t *testing.T) {
 	c.Put("big", []byte(strings.Repeat("x", 8)))
 	c.Put("a", []byte("1"))
 	c.Put("b", []byte("2")) // exactly the budget: everything fits
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", c.Len())
+	if c.Stats().Entries != 3 {
+		t.Fatalf("Len = %d, want 3", c.Stats().Entries)
 	}
 	// One more record must push out the oldest entry not hit since it
 	// was written — which is "big", freeing its whole charge at once.
@@ -114,8 +114,8 @@ func TestCacheEvictsByBytesNotEntries(t *testing.T) {
 	if _, ok := get(c, "big"); ok {
 		t.Error("big should have been evicted to fit the budget")
 	}
-	if c.Len() != 3 {
-		t.Errorf("Len = %d, want 3 (a, b, c)", c.Len())
+	if c.Stats().Entries != 3 {
+		t.Errorf("Len = %d, want 3 (a, b, c)", c.Stats().Entries)
 	}
 }
 
@@ -171,7 +171,7 @@ func TestCacheAlias(t *testing.T) {
 
 	off := newShardedCache(-1, 1)
 	off.PutAlias([]byte("r#raw"), []byte("r|canon"))
-	if off.Len() != 0 {
+	if off.Stats().Entries != 0 {
 		t.Error("a disabled cache must not store aliases")
 	}
 }
@@ -234,7 +234,7 @@ func TestCacheHoldsNoPointers(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if n := c.Len(); n != entries {
+	if n := c.Stats().Entries; n != entries {
 		t.Fatalf("Len = %d, want %d", n, entries)
 	}
 	if grown := int64(after.HeapObjects) - int64(before.HeapObjects); grown >= entries/100 {
@@ -261,8 +261,8 @@ func TestCacheDisabled(t *testing.T) {
 		if _, ok := get(c, "a"); ok {
 			t.Errorf("budget %d: disabled cache must never hit", budget)
 		}
-		if c.Len() != 0 {
-			t.Errorf("budget %d: Len = %d, want 0", budget, c.Len())
+		if c.Stats().Entries != 0 {
+			t.Errorf("budget %d: Len = %d, want 0", budget, c.Stats().Entries)
 		}
 	}
 }

@@ -70,8 +70,8 @@ func TestCostRouteMatchesFacade(t *testing.T) {
 				t.Fatalf("%s: answered %+v, want %+v", what, got, want)
 			}
 		}
-		if m := s.Metrics(); m.AliasHits() != 1 || m.CacheHits() != 2 {
-			t.Errorf("%s: alias hits %d, cache hits %d; want 1, 2", name, m.AliasHits(), m.CacheHits())
+		if m := s.Metrics(); m.aliasHits.Load() != 1 || m.cacheHits.Load() != 2 {
+			t.Errorf("%s: alias hits %d, cache hits %d; want 1, 2", name, m.aliasHits.Load(), m.cacheHits.Load())
 		}
 		if st := s.evals.Stats(); st.Misses != warm.Misses || st.Hits != warm.Hits+1 {
 			t.Errorf("%s: evalcache %+v after the cost requests, %+v before; want one hit and no compile",

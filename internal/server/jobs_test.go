@@ -113,11 +113,12 @@ func TestJobsEndToEnd(t *testing.T) {
 
 	// Metrics reflect the lifecycle.
 	m := s.Metrics()
-	if m.JobsSubmitted() != 1 || m.JobsFinished(jobs.StatusSucceeded) != 1 {
-		t.Fatalf("job metrics: submitted %d, succeeded %d", m.JobsSubmitted(), m.JobsFinished(jobs.StatusSucceeded))
+	succeeded := m.jobsFinished.counts[finishedIndex("mc-band", jobs.StatusSucceeded)].Load()
+	if m.jobsSubmitted.total() != 1 || succeeded != 1 {
+		t.Fatalf("job metrics: submitted %d, succeeded %d", m.jobsSubmitted.total(), succeeded)
 	}
-	if m.JobEvaluations() != fin.Total {
-		t.Fatalf("job evaluations = %d, want %d", m.JobEvaluations(), fin.Total)
+	if m.jobEvaluations.Load() != fin.Total {
+		t.Fatalf("job evaluations = %d, want %d", m.jobEvaluations.Load(), fin.Total)
 	}
 	status, body = doOn(t, s, "GET", "/metrics", "")
 	if status != http.StatusOK || !strings.Contains(body, `ttmcas_jobs_submitted_total{kind="mc-band"} 1`) {
@@ -143,7 +144,7 @@ func TestJobCancelViaDelete(t *testing.T) {
 	// Cancel as soon as it is running.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		got, _ := s.Jobs().Get(v.ID)
+		got, _ := s.jobs.Get(v.ID)
 		if got.Status == jobs.StatusRunning {
 			break
 		}
@@ -177,7 +178,7 @@ func TestJobCancelledWhileQueuedCountsAsFinished(t *testing.T) {
 	queued := submitJob(t, s, fmt.Sprintf(spec, 2))
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		got, _ := s.Jobs().Get(running.ID)
+		got, _ := s.jobs.Get(running.ID)
 		if got.Status == jobs.StatusRunning {
 			break
 		}

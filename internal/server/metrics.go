@@ -186,36 +186,6 @@ func (m *Metrics) Evaluation() { m.evaluations.Add(1) }
 func (m *Metrics) IncInflight() { m.inflight.Add(1) }
 func (m *Metrics) DecInflight() { m.inflight.Add(-1) }
 
-// Inflight returns the current in-flight request count.
-func (m *Metrics) Inflight() int64 { return m.inflight.Load() }
-
-// Requests returns the total request count across routes and codes.
-func (m *Metrics) Requests() uint64 {
-	var n uint64
-	for _, r := range m.routes {
-		n += r.latency.Count()
-	}
-	return n
-}
-
-// RequestCount returns the count for one route and status code.
-func (m *Metrics) RequestCount(route string, code int) uint64 {
-	for _, r := range m.routes {
-		if r.pattern == route && uint(code) < uint(len(r.codes)) {
-			return r.codes[code].Load()
-		}
-	}
-	return 0
-}
-
-// CacheHits, CacheMisses, Shared and Evaluations expose the counters
-// for tests and acceptance checks.
-func (m *Metrics) CacheHits() uint64   { return m.cacheHits.Load() }
-func (m *Metrics) AliasHits() uint64   { return m.aliasHits.Load() }
-func (m *Metrics) CacheMisses() uint64 { return m.cacheMisses.Load() }
-func (m *Metrics) Shared() uint64      { return m.flightShared.Load() }
-func (m *Metrics) Evaluations() uint64 { return m.evaluations.Load() }
-
 // Metrics implements jobs.Observer, folding the job manager's job and
 // shard lifecycles into the same registry.
 
@@ -246,25 +216,6 @@ func (m *Metrics) ShardHedged(kind string) { m.shardsHedged.inc(kindIndex(kind))
 // ShardFallback records a shard computed locally after every peer
 // attempt failed.
 func (m *Metrics) ShardFallback(kind string) { m.shardsFallback.inc(kindIndex(kind)) }
-
-// JobsSubmitted returns the total job submissions across kinds.
-func (m *Metrics) JobsSubmitted() uint64 { return m.jobsSubmitted.total() }
-
-// JobsFinished returns the finished-job count for one terminal status,
-// summed over kinds.
-func (m *Metrics) JobsFinished(status jobs.Status) uint64 {
-	var n uint64
-	for _, k := range jobKinds {
-		if i := finishedIndex(k, status); i >= 0 {
-			n += m.jobsFinished.counts[i].Load()
-		}
-	}
-	return n
-}
-
-// JobEvaluations returns the evaluation units completed by finished
-// jobs.
-func (m *Metrics) JobEvaluations() uint64 { return m.jobEvaluations.Load() }
 
 // ShardsCompleted, ShardsFallback, ShardsDispatched and ShardsHedged
 // return the shard counters summed over kinds, for tests and

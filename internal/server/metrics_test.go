@@ -13,6 +13,16 @@ import (
 	"ttmcas/internal/resilience/fault"
 )
 
+// requestCount returns the count for one route and status code.
+func requestCount(m *Metrics, route string, code int) uint64 {
+	for _, r := range m.routes {
+		if r.pattern == route && uint(code) < uint(len(r.codes)) {
+			return r.codes[code].Load()
+		}
+	}
+	return 0
+}
+
 func TestMetricsCounters(t *testing.T) {
 	m := NewMetrics()
 	m.route("POST /v1/ttm").observe(200, 10*time.Millisecond)
@@ -25,14 +35,18 @@ func TestMetricsCounters(t *testing.T) {
 	m.FlightShared()
 	m.Evaluation()
 
-	if got := m.RequestCount("POST /v1/ttm", 200); got != 2 {
-		t.Errorf("RequestCount(ttm, 200) = %d, want 2", got)
+	if got := requestCount(m, "POST /v1/ttm", 200); got != 2 {
+		t.Errorf("requestCount(ttm, 200) = %d, want 2", got)
 	}
-	if got := m.Requests(); got != 4 {
-		t.Errorf("Requests() = %d, want 4", got)
+	var requests uint64
+	for _, r := range m.routes {
+		requests += r.latency.Count()
 	}
-	if m.CacheHits() != 1 || m.CacheMisses() != 2 || m.Shared() != 1 || m.Evaluations() != 1 {
-		t.Errorf("counters = %d/%d/%d/%d", m.CacheHits(), m.CacheMisses(), m.Shared(), m.Evaluations())
+	if requests != 4 {
+		t.Errorf("requests = %d, want 4", requests)
+	}
+	if m.cacheHits.Load() != 1 || m.cacheMisses.Load() != 2 || m.flightShared.Load() != 1 || m.evaluations.Load() != 1 {
+		t.Errorf("counters = %d/%d/%d/%d", m.cacheHits.Load(), m.cacheMisses.Load(), m.flightShared.Load(), m.evaluations.Load())
 	}
 }
 
@@ -41,7 +55,7 @@ func TestMetricsInflightGauge(t *testing.T) {
 	m.IncInflight()
 	m.IncInflight()
 	m.DecInflight()
-	if got := m.Inflight(); got != 1 {
+	if got := m.inflight.Load(); got != 1 {
 		t.Errorf("Inflight = %d, want 1", got)
 	}
 }

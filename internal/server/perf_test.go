@@ -41,11 +41,11 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 		t.Errorf("equivalent requests returned different bodies:\n%s\nvs\n%s", b1, b2)
 	}
 	m := s.Metrics()
-	if m.Evaluations() != 1 {
-		t.Errorf("evaluations = %d, want 1 (second request must be a cache hit)", m.Evaluations())
+	if m.evaluations.Load() != 1 {
+		t.Errorf("evaluations = %d, want 1 (second request must be a cache hit)", m.evaluations.Load())
 	}
-	if m.CacheHits() != 1 || m.CacheMisses() != 1 {
-		t.Errorf("cache hits/misses = %d/%d, want 1/1", m.CacheHits(), m.CacheMisses())
+	if m.cacheHits.Load() != 1 || m.cacheMisses.Load() != 1 {
+		t.Errorf("cache hits/misses = %d/%d, want 1/1", m.cacheHits.Load(), m.cacheMisses.Load())
 	}
 }
 
@@ -129,14 +129,14 @@ func TestSingleflightCollapsesConcurrentMisses(t *testing.T) {
 	wg.Wait()
 
 	m := s.Metrics()
-	if m.Evaluations() != 1 {
-		t.Errorf("evaluations = %d, want 1", m.Evaluations())
+	if m.evaluations.Load() != 1 {
+		t.Errorf("evaluations = %d, want 1", m.evaluations.Load())
 	}
-	if m.Shared() != n-1 {
-		t.Errorf("shared = %d, want %d", m.Shared(), n-1)
+	if m.flightShared.Load() != n-1 {
+		t.Errorf("shared = %d, want %d", m.flightShared.Load(), n-1)
 	}
-	if m.CacheHits() != 0 {
-		t.Errorf("cache hits = %d, want 0 (cache disabled)", m.CacheHits())
+	if m.cacheHits.Load() != 0 {
+		t.Errorf("cache hits = %d, want 0 (cache disabled)", m.cacheHits.Load())
 	}
 }
 

@@ -50,7 +50,7 @@ func TestFaultsSpareCachedHits(t *testing.T) {
 		if w.Body.String() != cached {
 			t.Errorf("post %d: body differs from the cached one", i+2)
 		}
-		if n := s.Metrics().AliasHits(); n != wantAlias {
+		if n := s.Metrics().aliasHits.Load(); n != wantAlias {
 			t.Errorf("post %d: alias hits = %d, want %d", i+2, n, wantAlias)
 		}
 	}

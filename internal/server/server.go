@@ -59,8 +59,9 @@ type Config struct {
 	// FaultSpec enables fault injection (see internal/resilience/fault
 	// for the grammar); empty disables it. Route rules apply to the
 	// evaluation routes' compute path — downstream of the cache, so
-	// hits never see them — and ahead of the job and listing handlers. Link rules shape this node's outbound cluster
-	// traffic (forwards, shard dispatches and gossip probes), e.g.
+	// hits never see them — and ahead of the job and listing handlers.
+	// Link rules shape this node's outbound cluster traffic (forwards,
+	// shard dispatches and gossip probes), e.g.
 	// "partition=10.0.0.1:8080,10.0.0.3:8080; to=* error-rate=0.3";
 	// client requests to this node are not touched by them.
 	FaultSpec string
@@ -130,20 +131,9 @@ type Config struct {
 	ClusterVNodes int
 	// ClusterProbeInterval is the peer health-probe period (default 1s).
 	ClusterProbeInterval time.Duration
-	// ClusterSuspectAfter and ClusterEvictAfter are the consecutive
-	// probe failures after which a peer is marked suspect (default 2)
-	// and evicted from the ring (default 3).
-	ClusterSuspectAfter int
-	ClusterEvictAfter   int
 	// ClusterProbeTimeout bounds one health probe, decoupled from the
 	// probe interval (default: ProbeInterval, capped at 2s).
 	ClusterProbeTimeout time.Duration
-	// ClusterBreaker tunes the per-peer circuit breakers on the
-	// forward path; the zero value selects the resilience defaults.
-	ClusterBreaker resilience.BreakerConfig
-	// ClusterRetry tunes the forward retry budget and backoff; the
-	// zero value selects the resilience defaults.
-	ClusterRetry resilience.RetryPolicy
 }
 
 func (c Config) withDefaults() Config {
@@ -277,10 +267,6 @@ func New(cfg Config) *Server {
 			VNodes:        cfg.ClusterVNodes,
 			ProbeInterval: cfg.ClusterProbeInterval,
 			ProbeTimeout:  cfg.ClusterProbeTimeout,
-			SuspectAfter:  cfg.ClusterSuspectAfter,
-			EvictAfter:    cfg.ClusterEvictAfter,
-			Breaker:       cfg.ClusterBreaker,
-			Retry:         cfg.ClusterRetry,
 			Logger:        cfg.Logger,
 		}
 		if s.faults != nil {
@@ -335,9 +321,6 @@ func (s *Server) Handler() http.Handler { return s.handler }
 
 // Metrics returns the server's metrics registry.
 func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// Jobs returns the batch-job manager, for the CLI and tests.
-func (s *Server) Jobs() *jobs.Manager { return s.jobs }
 
 // Faults returns the fault injector (nil when disabled). Harnesses
 // pause it while warming caches, resume it to open a partition, and

@@ -93,17 +93,17 @@ func TestConcurrentIdenticalTTM(t *testing.T) {
 	}
 
 	m := s.Metrics()
-	if served := m.RequestCount("POST /v1/ttm", 200); served != n {
+	if served := requestCount(m, "POST /v1/ttm", 200); served != n {
 		t.Errorf("served = %d, want %d", served, n)
 	}
-	if evals := m.Evaluations(); evals >= n {
+	if evals := m.evaluations.Load(); evals >= n {
 		t.Errorf("model evaluated %d times for %d requests; caching had no effect", evals, n)
 	}
-	if m.CacheHits()+m.Shared() == 0 {
+	if m.cacheHits.Load()+m.flightShared.Load() == 0 {
 		t.Error("neither cache hits nor singleflight sharing recorded")
 	}
 	t.Logf("served=%d evaluations=%d cache_hits=%d shared=%d",
-		n, m.Evaluations(), m.CacheHits(), m.Shared())
+		n, m.evaluations.Load(), m.cacheHits.Load(), m.flightShared.Load())
 }
 
 // TestGracefulShutdown is the acceptance check for draining: a slow
@@ -283,8 +283,8 @@ func TestIdenticalRequestsHitCache(t *testing.T) {
 		t.Fatalf("responses differ: %d %s vs %d %s", st1, b1, st2, b2)
 	}
 	m := s.Metrics()
-	if m.Evaluations() != 1 || m.CacheHits() != 1 {
-		t.Errorf("evaluations=%d hits=%d, want 1/1", m.Evaluations(), m.CacheHits())
+	if m.evaluations.Load() != 1 || m.cacheHits.Load() != 1 {
+		t.Errorf("evaluations=%d hits=%d, want 1/1", m.evaluations.Load(), m.cacheHits.Load())
 	}
 }
 
@@ -299,8 +299,8 @@ func TestErrorsAreNotCached(t *testing.T) {
 	if st1 != http.StatusBadRequest || st2 != http.StatusBadRequest {
 		t.Fatalf("statuses %d, %d, want 400", st1, st2)
 	}
-	if s.cache.Len() != 0 {
-		t.Errorf("error response was cached (%d entries)", s.cache.Len())
+	if s.cache.Stats().Entries != 0 {
+		t.Errorf("error response was cached (%d entries)", s.cache.Stats().Entries)
 	}
 }
 

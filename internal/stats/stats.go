@@ -24,7 +24,7 @@ var ErrDomain = errors.New("stats: value outside estimator domain")
 
 // Mean returns the arithmetic mean of xs. It returns 0 for an empty
 // slice so that callers aggregating optional series need no special
-// casing; use Summary when emptiness must be detected.
+// casing.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -49,20 +49,6 @@ func Variance(xs []float64) float64 {
 		s += d * d
 	}
 	return s / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using
-// linear interpolation between closest ranks, ranking as sort.Float64s
-// orders (NaNs first). The input is not modified.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	r := newRanks(append([]float64(nil), xs...))
-	return r.percentile(p)
 }
 
 // ranks reads order statistics of a sample in place by selection: the
@@ -101,7 +87,8 @@ func (r *ranks) at(k int) float64 {
 	return r.xs[k]
 }
 
-// percentile is Percentile's interpolation over the ranks read by at.
+// percentile returns the p-th percentile (0 ≤ p ≤ 100), interpolating
+// linearly between the closest ranks read by at.
 func (r *ranks) percentile(p float64) float64 {
 	n := len(r.xs)
 	if p <= 0 {
@@ -245,32 +232,6 @@ func median3(a, b, c float64) float64 {
 	return b
 }
 
-// Summary is a batch of descriptive statistics for one output series.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-}
-
-// Summarize computes a Summary for xs.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if s.N == 0 {
-		s.Min, s.Max = math.NaN(), math.NaN()
-		return s
-	}
-	s.Mean = Mean(xs)
-	s.StdDev = StdDev(xs)
-	s.Min, s.Max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		s.Min = math.Min(s.Min, x)
-		s.Max = math.Max(s.Max, x)
-	}
-	return s
-}
-
 // Interval is a two-sided confidence interval.
 type Interval struct {
 	Lo, Hi float64
@@ -278,9 +239,6 @@ type Interval struct {
 
 // Width returns Hi - Lo.
 func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
-// Contains reports whether x lies within the closed interval.
-func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
 
 // CI95 returns the empirical central 95% interval of xs (2.5th to 97.5th
 // percentile). The paper's shaded regions and error bars are empirical
@@ -304,18 +262,6 @@ func CI95InPlace(xs []float64) Interval {
 	r := newRanks(xs)
 	lo := r.percentile(2.5)
 	return Interval{Lo: lo, Hi: r.percentile(97.5)}
-}
-
-// MeanCI95 returns a normal-approximation 95% confidence interval for
-// the mean of xs (mean ± 1.96·s/√n). Used for estimator-convergence
-// tests rather than for the figure bands.
-func MeanCI95(xs []float64) Interval {
-	if len(xs) == 0 {
-		return Interval{math.NaN(), math.NaN()}
-	}
-	m := Mean(xs)
-	half := 1.959963985 * StdDev(xs) / math.Sqrt(float64(len(xs)))
-	return Interval{Lo: m - half, Hi: m + half}
 }
 
 // LinearFit is y = Intercept + Slope·x.
@@ -391,36 +337,4 @@ func FitExponential(xs, ys []float64) (ExpFit, error) {
 		return ExpFit{}, err
 	}
 	return ExpFit{A: math.Exp(lin.Intercept), B: lin.Slope, R2: lin.R2}, nil
-}
-
-// PowerFit is y = A·x^B, provided as an alternative effort-curve family
-// for ablation against the exponential form.
-type PowerFit struct {
-	A, B float64
-	R2   float64
-}
-
-// Eval evaluates the fitted power law at x (x must be positive).
-func (f PowerFit) Eval(x float64) float64 { return f.A * math.Pow(x, f.B) }
-
-// FitPower fits y = A·x^B by linear least squares in log-log space.
-// All xs and ys must be strictly positive.
-func FitPower(xs, ys []float64) (PowerFit, error) {
-	lx := make([]float64, len(xs))
-	ly := make([]float64, len(ys))
-	if len(xs) != len(ys) {
-		return PowerFit{}, errors.New("stats: mismatched series lengths")
-	}
-	for i := range xs {
-		if xs[i] <= 0 || ys[i] <= 0 {
-			return PowerFit{}, ErrDomain
-		}
-		lx[i] = math.Log(xs[i])
-		ly[i] = math.Log(ys[i])
-	}
-	lin, err := FitLinear(lx, ly)
-	if err != nil {
-		return PowerFit{}, err
-	}
-	return PowerFit{A: math.Exp(lin.Intercept), B: lin.Slope, R2: lin.R2}, nil
 }

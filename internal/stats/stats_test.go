@@ -36,18 +36,18 @@ func TestPercentile(t *testing.T) {
 		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {75, 4}, {10, 1.4},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almost(got, c.want, 1e-12) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
+		if got := percentile(xs, c.p); !almost(got, c.want, 1e-12) {
+			t.Errorf("percentile(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Error("Percentile(nil) should be NaN")
+	if !math.IsNaN(percentile(nil, 50)) {
+		t.Error("percentile(nil) should be NaN")
 	}
 }
 
 func TestPercentileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	Percentile(xs, 50)
+	percentile(xs, 50)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
 		t.Errorf("input mutated: %v", xs)
 	}
@@ -80,17 +80,6 @@ func TestSortedCI95MatchesCI95BitForBit(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, -2, 5})
-	if s.N != 3 || s.Min != -2 || s.Max != 5 {
-		t.Errorf("Summarize = %+v", s)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || !math.IsNaN(empty.Min) {
-		t.Errorf("Summarize(nil) = %+v", empty)
-	}
-}
-
 func TestCI95CoversBulk(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	xs := make([]float64, 10000)
@@ -101,26 +90,11 @@ func TestCI95CoversBulk(t *testing.T) {
 	if !almost(ci.Lo, -1.96, 0.1) || !almost(ci.Hi, 1.96, 0.1) {
 		t.Errorf("CI95 of standard normal = [%v, %v], want ~[-1.96, 1.96]", ci.Lo, ci.Hi)
 	}
-	if !ci.Contains(0) {
+	if !(ci.Lo <= 0 && 0 <= ci.Hi) {
 		t.Error("CI95 should contain 0")
 	}
 	if ci.Width() <= 0 {
 		t.Error("CI width should be positive")
-	}
-}
-
-func TestMeanCI95Shrinks(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	small := make([]float64, 100)
-	big := make([]float64, 10000)
-	for i := range small {
-		small[i] = rng.NormFloat64()
-	}
-	for i := range big {
-		big[i] = rng.NormFloat64()
-	}
-	if MeanCI95(big).Width() >= MeanCI95(small).Width() {
-		t.Error("mean CI should shrink with sample size")
 	}
 }
 
@@ -177,36 +151,6 @@ func TestFitExponentialRoundTrip(t *testing.T) {
 func TestFitExponentialDomain(t *testing.T) {
 	if _, err := FitExponential([]float64{0, 1}, []float64{1, -2}); err == nil {
 		t.Error("negative y should error")
-	}
-}
-
-func TestFitPowerRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := 0.1 + 10*rng.Float64()
-		b := -2 + 4*rng.Float64()
-		xs := []float64{1, 2, 3, 5, 8, 13}
-		ys := make([]float64, len(xs))
-		for i, x := range xs {
-			ys[i] = a * math.Pow(x, b)
-		}
-		fit, err := FitPower(xs, ys)
-		if err != nil {
-			return false
-		}
-		return almost(fit.A, a, 1e-6*a) && almost(fit.B, b, 1e-6)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFitPowerDomain(t *testing.T) {
-	if _, err := FitPower([]float64{-1, 1}, []float64{1, 2}); err == nil {
-		t.Error("negative x should error")
-	}
-	if _, err := FitPower([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("mismatched lengths should error")
 	}
 }
 

@@ -10,10 +10,9 @@ import (
 // node database by regression: tapeout and packaging effort are
 // exponential fits through published cost anchors, and testing effort
 // is a linear fit through validation-cost and test-data-volume
-// projections. This file exposes the same machinery over the database
-// so users can (a) verify that the shipped columns follow the stated
-// functional forms and (b) extrapolate the curves to nodes outside the
-// table (3 nm, 2 nm) for speculative studies.
+// projections. This file extrapolates the tapeout curve to nodes
+// outside the table (3 nm, 2 nm) for speculative studies; the tests fit
+// each shipped column to check that it follows the stated form.
 
 // EffortCurve identifies one of the three per-node effort columns.
 type EffortCurve int
@@ -58,38 +57,6 @@ func (c EffortCurve) column() []float64 {
 		}
 	}
 	return ys
-}
-
-// indices returns 0..len(nodes)-1 as float64 x coordinates.
-func indices(n int) []float64 {
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	return xs
-}
-
-// FitTapeout fits the exponential E_tapeout(i) = A·exp(B·i) through the
-// database column, mirroring the paper's "curve fit to an exponential
-// regression".
-func FitTapeout() (stats.ExpFit, error) {
-	ys := TapeoutCurve.column()
-	return stats.FitExponential(indices(len(ys)), ys)
-}
-
-// FitTesting fits the linear E_testing(i) = a + b·i through the
-// database column, mirroring the paper's linear regression over test
-// data volume projections.
-func FitTesting() (stats.LinearFit, error) {
-	ys := TestingCurve.column()
-	return stats.FitLinear(indices(len(ys)), ys)
-}
-
-// FitPackage fits the (decaying) exponential E_package(i) = A·exp(B·i)
-// through the database column.
-func FitPackage() (stats.ExpFit, error) {
-	ys := PackageCurve.column()
-	return stats.FitExponential(indices(len(ys)), ys)
 }
 
 // FitTapeoutTail fits the exponential over only the advanced half of

@@ -2,7 +2,41 @@ package technode
 
 import (
 	"testing"
+
+	"ttmcas/internal/stats"
 )
+
+// indices returns 0..len(nodes)-1 as float64 x coordinates.
+func indices(n int) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = float64(i)
+	}
+	return xs
+}
+
+// FitTapeout fits the exponential E_tapeout(i) = A·exp(B·i) through the
+// database column, mirroring the paper's "curve fit to an exponential
+// regression".
+func FitTapeout() (stats.ExpFit, error) {
+	ys := TapeoutCurve.column()
+	return stats.FitExponential(indices(len(ys)), ys)
+}
+
+// FitTesting fits the linear E_testing(i) = a + b·i through the
+// database column, mirroring the paper's linear regression over test
+// data volume projections.
+func FitTesting() (stats.LinearFit, error) {
+	ys := TestingCurve.column()
+	return stats.FitLinear(indices(len(ys)), ys)
+}
+
+// FitPackage fits the (decaying) exponential E_package(i) = A·exp(B·i)
+// through the database column.
+func FitPackage() (stats.ExpFit, error) {
+	ys := PackageCurve.column()
+	return stats.FitExponential(indices(len(ys)), ys)
+}
 
 func TestTapeoutCurveIsExponential(t *testing.T) {
 	// Section 5 fits tapeout effort to an exponential regression; the

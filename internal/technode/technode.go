@@ -200,18 +200,6 @@ func MustLookup(n Node) Params {
 	return p
 }
 
-// Index returns the position of the node in the oldest-to-newest
-// ordering (250 nm = 0, 5 nm = 11), the x-coordinate used by the
-// effort-curve regressions, and ok=false for unknown nodes.
-func Index(n Node) (int, bool) {
-	for i, m := range All() {
-		if m == n {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // Parse converts a textual node name ("28nm", "28", "7") into a Node.
 // It reads the leading integer exactly as fmt.Sscanf(s, "%d") does —
 // white space other than newlines skipped, an optional sign, decimal

@@ -121,18 +121,6 @@ func TestFabLatencyRange(t *testing.T) {
 	}
 }
 
-func TestIndex(t *testing.T) {
-	if i, ok := Index(N250); !ok || i != 0 {
-		t.Errorf("Index(250nm) = %d,%v", i, ok)
-	}
-	if i, ok := Index(N5); !ok || i != 11 {
-		t.Errorf("Index(5nm) = %d,%v", i, ok)
-	}
-	if _, ok := Index(Node(3)); ok {
-		t.Error("Index(unknown) should be !ok")
-	}
-}
-
 func TestParse(t *testing.T) {
 	for _, s := range []string{"28nm", "28"} {
 		n, err := Parse(s)

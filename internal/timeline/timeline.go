@@ -526,12 +526,6 @@ func simulateShock(seg Segment, horizon float64) ([]float64, error) {
 	return backlog, nil
 }
 
-// Spec returns the spec the timeline was compiled from.
-func (tl *Timeline) Spec() Spec { return tl.spec }
-
-// Base returns the resolved base scenario name.
-func (tl *Timeline) Base() string { return tl.baseName }
-
 // StepCount returns the number of evaluated steps.
 func (tl *Timeline) StepCount() int { return tl.spec.StepCount() }
 

@@ -34,16 +34,8 @@ func (h Hours) Weeks(workers int) Weeks {
 	return Weeks(float64(h) / (HoursPerWeek * float64(workers)))
 }
 
-// Hours converts calendar weeks into hours of wall-clock time
-// (168 hours per week). This is used by the discrete-event fab
-// simulator whose clock runs in hours.
-func (w Weeks) Hours() Hours { return Hours(float64(w) * 168.0) }
-
 // MM2 is silicon area in square millimeters.
 type MM2 float64
-
-// CM2 converts to square centimeters (defect densities are quoted per cm²).
-func (a MM2) CM2() float64 { return float64(a) / 100.0 }
 
 // USD is money in United States dollars.
 type USD float64
@@ -111,9 +103,6 @@ func (d MTrPerMM2) Area(t Transistors) MM2 {
 }
 
 // Format helpers keep report code terse.
-
-// FmtWeeks renders a week count with one decimal, e.g. "23.3 wk".
-func FmtWeeks(w Weeks) string { return fmt.Sprintf("%.1f wk", float64(w)) }
 
 // FmtUSD renders dollars with automatic M/B scaling, e.g. "$6.8M".
 func FmtUSD(u USD) string {

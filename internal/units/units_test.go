@@ -25,12 +25,6 @@ func TestHoursToWeeks(t *testing.T) {
 	}
 }
 
-func TestWeeksToHours(t *testing.T) {
-	if got := Weeks(2).Hours(); got != 336 {
-		t.Errorf("2 weeks = %v hours, want 336", float64(got))
-	}
-}
-
 func TestKWPMRoundTrip(t *testing.T) {
 	f := func(raw uint16) bool {
 		kw := float64(raw) / 100
@@ -48,9 +42,6 @@ func TestKWPMRoundTrip(t *testing.T) {
 }
 
 func TestAreaConversions(t *testing.T) {
-	if got := MM2(250).CM2(); got != 2.5 {
-		t.Errorf("250 mm² = %v cm²", got)
-	}
 	if got := DefectsPerCM2(0.1).PerMM2(); got != 0.001 {
 		t.Errorf("0.1/cm² = %v/mm²", got)
 	}
@@ -78,9 +69,6 @@ func TestScaleHelpers(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
-	if got := FmtWeeks(23.25); got != "23.2 wk" && got != "23.3 wk" {
-		t.Errorf("FmtWeeks = %q", got)
-	}
 	cases := map[float64]string{
 		2.5e9: "$2.50B",
 		6.8e6: "$6.8M",

@@ -64,22 +64,6 @@ func SalvageYield(p Params, s Salvage) (float64, error) {
 	return shared * tail, nil
 }
 
-// BinDistribution returns P(die lands in the j-good-cores bin) for
-// j = 0..Cores, where j = 0 also absorbs dies whose shared region
-// failed (scrap). The entries sum to 1.
-func BinDistribution(p Params, s Salvage) ([]float64, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	shared, coreY := regionYields(p, s)
-	out := make([]float64, s.Cores+1)
-	for j := 0; j <= s.Cores; j++ {
-		out[j] = shared * binomialPMF(s.Cores, j, coreY)
-	}
-	out[0] += 1 - shared // shared-logic kill → scrap bin
-	return out, nil
-}
-
 // regionYields splits the die and evaluates the per-region yields.
 func regionYields(p Params, s Salvage) (shared, perCore float64) {
 	coreArea := units.MM2(float64(p.Area) * s.CoreAreaFraction / float64(s.Cores))

@@ -27,9 +27,6 @@ func TestSalvageValidate(t *testing.T) {
 		if _, err := SalvageYield(bigDie(), s); err == nil {
 			t.Errorf("SalvageYield(%+v) should error", s)
 		}
-		if _, err := BinDistribution(bigDie(), s); err == nil {
-			t.Errorf("BinDistribution(%+v) should error", s)
-		}
 	}
 }
 
@@ -91,39 +88,6 @@ func TestSalvageBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBinDistributionSumsToOne(t *testing.T) {
-	p := bigDie()
-	s := Salvage{Cores: 8, MinGoodCores: 6, CoreAreaFraction: 0.7}
-	dist, err := BinDistribution(p, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dist) != 9 {
-		t.Fatalf("bins = %d", len(dist))
-	}
-	sum := 0.0
-	for _, v := range dist {
-		if v < 0 {
-			t.Fatalf("negative bin probability: %v", dist)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("distribution sums to %v", sum)
-	}
-	// The tail above the bin floor matches SalvageYield.
-	tail := dist[6] + dist[7] + dist[8]
-	y, _ := SalvageYield(p, s)
-	if math.Abs(tail-y) > 1e-9 {
-		t.Errorf("tail %v != salvage yield %v", tail, y)
-	}
-	// With a mildly defective process the all-good bin dominates the
-	// 7-good bin, which dominates 6-good.
-	if !(dist[8] > dist[7] && dist[7] > dist[6]) {
-		t.Errorf("bin ordering unexpected: %v", dist[6:])
 	}
 }
 

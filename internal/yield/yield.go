@@ -124,20 +124,3 @@ func DiesNeeded(good float64, y float64) float64 {
 	}
 	return good / y
 }
-
-// AreaFor inverts the negative-binomial model: it returns the die area
-// at which the yield equals y (0 < y < 1) for the given defect density
-// and α. Used by tests and by capacity-planning what-ifs.
-func AreaFor(y float64, d0 units.DefectsPerCM2, alpha float64) units.MM2 {
-	if alpha <= 0 {
-		alpha = DefaultAlpha
-	}
-	if y >= 1 {
-		return 0
-	}
-	if y <= 0 || d0 <= 0 {
-		return units.MM2(math.Inf(1))
-	}
-	ad := alpha * (math.Pow(y, -1/alpha) - 1)
-	return units.MM2(ad / d0.PerMM2())
-}

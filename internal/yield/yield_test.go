@@ -96,24 +96,6 @@ func TestDiesNeeded(t *testing.T) {
 	}
 }
 
-func TestAreaForInvertsYield(t *testing.T) {
-	f := func(rawY uint16) bool {
-		y := 0.05 + 0.9*float64(rawY)/65535
-		a := AreaFor(y, 0.1, DefaultAlpha)
-		back := NegBinomial(a, 0.1)
-		return math.Abs(back-y) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	if a := AreaFor(1, 0.1, 3); a != 0 {
-		t.Errorf("AreaFor(1) = %v, want 0", float64(a))
-	}
-	if a := AreaFor(0, 0.1, 3); !math.IsInf(float64(a), 1) {
-		t.Errorf("AreaFor(0) = %v, want +Inf", float64(a))
-	}
-}
-
 func TestModelString(t *testing.T) {
 	if NegativeBinomial.String() != "negative-binomial" ||
 		Poisson.String() != "poisson" || Murphy.String() != "murphy" {

@@ -196,6 +196,8 @@ rate_guard() {
 }
 rate_guard BandCurveBatch
 rate_guard EvaluatorCASBatch
+rate_guard EvaluatorEvalBatch
+rate_guard SobolBatch
 
 # Per-call ceiling guards: the per-call methods run the batch kernel on
 # a one-sample batch, so their ns/op must stay at most twice their row
