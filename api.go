@@ -199,24 +199,14 @@ func Cost(d Design, n float64) (CostBreakdown, error) {
 
 // TTMWithUncertainty runs the paper's Monte-Carlo uncertainty pass
 // (±10% on the six guarded inputs, 1024 samples by default) over TTM.
-func TTMWithUncertainty(d Design, n float64, c Conditions, cfg MCConfig) (MCEstimate, error) {
-	return TTMWithUncertaintyCtx(context.Background(), d, n, c, cfg)
-}
-
-// TTMWithUncertaintyCtx is TTMWithUncertainty under a context:
-// cancelling ctx stops the run within one evaluation per worker.
-func TTMWithUncertaintyCtx(ctx context.Context, d Design, n float64, c Conditions, cfg MCConfig) (MCEstimate, error) {
+// Cancelling ctx stops the run within one evaluation per worker.
+func TTMWithUncertainty(ctx context.Context, d Design, n float64, c Conditions, cfg MCConfig) (MCEstimate, error) {
 	var m Model
 	return mc.TTM(ctx, m, d, n, c, cfg)
 }
 
 // CASWithUncertainty is the Monte-Carlo pass over the agility score.
-func CASWithUncertainty(d Design, n float64, c Conditions, cfg MCConfig) (MCEstimate, error) {
-	return CASWithUncertaintyCtx(context.Background(), d, n, c, cfg)
-}
-
-// CASWithUncertaintyCtx is CASWithUncertainty under a context.
-func CASWithUncertaintyCtx(ctx context.Context, d Design, n float64, c Conditions, cfg MCConfig) (MCEstimate, error) {
+func CASWithUncertainty(ctx context.Context, d Design, n float64, c Conditions, cfg MCConfig) (MCEstimate, error) {
 	var m Model
 	return mc.CAS(ctx, m, d, n, c, cfg)
 }
@@ -225,28 +215,13 @@ func CASWithUncertaintyCtx(ctx context.Context, d Design, n float64, c Condition
 func SensitivityInputs() []string { return append([]string(nil), core.Inputs...) }
 
 // Sensitivity estimates Sobol total-effect indices of TTM for a design
-// and quantity under the given conditions, with the default model.
-func Sensitivity(d Design, n float64, c Conditions, cfg SensitivityConfig) (SensitivityResult, error) {
-	return SensitivityWithModel(Model{}, d, n, c, cfg)
-}
-
-// SensitivityCtx is Sensitivity under a context: cancelling ctx stops
-// the Saltelli batches within one evaluation per worker.
-func SensitivityCtx(ctx context.Context, d Design, n float64, c Conditions, cfg SensitivityConfig) (SensitivityResult, error) {
-	return SensitivityWithModelCtx(ctx, Model{}, d, n, c, cfg)
-}
-
-// SensitivityWithModel is Sensitivity against an explicit model (e.g.
-// one carrying a custom node database).
-func SensitivityWithModel(base Model, d Design, n float64, c Conditions, cfg SensitivityConfig) (SensitivityResult, error) {
-	return SensitivityWithModelCtx(context.Background(), base, d, n, c, cfg)
-}
-
-// SensitivityWithModelCtx is SensitivityWithModel under a context. The
-// design is compiled once and the Saltelli columns are fed whole chunks
-// at a time to per-worker clones of the batch kernel.
-func SensitivityWithModelCtx(ctx context.Context, base Model, d Design, n float64, c Conditions, cfg SensitivityConfig) (SensitivityResult, error) {
-	ev, err := base.Compile(d, n, c)
+// and quantity under the given conditions, against model m (the zero
+// Model is the default; one with Nodes set carries a custom database).
+// The design is compiled once and the Saltelli columns are fed whole
+// chunks at a time to per-worker clones of the batch kernel; cancelling
+// ctx stops them within one evaluation per worker.
+func Sensitivity(ctx context.Context, m Model, d Design, n float64, c Conditions, cfg SensitivityConfig) (SensitivityResult, error) {
+	ev, err := m.Compile(d, n, c)
 	if err != nil {
 		return SensitivityResult{}, err
 	}
@@ -339,8 +314,9 @@ func ChipA() Design { return scenario.ChipA() }
 func ChipB() Design { return scenario.ChipB() }
 
 // designRegistry is the single source of truth for the built-in
-// case-study designs addressable by name: the CLI's -design flag and
-// the server's "design" request field both resolve through it. Each
+// case-study designs addressable by name: the CLI's -design flag, the
+// server's "design" request field and a job spec's all resolve through
+// it. Each
 // design is built once and shared: no caller writes into a design's
 // dies or blocks (Retarget and WithInterposer copy the die slice they
 // change).
@@ -380,6 +356,21 @@ func DesignByName(name string) (Design, error) {
 		}
 	}
 	return Design{}, fmt.Errorf("unknown design %q (%s)", name, strings.Join(DesignNames(), ", "))
+}
+
+// DesignAt returns the built-in design name (see DesignByName),
+// re-targeted to node ("28nm" or "28") unless node is empty. The CLI,
+// the HTTP routes and batch jobs resolve a design and node through it.
+func DesignAt(name, node string) (Design, error) {
+	d, err := DesignByName(name)
+	if err != nil || node == "" {
+		return d, err
+	}
+	n, err := ParseNode(node)
+	if err != nil {
+		return Design{}, err
+	}
+	return d.Retarget(n), nil
 }
 
 // DesignStudy returns the paper section a built-in design reproduces
@@ -439,8 +430,3 @@ func TimelineEpisodes() []TimelineEpisode { return timeline.Episodes() }
 
 // FindTimelineEpisode returns the named episode, or false.
 func FindTimelineEpisode(name string) (TimelineEpisode, bool) { return timeline.FindEpisode(name) }
-
-// EvaluateTimelineEpisode compiles and evaluates a named episode.
-func EvaluateTimelineEpisode(ctx context.Context, d Design, n float64, name string, opt TimelineOptions) (*TimelineResult, error) {
-	return timeline.EvaluateEpisode(ctx, Model{}, d, n, name, opt)
-}

@@ -2,6 +2,7 @@ package ttmcas_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -69,11 +70,11 @@ func TestNodeHelpers(t *testing.T) {
 
 func TestUncertaintyFacade(t *testing.T) {
 	d := ttmcas.A11At(ttmcas.N28)
-	est, err := ttmcas.TTMWithUncertainty(d, 10e6, ttmcas.FullCapacity(), ttmcas.MCConfig{Samples: 64})
+	est, err := ttmcas.TTMWithUncertainty(context.Background(), d, 10e6, ttmcas.FullCapacity(), ttmcas.MCConfig{Samples: 64})
 	if err != nil || !(est.CI.Lo <= est.Mean && est.Mean <= est.CI.Hi) {
 		t.Fatalf("estimate = %+v, %v", est, err)
 	}
-	cas, err := ttmcas.CASWithUncertainty(d, 10e6, ttmcas.FullCapacity(), ttmcas.MCConfig{Samples: 32})
+	cas, err := ttmcas.CASWithUncertainty(context.Background(), d, 10e6, ttmcas.FullCapacity(), ttmcas.MCConfig{Samples: 32})
 	if err != nil || cas.Mean <= 0 {
 		t.Fatalf("cas estimate = %+v, %v", cas, err)
 	}
@@ -81,7 +82,7 @@ func TestUncertaintyFacade(t *testing.T) {
 
 func TestSensitivityFacade(t *testing.T) {
 	d := ttmcas.A11At(ttmcas.N5)
-	res, err := ttmcas.Sensitivity(d, 10e6, ttmcas.FullCapacity(), ttmcas.SensitivityConfig{N: 64})
+	res, err := ttmcas.Sensitivity(context.Background(), ttmcas.Model{}, d, 10e6, ttmcas.FullCapacity(), ttmcas.SensitivityConfig{N: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -33,6 +34,7 @@ import (
 	"ttmcas"
 	"ttmcas/internal/cost"
 	"ttmcas/internal/figures"
+	"ttmcas/internal/market"
 	"ttmcas/internal/plan"
 	"ttmcas/internal/report"
 )
@@ -135,9 +137,9 @@ func newDesignFlags(name string) *designFlags {
 		design:   fs.String("design", "a11", "design: a11, zen2, ariane16, raven, chipA, chipB"),
 		node:     fs.String("node", "", "re-target the design to this node (e.g. 28nm); empty keeps its native node(s)"),
 		n:        fs.Float64("n", 10e6, "number of final chips"),
-		capacity: fs.Float64("capacity", 1.0, "global production capacity fraction (0..1]"),
-		queue:    fs.Float64("queue", 0, "quoted foundry lead time in weeks at every node"),
-		scenario: fs.String("scenario", "", "named market scenario (overrides -capacity/-queue)"),
+		capacity: fs.Float64("capacity", 1.0, "global production capacity fraction in [0, 1]; 0 means full"),
+		queue:    fs.Float64("queue", 0, "quoted foundry lead time in weeks (>= 0) at every node"),
+		scenario: fs.String("scenario", "", "named market scenario (overrides -capacity/-queue once they are validated)"),
 		nodedb:   fs.String("nodedb", "", "JSON process-node database (see 'ttmcas nodes -export')"),
 	}
 }
@@ -157,40 +159,12 @@ func (df *designFlags) parse(args []string) (ttmcas.Design, ttmcas.Conditions, e
 			return ttmcas.Design{}, ttmcas.Conditions{}, err
 		}
 	}
-	d, err := lookupDesign(*df.design)
+	d, err := ttmcas.DesignAt(*df.design, *df.node)
 	if err != nil {
 		return ttmcas.Design{}, ttmcas.Conditions{}, err
 	}
-	if *df.node != "" {
-		node, err := ttmcas.ParseNode(*df.node)
-		if err != nil {
-			return ttmcas.Design{}, ttmcas.Conditions{}, err
-		}
-		d = d.Retarget(node)
-	}
-	c := ttmcas.FullCapacity()
-	if *df.scenario != "" {
-		found := false
-		for _, s := range ttmcas.Scenarios() {
-			if s.Name == *df.scenario {
-				c, found = s.Conditions, true
-				break
-			}
-		}
-		if !found {
-			return ttmcas.Design{}, ttmcas.Conditions{}, fmt.Errorf("unknown scenario %q", *df.scenario)
-		}
-	} else {
-		c = c.AtCapacity(*df.capacity)
-		if *df.queue > 0 {
-			c = c.WithQueueAll(ttmcas.Weeks(*df.queue))
-		}
-	}
-	return d, c, nil
-}
-
-func lookupDesign(name string) (ttmcas.Design, error) {
-	return ttmcas.DesignByName(name)
+	c, err := market.Inputs{Scenario: *df.scenario, Capacity: *df.capacity, QueueWeeks: *df.queue}.Conditions()
+	return d, c, err
 }
 
 func cmdNodes(args []string) error {
@@ -349,7 +323,7 @@ func cmdSense(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := ttmcas.SensitivityWithModel(ttmcas.Model{Nodes: df.db}, d, *df.n, c, ttmcas.SensitivityConfig{N: *samples})
+	res, err := ttmcas.Sensitivity(context.Background(), ttmcas.Model{Nodes: df.db}, d, *df.n, c, ttmcas.SensitivityConfig{N: *samples})
 	if err != nil {
 		return err
 	}
@@ -368,39 +342,38 @@ func cmdCompare(args []string) error {
 	designName := fs.String("design", "a11", "design to sweep across -nodes when -designs is empty")
 	nodesFlag := fs.String("nodes", "", "comma-separated nodes to re-target the design to (e.g. 28,14,7)")
 	n := fs.Float64("n", 10e6, "number of final chips")
-	capacity := fs.Float64("capacity", 1.0, "global production capacity fraction")
+	capacity := fs.Float64("capacity", 1.0, "global production capacity fraction in [0, 1]; 0 means full")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	c := ttmcas.FullCapacity().AtCapacity(*capacity)
+	c, err := market.Inputs{Capacity: *capacity}.Conditions()
+	if err != nil {
+		return err
+	}
 
 	var rows []ttmcas.Design
 	switch {
 	case *designs != "":
 		for _, name := range strings.Split(*designs, ",") {
-			d, err := lookupDesign(strings.TrimSpace(name))
+			d, err := ttmcas.DesignByName(name)
 			if err != nil {
 				return err
 			}
 			rows = append(rows, d)
 		}
 	case *nodesFlag != "":
-		base, err := lookupDesign(*designName)
-		if err != nil {
-			return err
-		}
 		for _, ns := range strings.Split(*nodesFlag, ",") {
-			node, err := ttmcas.ParseNode(strings.TrimSpace(ns))
+			d, err := ttmcas.DesignAt(*designName, strings.TrimSpace(ns))
 			if err != nil {
 				return err
 			}
-			rows = append(rows, base.Retarget(node))
+			rows = append(rows, d)
 		}
 	default:
 		return fmt.Errorf("compare needs -designs or -nodes")
 	}
 
-	t := report.NewTable(fmt.Sprintf("comparison at %s chips, %.0f%% capacity", report.FmtSI(*n), *capacity*100),
+	t := report.NewTable(fmt.Sprintf("comparison at %s chips, %.0f%% capacity", report.FmtSI(*n), c.GlobalCapacity*100),
 		"design", "TTM (wk)", "CAS (w/wk²)", "cost", "per chip")
 	for _, d := range rows {
 		r, err := ttmcas.Evaluate(d, *n, c)
@@ -468,7 +441,7 @@ func cmdBreakEven(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	base, err := lookupDesign(*designName)
+	base, err := ttmcas.DesignByName(*designName)
 	if err != nil {
 		return err
 	}
@@ -524,7 +497,7 @@ func cmdPlan(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	base, err := lookupDesign(*designName)
+	base, err := ttmcas.DesignByName(*designName)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"ttmcas"
 )
 
 // capture runs run(args) with stdout redirected and returns the output.
@@ -207,9 +209,9 @@ func TestDispatchErrors(t *testing.T) {
 
 func TestLookupDesignAll(t *testing.T) {
 	for _, name := range []string{"a11", "zen2", "ariane16", "raven", "chipA", "chipB", "ZEN2"} {
-		d, err := lookupDesign(name)
+		d, err := ttmcas.DesignAt(name, "")
 		if err != nil {
-			t.Errorf("lookupDesign(%q): %v", name, err)
+			t.Errorf("DesignAt(%q): %v", name, err)
 			continue
 		}
 		if err := d.Validate(); err != nil {

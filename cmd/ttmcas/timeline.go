@@ -13,6 +13,7 @@ import (
 
 	"ttmcas"
 	"ttmcas/internal/report"
+	"ttmcas/internal/timeline"
 )
 
 // cmdTimeline evaluates a composed disruption timeline: a spec file or
@@ -41,11 +42,8 @@ func cmdTimeline(args []string) error {
 		return nil
 	}
 
-	var spec ttmcas.TimelineSpec
-	switch {
-	case *specPath != "" && *episode != "":
-		return fmt.Errorf("-spec and -episode are mutually exclusive")
-	case *specPath != "":
+	var inline *ttmcas.TimelineSpec
+	if *specPath != "" {
 		var data []byte
 		var err error
 		if *specPath == "-" {
@@ -58,29 +56,18 @@ func cmdTimeline(args []string) error {
 		}
 		dec := json.NewDecoder(bytes.NewReader(data))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		inline = new(ttmcas.TimelineSpec)
+		if err := dec.Decode(inline); err != nil {
 			return fmt.Errorf("decoding spec: %w", err)
 		}
-	case *episode != "":
-		ep, ok := ttmcas.FindTimelineEpisode(*episode)
-		if !ok {
-			return fmt.Errorf("unknown episode %q (run 'ttmcas timeline -list')", *episode)
-		}
-		spec = ep.Spec
-	default:
-		return fmt.Errorf("timeline needs -spec FILE or -episode NAME (run 'ttmcas timeline -list')")
 	}
-
-	d, err := lookupDesign(*designName)
+	spec, err := timeline.Resolve(inline, *episode)
+	if err != nil {
+		return fmt.Errorf("%w (-spec FILE or -episode NAME; see -list)", err)
+	}
+	d, err := ttmcas.DesignAt(*designName, *node)
 	if err != nil {
 		return err
-	}
-	if *node != "" {
-		nd, err := ttmcas.ParseNode(*node)
-		if err != nil {
-			return err
-		}
-		d = d.Retarget(nd)
 	}
 
 	tl, err := ttmcas.CompileTimeline(spec, ttmcas.TimelineLimits{})

@@ -172,7 +172,7 @@
 // copy into a pooled buffer — no encoding, no timer, near-zero
 // allocation), single-flight collapses concurrent
 // identical misses, and an LRU caches compiled evaluators per
-// design identity (model variant, design, re-target node), onto which
+// design identity (design, re-target node), onto which
 // each miss binds its own market conditions, so misses skip
 // re-compilation even under conditions never seen before.
 // The end-to-end benchmark (bench/run.sh) measures the hit and miss

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -61,7 +62,7 @@ func main() {
 
 	// The Monte-Carlo view: how trustworthy is the point estimate
 	// given ±10% uncertainty in the six guarded inputs?
-	est, err := ttmcas.TTMWithUncertainty(d, chips, ttmcas.FullCapacity(), ttmcas.MCConfig{})
+	est, err := ttmcas.TTMWithUncertainty(context.Background(), d, chips, ttmcas.FullCapacity(), ttmcas.MCConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

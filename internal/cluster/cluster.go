@@ -88,11 +88,6 @@ type Options struct {
 	EvictAfter   int
 	// Client issues forwards (default: a pooled transport).
 	Client *http.Client
-	// ProbeClient issues health probes. It defaults to a client sharing
-	// Client's transport with an explicit Timeout of ProbeTimeout, so a
-	// peer that accepts the connection and then hangs forever cannot
-	// wedge a prober regardless of how the forward client is tuned.
-	ProbeClient *http.Client
 	// Breaker parameterizes the per-peer circuit breakers (Name and
 	// OnTransition are managed by the cluster). The zero value selects
 	// the resilience defaults.
@@ -100,8 +95,6 @@ type Options struct {
 	// Retry parameterizes the forward retry budget and backoff. The
 	// zero value selects the resilience defaults.
 	Retry resilience.RetryPolicy
-	// RetrySeed fixes the backoff jitter stream (default 1).
-	RetrySeed int64
 	// Logger receives membership transitions (default log.Default()).
 	Logger *log.Logger
 }
@@ -136,12 +129,6 @@ func (o Options) withDefaults() Options {
 			// probes and stray calls without one.
 			Timeout: 0,
 		}
-	}
-	if o.ProbeClient == nil {
-		o.ProbeClient = &http.Client{Transport: o.Client.Transport, Timeout: o.ProbeTimeout}
-	}
-	if o.RetrySeed == 0 {
-		o.RetrySeed = 1
 	}
 	if o.Logger == nil {
 		o.Logger = log.Default()
@@ -178,8 +165,13 @@ type Cluster struct {
 	mu    sync.Mutex
 	peers map[string]*peer // by URL
 
-	// retrier is the shared forward retry budget (per request class).
+	// retrier is the retry budget of the forwards that opt into it.
 	retrier *resilience.Retrier
+	// prober issues health probes: it shares the forward client's
+	// transport with an explicit Timeout of ProbeTimeout, so a peer
+	// that accepts the connection and then hangs forever cannot wedge
+	// a prober regardless of how the forward client is tuned.
+	prober *http.Client
 
 	local         atomic.Uint64
 	forwarded     atomic.Uint64
@@ -205,7 +197,8 @@ func New(opts Options) *Cluster {
 		peers: make(map[string]*peer, len(opts.Peers)),
 		done:  make(chan struct{}),
 	}
-	c.retrier = resilience.NewRetrier(opts.Retry, opts.RetrySeed)
+	c.retrier = resilience.NewRetrier(opts.Retry, 1)
+	c.prober = &http.Client{Transport: opts.Client.Transport, Timeout: opts.ProbeTimeout}
 	for _, u := range opts.Peers {
 		if u == opts.SelfURL || u == "" {
 			continue
@@ -287,15 +280,12 @@ type ForwardResult struct {
 
 // ForwardOptions select the retry behavior of one forwarded request.
 type ForwardOptions struct {
-	// Retry opts the request into the retry budget. Only set it for
+	// Retry opts the request into the retry budget: its first attempt
+	// deposits tokens and its retries withdraw them. Only set it for
 	// idempotent requests: a connection reset (fault's reset-rate) delivers
 	// the request and destroys the response, so a retried
 	// non-idempotent request (a job submit) could execute twice.
 	Retry bool
-	// Class names the retry-budget bucket the request draws from
-	// ("eval", "job", ...; default "forward"), so one misbehaving
-	// request class cannot drain another's budget.
-	Class string
 }
 
 // ForwardOpts forwards one request through the peer's circuit breaker
@@ -310,11 +300,9 @@ type ForwardOptions struct {
 // on breaker state instead, so one slow call cannot flap membership).
 func (c *Cluster) ForwardOpts(ctx context.Context, peerURL, method, path string, body []byte, opts ForwardOptions) (ForwardResult, error) {
 	br := c.breakerFor(peerURL)
-	class := opts.Class
-	if class == "" {
-		class = "forward"
+	if opts.Retry {
+		c.retrier.Attempt()
 	}
-	c.retrier.Attempt(class)
 	for attempt := 1; ; attempt++ {
 		if !br.Allow() {
 			c.breakerShort.Add(1)
@@ -333,7 +321,7 @@ func (c *Cluster) ForwardOpts(ctx context.Context, peerURL, method, path string,
 		case !opts.Retry:
 			return ForwardResult{}, err
 		}
-		if ctx.Err() != nil || !c.retrier.AllowRetry(class, attempt) {
+		if ctx.Err() != nil || !c.retrier.AllowRetry(attempt) {
 			if err != nil {
 				return ForwardResult{}, err
 			}
@@ -488,7 +476,7 @@ func (c *Cluster) fetchHealth(ctx context.Context, url string) (Health, error) {
 	if err != nil {
 		return Health{}, err
 	}
-	resp, err := c.opts.ProbeClient.Do(req)
+	resp, err := c.prober.Do(req)
 	if err != nil {
 		return Health{}, err
 	}

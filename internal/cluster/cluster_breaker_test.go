@@ -40,7 +40,7 @@ func TestHangingHealthzIsSuspected(t *testing.T) {
 	})
 	defer c.Close()
 
-	if to := c.opts.ProbeClient.Timeout; to != 20*time.Millisecond {
+	if to := c.prober.Timeout; to != 20*time.Millisecond {
 		t.Fatalf("probe client timeout = %v, want the configured ProbeTimeout", to)
 	}
 	waitFor(t, "hanging peer dead", func() bool {
@@ -137,7 +137,7 @@ func TestForwardRetriesTransportError(t *testing.T) {
 	defer c.Close()
 
 	res, err := c.ForwardOpts(context.Background(), flaky.URL, http.MethodGet, "/x", nil,
-		ForwardOptions{Retry: true, Class: "eval"})
+		ForwardOptions{Retry: true})
 	if err != nil {
 		t.Fatalf("retried forward failed: %v", err)
 	}
@@ -182,7 +182,7 @@ func TestForwardNoRetryWithoutOptIn(t *testing.T) {
 }
 
 // TestForwardRetriesShedWithRetryAfter: a 503 carrying Retry-After is
-// retried (idempotent classes only), honoring the advice as a floor.
+// retried (idempotent requests only), honoring the advice as a floor.
 func TestForwardRetriesShedWithRetryAfter(t *testing.T) {
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -301,7 +301,7 @@ func TestRingChurnRaces(t *testing.T) {
 					return
 				default:
 					c.ForwardOpts(ctx, u, http.MethodGet, "/healthz", nil,
-						ForwardOptions{Retry: true, Class: "eval"})
+						ForwardOptions{Retry: true})
 				}
 			}
 		}()

@@ -123,7 +123,7 @@ func oracleSpecs() map[string]Spec {
 func oracleReference(t *testing.T, s Spec) (any, error) {
 	t.Helper()
 	s = s.normalized()
-	d, c, err := s.resolveEval()
+	d, c, err := s.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ type prepared struct {
 // vetted every name, so an error here is an internal one — or a kind
 // that does not shard.
 func (s Spec) prepare() (prepared, error) {
-	d, c, err := s.resolveEval()
+	d, c, err := s.Resolve()
 	if err != nil {
 		return prepared{}, err
 	}

@@ -12,6 +12,7 @@ import (
 	"ttmcas/internal/cachesim"
 	"ttmcas/internal/core"
 	"ttmcas/internal/cost"
+	"ttmcas/internal/market"
 	"ttmcas/internal/opt"
 	"ttmcas/internal/plan"
 	"ttmcas/internal/technode"
@@ -100,9 +101,10 @@ type Spec struct {
 	Node   string  `json:"node,omitempty"`
 	N      float64 `json:"n,omitempty"`
 
-	// Scenario / Capacity / QueueWeeks set the market conditions, as
-	// in the evaluation routes: a named scenario overrides the
-	// explicit fields.
+	// Scenario / Capacity / QueueWeeks set the market conditions by
+	// the same rule as the evaluation routes and the CLI: capacity in
+	// [0, 1] with 0 meaning full, queue_weeks at least 0, and a named
+	// scenario overriding both once they are validated.
 	Scenario   string  `json:"scenario,omitempty"`
 	Capacity   float64 `json:"capacity,omitempty"`
 	QueueWeeks float64 `json:"queue_weeks,omitempty"`
@@ -262,23 +264,11 @@ func (s Spec) EstimatedEvaluations() int {
 // named episode's, or — like every other kind's defaults — the
 // flagship episode when neither is given.
 func (s Spec) timelineSpec() (timeline.Spec, error) {
-	switch {
-	case s.Timeline != nil && s.Episode != "":
-		return timeline.Spec{}, invalidf("timeline and episode are mutually exclusive")
-	case s.Timeline != nil:
-		return *s.Timeline, nil
-	default:
-		name := s.Episode
-		if name == "" {
-			name = timeline.EpisodeNames()[0]
-		}
-		ep, ok := timeline.FindEpisode(name)
-		if !ok {
-			return timeline.Spec{}, invalidf("unknown episode %q (one of %s)",
-				name, strings.Join(timeline.EpisodeNames(), ", "))
-		}
-		return ep.Spec, nil
+	episode := s.Episode
+	if s.Timeline == nil && episode == "" {
+		episode = timeline.EpisodeNames()[0]
 	}
+	return timeline.Resolve(s.Timeline, episode)
 }
 
 // Validate checks a spec against the limits, resolving every name
@@ -296,27 +286,11 @@ func (s Spec) Validate(lim Limits) error {
 	if s.Design == "" {
 		return invalidf("missing design (one of %s)", strings.Join(ttmcas.DesignNames(), ", "))
 	}
-	if _, err := ttmcas.DesignByName(s.Design); err != nil {
-		return invalidf("%v", err)
-	}
-	if s.Node != "" {
-		if _, err := ttmcas.ParseNode(s.Node); err != nil {
-			return invalidf("%v", err)
-		}
+	if _, _, err := s.Resolve(); err != nil {
+		return err
 	}
 	if s.N < 0 {
 		return invalidf("negative n %v", s.N)
-	}
-	if s.Scenario != "" {
-		if _, ok := ttmcas.FindScenario(s.Scenario); !ok {
-			return invalidf("unknown scenario %q", s.Scenario)
-		}
-	}
-	if s.Capacity < 0 || s.Capacity > 1 {
-		return invalidf("capacity %v outside [0, 1]", s.Capacity)
-	}
-	if s.QueueWeeks < 0 {
-		return invalidf("negative queue_weeks %v", s.QueueWeeks)
 	}
 	if s.Samples < 0 || s.Samples > lim.MaxSamples {
 		return invalidf("samples %d outside [0, %d]", s.Samples, lim.MaxSamples)
@@ -359,8 +333,8 @@ func (s Spec) Validate(lim Limits) error {
 		return invalidf("plan constraints must be non-negative")
 	}
 	for i, name := range s.Scenarios {
-		if _, ok := ttmcas.FindScenario(name); !ok {
-			return invalidf("scenarios[%d]: unknown scenario %q", i, name)
+		if _, err := (market.Inputs{Scenario: name}).Conditions(); err != nil {
+			return invalidf("scenarios[%d]: %v", i, err)
 		}
 	}
 	if s.TimeoutSeconds < 0 {
@@ -369,7 +343,7 @@ func (s Spec) Validate(lim Limits) error {
 	if s.Kind == KindTimeline {
 		ts, err := s.timelineSpec()
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 		}
 		if s.Scenario != "" {
 			return invalidf("timeline jobs set the base scenario inside the timeline spec, not the scenario field")
@@ -389,34 +363,17 @@ func (s Spec) Validate(lim Limits) error {
 	return nil
 }
 
-// resolveEval turns the spec's design/conditions fields into concrete
-// values. Validate has already vetted the names, so failures here are
-// internal errors.
-func (s Spec) resolveEval() (ttmcas.Design, ttmcas.Conditions, error) {
-	d, err := ttmcas.DesignByName(s.Design)
+// Resolve returns the design and market conditions the spec evaluates,
+// through the same resolvers as the CLI and the HTTP routes. Failures
+// wrap ErrInvalidSpec.
+func (s Spec) Resolve() (ttmcas.Design, ttmcas.Conditions, error) {
+	d, err := ttmcas.DesignAt(s.Design, s.Node)
 	if err != nil {
-		return d, ttmcas.Conditions{}, err
+		return d, ttmcas.Conditions{}, invalidf("%v", err)
 	}
-	if s.Node != "" {
-		n, err := ttmcas.ParseNode(s.Node)
-		if err != nil {
-			return d, ttmcas.Conditions{}, err
-		}
-		d = d.Retarget(n)
-	}
-	if s.Scenario != "" {
-		sc, ok := ttmcas.FindScenario(s.Scenario)
-		if !ok {
-			return d, ttmcas.Conditions{}, fmt.Errorf("jobs: unknown scenario %q", s.Scenario)
-		}
-		return d, sc.Conditions, nil
-	}
-	c := ttmcas.FullCapacity()
-	if s.Capacity > 0 {
-		c = c.AtCapacity(s.Capacity)
-	}
-	if s.QueueWeeks > 0 {
-		c = c.WithQueueAll(ttmcas.Weeks(s.QueueWeeks))
+	c, err := market.Inputs{Scenario: s.Scenario, Capacity: s.Capacity, QueueWeeks: s.QueueWeeks}.Conditions()
+	if err != nil {
+		return d, c, invalidf("%v", err)
 	}
 	return d, c, nil
 }
@@ -599,7 +556,7 @@ type ParetoResult struct {
 }
 
 func (s Spec) runPareto(ctx context.Context, pr Tracker) (any, error) {
-	_, c, err := s.resolveEval()
+	_, c, err := s.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -676,7 +633,7 @@ type PortfolioResult struct {
 }
 
 func (s Spec) runPlanPortfolio(ctx context.Context, pr Tracker) (any, error) {
-	d, _, err := s.resolveEval()
+	d, _, err := s.Resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -688,13 +645,13 @@ func (s Spec) runPlanPortfolio(ctx context.Context, pr Tracker) (any, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sc, ok := ttmcas.FindScenario(name)
-		if !ok {
-			return nil, fmt.Errorf("jobs: unknown scenario %q", name)
+		c, err := market.Inputs{Scenario: name}.Conditions()
+		if err != nil {
+			return nil, invalidf("%v", err)
 		}
 		planner := plan.Planner{
 			Factory:      func(node technode.Node) ttmcas.Design { return d.Retarget(node) },
-			Conditions:   sc.Conditions,
+			Conditions:   c,
 			MultiProcess: true,
 		}
 		best, all, err := planner.Recommend(plan.Requirements{

@@ -7,6 +7,7 @@
 package market
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strconv"
@@ -236,6 +237,105 @@ func (c Conditions) String() string {
 		b = append(b, '}')
 	}
 	return string(b)
+}
+
+// Inputs are the market-condition fields every front end takes: the
+// HTTP evaluation routes' body, a batch job's spec and the CLI's flags.
+// Conditions is the one rule that turns them into Conditions.
+type Inputs struct {
+	// Scenario names a built-in scenario (see FindScenario). It
+	// overrides every other field, once they have been validated.
+	Scenario string
+	// Capacity is the global capacity fraction in [0, 1]; 0 means full.
+	Capacity float64
+	// QueueWeeks, at least 0, quotes one lead time at every database
+	// node.
+	QueueWeeks float64
+	// NodeCapacity scales nodes ("12nm" or "12") by a fraction in
+	// [0, 1] on top of Capacity; 0 is a line that is down.
+	NodeCapacity map[string]float64
+	// NodeQueueWeeks quotes per-node lead times of at least 0 weeks.
+	NodeQueueWeeks map[string]float64
+}
+
+// Conditions validates every field, NaN failing each range, and then
+// returns the named scenario's conditions or the fields composed in one
+// Builder. The fields cost one allocation, the node table: a quote at
+// every node sizes it for the whole database, whose nodes are the only
+// ones the maps can name.
+func (in Inputs) Conditions() (Conditions, error) {
+	var b Builder
+	b.SetGlobalCapacity(1)
+	if !(in.Capacity >= 0 && in.Capacity <= 1) {
+		return Conditions{}, fmt.Errorf("capacity %v outside [0, 1]", in.Capacity)
+	}
+	if in.Capacity != 0 {
+		b.SetGlobalCapacity(in.Capacity)
+	}
+	if !(in.QueueWeeks >= 0) {
+		return Conditions{}, fmt.Errorf("negative queue_weeks %v", in.QueueWeeks)
+	}
+	if in.QueueWeeks > 0 {
+		b.SetQueueAll(units.Weeks(in.QueueWeeks))
+	} else {
+		b.Grow(len(in.NodeCapacity) + len(in.NodeQueueWeeks))
+	}
+	err := eachNode("node_capacity", in.NodeCapacity, func(n technode.Node, name string, f float64) error {
+		if !(f >= 0 && f <= 1) {
+			return fmt.Errorf("node_capacity[%s] = %v outside [0, 1]", name, f)
+		}
+		b.SetCapacity(n, f)
+		return nil
+	})
+	if err != nil {
+		return Conditions{}, err
+	}
+	err = eachNode("node_queue_weeks", in.NodeQueueWeeks, func(n technode.Node, name string, w float64) error {
+		if !(w >= 0) {
+			return fmt.Errorf("node_queue_weeks[%s] = %v is negative", name, w)
+		}
+		b.SetQueue(n, units.Weeks(w))
+		return nil
+	})
+	if err != nil {
+		return Conditions{}, err
+	}
+	if in.Scenario != "" {
+		s, ok := FindScenario(in.Scenario)
+		if !ok {
+			return Conditions{}, fmt.Errorf("unknown scenario %q", in.Scenario)
+		}
+		return s.Conditions, nil
+	}
+	return b.Conditions(), nil
+}
+
+// eachNode calls fn on the entries of the per-node map field in key
+// order, so inputs with several bad entries always name the same one.
+// Two keys that spell one node ("7" and "7nm") are an error: applied in
+// map order, either could win, and one input would have two answers.
+func eachNode(field string, m map[string]float64, fn func(n technode.Node, name string, v float64) error) error {
+	var buf [8]string
+	names := buf[:0]
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	nodes := make([]technode.Node, 0, 8)
+	for _, name := range names {
+		n, err := technode.Parse(name)
+		if err != nil {
+			return fmt.Errorf("%s: %v", field, err)
+		}
+		if j := slices.Index(nodes, n); j >= 0 {
+			return fmt.Errorf("%s: node %v given twice (%q, %q)", field, n, names[j], name)
+		}
+		nodes = append(nodes, n)
+		if err := fn(n, name, m[name]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Builder composes Conditions in storage it owns, for callers that

@@ -11,7 +11,7 @@
 // to it are refused instantly — no deadline burned dialing a black
 // hole — until a cooldown admits bounded half-open probes and
 // consecutive successes close it again. The retrier (Retrier) is the
-// bounded-persistence half: retries draw on a per-class token budget
+// bounded-persistence half: retries draw on a token budget
 // replenished as a fraction of request volume (the Finagle retry-
 // budget design), so retry amplification under a dead dependency is
 // capped by construction rather than by tuning. The two compose:

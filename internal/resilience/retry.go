@@ -26,7 +26,7 @@ type RetryPolicy struct {
 	// (default 0.2).
 	BudgetRatio float64
 	// MinBudget is the bucket floor in whole retries, so a cold or
-	// low-traffic class can still retry at all (default 3).
+	// low-traffic retrier can still retry at all (default 3).
 	MinBudget int
 }
 
@@ -59,14 +59,12 @@ type RetrierStats struct {
 // exponential backoff, in the style of Finagle's RetryBudget: retries
 // are paid for by a token bucket fed by first attempts, so under a
 // hard outage the retry volume decays to the budget ratio instead of
-// multiplying offered load. Buckets are kept per request class
-// ("eval", "probe", ...) so one misbehaving class cannot starve
-// another's budget.
+// multiplying offered load.
 type Retrier struct {
 	policy RetryPolicy
 
-	mu      sync.Mutex
-	buckets map[string]*float64
+	mu     sync.Mutex
+	tokens float64
 
 	retries atomic.Uint64
 	denied  atomic.Uint64
@@ -78,34 +76,34 @@ type Retrier struct {
 // NewRetrier returns a Retrier with the given policy; seed fixes the
 // jitter stream so a run is reproducible.
 func NewRetrier(policy RetryPolicy, seed int64) *Retrier {
+	policy = policy.withDefaults()
 	return &Retrier{
-		policy:  policy.withDefaults(),
-		buckets: make(map[string]*float64),
-		seed:    uint64(seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
+		policy: policy,
+		tokens: float64(policy.MinBudget),
+		seed:   uint64(seed)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
 	}
 }
 
-// Attempt records a first attempt for class, depositing BudgetRatio
-// retry tokens into the class bucket (capped so idle periods don't
-// accumulate an unbounded burst allowance).
-func (r *Retrier) Attempt(class string) {
+// Attempt records a first attempt, depositing BudgetRatio retry
+// tokens (capped so idle periods don't accumulate an unbounded burst
+// allowance).
+func (r *Retrier) Attempt() {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	b := r.bucketLocked(class)
 	ceil := float64(r.policy.MinBudget) * 10
-	if *b += r.policy.BudgetRatio; *b > ceil {
-		*b = ceil
+	if r.tokens += r.policy.BudgetRatio; r.tokens > ceil {
+		r.tokens = ceil
 	}
 	r.mu.Unlock()
 }
 
-// AllowRetry reports whether class may retry, withdrawing one token
+// AllowRetry reports whether a retry is allowed, withdrawing one token
 // on success. attempt is the 1-based number of the attempt that just
 // failed; the retrier refuses once MaxAttempts is reached regardless
 // of budget.
-func (r *Retrier) AllowRetry(class string, attempt int) bool {
+func (r *Retrier) AllowRetry(attempt int) bool {
 	if r == nil {
 		return false
 	}
@@ -113,10 +111,9 @@ func (r *Retrier) AllowRetry(class string, attempt int) bool {
 		return false
 	}
 	r.mu.Lock()
-	b := r.bucketLocked(class)
-	ok := *b >= 1
+	ok := r.tokens >= 1
 	if ok {
-		*b--
+		r.tokens--
 	}
 	r.mu.Unlock()
 	if ok {
@@ -151,16 +148,6 @@ func (r *Retrier) Stats() RetrierStats {
 		return RetrierStats{}
 	}
 	return RetrierStats{Retries: r.retries.Load(), BudgetDenied: r.denied.Load()}
-}
-
-func (r *Retrier) bucketLocked(class string) *float64 {
-	b, ok := r.buckets[class]
-	if !ok {
-		v := float64(r.policy.MinBudget)
-		b = &v
-		r.buckets[class] = b
-	}
-	return b
 }
 
 // draw returns the next deterministic uniform [0,1) variate

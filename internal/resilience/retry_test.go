@@ -9,20 +9,20 @@ func TestRetrierBudget(t *testing.T) {
 	r := NewRetrier(RetryPolicy{MaxAttempts: 10, BudgetRatio: 0.5, MinBudget: 2}, 1)
 	// The cold bucket holds MinBudget tokens.
 	for i := 0; i < 2; i++ {
-		if !r.AllowRetry("eval", 1) {
+		if !r.AllowRetry(1) {
 			t.Fatalf("cold budget refused retry %d of MinBudget", i+1)
 		}
 	}
-	if r.AllowRetry("eval", 1) {
+	if r.AllowRetry(1) {
 		t.Fatal("drained budget admitted a retry")
 	}
 	// Two first attempts deposit 2 * 0.5 = 1 token: one retry.
-	r.Attempt("eval")
-	r.Attempt("eval")
-	if !r.AllowRetry("eval", 1) {
+	r.Attempt()
+	r.Attempt()
+	if !r.AllowRetry(1) {
 		t.Fatal("replenished budget refused a retry")
 	}
-	if r.AllowRetry("eval", 1) {
+	if r.AllowRetry(1) {
 		t.Fatal("budget admitted more retries than deposits paid for")
 	}
 	st := r.Stats()
@@ -31,26 +31,12 @@ func TestRetrierBudget(t *testing.T) {
 	}
 }
 
-func TestRetrierBudgetPerClass(t *testing.T) {
-	r := NewRetrier(RetryPolicy{MaxAttempts: 10, MinBudget: 1}, 1)
-	if !r.AllowRetry("a", 1) {
-		t.Fatal("class a cold budget refused its retry")
-	}
-	if r.AllowRetry("a", 1) {
-		t.Fatal("class a budget not drained")
-	}
-	// Class b has its own bucket.
-	if !r.AllowRetry("b", 1) {
-		t.Fatal("class b budget drained by class a's retries")
-	}
-}
-
 func TestRetrierMaxAttempts(t *testing.T) {
 	r := NewRetrier(RetryPolicy{MaxAttempts: 3, MinBudget: 100}, 1)
-	if !r.AllowRetry("eval", 1) || !r.AllowRetry("eval", 2) {
+	if !r.AllowRetry(1) || !r.AllowRetry(2) {
 		t.Fatal("budget refused retries below MaxAttempts")
 	}
-	if r.AllowRetry("eval", 3) {
+	if r.AllowRetry(3) {
 		t.Fatal("retry admitted at MaxAttempts")
 	}
 }
@@ -101,8 +87,8 @@ func TestRetrierDeterministicStream(t *testing.T) {
 
 func TestNilRetrier(t *testing.T) {
 	var r *Retrier
-	r.Attempt("eval")
-	if r.AllowRetry("eval", 1) {
+	r.Attempt()
+	if r.AllowRetry(1) {
 		t.Fatal("nil retrier admitted a retry")
 	}
 	if d := r.Backoff(1, time.Second); d != time.Second {

@@ -87,7 +87,7 @@ func TestCostRouteMatchesFacade(t *testing.T) {
 // answer its own.
 func TestCostRouteReadsCachedEvaluator(t *testing.T) {
 	s := testServer(t, Config{})
-	key := evalKey{variant: modelVariant, design: "zen2"}
+	key := evalKey{design: "zen2"}
 	if _, err := s.evals.getOrCompile(key, func() (*ttmcas.Evaluator, error) {
 		return ttmcas.Compile(ttmcas.ChipA(), 1, ttmcas.Conditions{})
 	}); err != nil {

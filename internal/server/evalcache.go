@@ -8,11 +8,6 @@ import (
 	"ttmcas"
 )
 
-// modelVariant labels which analytical model compiled the cached
-// evaluators. There is only one today; the label keeps the cache key
-// forward-compatible with alternative model variants.
-const modelVariant = "default"
-
 // compiledEval is one cached compile result: the base evaluator plus a
 // pool of per-worker clones. An Evaluator is not safe for concurrent
 // use (it carries a one-sample batch and the conditions bound to it), so
@@ -40,13 +35,12 @@ func (ce *compiledEval) acquire(c ttmcas.Conditions) *ttmcas.Evaluator {
 
 func (ce *compiledEval) release(ev *ttmcas.Evaluator) { ce.clones.Put(ev) }
 
-// evalKey is a compiled design's identity: the model variant, then a
-// built-in design name or an inline spec's JSON, and the re-target
-// node. Market conditions are not part of it — each request binds its
+// evalKey is a compiled design's identity: a built-in design name or
+// an inline spec's JSON, and the re-target node. Market conditions are not part of it — each request binds its
 // own onto a borrowed clone — so a stream of what-if requests on one
 // design shares one entry.
 type evalKey struct {
-	variant, design, spec, node string
+	design, spec, node string
 }
 
 // evalCache is a small LRU over compiled evaluators keyed by design
@@ -141,7 +135,7 @@ func (c *evalCache) Stats() evalStats {
 // they are only used on a cache miss to compile, and acquire binds the
 // request's own conditions onto the clone it lends out.
 func (s *Server) evaluatorFor(req *EvalRequest, d ttmcas.Design, c ttmcas.Conditions) (*compiledEval, error) {
-	key := evalKey{variant: modelVariant, design: req.Design, node: req.Node}
+	key := evalKey{design: req.Design, node: req.Node}
 	if req.Spec != nil {
 		sb, err := json.Marshal(req.Spec)
 		if err != nil {

@@ -6,20 +6,21 @@ import (
 	"errors"
 	"math"
 	"net/http"
-	"slices"
 	"time"
 
 	"ttmcas"
 	"ttmcas/internal/cluster"
 	"ttmcas/internal/core"
 	"ttmcas/internal/cost"
+	"ttmcas/internal/market"
 )
 
 // ---- request types -------------------------------------------------
 
 // EvalRequest is the shared request body of the evaluation routes:
 // a design (by built-in name or inline spec), a chip count, and the
-// market conditions to evaluate under — mirroring the CLI flags.
+// market conditions to evaluate under. The design and conditions
+// fields follow the same rules as the CLI flags and job specs.
 type EvalRequest struct {
 	// Design names a built-in design (a11, zen2, ariane16, raven,
 	// chipA, chipB); mutually exclusive with Spec.
@@ -31,18 +32,21 @@ type EvalRequest struct {
 	Node string `json:"node,omitempty"`
 	// N is the number of final chips.
 	N float64 `json:"n"`
-	// Scenario selects a named market scenario and overrides the
-	// capacity/queue fields below.
+	// Scenario selects a named market scenario. It overrides the
+	// capacity and queue fields below, which are still validated.
 	Scenario string `json:"scenario,omitempty"`
-	// Capacity is the global production capacity fraction in (0, 1];
+	// Capacity is the global production capacity fraction in [0, 1];
 	// zero means full capacity.
 	Capacity float64 `json:"capacity,omitempty"`
-	// QueueWeeks quotes the same foundry lead time at every node.
+	// QueueWeeks, at least 0, quotes the same foundry lead time at
+	// every node.
 	QueueWeeks float64 `json:"queue_weeks,omitempty"`
-	// NodeCapacity scales individual nodes ("12nm": 0.6) on top of
-	// Capacity; zero is a valid value (the line is down).
+	// NodeCapacity scales individual nodes ("12nm": 0.6) by a fraction
+	// in [0, 1] on top of Capacity; zero is a valid value (the line is
+	// down).
 	NodeCapacity map[string]float64 `json:"node_capacity,omitempty"`
-	// NodeQueueWeeks quotes per-node lead times ("7nm": 4).
+	// NodeQueueWeeks quotes per-node lead times of at least 0 weeks
+	// ("7nm": 4).
 	NodeQueueWeeks map[string]float64 `json:"node_queue_weeks,omitempty"`
 	// Curve, for /v1/cas only, evaluates the CAS/TTM curve at these
 	// global capacity fractions instead of a single point.
@@ -154,104 +158,28 @@ func (spec *DesignSpec) design() (ttmcas.Design, error) {
 // resolveDesign turns the name/spec pair into a design, applying the
 // optional re-target node.
 func resolveDesign(name string, spec *DesignSpec, node string) (ttmcas.Design, error) {
-	var d ttmcas.Design
 	switch {
 	case name != "" && spec != nil:
-		return d, badRequestf(`"design" and "spec" are mutually exclusive`)
+		return ttmcas.Design{}, badRequestf(`"design" and "spec" are mutually exclusive`)
 	case spec != nil:
-		var err error
-		if d, err = spec.design(); err != nil {
+		d, err := spec.design()
+		if err != nil || node == "" {
 			return d, err
 		}
-	case name != "":
-		var err error
-		if d, err = ttmcas.DesignByName(name); err != nil {
-			return d, badRequestf("%v", err)
-		}
-	default:
-		return d, badRequestf(`request needs a "design" name or an inline "spec"`)
-	}
-	if node != "" {
 		n, err := ttmcas.ParseNode(node)
 		if err != nil {
 			return d, badRequestf("%v", err)
 		}
-		d = d.Retarget(n)
-	}
-	return d, nil
-}
-
-// conditions builds the market conditions, mirroring the CLI: a named
-// scenario overrides the explicit capacity/queue fields. It composes
-// them in one builder, so a request's conditions cost one allocation,
-// the node table: a quote at every node sizes it for the whole
-// database, whose nodes are the only ones a request can name.
-func (req EvalRequest) conditions() (ttmcas.Conditions, error) {
-	if req.Scenario != "" {
-		s, ok := ttmcas.FindScenario(req.Scenario)
-		if !ok {
-			return ttmcas.Conditions{}, badRequestf("unknown scenario %q", req.Scenario)
-		}
-		return s.Conditions, nil
-	}
-	var b ttmcas.ConditionsBuilder
-	b.SetGlobalCapacity(1)
-	if req.Capacity != 0 {
-		if req.Capacity < 0 || req.Capacity > 1 {
-			return b.Conditions(), badRequestf("capacity %v outside (0, 1]", req.Capacity)
-		}
-		b.SetGlobalCapacity(req.Capacity)
-	}
-	if req.QueueWeeks < 0 {
-		return b.Conditions(), badRequestf("negative queue_weeks %v", req.QueueWeeks)
-	}
-	if req.QueueWeeks > 0 {
-		b.SetQueueAll(ttmcas.Weeks(req.QueueWeeks))
-	} else {
-		b.Grow(len(req.NodeCapacity) + len(req.NodeQueueWeeks))
-	}
-	err := eachNode("node_capacity", req.NodeCapacity, func(n ttmcas.Node, name string, f float64) error {
-		if f < 0 || f > 1 {
-			return badRequestf("node_capacity[%s] = %v outside [0, 1]", name, f)
-		}
-		b.SetCapacity(n, f)
-		return nil
-	})
-	if err != nil {
-		return b.Conditions(), err
-	}
-	err = eachNode("node_queue_weeks", req.NodeQueueWeeks, func(n ttmcas.Node, name string, w float64) error {
-		if w < 0 {
-			return badRequestf("node_queue_weeks[%s] = %v is negative", name, w)
-		}
-		b.SetQueue(n, ttmcas.Weeks(w))
-		return nil
-	})
-	return b.Conditions(), err
-}
-
-// eachNode calls fn on the entries of the per-node map field in key
-// order, so a body with several bad entries always names the same one.
-// Two keys that spell one node ("7" and "7nm") are a 400: applied in
-// map order, either could win, and one body would have two answers.
-func eachNode(field string, m map[string]float64, fn func(n ttmcas.Node, name string, v float64) error) error {
-	var buf [8]string
-	names := sortedKeys(buf[:0], m)
-	nodes := make([]ttmcas.Node, 0, 8)
-	for _, name := range names {
-		n, err := ttmcas.ParseNode(name)
+		return d.Retarget(n), nil
+	case name != "":
+		d, err := ttmcas.DesignAt(name, node)
 		if err != nil {
-			return badRequestf("%s: %v", field, err)
+			return d, badRequestf("%v", err)
 		}
-		if j := slices.Index(nodes, n); j >= 0 {
-			return badRequestf("%s: node %v given twice (%q, %q)", field, n, names[j], name)
-		}
-		nodes = append(nodes, n)
-		if err := fn(n, name, m[name]); err != nil {
-			return err
-		}
+		return d, nil
+	default:
+		return ttmcas.Design{}, badRequestf(`request needs a "design" name or an inline "spec"`)
 	}
-	return nil
 }
 
 func (req EvalRequest) resolve() (ttmcas.Design, ttmcas.Conditions, error) {
@@ -262,8 +190,14 @@ func (req EvalRequest) resolve() (ttmcas.Design, ttmcas.Conditions, error) {
 	if req.N <= 0 {
 		return d, ttmcas.Conditions{}, badRequestf(`"n" (number of chips) must be positive`)
 	}
-	c, err := req.conditions()
-	return d, c, err
+	c, err := market.Inputs{
+		Scenario: req.Scenario, Capacity: req.Capacity, QueueWeeks: req.QueueWeeks,
+		NodeCapacity: req.NodeCapacity, NodeQueueWeeks: req.NodeQueueWeeks,
+	}.Conditions()
+	if err != nil {
+		return d, c, badRequestf("%v", err)
+	}
+	return d, c, nil
 }
 
 // ---- response types ------------------------------------------------
@@ -533,7 +467,9 @@ func (s *Server) evalSensitivity(_ context.Context, req *EvalRequest) (any, erro
 		return nil, err
 	}
 	cfg := ttmcas.SensitivityConfig{N: req.Samples, Variation: req.Variation, Seed: req.Seed}
-	res, err := ttmcas.Sensitivity(d, req.N, c, cfg)
+	// Not the flight's context: it belongs to the flight's leader, and
+	// a leader that disconnects must not cancel the joiners' answer.
+	res, err := ttmcas.Sensitivity(context.Background(), ttmcas.Model{}, d, req.N, c, cfg)
 	if err != nil {
 		return nil, unprocessablef("%v", err)
 	}

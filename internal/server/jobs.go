@@ -84,7 +84,7 @@ func (s *Server) forwardJob(w http.ResponseWriter, r *http.Request, ownerURL, ke
 	// Job submission is not idempotent (each accept mints an ID), so it
 	// never retries: a transport failure falls back to running locally.
 	res, err := s.cluster.ForwardOpts(ctx, ownerURL, http.MethodPost, "/v1/jobs", []byte(body),
-		cluster.ForwardOptions{Class: "job"})
+		cluster.ForwardOptions{})
 	if err != nil {
 		s.log.Printf("cluster: job submit forward to %s failed, running locally: %v", ownerURL, err)
 		return false
@@ -108,7 +108,7 @@ func (s *Server) scatterJob(w http.ResponseWriter, r *http.Request, path string)
 	for _, u := range s.cluster.PeerURLs(true) {
 		// The healthiest-first peer loop is itself the retry here.
 		res, err := s.cluster.ForwardOpts(ctx, u, r.Method, path, nil,
-			cluster.ForwardOptions{Class: "scatter"})
+			cluster.ForwardOptions{})
 		if err != nil || res.Status == http.StatusNotFound {
 			continue
 		}

@@ -40,8 +40,8 @@ type Config struct {
 	// contention between concurrent hits on different keys.
 	CacheShards int
 	// EvalCacheSize is the compiled-evaluator cache capacity in
-	// entries — one per design identity (model variant, design name or
-	// inline spec, re-target node); each request binds its own market
+	// entries — one per design identity (design name or inline spec,
+	// re-target node); each request binds its own market
 	// conditions onto a pooled clone (default 256); negative disables it.
 	EvalCacheSize int
 	// MaxConcurrent bounds the heavy admission class — sensitivity
@@ -901,7 +901,7 @@ func (s *Server) forwardEval(w http.ResponseWriter, r *http.Request, ownerURL, p
 		// Eval forwards are deterministic and side-effect-free, so they
 		// opt into the cluster retry budget.
 		res, err := s.cluster.ForwardOpts(ctx, ownerURL, http.MethodPost, path, []byte(fwdBody),
-			cluster.ForwardOptions{Retry: true, Class: "eval"})
+			cluster.ForwardOptions{Retry: true})
 		if err != nil {
 			return nil, &forwardError{err: err}
 		}

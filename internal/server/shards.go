@@ -35,7 +35,7 @@ func (d clusterDistributor) Dispatch(ctx context.Context, target string, req job
 	// (next-alive peer, then local fallback), and stacking budgets
 	// under it would double-spend the shard deadline.
 	fr, err := d.s.cluster.ForwardOpts(ctx, target, http.MethodPost, "/v1/internal/shards", body,
-		cluster.ForwardOptions{Class: "shard"})
+		cluster.ForwardOptions{})
 	if err != nil {
 		return jobs.ShardResult{}, err
 	}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 
 	"ttmcas"
+	"ttmcas/internal/timeline"
 )
 
 // The timeline routes: the scenario composer over HTTP.
@@ -40,25 +41,6 @@ type TimelineRequest struct {
 	InFlight bool `json:"in_flight,omitempty"`
 }
 
-// timelineSpec resolves the inline-spec/episode pair, mirroring the
-// batch-job resolution so the two routes accept the same requests.
-func (req TimelineRequest) timelineSpec() (ttmcas.TimelineSpec, error) {
-	switch {
-	case req.Timeline != nil && req.Episode != "":
-		return ttmcas.TimelineSpec{}, badRequestf(`"timeline" and "episode" are mutually exclusive`)
-	case req.Timeline != nil:
-		return *req.Timeline, nil
-	case req.Episode != "":
-		ep, ok := ttmcas.FindTimelineEpisode(req.Episode)
-		if !ok {
-			return ttmcas.TimelineSpec{}, badRequestf("unknown episode %q", req.Episode)
-		}
-		return ep.Spec, nil
-	default:
-		return ttmcas.TimelineSpec{}, badRequestf(`request needs a "timeline" spec or an "episode" name`)
-	}
-}
-
 func (s *Server) evalTimeline(ctx context.Context, req *TimelineRequest) (any, error) {
 	d, err := resolveDesign(req.Design, req.Spec, req.Node)
 	if err != nil {
@@ -67,9 +49,9 @@ func (s *Server) evalTimeline(ctx context.Context, req *TimelineRequest) (any, e
 	if req.N <= 0 {
 		return nil, badRequestf(`"n" (number of chips) must be positive`)
 	}
-	spec, err := req.timelineSpec()
+	spec, err := timeline.Resolve(req.Timeline, req.Episode)
 	if err != nil {
-		return nil, err
+		return nil, badRequestf("%v", err)
 	}
 	tl, err := ttmcas.CompileTimeline(spec, ttmcas.TimelineLimits{
 		MaxSteps:    s.cfg.MaxTimelineSteps,

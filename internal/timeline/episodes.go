@@ -1,5 +1,7 @@
 package timeline
 
+import "strings"
+
 // The historical-episode library: named timelines stylizing the
 // disruptions the paper's introduction surveys, each anchored to the
 // static scenarios of internal/market at its endpoints. The anchoring
@@ -128,4 +130,24 @@ func FindEpisode(name string) (Episode, bool) {
 		}
 	}
 	return Episode{}, false
+}
+
+// Resolve returns the timeline an inline spec or an episode name
+// selects, exactly one of the two: the CLI, the HTTP route and batch
+// jobs resolve their timeline inputs through it. Failures wrap
+// ErrInvalidSpec.
+func Resolve(inline *Spec, episode string) (Spec, error) {
+	switch {
+	case inline != nil && episode != "":
+		return Spec{}, invalidf("a timeline spec and an episode are mutually exclusive")
+	case inline != nil:
+		return *inline, nil
+	case episode == "":
+		return Spec{}, invalidf("needs a timeline spec or an episode name")
+	}
+	ep, ok := FindEpisode(episode)
+	if !ok {
+		return Spec{}, invalidf("unknown episode %q (one of %s)", episode, strings.Join(EpisodeNames(), ", "))
+	}
+	return ep.Spec, nil
 }

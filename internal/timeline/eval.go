@@ -365,16 +365,3 @@ func inFlight(ctx context.Context, m core.Model, d design.Design, n float64, tl 
 	}
 	return out, nil
 }
-
-// EvaluateEpisode compiles and evaluates a named library episode.
-func EvaluateEpisode(ctx context.Context, m core.Model, d design.Design, n float64, name string, opt Options) (*Result, error) {
-	ep, ok := FindEpisode(name)
-	if !ok {
-		return nil, invalidf("unknown episode %q (one of %v)", name, EpisodeNames())
-	}
-	tl, err := Compile(ep.Spec, Limits{})
-	if err != nil {
-		return nil, err
-	}
-	return Evaluate(ctx, m, d, n, tl, opt)
-}

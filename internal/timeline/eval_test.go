@@ -2,8 +2,10 @@ package timeline
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -137,7 +139,7 @@ func TestSummaryStats(t *testing.T) {
 	// The fab-fire episodes disrupt the 40 nm line, so the design under
 	// test must fabricate there.
 	d := scenario.A11At(technode.N40)
-	res, err := EvaluateEpisode(context.Background(), m, d, 1e6, "fab-fire-recovery", Options{})
+	res, err := evaluateEpisode(m, d, 1e6, "fab-fire-recovery", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +172,7 @@ func TestSummaryStats(t *testing.T) {
 	}
 
 	// single-fab-loss never recovers inside its window.
-	res2, err := EvaluateEpisode(context.Background(), m, d, 1e6, "single-fab-loss", Options{})
+	res2, err := evaluateEpisode(m, d, 1e6, "single-fab-loss", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +248,7 @@ func TestEvaluateCancellation(t *testing.T) {
 func TestInFlightStudy(t *testing.T) {
 	var m core.Model
 	d := scenario.Zen2()
-	res, err := EvaluateEpisode(context.Background(), m, d, 1e7, "export-control-shock", Options{InFlight: true})
+	res, err := evaluateEpisode(m, d, 1e7, "export-control-shock", Options{InFlight: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +273,7 @@ func TestInFlightStudy(t *testing.T) {
 		t.Error("no per-node outcomes")
 	}
 	// Without the flag the study is skipped.
-	res2, err := EvaluateEpisode(context.Background(), m, d, 1e7, "export-control-shock", Options{})
+	res2, err := evaluateEpisode(m, d, 1e7, "export-control-shock", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,10 +282,42 @@ func TestInFlightStudy(t *testing.T) {
 	}
 }
 
-func TestEvaluateEpisodeUnknown(t *testing.T) {
-	var m core.Model
-	_, err := EvaluateEpisode(context.Background(), m, scenario.Zen2(), 1e6, "nope", Options{})
-	if err == nil {
-		t.Fatal("unknown episode accepted")
+// evaluateEpisode compiles and evaluates a named library episode.
+func evaluateEpisode(m core.Model, d design.Design, n float64, name string, opt Options) (*Result, error) {
+	spec, err := Resolve(nil, name)
+	if err != nil {
+		return nil, err
+	}
+	tl, err := Compile(spec, Limits{})
+	if err != nil {
+		return nil, err
+	}
+	return Evaluate(context.Background(), m, d, n, tl, opt)
+}
+
+// TestResolve: exactly one of an inline spec and an episode name
+// selects the timeline, and every other pair is an invalid spec.
+func TestResolve(t *testing.T) {
+	inline := &Spec{Name: "inline", HorizonWeeks: 4}
+	if s, err := Resolve(inline, ""); err != nil || s.Name != "inline" {
+		t.Errorf("inline: %+v, %v", s, err)
+	}
+	if s, err := Resolve(nil, "single-fab-loss"); err != nil || s.Name != "single-fab-loss" {
+		t.Errorf("episode: %+v, %v", s, err)
+	}
+	for _, tc := range []struct {
+		name    string
+		inline  *Spec
+		episode string
+		want    string
+	}{
+		{"both", inline, "single-fab-loss", "mutually exclusive"},
+		{"neither", nil, "", "needs a timeline spec or an episode name"},
+		{"unknown episode", nil, "nope", `unknown episode "nope" (one of global-shortage-2020-22,`},
+	} {
+		_, err := Resolve(tc.inline, tc.episode)
+		if !errors.Is(err, ErrInvalidSpec) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want ErrInvalidSpec mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }
